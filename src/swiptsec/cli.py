@@ -18,7 +18,7 @@ import numpy as np
 
 from . import metrics, region, scenarios, solver
 from .model import (ConfigError, DecodingOrder, OperatingPoint, Weights,
-                    load_scenario)
+                    load_scenario, with_demands)
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
@@ -72,6 +72,8 @@ def run_sweep(manifest: RunManifest) -> int:
     """Sweep every requested mode/demand combination and write the outputs."""
     try:
         cfg = load_scenario(manifest.scenario)
+        # Validate every demand override before any output is written.
+        cases = [with_demands(cfg, psi) for psi in manifest.eh_overrides] or [cfg]
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"ConfigError: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -89,16 +91,13 @@ def run_sweep(manifest: RunManifest) -> int:
         print(f"IoError: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
-    demands = [np.asarray(psi, dtype=float) for psi in manifest.eh_overrides]
-    if not demands:
-        demands = [cfg.eh_demands.copy()]
-
     any_failed = False
     report = {"scenario": str(manifest.scenario), "grid": manifest.grid,
               "seed": manifest.seed, "runs": []}
     for mode in manifest.modes():
-        for psi in demands:
-            boundary = region.sweep(cfg, mode, psi=psi, grid=manifest.grid)
+        for case in cases:
+            psi = case.eh_demands
+            boundary = region.sweep(case, mode, grid=manifest.grid)
             tag = _demand_tag(psi)
             _write_boundary(out / f"boundary_{mode}_{tag}.csv", boundary)
             _write_hull(out / f"hull_{mode}_{tag}.csv", boundary.hull)
@@ -109,7 +108,7 @@ def run_sweep(manifest: RunManifest) -> int:
                 any_failed = True
             if manifest.oracle:
                 entry["oracle"] = _oracle_comparison(
-                    cfg, mode, psi, boundary, manifest.oracle_res)
+                    case, mode, psi, boundary, manifest.oracle_res)
             report["runs"].append(entry)
             print(f"{mode} {tag}: {len(boundary.points)} points, "
                   f"{len(boundary.failures)} failures")

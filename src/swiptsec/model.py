@@ -11,7 +11,7 @@ validation and safe to share across threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -159,6 +159,16 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
     if violations:
         raise ConfigError(violations)
     return cfg
+
+
+def with_demands(cfg: SystemConfig, psi) -> SystemConfig:
+    """``cfg`` with its energy demands replaced by ``psi``, validated.
+
+    Every demand override goes through here, so a NaN, negative or
+    wrong-length demand raises :class:`ConfigError` instead of silently
+    dropping or breaking a harvesting constraint.
+    """
+    return validate_config(replace(cfg, eh_demands=psi))
 
 
 @dataclass(frozen=True, eq=False)

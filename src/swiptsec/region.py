@@ -3,13 +3,14 @@ grid-search oracle used to cross-check the condensation solver."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional
 
 import numpy as np
 
-from .model import DecodingOrder, EnergyModel, OperatingPoint, SystemConfig, Weights
+from .model import (DecodingOrder, EnergyModel, OperatingPoint, SystemConfig,
+                    Weights, with_demands)
 from .solver import (MODES, SECURE, InfeasibleError,
                      NumericalFailureError, SolverOptions, iterate)
 
@@ -71,7 +72,8 @@ def sweep(cfg: SystemConfig, mode: str, psi=None, grid: int = 21,
     Endpoint weights (alpha_k = 0) become dedicated single-user solves where
     the silent user keeps only its harvesting and box constraints.  Secure
     mode solves every weight once per decoding order and keeps both
-    branches.  Failed points are recorded, not fatal.
+    branches.  Failed points are recorded, not fatal.  A ``psi`` override
+    is validated like any config and raises ConfigError when it is invalid.
     """
     if cfg.num_users != 2:
         raise ValueError("sweeps are implemented for two users")
@@ -80,7 +82,7 @@ def sweep(cfg: SystemConfig, mode: str, psi=None, grid: int = 21,
     if grid < 2:
         raise ValueError(f"grid must be >= 2, got {grid}")
     if psi is not None:
-        cfg = replace(cfg, eh_demands=np.asarray(psi, dtype=float))
+        cfg = with_demands(cfg, psi)
 
     orders = ([DecodingOrder(p) for p in permutations(range(2))]
               if mode == SECURE else [None])

@@ -13,7 +13,6 @@ solved in log-transformed variables, where it is convex.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -101,12 +100,6 @@ class Posynomial:
 
     def value(self, x) -> float:
         return float(self.term_values(x).sum())
-
-    def log_value(self, y) -> float:
-        """Value of log posy(exp(y)); the convex log-space form."""
-        r = self.exponents @ np.asarray(y, dtype=float) + np.log(self.coeffs)
-        m = r.max()
-        return float(m + np.log(np.exp(r - m).sum()))
 
     def times(self, other: "Posynomial") -> "Posynomial":
         coeffs = np.outer(self.coeffs, other.coeffs).ravel()
@@ -345,149 +338,94 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
 # Log-space solve
 # ---------------------------------------------------------------------------
 
-def _log_constraints(gp: GpInstance):
-    mats = []
-    for posy in gp.constraints:
-        mats.append((posy.exponents, np.log(posy.coeffs)))
-    return mats
+def _log_posynomials(a, b, starts, z):
+    """log g_i(exp(z)) for every stacked posynomial g_i, and each term's share
+    of its posynomial (the weights of the log-sum-exp gradient)."""
+    r = a @ z + b
+    sizes = np.diff(starts, append=r.size)
+    m = np.maximum.reduceat(r, starts)
+    e = np.exp(r - np.repeat(m, sizes))
+    s = np.add.reduceat(e, starts)
+    return m + np.log(s), e / np.repeat(s, sizes)
 
 
-def _g_and_grad(a, b, y):
-    r = a @ y + b
-    m = r.max()
-    e = np.exp(r - m)
-    s = e.sum()
-    return float(m + np.log(s)), (e / s) @ a
-
-
-def _max_violation(mats, y) -> float:
-    return max(_g_and_grad(a, b, y)[0] for a, b in mats)
-
-
-def _phase_one(mats, y0, bounds, maxiter):
-    """Minimize the largest log-constraint value; feasible iff it reaches <= 0."""
-    n = y0.size
-
+def _slsqp(cost, a, b, starts, z0, bounds, maxiter, ftol):
+    """Minimize cost @ z subject to log g_i(exp(z)) <= 0 for every stacked
+    posynomial, posed to SLSQP as one vector-valued inequality."""
     def fun(z):
-        return z[-1]
+        return -_log_posynomials(a, b, starts, z)[0]
 
     def jac(z):
-        grad = np.zeros(n + 1)
-        grad[-1] = 1.0
-        return grad
+        shares = _log_posynomials(a, b, starts, z)[1]
+        return -np.add.reduceat(shares[:, None] * a, starts)
 
-    cons = []
-    for a, b in mats:
-        def f(z, a=a, b=b):
-            return z[-1] - _g_and_grad(a, b, z[:-1])[0]
-
-        def fj(z, a=a, b=b):
-            _, grad = _g_and_grad(a, b, z[:-1])
-            return np.concatenate([-grad, [1.0]])
-
-        cons.append({"type": "ineq", "fun": f, "jac": fj})
-    z0 = np.concatenate([y0, [_max_violation(mats, y0) + 0.1]])
     res = scipy.optimize.minimize(
-        fun, z0, jac=jac, method="SLSQP", bounds=bounds + [(None, None)],
-        constraints=cons, options={"maxiter": maxiter, "ftol": 1e-12})
-    return res.x[:-1], float(res.x[-1])
+        lambda z: cost @ z, z0, jac=lambda z: cost, method="SLSQP",
+        bounds=bounds, constraints=[{"type": "ineq", "fun": fun, "jac": jac}],
+        options={"maxiter": maxiter, "ftol": ftol})
+    return res.x
 
 
 def solve_gp(gp: GpInstance, tol: float = 1e-8,
              maxiter: int = 300) -> tuple:
     """Maximize lambda over the GP; returns (lambda, OperatingPoint).
 
-    Solved as a smooth convex program in log variables.  Raises
+    Solved as a smooth convex program in log variables y = log x, with every
+    constraint stacked into one exponent matrix (a), one log-coefficient
+    vector (b) and the first term row of each constraint (starts).  Raises
     InfeasibleError when no point satisfies the constraints within ``tol``
     and NumericalFailureError when the optimizer cannot reach a feasible
-    stationary point.
+    point.
     """
-    mats = _log_constraints(gp)
-    n = gp.anchor.size
-    bounds = [(lo, hi) for lo, hi in zip(np.log(gp.floors), np.log(gp.caps))]
+    a = np.vstack([posy.exponents for posy in gp.constraints])
+    b = np.concatenate([np.log(posy.coeffs) for posy in gp.constraints])
+    starts = np.cumsum([0] + [posy.num_terms for posy in gp.constraints[:-1]])
+    lo, hi = np.log(gp.floors), np.log(gp.caps)
+    n = lo.size
+
+    def violation(y):
+        return float(_log_posynomials(a, b, starts, y)[0].max())
+
     y0 = np.log(gp.anchor)
-
-    if _max_violation(mats, y0) > tol:
-        y0, violation = _phase_one(mats, y0, bounds, maxiter)
-        y0 = np.clip(y0, np.log(gp.floors), np.log(gp.caps))
-        if violation > tol:
+    if violation(y0) > tol:
+        # Phase one is the same program with a slack column s: minimize s
+        # subject to g_i(x) e^{-s} <= 1; feasible iff s reaches <= 0.
+        slack_cost = np.zeros(n + 1)
+        slack_cost[n] = 1.0
+        z = _slsqp(slack_cost, np.hstack([a, -np.ones((b.size, 1))]), b, starts,
+                   np.append(y0, violation(y0) + 0.1),
+                   list(zip(lo, hi)) + [(None, None)], maxiter, 1e-12)
+        y0, slack = np.clip(z[:n], lo, hi), float(z[n])
+        if not slack <= tol:
             raise InfeasibleError(
-                f"no feasible point; smallest attainable violation {violation:.3e}",
-                violation=violation, point=np.exp(y0))
+                f"no feasible point; smallest attainable violation {slack:.3e}",
+                violation=slack, point=np.exp(y0))
 
-    def fun(y):
-        return -y[0]
+    alphas = a[starts, 0]
+    rate = alphas > 0
 
-    grad0 = np.zeros(n)
-    grad0[0] = -1.0
+    def set_lambda(y):
+        # lambda enters every term of rate row k as lambda^alpha_k and no
+        # other row, so this shift makes the tightest rate row exactly active.
+        # A row with a far sub-rounding weight turns rounding noise into a
+        # huge shift, so a feasible y is kept when the shift costs more.
+        tight = y.copy()
+        tight[0] -= np.max(_log_posynomials(a, b, starts, y)[0][rate] / alphas[rate])
+        return tight if tight[0] >= y[0] - tol or not violation(y) <= tol else y
 
-    cons = []
-    for a, b in mats:
-        def f(y, a=a, b=b):
-            return -_g_and_grad(a, b, y)[0]
-
-        def fj(y, a=a, b=b):
-            return -_g_and_grad(a, b, y)[1]
-
-        cons.append({"type": "ineq", "fun": f, "jac": fj})
-
-    def _slsqp(start):
-        return scipy.optimize.minimize(
-            fun, start, jac=lambda y: grad0, method="SLSQP", bounds=bounds,
-            constraints=cons, options={"maxiter": maxiter, "ftol": 1e-14})
-
-    res = _slsqp(y0)
-    y = res.x
-    if not res.success and _max_violation(mats, y) <= tol:
-        # Line-search stalls near the optimum are common; a warm restart is
-        # cheap and usually finishes the job.
-        res2 = _slsqp(y)
-        if _max_violation(mats, res2.x) <= tol and res2.x[0] >= y[0]:
-            y = res2.x
-    if _max_violation(mats, y) > tol or y[0] < y0[0] - 1e-12:
-        alt = _trust_region_solve(mats, y0, gp, maxiter)
-        if (alt is not None and alt[0] >= y[0] - 1e-12
-                and _max_violation(mats, alt) <= tol):
-            y = alt
-    if _max_violation(mats, y) > tol:
+    lam_cost = np.zeros(n)
+    lam_cost[0] = -1.0
+    y = set_lambda(_slsqp(lam_cost, a, b, starts, y0, list(zip(lo, hi)),
+                          maxiter, 1e-14))
+    if not violation(y) <= tol:
         raise NumericalFailureError(
-            f"optimizer left constraints violated by {_max_violation(mats, y):.3e}")
+            f"optimizer left constraints violated by {violation(y):.3e}")
     if y[0] < y0[0] - 1e-9:
-        # Never regress below the feasible starting anchor.
-        y = y0
-    x = np.exp(np.clip(y, np.log(gp.floors), np.log(gp.caps)))
+        # Never regress below the feasible starting point.
+        y = set_lambda(y0)
+    x = np.exp(np.clip(y, lo, hi))
     kk = gp.num_users
     return float(x[0]), OperatingPoint(x[1:kk + 1], np.minimum(x[kk + 1:], 1.0))
-
-
-def _trust_region_solve(mats, y0, gp, maxiter):
-    n = y0.size
-
-    def fun(y):
-        return -y[0]
-
-    grad0 = np.zeros(n)
-    grad0[0] = -1.0
-
-    def cfun(y):
-        return np.array([_g_and_grad(a, b, y)[0] for a, b in mats])
-
-    def cjac(y):
-        return np.vstack([_g_and_grad(a, b, y)[1] for a, b in mats])
-
-    nlc = scipy.optimize.NonlinearConstraint(cfun, -np.inf, 0.0, jac=cjac)
-    lb = np.log(gp.floors)
-    ub = np.log(gp.caps)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            res = scipy.optimize.minimize(
-                fun, y0, jac=lambda y: grad0, method="trust-constr",
-                bounds=scipy.optimize.Bounds(lb, ub), constraints=[nlc],
-                options={"maxiter": 4 * maxiter, "gtol": 1e-12, "xtol": 1e-14})
-    except Exception:
-        return None
-    return res.x if res.x is not None else None
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +439,20 @@ class SolverOptions:
     floor_frac: float = 1e-6
     feas_tol: float = 1e-8
     reanchor_retries: int = 2
+
+    def __post_init__(self):
+        # Written so that NaN fails every check.
+        if not self.max_iters >= 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        for name in ("eps_conv", "feas_tol"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not 0 < self.floor_frac < 1:
+            raise ValueError(f"floor_frac must be in (0, 1), got {self.floor_frac}")
+        if not self.reanchor_retries >= 0:
+            raise ValueError(
+                f"reanchor_retries must be >= 0, got {self.reanchor_retries}")
 
 
 @dataclass

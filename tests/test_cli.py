@@ -80,6 +80,17 @@ def _write_weak(tmp_path):
     return path
 
 
+@pytest.mark.parametrize("spec", ["nan,nan", "-1,-1", "0.8,0.8,0.8", "0.8"])
+def test_invalid_demand_override_exits_one(scenario, tmp_path, capsys, spec):
+    # Every override is validated before any output is written.
+    out = tmp_path / "o"
+    code = main(["sweep", "--scenario", str(scenario), "--mode", "reliable",
+                 "--grid", "2", "--eh", "0,0", f"--eh={spec}", "--out", str(out)])
+    assert code == 1
+    assert "ConfigError" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_infeasible_demand_exits_two(scenario, tmp_path):
     out = tmp_path / "o"
     code = main(["sweep", "--scenario", str(scenario), "--mode", "reliable",

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from swiptsec import (DecodingOrder, EmptyInputError, NoFeasiblePointError,
-                      Weights, harvested_energies, hull_height,
-                      legitimate_rates, oracle_grid_search,
+from swiptsec import (ConfigError, DecodingOrder, EmptyInputError,
+                      NoFeasiblePointError, Weights, harvested_energies,
+                      hull_height, legitimate_rates, oracle_grid_search,
                       subset_constraints_satisfied, sweep, time_share_hull)
 from swiptsec.metrics import RateTuple
 from swiptsec.solver import RELIABLE, SECURE
@@ -73,6 +73,12 @@ class TestHull:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("psi", [(np.nan, np.nan), (-1.0, -1.0),
+                                     (0.8, 0.8, 0.8), (0.8,)])
+    def test_invalid_demand_override_rejected(self, psi):
+        with pytest.raises(ConfigError):
+            sweep(weak_interference(), RELIABLE, psi=psi, grid=2)
+
     def test_weak_reliable_anchors(self):
         boundary = sweep(weak_interference(), RELIABLE, psi=(0.0, 0.0), grid=21)
         assert not boundary.failures

@@ -1,6 +1,15 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import swiptsec
 from swiptsec import (DecodingOrder, GpInstance, InfeasibleError,
                       NonPositiveAnchorError, NonPositiveTermError,
                       OperatingPoint, Posynomial, Weights, build_gp, condense,
@@ -156,6 +165,20 @@ class TestSolveGp:
         anchor_rate = min(legitimate_rates(cfg, anchor) / 0.5)
         assert np.log2(lam) >= anchor_rate - 1e-9
 
+    @pytest.mark.parametrize("tiny", [1e-300, 1e-30, 1e-12])
+    def test_tiny_weight_keeps_lambda(self, tiny):
+        # Setting lambda in closed form divides each rate row by its weight;
+        # a far sub-rounding weight must not drag lambda down through it.
+        cfg = random_config(np.random.default_rng(1))
+        anchor = OperatingPoint(0.5 * cfg.power_budget, np.full(2, 0.5))
+
+        def lam(w0):
+            gp = build_gp(cfg, Weights(np.array([w0, 1.0 - w0])), ORDER12,
+                          anchor, RELIABLE)
+            return solve_gp(gp)[0]
+
+        assert lam(tiny) == pytest.approx(lam(1e-6), rel=1e-5)
+
     def test_excess_demand_infeasible(self):
         cfg = weak_interference(eh_demands=(2.0, 2.0))
         with pytest.raises(InfeasibleError):
@@ -241,3 +264,102 @@ class TestIterate:
         rep = iterate(cfg, Weights.pair(0.5), None, RELIABLE,
                       SolverOptions(max_iters=2))
         assert rep.iterations <= 2
+
+
+class TestSolverOptions:
+    @pytest.mark.parametrize("value", [0, -1, float("nan")])
+    def test_max_iters(self, value):
+        with pytest.raises(ValueError, match="max_iters"):
+            SolverOptions(max_iters=value)
+
+    @pytest.mark.parametrize("value", [0.0, -1e-8, float("nan"), float("inf")])
+    def test_feas_tol(self, value):
+        with pytest.raises(ValueError, match="feas_tol"):
+            SolverOptions(feas_tol=value)
+
+    @pytest.mark.parametrize("value", [0.0, -1e-6, float("nan"), float("inf")])
+    def test_eps_conv(self, value):
+        with pytest.raises(ValueError, match="eps_conv"):
+            SolverOptions(eps_conv=value)
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, -0.5, float("nan")])
+    def test_floor_frac(self, value):
+        with pytest.raises(ValueError, match="floor_frac"):
+            SolverOptions(floor_frac=value)
+
+    @pytest.mark.parametrize("value", [-1, float("nan")])
+    def test_reanchor_retries(self, value):
+        with pytest.raises(ValueError, match="reanchor_retries"):
+            SolverOptions(reanchor_retries=value)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), num_users=st.sampled_from([2, 3]),
+       mode=st.sampled_from([RELIABLE, SECURE]),
+       eh_fraction=st.floats(0.0, 0.8),
+       weights=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+                        min_size=3, max_size=3).filter(lambda w: w[0] + w[1] > 0),
+       anchor_frac=st.floats(0.05, 1.0))
+def test_solve_gp_feasible_and_rate_row_tight(seed, num_users, mode, eh_fraction,
+                                              weights, anchor_frac):
+    rng = np.random.default_rng(seed)
+    cfg = random_config(rng, num_users=num_users, eh_fraction=eh_fraction)
+    order = DecodingOrder(tuple(int(k) for k in rng.permutation(num_users)))
+    anchor = OperatingPoint(anchor_frac * cfg.power_budget,
+                            np.full(num_users, anchor_frac))
+    alpha = np.array(weights[:num_users])
+    gp = build_gp(cfg, Weights(alpha / alpha.sum()), order, anchor, mode)
+    try:
+        lam, op = solve_gp(gp)
+    except InfeasibleError:
+        return
+    x = np.concatenate([[lam], op.powers, op.splits])
+    values = np.array([c.value(x) for c in gp.constraints])
+    rate = np.array([label.startswith("rate") for label in gp.labels])
+    assert np.all(values <= 1.0 + 1e-8)
+    assert abs(values[rate].max() - 1.0) <= 1e-9
+
+
+# Endpoint solves whose outcome must not depend on the BLAS thread count: the
+# weak reliable single-user endpoints (log2 3) and the zero-demand secure
+# endpoints of acceptance criterion 4 (1 bit).  Thread counts are fixed when
+# BLAS loads, so they run in a fresh interpreter.
+ENDPOINT_SCRIPT = """
+import json
+from dataclasses import replace
+import numpy as np
+from swiptsec import DecodingOrder, Weights, iterate
+from swiptsec.scenarios import strong_interference, weak_interference
+
+out = {"reliable": [], "secure": []}
+for alpha1, user in ((1.0, 0), (0.0, 1)):
+    rep = iterate(weak_interference(), Weights.pair(alpha1), None, "reliable")
+    out["reliable"].append(rep.rates[user])
+rng = np.random.default_rng(4)
+geometries = [weak_interference(eve_geometry=g).eve_channels
+              for g in ("orthogonal", "parallel")]
+for _ in range(3):
+    raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    geometries.append(0.5 * raw / np.linalg.norm(raw, axis=1, keepdims=True))
+for eve in geometries:
+    for base in (weak_interference(), strong_interference()):
+        cfg = replace(base, eve_channels=eve)
+        for alpha1, user in ((1.0, 0), (0.0, 1)):
+            rep = iterate(cfg, Weights.pair(alpha1), DecodingOrder((0, 1)),
+                          "secure")
+            out["secure"].append(rep.rates[user])
+print(json.dumps(out))
+"""
+
+
+def test_endpoints_with_one_blas_thread():
+    src = str(Path(swiptsec.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1", "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", ENDPOINT_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["reliable"] == pytest.approx([np.log2(3.0)] * 2, abs=1e-3)
+    assert out["secure"] == pytest.approx([1.0] * 20, abs=1e-3)
