@@ -19,7 +19,7 @@ from .region import (BoundaryPoint, EmptyInputError, NoFeasiblePointError,
 from .solver import (RELIABLE, SECURE, GpInstance, InfeasibleAnchorError,
                      InfeasibleError, NonPositiveAnchorError,
                      NonPositiveTermError, NumericalFailureError, Posynomial,
-                     SolveReport, SolverOptions, build_gp, condense, iterate,
+                     SolveReport, build_gp, condense, iterate,
                      optimal_condensation_weights, posynomial, solve_gp)
 
 __version__ = "0.1.0"

@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, region, scenarios, solver
-from .model import (ConfigError, DecodingOrder, OperatingPoint, Weights,
-                    load_scenario, with_demands)
+from .model import (BAD_VALUE, ConfigError, DecodingOrder, OperatingPoint,
+                    Weights, load_scenario, with_demands)
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
@@ -68,10 +68,26 @@ def _write_hull(path: Path, hull: np.ndarray) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _load_two_user(manifest: RunManifest, oracle: bool):
+    """Load the scenario and check what the sweeps and the grid oracle need
+    (two users, an oracle resolution of at least 11); raises ConfigError."""
+    cfg = load_scenario(manifest.scenario)
+    problems = []
+    if cfg.num_users != 2:
+        problems.append((BAD_VALUE, "num_users",
+                         f"sweeps and the oracle need two users, got {cfg.num_users}"))
+    if oracle and manifest.oracle_res < 11:
+        problems.append((BAD_VALUE, "oracle_res",
+                         f"must be >= 11, got {manifest.oracle_res}"))
+    if problems:
+        raise ConfigError(problems)
+    return cfg
+
+
 def run_sweep(manifest: RunManifest) -> int:
     """Sweep every requested mode/demand combination and write the outputs."""
     try:
-        cfg = load_scenario(manifest.scenario)
+        cfg = _load_two_user(manifest, manifest.oracle)
         # Validate every demand override before any output is written.
         cases = [with_demands(cfg, psi) for psi in manifest.eh_overrides] or [cfg]
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
@@ -155,7 +171,7 @@ def run_verify(manifest: RunManifest) -> int:
     """Run the invariant battery on the scenario plus seeded random instances
     and print one pass/fail line per check."""
     try:
-        cfg = load_scenario(manifest.scenario)
+        cfg = _load_two_user(manifest, oracle=True)
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"ConfigError: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

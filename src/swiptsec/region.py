@@ -11,8 +11,7 @@ import numpy as np
 
 from .model import (DecodingOrder, EnergyModel, OperatingPoint, SystemConfig,
                     Weights, with_demands)
-from .solver import (MODES, SECURE, InfeasibleError,
-                     NumericalFailureError, SolverOptions, iterate)
+from .solver import MODES, SECURE, InfeasibleError, NumericalFailureError, iterate
 
 # Rates below this are reported as zero in region output; they correspond to
 # users pinned at the positivity floor of the GP variables.
@@ -65,8 +64,7 @@ def _clamped_weights(alpha1: float) -> Weights:
     return Weights(a / a.sum())
 
 
-def sweep(cfg: SystemConfig, mode: str, psi=None, grid: int = 21,
-          options: Optional[SolverOptions] = None) -> RegionBoundary:
+def sweep(cfg: SystemConfig, mode: str, psi=None, grid: int = 21) -> RegionBoundary:
     """Trace the two-user Pareto boundary over a uniform weight grid.
 
     Endpoint weights (alpha_k = 0) become dedicated single-user solves where
@@ -94,7 +92,7 @@ def sweep(cfg: SystemConfig, mode: str, psi=None, grid: int = 21,
             weights = _clamped_weights(alpha1)
         for order in orders:
             try:
-                rep = iterate(cfg, weights, order, mode, options)
+                rep = iterate(cfg, weights, order, mode)
             except (InfeasibleError, NumericalFailureError) as exc:
                 failures.append({"alpha1": float(alpha1),
                                  "order": order.one_based() if order else None,

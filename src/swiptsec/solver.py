@@ -6,26 +6,39 @@ constraint is a ratio of posynomials in the transmit powers p, the splitting
 coefficients eta and the epigraph variable lambda = 2^beta.  Each outer
 iteration replaces the ratio denominators with their arithmetic-geometric
 mean monomial lower bounds anchored at the previous solution (single
-condensation), which yields a geometric program; the eavesdropper quadratic
-forms are frozen at the previous powers over the same iteration.  The GP is
-solved in log-transformed variables, where it is convex.
+condensation), which yields a geometric program.  In secure mode the
+eavesdropper's covariance determinants are exact posynomials in the powers
+(Cauchy-Binet), so 2^{-R_Ek} is a ratio of posynomials as well and each
+condensed GP is an inner approximation of the true problem: every GP iterate
+is feasible for it and the objective never decreases.  The GP is solved in
+log-transformed variables, where it is convex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
 import scipy.optimize
 
-from .linalg import inv_quadratic_form, rank_one_update_sum
 from .metrics import eve_rate_chain, legitimate_rates, secrecy_corner
 from .model import DecodingOrder, OperatingPoint, SystemConfig, Weights
 
 SECURE = "secure"
 RELIABLE = "reliable"
 MODES = (SECURE, RELIABLE)
+
+# Outer loop: relative change of the GP optimum that counts as converged, the
+# iteration budget, and the re-anchors allowed after an infeasible GP.
+EPS_CONV = 1e-6
+MAX_ITERS = 100
+REANCHOR_RETRIES = 2
+# Positivity floor of each power and split, as a fraction of its cap.
+FLOOR_FRAC = 1e-6
+# Largest constraint violation a GP solution may keep.
+FEAS_TOL = 1e-8
 
 
 class NonPositiveTermError(ValueError):
@@ -180,9 +193,8 @@ class GpInstance:
     """One condensed geometric program: maximize lambda subject to
     posynomial(x) <= 1 constraints over x = (lambda, p, eta).
 
-    lagged_q[k] is the frozen eavesdropper quadratic form of user k (None in
-    reliable mode); condensations pairs each condensed denominator with its
-    monomial bound so approximation gaps can be evaluated later.
+    condensations pairs each condensed denominator with its monomial bound so
+    approximation gaps can be evaluated later.
     """
 
     num_users: int
@@ -192,8 +204,6 @@ class GpInstance:
     floors: np.ndarray
     caps: np.ndarray
     condensations: list = field(default_factory=list)
-    lagged_q: Optional[np.ndarray] = None
-    lagged_matrices: Optional[list] = None
 
 
 def _interferers(order: DecodingOrder, k: int) -> list:
@@ -201,30 +211,36 @@ def _interferers(order: DecodingOrder, k: int) -> list:
     return list(order.users[pos + 1:])
 
 
-def _effective_rates(cfg, op, mode, order, lagged_q=None):
-    """Unclamped per-user effective rates: secrecy gaps in secure mode,
-    plain rates otherwise.  lagged_q substitutes frozen quadratic forms."""
-    rates = legitimate_rates(cfg, op)
-    if mode == RELIABLE:
-        return rates
-    if lagged_q is not None:
-        sbar = cfg.eve_noise_total
-        leak = np.log2(1.0 + op.powers * lagged_q / sbar)
-    else:
-        leak = eve_rate_chain(cfg, op.powers, order)
-    return rates - leak
+def _eve_det(cfg: SystemConfig, users, n: int) -> Posynomial:
+    """det(I + sum_{j in users} (p_j / sbar) h_j h_j^H) as a posynomial over
+    the n GP variables: by Cauchy-Binet, the sum over T in users, |T| <= M,
+    of prod_{j in T} (p_j / sbar) det(G_T), with G = conj(H) H^T the Gram
+    matrix of the eavesdropper channels.  Its principal minors are >= 0; the
+    clamp removes rounding noise from rank-deficient ones.
+    """
+    _, p_of, _ = _var_layout(cfg.num_users)
+    h = cfg.eve_channels
+    sbar = cfg.eve_noise_total
+    gram = h.conj() @ h.T
+    terms = [(1.0, {})]
+    for size in range(1, min(len(users), cfg.num_eve_antennas) + 1):
+        for t in combinations(users, size):
+            minor = np.linalg.det(gram[np.ix_(t, t)]).real
+            terms.append((max(minor, 0.0) / sbar ** size,
+                          {p_of(j): 1 for j in t}))
+    return posynomial(n, terms)
 
 
 def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
-             anchor: OperatingPoint, mode: str, prev_powers=None,
-             floor_frac: float = 1e-6) -> GpInstance:
+             anchor: OperatingPoint, mode: str) -> GpInstance:
     """Emit the condensed GP for one outer iteration.
 
     Per user: the rate/secrecy constraint (skipped when alpha_k = 0), the
     harvesting constraint (skipped when it is vacuous for every feasible
     point), and the box constraints.  Denominators are condensed at the
-    anchor; eavesdropper quadratic forms are constants built from
-    ``prev_powers`` (defaults to the anchor powers).
+    anchor.  User k's secrecy row is lambda^alpha_k A_k E(S + k) <= D_k E(S),
+    where R_k = log2(D_k / A_k), S holds the users decoded after k and E is
+    the eavesdropper determinant of _eve_det.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -232,7 +248,6 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
     lam, p_of, eta_of = _var_layout(kk)
     n = 1 + 2 * kk
     g = cfg.gain_powers
-    sbar = cfg.eve_noise_total
     sig2 = cfg.processing_noise_vars
     rho2 = cfg.antenna_noise_vars
     pmax = cfg.power_budget
@@ -242,9 +257,9 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
     caps = np.empty(n)
     caps[lam] = 2.0 ** 64
     for k in range(kk):
-        floors[p_of(k)] = floor_frac * pmax[k]
+        floors[p_of(k)] = FLOOR_FRAC * pmax[k]
         caps[p_of(k)] = pmax[k]
-        floors[eta_of(k)] = floor_frac
+        floors[eta_of(k)] = FLOOR_FRAC
         caps[eta_of(k)] = 1.0
 
     if np.any(~np.isfinite(anchor.powers)) or np.any(~np.isfinite(anchor.splits)):
@@ -254,26 +269,11 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
     anchor_x[kk + 1:] = np.clip(anchor.splits, floors[kk + 1:], caps[kk + 1:])
     anchor_op = OperatingPoint(anchor_x[1:kk + 1], anchor_x[kk + 1:])
 
-    if prev_powers is None:
-        prev_powers = anchor_op.powers
-    prev_powers = np.asarray(prev_powers, dtype=float)
-
-    lagged_q = None
-    lagged_matrices = None
-    if mode == SECURE:
-        lagged_q = np.empty(kk)
-        lagged_matrices = []
-        for k in range(kk):
-            inter = _interferers(order, k)
-            q_mat = rank_one_update_sum(
-                cfg.num_eve_antennas,
-                [(prev_powers[j] / sbar, cfg.eve_channels[j]) for j in inter])
-            lagged_matrices.append(q_mat)
-            lagged_q[k] = inv_quadratic_form(q_mat, cfg.eve_channels[k])
-
     # Anchor value of lambda: tight against the worst weighted effective
     # rate, so the anchor triple is feasible for its own condensation.
-    eff = _effective_rates(cfg, anchor_op, mode, order, lagged_q)
+    eff = legitimate_rates(cfg, anchor_op)
+    if mode == SECURE:
+        eff = eff - eve_rate_chain(cfg, anchor_op.powers, order)
     active = alpha.alpha > 0
     if not np.any(active):
         raise ValueError("alpha must have at least one positive entry")
@@ -296,10 +296,12 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
         if alpha.alpha[k] > 0:
             a_posy = posynomial(n, a_terms)
             num = a_posy.times(posynomial(n, [(1.0, {lam: alpha.alpha[k]})]))
+            den = posynomial(n, d_terms)
             if mode == SECURE:
-                eve_terms = [(1.0, {}), (lagged_q[k] / sbar, {p_of(k): 1})]
-                num = num.times(posynomial(n, eve_terms))
-            add_ratio(num, posynomial(n, d_terms), f"rate[{k}]")
+                inter = _interferers(order, k)
+                num = num.times(_eve_det(cfg, inter + [k], n))
+                den = den.times(_eve_det(cfg, inter, n))
+            add_ratio(num, den, f"rate[{k}]")
 
         psi = cfg.eh_demands[k]
         received = [(g[k, j], {p_of(j): 1}) for j in range(kk)]
@@ -330,8 +332,7 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
 
     return GpInstance(num_users=kk, constraints=constraints, labels=labels,
                       anchor=anchor_x, floors=floors, caps=caps,
-                      condensations=condensations, lagged_q=lagged_q,
-                      lagged_matrices=lagged_matrices)
+                      condensations=condensations)
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +367,13 @@ def _slsqp(cost, a, b, starts, z0, bounds, maxiter, ftol):
     return res.x
 
 
-def solve_gp(gp: GpInstance, tol: float = 1e-8,
-             maxiter: int = 300) -> tuple:
+def solve_gp(gp: GpInstance, maxiter: int = 300) -> tuple:
     """Maximize lambda over the GP; returns (lambda, OperatingPoint).
 
     Solved as a smooth convex program in log variables y = log x, with every
     constraint stacked into one exponent matrix (a), one log-coefficient
     vector (b) and the first term row of each constraint (starts).  Raises
-    InfeasibleError when no point satisfies the constraints within ``tol``
+    InfeasibleError when no point satisfies the constraints within FEAS_TOL
     and NumericalFailureError when the optimizer cannot reach a feasible
     point.
     """
@@ -387,7 +387,7 @@ def solve_gp(gp: GpInstance, tol: float = 1e-8,
         return float(_log_posynomials(a, b, starts, y)[0].max())
 
     y0 = np.log(gp.anchor)
-    if violation(y0) > tol:
+    if violation(y0) > FEAS_TOL:
         # Phase one is the same program with a slack column s: minimize s
         # subject to g_i(x) e^{-s} <= 1; feasible iff s reaches <= 0.
         slack_cost = np.zeros(n + 1)
@@ -396,7 +396,7 @@ def solve_gp(gp: GpInstance, tol: float = 1e-8,
                    np.append(y0, violation(y0) + 0.1),
                    list(zip(lo, hi)) + [(None, None)], maxiter, 1e-12)
         y0, slack = np.clip(z[:n], lo, hi), float(z[n])
-        if not slack <= tol:
+        if not slack <= FEAS_TOL:
             raise InfeasibleError(
                 f"no feasible point; smallest attainable violation {slack:.3e}",
                 violation=slack, point=np.exp(y0))
@@ -411,13 +411,14 @@ def solve_gp(gp: GpInstance, tol: float = 1e-8,
         # huge shift, so a feasible y is kept when the shift costs more.
         tight = y.copy()
         tight[0] -= np.max(_log_posynomials(a, b, starts, y)[0][rate] / alphas[rate])
-        return tight if tight[0] >= y[0] - tol or not violation(y) <= tol else y
+        return tight if (tight[0] >= y[0] - FEAS_TOL
+                         or not violation(y) <= FEAS_TOL) else y
 
     lam_cost = np.zeros(n)
     lam_cost[0] = -1.0
     y = set_lambda(_slsqp(lam_cost, a, b, starts, y0, list(zip(lo, hi)),
                           maxiter, 1e-14))
-    if not violation(y) <= tol:
+    if not violation(y) <= FEAS_TOL:
         raise NumericalFailureError(
             f"optimizer left constraints violated by {violation(y):.3e}")
     if y[0] < y0[0] - 1e-9:
@@ -433,36 +434,16 @@ def solve_gp(gp: GpInstance, tol: float = 1e-8,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SolverOptions:
-    eps_conv: float = 1e-6
-    max_iters: int = 100
-    floor_frac: float = 1e-6
-    feas_tol: float = 1e-8
-    reanchor_retries: int = 2
-
-    def __post_init__(self):
-        # Written so that NaN fails every check.
-        if not self.max_iters >= 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        for name in ("eps_conv", "feas_tol"):
-            value = getattr(self, name)
-            if not 0 < value < np.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
-        if not 0 < self.floor_frac < 1:
-            raise ValueError(f"floor_frac must be in (0, 1), got {self.floor_frac}")
-        if not self.reanchor_retries >= 0:
-            raise ValueError(
-                f"reanchor_retries must be >= 0, got {self.reanchor_retries}")
-
-
-@dataclass
 class SolveReport:
     """Outcome of one weighted max-min solve.
 
     ``lam`` is recomputed from the returned operating point through the exact
     rate formulas (clamped secrecy rates in secure mode), so log2(lam) equals
     the smallest weighted effective rate at the point.  ``lam_trace`` holds
-    the raw per-iteration GP optima, which use lagged eavesdropper matrices.
+    the raw per-iteration GP optima.  Each condensed GP is an inner
+    approximation that is exact at its anchor, so in both modes the trace
+    never decreases beyond solver tolerance; ``non_monotone`` flags a trace
+    that does.
     """
 
     lam: float
@@ -485,15 +466,14 @@ class SolveReport:
 
 
 def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
-            mode: str, options: Optional[SolverOptions] = None) -> SolveReport:
+            mode: str) -> SolveReport:
     """Run the condensation loop for one weight vector.
 
     Anchored at full power with half splits; each iteration rebuilds the GP
-    at the previous solution (which also refreshes the lagged eavesdropper
-    matrices) until the GP optimum stops moving or the iteration budget is
-    exhausted.
+    at the previous solution until the GP optimum moves by at most EPS_CONV
+    (relative) or MAX_ITERS GPs are solved.  An infeasible GP is re-anchored
+    at its least-violating point up to REANCHOR_RETRIES times.
     """
-    opt = options or SolverOptions()
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if order is None:
@@ -501,20 +481,18 @@ def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
 
     anchor = OperatingPoint(cfg.power_budget.copy(),
                             np.full(cfg.num_users, 0.5))
-    prev_powers = cfg.power_budget.copy()
     trace = []
     converged = False
     gp = None
     point = anchor
-    retries = opt.reanchor_retries
+    retries = REANCHOR_RETRIES
 
     it = 0
-    while it < opt.max_iters:
+    while it < MAX_ITERS:
         it += 1
-        gp = build_gp(cfg, alpha, order, anchor, mode,
-                      prev_powers=prev_powers, floor_frac=opt.floor_frac)
+        gp = build_gp(cfg, alpha, order, anchor, mode)
         try:
-            lam_gp, point = solve_gp(gp, tol=opt.feas_tol)
+            lam_gp, point = solve_gp(gp)
         except InfeasibleError as exc:
             if retries > 0 and exc.point is not None:
                 # The condensed program can be infeasible even when the true
@@ -524,20 +502,17 @@ def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
                 kk = cfg.num_users
                 anchor = OperatingPoint(exc.point[1:kk + 1],
                                         np.minimum(exc.point[kk + 1:], 1.0))
-                prev_powers = anchor.powers
                 continue
             raise InfeasibleError(
                 f"{mode} solve infeasible for alpha={alpha.alpha}: {exc}",
                 violation=exc.violation, point=exc.point) from exc
         trace.append(lam_gp)
-        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= opt.eps_conv * max(1.0, trace[-1]):
+        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= EPS_CONV * max(1.0, trace[-1]):
             converged = True
             break
         anchor = point
-        prev_powers = point.powers
 
-    # Report with exact rates at the final point (eavesdropper matrices
-    # rebuilt from the final powers, not the lagged ones).
+    # Report with exact rates at the final point.
     if mode == SECURE:
         corner = secrecy_corner(cfg, point, order)
         eff = corner.per_user
@@ -555,7 +530,7 @@ def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
     gaps = np.array([denom.value(x_final) - mono.value(x_final)
                      for denom, mono in gp.condensations])
 
-    non_monotone = any(trace[i + 1] < trace[i] - opt.eps_conv * max(1.0, trace[i])
+    non_monotone = any(trace[i + 1] < trace[i] - EPS_CONV * max(1.0, trace[i])
                        for i in range(len(trace) - 1))
     return SolveReport(lam=lam, op=point, iterations=len(trace), lam_trace=trace,
                        gaps=gaps, converged=converged, clamped=clamped,

@@ -9,7 +9,7 @@ from swiptsec import (OperatingPoint, legitimate_rates, save_scenario,
 from swiptsec.cli import main
 from swiptsec.model import DecodingOrder
 from swiptsec.region import render_rates
-from swiptsec.scenarios import weak_interference
+from swiptsec.scenarios import random_config, weak_interference
 
 
 @pytest.fixture()
@@ -89,6 +89,26 @@ def test_invalid_demand_override_exits_one(scenario, tmp_path, capsys, spec):
     assert code == 1
     assert "ConfigError" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--scenario", "{k3}", "--mode", "reliable", "--grid", "2"],
+    ["verify", "--scenario", "{k3}"],
+    ["sweep", "--scenario", "{weak}", "--mode", "reliable", "--grid", "2",
+     "--oracle", "--oracle-res", "5"],
+    ["verify", "--scenario", "{weak}", "--oracle-res", "5"],
+], ids=["sweep-k3", "verify-k3", "sweep-oracle-res", "verify-oracle-res"])
+def test_unsupported_input_exits_one(scenario, tmp_path, capsys, args):
+    # Three users and oracle resolutions below 11 are rejected before any
+    # output is written.
+    k3 = tmp_path / "k3.json"
+    save_scenario(random_config(np.random.default_rng(0), num_users=3), k3)
+    out = tmp_path / "o"
+    out.mkdir()
+    argv = [a.format(k3=k3, weak=scenario) for a in args] + ["--out", str(out)]
+    assert main(argv) == 1
+    assert "ConfigError" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_infeasible_demand_exits_two(scenario, tmp_path):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,13 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import swiptsec
+from swiptsec import solver
 from swiptsec import (DecodingOrder, GpInstance, InfeasibleError,
                       NonPositiveAnchorError, NonPositiveTermError,
                       OperatingPoint, Posynomial, Weights, build_gp, condense,
                       eve_rate_chain, harvested_energies, iterate,
-                      legitimate_rates, optimal_condensation_weights,
-                      posynomial, secrecy_corner, solve_gp)
-from swiptsec.solver import RELIABLE, SECURE, SolverOptions
+                      legitimate_rates, log2_det, optimal_condensation_weights,
+                      posynomial, rank_one_update_sum, secrecy_corner,
+                      solve_gp)
+from swiptsec.region import oracle_grid_search
+from swiptsec.solver import RELIABLE, SECURE, _eve_det
 from swiptsec.scenarios import (random_config, strong_interference,
                                 weak_interference)
 
@@ -128,18 +132,29 @@ class TestBuildGp:
             for cs, cr in zip(gp_sec.constraints, gp_rel.constraints):
                 assert cs.value(x) == pytest.approx(cr.value(x), rel=1e-12)
 
-    def test_lagged_matrices_recorded(self):
-        cfg = weak_interference(eve_geometry="parallel")
-        anchor = OperatingPoint(np.ones(2), np.full(2, 0.5))
-        prev = np.array([0.4, 0.7])
-        gp = build_gp(cfg, Weights.pair(0.5), ORDER12, anchor, SECURE,
-                      prev_powers=prev)
-        # User 0 decoded first: its lagged covariance carries user 1's power.
-        expected = np.eye(2, dtype=complex)
-        h1 = cfg.eve_channels[1]
-        expected += (prev[1] / cfg.eve_noise_total) * np.outer(h1, h1.conj())
-        assert np.allclose(gp.lagged_matrices[0], expected)
-        assert np.allclose(gp.lagged_matrices[1], np.eye(2))
+    def test_eve_det_matches_covariance_determinant(self):
+        # Cauchy-Binet: the posynomial equals det(I + sum_j (p_j/sbar) h_j h_j^H)
+        # for any user set, including rank-deficient channel geometries where
+        # some Gram minors vanish up to rounding.
+        rng = np.random.default_rng(17)
+        for trial in range(60):
+            k, m = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+            cfg = random_config(rng, num_users=k, num_eve_antennas=m)
+            h = np.array(cfg.eve_channels)
+            if trial % 3 == 1:        # every user on one direction (parallel)
+                h = rng.uniform(0.3, 0.7, k)[:, None] * h[0] / np.linalg.norm(h[0])
+            elif trial % 3 == 2:      # user 1 a scaled copy of user 0
+                h[1] = rng.uniform(0.5, 2.0) * h[0]
+            cfg = replace(cfg, eve_channels=h)
+            n = 1 + 2 * k
+            for _ in range(5):
+                p = rng.uniform(0, 1, k) * cfg.power_budget
+                users = [int(u) for u in rng.permutation(k)[:rng.integers(0, k + 1)]]
+                x = np.concatenate([[1.0], p, np.full(k, 0.5)])
+                cov = rank_one_update_sum(
+                    m, [(p[j] / cfg.eve_noise_total, h[j]) for j in users])
+                exact = 2.0 ** log2_det(cov)
+                assert _eve_det(cfg, users, n).value(x) == pytest.approx(exact, rel=1e-12)
 
 
 class TestSolveGp:
@@ -259,38 +274,40 @@ class TestIterate:
             corner = secrecy_corner(cfg, rep.op, order)
             assert np.allclose(rep.rates, corner.per_user, atol=1e-12)
 
-    def test_respects_iteration_budget(self):
-        cfg = weak_interference()
-        rep = iterate(cfg, Weights.pair(0.5), None, RELIABLE,
-                      SolverOptions(max_iters=2))
+    def test_respects_iteration_budget(self, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_ITERS", 2)
+        rep = iterate(weak_interference(), Weights.pair(0.5), None, RELIABLE)
         assert rep.iterations <= 2
 
+    def test_secure_traces_nondecreasing(self):
+        # The exact eavesdropper determinants make each condensed GP an inner
+        # approximation exact at its anchor, so secure traces climb too.
+        runs = [(strong_interference(eve_geometry="parallel"), Weights.pair(a),
+                 DecodingOrder(perm))
+                for a in (0.25, 0.5, 0.75) for perm in ((0, 1), (1, 0))]
+        rng = np.random.default_rng(29)
+        for _ in range(4):
+            cfg = random_config(rng, num_users=3, eh_fraction=0.3)
+            runs.append((cfg, Weights(rng.dirichlet(np.ones(3))),
+                         DecodingOrder(tuple(int(u) for u in rng.permutation(3)))))
+        for cfg, weights, order in runs:
+            rep = iterate(cfg, weights, order, SECURE)
+            assert not rep.non_monotone, rep.lam_trace
 
-class TestSolverOptions:
-    @pytest.mark.parametrize("value", [0, -1, float("nan")])
-    def test_max_iters(self, value):
-        with pytest.raises(ValueError, match="max_iters"):
-            SolverOptions(max_iters=value)
-
-    @pytest.mark.parametrize("value", [0.0, -1e-8, float("nan"), float("inf")])
-    def test_feas_tol(self, value):
-        with pytest.raises(ValueError, match="feas_tol"):
-            SolverOptions(feas_tol=value)
-
-    @pytest.mark.parametrize("value", [0.0, -1e-6, float("nan"), float("inf")])
-    def test_eps_conv(self, value):
-        with pytest.raises(ValueError, match="eps_conv"):
-            SolverOptions(eps_conv=value)
-
-    @pytest.mark.parametrize("value", [0.0, 1.0, -0.5, float("nan")])
-    def test_floor_frac(self, value):
-        with pytest.raises(ValueError, match="floor_frac"):
-            SolverOptions(floor_frac=value)
-
-    @pytest.mark.parametrize("value", [-1, float("nan")])
-    def test_reanchor_retries(self, value):
-        with pytest.raises(ValueError, match="reanchor_retries"):
-            SolverOptions(reanchor_retries=value)
+    def test_secure_solver_within_five_percent_of_oracle(self):
+        runs = [(base(eh_demands=psi, eve_geometry="parallel"), Weights.pair(a),
+                 DecodingOrder(perm))
+                for base, psi in ((weak_interference, (0.5, 0.5)),
+                                  (strong_interference, (0.0, 0.0)))
+                for a in (0.25, 0.5, 0.75) for perm in ((0, 1), (1, 0))]
+        for cfg, weights, order in runs:
+            oracle = oracle_grid_search(cfg, SECURE, None, weights, order,
+                                        resolution=51)
+            rep = iterate(cfg, weights, order, SECURE)
+            shortfall = max(oracle.objective - rep.objective, 0.0)
+            assert shortfall <= 0.05 * max(oracle.objective, 1e-12), (
+                f"alpha={weights.alpha} order={order.users}: solver "
+                f"{rep.objective}, oracle {oracle.objective}")
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -318,6 +335,46 @@ def test_solve_gp_feasible_and_rate_row_tight(seed, num_users, mode, eh_fraction
     rate = np.array([label.startswith("rate") for label in gp.labels])
     assert np.all(values <= 1.0 + 1e-8)
     assert abs(values[rate].max() - 1.0) <= 1e-9
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), num_users=st.sampled_from([2, 3]),
+       num_eve_antennas=st.sampled_from([1, 2, 3]), parallel=st.booleans(),
+       weights=st.lists(st.floats(1e-3, 1.0), min_size=3, max_size=3),
+       anchor_frac=st.floats(0.05, 1.0))
+def test_secure_condensation_is_inner(seed, num_users, num_eve_antennas,
+                                      parallel, weights, anchor_frac):
+    # Every secure rate row is at least lambda^alpha_k 2^{-(R_k - R_Ek)}, so a
+    # point the condensed GP accepts satisfies the true secrecy constraint.
+    # Points near the anchor, where the condensation is tight, alternate with
+    # points drawn over the whole box.
+    rng = np.random.default_rng(seed)
+    cfg = random_config(rng, num_users=num_users,
+                        num_eve_antennas=num_eve_antennas)
+    if parallel:
+        h = cfg.eve_channels
+        cfg = replace(cfg, eve_channels=np.linalg.norm(h, axis=1)[:, None]
+                      * h[0] / np.linalg.norm(h[0]))
+    order = DecodingOrder(tuple(int(k) for k in rng.permutation(num_users)))
+    anchor = OperatingPoint(anchor_frac * cfg.power_budget,
+                            rng.uniform(0.05, 1.0, num_users))
+    alpha = np.array(weights[:num_users])
+    gp = build_gp(cfg, Weights(alpha / alpha.sum()), order, anchor, SECURE)
+    rows = [(int(label[5:-1]), c) for label, c in zip(gp.labels, gp.constraints)
+            if label.startswith("rate")]
+    for i in range(10):
+        if i % 2:
+            x = np.exp(rng.uniform(np.log(gp.floors), np.log(gp.caps)))
+        else:
+            x = np.clip(gp.anchor * np.exp(rng.normal(0.0, 0.3, gp.anchor.size)),
+                        gp.floors, gp.caps)
+        x[0] = np.exp(rng.uniform(-3.0, 3.0))
+        op = OperatingPoint(x[1:num_users + 1], x[num_users + 1:])
+        eff = legitimate_rates(cfg, op) - eve_rate_chain(cfg, op.powers, order)
+        for k, row in rows:
+            # The lambda exponent of every term of row k is alpha_k.
+            bound = x[0] ** row.exponents[0, 0] * 2.0 ** -eff[k]
+            assert row.value(x) >= bound * (1 - 1e-9)
 
 
 # Endpoint solves whose outcome must not depend on the BLAS thread count: the
