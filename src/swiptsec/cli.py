@@ -1,8 +1,9 @@
 """Batch front-end: read a JSON scenario, run boundary sweeps, emit
-plot-ready CSV files and a solver-versus-oracle report.
+plot-ready CSV files and a report of every run (its failed points, and its
+solver-versus-oracle gaps with --oracle).
 
-Exit codes: 0 full success, 1 configuration error, 2 at least one sweep
-point failed.
+Exit codes: 0 full success, 1 configuration error (usage errors included),
+2 at least one sweep point failed.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -25,21 +25,6 @@ EXIT_CONFIG_ERROR = 1
 EXIT_POINT_FAILURES = 2
 
 BOUNDARY_HEADER = "alpha1,alpha2,Rs1,Rs2,p1,p2,eta1,eta2,order,iterations,converged"
-
-
-@dataclass
-class RunManifest:
-    scenario: str
-    mode: str = "both"                 # secure | reliable | both
-    grid: int = 21
-    eh_overrides: list = field(default_factory=list)   # list of [psi1, psi2]
-    oracle: bool = False
-    oracle_res: int = 51
-    out_dir: str = "."
-    seed: int = 0
-
-    def modes(self):
-        return [solver.SECURE, solver.RELIABLE] if self.mode == "both" else [self.mode]
 
 
 def _fmt(x: float) -> str:
@@ -68,39 +53,36 @@ def _write_hull(path: Path, hull: np.ndarray) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _load_two_user(manifest: RunManifest, oracle: bool):
+def _load_two_user(args, oracle: bool):
     """Load the scenario and check what the sweeps and the grid oracle need
     (two users, an oracle resolution of at least 11); raises ConfigError."""
-    cfg = load_scenario(manifest.scenario)
+    cfg = load_scenario(args.scenario)
     problems = []
     if cfg.num_users != 2:
         problems.append((BAD_VALUE, "num_users",
                          f"sweeps and the oracle need two users, got {cfg.num_users}"))
-    if oracle and manifest.oracle_res < 11:
+    if oracle and args.oracle_res < 11:
         problems.append((BAD_VALUE, "oracle_res",
-                         f"must be >= 11, got {manifest.oracle_res}"))
+                         f"must be >= 11, got {args.oracle_res}"))
     if problems:
         raise ConfigError(problems)
     return cfg
 
 
-def run_sweep(manifest: RunManifest) -> int:
+def run_sweep(args) -> int:
     """Sweep every requested mode/demand combination and write the outputs."""
     try:
-        cfg = _load_two_user(manifest, manifest.oracle)
+        cfg = _load_two_user(args, args.oracle)
+        if args.grid < 2:
+            raise ConfigError([(BAD_VALUE, "grid", f"must be >= 2, got {args.grid}")])
         # Validate every demand override before any output is written.
-        cases = [with_demands(cfg, psi) for psi in manifest.eh_overrides] or [cfg]
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
+        cases = [with_demands(cfg, [float(v) for v in spec.split(",")])
+                 for spec in args.eh] or [cfg]
+    except (OSError, ValueError) as exc:
         print(f"ConfigError: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    if manifest.grid < 2:
-        print(f"ConfigError: grid must be >= 2, got {manifest.grid}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    if manifest.mode not in ("both", solver.SECURE, solver.RELIABLE):
-        print(f"ConfigError: unknown mode {manifest.mode!r}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
 
-    out = Path(manifest.out_dir)
+    out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -108,12 +90,12 @@ def run_sweep(manifest: RunManifest) -> int:
         return EXIT_CONFIG_ERROR
 
     any_failed = False
-    report = {"scenario": str(manifest.scenario), "grid": manifest.grid,
-              "seed": manifest.seed, "runs": []}
-    for mode in manifest.modes():
+    report = {"scenario": str(args.scenario), "grid": args.grid, "runs": []}
+    modes = solver.MODES if args.mode == "both" else (args.mode,)
+    for mode in modes:
         for case in cases:
             psi = case.eh_demands
-            boundary = region.sweep(case, mode, grid=manifest.grid)
+            boundary = region.sweep(case, mode, grid=args.grid)
             tag = _demand_tag(psi)
             _write_boundary(out / f"boundary_{mode}_{tag}.csv", boundary)
             _write_hull(out / f"hull_{mode}_{tag}.csv", boundary.hull)
@@ -122,16 +104,14 @@ def run_sweep(manifest: RunManifest) -> int:
                      "failures": boundary.failures}
             if boundary.failures:
                 any_failed = True
-            if manifest.oracle:
+            if args.oracle:
                 entry["oracle"] = _oracle_comparison(
-                    case, mode, psi, boundary, manifest.oracle_res)
+                    case, mode, psi, boundary, args.oracle_res)
             report["runs"].append(entry)
             print(f"{mode} {tag}: {len(boundary.points)} points, "
                   f"{len(boundary.failures)} failures")
 
-    if manifest.oracle:
-        (out / "report.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n")
+    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return EXIT_POINT_FAILURES if any_failed else EXIT_OK
 
 
@@ -139,21 +119,17 @@ def _oracle_comparison(cfg, mode, psi, boundary, resolution) -> list:
     """Per swept point: exact solver objective versus the grid oracle."""
     rows = []
     for pt in boundary.points:
-        a = pt.alpha
-        if a[0] in (0.0, 1.0):
-            weights = Weights(a)
-        else:
-            weights = region._clamped_weights(a[0])
+        weights = pt.weights.alpha
         try:
             oracle = region.oracle_grid_search(
-                cfg, mode, psi, weights, pt.order, resolution=resolution)
+                cfg, mode, psi, pt.weights, pt.order, resolution=resolution)
             oracle_obj = oracle.objective
         except region.NoFeasiblePointError:
             oracle_obj = None
-        active = weights.alpha > 0
-        solver_obj = float(np.min(pt.rates_raw[active] / weights.alpha[active]))
+        active = weights > 0
+        solver_obj = float(np.min(pt.rates_raw[active] / weights[active]))
         rows.append({
-            "alpha1": float(a[0]),
+            "alpha1": float(pt.alpha[0]),
             "order": list(pt.order.one_based()) if pt.order else None,
             "solver_objective": solver_obj,
             "oracle_objective": oracle_obj,
@@ -167,22 +143,22 @@ def _oracle_comparison(cfg, mode, psi, boundary, resolution) -> list:
 # Verification battery
 # ---------------------------------------------------------------------------
 
-def run_verify(manifest: RunManifest) -> int:
+def run_verify(args) -> int:
     """Run the invariant battery on the scenario plus seeded random instances
     and print one pass/fail line per check."""
     try:
-        cfg = _load_two_user(manifest, oracle=True)
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
+        cfg = _load_two_user(args, oracle=True)
+    except (OSError, ValueError) as exc:
         print(f"ConfigError: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
-    rng = np.random.default_rng(manifest.seed)
+    rng = np.random.default_rng(args.seed)
     checks = [
         ("chain-rule conservation", _check_chain_rule(cfg, rng)),
         ("condensation soundness", _check_condensation(rng)),
         ("subset constraints at corners", _check_subsets(cfg, rng)),
         ("energy feasibility screen", _check_feasibility(cfg)),
-        ("oracle dominance", _check_oracle_dominance(cfg, manifest.oracle_res)),
+        ("oracle dominance", _check_oracle_dominance(cfg, args.oracle_res)),
     ]
     width = max(len(name) for name, _ in checks)
     ok = True
@@ -198,15 +174,6 @@ def _random_ops(rng, cfg, count):
                              rng.uniform(0, 1, cfg.num_users))
 
 
-def _orders_to_check(num_users, limit: int = 6):
-    out = []
-    for perm in permutations(range(num_users)):
-        out.append(DecodingOrder(perm))
-        if len(out) >= limit:
-            break
-    return out
-
-
 def _check_chain_rule(cfg, rng, cases: int = 200, tol: float = 1e-9):
     worst = 0.0
     configs = [cfg]
@@ -218,7 +185,7 @@ def _check_chain_rule(cfg, rng, cases: int = 200, tol: float = 1e-9):
         users = range(c.num_users)
         subsets = [s for size in range(1, c.num_users + 1)
                    for s in combinations(users, size)]
-        for order in _orders_to_check(c.num_users):
+        for order in map(DecodingOrder, permutations(range(c.num_users))):
             for s in subsets:
                 total = metrics.eve_rate_chain(c, p, order, s)[list(s)].sum()
                 worst = max(worst, abs(total - metrics.eve_sum_rate(c, p, s)))
@@ -245,7 +212,7 @@ def _check_condensation(rng, cases: int = 300, tol: float = 1e-9):
 def _check_subsets(cfg, rng, cases: int = 20, tol: float = 1e-6):
     worst = -np.inf
     for op in _random_ops(rng, cfg, cases):
-        for order in _orders_to_check(cfg.num_users):
+        for order in map(DecodingOrder, permutations(range(cfg.num_users))):
             # Clamped corners are only guaranteed inside the region when no
             # user's secrecy gap went negative.
             gaps = (metrics.legitimate_rates(cfg, op)
@@ -304,17 +271,23 @@ def _check_oracle_dominance(cfg, resolution, tol_frac: float = 0.05):
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors reported as configuration errors (exit 1);
+    argparse's default, 2, is this CLI's code for a failed sweep point."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG_ERROR, f"ConfigError: {message}\n")
+
+
 def _add_common(p):
     p.add_argument("--scenario", required=True, help="path to the scenario JSON")
-    p.add_argument("--grid", type=int, default=21, help="number of weight samples")
     p.add_argument("--oracle-res", type=int, default=51,
                    help="grid resolution per axis for the oracle")
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--seed", type=int, default=0, help="seed for random checks")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="swiptsec",
         description="Pareto boundaries of secrecy/reliable rate regions with "
                     "power-splitting harvesting receivers")
@@ -322,6 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_p = sub.add_parser("sweep", help="trace region boundaries to CSV")
     _add_common(sweep_p)
+    sweep_p.add_argument("--grid", type=int, default=21, help="number of weight samples")
+    sweep_p.add_argument("--out", default=".", help="output directory")
     sweep_p.add_argument("--mode", default="both",
                          choices=["secure", "reliable", "both"])
     sweep_p.add_argument("--eh", action="append", default=[],
@@ -332,33 +307,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify_p = sub.add_parser("verify", help="run the invariant battery")
     _add_common(verify_p)
+    verify_p.add_argument("--seed", type=int, default=0, help="seed for random checks")
     return parser
-
-
-def _manifest_from_args(args) -> RunManifest:
-    overrides = []
-    for spec in getattr(args, "eh", []):
-        overrides.append([float(v) for v in spec.split(",")])
-    return RunManifest(scenario=args.scenario,
-                       mode=getattr(args, "mode", "both"),
-                       grid=args.grid,
-                       eh_overrides=overrides,
-                       oracle=getattr(args, "oracle", False),
-                       oracle_res=args.oracle_res,
-                       out_dir=args.out,
-                       seed=args.seed)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        manifest = _manifest_from_args(args)
-    except ValueError as exc:
-        print(f"ConfigError: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
     if args.command == "sweep":
-        return run_sweep(manifest)
-    return run_verify(manifest)
+        return run_sweep(args)
+    return run_verify(args)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import inv_quadratic_form, log2_det, rank_one_update_sum
-from .model import DecodingOrder, EnergyModel, OperatingPoint, SystemConfig
+from .model import DecodingOrder, OperatingPoint, SystemConfig
 
 
 class EmptySubsetError(ValueError):
@@ -73,15 +73,16 @@ def legitimate_rates(cfg: SystemConfig, op: OperatingPoint) -> np.ndarray:
 
 
 def harvested_energy(cfg: SystemConfig, op: OperatingPoint, k: int) -> float:
-    """Harvested energy of user k under the config's energy model.
+    """Harvested energy of user k under the config's energy model,
+    c_k + (1 - eta_k) (sum_j p_j g_kj + d_k) with (c, d) from
+    ``cfg.harvest_offsets``:
 
     PRODUCT:       (1 - eta_k) (sum_j p_j g_kj + rho_k^2)
     REFORMULATED:  sig_k^2 + (1 - eta_k) sum_j p_j g_kj
     """
     received = float(cfg.gain_powers[k] @ op.powers)
-    if cfg.energy_model is EnergyModel.PRODUCT:
-        return (1.0 - op.splits[k]) * (received + cfg.antenna_noise_vars[k])
-    return cfg.processing_noise_vars[k] + (1.0 - op.splits[k]) * received
+    c, d = cfg.harvest_offsets
+    return c[k] + (1.0 - op.splits[k]) * (received + d[k])
 
 
 def harvested_energies(cfg: SystemConfig, op: OperatingPoint) -> EnergyVector:

@@ -100,6 +100,18 @@ class SystemConfig:
         """|gains|^2, the only form the rate/energy formulas consume."""
         return np.abs(self.gains) ** 2
 
+    @property
+    def harvest_offsets(self) -> tuple:
+        """Per-user (c, d) of the energy model: user k harvests
+        c_k + (1 - eta_k)(T_k + d_k), where T_k is its received signal power.
+
+        REFORMULATED gives (sigma^2, 0) and PRODUCT gives (0, rho^2).
+        """
+        zero = np.zeros_like(self.antenna_noise_vars)
+        if self.energy_model is EnergyModel.PRODUCT:
+            return zero, self.antenna_noise_vars
+        return self.processing_noise_vars, zero
+
 
 def config_violations(cfg: SystemConfig) -> list:
     """Return the complete list of invariant violations (empty when valid)."""
@@ -112,40 +124,30 @@ def config_violations(cfg: SystemConfig) -> list:
         v.append((BAD_VALUE, "num_eve_antennas", f"must be a positive integer, got {m!r}"))
         return v
 
-    if cfg.gains.shape != (k, k):
-        v.append((DIMENSION_MISMATCH, "gains", f"expected shape {(k, k)}, got {cfg.gains.shape}"))
-    if cfg.eve_channels.shape != (k, m):
-        v.append((DIMENSION_MISMATCH, "eve_channels",
-                  f"expected shape {(k, m)}, got {cfg.eve_channels.shape}"))
-
-    for name in ("antenna_noise_vars", "processing_noise_vars"):
+    for name, shape in (("gains", (k, k)), ("eve_channels", (k, m))):
         arr = getattr(cfg, name)
-        if arr.shape != (k,):
-            v.append((DIMENSION_MISMATCH, name, f"expected shape {(k,)}, got {arr.shape}"))
+        if arr.shape != shape:
+            v.append((DIMENSION_MISMATCH, name, f"expected shape {shape}, got {arr.shape}"))
+        elif not np.all(np.isfinite(arr)):
+            v.append((BAD_VALUE, name, "every entry must be finite"))
+
+    for name, shape, kind, rule in (
+            ("antenna_noise_vars", (k,), NON_POSITIVE_VARIANCE, "variance must be > 0"),
+            ("processing_noise_vars", (k,), NON_POSITIVE_VARIANCE, "variance must be > 0"),
+            ("eve_antenna_noise_var", (), NON_POSITIVE_VARIANCE, "variance must be > 0"),
+            ("eve_processing_noise_var", (), NON_POSITIVE_VARIANCE, "variance must be > 0"),
+            ("power_budget", (k,), NON_POSITIVE_BUDGET, "budget must be > 0"),
+            ("eh_demands", (k,), NEGATIVE_DEMAND, "demand must be >= 0")):
+        arr = np.asarray(getattr(cfg, name))
+        if arr.shape != shape:
+            v.append((DIMENSION_MISMATCH, name, f"expected shape {shape}, got {arr.shape}"))
             continue
-        for i, x in enumerate(arr):
-            if not x > 0:
-                v.append((NON_POSITIVE_VARIANCE, f"{name}[{i}]", f"variance must be > 0, got {x}"))
-    for name in ("eve_antenna_noise_var", "eve_processing_noise_var"):
-        if not getattr(cfg, name) > 0:
-            v.append((NON_POSITIVE_VARIANCE, name,
-                      f"variance must be > 0, got {getattr(cfg, name)}"))
-
-    if cfg.power_budget.shape != (k,):
-        v.append((DIMENSION_MISMATCH, "power_budget",
-                  f"expected shape {(k,)}, got {cfg.power_budget.shape}"))
-    else:
-        for i, x in enumerate(cfg.power_budget):
-            if not x > 0:
-                v.append((NON_POSITIVE_BUDGET, f"power_budget[{i}]", f"budget must be > 0, got {x}"))
-
-    if cfg.eh_demands.shape != (k,):
-        v.append((DIMENSION_MISMATCH, "eh_demands",
-                  f"expected shape {(k,)}, got {cfg.eh_demands.shape}"))
-    else:
-        for i, x in enumerate(cfg.eh_demands):
-            if not x >= 0:
-                v.append((NEGATIVE_DEMAND, f"eh_demands[{i}]", f"demand must be >= 0, got {x}"))
+        for idx, x in np.ndenumerate(arr):
+            entry = name + "".join(f"[{i}]" for i in idx)
+            if not np.isfinite(x):
+                v.append((BAD_VALUE, entry, f"must be finite, got {x}"))
+            elif not (x >= 0 if kind == NEGATIVE_DEMAND else x > 0):
+                v.append((kind, entry, f"{rule}, got {x}"))
     return v
 
 
@@ -271,6 +273,16 @@ def _complex_in(pair, field):
     return complex(float(pair[0]), float(pair[1]))
 
 
+def _count_in(value, field):
+    """An integral JSON number (2 or 2.0) as an int; anything else is a
+    ConfigError rather than a silent truncation."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError([(BAD_VALUE, field, f"must be an integer, got {value!r}")])
+    return value
+
+
 def config_to_dict(cfg: SystemConfig) -> dict:
     """Plain-JSON representation; floats round-trip bit-exactly."""
     return {
@@ -309,8 +321,8 @@ def config_from_dict(data: dict) -> SystemConfig:
             raise ConfigError([(BAD_VALUE, "energy_model",
                                 f"expected 'product' or 'reformulated', got {model!r}")])
         cfg = SystemConfig(
-            num_users=int(data["num_users"]),
-            num_eve_antennas=int(data["num_eve_antennas"]),
+            num_users=_count_in(data["num_users"], "num_users"),
+            num_eve_antennas=_count_in(data["num_eve_antennas"], "num_eve_antennas"),
             gains=gains,
             eve_channels=eve,
             antenna_noise_vars=np.array(data["antenna_noise_vars"], dtype=float),

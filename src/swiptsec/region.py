@@ -9,8 +9,8 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (DecodingOrder, EnergyModel, OperatingPoint, SystemConfig,
-                    Weights, with_demands)
+from .model import (DecodingOrder, OperatingPoint, SystemConfig, Weights,
+                    with_demands)
 from .solver import MODES, SECURE, InfeasibleError, NumericalFailureError, iterate
 
 # Rates below this are reported as zero in region output; they correspond to
@@ -39,6 +39,7 @@ def render_rates(rates) -> np.ndarray:
 @dataclass
 class BoundaryPoint:
     alpha: np.ndarray
+    weights: Weights           # the weights solved (alpha after clamping)
     rates: np.ndarray          # rendered (floor-zeroed) effective rates
     rates_raw: np.ndarray
     op: OperatingPoint
@@ -100,7 +101,7 @@ def sweep(cfg: SystemConfig, mode: str, psi=None, grid: int = 21) -> RegionBound
                                  "message": str(exc)})
                 continue
             points.append(BoundaryPoint(
-                alpha=np.array([alpha1, 1.0 - alpha1]),
+                alpha=np.array([alpha1, 1.0 - alpha1]), weights=weights,
                 rates=render_rates(rep.rates), rates_raw=rep.rates.copy(),
                 op=rep.op, order=rep.order, iterations=rep.iterations,
                 converged=rep.converged, clamped=rep.clamped))
@@ -192,12 +193,9 @@ def _oracle_pass(cfg, mode, psi, alpha, order, p1, p2, e1, e2):
 
     t1 = g[0, 0] * p1[:, None, None] + g[0, 1] * p2[None, :, None]
     t2 = g[1, 0] * p1[:, None, None] + g[1, 1] * p2[None, :, None]
-    if cfg.energy_model is EnergyModel.PRODUCT:
-        en1 = (1.0 - e1[None, None, :]) * (t1 + rho2[0])
-        en2 = (1.0 - e2[None, None, :]) * (t2 + rho2[1])
-    else:
-        en1 = sig2[0] + (1.0 - e1[None, None, :]) * t1
-        en2 = sig2[1] + (1.0 - e2[None, None, :]) * t2
+    c, d = cfg.harvest_offsets
+    en1 = c[0] + (1.0 - e1[None, None, :]) * (t1 + d[0])
+    en2 = c[1] + (1.0 - e2[None, None, :]) * (t2 + d[1])
     feas1 = en1 >= psi[0] - 1e-12
     feas2 = en2 >= psi[1] - 1e-12
 

@@ -64,10 +64,8 @@ def strong_interference(eh_demands=(0.0, 0.0), eve_geometry="orthogonal",
 
 def max_deliverable_energy(cfg: SystemConfig) -> np.ndarray:
     """Largest harvestable energy per user (full power, eta = 0)."""
-    received = cfg.gain_powers @ cfg.power_budget
-    if cfg.energy_model is EnergyModel.PRODUCT:
-        return received + cfg.antenna_noise_vars
-    return cfg.processing_noise_vars + received
+    c, d = cfg.harvest_offsets
+    return c + (cfg.gain_powers @ cfg.power_budget + d)
 
 
 def random_config(rng: np.random.Generator, num_users: int = 2,

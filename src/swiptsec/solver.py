@@ -39,6 +39,8 @@ REANCHOR_RETRIES = 2
 FLOOR_FRAC = 1e-6
 # Largest constraint violation a GP solution may keep.
 FEAS_TOL = 1e-8
+# Iteration budget of each SLSQP run.
+SLSQP_MAXITER = 300
 
 
 class NonPositiveTermError(ValueError):
@@ -118,9 +120,6 @@ class Posynomial:
         coeffs = np.outer(self.coeffs, other.coeffs).ravel()
         exps = (self.exponents[:, None, :] + other.exponents[None, :, :])
         return Posynomial(coeffs, exps.reshape(-1, self.num_vars))
-
-    def scaled(self, factor: float) -> "Posynomial":
-        return Posynomial(self.coeffs * factor, self.exponents)
 
     def over_monomial(self, mono: "Posynomial") -> "Posynomial":
         if not mono.is_monomial:
@@ -250,6 +249,7 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
     g = cfg.gain_powers
     sig2 = cfg.processing_noise_vars
     rho2 = cfg.antenna_noise_vars
+    c_eh, d_eh = cfg.harvest_offsets
     pmax = cfg.power_budget
 
     floors = np.empty(n)
@@ -303,27 +303,19 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
                 den = den.times(_eve_det(cfg, inter, n))
             add_ratio(num, den, f"rate[{k}]")
 
+        # psi <= c + (1 - eta)(T + d)  <=>  (psi - c) + eta d + eta T <= T + d;
+        # vacuous whenever psi <= c because eta <= 1.  Zero terms drop out.
         psi = cfg.eh_demands[k]
-        received = [(g[k, j], {p_of(j): 1}) for j in range(kk)]
-        if cfg.energy_model.value == "product":
-            # psi <= (1 - eta)(T + rho^2)  <=>  psi + eta T + eta rho^2 <= T + rho^2
-            if psi > 0:
-                num = posynomial(n, [(psi, {}), (rho2[k], {eta_of(k): 1})]
-                                 + [(c, {**pw, eta_of(k): 1}) for c, pw in received])
-                den = posynomial(n, received + [(rho2[k], {})])
-                add_ratio(num, den, f"eh[{k}]")
-        else:
-            # psi <= sig^2 + (1 - eta) T  <=>  (psi - sig^2) + eta T <= T;
-            # vacuous whenever psi <= sig^2 because eta <= 1.
-            if psi > sig2[k]:
-                num = posynomial(n, [(psi - sig2[k], {})]
-                                 + [(c, {**pw, eta_of(k): 1}) for c, pw in received])
-                try:
-                    den = posynomial(n, received)
-                except NonPositiveTermError:
-                    raise InfeasibleError(
-                        f"user {k} demands {psi} but receives no power at all")
-                add_ratio(num, den, f"eh[{k}]")
+        if psi > c_eh[k]:
+            received = [(g[k, j], {p_of(j): 1}) for j in range(kk)]
+            num = posynomial(n, [(psi - c_eh[k], {}), (d_eh[k], {eta_of(k): 1})]
+                             + [(c, {**pw, eta_of(k): 1}) for c, pw in received])
+            try:
+                den = posynomial(n, received + [(d_eh[k], {})])
+            except NonPositiveTermError:
+                raise InfeasibleError(
+                    f"user {k} demands {psi} but receives no power at all")
+            add_ratio(num, den, f"eh[{k}]")
 
         constraints.append(posynomial(n, [(1.0 / pmax[k], {p_of(k): 1})]))
         labels.append(f"box:p[{k}]")
@@ -350,7 +342,7 @@ def _log_posynomials(a, b, starts, z):
     return m + np.log(s), e / np.repeat(s, sizes)
 
 
-def _slsqp(cost, a, b, starts, z0, bounds, maxiter, ftol):
+def _slsqp(cost, a, b, starts, z0, bounds, ftol):
     """Minimize cost @ z subject to log g_i(exp(z)) <= 0 for every stacked
     posynomial, posed to SLSQP as one vector-valued inequality."""
     def fun(z):
@@ -363,11 +355,11 @@ def _slsqp(cost, a, b, starts, z0, bounds, maxiter, ftol):
     res = scipy.optimize.minimize(
         lambda z: cost @ z, z0, jac=lambda z: cost, method="SLSQP",
         bounds=bounds, constraints=[{"type": "ineq", "fun": fun, "jac": jac}],
-        options={"maxiter": maxiter, "ftol": ftol})
+        options={"maxiter": SLSQP_MAXITER, "ftol": ftol})
     return res.x
 
 
-def solve_gp(gp: GpInstance, maxiter: int = 300) -> tuple:
+def solve_gp(gp: GpInstance) -> tuple:
     """Maximize lambda over the GP; returns (lambda, OperatingPoint).
 
     Solved as a smooth convex program in log variables y = log x, with every
@@ -394,7 +386,7 @@ def solve_gp(gp: GpInstance, maxiter: int = 300) -> tuple:
         slack_cost[n] = 1.0
         z = _slsqp(slack_cost, np.hstack([a, -np.ones((b.size, 1))]), b, starts,
                    np.append(y0, violation(y0) + 0.1),
-                   list(zip(lo, hi)) + [(None, None)], maxiter, 1e-12)
+                   list(zip(lo, hi)) + [(None, None)], 1e-12)
         y0, slack = np.clip(z[:n], lo, hi), float(z[n])
         if not slack <= FEAS_TOL:
             raise InfeasibleError(
@@ -416,8 +408,7 @@ def solve_gp(gp: GpInstance, maxiter: int = 300) -> tuple:
 
     lam_cost = np.zeros(n)
     lam_cost[0] = -1.0
-    y = set_lambda(_slsqp(lam_cost, a, b, starts, y0, list(zip(lo, hi)),
-                          maxiter, 1e-14))
+    y = set_lambda(_slsqp(lam_cost, a, b, starts, y0, list(zip(lo, hi)), 1e-14))
     if not violation(y) <= FEAS_TOL:
         raise NumericalFailureError(
             f"optimizer left constraints violated by {violation(y):.3e}")

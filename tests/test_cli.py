@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -92,10 +93,11 @@ def test_invalid_demand_override_exits_one(scenario, tmp_path, capsys, spec):
 
 
 @pytest.mark.parametrize("args", [
-    ["sweep", "--scenario", "{k3}", "--mode", "reliable", "--grid", "2"],
+    ["sweep", "--scenario", "{k3}", "--mode", "reliable", "--grid", "2",
+     "--out", "{out}"],
     ["verify", "--scenario", "{k3}"],
     ["sweep", "--scenario", "{weak}", "--mode", "reliable", "--grid", "2",
-     "--oracle", "--oracle-res", "5"],
+     "--oracle", "--oracle-res", "5", "--out", "{out}"],
     ["verify", "--scenario", "{weak}", "--oracle-res", "5"],
 ], ids=["sweep-k3", "verify-k3", "sweep-oracle-res", "verify-oracle-res"])
 def test_unsupported_input_exits_one(scenario, tmp_path, capsys, args):
@@ -105,7 +107,7 @@ def test_unsupported_input_exits_one(scenario, tmp_path, capsys, args):
     save_scenario(random_config(np.random.default_rng(0), num_users=3), k3)
     out = tmp_path / "o"
     out.mkdir()
-    argv = [a.format(k3=k3, weak=scenario) for a in args] + ["--out", str(out)]
+    argv = [a.format(k3=k3, weak=scenario, out=out) for a in args]
     assert main(argv) == 1
     assert "ConfigError" in capsys.readouterr().err
     assert list(out.iterdir()) == []
@@ -125,7 +127,7 @@ def test_output_is_deterministic(scenario, tmp_path):
     for name in ("a", "b"):
         out = tmp_path / name
         code = main(["sweep", "--scenario", str(scenario), "--mode", "both",
-                     "--grid", "4", "--seed", "7", "--out", str(out)])
+                     "--grid", "4", "--out", str(out)])
         assert code == 0
         outs.append(b"".join(sorted(p.read_bytes()
                                     for p in sorted(out.glob("*.csv")))))
@@ -169,7 +171,7 @@ def test_oracle_report_written(scenario, tmp_path):
 
 def test_verify_passes_on_benchmark(scenario, tmp_path):
     code = main(["verify", "--scenario", str(scenario), "--seed", "42",
-                 "--oracle-res", "21", "--out", str(tmp_path)])
+                 "--oracle-res", "21"])
     assert code == 0
 
 
@@ -177,5 +179,88 @@ def test_verify_handles_infeasible_demand(tmp_path):
     path = tmp_path / "hungry.json"
     save_scenario(weak_interference(eh_demands=(2.0, 2.0)), path)
     code = main(["verify", "--scenario", str(path), "--seed", "42",
-                 "--oracle-res", "15", "--out", str(tmp_path)])
+                 "--oracle-res", "15"])
     assert code == 0
+
+
+def test_report_written_without_oracle(scenario, tmp_path):
+    # report.json, the record of why a point failed, is written on every
+    # sweep; oracle rows appear only with --oracle.
+    out = tmp_path / "o"
+    code = main(["sweep", "--scenario", str(scenario), "--mode", "reliable",
+                 "--grid", "3", "--eh", "2,2", "--out", str(out)])
+    assert code == 2
+    report = json.loads((out / "report.json").read_text())
+    [run] = report["runs"]
+    assert "oracle" not in run
+    assert [f["alpha1"] for f in run["failures"]] == [0.0, 0.5, 1.0]
+    assert {f["error"] for f in run["failures"]} == {"InfeasibleError"}
+
+
+def exit_code(argv):
+    """main's return value, or the code of the SystemExit a usage error raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--scenario", "{weak}", "--grid", "abc", "--out", "{out}"],
+    ["sweep", "--scenario", "{weak}", "--bogus", "--out", "{out}"],
+    ["sweep", "--mode", "reliable", "--out", "{out}"],
+    ["verify", "--scenario", "{weak}", "--out", "{out}"],
+    ["sweep", "--scenario", "{weak}", "--seed", "3", "--out", "{out}"],
+    ["sweep", "--scenario", "{weak}", "--eh", "0.8,x", "--out", "{out}"],
+], ids=["grid-abc", "unknown-flag", "no-scenario", "verify-out", "sweep-seed",
+        "eh-not-a-number"])
+def test_usage_error_exits_one(scenario, tmp_path, capsys, args):
+    out = tmp_path / "o"
+    assert exit_code([a.format(weak=scenario, out=out) for a in args]) == 1
+    err = capsys.readouterr().err
+    assert "ConfigError" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("sweep", {"--scenario", "--oracle-res", "--grid", "--out", "--mode",
+               "--eh", "--oracle"}),
+    ("verify", {"--scenario", "--oracle-res", "--seed"}),
+])
+def test_help_lists_only_live_flags(capsys, command, flags):
+    assert exit_code([command, "--help"]) == 0
+    assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == flags | {"--help"}
+
+
+# Scenario values that validation rejects: (path into the JSON, value).
+INVALID_SCENARIOS = {
+    "nan-gain": (("gains", 0, 0, 0), float("nan")),
+    "nan-gain-string": (("gains", 0, 0, 0), "NaN"),
+    "inf-eve-channel": (("eve_channels", 0, 0, 0), float("inf")),
+    "inf-budget": (("power_budget", 0), float("inf")),
+    "inf-demand": (("eh_demands", 1), float("inf")),
+    "inf-antenna-noise": (("antenna_noise_vars", 0), float("inf")),
+    "fractional-users": (("num_users",), 2.7),
+    "fractional-eve-antennas": (("num_eve_antennas",), 2.5),
+    "inf-eve-antenna-noise": (("eve_antenna_noise_var",), float("inf")),
+}
+
+
+@pytest.mark.parametrize("path, value", INVALID_SCENARIOS.values(),
+                         ids=INVALID_SCENARIOS.keys())
+def test_invalid_scenario_value_exits_one(scenario, tmp_path, capsys, path, value):
+    data = json.loads(scenario.read_text())
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))      # NaN and Infinity as JSON literals
+    out = tmp_path / "o"
+    assert exit_code(["sweep", "--scenario", str(bad), "--grid", "2",
+                      "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "ConfigError" in err
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swiptsec import (ConfigError, DecodingOrder, EnergyModel,
                       InvalidPermutationError, OperatingPoint, SystemConfig,
@@ -135,3 +137,41 @@ def test_json_rejects_missing_key():
 def test_energy_model_values():
     assert EnergyModel("product") is EnergyModel.PRODUCT
     assert EnergyModel("reformulated") is EnergyModel.REFORMULATED
+
+
+def _numeric_leaves(node, path=()):
+    """Paths to every number of a scenario dict (the counts, every channel
+    coordinate, every noise variance, budget and demand)."""
+    if isinstance(node, (int, float)):
+        yield path
+    elif isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _numeric_leaves(child, path + (key,))
+
+
+def _set_leaf(data, path, value):
+    for key in path[:-1]:
+        data = data[key]
+    data[path[-1]] = value
+
+
+NUMERIC_PATHS = list(_numeric_leaves(config_to_dict(make_fixture())))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(path=st.sampled_from(NUMERIC_PATHS),
+       value=st.floats(allow_nan=True, allow_infinity=True))
+def test_any_float_in_any_field_is_valid_or_config_error(path, value):
+    # Validation is total: the only outcomes are a valid config or a
+    # ConfigError, and a non-finite or non-integral count never validates.
+    data = config_to_dict(make_fixture())
+    _set_leaf(data, path, value)
+    try:
+        cfg = config_from_dict(data)
+    except ConfigError:
+        return
+    assert np.isfinite(value)
+    if path[0] in ("num_users", "num_eve_antennas"):
+        assert value.is_integer()
+    assert config_violations(cfg) == []
