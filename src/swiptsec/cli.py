@@ -18,7 +18,8 @@ import numpy as np
 
 from . import metrics, region, scenarios, solver
 from .model import (BAD_VALUE, ConfigError, DecodingOrder, OperatingPoint,
-                    Weights, load_scenario, with_demands)
+                    Weights, load_scenario, max_deliverable_energy,
+                    with_demands)
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
@@ -101,12 +102,14 @@ def run_sweep(args) -> int:
             _write_hull(out / f"hull_{mode}_{tag}.csv", boundary.hull)
             entry = {"mode": mode, "eh_demands": [float(v) for v in psi],
                      "points": len(boundary.points),
-                     "failures": boundary.failures}
+                     "failures": boundary.failures,
+                     "non_monotone": [_where(pt) for pt in boundary.points
+                                      if pt.non_monotone]}
             if boundary.failures:
                 any_failed = True
             if args.oracle:
                 entry["oracle"] = _oracle_comparison(
-                    case, mode, psi, boundary, args.oracle_res)
+                    case, mode, boundary, args.oracle_res)
             report["runs"].append(entry)
             print(f"{mode} {tag}: {len(boundary.points)} points, "
                   f"{len(boundary.failures)} failures")
@@ -115,22 +118,27 @@ def run_sweep(args) -> int:
     return EXIT_POINT_FAILURES if any_failed else EXIT_OK
 
 
-def _oracle_comparison(cfg, mode, psi, boundary, resolution) -> list:
+def _where(pt) -> dict:
+    """A swept point's weight and decoding order, as the report names them."""
+    return {"alpha1": float(pt.alpha[0]),
+            "order": list(pt.order.one_based()) if pt.order else None}
+
+
+def _oracle_comparison(cfg, mode, boundary, resolution) -> list:
     """Per swept point: exact solver objective versus the grid oracle."""
     rows = []
     for pt in boundary.points:
         weights = pt.weights.alpha
         try:
             oracle = region.oracle_grid_search(
-                cfg, mode, psi, pt.weights, pt.order, resolution=resolution)
+                cfg, mode, None, pt.weights, pt.order, resolution=resolution)
             oracle_obj = oracle.objective
         except region.NoFeasiblePointError:
             oracle_obj = None
         active = weights > 0
         solver_obj = float(np.min(pt.rates_raw[active] / weights[active]))
         rows.append({
-            "alpha1": float(pt.alpha[0]),
-            "order": list(pt.order.one_based()) if pt.order else None,
+            **_where(pt),
             "solver_objective": solver_obj,
             "oracle_objective": oracle_obj,
             "shortfall": (None if oracle_obj is None
@@ -228,11 +236,11 @@ def _check_subsets(cfg, rng, cases: int = 20, tol: float = 1e-6):
 
 
 def _check_feasibility(cfg):
-    limit = scenarios.max_deliverable_energy(cfg)
+    limit = max_deliverable_energy(cfg)
     infeasible = [k for k in range(cfg.num_users) if cfg.eh_demands[k] > limit[k]]
     if infeasible:
         try:
-            region.oracle_grid_search(cfg, solver.RELIABLE, cfg.eh_demands,
+            region.oracle_grid_search(cfg, solver.RELIABLE, None,
                                       Weights.pair(0.5), resolution=11)
         except region.NoFeasiblePointError:
             return True, (f"demands exceed deliverable energy for users "
@@ -246,9 +254,8 @@ def _check_oracle_dominance(cfg, resolution, tol_frac: float = 0.05):
     for alpha1 in (0.25, 0.5, 0.75):
         weights = Weights.pair(alpha1)
         try:
-            oracle = region.oracle_grid_search(cfg, solver.RELIABLE,
-                                               cfg.eh_demands, weights,
-                                               resolution=resolution)
+            oracle = region.oracle_grid_search(cfg, solver.RELIABLE, None,
+                                               weights, resolution=resolution)
         except region.NoFeasiblePointError:
             try:
                 solver.iterate(cfg, weights, None, solver.RELIABLE)

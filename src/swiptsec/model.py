@@ -113,6 +113,12 @@ class SystemConfig:
         return self.processing_noise_vars, zero
 
 
+def max_deliverable_energy(cfg: SystemConfig) -> np.ndarray:
+    """Largest harvestable energy per user (full power, eta = 0)."""
+    c, d = cfg.harvest_offsets
+    return c + (cfg.gain_powers @ cfg.power_budget + d)
+
+
 def config_violations(cfg: SystemConfig) -> list:
     """Return the complete list of invariant violations (empty when valid)."""
     v = []

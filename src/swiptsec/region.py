@@ -47,6 +47,7 @@ class BoundaryPoint:
     iterations: int
     converged: bool
     clamped: bool
+    non_monotone: bool         # the solve's GP optima decreased somewhere
 
 
 @dataclass
@@ -104,7 +105,8 @@ def sweep(cfg: SystemConfig, mode: str, psi=None, grid: int = 21) -> RegionBound
                 alpha=np.array([alpha1, 1.0 - alpha1]), weights=weights,
                 rates=render_rates(rep.rates), rates_raw=rep.rates.copy(),
                 op=rep.op, order=rep.order, iterations=rep.iterations,
-                converged=rep.converged, clamped=rep.clamped))
+                converged=rep.converged, clamped=rep.clamped,
+                non_monotone=rep.non_monotone))
 
     hull = (time_share_hull([pt.rates for pt in points])
             if points else np.empty((0, 2)))
@@ -176,7 +178,7 @@ class OracleResult:
     op: OperatingPoint
 
 
-def _oracle_pass(cfg, mode, psi, alpha, order, p1, p2, e1, e2):
+def _oracle_pass(cfg, mode, alpha, order, p1, p2, e1, e2):
     g = cfg.gain_powers
     sig2 = cfg.processing_noise_vars
     rho2 = cfg.antenna_noise_vars
@@ -196,6 +198,7 @@ def _oracle_pass(cfg, mode, psi, alpha, order, p1, p2, e1, e2):
     c, d = cfg.harvest_offsets
     en1 = c[0] + (1.0 - e1[None, None, :]) * (t1 + d[0])
     en2 = c[1] + (1.0 - e2[None, None, :]) * (t2 + d[1])
+    psi = cfg.eh_demands
     feas1 = en1 >= psi[0] - 1e-12
     feas2 = en2 >= psi[1] - 1e-12
 
@@ -249,7 +252,8 @@ def oracle_grid_search(cfg: SystemConfig, mode: str, psi, alpha: Weights,
 
     Evaluates the exact uncondensed objective on a uniform grid, discards
     harvesting-infeasible points, then refines once around the incumbent.
-    Independent of the GP machinery by construction.
+    Independent of the GP machinery by construction.  A ``psi`` override is
+    validated like any config and raises ConfigError when it is invalid.
     """
     if cfg.num_users != 2:
         raise ValueError("the oracle is implemented for two users")
@@ -259,17 +263,18 @@ def oracle_grid_search(cfg: SystemConfig, mode: str, psi, alpha: Weights,
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if order is None:
         order = DecodingOrder((0, 1))
-    psi = cfg.eh_demands if psi is None else np.asarray(psi, dtype=float)
+    if psi is not None:
+        cfg = with_demands(cfg, psi)
     pmax = cfg.power_budget
 
     axes = [np.linspace(0.0, pmax[0], resolution),
             np.linspace(0.0, pmax[1], resolution),
             np.linspace(0.0, 1.0, resolution),
             np.linspace(0.0, 1.0, resolution)]
-    coarse = _oracle_pass(cfg, mode, psi, alpha, order, *axes)
+    coarse = _oracle_pass(cfg, mode, alpha, order, *axes)
     if coarse is None:
         raise NoFeasiblePointError(
-            f"no grid point satisfies the harvesting demands {psi}")
+            f"no grid point satisfies the harvesting demands {cfg.eh_demands}")
     best_value, best_rates, best_op = coarse
 
     # One zoom: same resolution on a +/- one-coarse-step window per axis.
@@ -281,7 +286,7 @@ def oracle_grid_search(cfg: SystemConfig, mode: str, psi, alpha: Weights,
         lo = max(c - step, 0.0)
         up = min(c + step, hi)
         fine_axes.append(np.linspace(lo, up, resolution))
-    fine = _oracle_pass(cfg, mode, psi, alpha, order, *fine_axes)
+    fine = _oracle_pass(cfg, mode, alpha, order, *fine_axes)
     if fine is not None and fine[0] > best_value:
         best_value, best_rates, best_op = fine
     return OracleResult(objective=best_value, rates=best_rates, op=best_op)

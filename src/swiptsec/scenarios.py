@@ -7,7 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .model import EnergyModel, SystemConfig, validate_config
+from .model import (EnergyModel, SystemConfig, max_deliverable_energy,
+                    validate_config)
 
 # Symmetric two-user benchmark: unit direct gains, all noise variances 0.25,
 # unit power budgets, eavesdropper channel norms 0.5.
@@ -60,12 +61,6 @@ def strong_interference(eh_demands=(0.0, 0.0), eve_geometry="orthogonal",
                         energy_model=EnergyModel.REFORMULATED) -> SystemConfig:
     """Strong-interference benchmark: cross amplitudes 1.0."""
     return symmetric_two_user(1.0, eh_demands, eve_geometry, energy_model)
-
-
-def max_deliverable_energy(cfg: SystemConfig) -> np.ndarray:
-    """Largest harvestable energy per user (full power, eta = 0)."""
-    c, d = cfg.harvest_offsets
-    return c + (cfg.gain_powers @ cfg.power_budget + d)
 
 
 def random_config(rng: np.random.Generator, num_users: int = 2,

@@ -9,9 +9,10 @@ mean monomial lower bounds anchored at the previous solution (single
 condensation), which yields a geometric program.  In secure mode the
 eavesdropper's covariance determinants are exact posynomials in the powers
 (Cauchy-Binet), so 2^{-R_Ek} is a ratio of posynomials as well and each
-condensed GP is an inner approximation of the true problem: every GP iterate
-is feasible for it and the objective never decreases.  The GP is solved in
-log-transformed variables, where it is convex.
+condensed GP is an inner approximation of the true problem: started at a
+feasible point, every GP iterate is feasible for it and the objective never
+decreases.  The GP is solved in log-transformed variables, where it is
+convex.
 """
 
 from __future__ import annotations
@@ -24,17 +25,17 @@ import numpy as np
 import scipy.optimize
 
 from .metrics import eve_rate_chain, legitimate_rates, secrecy_corner
-from .model import DecodingOrder, OperatingPoint, SystemConfig, Weights
+from .model import (DecodingOrder, OperatingPoint, SystemConfig, Weights,
+                    max_deliverable_energy)
 
 SECURE = "secure"
 RELIABLE = "reliable"
 MODES = (SECURE, RELIABLE)
 
-# Outer loop: relative change of the GP optimum that counts as converged, the
-# iteration budget, and the re-anchors allowed after an infeasible GP.
+# Outer loop: relative change of the GP optimum that counts as converged and
+# the iteration budget.
 EPS_CONV = 1e-6
 MAX_ITERS = 100
-REANCHOR_RETRIES = 2
 # Positivity floor of each power and split, as a fraction of its cap.
 FLOOR_FRAC = 1e-6
 # Largest constraint violation a GP solution may keep.
@@ -56,12 +57,8 @@ class InfeasibleAnchorError(ValueError):
 
 
 class InfeasibleError(RuntimeError):
-    """No point satisfies the constraints (best violation attached)."""
-
-    def __init__(self, message, violation=None, point=None):
-        super().__init__(message)
-        self.violation = violation
-        self.point = point
+    """An energy demand exceeds what full power and the smallest split
+    deliver, so no point satisfies the constraints."""
 
 
 class NumericalFailureError(RuntimeError):
@@ -210,24 +207,31 @@ def _interferers(order: DecodingOrder, k: int) -> list:
     return list(order.users[pos + 1:])
 
 
-def _eve_det(cfg: SystemConfig, users, n: int) -> Posynomial:
+def _gram_minors(cfg: SystemConfig) -> dict:
+    """det(G_T) / sbar^|T| for every user set T with |T| <= M (1 for the
+    empty set), keyed by frozenset, with G = conj(H) H^T the Gram matrix of
+    the eavesdropper channels.  Principal minors are >= 0; the clamp removes
+    rounding noise from rank-deficient ones."""
+    gram = cfg.eve_channels.conj() @ cfg.eve_channels.T
+    sbar = cfg.eve_noise_total
+    minors = {frozenset(): 1.0}
+    for size in range(1, min(cfg.num_users, cfg.num_eve_antennas) + 1):
+        for t in combinations(range(cfg.num_users), size):
+            minor = np.linalg.det(gram[np.ix_(t, t)]).real
+            minors[frozenset(t)] = max(minor, 0.0) / sbar ** size
+    return minors
+
+
+def _eve_det(minors: dict, users, n: int) -> Posynomial:
     """det(I + sum_{j in users} (p_j / sbar) h_j h_j^H) as a posynomial over
     the n GP variables: by Cauchy-Binet, the sum over T in users, |T| <= M,
-    of prod_{j in T} (p_j / sbar) det(G_T), with G = conj(H) H^T the Gram
-    matrix of the eavesdropper channels.  Its principal minors are >= 0; the
-    clamp removes rounding noise from rank-deficient ones.
+    of prod_{j in T} (p_j / sbar) det(G_T), with the minors of _gram_minors.
     """
-    _, p_of, _ = _var_layout(cfg.num_users)
-    h = cfg.eve_channels
-    sbar = cfg.eve_noise_total
-    gram = h.conj() @ h.T
-    terms = [(1.0, {})]
-    for size in range(1, min(len(users), cfg.num_eve_antennas) + 1):
-        for t in combinations(users, size):
-            minor = np.linalg.det(gram[np.ix_(t, t)]).real
-            terms.append((max(minor, 0.0) / sbar ** size,
-                          {p_of(j): 1 for j in t}))
-    return posynomial(n, terms)
+    _, p_of, _ = _var_layout((n - 1) // 2)
+    return posynomial(n, [(minors[frozenset(t)], {p_of(j): 1 for j in t})
+                          for size in range(len(users) + 1)
+                          for t in combinations(users, size)
+                          if frozenset(t) in minors])
 
 
 def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
@@ -239,7 +243,8 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
     point), and the box constraints.  Denominators are condensed at the
     anchor.  User k's secrecy row is lambda^alpha_k A_k E(S + k) <= D_k E(S),
     where R_k = log2(D_k / A_k), S holds the users decoded after k and E is
-    the eavesdropper determinant of _eve_det.
+    the eavesdropper determinant of _eve_det.  Lambda has no floor and its
+    anchor value is 1; solve_gp sets it.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -252,33 +257,14 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
     c_eh, d_eh = cfg.harvest_offsets
     pmax = cfg.power_budget
 
-    floors = np.empty(n)
-    floors[lam] = 2.0 ** -64
-    caps = np.empty(n)
-    caps[lam] = 2.0 ** 64
-    for k in range(kk):
-        floors[p_of(k)] = FLOOR_FRAC * pmax[k]
-        caps[p_of(k)] = pmax[k]
-        floors[eta_of(k)] = FLOOR_FRAC
-        caps[eta_of(k)] = 1.0
+    floors = np.concatenate([[0.0], FLOOR_FRAC * pmax, np.full(kk, FLOOR_FRAC)])
+    caps = np.concatenate([[2.0 ** 64], pmax, np.ones(kk)])
 
     if np.any(~np.isfinite(anchor.powers)) or np.any(~np.isfinite(anchor.splits)):
         raise InfeasibleAnchorError("anchor contains non-finite entries")
-    anchor_x = np.empty(n)
-    anchor_x[1:kk + 1] = np.clip(anchor.powers, floors[1:kk + 1], caps[1:kk + 1])
-    anchor_x[kk + 1:] = np.clip(anchor.splits, floors[kk + 1:], caps[kk + 1:])
-    anchor_op = OperatingPoint(anchor_x[1:kk + 1], anchor_x[kk + 1:])
-
-    # Anchor value of lambda: tight against the worst weighted effective
-    # rate, so the anchor triple is feasible for its own condensation.
-    eff = legitimate_rates(cfg, anchor_op)
-    if mode == SECURE:
-        eff = eff - eve_rate_chain(cfg, anchor_op.powers, order)
-    active = alpha.alpha > 0
-    if not np.any(active):
-        raise ValueError("alpha must have at least one positive entry")
-    beta_anchor = float(np.min(eff[active] / alpha.alpha[active]))
-    anchor_x[lam] = np.clip(2.0 ** beta_anchor, floors[lam], caps[lam])
+    anchor_x = np.clip(np.concatenate([[1.0], anchor.powers, anchor.splits]),
+                       floors, caps)
+    minors = _gram_minors(cfg) if mode == SECURE else None
 
     constraints, labels, condensations = [], [], []
 
@@ -299,8 +285,8 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
             den = posynomial(n, d_terms)
             if mode == SECURE:
                 inter = _interferers(order, k)
-                num = num.times(_eve_det(cfg, inter + [k], n))
-                den = den.times(_eve_det(cfg, inter, n))
+                num = num.times(_eve_det(minors, inter + [k], n))
+                den = den.times(_eve_det(minors, inter, n))
             add_ratio(num, den, f"rate[{k}]")
 
         # psi <= c + (1 - eta)(T + d)  <=>  (psi - c) + eta d + eta T <= T + d;
@@ -310,11 +296,7 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
             received = [(g[k, j], {p_of(j): 1}) for j in range(kk)]
             num = posynomial(n, [(psi - c_eh[k], {}), (d_eh[k], {eta_of(k): 1})]
                              + [(c, {**pw, eta_of(k): 1}) for c, pw in received])
-            try:
-                den = posynomial(n, received + [(d_eh[k], {})])
-            except NonPositiveTermError:
-                raise InfeasibleError(
-                    f"user {k} demands {psi} but receives no power at all")
+            den = posynomial(n, received + [(d_eh[k], {})])
             add_ratio(num, den, f"eh[{k}]")
 
         constraints.append(posynomial(n, [(1.0 / pmax[k], {p_of(k): 1})]))
@@ -342,56 +324,29 @@ def _log_posynomials(a, b, starts, z):
     return m + np.log(s), e / np.repeat(s, sizes)
 
 
-def _slsqp(cost, a, b, starts, z0, bounds, ftol):
-    """Minimize cost @ z subject to log g_i(exp(z)) <= 0 for every stacked
-    posynomial, posed to SLSQP as one vector-valued inequality."""
-    def fun(z):
-        return -_log_posynomials(a, b, starts, z)[0]
-
-    def jac(z):
-        shares = _log_posynomials(a, b, starts, z)[1]
-        return -np.add.reduceat(shares[:, None] * a, starts)
-
-    res = scipy.optimize.minimize(
-        lambda z: cost @ z, z0, jac=lambda z: cost, method="SLSQP",
-        bounds=bounds, constraints=[{"type": "ineq", "fun": fun, "jac": jac}],
-        options={"maxiter": SLSQP_MAXITER, "ftol": ftol})
-    return res.x
-
-
 def solve_gp(gp: GpInstance) -> tuple:
-    """Maximize lambda over the GP; returns (lambda, OperatingPoint).
+    """Maximize lambda over the GP from its anchor; returns (lambda,
+    OperatingPoint).
 
     Solved as a smooth convex program in log variables y = log x, with every
     constraint stacked into one exponent matrix (a), one log-coefficient
-    vector (b) and the first term row of each constraint (starts).  Raises
-    InfeasibleError when no point satisfies the constraints within FEAS_TOL
-    and NumericalFailureError when the optimizer cannot reach a feasible
-    point.
+    vector (b) and the first term row of each constraint (starts), and posed
+    to SLSQP as one vector-valued inequality.  Lambda is set in closed form
+    at the anchor and at the optimizer's point.  Raises InfeasibleAnchorError
+    when the anchor violates a constraint by more than FEAS_TOL and
+    NumericalFailureError when the optimizer leaves one violated.
     """
     a = np.vstack([posy.exponents for posy in gp.constraints])
     b = np.concatenate([np.log(posy.coeffs) for posy in gp.constraints])
     starts = np.cumsum([0] + [posy.num_terms for posy in gp.constraints[:-1]])
-    lo, hi = np.log(gp.floors), np.log(gp.caps)
-    n = lo.size
+    with np.errstate(divide="ignore"):      # a zero floor means no bound
+        lo, hi = np.log(gp.floors), np.log(gp.caps)
+
+    def log_g(y):
+        return _log_posynomials(a, b, starts, y)[0]
 
     def violation(y):
-        return float(_log_posynomials(a, b, starts, y)[0].max())
-
-    y0 = np.log(gp.anchor)
-    if violation(y0) > FEAS_TOL:
-        # Phase one is the same program with a slack column s: minimize s
-        # subject to g_i(x) e^{-s} <= 1; feasible iff s reaches <= 0.
-        slack_cost = np.zeros(n + 1)
-        slack_cost[n] = 1.0
-        z = _slsqp(slack_cost, np.hstack([a, -np.ones((b.size, 1))]), b, starts,
-                   np.append(y0, violation(y0) + 0.1),
-                   list(zip(lo, hi)) + [(None, None)], 1e-12)
-        y0, slack = np.clip(z[:n], lo, hi), float(z[n])
-        if not slack <= FEAS_TOL:
-            raise InfeasibleError(
-                f"no feasible point; smallest attainable violation {slack:.3e}",
-                violation=slack, point=np.exp(y0))
+        return float(log_g(y).max())
 
     alphas = a[starts, 0]
     rate = alphas > 0
@@ -402,19 +357,35 @@ def solve_gp(gp: GpInstance) -> tuple:
         # A row with a far sub-rounding weight turns rounding noise into a
         # huge shift, so a feasible y is kept when the shift costs more.
         tight = y.copy()
-        tight[0] -= np.max(_log_posynomials(a, b, starts, y)[0][rate] / alphas[rate])
+        tight[0] -= np.max(log_g(y)[rate] / alphas[rate])
         return tight if (tight[0] >= y[0] - FEAS_TOL
                          or not violation(y) <= FEAS_TOL) else y
 
-    lam_cost = np.zeros(n)
-    lam_cost[0] = -1.0
-    y = set_lambda(_slsqp(lam_cost, a, b, starts, y0, list(zip(lo, hi)), 1e-14))
+    # Every condensed row is exact at the anchor, so this is the anchor's
+    # true feasibility.
+    y0 = set_lambda(np.log(gp.anchor))
+    if not violation(y0) <= FEAS_TOL:
+        raise InfeasibleAnchorError(
+            f"anchor violates a constraint by {violation(y0):.3e}")
+
+    def jac(y):
+        shares = _log_posynomials(a, b, starts, y)[1]
+        return -np.add.reduceat(shares[:, None] * a, starts)
+
+    cost = np.zeros(lo.size)
+    cost[0] = -1.0
+    res = scipy.optimize.minimize(
+        lambda y: cost @ y, y0, jac=lambda y: cost, method="SLSQP",
+        bounds=list(zip(lo, hi)),
+        constraints=[{"type": "ineq", "fun": lambda y: -log_g(y), "jac": jac}],
+        options={"maxiter": SLSQP_MAXITER, "ftol": 1e-14})
+    y = set_lambda(res.x)
     if not violation(y) <= FEAS_TOL:
         raise NumericalFailureError(
             f"optimizer left constraints violated by {violation(y):.3e}")
     if y[0] < y0[0] - 1e-9:
         # Never regress below the feasible starting point.
-        y = set_lambda(y0)
+        y = y0
     x = np.exp(np.clip(y, lo, hi))
     kk = gp.num_users
     return float(x[0]), OperatingPoint(x[1:kk + 1], np.minimum(x[kk + 1:], 1.0))
@@ -456,52 +427,50 @@ class SolveReport:
         return float(np.log2(self.lam))
 
 
+def _feasible_start(cfg: SystemConfig) -> OperatingPoint:
+    """Full power, and each split at min(0.5, the largest split that meets
+    the user's demand at full power): a point that satisfies every
+    constraint.  Harvested energy c + (1 - eta)(T + d) grows with every
+    power and falls with the split, so a demand above what full power and
+    the smallest split FLOOR_FRAC deliver raises InfeasibleError."""
+    c, _ = cfg.harvest_offsets
+    reach = max_deliverable_energy(cfg) - c         # T + d at full power
+    need = np.maximum(cfg.eh_demands - c, 0.0)      # what 1 - eta must cover
+    short = np.flatnonzero(need > (1.0 - FLOOR_FRAC) * reach)
+    if short.size:
+        k = int(short[0])
+        raise InfeasibleError(
+            f"user {k} demands {cfg.eh_demands[k]} but harvests at most "
+            f"{c[k] + (1.0 - FLOOR_FRAC) * reach[k]}")
+    splits = 1.0 - need / np.where(need > 0, reach, 1.0)
+    return OperatingPoint(cfg.power_budget.copy(), np.minimum(splits, 0.5))
+
+
 def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
             mode: str) -> SolveReport:
     """Run the condensation loop for one weight vector.
 
-    Anchored at full power with half splits; each iteration rebuilds the GP
+    Starts at the feasible point of _feasible_start (InfeasibleError, before
+    any GP is built, when there is none); each condensed GP is exact at its
+    anchor, so every iterate stays feasible.  Each iteration rebuilds the GP
     at the previous solution until the GP optimum moves by at most EPS_CONV
-    (relative) or MAX_ITERS GPs are solved.  An infeasible GP is re-anchored
-    at its least-violating point up to REANCHOR_RETRIES times.
+    (relative) or MAX_ITERS GPs are solved.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if order is None:
         order = DecodingOrder(tuple(range(cfg.num_users)))
 
-    anchor = OperatingPoint(cfg.power_budget.copy(),
-                            np.full(cfg.num_users, 0.5))
+    point = _feasible_start(cfg)
     trace = []
     converged = False
-    gp = None
-    point = anchor
-    retries = REANCHOR_RETRIES
-
-    it = 0
-    while it < MAX_ITERS:
-        it += 1
-        gp = build_gp(cfg, alpha, order, anchor, mode)
-        try:
-            lam_gp, point = solve_gp(gp)
-        except InfeasibleError as exc:
-            if retries > 0 and exc.point is not None:
-                # The condensed program can be infeasible even when the true
-                # one is not; re-anchor at the least-violating point and retry.
-                retries -= 1
-                it -= 1
-                kk = cfg.num_users
-                anchor = OperatingPoint(exc.point[1:kk + 1],
-                                        np.minimum(exc.point[kk + 1:], 1.0))
-                continue
-            raise InfeasibleError(
-                f"{mode} solve infeasible for alpha={alpha.alpha}: {exc}",
-                violation=exc.violation, point=exc.point) from exc
+    for _ in range(MAX_ITERS):
+        gp = build_gp(cfg, alpha, order, point, mode)
+        lam_gp, point = solve_gp(gp)
         trace.append(lam_gp)
         if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= EPS_CONV * max(1.0, trace[-1]):
             converged = True
             break
-        anchor = point
 
     # Report with exact rates at the final point.
     if mode == SECURE:

@@ -7,6 +7,7 @@ import pytest
 
 from swiptsec import (OperatingPoint, legitimate_rates, save_scenario,
                       secrecy_corner)
+from swiptsec import region
 from swiptsec.cli import main
 from swiptsec.model import DecodingOrder
 from swiptsec.region import render_rates
@@ -195,6 +196,31 @@ def test_report_written_without_oracle(scenario, tmp_path):
     assert "oracle" not in run
     assert [f["alpha1"] for f in run["failures"]] == [0.0, 0.5, 1.0]
     assert {f["error"] for f in run["failures"]} == {"InfeasibleError"}
+
+
+def test_report_lists_non_monotone_points(scenario, tmp_path, monkeypatch):
+    # Each run lists the weight and order of every point whose GP optima
+    # decreased; no solve of the weak sweep does.
+    def runs(name):
+        out = tmp_path / name
+        assert main(["sweep", "--scenario", str(scenario), "--grid", "3",
+                     "--out", str(out)]) == 0
+        return json.loads((out / "report.json").read_text())["runs"]
+
+    assert [run["non_monotone"] for run in runs("plain")] == [[], []]
+
+    iterate = region.iterate
+
+    def flag_one(cfg, alpha, order, mode):
+        rep = iterate(cfg, alpha, order, mode)
+        rep.non_monotone = (mode == "secure" and alpha.alpha[0] == 0.5
+                            and order.users == (1, 0))
+        return rep
+
+    monkeypatch.setattr(region, "iterate", flag_one)
+    secure, reliable = runs("flagged")
+    assert secure["non_monotone"] == [{"alpha1": 0.5, "order": [2, 1]}]
+    assert reliable["non_monotone"] == []
 
 
 def exit_code(argv):

@@ -160,6 +160,13 @@ class TestOracle:
             oracle_grid_search(weak_interference(), RELIABLE, (2.0, 2.0),
                                Weights.pair(0.5), resolution=21)
 
+    @pytest.mark.parametrize("psi", [(0.8,), (np.nan, np.nan), (-1.0, -1.0),
+                                     (0.8, 0.8, 0.8)])
+    def test_invalid_demand_override_rejected(self, psi):
+        with pytest.raises(ConfigError):
+            oracle_grid_search(weak_interference(), RELIABLE, psi,
+                               Weights.pair(0.5), resolution=11)
+
     def test_resolution_guard(self):
         with pytest.raises(ValueError):
             oracle_grid_search(weak_interference(), RELIABLE, (0.0, 0.0),

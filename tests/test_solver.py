@@ -7,20 +7,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import swiptsec
 from swiptsec import solver
-from swiptsec import (DecodingOrder, GpInstance, InfeasibleError,
-                      NonPositiveAnchorError, NonPositiveTermError,
+from swiptsec import (DecodingOrder, GpInstance, InfeasibleAnchorError,
+                      InfeasibleError, NonPositiveAnchorError, NonPositiveTermError,
                       OperatingPoint, Posynomial, Weights, build_gp, condense,
                       eve_rate_chain, harvested_energies, iterate,
                       legitimate_rates, log2_det, optimal_condensation_weights,
                       posynomial, rank_one_update_sum, secrecy_corner,
                       solve_gp)
 from swiptsec.region import oracle_grid_search
-from swiptsec.solver import RELIABLE, SECURE, _eve_det
+from swiptsec.model import max_deliverable_energy, with_demands
+from swiptsec.solver import RELIABLE, SECURE, _eve_det, _gram_minors
 from swiptsec.scenarios import (random_config, strong_interference,
                                 weak_interference)
 
@@ -154,7 +156,8 @@ class TestBuildGp:
                 cov = rank_one_update_sum(
                     m, [(p[j] / cfg.eve_noise_total, h[j]) for j in users])
                 exact = 2.0 ** log2_det(cov)
-                assert _eve_det(cfg, users, n).value(x) == pytest.approx(exact, rel=1e-12)
+                det = _eve_det(_gram_minors(cfg), users, n)
+                assert det.value(x) == pytest.approx(exact, rel=1e-12)
 
 
 class TestSolveGp:
@@ -198,6 +201,26 @@ class TestSolveGp:
         cfg = weak_interference(eh_demands=(2.0, 2.0))
         with pytest.raises(InfeasibleError):
             iterate(cfg, Weights.pair(0.5), None, RELIABLE)
+
+    @pytest.mark.parametrize("mode", [RELIABLE, SECURE])
+    def test_demand_limit_is_closed_form(self, monkeypatch, mode):
+        # Full power and the smallest split deliver c + (1 - FLOOR_FRAC)(T + d);
+        # a demand above that fails before any GP is solved, one below solves.
+        cfg = random_config(np.random.default_rng(5))
+        c = cfg.harvest_offsets[0]
+        reach = max_deliverable_energy(cfg) - c
+        over = with_demands(cfg, [0.0, c[1] + (1 - 0.5 * solver.FLOOR_FRAC) * reach[1]])
+        under = with_demands(cfg, [0.0, c[1] + (1 - 2 * solver.FLOOR_FRAC) * reach[1]])
+
+        def no_optimizer(*args, **kwargs):
+            raise AssertionError("the optimizer ran")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(scipy.optimize, "minimize", no_optimizer)
+            with pytest.raises(InfeasibleError):
+                iterate(over, Weights.pair(0.5), ORDER12, mode)
+        rep = iterate(under, Weights.pair(0.5), ORDER12, mode)
+        assert harvested_energies(under, rep.op).per_user[1] >= under.eh_demands[1] - 1e-9
 
 
 class TestIterate:
@@ -328,13 +351,39 @@ def test_solve_gp_feasible_and_rate_row_tight(seed, num_users, mode, eh_fraction
     gp = build_gp(cfg, Weights(alpha / alpha.sum()), order, anchor, mode)
     try:
         lam, op = solve_gp(gp)
-    except InfeasibleError:
+    except InfeasibleAnchorError:
+        # Only a missed demand makes an anchor infeasible.
+        assert max(c.value(gp.anchor) for c, label in zip(gp.constraints, gp.labels)
+                   if label.startswith("eh")) > 1.0 + 1e-8
         return
     x = np.concatenate([[lam], op.powers, op.splits])
     values = np.array([c.value(x) for c in gp.constraints])
     rate = np.array([label.startswith("rate") for label in gp.labels])
     assert np.all(values <= 1.0 + 1e-8)
     assert abs(values[rate].max() - 1.0) <= 1e-9
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), num_users=st.sampled_from([2, 3]),
+       num_eve_antennas=st.sampled_from([1, 2, 3]),
+       mode=st.sampled_from([RELIABLE, SECURE]), eh_fraction=st.floats(0.0, 0.95),
+       small=st.floats(1e-6, 1e-2))
+def test_iterate_from_feasible_start_never_fails(seed, num_users, num_eve_antennas,
+                                                 mode, eh_fraction, small):
+    # Demands within the closed-form limit always solve, from a feasible
+    # start that every iterate keeps, even when a small-weight user has a
+    # negative secrecy gap that pushes lambda far below 2^-64.
+    rng = np.random.default_rng(seed)
+    cfg = random_config(rng, num_users=num_users,
+                        num_eve_antennas=num_eve_antennas, eh_fraction=eh_fraction)
+    order = DecodingOrder(tuple(int(k) for k in rng.permutation(num_users)))
+    w = rng.uniform(0.2, 1.0, num_users)
+    w[rng.integers(num_users)] = small
+    rep = iterate(cfg, Weights(w / w.sum()), order, mode)
+    energies = harvested_energies(cfg, rep.op).per_user
+    assert np.all(energies >= cfg.eh_demands * (1 - 1e-7))
+    assert np.all(rep.op.powers <= cfg.power_budget * (1 + 1e-12))
+    assert np.all(rep.op.splits <= 1.0)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -364,7 +413,8 @@ def test_secure_condensation_is_inner(seed, num_users, num_eve_antennas,
             if label.startswith("rate")]
     for i in range(10):
         if i % 2:
-            x = np.exp(rng.uniform(np.log(gp.floors), np.log(gp.caps)))
+            x = np.exp(rng.uniform(np.log(np.maximum(gp.floors, 2.0 ** -64)),
+                                   np.log(gp.caps)))
         else:
             x = np.clip(gp.anchor * np.exp(rng.normal(0.0, 0.3, gp.anchor.size)),
                         gp.floors, gp.caps)
