@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Cross-validate the condensation solver against the exhaustive grid
-oracle, which knows nothing about posynomials: it just scans the whole
-(p1, p2, eta1, eta2) box, drops harvesting-infeasible points, and zooms once
-around the incumbent."""
+oracle, which knows nothing about posynomials: it scans a 2-D grid over
+(p1, p2), gives each user its closed-form best split (`max_splits`), drops
+points where no split meets a demand, and zooms once around the best
+powers."""
 
 import time
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import metrics, region, scenarios, solver
 from .model import (BAD_VALUE, ConfigError, DecodingOrder, OperatingPoint,
                     Weights, load_scenario, max_deliverable_energy,
-                    with_demands)
+                    max_splits, with_demands)
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
@@ -104,7 +104,10 @@ def run_sweep(args) -> int:
                      "points": len(boundary.points),
                      "failures": boundary.failures,
                      "non_monotone": [_where(pt) for pt in boundary.points
-                                      if pt.non_monotone]}
+                                      if pt.non_monotone],
+                     "optimizer_failures": [
+                         {**_where(pt), "count": pt.optimizer_failures}
+                         for pt in boundary.points if pt.optimizer_failures]}
             if boundary.failures:
                 any_failed = True
             if args.oracle:
@@ -237,7 +240,7 @@ def _check_subsets(cfg, rng, cases: int = 20, tol: float = 1e-6):
 
 def _check_feasibility(cfg):
     limit = max_deliverable_energy(cfg)
-    infeasible = [k for k in range(cfg.num_users) if cfg.eh_demands[k] > limit[k]]
+    infeasible = np.flatnonzero(max_splits(cfg, cfg.power_budget) < 0).tolist()
     if infeasible:
         try:
             region.oracle_grid_search(cfg, solver.RELIABLE, None,

@@ -119,6 +119,19 @@ def max_deliverable_energy(cfg: SystemConfig) -> np.ndarray:
     return c + (cfg.gain_powers @ cfg.power_budget + d)
 
 
+def max_splits(cfg: SystemConfig, powers) -> np.ndarray:
+    """Each user's best split at ``powers`` (trailing K axis): the largest
+    that meets its demand, eta_k* = min(1, 1 - (psi_k - c_k)^+ / (T_k + d_k)),
+    as rates rise with eta_k and the energy c_k + (1 - eta_k)(T_k + d_k)
+    falls.  1 where the demand is vacuous, negative where no split meets it.
+    """
+    c, d = cfg.harvest_offsets
+    reach = np.asarray(powers, dtype=float) @ cfg.gain_powers.T + d   # T + d
+    need = np.maximum(cfg.eh_demands - c, 0.0)
+    with np.errstate(all="ignore"):     # reach may be 0: eta* = -inf
+        return np.where(need > 0, 1.0 - need / reach, 1.0)
+
+
 def config_violations(cfg: SystemConfig) -> list:
     """Return the complete list of invariant violations (empty when valid)."""
     v = []

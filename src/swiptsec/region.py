@@ -1,5 +1,6 @@
 """Pareto boundary sweeps, the time-sharing convex hull, and the exhaustive
-grid-search oracle used to cross-check the condensation solver."""
+grid-search oracle used to cross-check the condensation solver: a 2-D grid
+over (p1, p2) with closed-form splits and one zoom."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .model import (DecodingOrder, OperatingPoint, SystemConfig, Weights,
-                    with_demands)
+                    max_splits, with_demands)
 from .solver import MODES, SECURE, InfeasibleError, NumericalFailureError, iterate
 
 # Rates below this are reported as zero in region output; they correspond to
@@ -48,6 +49,7 @@ class BoundaryPoint:
     converged: bool
     clamped: bool
     non_monotone: bool         # the solve's GP optima decreased somewhere
+    optimizer_failures: int    # SLSQP failures and anchor returns of the solve
 
 
 @dataclass
@@ -106,7 +108,8 @@ def sweep(cfg: SystemConfig, mode: str, psi=None, grid: int = 21) -> RegionBound
                 rates=render_rates(rep.rates), rates_raw=rep.rates.copy(),
                 op=rep.op, order=rep.order, iterations=rep.iterations,
                 converged=rep.converged, clamped=rep.clamped,
-                non_monotone=rep.non_monotone))
+                non_monotone=rep.non_monotone,
+                optimizer_failures=rep.optimizer_failures))
 
     hull = (time_share_hull([pt.rates for pt in points])
             if points else np.empty((0, 2)))
@@ -178,29 +181,28 @@ class OracleResult:
     op: OperatingPoint
 
 
-def _oracle_pass(cfg, mode, alpha, order, p1, p2, e1, e2):
+def _oracle_pass(cfg, mode, alpha, order, p1, p2):
     g = cfg.gain_powers
     sig2 = cfg.processing_noise_vars
     rho2 = cfg.antenna_noise_vars
     sbar = cfg.eve_noise_total
     h = cfg.eve_channels
 
-    # Legitimate rates on the (p1, p2, eta) grids.
-    num1 = e1[None, None, :] * p1[:, None, None] * g[0, 0]
-    den1 = sig2[0] + e1[None, None, :] * (rho2[0] + g[0, 1] * p2[None, :, None])
-    r1 = np.log2(1.0 + num1 / den1)
-    num2 = e2[None, None, :] * p2[None, :, None] * g[1, 1]
-    den2 = sig2[1] + e2[None, None, :] * (rho2[1] + g[1, 0] * p1[:, None, None])
-    r2 = np.log2(1.0 + num2 / den2)
+    # Each cell's best splits; a demand missed by at most 1e-12 still counts
+    # as met.  A silent user's split does not change the objective, and 0
+    # harvests the most.
+    powers = np.stack(np.meshgrid(p1, p2, indexing="ij"), axis=-1)
+    slack = with_demands(cfg, np.maximum(cfg.eh_demands - 1e-12, 0.0))
+    feasible = np.all(max_splits(slack, powers) >= 0.0, axis=-1)
+    splits = np.clip(max_splits(cfg, powers), 0.0, 1.0)
+    splits[..., alpha.alpha == 0] = 0.0
+    e1, e2 = splits[..., 0], splits[..., 1]
 
-    t1 = g[0, 0] * p1[:, None, None] + g[0, 1] * p2[None, :, None]
-    t2 = g[1, 0] * p1[:, None, None] + g[1, 1] * p2[None, :, None]
-    c, d = cfg.harvest_offsets
-    en1 = c[0] + (1.0 - e1[None, None, :]) * (t1 + d[0])
-    en2 = c[1] + (1.0 - e2[None, None, :]) * (t2 + d[1])
-    psi = cfg.eh_demands
-    feas1 = en1 >= psi[0] - 1e-12
-    feas2 = en2 >= psi[1] - 1e-12
+    # Legitimate rates on the (p1, p2) grid.
+    r1 = np.log2(1.0 + e1 * p1[:, None] * g[0, 0]
+                 / (sig2[0] + e1 * (rho2[0] + g[0, 1] * p2[None, :])))
+    r2 = np.log2(1.0 + e2 * p2[None, :] * g[1, 1]
+                 / (sig2[1] + e2 * (rho2[1] + g[1, 0] * p1[:, None])))
 
     if mode == SECURE:
         # Closed-form quadratic forms through the rank-one interferer
@@ -221,39 +223,33 @@ def _oracle_pass(cfg, mode, alpha, order, p1, p2, e1, e2):
             q2 = (n2 - (p1 / sbar) * x12 / (1.0 + p1 * n1 / sbar)) / sbar
             le2 = leak(p2[None, :], q2[:, None])
             le1 = leak(p1[:, None], n1 / sbar)
-        r1 = np.maximum(r1 - le1[:, :, None], 0.0)
-        r2 = np.maximum(r2 - le2[:, :, None], 0.0)
+        r1 = np.maximum(r1 - le1, 0.0)
+        r2 = np.maximum(r2 - le2, 0.0)
 
-    with np.errstate(divide="ignore"):
-        parts = []
-        if alpha.alpha[0] > 0:
-            parts.append(r1[:, :, :, None] / alpha.alpha[0])
-        if alpha.alpha[1] > 0:
-            parts.append(r2[:, :, None, :] / alpha.alpha[1])
-    obj = parts[0] if len(parts) == 1 else np.minimum(*parts)
-    obj = np.broadcast_to(obj, (p1.size, p2.size, e1.size, e2.size)).copy()
-    obj[~(feas1[:, :, :, None] & feas2[:, :, None, :])] = -np.inf
+    rates = np.stack([r1, r2], axis=-1)
+    active = alpha.alpha > 0
+    obj = np.min(rates[..., active] / alpha.alpha[active], axis=-1)
+    obj[~feasible] = -np.inf
 
-    best = np.unravel_index(np.argmax(obj), obj.shape)
-    value = obj[best]
-    if not np.isfinite(value):
+    i, j = np.unravel_index(np.argmax(obj), obj.shape)
+    if not np.isfinite(obj[i, j]):
         return None
-    i, j, a, b = best
-    op = OperatingPoint(np.array([p1[i], p2[j]]), np.array([e1[a], e2[b]]))
-    rates = np.array([np.broadcast_to(r1[:, :, :, None], obj.shape)[best],
-                      np.broadcast_to(r2[:, :, None, :], obj.shape)[best]])
-    return float(value), rates, op
+    op = OperatingPoint(powers[i, j], splits[i, j])
+    return float(obj[i, j]), rates[i, j].copy(), op
 
 
 def oracle_grid_search(cfg: SystemConfig, mode: str, psi, alpha: Weights,
                        order: Optional[DecodingOrder] = None,
                        resolution: int = 51) -> OracleResult:
-    """Exhaustive search over (p1, p2, eta1, eta2) with one local zoom.
+    """Exhaustive search over a 2-D grid of (p1, p2) with closed-form
+    splits and one local zoom.
 
-    Evaluates the exact uncondensed objective on a uniform grid, discards
-    harvesting-infeasible points, then refines once around the incumbent.
-    Independent of the GP machinery by construction.  A ``psi`` override is
-    validated like any config and raises ConfigError when it is invalid.
+    Each grid point takes every user's best split from ``max_splits`` and
+    evaluates the exact uncondensed objective there; points where no split
+    meets a demand are discarded.  The search then refines the powers once
+    around the incumbent.  Independent of the GP machinery by construction.
+    A ``psi`` override is validated like any config and raises ConfigError
+    when it is invalid.
     """
     if cfg.num_users != 2:
         raise ValueError("the oracle is implemented for two users")
@@ -267,25 +263,19 @@ def oracle_grid_search(cfg: SystemConfig, mode: str, psi, alpha: Weights,
         cfg = with_demands(cfg, psi)
     pmax = cfg.power_budget
 
-    axes = [np.linspace(0.0, pmax[0], resolution),
-            np.linspace(0.0, pmax[1], resolution),
-            np.linspace(0.0, 1.0, resolution),
-            np.linspace(0.0, 1.0, resolution)]
+    axes = [np.linspace(0.0, hi, resolution) for hi in pmax]
     coarse = _oracle_pass(cfg, mode, alpha, order, *axes)
     if coarse is None:
         raise NoFeasiblePointError(
             f"no grid point satisfies the harvesting demands {cfg.eh_demands}")
     best_value, best_rates, best_op = coarse
 
-    # One zoom: same resolution on a +/- one-coarse-step window per axis.
-    centers = np.concatenate([best_op.powers, best_op.splits])
-    highs = np.array([pmax[0], pmax[1], 1.0, 1.0])
+    # One zoom: same resolution on a +/- one-coarse-step window per power.
     fine_axes = []
-    for c, hi in zip(centers, highs):
+    for c, hi in zip(best_op.powers, pmax):
         step = hi / (resolution - 1)
-        lo = max(c - step, 0.0)
-        up = min(c + step, hi)
-        fine_axes.append(np.linspace(lo, up, resolution))
+        fine_axes.append(np.linspace(max(c - step, 0.0), min(c + step, hi),
+                                     resolution))
     fine = _oracle_pass(cfg, mode, alpha, order, *fine_axes)
     if fine is not None and fine[0] > best_value:
         best_value, best_rates, best_op = fine

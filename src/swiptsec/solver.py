@@ -24,9 +24,10 @@ from typing import Optional
 import numpy as np
 import scipy.optimize
 
-from .metrics import eve_rate_chain, legitimate_rates, secrecy_corner
+from .metrics import (eve_rate_chain, harvested_energy, legitimate_rates,
+                      secrecy_corner)
 from .model import (DecodingOrder, OperatingPoint, SystemConfig, Weights,
-                    max_deliverable_energy)
+                    max_splits)
 
 SECURE = "secure"
 RELIABLE = "reliable"
@@ -326,15 +327,18 @@ def _log_posynomials(a, b, starts, z):
 
 def solve_gp(gp: GpInstance) -> tuple:
     """Maximize lambda over the GP from its anchor; returns (lambda,
-    OperatingPoint).
+    OperatingPoint, failures).
 
     Solved as a smooth convex program in log variables y = log x, with every
     constraint stacked into one exponent matrix (a), one log-coefficient
     vector (b) and the first term row of each constraint (starts), and posed
     to SLSQP as one vector-valued inequality.  Lambda is set in closed form
-    at the anchor and at the optimizer's point.  Raises InfeasibleAnchorError
-    when the anchor violates a constraint by more than FEAS_TOL and
-    NumericalFailureError when the optimizer leaves one violated.
+    at the anchor and at the optimizer's point.  ``failures`` counts what
+    went wrong without ending the solve: SLSQP reporting no success, and a
+    return to the anchor because the optimizer's point was worse.  Raises
+    InfeasibleAnchorError when the anchor violates a constraint by more than
+    FEAS_TOL and NumericalFailureError when the optimizer leaves one
+    violated.
     """
     a = np.vstack([posy.exponents for posy in gp.constraints])
     b = np.concatenate([np.log(posy.coeffs) for posy in gp.constraints])
@@ -379,6 +383,7 @@ def solve_gp(gp: GpInstance) -> tuple:
         bounds=list(zip(lo, hi)),
         constraints=[{"type": "ineq", "fun": lambda y: -log_g(y), "jac": jac}],
         options={"maxiter": SLSQP_MAXITER, "ftol": 1e-14})
+    failures = int(not res.success)
     y = set_lambda(res.x)
     if not violation(y) <= FEAS_TOL:
         raise NumericalFailureError(
@@ -386,9 +391,11 @@ def solve_gp(gp: GpInstance) -> tuple:
     if y[0] < y0[0] - 1e-9:
         # Never regress below the feasible starting point.
         y = y0
+        failures += 1
     x = np.exp(np.clip(y, lo, hi))
     kk = gp.num_users
-    return float(x[0]), OperatingPoint(x[1:kk + 1], np.minimum(x[kk + 1:], 1.0))
+    return (float(x[0]), OperatingPoint(x[1:kk + 1], np.minimum(x[kk + 1:], 1.0)),
+            failures)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +412,8 @@ class SolveReport:
     the raw per-iteration GP optima.  Each condensed GP is an inner
     approximation that is exact at its anchor, so in both modes the trace
     never decreases beyond solver tolerance; ``non_monotone`` flags a trace
-    that does.
+    that does.  ``optimizer_failures`` sums solve_gp's failures over the
+    solve's GPs.
     """
 
     lam: float
@@ -416,6 +424,7 @@ class SolveReport:
     converged: bool
     clamped: bool
     non_monotone: bool
+    optimizer_failures: int
     mode: str
     alpha: Weights
     order: Optional[DecodingOrder]
@@ -428,21 +437,18 @@ class SolveReport:
 
 
 def _feasible_start(cfg: SystemConfig) -> OperatingPoint:
-    """Full power, and each split at min(0.5, the largest split that meets
-    the user's demand at full power): a point that satisfies every
-    constraint.  Harvested energy c + (1 - eta)(T + d) grows with every
-    power and falls with the split, so a demand above what full power and
-    the smallest split FLOOR_FRAC deliver raises InfeasibleError."""
-    c, _ = cfg.harvest_offsets
-    reach = max_deliverable_energy(cfg) - c         # T + d at full power
-    need = np.maximum(cfg.eh_demands - c, 0.0)      # what 1 - eta must cover
-    short = np.flatnonzero(need > (1.0 - FLOOR_FRAC) * reach)
+    """Full power, and each split at min(0.5, max_splits at full power): a
+    point that satisfies every constraint.  Harvested energy grows with
+    every power, so full power gives each user its largest split, and a
+    user whose largest split is below FLOOR_FRAC raises InfeasibleError."""
+    splits = max_splits(cfg, cfg.power_budget)
+    short = np.flatnonzero(splits < FLOOR_FRAC)
     if short.size:
         k = int(short[0])
+        floor = OperatingPoint(cfg.power_budget, np.full(cfg.num_users, FLOOR_FRAC))
         raise InfeasibleError(
             f"user {k} demands {cfg.eh_demands[k]} but harvests at most "
-            f"{c[k] + (1.0 - FLOOR_FRAC) * reach[k]}")
-    splits = 1.0 - need / np.where(need > 0, reach, 1.0)
+            f"{harvested_energy(cfg, floor, k)}")
     return OperatingPoint(cfg.power_budget.copy(), np.minimum(splits, 0.5))
 
 
@@ -463,11 +469,13 @@ def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
 
     point = _feasible_start(cfg)
     trace = []
+    failures = 0
     converged = False
     for _ in range(MAX_ITERS):
         gp = build_gp(cfg, alpha, order, point, mode)
-        lam_gp, point = solve_gp(gp)
+        lam_gp, point, gp_failures = solve_gp(gp)
         trace.append(lam_gp)
+        failures += gp_failures
         if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= EPS_CONV * max(1.0, trace[-1]):
             converged = True
             break
@@ -494,5 +502,6 @@ def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
                        for i in range(len(trace) - 1))
     return SolveReport(lam=lam, op=point, iterations=len(trace), lam_trace=trace,
                        gaps=gaps, converged=converged, clamped=clamped,
-                       non_monotone=non_monotone, mode=mode, alpha=alpha,
+                       non_monotone=non_monotone, optimizer_failures=failures,
+                       mode=mode, alpha=alpha,
                        order=order if mode == SECURE else None, rates=eff)

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from swiptsec import (OperatingPoint, legitimate_rates, save_scenario,
                       secrecy_corner)
@@ -221,6 +222,27 @@ def test_report_lists_non_monotone_points(scenario, tmp_path, monkeypatch):
     secure, reliable = runs("flagged")
     assert secure["non_monotone"] == [{"alpha1": 0.5, "order": [2, 1]}]
     assert reliable["non_monotone"] == []
+
+
+def test_report_lists_optimizer_failures(scenario, tmp_path, monkeypatch):
+    # Each run lists every point whose SLSQP runs ended without success, with
+    # the number of such runs: here every GP solve of every point.
+    minimize = scipy.optimize.minimize
+
+    def unsuccessful(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        res.success = False
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "minimize", unsuccessful)
+    out = tmp_path / "o"
+    assert main(["sweep", "--scenario", str(scenario), "--mode", "reliable",
+                 "--grid", "3", "--out", str(out)]) == 0
+    [run] = json.loads((out / "report.json").read_text())["runs"]
+    rows = read_rows(out / "boundary_reliable_e0-0.csv")
+    assert run["optimizer_failures"] == [
+        {"alpha1": float(row["alpha1"]), "order": None,
+         "count": int(row["iterations"])} for row in rows]
 
 
 def exit_code(argv):

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from swiptsec import (ConfigError, DecodingOrder, EnergyModel,
                       InvalidPermutationError, OperatingPoint, SystemConfig,
                       Weights, config_from_dict, config_to_dict,
-                      config_violations, validate_config,
+                      config_violations, harvested_energy, validate_config,
                       validate_operating_point)
 from swiptsec.model import (DIMENSION_MISMATCH, NEGATIVE_DEMAND,
-                            NON_POSITIVE_VARIANCE)
+                            NON_POSITIVE_VARIANCE, max_deliverable_energy,
+                            max_splits, with_demands)
 from swiptsec.scenarios import random_config, weak_interference
 
 
@@ -175,3 +176,35 @@ def test_any_float_in_any_field_is_valid_or_config_error(path, value):
     if path[0] in ("num_users", "num_eve_antennas"):
         assert value.is_integer()
     assert config_violations(cfg) == []
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), num_users=st.sampled_from([2, 3]),
+       energy_model=st.sampled_from(list(EnergyModel)),
+       demand_fracs=st.lists(st.floats(0.0, 1.5), min_size=3, max_size=3),
+       power_fracs=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+def test_max_splits_inverts_the_harvested_energy(seed, num_users, energy_model,
+                                                 demand_fracs, power_fracs):
+    # At any powers in the box, eta* harvests exactly the demand; a negative
+    # eta* means even eta = 0 falls short, and a vacuous demand leaves 1.
+    cfg = random_config(np.random.default_rng(seed), num_users=num_users,
+                        energy_model=energy_model)
+    cfg = with_demands(cfg, np.array(demand_fracs[:num_users])
+                       * max_deliverable_energy(cfg))
+    powers = np.array(power_fracs[:num_users]) * cfg.power_budget
+    eta = max_splits(cfg, powers)
+    c, _ = cfg.harvest_offsets
+    psi = cfg.eh_demands
+
+    def energy(k, split):
+        splits = np.zeros(num_users)
+        splits[k] = split
+        return harvested_energy(cfg, OperatingPoint(powers, splits), k)
+
+    for k in range(num_users):
+        if psi[k] <= c[k]:
+            assert eta[k] == 1.0
+        if eta[k] < 0:
+            assert energy(k, 0.0) < psi[k]
+        elif eta[k] < 1:
+            assert energy(k, eta[k]) == pytest.approx(psi[k], rel=1e-9)

@@ -4,7 +4,8 @@ import pytest
 from swiptsec import (ConfigError, DecodingOrder, EmptyInputError,
                       NoFeasiblePointError, Weights, harvested_energies,
                       hull_height, legitimate_rates, oracle_grid_search,
-                      subset_constraints_satisfied, sweep, time_share_hull)
+                      secrecy_corner, subset_constraints_satisfied, sweep,
+                      time_share_hull)
 from swiptsec.metrics import RateTuple
 from swiptsec.solver import RELIABLE, SECURE
 from swiptsec.scenarios import (random_config, strong_interference,
@@ -189,3 +190,26 @@ class TestOracle:
             oracle = oracle_grid_search(cfg, RELIABLE, None, weights, resolution=31)
             rep = iterate(cfg, weights, None, RELIABLE)
             assert rep.objective >= oracle.objective * 0.95 - 1e-9
+
+    @pytest.mark.parametrize("mode, order", [(RELIABLE, None), (SECURE, (0, 1)),
+                                             (SECURE, (1, 0))])
+    def test_returned_point_agrees_with_metrics(self, mode, order):
+        # The oracle's vectorized rates and closed-form splits match the
+        # scalar formulas of metrics at the point it returns.
+        rng = np.random.default_rng(31)
+        cfgs = [weak_interference(eh_demands=(0.8, 0.8)),
+                weak_interference(eh_demands=(0.8, 0.8), eve_geometry="parallel"),
+                strong_interference(eh_demands=(1.0, 1.0)),
+                strong_interference(eve_geometry="parallel")]
+        cfgs += [random_config(rng, eh_fraction=float(rng.uniform(0.0, 0.6)))
+                 for _ in range(4)]
+        order = DecodingOrder(order) if order else None
+        for cfg in cfgs:
+            for alpha1 in (0.0, 0.3, 1.0):
+                res = oracle_grid_search(cfg, mode, None, Weights.pair(alpha1),
+                                         order, resolution=21)
+                energies = harvested_energies(cfg, res.op).per_user
+                assert np.all(energies >= cfg.eh_demands - 1e-12)
+                expected = (secrecy_corner(cfg, res.op, order).per_user
+                            if mode == SECURE else legitimate_rates(cfg, res.op))
+                np.testing.assert_allclose(res.rates, expected, rtol=0, atol=1e-12)

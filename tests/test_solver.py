@@ -171,7 +171,7 @@ class TestSolveGp:
             anchor=np.array([1.0, 1.0, 0.5]),
             floors=np.array([1e-12, 1e-12, 1e-6]),
             caps=np.array([1e12, 1e12, 1.0]))
-        lam, op = solve_gp(gp)
+        lam, op, _ = solve_gp(gp)
         assert lam == pytest.approx(2.0, rel=1e-6)
         assert op.powers[0] == pytest.approx(2.0, rel=1e-6)
 
@@ -179,7 +179,7 @@ class TestSolveGp:
         cfg = weak_interference()
         anchor = OperatingPoint(np.ones(2), np.full(2, 0.5))
         gp = build_gp(cfg, Weights.pair(0.5), ORDER12, anchor, RELIABLE)
-        lam, _ = solve_gp(gp)
+        lam, _, _ = solve_gp(gp)
         anchor_rate = min(legitimate_rates(cfg, anchor) / 0.5)
         assert np.log2(lam) >= anchor_rate - 1e-9
 
@@ -350,7 +350,7 @@ def test_solve_gp_feasible_and_rate_row_tight(seed, num_users, mode, eh_fraction
     alpha = np.array(weights[:num_users])
     gp = build_gp(cfg, Weights(alpha / alpha.sum()), order, anchor, mode)
     try:
-        lam, op = solve_gp(gp)
+        lam, op, _ = solve_gp(gp)
     except InfeasibleAnchorError:
         # Only a missed demand makes an anchor infeasible.
         assert max(c.value(gp.anchor) for c, label in zip(gp.constraints, gp.labels)
