@@ -17,7 +17,7 @@ convex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Optional
 
@@ -191,7 +191,10 @@ class GpInstance:
     posynomial(x) <= 1 constraints over x = (lambda, p, eta).
 
     condensations pairs each condensed denominator with its monomial bound so
-    approximation gaps can be evaluated later.
+    approximation gaps can be evaluated later.  rows holds what does not
+    depend on the anchor: per constraint its numerator and the denominator
+    to condense (None for a monomial row), so recondensed moves the anchor
+    without rebuilding them.
     """
 
     num_users: int
@@ -201,6 +204,24 @@ class GpInstance:
     floors: np.ndarray
     caps: np.ndarray
     condensations: list = field(default_factory=list)
+    rows: list = field(default_factory=list)
+
+    def recondensed(self, anchor: OperatingPoint) -> "GpInstance":
+        """The same GP with every denominator condensed at ``anchor``."""
+        if np.any(~np.isfinite(anchor.powers)) or np.any(~np.isfinite(anchor.splits)):
+            raise InfeasibleAnchorError("anchor contains non-finite entries")
+        x = np.clip(np.concatenate([[1.0], anchor.powers, anchor.splits]),
+                    self.floors, self.caps)
+        constraints, condensations = [], []
+        for num, den in self.rows:
+            if den is None:
+                constraints.append(num)
+                continue
+            mono = condense(den, x)
+            constraints.append(num.over_monomial(mono))
+            condensations.append((den, mono))
+        return replace(self, constraints=constraints, anchor=x,
+                       condensations=condensations)
 
 
 def _interferers(order: DecodingOrder, k: int) -> list:
@@ -237,15 +258,16 @@ def _eve_det(minors: dict, users, n: int) -> Posynomial:
 
 def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
              anchor: OperatingPoint, mode: str) -> GpInstance:
-    """Emit the condensed GP for one outer iteration.
+    """Emit the GP condensed at ``anchor``.
 
     Per user: the rate/secrecy constraint (skipped when alpha_k = 0), the
     harvesting constraint (skipped when it is vacuous for every feasible
-    point), and the box constraints.  Denominators are condensed at the
-    anchor.  User k's secrecy row is lambda^alpha_k A_k E(S + k) <= D_k E(S),
-    where R_k = log2(D_k / A_k), S holds the users decoded after k and E is
-    the eavesdropper determinant of _eve_det.  Lambda has no floor and its
-    anchor value is 1; solve_gp sets it.
+    point), and the box constraints.  Only the condensed denominators depend
+    on the anchor; GpInstance.recondensed moves it.  User k's secrecy row is
+    lambda^alpha_k A_k E(S + k) <= D_k E(S), where R_k = log2(D_k / A_k), S
+    holds the users decoded after k and E is the eavesdropper determinant of
+    _eve_det.  Lambda has no floor and its anchor value is 1; solve_gp sets
+    it.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -261,19 +283,13 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
     floors = np.concatenate([[0.0], FLOOR_FRAC * pmax, np.full(kk, FLOOR_FRAC)])
     caps = np.concatenate([[2.0 ** 64], pmax, np.ones(kk)])
 
-    if np.any(~np.isfinite(anchor.powers)) or np.any(~np.isfinite(anchor.splits)):
-        raise InfeasibleAnchorError("anchor contains non-finite entries")
-    anchor_x = np.clip(np.concatenate([[1.0], anchor.powers, anchor.splits]),
-                       floors, caps)
     minors = _gram_minors(cfg) if mode == SECURE else None
 
-    constraints, labels, condensations = [], [], []
+    rows, labels = [], []
 
-    def add_ratio(numerator, denominator, label):
-        mono = condense(denominator, anchor_x)
-        constraints.append(numerator.over_monomial(mono))
+    def add_row(numerator, denominator, label):
+        rows.append((numerator, denominator))
         labels.append(label)
-        condensations.append((denominator, mono))
 
     for k in range(kk):
         a_terms = [(sig2[k], {}), (rho2[k], {eta_of(k): 1})]
@@ -288,7 +304,7 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
                 inter = _interferers(order, k)
                 num = num.times(_eve_det(minors, inter + [k], n))
                 den = den.times(_eve_det(minors, inter, n))
-            add_ratio(num, den, f"rate[{k}]")
+            add_row(num, den, f"rate[{k}]")
 
         # psi <= c + (1 - eta)(T + d)  <=>  (psi - c) + eta d + eta T <= T + d;
         # vacuous whenever psi <= c because eta <= 1.  Zero terms drop out.
@@ -298,31 +314,31 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
             num = posynomial(n, [(psi - c_eh[k], {}), (d_eh[k], {eta_of(k): 1})]
                              + [(c, {**pw, eta_of(k): 1}) for c, pw in received])
             den = posynomial(n, received + [(d_eh[k], {})])
-            add_ratio(num, den, f"eh[{k}]")
+            add_row(num, den, f"eh[{k}]")
 
-        constraints.append(posynomial(n, [(1.0 / pmax[k], {p_of(k): 1})]))
-        labels.append(f"box:p[{k}]")
-        constraints.append(posynomial(n, [(1.0, {eta_of(k): 1})]))
-        labels.append(f"box:eta[{k}]")
+        add_row(posynomial(n, [(1.0 / pmax[k], {p_of(k): 1})]), None,
+                f"box:p[{k}]")
+        add_row(posynomial(n, [(1.0, {eta_of(k): 1})]), None, f"box:eta[{k}]")
 
-    return GpInstance(num_users=kk, constraints=constraints, labels=labels,
-                      anchor=anchor_x, floors=floors, caps=caps,
-                      condensations=condensations)
+    unanchored = GpInstance(num_users=kk, constraints=[], labels=labels,
+                            anchor=None, floors=floors, caps=caps, rows=rows)
+    return unanchored.recondensed(anchor)
 
 
 # ---------------------------------------------------------------------------
 # Log-space solve
 # ---------------------------------------------------------------------------
 
-def _log_posynomials(a, b, starts, z):
+def _log_posynomials(a, b, starts, seg, z):
     """log g_i(exp(z)) for every stacked posynomial g_i, and each term's share
-    of its posynomial (the weights of the log-sum-exp gradient)."""
+    of its posynomial (the weights of the log-sum-exp gradient).  starts is
+    the first term row of each posynomial and seg the posynomial of each
+    term row."""
     r = a @ z + b
-    sizes = np.diff(starts, append=r.size)
     m = np.maximum.reduceat(r, starts)
-    e = np.exp(r - np.repeat(m, sizes))
+    e = np.exp(r - m[seg])
     s = np.add.reduceat(e, starts)
-    return m + np.log(s), e / np.repeat(s, sizes)
+    return m + np.log(s), e / s[seg]
 
 
 def solve_gp(gp: GpInstance) -> tuple:
@@ -342,12 +358,24 @@ def solve_gp(gp: GpInstance) -> tuple:
     """
     a = np.vstack([posy.exponents for posy in gp.constraints])
     b = np.concatenate([np.log(posy.coeffs) for posy in gp.constraints])
-    starts = np.cumsum([0] + [posy.num_terms for posy in gp.constraints[:-1]])
+    sizes = [posy.num_terms for posy in gp.constraints]
+    starts = np.cumsum([0] + sizes[:-1])
+    seg = np.repeat(np.arange(len(sizes)), sizes)
     with np.errstate(divide="ignore"):      # a zero floor means no bound
         lo, hi = np.log(gp.floors), np.log(gp.caps)
 
+    last = {}
+
+    def evaluated(y):
+        # SLSQP asks for the constraint and its Jacobian at the same point.
+        key = y.tobytes()
+        if key not in last:
+            last.clear()
+            last[key] = _log_posynomials(a, b, starts, seg, y)
+        return last[key]
+
     def log_g(y):
-        return _log_posynomials(a, b, starts, y)[0]
+        return evaluated(y)[0]
 
     def violation(y):
         return float(log_g(y).max())
@@ -373,7 +401,7 @@ def solve_gp(gp: GpInstance) -> tuple:
             f"anchor violates a constraint by {violation(y0):.3e}")
 
     def jac(y):
-        shares = _log_posynomials(a, b, starts, y)[1]
+        shares = evaluated(y)[1]
         return -np.add.reduceat(shares[:, None] * a, starts)
 
     cost = np.zeros(lo.size)
@@ -458,9 +486,10 @@ def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
 
     Starts at the feasible point of _feasible_start (InfeasibleError, before
     any GP is built, when there is none); each condensed GP is exact at its
-    anchor, so every iterate stays feasible.  Each iteration rebuilds the GP
-    at the previous solution until the GP optimum moves by at most EPS_CONV
-    (relative) or MAX_ITERS GPs are solved.
+    anchor, so every iterate stays feasible.  The GP is built once, and each
+    later iteration re-condenses it at the previous solution, until the GP
+    optimum moves by at most EPS_CONV (relative) or MAX_ITERS GPs are
+    solved.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -468,11 +497,13 @@ def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
         order = DecodingOrder(tuple(range(cfg.num_users)))
 
     point = _feasible_start(cfg)
+    gp = None
     trace = []
     failures = 0
     converged = False
     for _ in range(MAX_ITERS):
-        gp = build_gp(cfg, alpha, order, point, mode)
+        gp = (build_gp(cfg, alpha, order, point, mode) if gp is None
+              else gp.recondensed(point))
         lam_gp, point, gp_failures = solve_gp(gp)
         trace.append(lam_gp)
         failures += gp_failures

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swiptsec import (ConfigError, DecodingOrder, EmptyInputError,
                       NoFeasiblePointError, Weights, harvested_energies,
@@ -71,6 +73,21 @@ class TestHull:
         hull = time_share_hull(pts)
         for x, y in pts:
             assert hull_height(hull, x) >= y - 1e-9
+
+
+# Coordinates on a coarse grid make ties, repeated abscissae and collinear
+# runs common; zeros put points on the axes.
+_coordinate = st.one_of(st.just(0.0), st.sampled_from([0.25, 0.5, 0.75, 1.0, 1.5]),
+                        st.floats(0.0, 2.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(points=st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=30))
+def test_hull_idempotent_and_dominates_inputs(points):
+    hull = time_share_hull(points)
+    assert np.array_equal(time_share_hull(hull), hull)
+    for x, y in points:
+        assert hull_height(hull, x) >= y - 1e-12
 
 
 class TestSweep:

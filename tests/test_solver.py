@@ -160,6 +160,121 @@ class TestBuildGp:
                 assert det.value(x) == pytest.approx(exact, rel=1e-12)
 
 
+def _recondense_cases():
+    """(cfg, weights, order, mode): the weak, strong and strong/parallel-Eve
+    fixtures and random K = 2, 3 draws, in both modes and both orders."""
+    cfgs = [weak_interference(eh_demands=(0.8, 0.8)), strong_interference(),
+            strong_interference(eh_demands=(0.5, 0.5), eve_geometry="parallel")]
+    rng = np.random.default_rng(61)
+    cfgs += [random_config(rng, num_users=k, eh_fraction=f)
+             for k, f in ((2, 0.6), (3, 0.3), (3, 0.6))]
+    cases = []
+    for i, cfg in enumerate(cfgs):
+        w = rng.uniform(0.2, 1.0, cfg.num_users)
+        users = tuple(range(cfg.num_users))
+        for mode in (RELIABLE, SECURE):
+            for perm in (users, users[::-1]):
+                cases.append(pytest.param(cfg, Weights(w / w.sum()),
+                                          DecodingOrder(perm), mode,
+                                          id=f"cfg{i}-{mode}-{''.join(map(str, perm))}"))
+    return cases
+
+
+def _assert_same_gp(got, want):
+    assert got.labels == want.labels
+    for name in ("anchor", "floors", "caps"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    pairs = list(zip(got.constraints, want.constraints))
+    pairs += [pair for conds in zip(got.condensations, want.condensations)
+              for pair in zip(*conds)]
+    assert len(got.constraints) == len(want.constraints)
+    assert len(got.condensations) == len(want.condensations)
+    for g, w in pairs:
+        assert np.array_equal(g.coeffs, w.coeffs)
+        assert np.array_equal(g.exponents, w.exponents)
+
+
+class TestRecondense:
+    @pytest.mark.parametrize("cfg,weights,order,mode", _recondense_cases())
+    def test_recondensed_equals_fresh_build(self, cfg, weights, order, mode):
+        start = solver._feasible_start(cfg)
+        gp = build_gp(cfg, weights, order, start, mode)
+        _assert_same_gp(gp.recondensed(start), gp)
+        _, point, _ = solve_gp(gp)
+        _assert_same_gp(gp.recondensed(point),
+                        build_gp(cfg, weights, order, point, mode))
+
+    @pytest.mark.parametrize("cfg,weights,order,mode", _recondense_cases())
+    def test_iterate_equals_rebuild_loop(self, cfg, weights, order, mode):
+        # Reference: every GP built from scratch with the public functions.
+        point = solver._feasible_start(cfg)
+        trace, failures = [], 0
+        for _ in range(solver.MAX_ITERS):
+            lam, point, gp_failures = solve_gp(
+                build_gp(cfg, weights, order, point, mode))
+            trace.append(lam)
+            failures += gp_failures
+            if (len(trace) >= 2 and abs(trace[-1] - trace[-2])
+                    <= solver.EPS_CONV * max(1.0, trace[-1])):
+                break
+        rep = iterate(cfg, weights, order, mode)
+        assert rep.lam_trace == trace
+        assert np.array_equal(rep.op.powers, point.powers)
+        assert np.array_equal(rep.op.splits, point.splits)
+        assert rep.optimizer_failures == failures
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=10),
+       num_vars=st.integers(1, 7), seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_log_sum_exp_matches_per_row_reduce(sizes, num_vars, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-2.0, 2.0, (sum(sizes), num_vars))
+    z = rng.uniform(-1.0, 1.0, num_vars)
+    b = rng.uniform(-40.0, 40.0, sum(sizes)) - a @ z    # log terms in +-40
+    starts = np.cumsum([0] + sizes[:-1])
+    seg = np.repeat(np.arange(len(sizes)), sizes)
+    log_g, shares = solver._log_posynomials(a, b, starts, seg, z)
+    r = a @ z + b
+    for i, (first, size) in enumerate(zip(starts, sizes)):
+        row = slice(first, first + size)
+        assert log_g[i] == pytest.approx(np.logaddexp.reduce(r[row]),
+                                         rel=1e-12, abs=1e-12)
+        assert shares[row].sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), num_users=st.sampled_from([2, 3]),
+       mode=st.sampled_from([RELIABLE, SECURE]), eh_fraction=st.floats(0.0, 0.6))
+def test_constraint_jacobian_matches_central_differences(seed, num_users, mode,
+                                                         eh_fraction):
+    rng = np.random.default_rng(seed)
+    cfg = random_config(rng, num_users=num_users, eh_fraction=eh_fraction)
+    order = DecodingOrder(tuple(int(k) for k in rng.permutation(num_users)))
+    w = rng.uniform(0.2, 1.0, num_users)
+    gp = build_gp(cfg, Weights(w / w.sum()), order, solver._feasible_start(cfg),
+                  mode)
+    seen = []
+    real_minimize = scipy.optimize.minimize
+
+    def capture(*args, **kwargs):
+        seen.append(kwargs["constraints"][0])
+        return real_minimize(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.optimize, "minimize", capture)
+        solve_gp(gp)
+    fun, jac = seen[0]["fun"], seen[0]["jac"]
+    h = 1e-6
+    y0 = np.log(gp.anchor)
+    for y in (y0, y0 + rng.normal(0.0, 0.2, y0.size)):
+        numeric = np.column_stack([(fun(y + h * e) - fun(y - h * e)) / (2 * h)
+                                   for e in np.eye(y.size)])
+        # jac runs after fun has moved to other points, so a stale cached
+        # evaluation would show here.
+        assert np.allclose(jac(y), numeric, rtol=0.0, atol=1e-6)
+
+
 class TestSolveGp:
     def test_box_only_toy(self):
         # maximize lam subject to lam / p <= 1, p <= 2 (K=1 layout).
