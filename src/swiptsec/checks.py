@@ -1,0 +1,126 @@
+"""The invariant checks that ``swiptsec verify`` and the acceptance gate
+share.  Each returns ``(passed, worst, detail)``: whether the invariant held,
+the worst value measured against its tolerance, and a one-line summary."""
+
+from itertools import chain, combinations, permutations
+
+import numpy as np
+
+from . import region, solver
+from .metrics import (eve_rate_chain, eve_sum_rate, legitimate_rates,
+                      secrecy_corner, subset_constraints_satisfied)
+from .model import (DecodingOrder, OperatingPoint, Weights,
+                    infeasible_demands, max_deliverable_energy)
+from .scenarios import random_config
+
+CHAIN_TOL = 1e-9
+CONDENSE_TOL = 1e-9
+SUBSET_TOL = 1e-6
+SHORTFALL_TOL = 0.05        # relative, solver below the grid oracle
+
+
+def chain_rule(rng, cases, cfg=None):
+    """Per-user eavesdropper rates sum to the block sum rate over every order
+    and subset: on ``cfg`` if given, then on ``cases`` random configs (users
+    2, 3, 2, 3, ...; antennas 2, 2, 4, 4, ...), powers drawn after each."""
+    randoms = (random_config(rng, num_users=(2, 3)[i % 2],
+                             num_eve_antennas=(2, 4)[(i // 2) % 2])
+               for i in range(cases))
+    worst, count = 0.0, 0
+    for c in chain([cfg] if cfg is not None else [], randoms):
+        p = rng.uniform(0, c.power_budget)
+        users = range(c.num_users)
+        for order in map(DecodingOrder, permutations(users)):
+            for s in chain.from_iterable(combinations(users, n)
+                                         for n in range(1, c.num_users + 1)):
+                total = eve_rate_chain(c, p, order, s)[list(s)].sum()
+                worst = max(worst, abs(total - eve_sum_rate(c, p, s)))
+                count += 1
+    return (worst <= CHAIN_TOL, worst, f"worst gap {worst:.2e} over {count} "
+            f"order/subset cases (tol {CHAIN_TOL:.0e})")
+
+
+def condensation(rng, cases):
+    """A condensed monomial never exceeds its posynomial and meets it at the
+    anchor, on ``cases`` posynomials: 1-6 terms, 1-4 variables, coefficients
+    e^U(-1.5, 1.5), exponents U(-2.5, 2.5), anchor and 5 points e^U(-0.8, 0.8)."""
+    worst_over, worst_anchor = 0.0, 0.0
+    for _ in range(cases):
+        nv = int(rng.integers(1, 5))
+        nt = int(rng.integers(1, 7))
+        posy = solver.Posynomial(np.exp(rng.uniform(-1.5, 1.5, nt)),
+                                 rng.uniform(-2.5, 2.5, (nt, nv)))
+        anchor = np.exp(rng.uniform(-0.8, 0.8, nv))
+        mono = solver.condense(posy, anchor)
+        worst_anchor = max(worst_anchor, abs(mono.value(anchor) - posy.value(anchor)))
+        for _ in range(5):
+            x = np.exp(rng.uniform(-0.8, 0.8, nv))
+            worst_over = max(worst_over, mono.value(x) - posy.value(x))
+    worst = max(worst_over, worst_anchor)
+    return (worst <= CONDENSE_TOL, worst,
+            f"overshoot {worst_over:.2e}, anchor gap {worst_anchor:.2e} over "
+            f"{cases} cases (tol {CONDENSE_TOL:.0e})")
+
+
+def subset_corners(cfg, rng):
+    """Secrecy corners at 20 random points meet every subset sum constraint."""
+    worst = -np.inf
+    for _ in range(20):
+        op = OperatingPoint(rng.uniform(0, cfg.power_budget),
+                            rng.uniform(0, 1, cfg.num_users))
+        for order in map(DecodingOrder, permutations(range(cfg.num_users))):
+            # Clamped corners are only guaranteed inside the region when no
+            # user's secrecy gap went negative.
+            if np.any(legitimate_rates(cfg, op) < eve_rate_chain(cfg, op.powers, order)):
+                continue
+            check = subset_constraints_satisfied(
+                cfg, op, secrecy_corner(cfg, op, order), SUBSET_TOL)
+            worst = max(worst, check.worst_violation)
+            if not check.ok:
+                return False, worst, f"violation {worst:.2e} on subset {check.worst_subset}"
+    return True, worst, f"worst violation {worst:.2e} (tol {SUBSET_TOL:.0e})"
+
+
+def energy_screen(cfg):
+    """Demands that infeasible_demands rejects leave the grid oracle without
+    a point; ``worst`` is the largest demand minus its deliverable limit."""
+    limit = max_deliverable_energy(cfg)
+    worst = float(np.max(cfg.eh_demands - limit))
+    short = infeasible_demands(cfg).tolist()
+    if not short:
+        return True, worst, f"demands within deliverable energy {np.round(limit, 4)}"
+    try:
+        region.oracle_grid_search(cfg, solver.RELIABLE, None,
+                                  Weights.pair(0.5), resolution=11)
+    except region.NoFeasiblePointError:
+        return True, worst, (f"demands exceed deliverable energy for users "
+                             f"{short}; NoFeasiblePoint confirmed")
+    return False, worst, "demands exceed the closed-form limit but the oracle found a point"
+
+
+def oracle_dominance(cfg, resolution):
+    """At alpha1 = 0.25, 0.5, 0.75 (reliable) the solver and the grid oracle
+    agree on feasibility, and the solver is at most SHORTFALL_TOL below."""
+    worst = 0.0
+    for alpha1 in (0.25, 0.5, 0.75):
+        weights = Weights.pair(alpha1)
+        try:
+            oracle = region.oracle_grid_search(cfg, solver.RELIABLE, None,
+                                               weights, resolution=resolution)
+        except region.NoFeasiblePointError:
+            oracle = None
+        try:
+            rep = solver.iterate(cfg, weights, None, solver.RELIABLE)
+        except solver.InfeasibleError:
+            if oracle is None:
+                continue
+            return False, worst, f"solver infeasible where the oracle found a point (alpha1={alpha1})"
+        except solver.NumericalFailureError as exc:
+            return False, worst, f"solver failed numerically at alpha1={alpha1}: {exc}"
+        if oracle is None:
+            return False, worst, f"solver found a point where the oracle proved none (alpha1={alpha1})"
+        rel = max(oracle.objective - rep.objective, 0.0) / max(oracle.objective, 1e-12)
+        worst = max(worst, rel)
+        if rel > SHORTFALL_TOL:
+            return False, worst, f"solver {rel:.1%} below oracle at alpha1={alpha1}"
+    return True, worst, f"worst relative shortfall {worst:.2%} (tol {SHORTFALL_TOL:.0%})"

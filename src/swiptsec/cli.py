@@ -11,15 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import combinations, permutations
 from pathlib import Path
 
 import numpy as np
 
-from . import metrics, region, scenarios, solver
-from .model import (BAD_VALUE, ConfigError, DecodingOrder, OperatingPoint,
-                    Weights, load_scenario, max_deliverable_energy,
-                    max_splits, with_demands)
+from . import checks, region, solver
+from .model import BAD_VALUE, ConfigError, load_scenario, with_demands
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
@@ -33,7 +30,13 @@ def _fmt(x: float) -> str:
 
 
 def _demand_tag(psi) -> str:
-    return "e" + "-".join(f"{float(v):g}" for v in psi)
+    """File-name tag of a demand pair: each demand in ``:g`` form where that
+    round-trips, else in the shortest form that does, so distinct demands
+    get distinct files."""
+    def short(v):
+        text = f"{v:g}"
+        return text if float(text) == v else repr(v)
+    return "e" + "-".join(short(float(v)) for v in psi)
 
 
 def _write_boundary(path: Path, boundary: region.RegionBoundary) -> None:
@@ -164,117 +167,19 @@ def run_verify(args) -> int:
         return EXIT_CONFIG_ERROR
 
     rng = np.random.default_rng(args.seed)
-    checks = [
-        ("chain-rule conservation", _check_chain_rule(cfg, rng)),
-        ("condensation soundness", _check_condensation(rng)),
-        ("subset constraints at corners", _check_subsets(cfg, rng)),
-        ("energy feasibility screen", _check_feasibility(cfg)),
-        ("oracle dominance", _check_oracle_dominance(cfg, args.oracle_res)),
+    results = [
+        ("chain-rule conservation", checks.chain_rule(rng, 200, cfg)),
+        ("condensation soundness", checks.condensation(rng, 300)),
+        ("subset constraints at corners", checks.subset_corners(cfg, rng)),
+        ("energy feasibility screen", checks.energy_screen(cfg)),
+        ("oracle dominance", checks.oracle_dominance(cfg, args.oracle_res)),
     ]
-    width = max(len(name) for name, _ in checks)
+    width = max(len(name) for name, _ in results)
     ok = True
-    for name, (passed, detail) in checks:
+    for name, (passed, _, detail) in results:
         ok &= passed
         print(f"{name:<{width}}  {'PASS' if passed else 'FAIL'}  {detail}")
     return EXIT_OK if ok else EXIT_POINT_FAILURES
-
-
-def _random_ops(rng, cfg, count):
-    for _ in range(count):
-        yield OperatingPoint(rng.uniform(0, cfg.power_budget),
-                             rng.uniform(0, 1, cfg.num_users))
-
-
-def _check_chain_rule(cfg, rng, cases: int = 200, tol: float = 1e-9):
-    worst = 0.0
-    configs = [cfg]
-    for i in range(cases):
-        configs.append(scenarios.random_config(rng, num_users=2 + i % 2,
-                                               num_eve_antennas=2 + 2 * (i % 3 == 0)))
-    for c in configs:
-        p = rng.uniform(0, c.power_budget)
-        users = range(c.num_users)
-        subsets = [s for size in range(1, c.num_users + 1)
-                   for s in combinations(users, size)]
-        for order in map(DecodingOrder, permutations(range(c.num_users))):
-            for s in subsets:
-                total = metrics.eve_rate_chain(c, p, order, s)[list(s)].sum()
-                worst = max(worst, abs(total - metrics.eve_sum_rate(c, p, s)))
-    return worst <= tol, f"worst gap {worst:.2e} (tol {tol:.0e})"
-
-
-def _check_condensation(rng, cases: int = 300, tol: float = 1e-9):
-    worst_bound, worst_anchor = 0.0, 0.0
-    for _ in range(cases):
-        nv = rng.integers(1, 5)
-        nt = rng.integers(1, 6)
-        posy = solver.Posynomial(np.exp(rng.uniform(-1, 1, nt)),
-                                 rng.uniform(-2, 2, (nt, nv)))
-        anchor = np.exp(rng.uniform(-0.7, 0.7, nv))
-        mono = solver.condense(posy, anchor)
-        worst_anchor = max(worst_anchor, abs(mono.value(anchor) - posy.value(anchor)))
-        for _ in range(5):
-            x = np.exp(rng.uniform(-0.7, 0.7, nv))
-            worst_bound = max(worst_bound, mono.value(x) - posy.value(x))
-    ok = worst_bound <= tol and worst_anchor <= tol
-    return ok, f"worst overshoot {worst_bound:.2e}, anchor gap {worst_anchor:.2e}"
-
-
-def _check_subsets(cfg, rng, cases: int = 20, tol: float = 1e-6):
-    worst = -np.inf
-    for op in _random_ops(rng, cfg, cases):
-        for order in map(DecodingOrder, permutations(range(cfg.num_users))):
-            # Clamped corners are only guaranteed inside the region when no
-            # user's secrecy gap went negative.
-            gaps = (metrics.legitimate_rates(cfg, op)
-                    - metrics.eve_rate_chain(cfg, op.powers, order))
-            if np.any(gaps < 0):
-                continue
-            corner = metrics.secrecy_corner(cfg, op, order)
-            check = metrics.subset_constraints_satisfied(cfg, op, corner, tol)
-            worst = max(worst, check.worst_violation)
-            if not check.ok:
-                return False, f"violation {check.worst_violation:.2e} on subset {check.worst_subset}"
-    return True, f"worst violation {worst:.2e} (tol {tol:.0e})"
-
-
-def _check_feasibility(cfg):
-    limit = max_deliverable_energy(cfg)
-    infeasible = np.flatnonzero(max_splits(cfg, cfg.power_budget) < 0).tolist()
-    if infeasible:
-        try:
-            region.oracle_grid_search(cfg, solver.RELIABLE, None,
-                                      Weights.pair(0.5), resolution=11)
-        except region.NoFeasiblePointError:
-            return True, (f"demands exceed deliverable energy for users "
-                          f"{infeasible}; NoFeasiblePoint confirmed")
-        return False, "demands exceed the closed-form limit but the oracle found a point"
-    return True, f"demands within deliverable energy {np.round(limit, 4)}"
-
-
-def _check_oracle_dominance(cfg, resolution, tol_frac: float = 0.05):
-    worst = 0.0
-    for alpha1 in (0.25, 0.5, 0.75):
-        weights = Weights.pair(alpha1)
-        try:
-            oracle = region.oracle_grid_search(cfg, solver.RELIABLE, None,
-                                               weights, resolution=resolution)
-        except region.NoFeasiblePointError:
-            try:
-                solver.iterate(cfg, weights, None, solver.RELIABLE)
-            except solver.InfeasibleError:
-                continue
-            return False, f"solver found a point where the oracle proved none (alpha1={alpha1})"
-        try:
-            rep = solver.iterate(cfg, weights, None, solver.RELIABLE)
-        except solver.InfeasibleError:
-            return False, f"solver infeasible where the oracle found a point (alpha1={alpha1})"
-        shortfall = max(oracle.objective - rep.objective, 0.0)
-        rel = shortfall / max(oracle.objective, 1e-12)
-        worst = max(worst, rel)
-        if rel > tol_frac:
-            return False, f"solver {rel:.1%} below oracle at alpha1={alpha1}"
-    return True, f"worst relative shortfall {worst:.2%} (tol {tol_frac:.0%})"
 
 
 # ---------------------------------------------------------------------------

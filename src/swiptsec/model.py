@@ -132,6 +132,12 @@ def max_splits(cfg: SystemConfig, powers) -> np.ndarray:
         return np.where(need > 0, 1.0 - need / reach, 1.0)
 
 
+def infeasible_demands(cfg: SystemConfig) -> np.ndarray:
+    """Users whose demand no point meets: best split at full power <= 0, i.e.
+    a demand not below max_deliverable_energy."""
+    return np.flatnonzero(max_splits(cfg, cfg.power_budget) <= 0)
+
+
 def config_violations(cfg: SystemConfig) -> list:
     """Return the complete list of invariant violations (empty when valid)."""
     v = []

@@ -47,15 +47,12 @@ class BoundaryPoint:
     order: Optional[DecodingOrder]
     iterations: int
     converged: bool
-    clamped: bool
     non_monotone: bool         # the solve's GP optima decreased somewhere
     optimizer_failures: int    # SLSQP failures and anchor returns of the solve
 
 
 @dataclass
 class RegionBoundary:
-    mode: str
-    eh_demands: np.ndarray
     points: list
     failures: list
     hull: np.ndarray
@@ -107,14 +104,12 @@ def sweep(cfg: SystemConfig, mode: str, psi=None, grid: int = 21) -> RegionBound
                 alpha=np.array([alpha1, 1.0 - alpha1]), weights=weights,
                 rates=render_rates(rep.rates), rates_raw=rep.rates.copy(),
                 op=rep.op, order=rep.order, iterations=rep.iterations,
-                converged=rep.converged, clamped=rep.clamped,
-                non_monotone=rep.non_monotone,
+                converged=rep.converged, non_monotone=rep.non_monotone,
                 optimizer_failures=rep.optimizer_failures))
 
     hull = (time_share_hull([pt.rates for pt in points])
             if points else np.empty((0, 2)))
-    return RegionBoundary(mode=mode, eh_demands=cfg.eh_demands.copy(),
-                          points=points, failures=failures, hull=hull)
+    return RegionBoundary(points=points, failures=failures, hull=hull)
 
 
 # ---------------------------------------------------------------------------

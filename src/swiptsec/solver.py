@@ -24,10 +24,9 @@ from typing import Optional
 import numpy as np
 import scipy.optimize
 
-from .metrics import (eve_rate_chain, harvested_energy, legitimate_rates,
-                      secrecy_corner)
+from .metrics import legitimate_rates, secrecy_corner
 from .model import (DecodingOrder, OperatingPoint, SystemConfig, Weights,
-                    max_splits)
+                    infeasible_demands, max_deliverable_energy, max_splits)
 
 SECURE = "secure"
 RELIABLE = "reliable"
@@ -58,12 +57,14 @@ class InfeasibleAnchorError(ValueError):
 
 
 class InfeasibleError(RuntimeError):
-    """An energy demand exceeds what full power and the smallest split
-    deliver, so no point satisfies the constraints."""
+    """An energy demand is not below max_deliverable_energy, so no point
+    satisfies the constraints."""
 
 
 class NumericalFailureError(RuntimeError):
-    pass
+    """The solve broke down numerically: the optimizer left a constraint
+    violated, or a value overflowed, underflowed to zero or was not finite
+    (the cause is chained)."""
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +281,9 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
     c_eh, d_eh = cfg.harvest_offsets
     pmax = cfg.power_budget
 
-    floors = np.concatenate([[0.0], FLOOR_FRAC * pmax, np.full(kk, FLOOR_FRAC)])
+    # Each split's floor stays below its largest value at full power.
+    eta_floors = np.clip(0.5 * max_splits(cfg, pmax), 0.0, FLOOR_FRAC)
+    floors = np.concatenate([[0.0], FLOOR_FRAC * pmax, eta_floors])
     caps = np.concatenate([[2.0 ** 64], pmax, np.ones(kk)])
 
     minors = _gram_minors(cfg) if mode == SECURE else None
@@ -422,8 +425,7 @@ def solve_gp(gp: GpInstance) -> tuple:
         failures += 1
     x = np.exp(np.clip(y, lo, hi))
     kk = gp.num_users
-    return (float(x[0]), OperatingPoint(x[1:kk + 1], np.minimum(x[kk + 1:], 1.0)),
-            failures)
+    return float(x[0]), OperatingPoint(x[1:kk + 1], x[kk + 1:]), failures
 
 
 # ---------------------------------------------------------------------------
@@ -450,11 +452,8 @@ class SolveReport:
     lam_trace: list
     gaps: np.ndarray
     converged: bool
-    clamped: bool
     non_monotone: bool
     optimizer_failures: int
-    mode: str
-    alpha: Weights
     order: Optional[DecodingOrder]
     rates: np.ndarray
 
@@ -466,17 +465,15 @@ class SolveReport:
 
 def _feasible_start(cfg: SystemConfig) -> OperatingPoint:
     """Full power, and each split at min(0.5, max_splits at full power): a
-    point that satisfies every constraint.  Harvested energy grows with
-    every power, so full power gives each user its largest split, and a
-    user whose largest split is below FLOOR_FRAC raises InfeasibleError."""
-    splits = max_splits(cfg, cfg.power_budget)
-    short = np.flatnonzero(splits < FLOOR_FRAC)
+    point that satisfies every constraint, as harvested energy grows with
+    every power.  A demand that is not below max_deliverable_energy raises
+    InfeasibleError."""
+    short = infeasible_demands(cfg)
     if short.size:
-        k = int(short[0])
-        floor = OperatingPoint(cfg.power_budget, np.full(cfg.num_users, FLOOR_FRAC))
         raise InfeasibleError(
-            f"user {k} demands {cfg.eh_demands[k]} but harvests at most "
-            f"{harvested_energy(cfg, floor, k)}")
+            f"users {short.tolist()} demand {cfg.eh_demands[short]}, not below "
+            f"the max_deliverable_energy {max_deliverable_energy(cfg)[short]}")
+    splits = max_splits(cfg, cfg.power_budget)
     return OperatingPoint(cfg.power_budget.copy(), np.minimum(splits, 0.5))
 
 
@@ -489,14 +486,24 @@ def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
     anchor, so every iterate stays feasible.  The GP is built once, and each
     later iteration re-condenses it at the previous solution, until the GP
     optimum moves by at most EPS_CONV (relative) or MAX_ITERS GPs are
-    solved.
+    solved.  A solve ends in a report, InfeasibleError or
+    NumericalFailureError: an overflow, a vanishing or non-finite GP term
+    or anchor, and an anchor the GP finds infeasible are re-raised as a
+    NumericalFailureError that chains the cause.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if order is None:
         order = DecodingOrder(tuple(range(cfg.num_users)))
-
     point = _feasible_start(cfg)
+    try:
+        return _condensation_loop(cfg, alpha, order, mode, point)
+    except (ArithmeticError, NonPositiveTermError, NonPositiveAnchorError,
+            InfeasibleAnchorError) as exc:
+        raise NumericalFailureError(f"{type(exc).__name__}: {exc}") from exc
+
+
+def _condensation_loop(cfg, alpha, order, mode, point) -> SolveReport:
     gp = None
     trace = []
     failures = 0
@@ -513,13 +520,9 @@ def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
 
     # Report with exact rates at the final point.
     if mode == SECURE:
-        corner = secrecy_corner(cfg, point, order)
-        eff = corner.per_user
-        clamped = bool(np.any(legitimate_rates(cfg, point)
-                              - eve_rate_chain(cfg, point.powers, order) < 0))
+        eff = secrecy_corner(cfg, point, order).per_user
     else:
         eff = legitimate_rates(cfg, point)
-        clamped = False
     active = alpha.alpha > 0
     beta = float(np.min(eff[active] / alpha.alpha[active]))
     lam = 2.0 ** beta
@@ -532,7 +535,6 @@ def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
     non_monotone = any(trace[i + 1] < trace[i] - EPS_CONV * max(1.0, trace[i])
                        for i in range(len(trace) - 1))
     return SolveReport(lam=lam, op=point, iterations=len(trace), lam_trace=trace,
-                       gaps=gaps, converged=converged, clamped=clamped,
+                       gaps=gaps, converged=converged,
                        non_monotone=non_monotone, optimizer_failures=failures,
-                       mode=mode, alpha=alpha,
                        order=order if mode == SECURE else None, rates=eff)

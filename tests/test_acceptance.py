@@ -2,13 +2,11 @@
 the measured values (run with -s to see them)."""
 
 from dataclasses import replace
-from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 
-from swiptsec import (DecodingOrder, Posynomial, Weights, condense,
-                      eve_rate_chain, eve_sum_rate, harvested_energies,
+from swiptsec import (DecodingOrder, Weights, checks, harvested_energies,
                       hull_height, iterate, legitimate_rates,
                       oracle_grid_search, subset_constraints_satisfied, sweep)
 from swiptsec.metrics import RateTuple
@@ -99,47 +97,15 @@ def test_criterion_4_secure_endpoints_any_direction():
 
 
 def test_criterion_5_chain_rule_thousand_configs():
-    rng = np.random.default_rng(5)
-    worst = 0.0
-    cases = 0
-    for i in range(1000):
-        k = (2, 3)[i % 2]
-        m = (2, 4)[(i // 2) % 2]
-        cfg = random_config(rng, num_users=k, num_eve_antennas=m)
-        p = rng.uniform(0, cfg.power_budget)
-        subsets = [s for size in range(1, k + 1)
-                   for s in combinations(range(k), size)]
-        for perm in permutations(range(k)):
-            order = DecodingOrder(perm)
-            for s in subsets:
-                total = eve_rate_chain(cfg, p, order, s)[list(s)].sum()
-                gap = abs(total - eve_sum_rate(cfg, p, s))
-                worst = max(worst, gap)
-                cases += 1
-    assert worst <= 1e-9
-    print(f"\nPASS 5: chain rule vs block sum rate, worst gap {worst:.2e} "
-          f"over {cases} order/subset cases (tol 1e-9)")
+    passed, _, detail = checks.chain_rule(np.random.default_rng(5), 1000)
+    assert passed, detail
+    print(f"\nPASS 5: chain rule vs block sum rate, {detail}")
 
 
 def test_criterion_6_condensation_bound_and_tightness():
-    rng = np.random.default_rng(6)
-    worst_over, worst_anchor = 0.0, 0.0
-    for _ in range(1000):
-        nv = int(rng.integers(1, 5))
-        nt = int(rng.integers(1, 7))
-        posy = Posynomial(np.exp(rng.uniform(-1.5, 1.5, nt)),
-                          rng.uniform(-2.5, 2.5, (nt, nv)))
-        anchor = np.exp(rng.uniform(-0.8, 0.8, nv))
-        mono = condense(posy, anchor)
-        worst_anchor = max(worst_anchor,
-                           abs(mono.value(anchor) - posy.value(anchor)))
-        for _ in range(5):
-            x = np.exp(rng.uniform(-0.8, 0.8, nv))
-            worst_over = max(worst_over, mono.value(x) - posy.value(x))
-    assert worst_over <= 1e-9
-    assert worst_anchor <= 1e-9
-    print(f"\nPASS 6: condensation bound overshoot {worst_over:.2e}, "
-          f"anchor mismatch {worst_anchor:.2e} over 1000 cases (tol 1e-9)")
+    passed, _, detail = checks.condensation(np.random.default_rng(6), 1000)
+    assert passed, detail
+    print(f"\nPASS 6: condensation bound {detail}")
 
 
 def _assert_solver_point_feasible(cfg, rep, alpha):

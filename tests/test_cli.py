@@ -1,18 +1,23 @@
 import csv
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from swiptsec import (OperatingPoint, legitimate_rates, save_scenario,
-                      secrecy_corner)
+from swiptsec import (OperatingPoint, config_to_dict, legitimate_rates,
+                      save_scenario, secrecy_corner)
 from swiptsec import region
 from swiptsec.cli import main
 from swiptsec.model import DecodingOrder
 from swiptsec.region import render_rates
-from swiptsec.scenarios import random_config, weak_interference
+from swiptsec.scenarios import (random_config, symmetric_two_user,
+                                weak_interference)
 
 
 @pytest.fixture()
@@ -312,3 +317,100 @@ def test_invalid_scenario_value_exits_one(scenario, tmp_path, capsys, path, valu
     assert "ConfigError" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_distinct_demands_get_distinct_files(scenario, tmp_path):
+    # 0.3 and 0.30000001 print alike in six significant digits; each demand
+    # still gets its own file, holding the rows a sweep of it alone writes.
+    both = tmp_path / "both"
+    assert main(["sweep", "--scenario", str(scenario), "--mode", "reliable",
+                 "--grid", "3", "--eh", "0.3,0", "--eh", "0.30000001,0",
+                 "--out", str(both)]) == 0
+    for spec, tag in (("0.3,0", "e0.3-0"), ("0.30000001,0", "e0.30000001-0")):
+        alone = tmp_path / tag
+        assert main(["sweep", "--scenario", str(scenario), "--mode", "reliable",
+                     "--grid", "3", "--eh", spec, "--out", str(alone)]) == 0
+        name = f"boundary_reliable_{tag}.csv"
+        assert (both / name).read_bytes() == (alone / name).read_bytes()
+
+
+def _scaled(cfg, factors) -> dict:
+    """The scenario dict of ``cfg`` with each named field times its factor."""
+    def scale(value, factor):
+        if isinstance(value, list):
+            return [scale(v, factor) for v in value]
+        return value * factor
+
+    data = config_to_dict(cfg)
+    for name, factor in factors.items():
+        data[name] = scale(data[name], factor)
+    return data
+
+
+# Scenarios whose GP terms overflow or vanish, whose Gram minors overflow, or
+# whose weighted rate exceeds 1024 bits, so 2^rate overflows.
+NUMERICAL_BREAKDOWNS = {
+    "huge-budget": (weak_interference(), {"power_budget": 1e300}, ["--grid", "2"]),
+    "tiny-budget": (weak_interference(), {"power_budget": 1e-300}, ["--grid", "2"]),
+    "huge-eve-channels": (weak_interference(), {"eve_channels": 1e150},
+                          ["--grid", "2"]),
+    "huge-gram-minors": (weak_interference(),
+                         {"eve_antenna_noise_var": 1e164, "eve_channels": 1e251},
+                         ["--grid", "2"]),
+    "lambda-overflow": (symmetric_two_user(0.0), {"gains": 1e150},
+                        ["--grid", "3", "--mode", "reliable"]),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("cfg, factors, flags", NUMERICAL_BREAKDOWNS.values(),
+                         ids=NUMERICAL_BREAKDOWNS.keys())
+def test_numerical_breakdown_is_reported(tmp_path, cfg, factors, flags):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(_scaled(cfg, factors)))
+    out = tmp_path / "o"
+    assert main(["sweep", "--scenario", str(path), "--out", str(out)] + flags) == 2
+    failures = [f for run in json.loads((out / "report.json").read_text())["runs"]
+                for f in run["failures"]]
+    assert failures
+    assert {f["error"] for f in failures} == {"NumericalFailureError"}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verify_reports_numerical_breakdown(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(_scaled(
+        weak_interference(), {"gains": 1e274, "eve_antenna_noise_var": 1e172})))
+    assert main(["verify", "--scenario", str(path), "--oracle-res", "11"]) == 2
+    assert re.search(r"oracle dominance +FAIL +solver failed numerically",
+                     capsys.readouterr().out)
+
+
+def test_verify_passes_just_below_the_demand_limit(tmp_path):
+    # The largest split at full power is 8e-8 here, below the default split
+    # floor; the solver still meets the demand, as the oracle does.
+    path = tmp_path / "band.json"
+    save_scenario(weak_interference(eh_demands=(1.4999999, 1.4999999)), path)
+    assert main(["verify", "--scenario", str(path), "--oracle-res", "11"]) == 0
+
+
+SCALABLE_FIELDS = ("gains", "eve_channels", "antenna_noise_vars",
+                   "processing_noise_vars", "eve_antenna_noise_var",
+                   "eve_processing_noise_var", "power_budget", "eh_demands")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(exponents=st.dictionaries(st.sampled_from(SCALABLE_FIELDS),
+                                 st.integers(-300, 300), min_size=1, max_size=3))
+def test_scaled_scenario_never_raises(exponents):
+    # Any scenario, however badly scaled, ends in an exit code: a solve ends
+    # in a report, InfeasibleError or NumericalFailureError.
+    data = _scaled(weak_interference(),
+                   {name: 10.0 ** e for name, e in exponents.items()})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.json"
+        path.write_text(json.dumps(data))
+        code = exit_code(["sweep", "--scenario", str(path), "--grid", "2",
+                          "--out", str(Path(tmp) / "o")])
+    assert code in (0, 1, 2)

@@ -319,13 +319,14 @@ class TestSolveGp:
 
     @pytest.mark.parametrize("mode", [RELIABLE, SECURE])
     def test_demand_limit_is_closed_form(self, monkeypatch, mode):
-        # Full power and the smallest split deliver c + (1 - FLOOR_FRAC)(T + d);
-        # a demand above that fails before any GP is solved, one below solves.
+        # A demand is feasible exactly when it is below max_deliverable_energy:
+        # one above fails before any GP is solved, and one within FLOOR_FRAC
+        # of it solves, as the split floor stays below its largest split.
         cfg = random_config(np.random.default_rng(5))
         c = cfg.harvest_offsets[0]
         reach = max_deliverable_energy(cfg) - c
-        over = with_demands(cfg, [0.0, c[1] + (1 - 0.5 * solver.FLOOR_FRAC) * reach[1]])
-        under = with_demands(cfg, [0.0, c[1] + (1 - 2 * solver.FLOOR_FRAC) * reach[1]])
+        over = with_demands(cfg, [0.0, (c + reach)[1] * (1 + 1e-9)])
+        under = with_demands(cfg, [0.0, c[1] + (1 - 0.5 * solver.FLOOR_FRAC) * reach[1]])
 
         def no_optimizer(*args, **kwargs):
             raise AssertionError("the optimizer ran")
