@@ -5,15 +5,18 @@ lower bound that touches it at the anchor point."""
 
 import numpy as np
 
-from swiptsec import condense, optimal_condensation_weights, posynomial
+from swiptsec import condense, posynomial
 
 # f(p1, p2) = p1 + p2, condensed at the anchor (4, 1).
 posy = posynomial(2, [(1.0, {0: 1}), (1.0, {1: 1})])
 anchor = np.array([4.0, 1.0])
 mono = condense(posy, anchor)
 
-weights = optimal_condensation_weights(posy.term_values(anchor))
-print(f"weights at anchor {anchor}: {weights}")
+# Each term's share c_t of the posynomial at the anchor is its weight in the
+# bound sum_t f_t >= prod_t (f_t / c_t)^{c_t}; here each term is one variable,
+# so the shares are also the monomial's exponents.
+terms = posy.term_values(anchor)
+print(f"term shares at anchor {anchor}: {terms / terms.sum()}")
 print(f"monomial exponents: {mono.exponents[0]} coefficient {mono.coeffs[0]:.6f}\n")
 
 print(f"{'point':>12} {'posynomial':>12} {'monomial':>12} {'gap':>10}")

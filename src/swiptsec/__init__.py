@@ -1,8 +1,9 @@
 """Secrecy and reliable rate regions for multi-user wiretap interference
 channels whose receivers split power between detection and harvesting."""
 
-from .linalg import (DimensionMismatchError, NotPositiveDefiniteError,
-                     inv_quadratic_form, log2_det, rank_one_update_sum)
+from .linalg import (DimensionMismatchError, NonFiniteError,
+                     NotPositiveDefiniteError, inv_quadratic_form, log2_det,
+                     rank_one_update_sum)
 from .metrics import (EmptySubsetError, EnergyVector, RateTuple,
                       TooManyUsersError, eve_rate_chain, eve_sum_rate,
                       harvested_energies, harvested_energy, legitimate_rate,
@@ -20,6 +21,6 @@ from .solver import (RELIABLE, SECURE, GpInstance, InfeasibleAnchorError,
                      InfeasibleError, NonPositiveAnchorError,
                      NonPositiveTermError, NumericalFailureError, Posynomial,
                      SolveReport, build_gp, condense, iterate,
-                     optimal_condensation_weights, posynomial, solve_gp)
+                     posynomial, solve_gp)
 
 __version__ = "0.1.0"

@@ -1,12 +1,17 @@
 """The invariant checks that ``swiptsec verify`` and the acceptance gate
 share.  Each returns ``(passed, worst, detail)``: whether the invariant held,
-the worst value measured against its tolerance, and a one-line summary."""
+the worst value measured against its tolerance, and a one-line summary.  A
+check that meets a rate, energy or covariance that overflowed or is NaN
+fails (worst = inf) and names it, instead of passing on what it skipped;
+``oracle_dominance`` meets such values as a NumericalFailureError."""
 
+from functools import wraps
 from itertools import chain, combinations, permutations
 
 import numpy as np
 
 from . import region, solver
+from .linalg import NonFiniteError
 from .metrics import (eve_rate_chain, eve_sum_rate, legitimate_rates,
                       secrecy_corner, subset_constraints_satisfied)
 from .model import (DecodingOrder, OperatingPoint, Weights,
@@ -19,6 +24,26 @@ SUBSET_TOL = 1e-6
 SHORTFALL_TOL = 0.05        # relative, solver below the grid oracle
 
 
+def _finite(values, what):
+    """``values`` as an array; NonFiniteError naming ``what`` if one entry
+    overflowed or is NaN."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteError(f"{what} not finite: {values}")
+    return values
+
+
+def _fails_on_non_finite(check):
+    @wraps(check)
+    def guarded(*args, **kwargs):
+        try:
+            return check(*args, **kwargs)
+        except NonFiniteError as exc:
+            return False, np.inf, str(exc)
+    return guarded
+
+
+@_fails_on_non_finite
 def chain_rule(rng, cases, cfg=None):
     """Per-user eavesdropper rates sum to the block sum rate over every order
     and subset: on ``cfg`` if given, then on ``cases`` random configs (users
@@ -34,7 +59,9 @@ def chain_rule(rng, cases, cfg=None):
             for s in chain.from_iterable(combinations(users, n)
                                          for n in range(1, c.num_users + 1)):
                 total = eve_rate_chain(c, p, order, s)[list(s)].sum()
-                worst = max(worst, abs(total - eve_sum_rate(c, p, s)))
+                gap = abs(total - eve_sum_rate(c, p, s))
+                _finite(gap, f"chain-rule gap on subset {s}")
+                worst = max(worst, gap)
                 count += 1
     return (worst <= CHAIN_TOL, worst, f"worst gap {worst:.2e} over {count} "
             f"order/subset cases (tol {CHAIN_TOL:.0e})")
@@ -62,29 +89,41 @@ def condensation(rng, cases):
             f"{cases} cases (tol {CONDENSE_TOL:.0e})")
 
 
+@_fails_on_non_finite
 def subset_corners(cfg, rng):
-    """Secrecy corners at 20 random points meet every subset sum constraint."""
-    worst = -np.inf
+    """Secrecy corners at 20 random points meet every subset sum constraint;
+    ``worst`` is -inf when no corner was checked."""
+    worst, checked, cases = -np.inf, 0, 0
     for _ in range(20):
         op = OperatingPoint(rng.uniform(0, cfg.power_budget),
                             rng.uniform(0, 1, cfg.num_users))
+        legit = _finite(legitimate_rates(cfg, op), "legitimate rates")
         for order in map(DecodingOrder, permutations(range(cfg.num_users))):
+            cases += 1
             # Clamped corners are only guaranteed inside the region when no
             # user's secrecy gap went negative.
-            if np.any(legitimate_rates(cfg, op) < eve_rate_chain(cfg, op.powers, order)):
+            eve = _finite(eve_rate_chain(cfg, op.powers, order), "eavesdropper rates")
+            if np.any(legit < eve):
                 continue
             check = subset_constraints_satisfied(
                 cfg, op, secrecy_corner(cfg, op, order), SUBSET_TOL)
+            _finite(check.worst_violation, "subset constraint violation")
             worst = max(worst, check.worst_violation)
+            checked += 1
             if not check.ok:
                 return False, worst, f"violation {worst:.2e} on subset {check.worst_subset}"
-    return True, worst, f"worst violation {worst:.2e} (tol {SUBSET_TOL:.0e})"
+    if not checked:
+        return True, worst, (f"no corner checked: a secrecy gap was negative "
+                             f"in all {cases} cases")
+    return True, worst, (f"worst violation {worst:.2e} over {checked} of {cases} "
+                         f"corners (tol {SUBSET_TOL:.0e})")
 
 
+@_fails_on_non_finite
 def energy_screen(cfg):
     """Demands that infeasible_demands rejects leave the grid oracle without
     a point; ``worst`` is the largest demand minus its deliverable limit."""
-    limit = max_deliverable_energy(cfg)
+    limit = _finite(max_deliverable_energy(cfg), "deliverable energy")
     worst = float(np.max(cfg.eh_demands - limit))
     short = infeasible_demands(cfg).tolist()
     if not short:

@@ -19,6 +19,11 @@ class DimensionMismatchError(ValueError):
     pass
 
 
+class NonFiniteError(ValueError):
+    """A value overflowed or is NaN, such as an eavesdropper covariance of a
+    badly scaled scenario."""
+
+
 def rank_one_update_sum(dim: int, terms, base_scale: float = 1.0) -> np.ndarray:
     """Return base_scale * I + sum_j coef_j * v_j v_j^H.
 
@@ -42,6 +47,9 @@ def _cho(a: np.ndarray):
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteError(f"covariance has {np.sum(~np.isfinite(a))} "
+                             f"non-finite of {a.size} entries")
     try:
         return scipy.linalg.cho_factor(a, lower=True)
     except scipy.linalg.LinAlgError as exc:

@@ -17,13 +17,14 @@ convex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.optimize
 
+from .linalg import NonFiniteError
 from .metrics import legitimate_rates, secrecy_corner
 from .model import (DecodingOrder, OperatingPoint, SystemConfig, Weights,
                     infeasible_demands, max_deliverable_energy, max_splits)
@@ -100,14 +101,6 @@ class Posynomial:
     def num_terms(self) -> int:
         return self.coeffs.size
 
-    @property
-    def num_vars(self) -> int:
-        return self.exponents.shape[1]
-
-    @property
-    def is_monomial(self) -> bool:
-        return self.num_terms == 1
-
     def term_values(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return self.coeffs * np.exp(self.exponents @ np.log(x))
@@ -118,13 +111,7 @@ class Posynomial:
     def times(self, other: "Posynomial") -> "Posynomial":
         coeffs = np.outer(self.coeffs, other.coeffs).ravel()
         exps = (self.exponents[:, None, :] + other.exponents[None, :, :])
-        return Posynomial(coeffs, exps.reshape(-1, self.num_vars))
-
-    def over_monomial(self, mono: "Posynomial") -> "Posynomial":
-        if not mono.is_monomial:
-            raise ValueError("divisor must be a monomial")
-        return Posynomial(self.coeffs / mono.coeffs[0],
-                          self.exponents - mono.exponents[0])
+        return Posynomial(coeffs, exps.reshape(coeffs.size, -1))
 
 
 def posynomial(num_vars: int, terms) -> Posynomial:
@@ -147,30 +134,53 @@ def posynomial(num_vars: int, terms) -> Posynomial:
     return Posynomial(np.array(coeffs), np.array(rows))
 
 
-def optimal_condensation_weights(term_values) -> np.ndarray:
-    """Weights making the AM-GM monomial bound tight: each term's share of
-    the total."""
-    t = np.asarray(term_values, dtype=float)
-    if np.any(t <= 0) or not np.all(np.isfinite(t)):
-        raise NonPositiveTermError(f"term values must be finite and > 0, got {t}")
-    return t / t.sum()
+class Stack(NamedTuple):
+    """Posynomials stacked term by term: exponents a (T, n), log-coefficients
+    b (T,), each posynomial's first term (starts) and each term's posynomial
+    (seg)."""
+    a: np.ndarray
+    b: np.ndarray
+    starts: np.ndarray
+    seg: np.ndarray
+
+
+def _stack(posys) -> Stack:
+    sizes = [posy.num_terms for posy in posys]
+    return Stack(np.vstack([posy.exponents for posy in posys]),
+                 np.log(np.concatenate([posy.coeffs for posy in posys])),
+                 np.cumsum([0] + sizes[:-1]),
+                 np.repeat(np.arange(len(sizes)), sizes))
+
+
+def _log_posynomials(a, b, starts, seg, z):
+    """log g_i(exp(z)) for every stacked posynomial g_i, and each term's share
+    of its posynomial (the weights of the log-sum-exp gradient)."""
+    r = a @ z + b
+    m = np.maximum.reduceat(r, starts)
+    e = np.exp(r - m[seg])
+    s = np.add.reduceat(e, starts)
+    return m + np.log(s), e / s[seg]
+
+
+def _condense(stack: Stack, y) -> tuple:
+    """Exponents and log-coefficients of each stacked posynomial's monomial
+    lower bound sum_t f_t >= prod_t (f_t / c_t)^{c_t}, with c_t each term's
+    share at x = exp(y), so the bound touches the posynomial there."""
+    _, c = _log_posynomials(*stack, y)
+    if not np.all(c > 0):
+        raise NonPositiveTermError(f"term shares must be finite and > 0, got {c}")
+    return (np.add.reduceat(c[:, None] * stack.a, stack.starts),
+            np.add.reduceat(c * (stack.b - np.log(c)), stack.starts))
 
 
 def condense(posy: Posynomial, anchor) -> Posynomial:
-    """Monomial lower bound of ``posy``, exact at ``anchor``.
-
-    Uses sum_t f_t >= prod_t (f_t / c_t)^{c_t} with c_t chosen from the term
-    shares at the anchor, so the bound touches the posynomial there.
-    """
+    """Monomial lower bound of ``posy``, exact at ``anchor``: the one-row case
+    of the stacked condensation that GpInstance.recondensed runs."""
     anchor = np.asarray(anchor, dtype=float)
     if np.any(anchor <= 0) or not np.all(np.isfinite(anchor)):
         raise NonPositiveAnchorError(f"anchor must be strictly positive, got {anchor}")
-    if posy.is_monomial:
-        return posy
-    c = optimal_condensation_weights(posy.term_values(anchor))
-    log_coef = float(c @ (np.log(posy.coeffs) - np.log(c)))
-    exponent = c @ posy.exponents
-    return Posynomial(np.array([np.exp(log_coef)]), exponent[None, :])
+    exponents, log_coef = _condense(_stack([posy]), np.log(anchor))
+    return Posynomial(np.exp(log_coef), exponents)
 
 
 # ---------------------------------------------------------------------------
@@ -189,40 +199,43 @@ def _var_layout(num_users: int):
 @dataclass(frozen=True, eq=False)
 class GpInstance:
     """One condensed geometric program: maximize lambda subject to
-    posynomial(x) <= 1 constraints over x = (lambda, p, eta).
-
-    condensations pairs each condensed denominator with its monomial bound so
-    approximation gaps can be evaluated later.  rows holds what does not
-    depend on the anchor: per constraint its numerator and the denominator
-    to condense (None for a monomial row), so recondensed moves the anchor
-    without rebuilding them.
+    posynomial(x) <= 1 constraints over x = (lambda, p, eta).  Its rows are
+    stacked: a and b, condensed at ``anchor``, share starts and seg with the
+    anchor-free ``numerators``; den_rows is the row of each of the
+    ``denominators``, which recondensed condenses at a new anchor.
     """
 
     num_users: int
-    constraints: list
     labels: list
-    anchor: np.ndarray
     floors: np.ndarray
     caps: np.ndarray
-    condensations: list = field(default_factory=list)
-    rows: list = field(default_factory=list)
+    numerators: Stack
+    denominators: Stack
+    den_rows: np.ndarray
+    anchor: Optional[np.ndarray] = None
+    a: Optional[np.ndarray] = None
+    b: Optional[np.ndarray] = None
+
+    @property
+    def constraints(self) -> list:
+        """Each condensed row as a Posynomial, for inspection."""
+        cut = self.numerators.starts[1:]
+        return [Posynomial(np.exp(b), a)
+                for a, b in zip(np.split(self.a, cut), np.split(self.b, cut))]
 
     def recondensed(self, anchor: OperatingPoint) -> "GpInstance":
-        """The same GP with every denominator condensed at ``anchor``."""
-        if np.any(~np.isfinite(anchor.powers)) or np.any(~np.isfinite(anchor.splits)):
-            raise InfeasibleAnchorError("anchor contains non-finite entries")
+        """The same GP with every denominator condensed at ``anchor``: each
+        row's numerator divided by its denominator's monomial."""
         x = np.clip(np.concatenate([[1.0], anchor.powers, anchor.splits]),
                     self.floors, self.caps)
-        constraints, condensations = [], []
-        for num, den in self.rows:
-            if den is None:
-                constraints.append(num)
-                continue
-            mono = condense(den, x)
-            constraints.append(num.over_monomial(mono))
-            condensations.append((den, mono))
-        return replace(self, constraints=constraints, anchor=x,
-                       condensations=condensations)
+        if not np.all(np.isfinite(x) & (x > 0)):
+            raise InfeasibleAnchorError(f"anchor must be finite and > 0, got {x}")
+        # Per row: its monomial's exponents and log-coefficient (0 if none).
+        mono = np.zeros((len(self.labels), x.size + 1))
+        mono[self.den_rows] = np.column_stack(_condense(self.denominators, np.log(x)))
+        num = self.numerators
+        return replace(self, anchor=x, a=num.a - mono[num.seg, :-1],
+                       b=num.b - mono[num.seg, -1])
 
 
 def _interferers(order: DecodingOrder, k: int) -> list:
@@ -288,10 +301,13 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
 
     minors = _gram_minors(cfg) if mode == SECURE else None
 
-    rows, labels = [], []
+    nums, dens, den_rows, labels = [], [], [], []
 
     def add_row(numerator, denominator, label):
-        rows.append((numerator, denominator))
+        if denominator is not None:
+            den_rows.append(len(nums))
+            dens.append(denominator)
+        nums.append(numerator)
         labels.append(label)
 
     for k in range(kk):
@@ -323,8 +339,9 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
                 f"box:p[{k}]")
         add_row(posynomial(n, [(1.0, {eta_of(k): 1})]), None, f"box:eta[{k}]")
 
-    unanchored = GpInstance(num_users=kk, constraints=[], labels=labels,
-                            anchor=None, floors=floors, caps=caps, rows=rows)
+    unanchored = GpInstance(num_users=kk, labels=labels, floors=floors,
+                            caps=caps, numerators=_stack(nums),
+                            denominators=_stack(dens), den_rows=np.array(den_rows))
     return unanchored.recondensed(anchor)
 
 
@@ -332,38 +349,20 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
 # Log-space solve
 # ---------------------------------------------------------------------------
 
-def _log_posynomials(a, b, starts, seg, z):
-    """log g_i(exp(z)) for every stacked posynomial g_i, and each term's share
-    of its posynomial (the weights of the log-sum-exp gradient).  starts is
-    the first term row of each posynomial and seg the posynomial of each
-    term row."""
-    r = a @ z + b
-    m = np.maximum.reduceat(r, starts)
-    e = np.exp(r - m[seg])
-    s = np.add.reduceat(e, starts)
-    return m + np.log(s), e / s[seg]
-
-
 def solve_gp(gp: GpInstance) -> tuple:
     """Maximize lambda over the GP from its anchor; returns (lambda,
     OperatingPoint, failures).
 
-    Solved as a smooth convex program in log variables y = log x, with every
-    constraint stacked into one exponent matrix (a), one log-coefficient
-    vector (b) and the first term row of each constraint (starts), and posed
-    to SLSQP as one vector-valued inequality.  Lambda is set in closed form
-    at the anchor and at the optimizer's point.  ``failures`` counts what
-    went wrong without ending the solve: SLSQP reporting no success, and a
-    return to the anchor because the optimizer's point was worse.  Raises
-    InfeasibleAnchorError when the anchor violates a constraint by more than
-    FEAS_TOL and NumericalFailureError when the optimizer leaves one
-    violated.
+    Solved as a smooth convex program in log variables y = log x over the
+    GP's stacked rows, posed to SLSQP as one vector-valued inequality.
+    Lambda is set in closed form at the anchor and at the optimizer's point.
+    ``failures`` counts what went wrong without ending the solve: SLSQP
+    reporting no success, and a return to the anchor because the optimizer's
+    point was worse.  Raises InfeasibleAnchorError when the anchor violates
+    a constraint by more than FEAS_TOL and NumericalFailureError when the
+    optimizer leaves one violated.
     """
-    a = np.vstack([posy.exponents for posy in gp.constraints])
-    b = np.concatenate([np.log(posy.coeffs) for posy in gp.constraints])
-    sizes = [posy.num_terms for posy in gp.constraints]
-    starts = np.cumsum([0] + sizes[:-1])
-    seg = np.repeat(np.arange(len(sizes)), sizes)
+    a, b, (_, _, starts, seg) = gp.a, gp.b, gp.numerators
     with np.errstate(divide="ignore"):      # a zero floor means no bound
         lo, hi = np.log(gp.floors), np.log(gp.caps)
 
@@ -488,8 +487,9 @@ def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
     optimum moves by at most EPS_CONV (relative) or MAX_ITERS GPs are
     solved.  A solve ends in a report, InfeasibleError or
     NumericalFailureError: an overflow, a vanishing or non-finite GP term
-    or anchor, and an anchor the GP finds infeasible are re-raised as a
-    NumericalFailureError that chains the cause.
+    or anchor, an anchor the GP finds infeasible, and exact rates or an
+    eavesdropper covariance at the final point that are not finite are
+    re-raised as a NumericalFailureError that chains the cause.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -498,7 +498,7 @@ def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
     point = _feasible_start(cfg)
     try:
         return _condensation_loop(cfg, alpha, order, mode, point)
-    except (ArithmeticError, NonPositiveTermError, NonPositiveAnchorError,
+    except (ArithmeticError, NonFiniteError, NonPositiveTermError,
             InfeasibleAnchorError) as exc:
         raise NumericalFailureError(f"{type(exc).__name__}: {exc}") from exc
 
@@ -523,14 +523,19 @@ def _condensation_loop(cfg, alpha, order, mode, point) -> SolveReport:
         eff = secrecy_corner(cfg, point, order).per_user
     else:
         eff = legitimate_rates(cfg, point)
+    if not np.all(np.isfinite(eff)):
+        # The GP is solved in log space, so it can outlast the exact rates.
+        raise FloatingPointError(f"exact rates {eff} at the final point are not finite")
     active = alpha.alpha > 0
     beta = float(np.min(eff[active] / alpha.alpha[active]))
     lam = 2.0 ** beta
 
-    x_final = np.concatenate([[lam], point.powers, point.splits])
-    x_final = np.clip(x_final, gp.floors, gp.caps)
-    gaps = np.array([denom.value(x_final) - mono.value(x_final)
-                     for denom, mono in gp.condensations])
+    # Each denominator minus its monomial of the last GP, at the final point.
+    y = np.log(np.clip(np.concatenate([[lam], point.powers, point.splits]),
+                       gp.floors, gp.caps))
+    exponents, log_coefs = _condense(gp.denominators, np.log(gp.anchor))
+    gaps = (np.exp(_log_posynomials(*gp.denominators, y)[0])
+            - np.exp(exponents @ y + log_coefs))
 
     non_monotone = any(trace[i + 1] < trace[i] - EPS_CONV * max(1.0, trace[i])
                        for i in range(len(trace) - 1))

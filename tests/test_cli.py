@@ -2,6 +2,7 @@ import csv
 import json
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from swiptsec import (OperatingPoint, config_to_dict, legitimate_rates,
                       save_scenario, secrecy_corner)
-from swiptsec import region
+from swiptsec import checks, region
 from swiptsec.cli import main
 from swiptsec.model import DecodingOrder
 from swiptsec.region import render_rates
@@ -347,8 +348,9 @@ def _scaled(cfg, factors) -> dict:
     return data
 
 
-# Scenarios whose GP terms overflow or vanish, whose Gram minors overflow, or
-# whose weighted rate exceeds 1024 bits, so 2^rate overflows.
+# Scenarios whose GP terms overflow or vanish, whose Gram minors overflow,
+# whose weighted rate exceeds 1024 bits, so 2^rate overflows, or whose exact
+# rates overflow.
 NUMERICAL_BREAKDOWNS = {
     "huge-budget": (weak_interference(), {"power_budget": 1e300}, ["--grid", "2"]),
     "tiny-budget": (weak_interference(), {"power_budget": 1e-300}, ["--grid", "2"]),
@@ -359,6 +361,10 @@ NUMERICAL_BREAKDOWNS = {
                          ["--grid", "2"]),
     "lambda-overflow": (symmetric_two_user(0.0), {"gains": 1e150},
                         ["--grid", "3", "--mode", "reliable"]),
+    # The log-space GP solves, but the exact rates at its point are NaN.
+    "exact-rate-overflow": (weak_interference(),
+                            {"gains": 1e150, "power_budget": 1e10},
+                            ["--grid", "2", "--mode", "reliable"]),
 }
 
 
@@ -384,6 +390,49 @@ def test_verify_reports_numerical_breakdown(tmp_path, capsys):
     assert main(["verify", "--scenario", str(path), "--oracle-res", "11"]) == 2
     assert re.search(r"oracle dominance +FAIL +solver failed numerically",
                      capsys.readouterr().out)
+
+
+# Scenarios whose eavesdropper covariances, rates or deliverable energies
+# overflow, with the verify checks that meet them.
+VERIFY_OVERFLOWS = {
+    "huge-eve-channels": ({"eve_channels": 1e282},
+                          ["chain-rule conservation", "subset constraints at corners"]),
+    "huge-eve-noise-and-channels": (
+        {"eve_antenna_noise_var": 1e279, "eve_channels": 1e229},
+        ["chain-rule conservation", "subset constraints at corners"]),
+    "huge-gains": ({"gains": 1e274, "eve_antenna_noise_var": 1e172},
+                   ["subset constraints at corners", "energy feasibility screen",
+                    "oracle dominance"]),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("factors, failing", VERIFY_OVERFLOWS.values(),
+                         ids=VERIFY_OVERFLOWS.keys())
+def test_verify_fails_on_overflow(tmp_path, capsys, factors, failing):
+    # An overflowed value is a FAIL line naming it, never a traceback or a
+    # PASS on the cases it made the check skip.
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(_scaled(weak_interference(), factors)))
+    assert exit_code(["verify", "--scenario", str(path), "--oracle-res", "11"]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    for name in failing:
+        assert re.search(rf"{name} +FAIL +\S", captured.out), captured.out
+    assert "-inf" not in captured.out
+
+
+def test_subset_corners_counts_the_corners_checked():
+    # Eve hears every user far better than its receiver, so every secrecy gap
+    # is negative and no corner is checked; the check says so.
+    weak = weak_interference()
+    strong_eve = replace(weak, eve_channels=100.0 * weak.eve_channels)
+    passed, _, detail = checks.subset_corners(strong_eve, np.random.default_rng(0))
+    assert passed
+    assert detail == "no corner checked: a secrecy gap was negative in all 40 cases"
+    _, _, detail = checks.subset_corners(weak, np.random.default_rng(0))
+    assert re.fullmatch(r"worst violation \S+ over [1-9]\d* of 40 corners \(tol 1e-06\)",
+                        detail)
 
 
 def test_verify_passes_just_below_the_demand_limit(tmp_path):

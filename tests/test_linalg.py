@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from swiptsec import (DimensionMismatchError, NotPositiveDefiniteError,
-                      inv_quadratic_form, log2_det, rank_one_update_sum)
+from swiptsec import (DimensionMismatchError, NonFiniteError,
+                      NotPositiveDefiniteError, inv_quadratic_form, log2_det,
+                      rank_one_update_sum)
 
 
 def test_empty_sum_is_identity():
@@ -54,6 +55,15 @@ def test_log2_det_parallel_rank_one():
 def test_log2_det_rejects_indefinite():
     with pytest.raises(NotPositiveDefiniteError):
         log2_det(np.diag([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_factorizations_reject_non_finite(bad):
+    a = np.diag([1.0, bad])
+    with pytest.raises(NonFiniteError):
+        log2_det(a)
+    with pytest.raises(NonFiniteError):
+        inv_quadratic_form(a, np.ones(2))
 
 
 def test_log2_det_scaling_property():

@@ -17,9 +17,8 @@ from swiptsec import (DecodingOrder, GpInstance, InfeasibleAnchorError,
                       InfeasibleError, NonPositiveAnchorError, NonPositiveTermError,
                       OperatingPoint, Posynomial, Weights, build_gp, condense,
                       eve_rate_chain, harvested_energies, iterate,
-                      legitimate_rates, log2_det, optimal_condensation_weights,
-                      posynomial, rank_one_update_sum, secrecy_corner,
-                      solve_gp)
+                      legitimate_rates, log2_det, posynomial,
+                      rank_one_update_sum, secrecy_corner, solve_gp)
 from swiptsec.region import oracle_grid_search
 from swiptsec.model import max_deliverable_energy, with_demands
 from swiptsec.solver import RELIABLE, SECURE, _eve_det, _gram_minors
@@ -29,19 +28,35 @@ from swiptsec.scenarios import (random_config, strong_interference,
 ORDER12 = DecodingOrder((0, 1))
 
 
-class TestCondensationWeights:
-    def test_two_terms(self):
-        assert np.allclose(optimal_condensation_weights([4.0, 1.0]), [0.8, 0.2])
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+       num_vars=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_condensation_matches_am_gm_reference(sizes, num_vars, seed):
+    # Reference: each posynomial's textbook AM-GM monomial on its own, with
+    # the weights t / sum(t) of its term values t at the anchor.
+    rng = np.random.default_rng(seed)
+    posys = [Posynomial(np.exp(rng.uniform(-1.5, 1.5, size)),
+                        rng.uniform(-2.5, 2.5, (size, num_vars))) for size in sizes]
+    anchor = np.exp(rng.uniform(-0.8, 0.8, num_vars))
+    exponents, log_coefs = solver._condense(solver._stack(posys), np.log(anchor))
+    assert exponents.shape == (len(sizes), num_vars)
+    for posy, exponent, log_coef in zip(posys, exponents, log_coefs):
+        t = posy.term_values(anchor)
+        w = t / t.sum()
+        assert np.allclose(exponent, w @ posy.exponents, rtol=0.0, atol=1e-12)
+        assert log_coef == pytest.approx(
+            w @ (np.log(posy.coeffs) - np.log(w)), rel=0.0, abs=1e-12)
+        mono = Posynomial(np.exp([log_coef]), exponent[None, :])
+        assert mono.value(anchor) == pytest.approx(posy.value(anchor), rel=1e-12)
+        for x in np.exp(rng.uniform(-0.8, 0.8, (5, num_vars))):
+            assert mono.value(x) <= posy.value(x) * (1 + 1e-12)
 
-    def test_single_term(self):
-        assert np.allclose(optimal_condensation_weights([3.7]), [1.0])
 
-    def test_three_terms(self):
-        assert np.allclose(optimal_condensation_weights([1, 1, 2]), [0.25, 0.25, 0.5])
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(NonPositiveTermError):
-            optimal_condensation_weights([1.0, 0.0])
+def test_condensation_rejects_vanishing_term():
+    # A term whose share underflows to zero has no AM-GM weight.
+    posy = Posynomial(np.array([1.0, 1.0]), np.array([[1.0], [-1.0]]))
+    with pytest.raises(NonPositiveTermError):
+        condense(posy, [1e200])
 
 
 class TestCondense:
@@ -95,7 +110,8 @@ class TestPosynomialAlgebra:
         prod = a.times(b)
         x = np.array([1.7, 0.6])
         assert prod.value(x) == pytest.approx(a.value(x) * b.value(x), rel=1e-12)
-        quot = prod.over_monomial(b)
+        # Division by a monomial is the product with its reciprocal.
+        quot = prod.times(Posynomial(1.0 / b.coeffs, -b.exponents))
         assert quot.value(x) == pytest.approx(a.value(x), rel=1e-12)
 
 
@@ -182,16 +198,11 @@ def _recondense_cases():
 
 def _assert_same_gp(got, want):
     assert got.labels == want.labels
-    for name in ("anchor", "floors", "caps"):
+    for name in ("anchor", "floors", "caps", "a", "b", "den_rows"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
-    pairs = list(zip(got.constraints, want.constraints))
-    pairs += [pair for conds in zip(got.condensations, want.condensations)
-              for pair in zip(*conds)]
-    assert len(got.constraints) == len(want.constraints)
-    assert len(got.condensations) == len(want.condensations)
-    for g, w in pairs:
-        assert np.array_equal(g.coeffs, w.coeffs)
-        assert np.array_equal(g.exponents, w.exponents)
+    for stack in ("numerators", "denominators"):
+        for g, w in zip(getattr(got, stack), getattr(want, stack)):
+            assert np.array_equal(g, w)
 
 
 class TestRecondense:
@@ -279,13 +290,15 @@ class TestSolveGp:
     def test_box_only_toy(self):
         # maximize lam subject to lam / p <= 1, p <= 2 (K=1 layout).
         gp = GpInstance(
-            num_users=1,
-            constraints=[Posynomial(np.array([1.0]), np.array([[1.0, -1.0, 0.0]])),
-                         Posynomial(np.array([0.5]), np.array([[0.0, 1.0, 0.0]]))],
-            labels=["obj", "box"],
-            anchor=np.array([1.0, 1.0, 0.5]),
+            num_users=1, labels=["obj", "box"],
             floors=np.array([1e-12, 1e-12, 1e-6]),
-            caps=np.array([1e12, 1e12, 1.0]))
+            caps=np.array([1e12, 1e12, 1.0]),
+            numerators=solver._stack([posynomial(3, [(1.0, {0: 1})]),
+                                      posynomial(3, [(0.5, {1: 1})])]),
+            denominators=solver._stack([posynomial(3, [(1.0, {1: 1})])]),
+            den_rows=np.array([0]),
+        ).recondensed(OperatingPoint(np.array([1.0]), np.array([0.5])))
+        assert np.array_equal(gp.anchor, [1.0, 1.0, 0.5])
         lam, op, _ = solve_gp(gp)
         assert lam == pytest.approx(2.0, rel=1e-6)
         assert op.powers[0] == pytest.approx(2.0, rel=1e-6)
