@@ -13,7 +13,7 @@ from .model import (ConfigError, DecodingOrder, EnergyModel,
                     InvalidPermutationError, OperatingPoint, SystemConfig,
                     Weights, config_from_dict, config_to_dict,
                     config_violations, load_scenario, save_scenario,
-                    validate_config, validate_operating_point)
+                    validate_config)
 from .region import (BoundaryPoint, EmptyInputError, NoFeasiblePointError,
                      OracleResult, RegionBoundary, hull_height,
                      oracle_grid_search, render_rates, sweep, time_share_hull)

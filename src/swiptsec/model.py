@@ -223,18 +223,6 @@ class OperatingPoint:
             raise ConfigError(bad)
 
 
-def validate_operating_point(cfg: SystemConfig, op: OperatingPoint) -> OperatingPoint:
-    """Check op against the config's budgets (componentwise p <= p_max)."""
-    if op.powers.shape != (cfg.num_users,):
-        raise ConfigError([(DIMENSION_MISMATCH, "powers",
-                            f"expected {cfg.num_users} users, got {op.powers.shape}")])
-    over = [(BAD_VALUE, f"powers[{i}]", f"{p} exceeds budget {b}")
-            for i, (p, b) in enumerate(zip(op.powers, cfg.power_budget)) if p > b]
-    if over:
-        raise ConfigError(over)
-    return op
-
-
 @dataclass(frozen=True)
 class DecodingOrder:
     """A permutation of the user indices (0-based) selecting one corner of

@@ -183,13 +183,13 @@ def _oracle_pass(cfg, mode, alpha, order, p1, p2):
     sbar = cfg.eve_noise_total
     h = cfg.eve_channels
 
-    # Each cell's best splits; a demand missed by at most 1e-12 still counts
-    # as met.  A silent user's split does not change the objective, and 0
-    # harvests the most.
+    # Each cell's best splits.  A cell meets the demands when every best
+    # split is > 0, the rule of infeasible_demands.  A silent user's split
+    # does not change the objective, and 0 harvests the most.
     powers = np.stack(np.meshgrid(p1, p2, indexing="ij"), axis=-1)
-    slack = with_demands(cfg, np.maximum(cfg.eh_demands - 1e-12, 0.0))
-    feasible = np.all(max_splits(slack, powers) >= 0.0, axis=-1)
-    splits = np.clip(max_splits(cfg, powers), 0.0, 1.0)
+    splits = max_splits(cfg, powers)
+    feasible = np.all(splits > 0.0, axis=-1)
+    splits = np.clip(splits, 0.0, 1.0)
     splits[..., alpha.alpha == 0] = 0.0
     e1, e2 = splits[..., 0], splits[..., 1]
 
@@ -224,6 +224,8 @@ def _oracle_pass(cfg, mode, alpha, order, p1, p2):
     rates = np.stack([r1, r2], axis=-1)
     active = alpha.alpha > 0
     obj = np.min(rates[..., active] / alpha.alpha[active], axis=-1)
+    # A cell whose rates overflowed or are NaN is not a point.
+    feasible &= np.isfinite(obj) & np.all(np.isfinite(rates), axis=-1)
     obj[~feasible] = -np.inf
 
     i, j = np.unravel_index(np.argmax(obj), obj.shape)
@@ -240,8 +242,9 @@ def oracle_grid_search(cfg: SystemConfig, mode: str, psi, alpha: Weights,
     splits and one local zoom.
 
     Each grid point takes every user's best split from ``max_splits`` and
-    evaluates the exact uncondensed objective there; points where no split
-    meets a demand are discarded.  The search then refines the powers once
+    evaluates the exact uncondensed objective there; points where a best
+    split is not > 0 (a demand met only at eta = 0, or not at all) or where
+    a rate is not finite are discarded.  The search then refines the powers once
     around the incumbent.  Independent of the GP machinery by construction.
     A ``psi`` override is validated like any config and raises ConfigError
     when it is invalid.

@@ -43,6 +43,8 @@ FLOOR_FRAC = 1e-6
 FEAS_TOL = 1e-8
 # Iteration budget of each SLSQP run.
 SLSQP_MAXITER = 300
+# Largest SqS3 step length of the outer loop's extrapolated anchors.
+EXTRAP_MAX = 4.0
 
 
 class NonPositiveTermError(ValueError):
@@ -349,6 +351,28 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
 # Log-space solve
 # ---------------------------------------------------------------------------
 
+def _exact_lambda(gp: GpInstance, y) -> tuple:
+    """y with log lambda set in closed form, and the largest log row value
+    there (the worst violation; every rate row is at most 0).
+
+    lambda enters every term of rate row k as lambda^alpha_k and no other
+    row, so the shift makes the tightest rate row exactly active.  A row with
+    a far sub-rounding weight turns rounding noise into a huge shift, so a
+    feasible y is kept when the shift costs more.  Every condensed row is
+    exact at its anchor, so at y = log(gp.anchor) these are the anchor's
+    exact objective and feasibility.
+    """
+    _, _, starts, seg = gp.numerators
+    log_g = _log_posynomials(gp.a, gp.b, starts, seg, y)[0]
+    alphas = gp.a[starts, 0]
+    rate = alphas > 0
+    tight = y.copy()
+    tight[0] -= np.max(log_g[rate] / alphas[rate])
+    if tight[0] < y[0] - FEAS_TOL and log_g.max() <= FEAS_TOL:
+        return y, float(log_g.max())
+    return tight, float(_log_posynomials(gp.a, gp.b, starts, seg, tight)[0].max())
+
+
 def solve_gp(gp: GpInstance) -> tuple:
     """Maximize lambda over the GP from its anchor; returns (lambda,
     OperatingPoint, failures).
@@ -376,31 +400,9 @@ def solve_gp(gp: GpInstance) -> tuple:
             last[key] = _log_posynomials(a, b, starts, seg, y)
         return last[key]
 
-    def log_g(y):
-        return evaluated(y)[0]
-
-    def violation(y):
-        return float(log_g(y).max())
-
-    alphas = a[starts, 0]
-    rate = alphas > 0
-
-    def set_lambda(y):
-        # lambda enters every term of rate row k as lambda^alpha_k and no
-        # other row, so this shift makes the tightest rate row exactly active.
-        # A row with a far sub-rounding weight turns rounding noise into a
-        # huge shift, so a feasible y is kept when the shift costs more.
-        tight = y.copy()
-        tight[0] -= np.max(log_g(y)[rate] / alphas[rate])
-        return tight if (tight[0] >= y[0] - FEAS_TOL
-                         or not violation(y) <= FEAS_TOL) else y
-
-    # Every condensed row is exact at the anchor, so this is the anchor's
-    # true feasibility.
-    y0 = set_lambda(np.log(gp.anchor))
-    if not violation(y0) <= FEAS_TOL:
-        raise InfeasibleAnchorError(
-            f"anchor violates a constraint by {violation(y0):.3e}")
+    y0, worst = _exact_lambda(gp, np.log(gp.anchor))
+    if not worst <= FEAS_TOL:
+        raise InfeasibleAnchorError(f"anchor violates a constraint by {worst:.3e}")
 
     def jac(y):
         shares = evaluated(y)[1]
@@ -411,13 +413,13 @@ def solve_gp(gp: GpInstance) -> tuple:
     res = scipy.optimize.minimize(
         lambda y: cost @ y, y0, jac=lambda y: cost, method="SLSQP",
         bounds=list(zip(lo, hi)),
-        constraints=[{"type": "ineq", "fun": lambda y: -log_g(y), "jac": jac}],
+        constraints=[{"type": "ineq", "fun": lambda y: -evaluated(y)[0], "jac": jac}],
         options={"maxiter": SLSQP_MAXITER, "ftol": 1e-14})
     failures = int(not res.success)
-    y = set_lambda(res.x)
-    if not violation(y) <= FEAS_TOL:
+    y, worst = _exact_lambda(gp, res.x)
+    if not worst <= FEAS_TOL:
         raise NumericalFailureError(
-            f"optimizer left constraints violated by {violation(y):.3e}")
+            f"optimizer left constraints violated by {worst:.3e}")
     if y[0] < y0[0] - 1e-9:
         # Never regress below the feasible starting point.
         y = y0
@@ -442,7 +444,8 @@ class SolveReport:
     approximation that is exact at its anchor, so in both modes the trace
     never decreases beyond solver tolerance; ``non_monotone`` flags a trace
     that does.  ``optimizer_failures`` sums solve_gp's failures over the
-    solve's GPs.
+    solve's GPs, and ``extrapolated`` counts the extrapolated anchors the
+    loop accepted.
     """
 
     lam: float
@@ -455,6 +458,7 @@ class SolveReport:
     optimizer_failures: int
     order: Optional[DecodingOrder]
     rates: np.ndarray
+    extrapolated: int
 
     @property
     def objective(self) -> float:
@@ -483,8 +487,9 @@ def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
     Starts at the feasible point of _feasible_start (InfeasibleError, before
     any GP is built, when there is none); each condensed GP is exact at its
     anchor, so every iterate stays feasible.  The GP is built once, and each
-    later iteration re-condenses it at the previous solution, until the GP
-    optimum moves by at most EPS_CONV (relative) or MAX_ITERS GPs are
+    later iteration re-condenses it at the previous solution, or after every
+    two GPs at the extrapolated anchor that _extrapolated accepts, until the
+    GP optimum moves by at most EPS_CONV (relative) or MAX_ITERS GPs are
     solved.  A solve ends in a report, InfeasibleError or
     NumericalFailureError: an overflow, a vanishing or non-finite GP term
     or anchor, an anchor the GP finds infeasible, and exact rates or an
@@ -503,14 +508,51 @@ def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
         raise NumericalFailureError(f"{type(exc).__name__}: {exc}") from exc
 
 
+def _extrapolated(gp: GpInstance, thetas) -> tuple:
+    """The GP to solve after the anchors theta0 -> theta1 -> theta2 (log
+    powers and splits; ``gp`` is condensed at theta2), and whether it is
+    condensed at the SqS3 extrapolation of the three instead (Varadhan and
+    Roland, Scand. J. Statist. 2008).
+
+    The step length is capped at EXTRAP_MAX, so rounding noise in a
+    vanishing second difference cannot blow it up.  The extrapolated anchor
+    is kept only when it meets every constraint and its exact lambda is
+    strictly above theta2's; otherwise the loop continues from theta2.
+    """
+    theta0, theta1, theta2 = thetas
+    r = theta1 - theta0
+    v = theta2 - 2.0 * theta1 + theta0
+    norm_v = np.linalg.norm(v)
+    step = max(-np.linalg.norm(r) / norm_v, -EXTRAP_MAX) if norm_v > 0 else -EXTRAP_MAX
+    if step >= -1.0:
+        return gp, False
+    kk = gp.num_users
+    x = np.exp(np.clip(theta0 - 2.0 * step * r + step ** 2 * v,
+                       np.log(gp.floors[1:]), np.log(gp.caps[1:])))
+    try:
+        candidate = gp.recondensed(OperatingPoint(x[:kk], x[kk:]))
+    except (ArithmeticError, NonPositiveTermError, InfeasibleAnchorError):
+        return gp, False
+    y, worst = _exact_lambda(candidate, np.log(candidate.anchor))
+    if worst <= FEAS_TOL and y[0] > _exact_lambda(gp, np.log(gp.anchor))[0][0]:
+        return candidate, True
+    return gp, False
+
+
 def _condensation_loop(cfg, alpha, order, mode, point) -> SolveReport:
-    gp = None
+    gp = build_gp(cfg, alpha, order, point, mode)
+    thetas = [np.log(gp.anchor[1:])]
     trace = []
-    failures = 0
+    failures = extrapolated = 0
     converged = False
-    for _ in range(MAX_ITERS):
-        gp = (build_gp(cfg, alpha, order, point, mode) if gp is None
-              else gp.recondensed(point))
+    for i in range(MAX_ITERS):
+        if i:
+            gp = gp.recondensed(point)
+            thetas.append(np.log(gp.anchor[1:]))
+            if len(thetas) == 3:
+                gp, accepted = _extrapolated(gp, thetas)
+                extrapolated += accepted
+                thetas = [np.log(gp.anchor[1:])]
         lam_gp, point, gp_failures = solve_gp(gp)
         trace.append(lam_gp)
         failures += gp_failures
@@ -542,4 +584,5 @@ def _condensation_loop(cfg, alpha, order, mode, point) -> SolveReport:
     return SolveReport(lam=lam, op=point, iterations=len(trace), lam_trace=trace,
                        gaps=gaps, converged=converged,
                        non_monotone=non_monotone, optimizer_failures=failures,
-                       order=order if mode == SECURE else None, rates=eff)
+                       order=order if mode == SECURE else None, rates=eff,
+                       extrapolated=extrapolated)

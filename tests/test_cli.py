@@ -11,11 +11,12 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swiptsec import (OperatingPoint, config_to_dict, legitimate_rates,
-                      save_scenario, secrecy_corner)
+from swiptsec import (RELIABLE, InfeasibleError, OperatingPoint, Weights,
+                      config_to_dict, iterate, legitimate_rates, save_scenario,
+                      secrecy_corner)
 from swiptsec import checks, region
 from swiptsec.cli import main
-from swiptsec.model import DecodingOrder
+from swiptsec.model import DecodingOrder, max_deliverable_energy
 from swiptsec.region import render_rates
 from swiptsec.scenarios import (random_config, symmetric_two_user,
                                 weak_interference)
@@ -433,6 +434,21 @@ def test_subset_corners_counts_the_corners_checked():
     _, _, detail = checks.subset_corners(weak, np.random.default_rng(0))
     assert re.fullmatch(r"worst violation \S+ over [1-9]\d* of 40 corners \(tol 1e-06\)",
                         detail)
+
+
+def test_demand_at_the_limit_is_infeasible_everywhere(tmp_path):
+    # A demand exactly at max_deliverable_energy is met only at eta = 0: the
+    # solver, the oracle and verify all call it infeasible.
+    cfg = weak_interference(eh_demands=(1.5, 1.5))
+    assert np.array_equal(max_deliverable_energy(cfg), cfg.eh_demands)
+    with pytest.raises(InfeasibleError):
+        iterate(cfg, Weights.pair(0.5), None, RELIABLE)
+    with pytest.raises(region.NoFeasiblePointError):
+        region.oracle_grid_search(cfg, RELIABLE, None, Weights.pair(0.5),
+                                  resolution=11)
+    path = tmp_path / "limit.json"
+    save_scenario(cfg, path)
+    assert main(["verify", "--scenario", str(path), "--oracle-res", "11"]) == 0
 
 
 def test_verify_passes_just_below_the_demand_limit(tmp_path):

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from swiptsec import (ConfigError, DecodingOrder, EnergyModel,
                       InvalidPermutationError, OperatingPoint, SystemConfig,
                       Weights, config_from_dict, config_to_dict,
-                      config_violations, harvested_energy, validate_config,
-                      validate_operating_point)
+                      config_violations, harvested_energy, validate_config)
 from swiptsec.model import (DIMENSION_MISMATCH, NEGATIVE_DEMAND,
                             NON_POSITIVE_VARIANCE, max_deliverable_energy,
                             max_splits, with_demands)
@@ -78,12 +77,6 @@ def test_operating_point_bounds():
         OperatingPoint(np.array([1.0, -0.1]), np.array([0.5, 0.5]))
     with pytest.raises(ConfigError):
         OperatingPoint(np.array([1.0, 1.0]), np.array([0.5, 1.5]))
-    cfg = make_fixture()
-    op = OperatingPoint(np.array([1.0, 0.5]), np.array([0.0, 1.0]))
-    assert validate_operating_point(cfg, op) is op
-    with pytest.raises(ConfigError):
-        validate_operating_point(cfg, OperatingPoint(np.array([1.2, 0.5]),
-                                                     np.array([0.5, 0.5])))
 
 
 def test_decoding_order_must_be_permutation():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -177,6 +179,20 @@ class TestOracle:
         with pytest.raises(NoFeasiblePointError):
             oracle_grid_search(weak_interference(), RELIABLE, (2.0, 2.0),
                                Weights.pair(0.5), resolution=21)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("mode", [RELIABLE, SECURE])
+    @pytest.mark.parametrize("alpha1", [0.25, 0.5, 1.0])
+    def test_overflowed_cells_are_not_points(self, mode, alpha1):
+        # Gains x1e150 and budgets x1e10 overflow the rates to inf or NaN on
+        # part of the grid; the cells that stay finite still give a point.
+        weak = weak_interference()
+        cfg = replace(weak, gains=weak.gains * 1e150,
+                      power_budget=weak.power_budget * 1e10)
+        res = oracle_grid_search(cfg, mode, (0.0, 0.0), Weights.pair(alpha1),
+                                 resolution=51)
+        assert np.isfinite(res.objective)
+        assert np.all(np.isfinite(res.rates))
 
     @pytest.mark.parametrize("psi", [(0.8,), (np.nan, np.nan), (-1.0, -1.0),
                                      (0.8, 0.8, 0.8)])

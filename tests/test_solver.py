@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import swiptsec
-from swiptsec import solver
+from swiptsec import region, solver
 from swiptsec import (DecodingOrder, GpInstance, InfeasibleAnchorError,
                       InfeasibleError, NonPositiveAnchorError, NonPositiveTermError,
                       OperatingPoint, Posynomial, Weights, build_gp, condense,
@@ -217,12 +217,22 @@ class TestRecondense:
 
     @pytest.mark.parametrize("cfg,weights,order,mode", _recondense_cases())
     def test_iterate_equals_rebuild_loop(self, cfg, weights, order, mode):
-        # Reference: every GP built from scratch with the public functions.
-        point = solver._feasible_start(cfg)
-        trace, failures = [], 0
-        for _ in range(solver.MAX_ITERS):
-            lam, point, gp_failures = solve_gp(
-                build_gp(cfg, weights, order, point, mode))
+        # Reference: every GP built from scratch with the public functions,
+        # and after every two GPs the SqS3 step, accepted by the exact lambda
+        # and row values of the public constraints at the candidate's anchor.
+        gp = build_gp(cfg, weights, order, solver._feasible_start(cfg), mode)
+        thetas = [np.log(gp.anchor[1:])]
+        trace, failures, extrapolated = [], 0, 0
+        for i in range(solver.MAX_ITERS):
+            if i:
+                gp = build_gp(cfg, weights, order, point, mode)
+                thetas.append(np.log(gp.anchor[1:]))
+                if len(thetas) == 3:
+                    gp, accepted = _sqs3_reference(cfg, weights, order, mode,
+                                                   gp, thetas)
+                    extrapolated += accepted
+                    thetas = [np.log(gp.anchor[1:])]
+            lam, point, gp_failures = solve_gp(gp)
             trace.append(lam)
             failures += gp_failures
             if (len(trace) >= 2 and abs(trace[-1] - trace[-2])
@@ -233,6 +243,43 @@ class TestRecondense:
         assert np.array_equal(rep.op.powers, point.powers)
         assert np.array_equal(rep.op.splits, point.splits)
         assert rep.optimizer_failures == failures
+        assert rep.extrapolated == extrapolated
+
+
+def _exact_log_lambda(gp):
+    """Log lambda that makes the tightest rate row active at the GP's anchor
+    (where lambda is 1), and the largest log value of the other rows there,
+    from the public constraints."""
+    logs = np.log([c.value(gp.anchor) for c in gp.constraints])
+    alphas = np.array([c.exponents[0, 0] for c in gp.constraints])
+    rate = alphas > 0
+    return -np.max(logs[rate] / alphas[rate]), logs[~rate].max()
+
+
+def _sqs3_reference(cfg, weights, order, mode, gp, thetas):
+    """The GP after anchors theta0 -> theta1 -> theta2 (``gp`` is built at
+    theta2): built at the SqS3 extrapolation, step length capped at 4, when
+    that anchor meets every row and raises the exact lambda."""
+    theta0, theta1, theta2 = thetas
+    r = theta1 - theta0
+    v = theta2 - 2.0 * theta1 + theta0
+    step = (max(-np.linalg.norm(r) / np.linalg.norm(v), -4.0) if v.any()
+            else -4.0)
+    if step >= -1.0:
+        return gp, False
+    theta = np.clip(theta0 - 2.0 * step * r + step ** 2 * v,
+                    np.log(gp.floors[1:]), np.log(gp.caps[1:]))
+    k = cfg.num_users
+    try:
+        candidate = build_gp(cfg, weights, order,
+                             OperatingPoint(np.exp(theta[:k]), np.exp(theta[k:])),
+                             mode)
+    except (NonPositiveTermError, InfeasibleAnchorError):
+        return gp, False
+    log_lam, worst = _exact_log_lambda(candidate)
+    if worst <= solver.FEAS_TOL and log_lam > _exact_log_lambda(gp)[0]:
+        return candidate, True
+    return gp, False
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -554,6 +601,68 @@ def test_secure_condensation_is_inner(seed, num_users, num_eve_antennas,
             # The lambda exponent of every term of row k is alpha_k.
             bound = x[0] ** row.exponents[0, 0] * 2.0 ** -eff[k]
             assert row.value(x) >= bound * (1 - 1e-9)
+
+
+def _plain_mm_objective(cfg, weights, order, mode):
+    """Exact objective after the plain condensation loop: each GP built at
+    the previous GP's solution, with no extrapolated anchor."""
+    point = solver._feasible_start(cfg)
+    trace = []
+    for _ in range(solver.MAX_ITERS):
+        lam, point, _ = solve_gp(build_gp(cfg, weights, order, point, mode))
+        trace.append(lam)
+        if (len(trace) >= 2 and abs(trace[-1] - trace[-2])
+                <= solver.EPS_CONV * max(1.0, trace[-1])):
+            break
+    eff = (secrecy_corner(cfg, point, order).per_user if mode == SECURE
+           else legitimate_rates(cfg, point))
+    active = weights.alpha > 0
+    return float(np.min(eff[active] / weights.alpha[active]))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), num_users=st.sampled_from([2, 3]),
+       num_eve_antennas=st.sampled_from([1, 2, 3]),
+       mode=st.sampled_from([RELIABLE, SECURE]), eh_fraction=st.floats(0.0, 0.8))
+def test_extrapolated_loop_no_worse_than_plain(seed, num_users, num_eve_antennas,
+                                               mode, eh_fraction):
+    # Extrapolated anchors may only shorten the loop: the objective stays at
+    # least the plain loop's, the trace climbs, and the point stays feasible.
+    rng = np.random.default_rng(seed)
+    cfg = random_config(rng, num_users=num_users,
+                        num_eve_antennas=num_eve_antennas, eh_fraction=eh_fraction)
+    order = DecodingOrder(tuple(int(k) for k in rng.permutation(num_users)))
+    weights = Weights(rng.dirichlet(np.ones(num_users)))
+    rep = iterate(cfg, weights, order, mode)
+    assert rep.objective >= _plain_mm_objective(cfg, weights, order, mode) - 1e-6
+    trace = rep.lam_trace
+    assert all(b >= a - solver.EPS_CONV * max(1.0, a)
+               for a, b in zip(trace, trace[1:]))
+    assert not rep.non_monotone
+    energies = harvested_energies(cfg, rep.op).per_user
+    assert np.all(energies >= cfg.eh_demands * (1 - 1e-7))
+    assert np.all(rep.op.powers <= cfg.power_budget * (1 + 1e-12))
+
+
+def test_secure_sweep_uses_fewer_gps(monkeypatch):
+    # The strong parallel-Eve secure sweep took 590 GP solves with the plain
+    # loop; extrapolated anchors cut that without moving the hull.
+    reports = []
+    real_iterate = region.iterate
+
+    def recording(*args):
+        reports.append(real_iterate(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(region, "iterate", recording)
+    boundary = region.sweep(strong_interference(eve_geometry="parallel"), SECURE,
+                            psi=(0.0, 0.0), grid=21)
+    assert not boundary.failures
+    assert sum(pt.iterations for pt in boundary.points) <= 400
+    assert any(rep.extrapolated > 0 for rep in reports)
+    hull = boundary.hull
+    area = float(np.trapezoid(hull[:, 1], hull[:, 0]))
+    assert area == pytest.approx(0.4999983168596667, rel=1e-9)
 
 
 # Endpoint solves whose outcome must not depend on the BLAS thread count: the
