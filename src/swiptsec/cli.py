@@ -105,7 +105,10 @@ def run_sweep(args) -> int:
             _write_hull(out / f"hull_{mode}_{tag}.csv", boundary.hull)
             entry = {"mode": mode, "eh_demands": [float(v) for v in psi],
                      "points": len(boundary.points),
+                     "gp_solves": sum(pt.iterations for pt in boundary.points),
                      "failures": boundary.failures,
+                     "cold_fallbacks": [_where(pt) for pt in boundary.points
+                                        if pt.warm_start is False],
                      "non_monotone": [_where(pt) for pt in boundary.points
                                       if pt.non_monotone],
                      "optimizer_failures": [

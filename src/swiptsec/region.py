@@ -12,7 +12,8 @@ import numpy as np
 
 from .model import (DecodingOrder, OperatingPoint, SystemConfig, Weights,
                     max_splits, with_demands)
-from .solver import MODES, SECURE, InfeasibleError, NumericalFailureError, iterate
+from .solver import (FEAS_TOL, FLOOR_FRAC, MODES, SECURE, InfeasibleError,
+                     NumericalFailureError, iterate)
 
 # Rates below this are reported as zero in region output; they correspond to
 # users pinned at the positivity floor of the GP variables.
@@ -49,6 +50,7 @@ class BoundaryPoint:
     converged: bool
     non_monotone: bool         # the solve's GP optima decreased somewhere
     optimizer_failures: int    # SLSQP failures and anchor returns of the solve
+    warm_start: Optional[bool]  # given start used (True), rejected (False), none
 
 
 @dataclass
@@ -73,6 +75,10 @@ def sweep(cfg: SystemConfig, mode: str, psi=None, grid: int = 21) -> RegionBound
     mode solves every weight once per decoding order and keeps both
     branches.  Failed points are recorded, not fatal.  A ``psi`` override
     is validated like any config and raises ConfigError when it is invalid.
+
+    Interior weights continue along the boundary per decoding order: each
+    starts at _predicted_start from the order's last two interior solutions
+    (cold with none); endpoints and a failed point's successor start cold.
     """
     if cfg.num_users != 2:
         raise ValueError("sweeps are implemented for two users")
@@ -86,30 +92,58 @@ def sweep(cfg: SystemConfig, mode: str, psi=None, grid: int = 21) -> RegionBound
     orders = ([DecodingOrder(p) for p in permutations(range(2))]
               if mode == SECURE else [None])
     points, failures = [], []
+    # The last two interior solutions of each order, latest last.
+    history = {order: [] for order in orders}
     for alpha1 in np.linspace(0.0, 1.0, grid):
-        if alpha1 in (0.0, 1.0):
-            weights = Weights.pair(alpha1)
-        else:
-            weights = _clamped_weights(alpha1)
+        interior = alpha1 not in (0.0, 1.0)
+        weights = _clamped_weights(alpha1) if interior else Weights.pair(alpha1)
         for order in orders:
+            start = _predicted_start(cfg, history[order]) if interior else None
             try:
-                rep = iterate(cfg, weights, order, mode)
+                rep = iterate(cfg, weights, order, mode, start=start)
             except (InfeasibleError, NumericalFailureError) as exc:
                 failures.append({"alpha1": float(alpha1),
                                  "order": order.one_based() if order else None,
                                  "error": type(exc).__name__,
                                  "message": str(exc)})
+                history[order] = []
                 continue
+            if interior:
+                history[order] = history[order][-1:] + [rep.op]
             points.append(BoundaryPoint(
                 alpha=np.array([alpha1, 1.0 - alpha1]), weights=weights,
                 rates=render_rates(rep.rates), rates_raw=rep.rates.copy(),
                 op=rep.op, order=rep.order, iterations=rep.iterations,
                 converged=rep.converged, non_monotone=rep.non_monotone,
-                optimizer_failures=rep.optimizer_failures))
+                optimizer_failures=rep.optimizer_failures,
+                warm_start=rep.warm_start))
 
     hull = (time_share_hull([pt.rates for pt in points])
             if points else np.empty((0, 2)))
     return RegionBoundary(points=points, failures=failures, hull=hull)
+
+
+def _predicted_start(cfg: SystemConfig, history: list) -> Optional[OperatingPoint]:
+    """Start of the next interior solve from the previous ones (oldest
+    first): none, the one solution, or the secant step 2 theta_-1 - theta_-2
+    on log powers with each split at its best value there, min(1,
+    max_splits); a rate rises with its own split alone, so these splits give
+    every user its highest rate at those powers.  The last solution is the
+    start instead when the secant leaves the power box by more than
+    FEAS_TOL (in log), which means a bound became active between the two
+    weights, or when a demand cannot be met at the predicted powers."""
+    if len(history) < 2:
+        return history[-1] if history else None
+    older, last = history
+    log_p = 2.0 * np.log(last.powers) - np.log(older.powers)
+    lo, hi = np.log(FLOOR_FRAC * cfg.power_budget), np.log(cfg.power_budget)
+    if np.any((log_p < lo - FEAS_TOL) | (log_p > hi + FEAS_TOL)):
+        return last
+    powers = np.exp(np.clip(log_p, lo, hi))
+    best = max_splits(cfg, powers)
+    if np.any(best <= 0):
+        return last
+    return OperatingPoint(powers, np.minimum(best, 1.0))
 
 
 # ---------------------------------------------------------------------------

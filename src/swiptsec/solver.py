@@ -26,8 +26,9 @@ import scipy.optimize
 
 from .linalg import NonFiniteError
 from .metrics import legitimate_rates, secrecy_corner
-from .model import (DecodingOrder, OperatingPoint, SystemConfig, Weights,
-                    infeasible_demands, max_deliverable_energy, max_splits)
+from .model import (BAD_VALUE, ConfigError, DecodingOrder, OperatingPoint,
+                    SystemConfig, Weights, infeasible_demands,
+                    max_deliverable_energy, max_splits)
 
 SECURE = "secure"
 RELIABLE = "reliable"
@@ -445,7 +446,9 @@ class SolveReport:
     never decreases beyond solver tolerance; ``non_monotone`` flags a trace
     that does.  ``optimizer_failures`` sums solve_gp's failures over the
     solve's GPs, and ``extrapolated`` counts the extrapolated anchors the
-    loop accepted.
+    loop accepted.  ``warm_start`` is None when the solve was given no start
+    point, True when it began at the given start and False when that start
+    violated a constraint and the solve began at the cold start instead.
     """
 
     lam: float
@@ -459,6 +462,7 @@ class SolveReport:
     order: Optional[DecodingOrder]
     rates: np.ndarray
     extrapolated: int
+    warm_start: Optional[bool]
 
     @property
     def objective(self) -> float:
@@ -481,15 +485,19 @@ def _feasible_start(cfg: SystemConfig) -> OperatingPoint:
 
 
 def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
-            mode: str) -> SolveReport:
+            mode: str, start: Optional[OperatingPoint] = None) -> SolveReport:
     """Run the condensation loop for one weight vector.
 
-    Starts at the feasible point of _feasible_start (InfeasibleError, before
-    any GP is built, when there is none); each condensed GP is exact at its
-    anchor, so every iterate stays feasible.  The GP is built once, and each
-    later iteration re-condenses it at the previous solution, or after every
-    two GPs at the extrapolated anchor that _extrapolated accepts, until the
-    GP optimum moves by at most EPS_CONV (relative) or MAX_ITERS GPs are
+    Starts at ``start`` (clipped to the floors and caps) when it meets every
+    constraint within FEAS_TOL, else at the cold start of _feasible_start,
+    where the GP built at ``start`` is re-condensed; ``warm_start`` in the
+    report tells which.  A ``start`` of the wrong length or with a power
+    that is not finite raises ConfigError, and no feasible point at all
+    InfeasibleError, before any GP is built.  Each condensed GP is exact at
+    its anchor, so every iterate stays feasible.  Each later iteration
+    re-condenses the GP at the previous solution, or after every two GPs at
+    the extrapolated anchor that _extrapolated accepts, until the GP
+    optimum moves by at most EPS_CONV (relative) or MAX_ITERS GPs are
     solved.  A solve ends in a report, InfeasibleError or
     NumericalFailureError: an overflow, a vanishing or non-finite GP term
     or anchor, an anchor the GP finds infeasible, and exact rates or an
@@ -498,11 +506,15 @@ def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if start is not None and not (start.powers.size == cfg.num_users
+                                  and np.all(np.isfinite(start.powers))):
+        raise ConfigError([(BAD_VALUE, "start", f"needs {cfg.num_users} finite "
+                            f"powers, got {start.powers}")])
     if order is None:
         order = DecodingOrder(tuple(range(cfg.num_users)))
-    point = _feasible_start(cfg)
+    cold = _feasible_start(cfg)
     try:
-        return _condensation_loop(cfg, alpha, order, mode, point)
+        return _condensation_loop(cfg, alpha, order, mode, cold, start)
     except (ArithmeticError, NonFiniteError, NonPositiveTermError,
             InfeasibleAnchorError) as exc:
         raise NumericalFailureError(f"{type(exc).__name__}: {exc}") from exc
@@ -539,8 +551,11 @@ def _extrapolated(gp: GpInstance, thetas) -> tuple:
     return gp, False
 
 
-def _condensation_loop(cfg, alpha, order, mode, point) -> SolveReport:
-    gp = build_gp(cfg, alpha, order, point, mode)
+def _condensation_loop(cfg, alpha, order, mode, cold, start) -> SolveReport:
+    gp = build_gp(cfg, alpha, order, cold if start is None else start, mode)
+    warm = None if start is None else _exact_lambda(gp, np.log(gp.anchor))[1] <= FEAS_TOL
+    if warm is False:
+        gp = gp.recondensed(cold)
     thetas = [np.log(gp.anchor[1:])]
     trace = []
     failures = extrapolated = 0
@@ -585,4 +600,4 @@ def _condensation_loop(cfg, alpha, order, mode, point) -> SolveReport:
                        gaps=gaps, converged=converged,
                        non_monotone=non_monotone, optimizer_failures=failures,
                        order=order if mode == SECURE else None, rates=eff,
-                       extrapolated=extrapolated)
+                       extrapolated=extrapolated, warm_start=warm)

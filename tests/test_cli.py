@@ -219,8 +219,8 @@ def test_report_lists_non_monotone_points(scenario, tmp_path, monkeypatch):
 
     iterate = region.iterate
 
-    def flag_one(cfg, alpha, order, mode):
-        rep = iterate(cfg, alpha, order, mode)
+    def flag_one(cfg, alpha, order, mode, **kwargs):
+        rep = iterate(cfg, alpha, order, mode, **kwargs)
         rep.non_monotone = (mode == "secure" and alpha.alpha[0] == 0.5
                             and order.users == (1, 0))
         return rep
@@ -250,6 +250,25 @@ def test_report_lists_optimizer_failures(scenario, tmp_path, monkeypatch):
     assert run["optimizer_failures"] == [
         {"alpha1": float(row["alpha1"]), "order": None,
          "count": int(row["iterations"])} for row in rows]
+
+
+def test_report_counts_gp_solves_and_cold_fallbacks(tmp_path):
+    # gp_solves sums the iterations column; cold_fallbacks names each point
+    # whose warm start missed a demand and that began cold instead.
+    rng = np.random.default_rng(2026)
+    for _ in range(4):
+        cfg = random_config(rng, num_users=2,
+                            num_eve_antennas=int(rng.integers(1, 4)),
+                            eh_fraction=float(rng.uniform(0, 0.8)))
+    save_scenario(cfg, tmp_path / "draw.json")
+    out = tmp_path / "o"
+    assert main(["sweep", "--scenario", str(tmp_path / "draw.json"), "--mode",
+                 "secure", "--grid", "11", "--out", str(out)]) == 0
+    [run] = json.loads((out / "report.json").read_text())["runs"]
+    [csv_path] = out.glob("boundary_secure_*.csv")
+    assert run["gp_solves"] == sum(int(row["iterations"]) for row in read_rows(csv_path))
+    assert run["cold_fallbacks"] == [{"alpha1": 0.4, "order": [2, 1]},
+                                     {"alpha1": 0.5, "order": [1, 2]}]
 
 
 def exit_code(argv):

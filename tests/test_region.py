@@ -2,12 +2,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swiptsec import (ConfigError, DecodingOrder, EmptyInputError,
-                      NoFeasiblePointError, Weights, harvested_energies,
-                      hull_height, legitimate_rates, oracle_grid_search,
+                      InfeasibleError, NoFeasiblePointError,
+                      NumericalFailureError, Weights, harvested_energies,
+                      hull_height, iterate, legitimate_rates,
+                      oracle_grid_search, region,
                       secrecy_corner, subset_constraints_satisfied, sweep,
                       time_share_hull)
 from swiptsec.metrics import RateTuple
@@ -156,6 +158,101 @@ class TestSweep:
             check = subset_constraints_satisfied(
                 cfg, pt.op, RateTuple(pt.rates_raw), tol=1e-6)
             assert check.ok, f"violation {check.worst_violation} at alpha {pt.alpha}"
+
+
+def _cold_solves(cfg, mode, grid):
+    """The reports of solves given no start over sweep's weights and orders,
+    keyed by (alpha1, order); None where the solve failed."""
+    orders = ([DecodingOrder((0, 1)), DecodingOrder((1, 0))] if mode == SECURE
+              else [None])
+    reports = {}
+    for alpha1 in np.linspace(0.0, 1.0, grid):
+        weights = (Weights.pair(alpha1) if alpha1 in (0.0, 1.0)
+                   else region._clamped_weights(alpha1))
+        for order in orders:
+            try:
+                reports[alpha1, order] = iterate(cfg, weights, order, mode)
+            except (InfeasibleError, NumericalFailureError):
+                reports[alpha1, order] = None
+    return reports
+
+
+def _area(hull):
+    return float(np.trapezoid(hull[:, 1], hull[:, 0])) if hull.size else 0.0
+
+
+def test_continuation_falls_back_where_the_prediction_misses_a_demand():
+    # On this draw the secant prediction's best split for user 1 lies below
+    # the GP's split floor at two weights, so clipping it up to the floor
+    # would miss user 1's demand by ~7.8e-7.  Those solves start cold
+    # instead, and the sweep solves every point that cold solves do.
+    rng = np.random.default_rng(2026)
+    for _ in range(4):
+        cfg = random_config(rng, num_users=2,
+                            num_eve_antennas=int(rng.integers(1, 4)),
+                            eh_fraction=float(rng.uniform(0, 0.8)))
+    boundary = sweep(cfg, SECURE, grid=11)
+    cold = _cold_solves(cfg, SECURE, 11)
+    assert not boundary.failures
+    assert len(boundary.points) == sum(rep is not None for rep in cold.values())
+    assert any(pt.warm_start is not None for pt in boundary.points)
+
+
+# Cold and warm solves both stop on a small GP step, which can come early in
+# a slow climb: at the examples below, cold solves stop up to 2.3e-5 bit
+# short of the converged optimum.  A warm start stops elsewhere on such a
+# climb, so each warm objective is held to the cold one within this reach.
+STOP_REACH = 5e-5
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), num_eve_antennas=st.sampled_from([1, 2, 3]),
+       mode=st.sampled_from([RELIABLE, SECURE]), eh_fraction=st.floats(0.0, 0.8),
+       grid=st.integers(7, 11))
+# Slow climbs: 1.0e-5 bit below the cold objective (itself 1.9e-5 short of
+# the converged one) at alpha1 = 3/7, and a hull 1.1e-6 bit^2 smaller.
+@example(seed=15158, num_eve_antennas=1, mode=SECURE, eh_fraction=0.0, grid=8)
+@example(seed=0, num_eve_antennas=1, mode=SECURE, eh_fraction=0.3984375, grid=7)
+# A secant past both budgets put every power and split at its cap, where
+# SLSQP returned its start as optimal: 0.037 bit below the cold objective.
+@example(seed=7362, num_eve_antennas=3, mode=SECURE, eh_fraction=0.0, grid=8)
+def test_continuation_sweep_no_worse_than_cold_solves(seed, num_eve_antennas, mode,
+                                                      eh_fraction, grid):
+    # Warm starts may only shorten the sweep: no point fails that a cold
+    # solve finishes, no objective falls short of the cold one by more than
+    # the stopping rule's reach, and every point meets its demands and
+    # budgets.
+    rng = np.random.default_rng(seed)
+    cfg = random_config(rng, num_users=2, num_eve_antennas=num_eve_antennas,
+                        eh_fraction=eh_fraction)
+    boundary = sweep(cfg, mode, grid=grid)
+    cold = _cold_solves(cfg, mode, grid)
+    cold_failed = {(alpha1, order.one_based() if order else None)
+                   for (alpha1, order), rep in cold.items() if rep is None}
+    assert {(f["alpha1"], f["order"]) for f in boundary.failures} <= cold_failed
+    # The max-min value fixes each point's rates only up to the weighted
+    # point alpha * objective (a user that does not bind may get more), so
+    # the hulls compared are those of the weighted points.
+    warm_points, cold_points = [], []
+    for pt in boundary.points:
+        energies = harvested_energies(cfg, pt.op).per_user
+        assert np.all(energies >= cfg.eh_demands * (1 - 1e-7))
+        assert np.all(pt.op.powers <= cfg.power_budget * (1 + 1e-12))
+        rep = cold[pt.alpha[0], pt.order]
+        if rep is None:
+            continue
+        active = pt.weights.alpha > 0
+        objective = np.min(pt.rates_raw[active] / pt.weights.alpha[active])
+        assert objective >= rep.objective - STOP_REACH
+        warm_points.append(pt.weights.alpha * objective)
+        cold_points.append(pt.weights.alpha * rep.objective)
+    if cold_points:
+        # Moving every vertex inward by at most d per axis shrinks the area
+        # by at most d times the sum of the hull's extents.
+        hull = time_share_hull(cold_points)
+        extent = hull[:, 0].max() + hull[:, 1].max()
+        assert (_area(time_share_hull(warm_points))
+                >= _area(hull) - STOP_REACH * extent)
 
 
 class TestOracle:

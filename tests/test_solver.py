@@ -13,14 +13,14 @@ from hypothesis import strategies as st
 
 import swiptsec
 from swiptsec import region, solver
-from swiptsec import (DecodingOrder, GpInstance, InfeasibleAnchorError,
+from swiptsec import (ConfigError, DecodingOrder, GpInstance, InfeasibleAnchorError,
                       InfeasibleError, NonPositiveAnchorError, NonPositiveTermError,
                       OperatingPoint, Posynomial, Weights, build_gp, condense,
                       eve_rate_chain, harvested_energies, iterate,
                       legitimate_rates, log2_det, posynomial,
                       rank_one_update_sum, secrecy_corner, solve_gp)
 from swiptsec.region import oracle_grid_search
-from swiptsec.model import max_deliverable_energy, with_demands
+from swiptsec.model import max_deliverable_energy, max_splits, with_demands
 from swiptsec.solver import RELIABLE, SECURE, _eve_det, _gram_minors
 from swiptsec.scenarios import (random_config, strong_interference,
                                 weak_interference)
@@ -646,23 +646,68 @@ def test_extrapolated_loop_no_worse_than_plain(seed, num_users, num_eve_antennas
 
 def test_secure_sweep_uses_fewer_gps(monkeypatch):
     # The strong parallel-Eve secure sweep took 590 GP solves with the plain
-    # loop; extrapolated anchors cut that without moving the hull.
+    # loop and 332 with extrapolated anchors alone; warm-started continuation
+    # along the weights cuts that further without moving the hull.
     reports = []
     real_iterate = region.iterate
 
-    def recording(*args):
-        reports.append(real_iterate(*args))
+    def recording(*args, **kwargs):
+        reports.append(real_iterate(*args, **kwargs))
         return reports[-1]
 
     monkeypatch.setattr(region, "iterate", recording)
     boundary = region.sweep(strong_interference(eve_geometry="parallel"), SECURE,
                             psi=(0.0, 0.0), grid=21)
     assert not boundary.failures
-    assert sum(pt.iterations for pt in boundary.points) <= 400
+    assert sum(pt.iterations for pt in boundary.points) <= 240
     assert any(rep.extrapolated > 0 for rep in reports)
     hull = boundary.hull
     area = float(np.trapezoid(hull[:, 1], hull[:, 0]))
     assert area == pytest.approx(0.4999983168596667, rel=1e-9)
+
+
+@pytest.mark.parametrize("mode", [RELIABLE, SECURE])
+def test_infeasible_start_falls_back_to_cold(mode):
+    # Splits above the best split at the start's powers miss both demands,
+    # so the solve begins at the cold start instead: the same trace, point
+    # and GP count as a solve given no start, reported as a rejected start.
+    cfg = weak_interference(eh_demands=(0.8, 0.8), eve_geometry="parallel")
+    weights = Weights(np.array([0.4, 0.6]))
+    start = OperatingPoint(0.9 * cfg.power_budget, np.ones(2))
+    assert np.all(max_splits(cfg, start.powers) < start.splits)
+    cold = iterate(cfg, weights, ORDER12, mode)
+    rep = iterate(cfg, weights, ORDER12, mode, start=start)
+    assert cold.warm_start is None
+    assert rep.warm_start is False
+    assert rep.lam_trace == cold.lam_trace
+    assert rep.iterations == cold.iterations
+    assert np.array_equal(rep.op.powers, cold.op.powers)
+    assert np.array_equal(rep.op.splits, cold.op.splits)
+
+
+@pytest.mark.parametrize("mode", [RELIABLE, SECURE])
+def test_feasible_start_is_kept(mode):
+    # A neighbouring weight's solution meets every constraint, so the solve
+    # begins there and ends at the cold solve's objective.
+    cfg = weak_interference(eh_demands=(0.8, 0.8), eve_geometry="parallel")
+    weights = Weights(np.array([0.4, 0.6]))
+    start = iterate(cfg, Weights(np.array([0.45, 0.55])), ORDER12, mode).op
+    rep = iterate(cfg, weights, ORDER12, mode, start=start)
+    assert rep.warm_start is True
+    assert rep.objective == pytest.approx(
+        iterate(cfg, weights, ORDER12, mode).objective, abs=1e-5)
+
+
+@pytest.mark.parametrize("powers, splits", [
+    ([1.0, 1.0, 1.0], [0.5, 0.5, 0.5]),     # wrong length
+    ([np.inf, 1.0], [0.5, 0.5]),            # not finite
+    ([-1.0, 1.0], [0.5, 0.5]),              # negative power
+    ([1.0, 1.0], [0.5, 1.5]),               # split outside [0, 1]
+])
+def test_malformed_start_rejected(powers, splits):
+    with pytest.raises(ConfigError):
+        iterate(weak_interference(), Weights.pair(0.5), None, RELIABLE,
+                start=OperatingPoint(np.array(powers), np.array(splits)))
 
 
 # Endpoint solves whose outcome must not depend on the BLAS thread count: the
