@@ -27,7 +27,7 @@ for label, cfg in cases:
     for alpha1 in (0.5, 1.0):
         weights = Weights.pair(alpha1)
         t0 = time.time()
-        oracle = oracle_grid_search(cfg, RELIABLE, None, weights, resolution=51)
+        oracle = oracle_grid_search(cfg, RELIABLE, weights, resolution=51)
         report = iterate(cfg, weights, None, RELIABLE)
         gap = report.objective - oracle.objective
         print(f"{label:<22} {alpha1:6.2f} {report.objective:10.6f} "

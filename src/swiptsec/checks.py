@@ -129,8 +129,8 @@ def energy_screen(cfg):
     if not short:
         return True, worst, f"demands within deliverable energy {np.round(limit, 4)}"
     try:
-        region.oracle_grid_search(cfg, solver.RELIABLE, None,
-                                  Weights.pair(0.5), resolution=11)
+        region.oracle_grid_search(cfg, solver.RELIABLE, Weights.pair(0.5),
+                                  resolution=11)
     except region.NoFeasiblePointError:
         return True, worst, (f"demands exceed deliverable energy for users "
                              f"{short}; NoFeasiblePoint confirmed")
@@ -144,8 +144,8 @@ def oracle_dominance(cfg, resolution):
     for alpha1 in (0.25, 0.5, 0.75):
         weights = Weights.pair(alpha1)
         try:
-            oracle = region.oracle_grid_search(cfg, solver.RELIABLE, None,
-                                               weights, resolution=resolution)
+            oracle = region.oracle_grid_search(cfg, solver.RELIABLE, weights,
+                                               resolution=resolution)
         except region.NoFeasiblePointError:
             oracle = None
         try:

@@ -107,8 +107,6 @@ def run_sweep(args) -> int:
                      "points": len(boundary.points),
                      "gp_solves": sum(pt.iterations for pt in boundary.points),
                      "failures": boundary.failures,
-                     "cold_fallbacks": [_where(pt) for pt in boundary.points
-                                        if pt.warm_start is False],
                      "non_monotone": [_where(pt) for pt in boundary.points
                                       if pt.non_monotone],
                      "optimizer_failures": [
@@ -140,7 +138,7 @@ def _oracle_comparison(cfg, mode, boundary, resolution) -> list:
         weights = pt.weights.alpha
         try:
             oracle = region.oracle_grid_search(
-                cfg, mode, None, pt.weights, pt.order, resolution=resolution)
+                cfg, mode, pt.weights, pt.order, resolution=resolution)
             oracle_obj = oracle.objective
         except region.NoFeasiblePointError:
             oracle_obj = None

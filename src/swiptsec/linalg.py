@@ -24,13 +24,13 @@ class NonFiniteError(ValueError):
     badly scaled scenario."""
 
 
-def rank_one_update_sum(dim: int, terms, base_scale: float = 1.0) -> np.ndarray:
-    """Return base_scale * I + sum_j coef_j * v_j v_j^H.
+def rank_one_update_sum(dim: int, terms) -> np.ndarray:
+    """Return I + sum_j coef_j * v_j v_j^H.
 
     terms is an iterable of (coef, vector) with coef >= 0 and vectors of
     length ``dim``.  The result is exactly Hermitian by construction.
     """
-    out = base_scale * np.eye(dim, dtype=complex)
+    out = np.eye(dim, dtype=complex)
     for coef, vec in terms:
         v = np.asarray(vec, dtype=complex)
         if v.shape != (dim,):

@@ -12,8 +12,8 @@ import numpy as np
 
 from .model import (DecodingOrder, OperatingPoint, SystemConfig, Weights,
                     max_splits, with_demands)
-from .solver import (FEAS_TOL, FLOOR_FRAC, MODES, SECURE, InfeasibleError,
-                     NumericalFailureError, iterate)
+from .solver import (FEAS_TOL, MODES, SECURE, InfeasibleError,
+                     NumericalFailureError, iterate, variable_box)
 
 # Rates below this are reported as zero in region output; they correspond to
 # users pinned at the positivity floor of the GP variables.
@@ -50,7 +50,6 @@ class BoundaryPoint:
     converged: bool
     non_monotone: bool         # the solve's GP optima decreased somewhere
     optimizer_failures: int    # SLSQP failures and anchor returns of the solve
-    warm_start: Optional[bool]  # given start used (True), rejected (False), none
 
 
 @dataclass
@@ -79,6 +78,7 @@ def sweep(cfg: SystemConfig, mode: str, psi=None, grid: int = 21) -> RegionBound
     Interior weights continue along the boundary per decoding order: each
     starts at _predicted_start from the order's last two interior solutions
     (cold with none); endpoints and a failed point's successor start cold.
+    Every start meets every constraint.
     """
     if cfg.num_users != 2:
         raise ValueError("sweeps are implemented for two users")
@@ -115,8 +115,7 @@ def sweep(cfg: SystemConfig, mode: str, psi=None, grid: int = 21) -> RegionBound
                 rates=render_rates(rep.rates), rates_raw=rep.rates.copy(),
                 op=rep.op, order=rep.order, iterations=rep.iterations,
                 converged=rep.converged, non_monotone=rep.non_monotone,
-                optimizer_failures=rep.optimizer_failures,
-                warm_start=rep.warm_start))
+                optimizer_failures=rep.optimizer_failures))
 
     hull = (time_share_hull([pt.rates for pt in points])
             if points else np.empty((0, 2)))
@@ -129,19 +128,26 @@ def _predicted_start(cfg: SystemConfig, history: list) -> Optional[OperatingPoin
     on log powers with each split at its best value there, min(1,
     max_splits); a rate rises with its own split alone, so these splits give
     every user its highest rate at those powers.  The last solution is the
-    start instead when the secant leaves the power box by more than
-    FEAS_TOL (in log), which means a bound became active between the two
-    weights, or when a demand cannot be met at the predicted powers."""
+    start instead when the secant leaves the power box of variable_box by
+    more than FEAS_TOL (in log), which means a bound became active between
+    the two weights, or when a best split is not above its floor there.
+
+    So every start meets every constraint: it lies in the box, each demand
+    is met (at the best split, or at the last solution), and the harvesting
+    rows do not depend on the weight; iterate sets lambda in closed form.
+    """
     if len(history) < 2:
         return history[-1] if history else None
     older, last = history
+    kk = cfg.num_users
+    floors, caps = variable_box(cfg)
+    lo, hi = np.log(floors[1:kk + 1]), np.log(caps[1:kk + 1])
     log_p = 2.0 * np.log(last.powers) - np.log(older.powers)
-    lo, hi = np.log(FLOOR_FRAC * cfg.power_budget), np.log(cfg.power_budget)
     if np.any((log_p < lo - FEAS_TOL) | (log_p > hi + FEAS_TOL)):
         return last
     powers = np.exp(np.clip(log_p, lo, hi))
     best = max_splits(cfg, powers)
-    if np.any(best <= 0):
+    if np.any(best <= floors[kk + 1:]):
         return last
     return OperatingPoint(powers, np.minimum(best, 1.0))
 
@@ -269,7 +275,7 @@ def _oracle_pass(cfg, mode, alpha, order, p1, p2):
     return float(obj[i, j]), rates[i, j].copy(), op
 
 
-def oracle_grid_search(cfg: SystemConfig, mode: str, psi, alpha: Weights,
+def oracle_grid_search(cfg: SystemConfig, mode: str, alpha: Weights,
                        order: Optional[DecodingOrder] = None,
                        resolution: int = 51) -> OracleResult:
     """Exhaustive search over a 2-D grid of (p1, p2) with closed-form
@@ -280,8 +286,6 @@ def oracle_grid_search(cfg: SystemConfig, mode: str, psi, alpha: Weights,
     split is not > 0 (a demand met only at eta = 0, or not at all) or where
     a rate is not finite are discarded.  The search then refines the powers once
     around the incumbent.  Independent of the GP machinery by construction.
-    A ``psi`` override is validated like any config and raises ConfigError
-    when it is invalid.
     """
     if cfg.num_users != 2:
         raise ValueError("the oracle is implemented for two users")
@@ -291,8 +295,6 @@ def oracle_grid_search(cfg: SystemConfig, mode: str, psi, alpha: Weights,
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if order is None:
         order = DecodingOrder((0, 1))
-    if psi is not None:
-        cfg = with_demands(cfg, psi)
     pmax = cfg.power_budget
 
     axes = [np.linspace(0.0, hi, resolution) for hi in pmax]

@@ -199,13 +199,26 @@ def _var_layout(num_users: int):
     return lam, p, eta
 
 
+def variable_box(cfg: SystemConfig) -> tuple:
+    """Floors and caps of x = (lambda, p, eta): each power between FLOOR_FRAC
+    times its budget and its budget, and each split at most 1 and at least
+    min(FLOOR_FRAC, half its largest value at full power), so every demand
+    that some point meets is met inside the box.  Lambda has no floor;
+    solve_gp sets it."""
+    pmax = cfg.power_budget
+    eta_floors = np.clip(0.5 * max_splits(cfg, pmax), 0.0, FLOOR_FRAC)
+    return (np.concatenate([[0.0], FLOOR_FRAC * pmax, eta_floors]),
+            np.concatenate([[2.0 ** 64], pmax, np.ones(cfg.num_users)]))
+
+
 @dataclass(frozen=True, eq=False)
 class GpInstance:
     """One condensed geometric program: maximize lambda subject to
-    posynomial(x) <= 1 constraints over x = (lambda, p, eta).  Its rows are
-    stacked: a and b, condensed at ``anchor``, share starts and seg with the
-    anchor-free ``numerators``; den_rows is the row of each of the
-    ``denominators``, which recondensed condenses at a new anchor.
+    posynomial(x) <= 1 constraints over x = (lambda, p, eta) between
+    ``floors`` and ``caps``.  Each row is a ratio: a and b, condensed at
+    ``anchor``, share starts and seg with the anchor-free ``numerators``,
+    and row i's denominator is the i-th of the ``denominators``, which
+    recondensed condenses at a new anchor.
     """
 
     num_users: int
@@ -214,7 +227,6 @@ class GpInstance:
     caps: np.ndarray
     numerators: Stack
     denominators: Stack
-    den_rows: np.ndarray
     anchor: Optional[np.ndarray] = None
     a: Optional[np.ndarray] = None
     b: Optional[np.ndarray] = None
@@ -233,12 +245,10 @@ class GpInstance:
                     self.floors, self.caps)
         if not np.all(np.isfinite(x) & (x > 0)):
             raise InfeasibleAnchorError(f"anchor must be finite and > 0, got {x}")
-        # Per row: its monomial's exponents and log-coefficient (0 if none).
-        mono = np.zeros((len(self.labels), x.size + 1))
-        mono[self.den_rows] = np.column_stack(_condense(self.denominators, np.log(x)))
+        exponents, log_coefs = _condense(self.denominators, np.log(x))
         num = self.numerators
-        return replace(self, anchor=x, a=num.a - mono[num.seg, :-1],
-                       b=num.b - mono[num.seg, -1])
+        return replace(self, anchor=x, a=num.a - exponents[num.seg],
+                       b=num.b - log_coefs[num.seg])
 
 
 def _interferers(order: DecodingOrder, k: int) -> list:
@@ -277,14 +287,14 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
              anchor: OperatingPoint, mode: str) -> GpInstance:
     """Emit the GP condensed at ``anchor``.
 
-    Per user: the rate/secrecy constraint (skipped when alpha_k = 0), the
+    Per user: the rate/secrecy constraint (skipped when alpha_k = 0) and the
     harvesting constraint (skipped when it is vacuous for every feasible
-    point), and the box constraints.  Only the condensed denominators depend
-    on the anchor; GpInstance.recondensed moves it.  User k's secrecy row is
-    lambda^alpha_k A_k E(S + k) <= D_k E(S), where R_k = log2(D_k / A_k), S
-    holds the users decoded after k and E is the eavesdropper determinant of
-    _eve_det.  Lambda has no floor and its anchor value is 1; solve_gp sets
-    it.
+    point); the box of variable_box bounds the variables.  Only the
+    condensed denominators depend on the anchor; GpInstance.recondensed
+    moves it.  User k's secrecy row is lambda^alpha_k A_k E(S + k) <= D_k
+    E(S), where R_k = log2(D_k / A_k), S holds the users decoded after k and
+    E is the eavesdropper determinant of _eve_det.  Lambda's anchor value is
+    1; solve_gp sets it.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -295,24 +305,9 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
     sig2 = cfg.processing_noise_vars
     rho2 = cfg.antenna_noise_vars
     c_eh, d_eh = cfg.harvest_offsets
-    pmax = cfg.power_budget
-
-    # Each split's floor stays below its largest value at full power.
-    eta_floors = np.clip(0.5 * max_splits(cfg, pmax), 0.0, FLOOR_FRAC)
-    floors = np.concatenate([[0.0], FLOOR_FRAC * pmax, eta_floors])
-    caps = np.concatenate([[2.0 ** 64], pmax, np.ones(kk)])
-
     minors = _gram_minors(cfg) if mode == SECURE else None
 
-    nums, dens, den_rows, labels = [], [], [], []
-
-    def add_row(numerator, denominator, label):
-        if denominator is not None:
-            den_rows.append(len(nums))
-            dens.append(denominator)
-        nums.append(numerator)
-        labels.append(label)
-
+    rows = []   # (numerator, denominator, label)
     for k in range(kk):
         a_terms = [(sig2[k], {}), (rho2[k], {eta_of(k): 1})]
         a_terms += [(g[k, j], {eta_of(k): 1, p_of(j): 1})
@@ -326,7 +321,7 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
                 inter = _interferers(order, k)
                 num = num.times(_eve_det(minors, inter + [k], n))
                 den = den.times(_eve_det(minors, inter, n))
-            add_row(num, den, f"rate[{k}]")
+            rows.append((num, den, f"rate[{k}]"))
 
         # psi <= c + (1 - eta)(T + d)  <=>  (psi - c) + eta d + eta T <= T + d;
         # vacuous whenever psi <= c because eta <= 1.  Zero terms drop out.
@@ -336,15 +331,13 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
             num = posynomial(n, [(psi - c_eh[k], {}), (d_eh[k], {eta_of(k): 1})]
                              + [(c, {**pw, eta_of(k): 1}) for c, pw in received])
             den = posynomial(n, received + [(d_eh[k], {})])
-            add_row(num, den, f"eh[{k}]")
+            rows.append((num, den, f"eh[{k}]"))
 
-        add_row(posynomial(n, [(1.0 / pmax[k], {p_of(k): 1})]), None,
-                f"box:p[{k}]")
-        add_row(posynomial(n, [(1.0, {eta_of(k): 1})]), None, f"box:eta[{k}]")
-
-    unanchored = GpInstance(num_users=kk, labels=labels, floors=floors,
+    nums, dens, labels = zip(*rows)
+    floors, caps = variable_box(cfg)
+    unanchored = GpInstance(num_users=kk, labels=list(labels), floors=floors,
                             caps=caps, numerators=_stack(nums),
-                            denominators=_stack(dens), den_rows=np.array(den_rows))
+                            denominators=_stack(dens))
     return unanchored.recondensed(anchor)
 
 
@@ -446,9 +439,7 @@ class SolveReport:
     never decreases beyond solver tolerance; ``non_monotone`` flags a trace
     that does.  ``optimizer_failures`` sums solve_gp's failures over the
     solve's GPs, and ``extrapolated`` counts the extrapolated anchors the
-    loop accepted.  ``warm_start`` is None when the solve was given no start
-    point, True when it began at the given start and False when that start
-    violated a constraint and the solve began at the cold start instead.
+    loop accepted.
     """
 
     lam: float
@@ -462,7 +453,6 @@ class SolveReport:
     order: Optional[DecodingOrder]
     rates: np.ndarray
     extrapolated: int
-    warm_start: Optional[bool]
 
     @property
     def objective(self) -> float:
@@ -488,19 +478,18 @@ def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
             mode: str, start: Optional[OperatingPoint] = None) -> SolveReport:
     """Run the condensation loop for one weight vector.
 
-    Starts at ``start`` (clipped to the floors and caps) when it meets every
-    constraint within FEAS_TOL, else at the cold start of _feasible_start,
-    where the GP built at ``start`` is re-condensed; ``warm_start`` in the
-    report tells which.  A ``start`` of the wrong length or with a power
-    that is not finite raises ConfigError, and no feasible point at all
-    InfeasibleError, before any GP is built.  Each condensed GP is exact at
-    its anchor, so every iterate stays feasible.  Each later iteration
+    Starts at ``start`` (clipped to variable_box), or at the cold start of
+    _feasible_start when none is given.  A ``start`` of the wrong length or
+    with a power that is not finite raises ConfigError, and no feasible
+    point at all InfeasibleError, before any GP is built.  The start must
+    meet every constraint within FEAS_TOL; each condensed GP is exact at its
+    anchor, so every iterate then stays feasible.  Each later iteration
     re-condenses the GP at the previous solution, or after every two GPs at
     the extrapolated anchor that _extrapolated accepts, until the GP
     optimum moves by at most EPS_CONV (relative) or MAX_ITERS GPs are
     solved.  A solve ends in a report, InfeasibleError or
     NumericalFailureError: an overflow, a vanishing or non-finite GP term
-    or anchor, an anchor the GP finds infeasible, and exact rates or an
+    or anchor, an infeasible start or anchor, and exact rates or an
     eavesdropper covariance at the final point that are not finite are
     re-raised as a NumericalFailureError that chains the cause.
     """
@@ -514,7 +503,8 @@ def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
         order = DecodingOrder(tuple(range(cfg.num_users)))
     cold = _feasible_start(cfg)
     try:
-        return _condensation_loop(cfg, alpha, order, mode, cold, start)
+        return _condensation_loop(cfg, alpha, order, mode,
+                                  cold if start is None else start)
     except (ArithmeticError, NonFiniteError, NonPositiveTermError,
             InfeasibleAnchorError) as exc:
         raise NumericalFailureError(f"{type(exc).__name__}: {exc}") from exc
@@ -551,11 +541,8 @@ def _extrapolated(gp: GpInstance, thetas) -> tuple:
     return gp, False
 
 
-def _condensation_loop(cfg, alpha, order, mode, cold, start) -> SolveReport:
-    gp = build_gp(cfg, alpha, order, cold if start is None else start, mode)
-    warm = None if start is None else _exact_lambda(gp, np.log(gp.anchor))[1] <= FEAS_TOL
-    if warm is False:
-        gp = gp.recondensed(cold)
+def _condensation_loop(cfg, alpha, order, mode, start) -> SolveReport:
+    gp = build_gp(cfg, alpha, order, start, mode)
     thetas = [np.log(gp.anchor[1:])]
     trace = []
     failures = extrapolated = 0
@@ -600,4 +587,4 @@ def _condensation_loop(cfg, alpha, order, mode, cold, start) -> SolveReport:
                        gaps=gaps, converged=converged,
                        non_monotone=non_monotone, optimizer_failures=failures,
                        order=order if mode == SECURE else None, rates=eff,
-                       extrapolated=extrapolated, warm_start=warm)
+                       extrapolated=extrapolated)

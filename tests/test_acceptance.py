@@ -132,7 +132,7 @@ def test_criterion_7_solver_within_five_percent_of_oracle():
 
     worst_rel = 0.0
     for cfg, weights in runs:
-        oracle = oracle_grid_search(cfg, RELIABLE, None, weights, resolution=51)
+        oracle = oracle_grid_search(cfg, RELIABLE, weights, resolution=51)
         rep = iterate(cfg, weights, None, RELIABLE)
         _assert_solver_point_feasible(cfg, rep, weights)
         shortfall = max(oracle.objective - rep.objective, 0.0)

@@ -252,9 +252,8 @@ def test_report_lists_optimizer_failures(scenario, tmp_path, monkeypatch):
          "count": int(row["iterations"])} for row in rows]
 
 
-def test_report_counts_gp_solves_and_cold_fallbacks(tmp_path):
-    # gp_solves sums the iterations column; cold_fallbacks names each point
-    # whose warm start missed a demand and that began cold instead.
+def test_report_counts_gp_solves(tmp_path):
+    # gp_solves sums the iterations column.
     rng = np.random.default_rng(2026)
     for _ in range(4):
         cfg = random_config(rng, num_users=2,
@@ -267,8 +266,6 @@ def test_report_counts_gp_solves_and_cold_fallbacks(tmp_path):
     [run] = json.loads((out / "report.json").read_text())["runs"]
     [csv_path] = out.glob("boundary_secure_*.csv")
     assert run["gp_solves"] == sum(int(row["iterations"]) for row in read_rows(csv_path))
-    assert run["cold_fallbacks"] == [{"alpha1": 0.4, "order": [2, 1]},
-                                     {"alpha1": 0.5, "order": [1, 2]}]
 
 
 def exit_code(argv):
@@ -463,8 +460,7 @@ def test_demand_at_the_limit_is_infeasible_everywhere(tmp_path):
     with pytest.raises(InfeasibleError):
         iterate(cfg, Weights.pair(0.5), None, RELIABLE)
     with pytest.raises(region.NoFeasiblePointError):
-        region.oracle_grid_search(cfg, RELIABLE, None, Weights.pair(0.5),
-                                  resolution=11)
+        region.oracle_grid_search(cfg, RELIABLE, Weights.pair(0.5), resolution=11)
     path = tmp_path / "limit.json"
     save_scenario(cfg, path)
     assert main(["verify", "--scenario", str(path), "--oracle-res", "11"]) == 0

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from swiptsec import (ConfigError, DecodingOrder, EmptyInputError,
                       InfeasibleError, NoFeasiblePointError,
-                      NumericalFailureError, Weights, harvested_energies,
-                      hull_height, iterate, legitimate_rates,
-                      oracle_grid_search, region,
-                      secrecy_corner, subset_constraints_satisfied, sweep,
-                      time_share_hull)
+                      NumericalFailureError, Weights, build_gp,
+                      harvested_energies, hull_height, iterate,
+                      legitimate_rates, oracle_grid_search, region,
+                      secrecy_corner, solver, subset_constraints_satisfied,
+                      sweep, time_share_hull)
 from swiptsec.metrics import RateTuple
+from swiptsec.model import with_demands
 from swiptsec.solver import RELIABLE, SECURE
 from swiptsec.scenarios import (random_config, strong_interference,
                                 weak_interference)
@@ -181,21 +182,54 @@ def _area(hull):
     return float(np.trapezoid(hull[:, 1], hull[:, 0])) if hull.size else 0.0
 
 
-def test_continuation_falls_back_where_the_prediction_misses_a_demand():
-    # On this draw the secant prediction's best split for user 1 lies below
-    # the GP's split floor at two weights, so clipping it up to the floor
-    # would miss user 1's demand by ~7.8e-7.  Those solves start cold
-    # instead, and the sweep solves every point that cold solves do.
-    rng = np.random.default_rng(2026)
-    for _ in range(4):
+def _random_draw(seed, count):
+    """The count-th two-user config drawn from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
         cfg = random_config(rng, num_users=2,
                             num_eve_antennas=int(rng.integers(1, 4)),
                             eh_fraction=float(rng.uniform(0, 0.8)))
-    boundary = sweep(cfg, SECURE, grid=11)
-    cold = _cold_solves(cfg, SECURE, 11)
+    return cfg
+
+
+def test_continuation_falls_back_where_the_prediction_misses_a_demand():
+    # On this draw the secant prediction's best split for user 1 lies below
+    # the GP's split floor at two weights, so clipping it up to the floor
+    # would miss user 1's demand by ~7.8e-7.  Those solves start at the
+    # last solution instead, and the sweep fails nowhere.  Starting them
+    # cold took 560 GP solves.
+    boundary = sweep(_random_draw(2026, 4), SECURE, grid=11)
     assert not boundary.failures
-    assert len(boundary.points) == sum(rep is not None for rep in cold.values())
-    assert any(pt.warm_start is not None for pt in boundary.points)
+    assert sum(pt.iterations for pt in boundary.points) <= 400
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 4),
+       mode=st.sampled_from([RELIABLE, SECURE]), grid=st.integers(7, 11))
+# The secant's best split for user 1 falls below its floor at two weights.
+@example(seed=2026, count=4, mode=SECURE, grid=11)
+def test_every_sweep_start_meets_every_row(seed, count, mode, grid):
+    # Every start the sweep hands iterate lies in the box (no coordinate is
+    # clipped when the GP is built there) and meets every row of that GP
+    # within FEAS_TOL once lambda is set in closed form.
+    cfg = _random_draw(seed, count)
+    starts = []
+    real_iterate = region.iterate
+
+    def recording(cfg, weights, order, mode, start=None):
+        if start is not None:
+            starts.append((weights, order, start))
+        return real_iterate(cfg, weights, order, mode, start=start)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(region, "iterate", recording)
+        sweep(cfg, mode, grid=grid)
+    assert starts
+    for weights, order, start in starts:
+        gp = build_gp(cfg, weights, order or DecodingOrder((0, 1)), start, mode)
+        x = np.concatenate([start.powers, start.splits])
+        assert np.allclose(gp.anchor[1:], x, rtol=1e-12, atol=0.0)
+        assert solver._exact_lambda(gp, np.log(gp.anchor))[1] <= solver.FEAS_TOL
 
 
 # Cold and warm solves both stop on a small GP step, which can come early in
@@ -257,16 +291,14 @@ def test_continuation_sweep_no_worse_than_cold_solves(seed, num_eve_antennas, mo
 
 class TestOracle:
     def test_weak_eh_symmetric(self):
-        cfg = weak_interference()
-        res = oracle_grid_search(cfg, RELIABLE, (0.8, 0.8), Weights.pair(0.5),
-                                 resolution=51)
+        cfg = weak_interference(eh_demands=(0.8, 0.8))
+        res = oracle_grid_search(cfg, RELIABLE, Weights.pair(0.5), resolution=51)
         per_user = res.objective / 2.0
         assert per_user == pytest.approx(1.0402, abs=2e-3)
 
     def test_strong_eh_endpoint(self):
-        cfg = strong_interference()
-        res = oracle_grid_search(cfg, RELIABLE, (1.0, 1.0), Weights.pair(1.0),
-                                 resolution=51)
+        cfg = strong_interference(eh_demands=(1.0, 1.0))
+        res = oracle_grid_search(cfg, RELIABLE, Weights.pair(1.0), resolution=51)
         assert res.objective == pytest.approx(0.9229, abs=2e-3)
         assert res.op.powers[0] == pytest.approx(1.0, abs=0.02)
         assert res.op.powers[1] == pytest.approx(0.19, abs=0.05)
@@ -274,7 +306,7 @@ class TestOracle:
 
     def test_demand_beyond_limit(self):
         with pytest.raises(NoFeasiblePointError):
-            oracle_grid_search(weak_interference(), RELIABLE, (2.0, 2.0),
+            oracle_grid_search(weak_interference(eh_demands=(2.0, 2.0)), RELIABLE,
                                Weights.pair(0.5), resolution=21)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -286,28 +318,29 @@ class TestOracle:
         weak = weak_interference()
         cfg = replace(weak, gains=weak.gains * 1e150,
                       power_budget=weak.power_budget * 1e10)
-        res = oracle_grid_search(cfg, mode, (0.0, 0.0), Weights.pair(alpha1),
-                                 resolution=51)
+        res = oracle_grid_search(cfg, mode, Weights.pair(alpha1), resolution=51)
         assert np.isfinite(res.objective)
         assert np.all(np.isfinite(res.rates))
 
     @pytest.mark.parametrize("psi", [(0.8,), (np.nan, np.nan), (-1.0, -1.0),
                                      (0.8, 0.8, 0.8)])
     def test_invalid_demand_override_rejected(self, psi):
+        # The oracle takes its demands from the config; an override goes
+        # through with_demands, which rejects it before any search.
         with pytest.raises(ConfigError):
-            oracle_grid_search(weak_interference(), RELIABLE, psi,
+            oracle_grid_search(with_demands(weak_interference(), psi), RELIABLE,
                                Weights.pair(0.5), resolution=11)
 
     def test_resolution_guard(self):
         with pytest.raises(ValueError):
-            oracle_grid_search(weak_interference(), RELIABLE, (0.0, 0.0),
-                               Weights.pair(0.5), resolution=5)
+            oracle_grid_search(weak_interference(), RELIABLE, Weights.pair(0.5),
+                               resolution=5)
 
     def test_secure_orders_differ_with_parallel_eve(self):
         cfg = weak_interference(eve_geometry="parallel")
-        a = oracle_grid_search(cfg, SECURE, (0.0, 0.0), Weights.pair(0.25),
+        a = oracle_grid_search(cfg, SECURE, Weights.pair(0.25),
                                DecodingOrder((0, 1)), resolution=21)
-        b = oracle_grid_search(cfg, SECURE, (0.0, 0.0), Weights.pair(0.25),
+        b = oracle_grid_search(cfg, SECURE, Weights.pair(0.25),
                                DecodingOrder((1, 0)), resolution=21)
         assert a.objective != pytest.approx(b.objective, abs=1e-4)
 
@@ -317,7 +350,7 @@ class TestOracle:
         for _ in range(5):
             cfg = random_config(rng, eh_fraction=float(rng.uniform(0, 0.6)))
             weights = Weights.pair(float(rng.uniform(0.2, 0.8)))
-            oracle = oracle_grid_search(cfg, RELIABLE, None, weights, resolution=31)
+            oracle = oracle_grid_search(cfg, RELIABLE, weights, resolution=31)
             rep = iterate(cfg, weights, None, RELIABLE)
             assert rep.objective >= oracle.objective * 0.95 - 1e-9
 
@@ -336,8 +369,8 @@ class TestOracle:
         order = DecodingOrder(order) if order else None
         for cfg in cfgs:
             for alpha1 in (0.0, 0.3, 1.0):
-                res = oracle_grid_search(cfg, mode, None, Weights.pair(alpha1),
-                                         order, resolution=21)
+                res = oracle_grid_search(cfg, mode, Weights.pair(alpha1), order,
+                                         resolution=21)
                 energies = harvested_energies(cfg, res.op).per_user
                 assert np.all(energies >= cfg.eh_demands - 1e-12)
                 expected = (secrecy_corner(cfg, res.op, order).per_user
