@@ -8,7 +8,6 @@ factorizations are used throughout.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -43,7 +42,8 @@ def rank_one_update_sum(dim: int, terms) -> np.ndarray:
     return 0.5 * (out + out.conj().T)
 
 
-def _cho(a: np.ndarray):
+def _cho(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor L of A = L L^H."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
@@ -51,25 +51,25 @@ def _cho(a: np.ndarray):
         raise NonFiniteError(f"covariance has {np.sum(~np.isfinite(a))} "
                              f"non-finite of {a.size} entries")
     try:
-        return scipy.linalg.cho_factor(a, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(str(exc)) from exc
 
 
 def log2_det(a: np.ndarray) -> float:
     """log2 det(A) for Hermitian positive definite A, via Cholesky."""
-    c, _ = _cho(a)
-    return float(2.0 * np.sum(np.log2(np.real(np.diag(c)))))
+    return float(2.0 * np.sum(np.log2(np.real(np.diag(_cho(a))))))
 
 
 def inv_quadratic_form(a: np.ndarray, v: np.ndarray) -> float:
     """v^H A^{-1} v for Hermitian positive definite A (always >= 0).
 
-    Solves a linear system instead of forming the inverse.
+    Solves L x = v with the Cholesky factor L of A, so the form is |x|^2,
+    instead of forming the inverse.
     """
     v = np.asarray(v, dtype=complex)
     factor = _cho(a)
-    if v.shape != (factor[0].shape[0],):
-        raise DimensionMismatchError(f"vector shape {v.shape}, matrix {factor[0].shape}")
-    x = scipy.linalg.cho_solve(factor, v)
-    return max(float(np.real(np.vdot(v, x))), 0.0)
+    if v.shape != (factor.shape[0],):
+        raise DimensionMismatchError(f"vector shape {v.shape}, matrix {factor.shape}")
+    x = np.linalg.solve(factor, v)
+    return float(np.real(np.vdot(x, x)))

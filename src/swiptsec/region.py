@@ -49,7 +49,7 @@ class BoundaryPoint:
     iterations: int
     converged: bool
     non_monotone: bool         # the solve's GP optima decreased somewhere
-    optimizer_failures: int    # SLSQP failures and anchor returns of the solve
+    optimizer_failures: int    # unconverged interior-point runs and anchor returns
 
 
 @dataclass

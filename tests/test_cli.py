@@ -7,14 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swiptsec import (RELIABLE, InfeasibleError, OperatingPoint, Weights,
                       config_to_dict, iterate, legitimate_rates, save_scenario,
                       secrecy_corner)
-from swiptsec import checks, region
+from swiptsec import checks, region, solver
 from swiptsec.cli import main
 from swiptsec.model import DecodingOrder, max_deliverable_energy
 from swiptsec.region import render_rates
@@ -232,16 +231,15 @@ def test_report_lists_non_monotone_points(scenario, tmp_path, monkeypatch):
 
 
 def test_report_lists_optimizer_failures(scenario, tmp_path, monkeypatch):
-    # Each run lists every point whose SLSQP runs ended without success, with
-    # the number of such runs: here every GP solve of every point.
-    minimize = scipy.optimize.minimize
+    # Each run lists every point whose interior-point runs used up their
+    # Newton-step budget, with the number of such runs: here every GP solve
+    # of every point.
+    interior_point = solver._interior_point
 
-    def unsuccessful(*args, **kwargs):
-        res = minimize(*args, **kwargs)
-        res.success = False
-        return res
+    def unconverged(*args):
+        return interior_point(*args)[0], False
 
-    monkeypatch.setattr(scipy.optimize, "minimize", unsuccessful)
+    monkeypatch.setattr(solver, "_interior_point", unconverged)
     out = tmp_path / "o"
     assert main(["sweep", "--scenario", str(scenario), "--mode", "reliable",
                  "--grid", "3", "--out", str(out)]) == 0

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -313,24 +312,36 @@ def test_constraint_jacobian_matches_central_differences(seed, num_users, mode,
     gp = build_gp(cfg, Weights(w / w.sum()), order, solver._feasible_start(cfg),
                   mode)
     seen = []
-    real_minimize = scipy.optimize.minimize
+    interior_point = solver._interior_point
 
-    def capture(*args, **kwargs):
-        seen.append(kwargs["constraints"][0])
-        return real_minimize(*args, **kwargs)
+    def capture(*args):
+        seen.append(args)
+        return interior_point(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scipy.optimize, "minimize", capture)
+        mp.setattr(solver, "_interior_point", capture)
         solve_gp(gp)
-    fun, jac = seen[0]["fun"], seen[0]["jac"]
-    h = 1e-6
+    a, b, starts, seg = seen[0][:4]
+
+    def rows(y):
+        return solver._log_posynomials(a, b, starts, seg, y)
+
+    def jac(y):
+        return solver._row_jacobian(a, starts, rows(y)[1])
+
+    def central(fun, y, h=1e-6):
+        return np.stack([(fun(y + h * e) - fun(y - h * e)) / (2 * h)
+                         for e in np.eye(y.size)], axis=-1)
+
     y0 = np.log(gp.anchor)
     for y in (y0, y0 + rng.normal(0.0, 0.2, y0.size)):
-        numeric = np.column_stack([(fun(y + h * e) - fun(y - h * e)) / (2 * h)
-                                   for e in np.eye(y.size)])
-        # jac runs after fun has moved to other points, so a stale cached
-        # evaluation would show here.
-        assert np.allclose(jac(y), numeric, rtol=0.0, atol=1e-6)
+        assert np.allclose(jac(y), central(lambda x: rows(x)[0], y),
+                           rtol=0.0, atol=1e-6)
+        # The Newton system weights each row's Hessian by its multiplier.
+        numeric = central(jac, y)
+        for row, weights in enumerate(np.eye(starts.size)):
+            hessian = solver._row_hessian(a, seg, rows(y)[1], jac(y), weights)
+            assert np.allclose(hessian, numeric[row], rtol=0.0, atol=1e-6)
 
 
 class TestSolveGp:
@@ -389,11 +400,11 @@ class TestSolveGp:
         over = with_demands(cfg, [0.0, (c + reach)[1] * (1 + 1e-9)])
         under = with_demands(cfg, [0.0, c[1] + (1 - 0.5 * solver.FLOOR_FRAC) * reach[1]])
 
-        def no_optimizer(*args, **kwargs):
+        def no_optimizer(*args):
             raise AssertionError("the optimizer ran")
 
         with monkeypatch.context() as patch:
-            patch.setattr(scipy.optimize, "minimize", no_optimizer)
+            patch.setattr(solver, "_interior_point", no_optimizer)
             with pytest.raises(InfeasibleError):
                 iterate(over, Weights.pair(0.5), ORDER12, mode)
         rep = iterate(under, Weights.pair(0.5), ORDER12, mode)
@@ -676,8 +687,7 @@ def test_infeasible_start_raises(monkeypatch, mode):
     start = OperatingPoint(0.9 * cfg.power_budget, np.ones(2))
     assert np.all(max_splits(cfg, start.powers) < start.splits)
     calls = []
-    monkeypatch.setattr(scipy.optimize, "minimize",
-                        lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(solver, "_interior_point", lambda *args: calls.append(args))
     with pytest.raises(NumericalFailureError) as caught:
         iterate(cfg, weights, ORDER12, mode, start=start)
     assert isinstance(caught.value.__cause__, InfeasibleAnchorError)
@@ -694,6 +704,20 @@ def test_feasible_start_is_kept(mode):
     rep = iterate(cfg, weights, ORDER12, mode, start=start)
     assert rep.objective == pytest.approx(
         iterate(cfg, weights, ORDER12, mode).objective, abs=1e-5)
+
+
+def test_vertex_start_reaches_cold_objective():
+    # Every power at its budget and every split at 1 puts each variable on a
+    # bound, the hardest start for an interior-point solve.  On this draw an
+    # optimizer once took such a start for the optimum and stopped the loop
+    # 0.037 bit below the cold solve.
+    cfg = random_config(np.random.default_rng(7362), 2, 3, eh_fraction=0.0)
+    weights = Weights(np.array([3 / 7, 4 / 7]))
+    start = OperatingPoint(cfg.power_budget.copy(), np.ones(2))
+    rep = iterate(cfg, weights, ORDER12, SECURE, start=start)
+    cold = iterate(cfg, weights, ORDER12, SECURE)
+    assert cold.objective == pytest.approx(0.503518, abs=1e-6)
+    assert rep.objective == pytest.approx(cold.objective, abs=1e-5)
 
 
 @pytest.mark.parametrize("powers, splits", [
@@ -751,3 +775,17 @@ def test_endpoints_with_one_blas_thread():
     out = json.loads(proc.stdout)
     assert out["reliable"] == pytest.approx([np.log2(3.0)] * 2, abs=1e-3)
     assert out["secure"] == pytest.approx([1.0] * 20, abs=1e-3)
+
+
+def test_import_loads_no_scipy():
+    # The package runs on numpy alone: a fresh interpreter that imports it,
+    # its CLI and its checks has no scipy module loaded.
+    src = str(Path(swiptsec.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, swiptsec, swiptsec.cli, swiptsec.checks; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
