@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, region, solver
+from .metrics import max_min_objective
 from .model import BAD_VALUE, ConfigError, load_scenario, with_demands
 
 EXIT_OK = 0
@@ -135,15 +136,13 @@ def _oracle_comparison(cfg, mode, boundary, resolution) -> list:
     """Per swept point: exact solver objective versus the grid oracle."""
     rows = []
     for pt in boundary.points:
-        weights = pt.weights.alpha
         try:
             oracle = region.oracle_grid_search(
                 cfg, mode, pt.weights, pt.order, resolution=resolution)
             oracle_obj = oracle.objective
         except region.NoFeasiblePointError:
             oracle_obj = None
-        active = weights > 0
-        solver_obj = float(np.min(pt.rates_raw[active] / weights[active]))
+        solver_obj = float(max_min_objective(pt.rates_raw, pt.weights))
         rows.append({
             **_where(pt),
             "solver_objective": solver_obj,

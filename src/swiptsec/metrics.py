@@ -1,21 +1,28 @@
-"""Closed-form rate and energy evaluation at a fixed operating point.
+"""Closed-form rate and energy evaluation.
 
-Everything here is exact and deterministic: legitimate rates under
-treating-interference-as-noise, harvested energies under both energy models,
-eavesdropper sum rates and their per-order chain-rule decompositions, and the
-clamped secrecy corner tuples.  All rates are base-2 (bits per channel use).
+Everything here is exact and deterministic.  The kernels take powers and
+splits with a trailing K axis, so one call scores a single operating point
+or a whole grid of them: legitimate rates under treating interference as
+noise, harvested energies under both energy models, per-order eavesdropper
+rates from the Cauchy-Binet minors, clamped secrecy rates and the weighted
+max-min objective.  The per-point functions are views of the kernels, except
+the eavesdropper sum rates and chain-rule decompositions, which factor each
+covariance and so stay an independent reference.  All rates are base-2
+(bits per channel use).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import inv_quadratic_form, log2_det, rank_one_update_sum
-from .model import DecodingOrder, OperatingPoint, SystemConfig
+from .model import (DecodingOrder, OperatingPoint, SystemConfig, Weights,
+                    received_powers)
 
 
 class EmptySubsetError(ValueError):
@@ -54,40 +61,99 @@ class EnergyVector:
             raise ValueError(f"energies must be >= 0, got {arr}")
 
 
-def legitimate_rate(cfg: SystemConfig, op: OperatingPoint, k: int) -> float:
-    """Rate of user k with interference treated as noise.
+def tin_rates(cfg: SystemConfig, powers, splits) -> np.ndarray:
+    """Each user's rate with interference treated as noise, over a trailing
+    K axis of ``powers`` and ``splits``:
 
     R_k = log2(1 + eta_k p_k g_kk / (sig_k^2 + eta_k (rho_k^2 + sum_{j!=k} p_j g_kj)))
     with g_kj = |h_kj|^2.
     """
+    p = np.asarray(powers, dtype=float)
+    eta = np.asarray(splits, dtype=float)
     g = cfg.gain_powers
-    eta = op.splits[k]
-    interference = float(g[k] @ op.powers) - g[k, k] * op.powers[k]
-    num = eta * op.powers[k] * g[k, k]
-    den = cfg.processing_noise_vars[k] + eta * (cfg.antenna_noise_vars[k] + interference)
-    return float(np.log2(1.0 + num / den))
+    received = received_powers(cfg, p)
+    out = np.empty(np.broadcast_shapes(p.shape, eta.shape))
+    # One user's column at a time: whole-array ops against a length-K
+    # vector would loop over the short trailing axis innermost.
+    for k in range(cfg.num_users):
+        pk, ek = p[..., k], eta[..., k]
+        den = (cfg.processing_noise_vars[k]
+               + ek * (cfg.antenna_noise_vars[k] + (received[..., k] - g[k, k] * pk)))
+        out[..., k] = np.log2(1.0 + ek * pk * g[k, k] / den)
+    return out
 
 
-def legitimate_rates(cfg: SystemConfig, op: OperatingPoint) -> np.ndarray:
-    return np.array([legitimate_rate(cfg, op, k) for k in range(cfg.num_users)])
-
-
-def harvested_energy(cfg: SystemConfig, op: OperatingPoint, k: int) -> float:
-    """Harvested energy of user k under the config's energy model,
-    c_k + (1 - eta_k) (sum_j p_j g_kj + d_k) with (c, d) from
-    ``cfg.harvest_offsets``:
+def energies(cfg: SystemConfig, powers, splits) -> np.ndarray:
+    """Each user's harvested energy under the config's energy model, over a
+    trailing K axis: c_k + (1 - eta_k) (sum_j p_j g_kj + d_k) with (c, d)
+    from ``cfg.harvest_offsets``:
 
     PRODUCT:       (1 - eta_k) (sum_j p_j g_kj + rho_k^2)
     REFORMULATED:  sig_k^2 + (1 - eta_k) sum_j p_j g_kj
     """
-    received = float(cfg.gain_powers[k] @ op.powers)
     c, d = cfg.harvest_offsets
-    return c[k] + (1.0 - op.splits[k]) * (received + d[k])
+    return c + (1.0 - np.asarray(splits, dtype=float)) * (received_powers(cfg, powers) + d)
+
+
+def _eve_det(cfg: SystemConfig, p: np.ndarray, users) -> np.ndarray:
+    """det(I + sum_{j in users} (p_j / sbar) h_j h_j^H) over a trailing K
+    axis of ``p``, by Cauchy-Binet from SystemConfig.gram_minors."""
+    total = 1.0
+    for size in range(1, min(len(users), cfg.num_eve_antennas) + 1):
+        for t in combinations(users, size):
+            term = cfg.gram_minors[frozenset(t)] * p[..., t[0]]
+            for j in t[1:]:
+                term = term * p[..., j]
+            total = total + term
+    return total
+
+
+def eve_leaks(cfg: SystemConfig, powers, order: DecodingOrder) -> np.ndarray:
+    """Per-user eavesdropper rates for one decoding order, over a trailing
+    K axis of ``powers``: R_Ek = log2 E(S + k) - log2 E(S), with S the users
+    decoded after k and E the eavesdropper determinant.  Equals
+    eve_rate_chain, which factors each covariance instead.
+    """
+    p = np.asarray(powers, dtype=float)
+    users = order.users
+    log_e = [np.log2(_eve_det(cfg, p, users[i:])) for i in range(len(users))] + [0.0]
+    out = np.empty_like(p)
+    for i, k in enumerate(users):
+        out[..., k] = log_e[i] - log_e[i + 1]
+    return out
+
+
+def secrecy_rates(cfg: SystemConfig, powers, splits, order: DecodingOrder) -> np.ndarray:
+    """Clamped secrecy rates [R_k - R_Ek]^+ for one decoding order, over a
+    trailing K axis."""
+    return np.maximum(tin_rates(cfg, powers, splits) - eve_leaks(cfg, powers, order), 0.0)
+
+
+def max_min_objective(rates, weights: Weights) -> np.ndarray:
+    """min_k R_k / alpha_k over the users with alpha_k > 0, over a trailing
+    K axis of ``rates``: the weighted max-min objective, log2 of the
+    solver's lambda."""
+    rates = np.asarray(rates)
+    alpha = weights.alpha
+    return reduce(np.minimum, [rates[..., k] / alpha[k] for k in np.flatnonzero(alpha > 0)])
+
+
+def legitimate_rate(cfg: SystemConfig, op: OperatingPoint, k: int) -> float:
+    """Rate of user k with interference treated as noise (see tin_rates)."""
+    return float(legitimate_rates(cfg, op)[k])
+
+
+def legitimate_rates(cfg: SystemConfig, op: OperatingPoint) -> np.ndarray:
+    return tin_rates(cfg, op.powers, op.splits)
+
+
+def harvested_energy(cfg: SystemConfig, op: OperatingPoint, k: int) -> float:
+    """Harvested energy of user k (see energies)."""
+    return float(energies(cfg, op.powers, op.splits)[k])
 
 
 def harvested_energies(cfg: SystemConfig, op: OperatingPoint) -> EnergyVector:
-    return EnergyVector(np.array([harvested_energy(cfg, op, k)
-                                  for k in range(cfg.num_users)]))
+    return EnergyVector(energies(cfg, op.powers, op.splits))
 
 
 def _eve_covariance(cfg: SystemConfig, p: np.ndarray, users) -> np.ndarray:

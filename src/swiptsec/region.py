@@ -10,6 +10,7 @@ from typing import Optional
 
 import numpy as np
 
+from .metrics import max_min_objective, secrecy_rates, tin_rates
 from .model import (DecodingOrder, OperatingPoint, SystemConfig, Weights,
                     max_splits, with_demands)
 from .solver import (FEAS_TOL, MODES, SECURE, InfeasibleError,
@@ -149,7 +150,7 @@ def _predicted_start(cfg: SystemConfig, history: list) -> Optional[OperatingPoin
     best = max_splits(cfg, powers)
     if np.any(best <= floors[kk + 1:]):
         return last
-    return OperatingPoint(powers, np.minimum(best, 1.0))
+    return OperatingPoint(powers, best)
 
 
 # ---------------------------------------------------------------------------
@@ -217,55 +218,22 @@ class OracleResult:
 
 
 def _oracle_pass(cfg, mode, alpha, order, p1, p2):
-    g = cfg.gain_powers
-    sig2 = cfg.processing_noise_vars
-    rho2 = cfg.antenna_noise_vars
-    sbar = cfg.eve_noise_total
-    h = cfg.eve_channels
-
     # Each cell's best splits.  A cell meets the demands when every best
     # split is > 0, the rule of infeasible_demands.  A silent user's split
     # does not change the objective, and 0 harvests the most.
     powers = np.stack(np.meshgrid(p1, p2, indexing="ij"), axis=-1)
     splits = max_splits(cfg, powers)
-    feasible = np.all(splits > 0.0, axis=-1)
-    splits = np.clip(splits, 0.0, 1.0)
+    feasible = (splits[..., 0] > 0.0) & (splits[..., 1] > 0.0)
+    splits = np.maximum(splits, 0.0)
     splits[..., alpha.alpha == 0] = 0.0
-    e1, e2 = splits[..., 0], splits[..., 1]
-
-    # Legitimate rates on the (p1, p2) grid.
-    r1 = np.log2(1.0 + e1 * p1[:, None] * g[0, 0]
-                 / (sig2[0] + e1 * (rho2[0] + g[0, 1] * p2[None, :])))
-    r2 = np.log2(1.0 + e2 * p2[None, :] * g[1, 1]
-                 / (sig2[1] + e2 * (rho2[1] + g[1, 0] * p1[:, None])))
 
     if mode == SECURE:
-        # Closed-form quadratic forms through the rank-one interferer
-        # (Sherman-Morrison), vectorized over the interferer's power grid.
-        n1 = float(np.real(np.vdot(h[0], h[0])))
-        n2 = float(np.real(np.vdot(h[1], h[1])))
-        x12 = abs(np.vdot(h[0], h[1])) ** 2
-
-        def leak(pk, q_over_sbar):
-            return np.log2(1.0 + pk * q_over_sbar)
-
-        first, second = order.users
-        if first == 0:
-            q1 = (n1 - (p2 / sbar) * x12 / (1.0 + p2 * n2 / sbar)) / sbar
-            le1 = leak(p1[:, None], q1[None, :])
-            le2 = leak(p2[None, :], n2 / sbar)
-        else:
-            q2 = (n2 - (p1 / sbar) * x12 / (1.0 + p1 * n1 / sbar)) / sbar
-            le2 = leak(p2[None, :], q2[:, None])
-            le1 = leak(p1[:, None], n1 / sbar)
-        r1 = np.maximum(r1 - le1, 0.0)
-        r2 = np.maximum(r2 - le2, 0.0)
-
-    rates = np.stack([r1, r2], axis=-1)
-    active = alpha.alpha > 0
-    obj = np.min(rates[..., active] / alpha.alpha[active], axis=-1)
+        rates = secrecy_rates(cfg, powers, splits, order)
+    else:
+        rates = tin_rates(cfg, powers, splits)
+    obj = max_min_objective(rates, alpha)
     # A cell whose rates overflowed or are NaN is not a point.
-    feasible &= np.isfinite(obj) & np.all(np.isfinite(rates), axis=-1)
+    feasible &= np.isfinite(obj + rates[..., 0] + rates[..., 1])
     obj[~feasible] = -np.inf
 
     i, j = np.unravel_index(np.argmax(obj), obj.shape)
@@ -282,10 +250,12 @@ def oracle_grid_search(cfg: SystemConfig, mode: str, alpha: Weights,
     splits and one local zoom.
 
     Each grid point takes every user's best split from ``max_splits`` and
-    evaluates the exact uncondensed objective there; points where a best
-    split is not > 0 (a demand met only at eta = 0, or not at all) or where
-    a rate is not finite are discarded.  The search then refines the powers once
-    around the incumbent.  Independent of the GP machinery by construction.
+    scores the exact uncondensed objective there with the metrics kernels;
+    points where a best split is not > 0 (a demand met only at eta = 0, or
+    not at all) or where a rate is not finite are discarded.  The search
+    then refines the powers once around the incumbent.  It shares only the
+    eavesdropper's Gram minors with the GP, never a condensed row or the
+    optimizer.
     """
     if cfg.num_users != 2:
         raise ValueError("the oracle is implemented for two users")

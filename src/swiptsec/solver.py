@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .linalg import NonFiniteError
-from .metrics import legitimate_rates, secrecy_corner
+from .metrics import legitimate_rates, max_min_objective, secrecy_corner
 from .model import (BAD_VALUE, ConfigError, DecodingOrder, OperatingPoint,
                     SystemConfig, Weights, infeasible_demands,
                     max_deliverable_energy, max_splits)
@@ -268,25 +268,10 @@ def _interferers(order: DecodingOrder, k: int) -> list:
     return list(order.users[pos + 1:])
 
 
-def _gram_minors(cfg: SystemConfig) -> dict:
-    """det(G_T) / sbar^|T| for every user set T with |T| <= M (1 for the
-    empty set), keyed by frozenset, with G = conj(H) H^T the Gram matrix of
-    the eavesdropper channels.  Principal minors are >= 0; the clamp removes
-    rounding noise from rank-deficient ones."""
-    gram = cfg.eve_channels.conj() @ cfg.eve_channels.T
-    sbar = cfg.eve_noise_total
-    minors = {frozenset(): 1.0}
-    for size in range(1, min(cfg.num_users, cfg.num_eve_antennas) + 1):
-        for t in combinations(range(cfg.num_users), size):
-            minor = np.linalg.det(gram[np.ix_(t, t)]).real
-            minors[frozenset(t)] = max(minor, 0.0) / sbar ** size
-    return minors
-
-
-def _eve_det(minors: dict, users, n: int) -> Posynomial:
+def _eve_det(minors, users, n: int) -> Posynomial:
     """det(I + sum_{j in users} (p_j / sbar) h_j h_j^H) as a posynomial over
     the n GP variables: by Cauchy-Binet, the sum over T in users, |T| <= M,
-    of prod_{j in T} (p_j / sbar) det(G_T), with the minors of _gram_minors.
+    of prod_{j in T} p_j times the minor of SystemConfig.gram_minors.
     """
     _, p_of, _ = _var_layout((n - 1) // 2)
     return posynomial(n, [(minors[frozenset(t)], {p_of(j): 1 for j in t})
@@ -317,7 +302,7 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
     sig2 = cfg.processing_noise_vars
     rho2 = cfg.antenna_noise_vars
     c_eh, d_eh = cfg.harvest_offsets
-    minors = _gram_minors(cfg) if mode == SECURE else None
+    minors = cfg.gram_minors if mode == SECURE else None
 
     rows = []   # (numerator, denominator, label)
     for k in range(kk):
@@ -647,9 +632,7 @@ def _condensation_loop(cfg, alpha, order, mode, start) -> SolveReport:
     if not np.all(np.isfinite(eff)):
         # The GP is solved in log space, so it can outlast the exact rates.
         raise FloatingPointError(f"exact rates {eff} at the final point are not finite")
-    active = alpha.alpha > 0
-    beta = float(np.min(eff[active] / alpha.alpha[active]))
-    lam = 2.0 ** beta
+    lam = 2.0 ** float(max_min_objective(eff, alpha))
 
     # Each denominator minus its monomial of the last GP, at the final point.
     y = np.log(np.clip(np.concatenate([[lam], point.powers, point.splits]),

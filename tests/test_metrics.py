@@ -3,12 +3,16 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swiptsec import (DecodingOrder, EmptySubsetError, EnergyModel,
-                      OperatingPoint, RateTuple, TooManyUsersError,
-                      eve_rate_chain, eve_sum_rate, harvested_energy,
-                      legitimate_rate, legitimate_rates, secrecy_corner,
-                      subset_constraints_satisfied)
+                      OperatingPoint, RateTuple, TooManyUsersError, Weights,
+                      eve_rate_chain, eve_sum_rate, harvested_energies,
+                      harvested_energy, legitimate_rate, legitimate_rates,
+                      secrecy_corner, subset_constraints_satisfied)
+from swiptsec.metrics import (energies, eve_leaks, max_min_objective,
+                              secrecy_rates, tin_rates)
 from swiptsec.scenarios import (random_config, strong_interference,
                                 symmetric_two_user, weak_interference)
 
@@ -210,3 +214,36 @@ class TestSubsetConstraints:
         point = OperatingPoint(np.zeros(17), np.zeros(17))
         with pytest.raises(TooManyUsersError):
             subset_constraints_satisfied(cfg, point, RateTuple(np.zeros(17)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), num_users=st.sampled_from([2, 3]),
+       num_eve=st.integers(1, 4))
+def test_kernels_match_per_point_functions(seed, num_users, num_eve):
+    # A (5, K) batch scored at once agrees row by row with the per-point
+    # functions, and the leaks from the Cauchy-Binet minors with the
+    # Cholesky chain of eve_rate_chain, in every decoding order.
+    rng = np.random.default_rng(seed)
+    cfg = random_config(rng, num_users, num_eve, float(rng.uniform(0, 0.8)))
+    powers = rng.uniform(0, cfg.power_budget, (5, num_users))
+    splits = rng.uniform(0, 1, (5, num_users))
+    weights = Weights(rng.dirichlet(np.ones(num_users)))
+    rates = tin_rates(cfg, powers, splits)
+    harvested = energies(cfg, powers, splits)
+    objective = max_min_objective(rates, weights)
+    for perm in permutations(range(num_users)):
+        order = DecodingOrder(perm)
+        leaks = eve_leaks(cfg, powers, order)
+        secrecy = secrecy_rates(cfg, powers, splits, order)
+        for row in range(5):
+            point = OperatingPoint(powers[row], splits[row])
+            legit = legitimate_rates(cfg, point)
+            assert np.abs(rates[row] - legit).max() <= 1e-12
+            assert np.abs(harvested[row]
+                          - harvested_energies(cfg, point).per_user).max() <= 1e-12
+            assert np.abs(leaks[row]
+                          - eve_rate_chain(cfg, point.powers, order)).max() <= 1e-12
+            assert np.abs(secrecy[row]
+                          - secrecy_corner(cfg, point, order).per_user).max() <= 1e-12
+            assert objective[row] == pytest.approx(
+                min(legit / weights.alpha), abs=1e-12)

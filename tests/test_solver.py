@@ -20,7 +20,7 @@ from swiptsec import (ConfigError, DecodingOrder, GpInstance, InfeasibleAnchorEr
                       rank_one_update_sum, secrecy_corner, solve_gp)
 from swiptsec.region import oracle_grid_search
 from swiptsec.model import max_deliverable_energy, max_splits, with_demands
-from swiptsec.solver import RELIABLE, SECURE, _eve_det, _gram_minors
+from swiptsec.solver import RELIABLE, SECURE, _eve_det
 from swiptsec.scenarios import (random_config, strong_interference,
                                 weak_interference)
 
@@ -171,7 +171,7 @@ class TestBuildGp:
                 cov = rank_one_update_sum(
                     m, [(p[j] / cfg.eve_noise_total, h[j]) for j in users])
                 exact = 2.0 ** log2_det(cov)
-                det = _eve_det(_gram_minors(cfg), users, n)
+                det = _eve_det(cfg.gram_minors, users, n)
                 assert det.value(x) == pytest.approx(exact, rel=1e-12)
 
 
