@@ -1,14 +1,12 @@
 """Closed-form rate and energy evaluation.
 
-Everything here is exact and deterministic.  The kernels take powers and
-splits with a trailing K axis, so one call scores a single operating point
-or a whole grid of them: legitimate rates under treating interference as
-noise, harvested energies under both energy models, per-order eavesdropper
-rates from the Cauchy-Binet minors, clamped secrecy rates and the weighted
-max-min objective.  The per-point functions are views of the kernels, except
-the eavesdropper sum rates and chain-rule decompositions, which factor each
-covariance and so stay an independent reference.  All rates are base-2
-(bits per channel use).
+Everything here is exact and deterministic.  Kernels over a trailing K axis
+score one operating point or a grid of them: legitimate rates under
+treating interference as noise, harvested energies under both energy
+models, per-order eavesdropper rates from the Cauchy-Binet minors, secrecy
+rates and the max-min objective.  The per-point functions are views of
+them; the eavesdropper sum rates and chain-rule splits factor each
+covariance instead, an independent reference.  All rates are base-2.
 """
 
 from __future__ import annotations
@@ -21,8 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import inv_quadratic_form, log2_det, rank_one_update_sum
-from .model import (DecodingOrder, OperatingPoint, SystemConfig, Weights,
-                    received_powers)
+from .model import DecodingOrder, OperatingPoint, SystemConfig, Weights
 
 
 class EmptySubsetError(ValueError):
@@ -71,33 +68,27 @@ def tin_rates(cfg: SystemConfig, powers, splits) -> np.ndarray:
     p = np.asarray(powers, dtype=float)
     eta = np.asarray(splits, dtype=float)
     g = cfg.gain_powers
-    received = received_powers(cfg, p)
-    out = np.empty(np.broadcast_shapes(p.shape, eta.shape))
-    # One user's column at a time: whole-array ops against a length-K
-    # vector would loop over the short trailing axis innermost.
-    for k in range(cfg.num_users):
-        pk, ek = p[..., k], eta[..., k]
-        den = (cfg.processing_noise_vars[k]
-               + ek * (cfg.antenna_noise_vars[k] + (received[..., k] - g[k, k] * pk)))
-        out[..., k] = np.log2(1.0 + ek * pk * g[k, k] / den)
-    return out
+    gain = np.diag(g)
+    interference = p @ g.T - gain * p
+    den = cfg.processing_noise_vars + eta * (cfg.antenna_noise_vars + interference)
+    return np.log2(1.0 + eta * p * gain / den)
 
 
 def energies(cfg: SystemConfig, powers, splits) -> np.ndarray:
-    """Each user's harvested energy under the config's energy model, over a
-    trailing K axis: c_k + (1 - eta_k) (sum_j p_j g_kj + d_k) with (c, d)
-    from ``cfg.harvest_offsets``:
-
-    PRODUCT:       (1 - eta_k) (sum_j p_j g_kj + rho_k^2)
-    REFORMULATED:  sig_k^2 + (1 - eta_k) sum_j p_j g_kj
+    """Each user's harvested energy, over a trailing K axis:
+    c_k + (1 - eta_k) (sum_j p_j g_kj + d_k) with (c, d) from
+    ``cfg.harvest_offsets``: (1 - eta_k) (sum_j p_j g_kj + rho_k^2) under
+    PRODUCT, sig_k^2 + (1 - eta_k) sum_j p_j g_kj under REFORMULATED.
     """
     c, d = cfg.harvest_offsets
-    return c + (1.0 - np.asarray(splits, dtype=float)) * (received_powers(cfg, powers) + d)
+    received = np.asarray(powers, dtype=float) @ cfg.gain_powers.T
+    return c + (1.0 - np.asarray(splits, dtype=float)) * (received + d)
 
 
 def _eve_det(cfg: SystemConfig, p: np.ndarray, users) -> np.ndarray:
-    """det(I + sum_{j in users} (p_j / sbar) h_j h_j^H) over a trailing K
-    axis of ``p``, by Cauchy-Binet from SystemConfig.gram_minors."""
+    """E(users) = det(I + sum_{j in users} (p_j / sbar) h_j h_j^H) over a
+    trailing K axis of ``p``: by Cauchy-Binet, the sum over T in users of
+    prod_{j in T} p_j times the minor of SystemConfig.gram_minors."""
     total = 1.0
     for size in range(1, min(len(users), cfg.num_eve_antennas) + 1):
         for t in combinations(users, size):
@@ -110,10 +101,8 @@ def _eve_det(cfg: SystemConfig, p: np.ndarray, users) -> np.ndarray:
 
 def eve_leaks(cfg: SystemConfig, powers, order: DecodingOrder) -> np.ndarray:
     """Per-user eavesdropper rates for one decoding order, over a trailing
-    K axis of ``powers``: R_Ek = log2 E(S + k) - log2 E(S), with S the users
-    decoded after k and E the eavesdropper determinant.  Equals
-    eve_rate_chain, which factors each covariance instead.
-    """
+    K axis: R_Ek = log2 E(S + k) - log2 E(S), with S the users decoded after
+    k.  Equals eve_rate_chain, which factors each covariance instead."""
     p = np.asarray(powers, dtype=float)
     users = order.users
     log_e = [np.log2(_eve_det(cfg, p, users[i:])) for i in range(len(users))] + [0.0]

@@ -107,11 +107,9 @@ class SystemConfig:
     def gram_minors(self) -> MappingProxyType:
         """det(G_T) / sbar^|T| for every user set T with |T| <= M (1 for the
         empty set), keyed by frozenset, with G = conj(H) H^T the Gram matrix
-        of the eavesdropper channels.  By Cauchy-Binet, det(I + sum_{j in U}
-        (p_j / sbar) h_j h_j^H) is the sum over T in U of these minors times
-        prod_{j in T} p_j.  Principal minors are >= 0; the clamp removes
-        rounding noise from rank-deficient ones.  Computed once per config,
-        which is immutable."""
+        of the eavesdropper channels; computed once per config.  Principal
+        minors are >= 0; the clamp removes rounding noise from rank-deficient
+        ones."""
         gram = self.eve_channels.conj() @ self.eve_channels.T
         sbar = self.eve_noise_total
         minors = {frozenset(): 1.0}
@@ -140,13 +138,6 @@ def max_deliverable_energy(cfg: SystemConfig) -> np.ndarray:
     return c + (cfg.gain_powers @ cfg.power_budget + d)
 
 
-def received_powers(cfg: SystemConfig, powers) -> np.ndarray:
-    """Each user's received signal power T_k = sum_j g_kj p_j at ``powers``
-    (trailing K axis), as one matrix product over the flattened points."""
-    p = np.asarray(powers, dtype=float)
-    return (p.reshape(-1, cfg.num_users) @ cfg.gain_powers.T).reshape(p.shape)
-
-
 def max_splits(cfg: SystemConfig, powers) -> np.ndarray:
     """Each user's best split at ``powers`` (trailing K axis): the largest
     that meets its demand, eta_k* = min(1, 1 - (psi_k - c_k)^+ / (T_k + d_k)),
@@ -154,13 +145,10 @@ def max_splits(cfg: SystemConfig, powers) -> np.ndarray:
     falls.  1 where the demand is vacuous, negative where no split meets it.
     """
     c, d = cfg.harvest_offsets
+    reach = np.asarray(powers, dtype=float) @ cfg.gain_powers.T + d   # T + d
     need = np.maximum(cfg.eh_demands - c, 0.0)
-    eta = received_powers(cfg, powers)
-    # One user's column at a time, as in metrics.tin_rates.
-    with np.errstate(all="ignore"):     # T + d may be 0: eta* = -inf
-        for k in range(cfg.num_users):
-            eta[..., k] = 1.0 - need[k] / (eta[..., k] + d[k]) if need[k] > 0 else 1.0
-    return eta
+    with np.errstate(all="ignore"):     # reach may be 0: eta* = -inf
+        return np.where(need > 0, 1.0 - need / reach, 1.0)
 
 
 def infeasible_demands(cfg: SystemConfig) -> np.ndarray:

@@ -302,7 +302,6 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
     sig2 = cfg.processing_noise_vars
     rho2 = cfg.antenna_noise_vars
     c_eh, d_eh = cfg.harvest_offsets
-    minors = cfg.gram_minors if mode == SECURE else None
 
     rows = []   # (numerator, denominator, label)
     for k in range(kk):
@@ -316,8 +315,8 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
             den = posynomial(n, d_terms)
             if mode == SECURE:
                 inter = _interferers(order, k)
-                num = num.times(_eve_det(minors, inter + [k], n))
-                den = den.times(_eve_det(minors, inter, n))
+                num = num.times(_eve_det(cfg.gram_minors, inter + [k], n))
+                den = den.times(_eve_det(cfg.gram_minors, inter, n))
             rows.append((num, den, f"rate[{k}]"))
 
         # psi <= c + (1 - eta)(T + d)  <=>  (psi - c) + eta d + eta T <= T + d;
@@ -454,11 +453,12 @@ def solve_gp(gp: GpInstance) -> tuple:
     lambda as well: its value at the anchor minus 1, which never binds, as
     the solve raises lambda from there.  Lambda is set in closed form at
     the anchor and at the solver's point, clipped to the box.  ``failures``
-    counts what went wrong without ending the solve: an interior-point run
-    that ended unconverged, and a return to the anchor because the solver's
-    point was worse.  Raises InfeasibleAnchorError when the anchor violates
-    a constraint by more than FEAS_TOL and NumericalFailureError when the
-    solver leaves one violated.
+    is 1 when the interior-point run ended unconverged, and the solve then
+    returns to the anchor if the solver's point is worse.  A converged point
+    is the GP's optimum even where it lies below an anchor that violates a
+    row by up to FEAS_TOL.  Raises InfeasibleAnchorError when the anchor
+    violates a constraint by more than FEAS_TOL and NumericalFailureError
+    when the solver leaves one violated.
     """
     a, b, (_, _, starts, seg) = gp.a, gp.b, gp.numerators
     with np.errstate(divide="ignore"):      # a zero floor means no bound
@@ -471,18 +471,16 @@ def solve_gp(gp: GpInstance) -> tuple:
     floors = lo.copy()
     floors[0] = y0[0] - 1.0
     y, converged = _interior_point(a, b, starts, seg, y0, floors, hi)
-    failures = int(not converged)
     y, worst = _exact_lambda(gp, np.clip(y, lo, hi))
     if not worst <= FEAS_TOL:
         raise NumericalFailureError(
             f"optimizer left constraints violated by {worst:.3e}")
-    if y[0] < y0[0] - 1e-9:
-        # Never regress below the feasible starting point.
+    if not converged and y[0] < y0[0] - 1e-9:
+        # An unfinished run never regresses below the starting point.
         y = y0
-        failures += 1
     x = np.exp(np.clip(y, lo, hi))
     kk = gp.num_users
-    return float(x[0]), OperatingPoint(x[1:kk + 1], x[kk + 1:]), failures
+    return float(x[0]), OperatingPoint(x[1:kk + 1], x[kk + 1:]), int(not converged)
 
 
 # ---------------------------------------------------------------------------
@@ -493,13 +491,15 @@ def solve_gp(gp: GpInstance) -> tuple:
 class SolveReport:
     """Outcome of one weighted max-min solve.
 
-    ``lam`` is recomputed from the returned operating point through the exact
-    rate formulas (clamped secrecy rates in secure mode), so log2(lam) equals
-    the smallest weighted effective rate at the point.  ``lam_trace`` holds
-    the raw per-iteration GP optima.  Each condensed GP is an inner
-    approximation that is exact at its anchor, so in both modes the trace
-    never decreases beyond solver tolerance; ``non_monotone`` flags a trace
-    that does.  ``optimizer_failures`` sums solve_gp's failures over the
+    The returned point has the last GP's powers and every split at its best
+    value there (at least max_splits).  ``lam`` is recomputed from it through
+    the exact rate formulas (clamped secrecy rates in secure mode), so
+    log2(lam) equals the smallest weighted effective rate at the point.
+    ``lam_trace`` holds the raw per-iteration GP optima, and ``gaps`` each
+    condensed denominator's gap at the last GP's solution.  Each condensed
+    GP is an inner approximation that is exact at its anchor, so in both
+    modes the trace never decreases beyond solver tolerance;
+    ``non_monotone`` flags a trace that does.  ``optimizer_failures`` sums solve_gp's failures over the
     solve's GPs, and ``extrapolated`` counts the extrapolated anchors the
     loop accepted.
     """
@@ -624,6 +624,20 @@ def _condensation_loop(cfg, alpha, order, mode, start) -> SolveReport:
             converged = True
             break
 
+    # Each denominator minus its monomial of the last GP, at its solution;
+    # lambda enters no denominator.
+    y = np.log(np.clip(np.concatenate([[1.0], point.powers, point.splits]),
+                       gp.floors, gp.caps))
+    exponents, log_coefs = _condense(gp.denominators, np.log(gp.anchor))
+    gaps = (np.exp(_log_posynomials(*gp.denominators, y)[0])
+            - np.exp(exponents @ y + log_coefs))
+
+    # Every split at its best value at the final powers: a user's rate rises
+    # with its own split alone and max_splits meets its demand, so no rate
+    # falls, while the GP leaves a user that does not bind wherever it stops.
+    point = OperatingPoint(point.powers,
+                           np.maximum(point.splits, max_splits(cfg, point.powers)))
+
     # Report with exact rates at the final point.
     if mode == SECURE:
         eff = secrecy_corner(cfg, point, order).per_user
@@ -633,13 +647,6 @@ def _condensation_loop(cfg, alpha, order, mode, start) -> SolveReport:
         # The GP is solved in log space, so it can outlast the exact rates.
         raise FloatingPointError(f"exact rates {eff} at the final point are not finite")
     lam = 2.0 ** float(max_min_objective(eff, alpha))
-
-    # Each denominator minus its monomial of the last GP, at the final point.
-    y = np.log(np.clip(np.concatenate([[lam], point.powers, point.splits]),
-                       gp.floors, gp.caps))
-    exponents, log_coefs = _condense(gp.denominators, np.log(gp.anchor))
-    gaps = (np.exp(_log_posynomials(*gp.denominators, y)[0])
-            - np.exp(exponents @ y + log_coefs))
 
     non_monotone = any(trace[i + 1] < trace[i] - EPS_CONV * max(1.0, trace[i])
                        for i in range(len(trace) - 1))

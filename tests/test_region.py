@@ -13,7 +13,7 @@ from swiptsec import (ConfigError, DecodingOrder, EmptyInputError,
                       secrecy_corner, solver, subset_constraints_satisfied,
                       sweep, time_share_hull)
 from swiptsec.metrics import RateTuple
-from swiptsec.model import with_demands
+from swiptsec.model import max_splits, with_demands
 from swiptsec.solver import RELIABLE, SECURE
 from swiptsec.scenarios import (random_config, strong_interference,
                                 weak_interference)
@@ -201,6 +201,21 @@ def test_continuation_falls_back_where_the_prediction_misses_a_demand():
     boundary = sweep(_random_draw(2026, 4), SECURE, grid=11)
     assert not boundary.failures
     assert sum(pt.iterations for pt in boundary.points) <= 400
+
+
+def test_every_boundary_point_takes_its_best_splits():
+    # Where one user binds, the max-min objective leaves the other user's
+    # split free; each solve returns every split at its best value at the
+    # final powers, so no user's rate is left below what its demand allows.
+    # On this draw the interior-point solve left user 1 at split 0.139
+    # against 0.204 at alpha1 = 0.1, order (1,2), and the hull area at
+    # 0.06244.
+    cfg = _random_draw(15, 1)
+    boundary = sweep(cfg, SECURE, grid=11)
+    assert not boundary.failures
+    for pt in boundary.points:
+        assert np.all(pt.op.splits >= max_splits(cfg, pt.op.powers))
+    assert _area(boundary.hull) >= 0.0655
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)

@@ -237,6 +237,9 @@ class TestRecondense:
             if (len(trace) >= 2 and abs(trace[-1] - trace[-2])
                     <= solver.EPS_CONV * max(1.0, trace[-1])):
                 break
+        # Then every split at its best value at the final powers.
+        point = OperatingPoint(point.powers,
+                               np.maximum(point.splits, max_splits(cfg, point.powers)))
         rep = iterate(cfg, weights, order, mode)
         assert rep.lam_trace == trace
         assert np.array_equal(rep.op.powers, point.powers)
@@ -369,6 +372,21 @@ class TestSolveGp:
         lam, _, _ = solve_gp(gp)
         anchor_rate = min(legitimate_rates(cfg, anchor) / 0.5)
         assert np.log2(lam) >= anchor_rate - 1e-9
+
+    def test_anchor_over_a_demand_is_no_failure(self):
+        # An anchor may violate a row by up to FEAS_TOL, so its lambda can lie
+        # above the GP's optimum.  The converged point is that optimum: the
+        # solve keeps it and counts no failure.
+        cfg = weak_interference(eh_demands=(0.8, 0.8))
+        weights = Weights.pair(1.0)
+        powers = iterate(cfg, weights, None, RELIABLE).op.powers
+        splits = max_splits(cfg, powers) + np.array([5e-9, 0.0])
+        gp = build_gp(cfg, weights, ORDER12, OperatingPoint(powers, splits), RELIABLE)
+        energy = gp.constraints[gp.labels.index("eh[0]")]
+        assert 4e-9 < np.log(energy.value(gp.anchor)) < solver.FEAS_TOL
+        lam, _, failures = solve_gp(gp)
+        assert failures == 0
+        assert np.log(lam) < solver._exact_lambda(gp, np.log(gp.anchor))[0][0] - 1e-9
 
     @pytest.mark.parametrize("tiny", [1e-300, 1e-30, 1e-12])
     def test_tiny_weight_keeps_lambda(self, tiny):
