@@ -145,10 +145,14 @@ def max_splits(cfg: SystemConfig, powers) -> np.ndarray:
     falls.  1 where the demand is vacuous, negative where no split meets it.
     """
     c, d = cfg.harvest_offsets
-    reach = np.asarray(powers, dtype=float) @ cfg.gain_powers.T + d   # T + d
     need = np.maximum(cfg.eh_demands - c, 0.0)
-    with np.errstate(all="ignore"):     # reach may be 0: eta* = -inf
-        return np.where(need > 0, 1.0 - need / reach, 1.0)
+    eta = np.asarray(powers, dtype=float) @ cfg.gain_powers.T      # T
+    # One user's column at a time: ops against a length-K vector would loop
+    # over the short trailing axis innermost, which is slow on a grid.
+    with np.errstate(all="ignore"):     # T + d may be 0: eta* = -inf
+        for k in range(cfg.num_users):
+            eta[..., k] = 1.0 - need[k] / (eta[..., k] + d[k]) if need[k] > 0 else 1.0
+    return eta
 
 
 def infeasible_demands(cfg: SystemConfig) -> np.ndarray:

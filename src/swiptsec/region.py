@@ -50,7 +50,7 @@ class BoundaryPoint:
     iterations: int
     converged: bool
     non_monotone: bool         # the solve's GP optima decreased somewhere
-    optimizer_failures: int    # unconverged interior-point runs and anchor returns
+    optimizer_failures: int    # unconverged interior-point runs
 
 
 @dataclass
@@ -232,7 +232,8 @@ def _oracle_pass(cfg, mode, alpha, order, p1, p2):
     else:
         rates = tin_rates(cfg, powers, splits)
     obj = max_min_objective(rates, alpha)
-    # A cell whose rates overflowed or are NaN is not a point.
+    # A cell whose rates overflowed or are NaN is not a point (the sum is
+    # finite only when every term is).
     feasible &= np.isfinite(obj + rates[..., 0] + rates[..., 1])
     obj[~feasible] = -np.inf
 
