@@ -5,10 +5,11 @@ lower bound that touches it at the anchor point."""
 
 import numpy as np
 
-from swiptsec import condense, posynomial
+from swiptsec import Posynomial, condense
 
-# f(p1, p2) = p1 + p2, condensed at the anchor (4, 1).
-posy = posynomial(2, [(1.0, {0: 1}), (1.0, {1: 1})])
+# f(p1, p2) = p1 + p2, condensed at the anchor (4, 1): one term per row of
+# exponents, with coefficient 1 each.
+posy = Posynomial(np.array([1.0, 1.0]), np.array([[1.0, 0.0], [0.0, 1.0]]))
 anchor = np.array([4.0, 1.0])
 mono = condense(posy, anchor)
 

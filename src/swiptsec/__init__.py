@@ -20,7 +20,6 @@ from .region import (BoundaryPoint, EmptyInputError, NoFeasiblePointError,
 from .solver import (RELIABLE, SECURE, GpInstance, InfeasibleAnchorError,
                      InfeasibleError, NonPositiveAnchorError,
                      NonPositiveTermError, NumericalFailureError, Posynomial,
-                     SolveReport, build_gp, condense, iterate,
-                     posynomial, solve_gp)
+                     SolveReport, build_gp, condense, iterate, solve_gp)
 
 __version__ = "0.1.0"

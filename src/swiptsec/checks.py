@@ -6,7 +6,7 @@ fails (worst = inf) and names it, instead of passing on what it skipped;
 ``oracle_dominance`` meets such values as a NumericalFailureError."""
 
 from functools import wraps
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, permutations, product
 
 import numpy as np
 
@@ -138,28 +138,35 @@ def energy_screen(cfg):
 
 
 def oracle_dominance(cfg, resolution):
-    """At alpha1 = 0.25, 0.5, 0.75 (reliable) the solver and the grid oracle
-    agree on feasibility, and the solver is at most SHORTFALL_TOL below."""
+    """At alpha1 = 0.25, 0.5, 0.75, in reliable mode and in secure mode with
+    every decoding order, the solver and the grid oracle agree on
+    feasibility, and the solver is at most SHORTFALL_TOL below."""
     worst = 0.0
-    for alpha1 in (0.25, 0.5, 0.75):
+    runs = [(solver.RELIABLE, None)] + [(solver.SECURE, DecodingOrder(users))
+                                        for users in permutations(range(cfg.num_users))]
+    for (mode, order), alpha1 in product(runs, (0.25, 0.5, 0.75)):
+        where = f"alpha1={alpha1}, {mode}" + (f" order {order.one_based()}" if order else "")
         weights = Weights.pair(alpha1)
+        # Solver first: it reports overflowed Gram minors, where the oracle raises.
         try:
-            oracle = region.oracle_grid_search(cfg, solver.RELIABLE, weights,
+            rep = solver.iterate(cfg, weights, order, mode)
+        except solver.InfeasibleError:
+            rep = None
+        except solver.NumericalFailureError as exc:
+            return False, worst, f"solver failed numerically at {where}: {exc}"
+        try:
+            oracle = region.oracle_grid_search(cfg, mode, weights, order,
                                                resolution=resolution)
         except region.NoFeasiblePointError:
             oracle = None
-        try:
-            rep = solver.iterate(cfg, weights, None, solver.RELIABLE)
-        except solver.InfeasibleError:
-            if oracle is None:
-                continue
-            return False, worst, f"solver infeasible where the oracle found a point (alpha1={alpha1})"
-        except solver.NumericalFailureError as exc:
-            return False, worst, f"solver failed numerically at alpha1={alpha1}: {exc}"
+        if rep is None and oracle is None:
+            continue
+        if rep is None:
+            return False, worst, f"solver infeasible where the oracle found a point ({where})"
         if oracle is None:
-            return False, worst, f"solver found a point where the oracle proved none (alpha1={alpha1})"
+            return False, worst, f"solver found a point where the oracle proved none ({where})"
         rel = max(oracle.objective - rep.objective, 0.0) / max(oracle.objective, 1e-12)
         worst = max(worst, rel)
         if rel > SHORTFALL_TOL:
-            return False, worst, f"solver {rel:.1%} below oracle at alpha1={alpha1}"
+            return False, worst, f"solver {rel:.1%} below oracle at {where}"
     return True, worst, f"worst relative shortfall {worst:.2%} (tol {SHORTFALL_TOL:.0%})"

@@ -87,15 +87,13 @@ def energies(cfg: SystemConfig, powers, splits) -> np.ndarray:
 
 def _eve_det(cfg: SystemConfig, p: np.ndarray, users) -> np.ndarray:
     """E(users) = det(I + sum_{j in users} (p_j / sbar) h_j h_j^H) over a
-    trailing K axis of ``p``: by Cauchy-Binet, the sum over T in users of
-    prod_{j in T} p_j times the minor of SystemConfig.gram_minors."""
-    total = 1.0
-    for size in range(1, min(len(users), cfg.num_eve_antennas) + 1):
-        for t in combinations(users, size):
-            term = cfg.gram_minors[frozenset(t)] * p[..., t[0]]
-            for j in t[1:]:
-                term = term * p[..., j]
-            total = total + term
+    trailing K axis of ``p``: the sum of SystemConfig.eve_det_terms."""
+    total = 0.0
+    for t, minor in cfg.eve_det_terms(users):
+        term = minor
+        for j in t:
+            term = term * p[..., j]
+        total = total + term
     return total
 
 

@@ -55,6 +55,13 @@ class EnergyModel(str, Enum):
     REFORMULATED = "reformulated"
 
 
+def _subsets(users, most: int) -> list:
+    """Every subset of ``users`` with at most ``most`` members, as tuples: by
+    size, then in the order of itertools.combinations."""
+    return [t for size in range(min(len(users), most) + 1)
+            for t in combinations(users, size)]
+
+
 def _ro(arr, dtype):
     out = np.array(arr, dtype=dtype)
     out.setflags(write=False)
@@ -112,12 +119,17 @@ class SystemConfig:
         ones."""
         gram = self.eve_channels.conj() @ self.eve_channels.T
         sbar = self.eve_noise_total
-        minors = {frozenset(): 1.0}
-        for size in range(1, min(self.num_users, self.num_eve_antennas) + 1):
-            for t in combinations(range(self.num_users), size):
-                minor = np.linalg.det(gram[np.ix_(t, t)]).real
-                minors[frozenset(t)] = max(minor, 0.0) / sbar ** size
-        return MappingProxyType(minors)
+        return MappingProxyType({
+            frozenset(t): max(np.linalg.det(gram[np.ix_(t, t)]).real, 0.0) / sbar ** len(t)
+            for t in _subsets(range(self.num_users), self.num_eve_antennas)})
+
+    def eve_det_terms(self, users) -> list:
+        """The Cauchy-Binet terms of the eavesdropper determinant
+        E(users) = det(I + sum_{j in users} (p_j / sbar) h_j h_j^H)
+        = sum_T gram_minors[T] prod_{j in T} p_j: a (T, minor) pair for every
+        T in ``users`` with |T| <= M, the empty set first."""
+        minors = self.gram_minors
+        return [(t, minors[frozenset(t)]) for t in _subsets(users, self.num_eve_antennas)]
 
     @property
     def harvest_offsets(self) -> tuple:

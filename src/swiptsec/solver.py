@@ -18,7 +18,6 @@ convex, by a primal-dual interior-point method.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -116,30 +115,9 @@ class Posynomial:
     def value(self, x) -> float:
         return float(self.term_values(x).sum())
 
-    def times(self, other: "Posynomial") -> "Posynomial":
-        coeffs = np.outer(self.coeffs, other.coeffs).ravel()
-        exps = (self.exponents[:, None, :] + other.exponents[None, :, :])
-        return Posynomial(coeffs, exps.reshape(coeffs.size, -1))
-
-
-def posynomial(num_vars: int, terms) -> Posynomial:
-    """Build a posynomial from (coefficient, {var_index: power}) pairs.
-
-    Terms with zero coefficient are dropped; they come from zero channel
-    gains or zero demands and are not part of the algebra.
-    """
-    coeffs, rows = [], []
-    for coef, powers in terms:
-        if coef == 0.0:
-            continue
-        row = np.zeros(num_vars)
-        for idx, power in powers.items():
-            row[idx] += power
-        coeffs.append(coef)
-        rows.append(row)
-    if not coeffs:
-        raise NonPositiveTermError("all terms vanished; posynomial needs one positive term")
-    return Posynomial(np.array(coeffs), np.array(rows))
+    def __iter__(self):
+        # Unpacks as the (coefficients, exponents) pair that _stack stacks.
+        return iter((self.coeffs, self.exponents))
 
 
 class Stack(NamedTuple):
@@ -152,11 +130,19 @@ class Stack(NamedTuple):
     seg: np.ndarray
 
 
-def _stack(posys) -> Stack:
-    sizes = [posy.num_terms for posy in posys]
-    return Stack(np.vstack([posy.exponents for posy in posys]),
-                 np.log(np.concatenate([posy.coeffs for posy in posys])),
-                 np.cumsum([0] + sizes[:-1]),
+def _stack(rows) -> Stack:
+    """Stack posynomials given as (coefficients (T,), exponents (T, n))
+    pairs; every posynomial needs a term, and every coefficient must be
+    finite and > 0 before it is logged."""
+    coeffs, exponents = zip(*rows)
+    sizes = [c.size for c in coeffs]
+    if 0 in sizes:
+        raise NonPositiveTermError("all terms vanished; posynomial needs one positive term")
+    coeffs = np.concatenate(coeffs)
+    bad = ~((coeffs > 0) & np.isfinite(coeffs))
+    if bad.any():
+        raise NonPositiveTermError(f"coefficients must be finite and > 0, got {coeffs[bad]}")
+    return Stack(np.vstack(exponents), np.log(coeffs), np.cumsum([0] + sizes[:-1]),
                  np.repeat(np.arange(len(sizes)), sizes))
 
 
@@ -203,13 +189,6 @@ def condense(posy: Posynomial, anchor) -> Posynomial:
 # ---------------------------------------------------------------------------
 
 # Variable layout: index 0 is lambda, then the K powers, then the K splits.
-
-def _var_layout(num_users: int):
-    lam = 0
-    p = lambda k: 1 + k
-    eta = lambda k: 1 + num_users + k
-    return lam, p, eta
-
 
 def variable_box(cfg: SystemConfig) -> tuple:
     """Floors and caps of x = (lambda, p, eta): each power between FLOOR_FRAC
@@ -263,21 +242,19 @@ class GpInstance:
                        b=num.b - log_coefs[num.seg])
 
 
-def _interferers(order: DecodingOrder, k: int) -> list:
-    pos = order.users.index(k)
-    return list(order.users[pos + 1:])
+def _terms(coeffs, exponents) -> tuple:
+    """The terms with a nonzero coefficient: a zero gain, offset or minor
+    leaves its term out of the row."""
+    keep = coeffs != 0.0
+    return coeffs[keep], exponents[keep]
 
 
-def _eve_det(minors, users, n: int) -> Posynomial:
-    """det(I + sum_{j in users} (p_j / sbar) h_j h_j^H) as a posynomial over
-    the n GP variables: by Cauchy-Binet, the sum over T in users, |T| <= M,
-    of prod_{j in T} p_j times the minor of SystemConfig.gram_minors.
-    """
-    _, p_of, _ = _var_layout((n - 1) // 2)
-    return posynomial(n, [(minors[frozenset(t)], {p_of(j): 1 for j in t})
-                          for size in range(len(users) + 1)
-                          for t in combinations(users, size)
-                          if frozenset(t) in minors])
+def _times(left, right) -> tuple:
+    """Terms of the product of two posynomials, row-major over their terms;
+    the coefficients are products, logged only by _stack."""
+    (c1, e1), (c2, e2) = left, right
+    return (np.outer(c1, c2).ravel(),
+            (e1[:, None, :] + e2[None, :, :]).reshape(c1.size * c2.size, -1))
 
 
 def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
@@ -286,47 +263,53 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
 
     Per user: the rate/secrecy constraint (skipped when alpha_k = 0) and the
     harvesting constraint (skipped when it is vacuous for every feasible
-    point); the box of variable_box bounds the variables.  Only the
-    condensed denominators depend on the anchor; GpInstance.recondensed
-    moves it.  User k's secrecy row is lambda^alpha_k A_k E(S + k) <= D_k
-    E(S), where R_k = log2(D_k / A_k), S holds the users decoded after k and
-    E is the eavesdropper determinant of _eve_det.  Lambda's anchor value is
-    1; solve_gp sets it.
+    point); the box of variable_box bounds the variables.  Each row's terms
+    come straight from the gains, noises, harvest offsets and Gram minors.
+    Only the condensed denominators depend on the anchor;
+    GpInstance.recondensed moves it.  User k's secrecy row is lambda^alpha_k
+    A_k E(S + k) <= D_k E(S), where R_k = log2(D_k / A_k), S holds the users
+    decoded after k and E is the eavesdropper determinant, whose terms are
+    SystemConfig.eve_det_terms.  Lambda's anchor value is 1; solve_gp sets
+    it.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     kk = cfg.num_users
-    lam, p_of, eta_of = _var_layout(kk)
-    n = 1 + 2 * kk
+    unit = np.eye(1 + 2 * kk)
+    lam, p_rows, eta_rows = unit[0], unit[1:kk + 1], unit[kk + 1:]
+    none = np.zeros_like(lam)
     g = cfg.gain_powers
-    sig2 = cfg.processing_noise_vars
-    rho2 = cfg.antenna_noise_vars
     c_eh, d_eh = cfg.harvest_offsets
+
+    def eve_det(users):
+        terms = cfg.eve_det_terms(users)
+        return _terms(np.array([minor for _, minor in terms]),
+                      np.array([p_rows[list(t)].sum(axis=0) for t, _ in terms]))
 
     rows = []   # (numerator, denominator, label)
     for k in range(kk):
-        a_terms = [(sig2[k], {}), (rho2[k], {eta_of(k): 1})]
-        a_terms += [(g[k, j], {eta_of(k): 1, p_of(j): 1})
-                    for j in range(kk) if j != k]
-        d_terms = a_terms + [(g[k, k], {eta_of(k): 1, p_of(k): 1})]
+        eta = eta_rows[k]
         if alpha.alpha[k] > 0:
-            a_posy = posynomial(n, a_terms)
-            num = a_posy.times(posynomial(n, [(1.0, {lam: alpha.alpha[k]})]))
-            den = posynomial(n, d_terms)
+            # D_k = sig^2 + eta_k (rho^2 + sum_j g_kj p_j); A_k lacks j = k.
+            others = [j for j in range(kk) if j != k]
+            coeffs = np.concatenate([[cfg.processing_noise_vars[k],
+                                      cfg.antenna_noise_vars[k]], g[k, others], [g[k, k]]])
+            exponents = np.vstack([none, eta, eta + p_rows[others], eta + p_rows[k]])
+            num = _terms(coeffs[:-1], exponents[:-1] + alpha.alpha[k] * lam)
+            den = _terms(coeffs, exponents)
             if mode == SECURE:
-                inter = _interferers(order, k)
-                num = num.times(_eve_det(cfg.gram_minors, inter + [k], n))
-                den = den.times(_eve_det(cfg.gram_minors, inter, n))
+                after = list(order.users[order.users.index(k) + 1:])
+                num = _times(num, eve_det(after + [k]))
+                den = _times(den, eve_det(after))
             rows.append((num, den, f"rate[{k}]"))
 
         # psi <= c + (1 - eta)(T + d)  <=>  (psi - c) + eta d + eta T <= T + d;
-        # vacuous whenever psi <= c because eta <= 1.  Zero terms drop out.
+        # vacuous whenever psi <= c because eta <= 1.
         psi = cfg.eh_demands[k]
         if psi > c_eh[k]:
-            received = [(g[k, j], {p_of(j): 1}) for j in range(kk)]
-            num = posynomial(n, [(psi - c_eh[k], {}), (d_eh[k], {eta_of(k): 1})]
-                             + [(c, {**pw, eta_of(k): 1}) for c, pw in received])
-            den = posynomial(n, received + [(d_eh[k], {})])
+            num = _terms(np.concatenate([[psi - c_eh[k], d_eh[k]], g[k]]),
+                         np.vstack([none, eta, eta + p_rows]))
+            den = _terms(np.append(g[k], d_eh[k]), np.vstack([p_rows, none]))
             rows.append((num, den, f"eh[{k}]"))
 
     nums, dens, labels = zip(*rows)

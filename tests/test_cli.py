@@ -450,6 +450,34 @@ def test_subset_corners_counts_the_corners_checked():
                         detail)
 
 
+@pytest.mark.parametrize("order", [(1, 2), (2, 1)])
+def test_oracle_dominance_fails_on_a_short_secure_solve(monkeypatch, tmp_path, capsys,
+                                                        order):
+    # Secure solves in one decoding order that end 10 % below their objective
+    # fail the check, while the reliable solves stay exact.
+    real_iterate = solver.iterate
+    short = DecodingOrder(tuple(u - 1 for u in order))
+
+    def falling_short(cfg, weights, order, mode, start=None):
+        rep = real_iterate(cfg, weights, order, mode, start)
+        if mode == solver.SECURE and order == short:
+            rep = replace(rep, lam=2.0 ** (0.9 * rep.objective))
+        return rep
+
+    cfg = weak_interference()
+    assert checks.oracle_dominance(cfg, 21)[0]
+    monkeypatch.setattr(solver, "iterate", falling_short)
+    passed, worst, detail = checks.oracle_dominance(cfg, 21)
+    assert not passed and worst > checks.SHORTFALL_TOL
+    assert detail.endswith(f"secure order {order}"), detail
+    path = tmp_path / "weak.json"
+    save_scenario(cfg, path)
+    assert main(["verify", "--scenario", str(path), "--oracle-res", "21"]) == 2
+    assert re.search(rf"oracle dominance +FAIL +solver \d+\.\d% below oracle at "
+                     rf"alpha1=\S+, secure order \({order[0]}, {order[1]}\)\n",
+                     capsys.readouterr().out)
+
+
 def test_demand_at_the_limit_is_infeasible_everywhere(tmp_path):
     # A demand exactly at max_deliverable_energy is met only at eta = 0: the
     # solver, the oracle and verify all call it infeasible.

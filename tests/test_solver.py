@@ -11,16 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import swiptsec
-from swiptsec import region, solver
-from swiptsec import (ConfigError, DecodingOrder, GpInstance, InfeasibleAnchorError,
+from swiptsec import metrics, region, solver
+from swiptsec import (ConfigError, DecodingOrder, EnergyModel, GpInstance, InfeasibleAnchorError,
                       InfeasibleError, NonPositiveAnchorError, NonPositiveTermError,
                       NumericalFailureError, OperatingPoint, Posynomial, Weights,
                       build_gp, condense, eve_rate_chain, harvested_energies,
-                      iterate, legitimate_rates, log2_det, posynomial,
-                      rank_one_update_sum, secrecy_corner, solve_gp)
+                      iterate, legitimate_rates, log2_det, rank_one_update_sum,
+                      secrecy_corner, solve_gp)
 from swiptsec.region import oracle_grid_search
 from swiptsec.model import max_deliverable_energy, max_splits, with_demands
-from swiptsec.solver import RELIABLE, SECURE, _eve_det
+from swiptsec.solver import RELIABLE, SECURE
 from swiptsec.scenarios import (random_config, strong_interference,
                                 weak_interference)
 
@@ -60,24 +60,24 @@ def test_condensation_rejects_vanishing_term():
 
 class TestCondense:
     def test_exact_at_anchor(self):
-        posy = posynomial(2, [(1.0, {0: 1}), (1.0, {1: 1})])
+        posy = Posynomial(np.ones(2), np.eye(2))
         mono = condense(posy, [4.0, 1.0])
         assert mono.value([4.0, 1.0]) == pytest.approx(5.0, abs=1e-12)
 
     def test_bound_away_from_anchor(self):
-        posy = posynomial(2, [(1.0, {0: 1}), (1.0, {1: 1})])
+        posy = Posynomial(np.ones(2), np.eye(2))
         mono = condense(posy, [4.0, 1.0])
         assert mono.value([1.0, 1.0]) == pytest.approx(1.6494, abs=1e-4)
         assert mono.value([1.0, 1.0]) <= 2.0
 
     def test_single_term_returned_unchanged(self):
-        mono_in = posynomial(2, [(2.5, {0: 2, 1: -1})])
+        mono_in = Posynomial(np.array([2.5]), np.array([[2.0, -1.0]]))
         mono = condense(mono_in, [1.0, 1.0])
         assert np.array_equal(mono.coeffs, mono_in.coeffs)
         assert np.array_equal(mono.exponents, mono_in.exponents)
 
     def test_rejects_non_positive_anchor(self):
-        posy = posynomial(2, [(1.0, {0: 1}), (1.0, {1: 1})])
+        posy = Posynomial(np.ones(2), np.eye(2))
         with pytest.raises(NonPositiveAnchorError):
             condense(posy, [1.0, 0.0])
 
@@ -102,16 +102,6 @@ class TestPosynomialAlgebra:
             Posynomial(np.array([]), np.zeros((0, 2)))
         with pytest.raises(NonPositiveTermError):
             Posynomial(np.array([1.0, -1.0]), np.zeros((2, 2)))
-
-    def test_product_and_division(self):
-        a = posynomial(2, [(2.0, {0: 1}), (1.0, {})])
-        b = posynomial(2, [(3.0, {1: 2})])
-        prod = a.times(b)
-        x = np.array([1.7, 0.6])
-        assert prod.value(x) == pytest.approx(a.value(x) * b.value(x), rel=1e-12)
-        # Division by a monomial is the product with its reciprocal.
-        quot = prod.times(Posynomial(1.0 / b.coeffs, -b.exponents))
-        assert quot.value(x) == pytest.approx(a.value(x), rel=1e-12)
 
 
 class TestBuildGp:
@@ -150,7 +140,7 @@ class TestBuildGp:
                 assert cs.value(x) == pytest.approx(cr.value(x), rel=1e-12)
 
     def test_eve_det_matches_covariance_determinant(self):
-        # Cauchy-Binet: the posynomial equals det(I + sum_j (p_j/sbar) h_j h_j^H)
+        # Cauchy-Binet: the terms sum to det(I + sum_j (p_j/sbar) h_j h_j^H)
         # for any user set, including rank-deficient channel geometries where
         # some Gram minors vanish up to rounding.
         rng = np.random.default_rng(17)
@@ -163,16 +153,14 @@ class TestBuildGp:
             elif trial % 3 == 2:      # user 1 a scaled copy of user 0
                 h[1] = rng.uniform(0.5, 2.0) * h[0]
             cfg = replace(cfg, eve_channels=h)
-            n = 1 + 2 * k
             for _ in range(5):
                 p = rng.uniform(0, 1, k) * cfg.power_budget
                 users = [int(u) for u in rng.permutation(k)[:rng.integers(0, k + 1)]]
-                x = np.concatenate([[1.0], p, np.full(k, 0.5)])
                 cov = rank_one_update_sum(
                     m, [(p[j] / cfg.eve_noise_total, h[j]) for j in users])
                 exact = 2.0 ** log2_det(cov)
-                det = _eve_det(cfg.gram_minors, users, n)
-                assert det.value(x) == pytest.approx(exact, rel=1e-12)
+                det = sum(minor * np.prod(p[list(t)]) for t, minor in cfg.eve_det_terms(users))
+                assert det == pytest.approx(exact, rel=1e-12)
 
 
 def _recondense_cases():
@@ -355,10 +343,10 @@ class TestSolveGp:
             num_users=1, labels=["obj", "box"],
             floors=np.array([1e-12, 1e-12, 1e-6]),
             caps=np.array([1e12, 1e12, 1.0]),
-            numerators=solver._stack([posynomial(3, [(1.0, {0: 1})]),
-                                      posynomial(3, [(0.5, {1: 1})])]),
-            denominators=solver._stack([posynomial(3, [(1.0, {1: 1})]),
-                                        posynomial(3, [(1.0, {})])]),
+            numerators=solver._stack([Posynomial([1.0], [1.0, 0.0, 0.0]),
+                                      Posynomial([0.5], [0.0, 1.0, 0.0])]),
+            denominators=solver._stack([Posynomial([1.0], [0.0, 1.0, 0.0]),
+                                        Posynomial([1.0], [0.0, 0.0, 0.0])]),
         ).recondensed(OperatingPoint(np.array([1.0]), np.array([0.5])))
         assert np.array_equal(gp.anchor, [1.0, 1.0, 0.5])
         lam, op, _ = solve_gp(gp)
@@ -630,6 +618,52 @@ def test_secure_condensation_is_inner(seed, num_users, num_eve_antennas,
             # The lambda exponent of every term of row k is alpha_k.
             bound = x[0] ** row.exponents[0, 0] * 2.0 ** -eff[k]
             assert row.value(x) >= bound * (1 - 1e-9)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), num_users=st.sampled_from([2, 3]),
+       num_eve_antennas=st.sampled_from([1, 2, 3]), parallel=st.booleans(),
+       mode=st.sampled_from([RELIABLE, SECURE]),
+       energy_model=st.sampled_from(list(EnergyModel)),
+       eh_fraction=st.floats(0.0, 0.9),
+       weights=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+                        min_size=3, max_size=3).filter(lambda w: w[0] + w[1] > 0))
+def test_uncondensed_rows_equal_exact_formulas(seed, num_users, num_eve_antennas,
+                                               parallel, mode, energy_model,
+                                               eh_fraction, weights):
+    # Away from any anchor, rate row k's numerator over its denominator is
+    # lambda^alpha_k 2^{-(R_k - R_Ek)} (R_Ek = 0 in reliable mode), and
+    # harvesting row k's numerator minus its denominator is psi_k - E_k.
+    rng = np.random.default_rng(seed)
+    cfg = random_config(rng, num_users=num_users, num_eve_antennas=num_eve_antennas,
+                        eh_fraction=eh_fraction, energy_model=energy_model)
+    if parallel:
+        h = cfg.eve_channels
+        cfg = replace(cfg, eve_channels=np.linalg.norm(h, axis=1)[:, None]
+                      * h[0] / np.linalg.norm(h[0]))
+    order = DecodingOrder(tuple(int(k) for k in rng.permutation(num_users)))
+    alpha = np.array(weights[:num_users]) / sum(weights[:num_users])
+    gp = build_gp(cfg, Weights(alpha), order, solver._feasible_start(cfg), mode)
+    for _ in range(25):
+        x = np.exp(rng.uniform(np.log(np.maximum(gp.floors, 2.0 ** -64)),
+                               np.log(gp.caps)))
+        x[0] = np.exp(rng.uniform(-3.0, 3.0))
+        powers, splits = x[1:num_users + 1], x[num_users + 1:]
+        num, den = (np.add.reduceat(np.exp(stack.a @ np.log(x) + stack.b), stack.starts)
+                    for stack in (gp.numerators, gp.denominators))
+        gap = metrics.tin_rates(cfg, powers, splits)
+        if mode == SECURE:
+            gap = gap - metrics.eve_leaks(cfg, powers, order)
+        energy = metrics.energies(cfg, powers, splits)
+        for i, label in enumerate(gp.labels):
+            k = int(label[label.index("[") + 1:-1])
+            if label.startswith("rate"):
+                assert np.log(num[i]) - np.log(den[i]) == pytest.approx(
+                    alpha[k] * np.log(x[0]) - np.log(2.0) * gap[k], rel=0.0, abs=1e-12)
+            else:
+                assert num[i] - den[i] == pytest.approx(
+                    cfg.eh_demands[k] - energy[k], rel=0.0,
+                    abs=1e-12 * max(1.0, num[i], den[i]))
 
 
 def _plain_mm_objective(cfg, weights, order, mode):
