@@ -147,7 +147,8 @@ def oracle_dominance(cfg, resolution):
     for (mode, order), alpha1 in product(runs, (0.25, 0.5, 0.75)):
         where = f"alpha1={alpha1}, {mode}" + (f" order {order.one_based()}" if order else "")
         weights = Weights.pair(alpha1)
-        # Solver first: it reports overflowed Gram minors, where the oracle raises.
+        # Solver first: overflowed Gram minors fail it with the message this
+        # check reports, before the oracle raises the same failure.
         try:
             rep = solver.iterate(cfg, weights, order, mode)
         except solver.InfeasibleError:

@@ -107,6 +107,7 @@ def run_sweep(args) -> int:
             entry = {"mode": mode, "eh_demands": [float(v) for v in psi],
                      "points": len(boundary.points),
                      "gp_solves": sum(pt.iterations for pt in boundary.points),
+                     "newton_steps": sum(pt.newton_steps for pt in boundary.points),
                      "failures": boundary.failures,
                      "non_monotone": [_where(pt) for pt in boundary.points
                                       if pt.non_monotone],

@@ -51,6 +51,7 @@ class BoundaryPoint:
     converged: bool
     non_monotone: bool         # the solve's GP optima decreased somewhere
     optimizer_failures: int    # unconverged interior-point runs
+    newton_steps: int          # Newton systems solved over the solve's GPs
 
 
 @dataclass
@@ -116,7 +117,8 @@ def sweep(cfg: SystemConfig, mode: str, psi=None, grid: int = 21) -> RegionBound
                 rates=render_rates(rep.rates), rates_raw=rep.rates.copy(),
                 op=rep.op, order=rep.order, iterations=rep.iterations,
                 converged=rep.converged, non_monotone=rep.non_monotone,
-                optimizer_failures=rep.optimizer_failures))
+                optimizer_failures=rep.optimizer_failures,
+                newton_steps=rep.newton_steps))
 
     hull = (time_share_hull([pt.rates for pt in points])
             if points else np.empty((0, 2)))
@@ -256,7 +258,8 @@ def oracle_grid_search(cfg: SystemConfig, mode: str, alpha: Weights,
     not at all) or where a rate is not finite are discarded.  The search
     then refines the powers once around the incumbent.  It shares only the
     eavesdropper's Gram minors with the GP, never a condensed row or the
-    optimizer.
+    optimizer.  Gram minors that overflow raise NumericalFailureError,
+    which chains the cause, as in iterate.
     """
     if cfg.num_users != 2:
         raise ValueError("the oracle is implemented for two users")
@@ -269,7 +272,10 @@ def oracle_grid_search(cfg: SystemConfig, mode: str, alpha: Weights,
     pmax = cfg.power_budget
 
     axes = [np.linspace(0.0, hi, resolution) for hi in pmax]
-    coarse = _oracle_pass(cfg, mode, alpha, order, *axes)
+    try:
+        coarse = _oracle_pass(cfg, mode, alpha, order, *axes)
+    except OverflowError as exc:
+        raise NumericalFailureError(f"{type(exc).__name__}: {exc}") from exc
     if coarse is None:
         raise NoFeasiblePointError(
             f"no grid point satisfies the harvesting demands {cfg.eh_demands}")

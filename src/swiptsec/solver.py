@@ -41,12 +41,14 @@ FLOOR_FRAC = 1e-6
 # Largest constraint violation a GP solution may keep.
 FEAS_TOL = 1e-8
 # Interior-point solve of each GP: the Newton-step budget; the duality gap
-# and row violation at which it stops; the barrier parameter of its start,
-# which also floors each starting slack; and how far the KKT error may
-# exceed the barrier parameter before that falls.
+# and row violation at which it stops; the barrier parameter of a cold start
+# and of a start from an earlier GP's multipliers, which also floors each
+# starting slack; and how far the KKT error may exceed the barrier parameter
+# before that falls.
 IPM_MAXITER = 50
 IPM_TOL = 1e-10
 IPM_MU0 = 1e-3
+IPM_MU_WARM = 1e-8
 IPM_KAPPA = 300.0
 # Largest SqS3 step length of the outer loop's extrapolated anchors.
 EXTRAP_MAX = 4.0
@@ -354,9 +356,10 @@ def _row_hessian(a, seg, shares, jac, weights) -> np.ndarray:
             - jac.T @ (weights[:, None] * jac))
 
 
-def _interior_point(a, b, starts, seg, y, lo, hi) -> tuple:
+def _interior_point(a, b, starts, seg, y, lo, hi, z=None) -> tuple:
     """Maximize y[0] subject to the stacked rows f(y) <= 0 and lo <= y <= hi,
-    from y; returns the last iterate and whether it converged.
+    from y; returns the last iterate, its multipliers, whether it converged
+    and the number of Newton systems solved.
 
     A primal-dual interior-point method in slack form, g(y) + s = 0 with
     g = [f; y - hi; lo - y], s >= 0 and multipliers z >= 0 (Boyd and
@@ -364,21 +367,27 @@ def _interior_point(a, b, starts, seg, y, lo, hi) -> tuple:
     s_i z_i = mu and solves the n x n system of sum_i z_i H_i +
     G^T diag(z/s) G plus the bound terms, with an absolute 1e-12 ridge that
     keeps a direction no row or bound curves (a split that nothing binds)
-    solvable.  The start need not meet the rows or the box: every pair
-    starts at s_i z_i = mu = IPM_MU0, with s = max(-g, IPM_MU0).  The
-    barrier parameter mu falls, superlinearly, only once the KKT error is
-    within IPM_KAPPA times mu (Waechter and Biegler, Math. Program. 2006).
-    Mehrotra's adaptive target (SIAM J. Optim. 1992) lets mu fall faster
-    than a violated row can follow: the slacks of the rows collapse while
-    the row is still violated and the steps stall, as when a split that
-    only its own harvesting row binds sinks towards its floor; floored by
-    this mu, its predictor-corrector saved 3 % of the steps at two solves a
-    step, and on one GP it cycled.  The primal and dual variables take the
-    same fraction of the step to the boundary.  The run converges when the
-    duality gap s^T z and every row's violation are at most IPM_TOL, so
-    y[0] is then within about IPM_TOL of the optimum; it ends unconverged
-    after IPM_MAXITER steps or at a singular Newton system.  Every bound in
-    lo and hi must be finite.
+    solvable.  The start need not meet the rows or the box.  A cold start
+    sets every pair at s_i z_i = mu = IPM_MU0, with s = max(-g, IPM_MU0).
+    Given the multipliers ``z`` of a nearby problem with the same rows (the
+    previous GP of a condensation loop), the run starts at mu = IPM_MU_WARM
+    with s = max(-g, mu) and z = max(z, mu / s), so it skips the barrier
+    schedule that the earlier problem already went through (Yildirim and
+    Wright, SIAM J. Optim. 2002).  The barrier parameter mu falls,
+    superlinearly, only once the KKT error is within IPM_KAPPA times mu
+    (Waechter and Biegler, Math. Program. 2006).  Mehrotra's adaptive target
+    (SIAM J. Optim. 1992) lets mu fall faster than a violated row can
+    follow: the slacks of the rows collapse while the row is still violated
+    and the steps stall, as when a split that only its own harvesting row
+    binds sinks towards its floor; floored by this mu, its
+    predictor-corrector saved 3 % of the steps at two solves a step, and on
+    one GP it cycled.  The primal and dual variables take the same fraction
+    of the step to the boundary.  The run converges when the duality gap
+    s^T z and every row's violation are at most IPM_TOL, so y[0] is then
+    within about IPM_TOL of the optimum; it ends unconverged after
+    IPM_MAXITER steps or at a Newton system that stays singular once its
+    diagonal is raised by 1e-15 times its largest entry.  Every bound in lo
+    and hi must be finite.
     """
     n, rows = y.size, starts.size
     upper, lower = slice(rows, rows + n), slice(rows + n, None)
@@ -394,10 +403,11 @@ def _interior_point(a, b, starts, seg, y, lo, hi) -> tuple:
         return 1.0 if most <= 1.0 else 1.0 / most
 
     g, shares = constraints(y)
-    s = np.maximum(-g, IPM_MU0)
-    z = IPM_MU0 / s
-    mu, mu_min = IPM_MU0, 0.1 * IPM_TOL / s.size
-    for _ in range(IPM_MAXITER):
+    mu = IPM_MU0 if z is None else IPM_MU_WARM
+    s = np.maximum(-g, mu)
+    z = mu / s if z is None else np.maximum(z, mu / s)
+    mu_min = 0.1 * IPM_TOL / s.size
+    for solved in range(IPM_MAXITER):
         jac = _row_jacobian(a, starts, shares)
         zf = z[:rows]
         r_d = jac.T @ zf + z[upper] - z[lower]
@@ -405,7 +415,7 @@ def _interior_point(a, b, starts, seg, y, lo, hi) -> tuple:
         r_p = g + s
         sz = s * z
         if sz.sum() <= IPM_TOL and g.max() <= IPM_TOL:
-            return y, True
+            return y, z, True, solved
         residual = max(np.abs(r_d).max(), np.abs(r_p).max())
         while mu > mu_min and max(residual, np.abs(sz - mu).max()) <= IPM_KAPPA * mu:
             mu = max(mu_min, min(0.2 * mu, mu ** 1.5))
@@ -413,10 +423,18 @@ def _interior_point(a, b, starts, seg, y, lo, hi) -> tuple:
         kkt = _row_hessian(a, seg, shares, jac, zf) + jac.T @ (d[:rows, None] * jac)
         kkt[diagonal] += d[upper] + d[lower] + 1e-12
         v = d * r_p - z + mu / s
+        rhs = v[lower] - v[upper] - jac.T @ v[:rows] - r_d
         try:
-            dy = np.linalg.solve(kkt, v[lower] - v[upper] - jac.T @ v[:rows] - r_d)
+            dy = np.linalg.solve(kkt, rhs)
         except np.linalg.LinAlgError:
-            return y, False
+            # A slack that collapsed to ~1e-17 puts a z/s of ~1e17 in the
+            # system, which swamps the other entries until elimination meets
+            # an exact zero pivot; a ridge at its rounding level removes it.
+            kkt[diagonal] += 1e-15 * np.abs(kkt).max()
+            try:
+                dy = np.linalg.solve(kkt, rhs)
+            except np.linalg.LinAlgError:
+                return y, z, False, solved
         jdy = np.concatenate([jac @ dy, dy, -dy])
         ds, dz = -(r_p + jdy), v + d * jdy
         step = max(0.99, 1.0 - mu) * min(max_step(s, ds), max_step(z, dz))
@@ -424,12 +442,23 @@ def _interior_point(a, b, starts, seg, y, lo, hi) -> tuple:
         s = s + step * ds
         z = z + step * dz
         g, shares = constraints(y)
-    return y, False
+    return y, z, False, IPM_MAXITER
 
 
-def solve_gp(gp: GpInstance) -> tuple:
-    """Maximize lambda over the GP from its anchor; returns (lambda,
-    OperatingPoint, failures).
+class GpSolution(tuple):
+    """The (lambda, OperatingPoint, failures) triple of solve_gp, which also
+    carries the interior-point run's multipliers (``duals``, None unless it
+    converged) and the Newton systems it solved (``newton_steps``)."""
+
+    def __new__(cls, lam, op, failures, duals, newton_steps):
+        solution = super().__new__(cls, (lam, op, failures))
+        solution.duals, solution.newton_steps = duals, newton_steps
+        return solution
+
+
+def solve_gp(gp: GpInstance, duals=None) -> GpSolution:
+    """Maximize lambda over the GP from its anchor; returns the (lambda,
+    OperatingPoint, failures) of a GpSolution.
 
     Solved as a smooth convex program in log variables y = log x over the
     GP's stacked rows by _interior_point, which needs a finite floor on log
@@ -437,11 +466,13 @@ def solve_gp(gp: GpInstance) -> tuple:
     the solve raises lambda from there.  Lambda is set in closed form at
     the anchor and at the solver's point, clipped to the box.  ``failures``
     is 1 when the interior-point run ended unconverged, and the solve then
-    returns to the anchor if the solver's point is worse.  A converged point
-    is the GP's optimum even where it lies below an anchor that violates a
-    row by up to FEAS_TOL.  Raises InfeasibleAnchorError when the anchor
-    violates a constraint by more than FEAS_TOL and NumericalFailureError
-    when the solver leaves one violated.
+    returns to the anchor if the solver's point is worse.  ``duals``, the
+    multipliers of a converged solve of a GP with the same rows, starts the
+    run from them; the solution carries the run's own, for the next GP.  A
+    converged point is the GP's optimum even where it lies below an anchor
+    that violates a row by up to FEAS_TOL.  Raises InfeasibleAnchorError
+    when the anchor violates a constraint by more than FEAS_TOL and
+    NumericalFailureError when the solver leaves one violated.
     """
     a, b, (_, _, starts, seg) = gp.a, gp.b, gp.numerators
     with np.errstate(divide="ignore"):      # a zero floor means no bound
@@ -453,7 +484,8 @@ def solve_gp(gp: GpInstance) -> tuple:
 
     floors = lo.copy()
     floors[0] = y0[0] - 1.0
-    y, converged = _interior_point(a, b, starts, seg, y0, floors, hi)
+    y, z, converged, steps = _interior_point(a, b, starts, seg, y0, floors, hi,
+                                             duals)
     y, worst = _exact_lambda(gp, np.clip(y, lo, hi))
     if not worst <= FEAS_TOL:
         raise NumericalFailureError(
@@ -463,7 +495,8 @@ def solve_gp(gp: GpInstance) -> tuple:
         y = y0
     x = np.exp(np.clip(y, lo, hi))
     kk = gp.num_users
-    return float(x[0]), OperatingPoint(x[1:kk + 1], x[kk + 1:]), int(not converged)
+    return GpSolution(float(x[0]), OperatingPoint(x[1:kk + 1], x[kk + 1:]),
+                      int(not converged), z if converged else None, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +516,8 @@ class SolveReport:
     GP is an inner approximation that is exact at its anchor, so in both
     modes the trace never decreases beyond solver tolerance;
     ``non_monotone`` flags a trace that does.  ``optimizer_failures`` sums solve_gp's failures over the
-    solve's GPs, and ``extrapolated`` counts the extrapolated anchors the
-    loop accepted.
+    solve's GPs, ``newton_steps`` their Newton steps, and ``extrapolated``
+    counts the extrapolated anchors the loop accepted.
     """
 
     lam: float
@@ -498,6 +531,7 @@ class SolveReport:
     order: Optional[DecodingOrder]
     rates: np.ndarray
     extrapolated: int
+    newton_steps: int
 
     @property
     def objective(self) -> float:
@@ -532,7 +566,9 @@ def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
     re-condenses the GP at the previous solution, or after every two GPs at
     the extrapolated anchor that _extrapolated accepts, until the GP
     optimum moves by at most EPS_CONV (relative) or MAX_ITERS GPs are
-    solved.  A solve ends in a report, InfeasibleError or
+    solved.  Every GP after the first starts its interior point from the
+    previous GP's multipliers, unless that run did not converge.  A solve
+    ends in a report, InfeasibleError or
     NumericalFailureError: an overflow, a vanishing or non-finite GP term
     or anchor, an infeasible start or anchor, and exact rates or an
     eavesdropper covariance at the final point that are not finite are
@@ -590,7 +626,8 @@ def _condensation_loop(cfg, alpha, order, mode, start) -> SolveReport:
     gp = build_gp(cfg, alpha, order, start, mode)
     thetas = [np.log(gp.anchor[1:])]
     trace = []
-    failures = extrapolated = 0
+    failures = extrapolated = newton_steps = 0
+    duals = None
     converged = False
     for i in range(MAX_ITERS):
         if i:
@@ -600,9 +637,12 @@ def _condensation_loop(cfg, alpha, order, mode, start) -> SolveReport:
                 gp, accepted = _extrapolated(gp, thetas)
                 extrapolated += accepted
                 thetas = [np.log(gp.anchor[1:])]
-        lam_gp, point, gp_failures = solve_gp(gp)
+        solution = solve_gp(gp, duals)
+        lam_gp, point, gp_failures = solution
+        duals = solution.duals
         trace.append(lam_gp)
         failures += gp_failures
+        newton_steps += solution.newton_steps
         if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= EPS_CONV * max(1.0, trace[-1]):
             converged = True
             break
@@ -637,4 +677,4 @@ def _condensation_loop(cfg, alpha, order, mode, start) -> SolveReport:
                        gaps=gaps, converged=converged,
                        non_monotone=non_monotone, optimizer_failures=failures,
                        order=order if mode == SECURE else None, rates=eff,
-                       extrapolated=extrapolated)
+                       extrapolated=extrapolated, newton_steps=newton_steps)

@@ -237,7 +237,8 @@ def test_report_lists_optimizer_failures(scenario, tmp_path, monkeypatch):
     interior_point = solver._interior_point
 
     def unconverged(*args):
-        return interior_point(*args)[0], False
+        y, z, _, steps = interior_point(*args)
+        return y, z, False, steps
 
     monkeypatch.setattr(solver, "_interior_point", unconverged)
     out = tmp_path / "o"
@@ -264,6 +265,24 @@ def test_report_counts_gp_solves(tmp_path):
     [run] = json.loads((out / "report.json").read_text())["runs"]
     [csv_path] = out.glob("boundary_secure_*.csv")
     assert run["gp_solves"] == sum(int(row["iterations"]) for row in read_rows(csv_path))
+
+
+def test_report_counts_newton_steps(scenario, tmp_path, monkeypatch):
+    # newton_steps sums the Newton systems of every interior-point run.
+    interior_point = solver._interior_point
+    steps = []
+
+    def counted(*args):
+        result = interior_point(*args)
+        steps.append(result[-1])
+        return result
+
+    monkeypatch.setattr(solver, "_interior_point", counted)
+    out = tmp_path / "o"
+    assert main(["sweep", "--scenario", str(scenario), "--mode", "reliable",
+                 "--grid", "3", "--out", str(out)]) == 0
+    [run] = json.loads((out / "report.json").read_text())["runs"]
+    assert run["newton_steps"] == sum(steps) > 0
 
 
 def exit_code(argv):

@@ -337,6 +337,18 @@ class TestOracle:
         assert np.isfinite(res.objective)
         assert np.all(np.isfinite(res.rates))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_gram_minors_fail_numerically(self):
+        # Eve's noise x1e279 and channels x1e229 overflow the Gram minors'
+        # normalisation: a secure search fails as a solve does, not with a
+        # bare OverflowError.
+        weak = weak_interference()
+        cfg = replace(weak, eve_antenna_noise_var=weak.eve_antenna_noise_var * 1e279,
+                      eve_channels=weak.eve_channels * 1e229)
+        with pytest.raises(NumericalFailureError) as caught:
+            oracle_grid_search(cfg, SECURE, Weights.pair(0.5), resolution=11)
+        assert isinstance(caught.value.__cause__, OverflowError)
+
     @pytest.mark.parametrize("psi", [(0.8,), (np.nan, np.nan), (-1.0, -1.0),
                                      (0.8, 0.8, 0.8)])
     def test_invalid_demand_override_rejected(self, psi):
