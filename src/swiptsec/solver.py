@@ -448,12 +448,18 @@ def _interior_point(a, b, starts, seg, y, lo, hi, z=None) -> tuple:
 class GpSolution(tuple):
     """The (lambda, OperatingPoint, failures) triple of solve_gp, which also
     carries the interior-point run's multipliers (``duals``, None unless it
-    converged) and the Newton systems it solved (``newton_steps``)."""
+    converged), the Newton systems it solved (``newton_steps``) and the log
+    of lambda (``log_lam``), finite also where lambda underflows to 0.0."""
 
-    def __new__(cls, lam, op, failures, duals, newton_steps):
+    def __new__(cls, lam, op, failures, duals, newton_steps, log_lam):
         solution = super().__new__(cls, (lam, op, failures))
         solution.duals, solution.newton_steps = duals, newton_steps
+        solution.log_lam = log_lam
         return solution
+
+    def __getnewargs__(self):
+        # Copies and pickles rebuild the solution through __new__.
+        return (*self, self.duals, self.newton_steps, self.log_lam)
 
 
 def solve_gp(gp: GpInstance, duals=None) -> GpSolution:
@@ -464,8 +470,11 @@ def solve_gp(gp: GpInstance, duals=None) -> GpSolution:
     GP's stacked rows by _interior_point, which needs a finite floor on log
     lambda as well: its value at the anchor minus 1, which never binds, as
     the solve raises lambda from there.  Lambda is set in closed form at
-    the anchor and at the solver's point, clipped to the box.  ``failures``
-    is 1 when the interior-point run ended unconverged, and the solve then
+    the anchor and at the solver's point, clipped to the box; it is 0.0 when
+    the optimum lies below the smallest float, as a negative secrecy gap
+    divided by a weight of ~1e-6 puts it, and the solution's ``log_lam``
+    then still holds the optimum.  ``failures`` is 1 when the
+    interior-point run ended unconverged, and the solve then
     returns to the anchor if the solver's point is worse.  ``duals``, the
     multipliers of a converged solve of a GP with the same rows, starts the
     run from them; the solution carries the run's own, for the next GP.  A
@@ -493,10 +502,12 @@ def solve_gp(gp: GpInstance, duals=None) -> GpSolution:
     if not converged and y[0] < y0[0] - 1e-9:
         # An unfinished run never regresses below the starting point.
         y = y0
-    x = np.exp(np.clip(y, lo, hi))
+    y = np.clip(y, lo, hi)
+    x = np.exp(y)
     kk = gp.num_users
     return GpSolution(float(x[0]), OperatingPoint(x[1:kk + 1], x[kk + 1:]),
-                      int(not converged), z if converged else None, steps)
+                      int(not converged), z if converged else None, steps,
+                      float(y[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -565,10 +576,10 @@ def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
     anchor, so every iterate then stays feasible.  Each later iteration
     re-condenses the GP at the previous solution, or after every two GPs at
     the extrapolated anchor that _extrapolated accepts, until the GP
-    optimum moves by at most EPS_CONV (relative) or MAX_ITERS GPs are
-    solved.  Every GP after the first starts its interior point from the
-    previous GP's multipliers, unless that run did not converge.  A solve
-    ends in a report, InfeasibleError or
+    optimum is above 0.0 and moves by at most EPS_CONV (relative) or
+    MAX_ITERS GPs are solved.  Every GP after the first starts its interior
+    point from the previous GP's multipliers, unless that run did not
+    converge.  A solve ends in a report, InfeasibleError or
     NumericalFailureError: an overflow, a vanishing or non-finite GP term
     or anchor, an infeasible start or anchor, and exact rates or an
     eavesdropper covariance at the final point that are not finite are
@@ -643,7 +654,10 @@ def _condensation_loop(cfg, alpha, order, mode, start) -> SolveReport:
         trace.append(lam_gp)
         failures += gp_failures
         newton_steps += solution.newton_steps
-        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= EPS_CONV * max(1.0, trace[-1]):
+        # Relative also below lambda = 1, where a negative secrecy gap puts
+        # it; a lambda that underflowed to 0.0 has not converged.
+        if (len(trace) >= 2 and lam_gp > 0.0
+                and abs(trace[-1] - trace[-2]) <= EPS_CONV * lam_gp):
             converged = True
             break
 

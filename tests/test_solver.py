@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import replace
@@ -421,6 +423,17 @@ class TestSolveGp:
         oracle = oracle_grid_search(cfg, RELIABLE, Weights.pair(0.25))
         assert rep.objective >= oracle.objective - 1e-9
 
+    def test_solution_copies_and_pickles(self):
+        gp = build_gp(weak_interference(), Weights.pair(0.5), ORDER12,
+                      OperatingPoint(np.ones(2), np.full(2, 0.5)), RELIABLE)
+        solution = solve_gp(gp)
+        for other in (copy.copy(solution), copy.deepcopy(solution),
+                      pickle.loads(pickle.dumps(solution))):
+            assert other[0] == solution[0] and other[2] == solution[2]
+            assert other.newton_steps == solution.newton_steps
+            assert other.log_lam == solution.log_lam
+            assert np.array_equal(other.duals, solution.duals)
+
     @pytest.mark.parametrize("tiny", [1e-300, 1e-30, 1e-12])
     def test_tiny_weight_keeps_lambda(self, tiny):
         # Setting lambda in closed form divides each rate row by its weight;
@@ -536,6 +549,22 @@ class TestIterate:
             corner = secrecy_corner(cfg, rep.op, order)
             assert np.allclose(rep.rates, corner.per_user, atol=1e-12)
 
+    def test_underflowed_lambda_does_not_end_the_loop(self):
+        # From this start a 1.4e-6 weight on a negative secrecy gap puts the
+        # first GPs' optimum far below the smallest float (log lambda about
+        # -8440), so their lambda is 0.0; the loop goes on until a positive
+        # lambda settles.
+        rng = np.random.default_rng(22745)
+        cfg = random_config(rng, num_users=3, eh_fraction=0.0625)
+        order = DecodingOrder(tuple(int(k) for k in rng.permutation(3)))
+        start = OperatingPoint(0.05 * cfg.power_budget, np.full(3, 0.05))
+        alpha = np.array([0.7, 1e-6, 0.0])
+        rep = iterate(cfg, Weights(alpha / alpha.sum()), order, SECURE, start=start)
+        trace = rep.lam_trace
+        assert trace[0] == 0.0
+        assert rep.converged and trace[-1] > 0.0
+        assert abs(trace[-1] - trace[-2]) <= solver.EPS_CONV * trace[-1]
+
     def test_respects_iteration_budget(self, monkeypatch):
         monkeypatch.setattr(solver, "MAX_ITERS", 2)
         rep = iterate(weak_interference(), Weights.pair(0.5), None, RELIABLE)
@@ -578,6 +607,8 @@ class TestIterate:
        weights=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
                         min_size=3, max_size=3).filter(lambda w: w[0] + w[1] > 0),
        anchor_frac=st.floats(0.05, 1.0))
+@example(seed=0, num_users=3, mode=SECURE, eh_fraction=0.0,
+         weights=[0.0, 1.0, 1e-6], anchor_frac=0.25)
 @example(seed=22745, num_users=3, mode=SECURE, eh_fraction=0.06254498702348564,
          weights=[0.7, 1e-6, 0.0], anchor_frac=0.05)
 def test_solve_gp_feasible_and_rate_row_tight(seed, num_users, mode, eh_fraction,
@@ -590,25 +621,20 @@ def test_solve_gp_feasible_and_rate_row_tight(seed, num_users, mode, eh_fraction
     alpha = np.array(weights[:num_users])
     gp = build_gp(cfg, Weights(alpha / alpha.sum()), order, anchor, mode)
     try:
-        lam, op, _ = solve_gp(gp)
+        solution = solve_gp(gp)
     except InfeasibleAnchorError:
         # Only a missed demand makes an anchor infeasible.
         assert max(c.value(gp.anchor) for c, label in zip(gp.constraints, gp.labels)
                    if label.startswith("eh")) > 1.0 + 1e-8
         return
-    if lam == 0.0:
-        # A rate row with a weight of ~1e-6 and a negative secrecy gap puts
-        # the optimum far below the smallest float (log lambda ~ -8400 in the
-        # example): no lambda makes that row tight, so check that the
-        # closed-form lambda at the point does underflow and that the point
-        # meets every row there.
-        y, worst = solver._exact_lambda(
-            gp, np.log(np.concatenate([[1.0], op.powers, op.splits])))
-        assert y[0] < np.log(np.finfo(float).smallest_subnormal)
-        assert worst <= solver.FEAS_TOL
-        return
-    x = np.concatenate([[lam], op.powers, op.splits])
-    values = np.array([c.value(x) for c in gp.constraints])
+    lam, op, _ = solution
+    # The rows are evaluated in log space at the solution's log lambda: in
+    # the pinned examples a ~1e-6 weight on a negative secrecy gap puts the
+    # optimum's log lambda near -8440 and -45700, where lambda is 0.0.
+    assert np.exp(solution.log_lam) == lam
+    log_x = np.concatenate([[solution.log_lam], np.log(op.powers), np.log(op.splits)])
+    values = np.exp([np.logaddexp.reduce(np.log(c.coeffs) + c.exponents @ log_x)
+                     for c in gp.constraints])
     rate = np.array([label.startswith("rate") for label in gp.labels])
     assert np.all(values <= 1.0 + 1e-8)
     assert abs(values[rate].max() - 1.0) <= 1e-9
