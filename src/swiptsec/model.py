@@ -250,12 +250,14 @@ class OperatingPoint:
         if self.powers.ndim != 1 or self.splits.shape != self.powers.shape:
             raise ConfigError([(DIMENSION_MISMATCH, "splits",
                                 f"powers {self.powers.shape} vs splits {self.splits.shape}")])
+        # Whole-array tests, which NaN fails too; per-index errors on failure.
+        if (self.powers >= 0).all() and ((self.splits >= 0) & (self.splits <= 1)).all():
+            return
         bad = [(BAD_VALUE, f"powers[{i}]", f"must be >= 0, got {x}")
                for i, x in enumerate(self.powers) if not x >= 0]
         bad += [(BAD_VALUE, f"splits[{i}]", f"must be in [0, 1], got {x}")
                 for i, x in enumerate(self.splits) if not 0 <= x <= 1]
-        if bad:
-            raise ConfigError(bad)
+        raise ConfigError(bad)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ convex, by a primal-dual interior-point method.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import weakref
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -208,10 +209,10 @@ def variable_box(cfg: SystemConfig) -> tuple:
 class GpInstance:
     """One condensed geometric program: maximize lambda subject to
     posynomial(x) <= 1 constraints over x = (lambda, p, eta) between
-    ``floors`` and ``caps``.  Each row is a ratio: a and b, condensed at
-    ``anchor``, share starts and seg with the anchor-free ``numerators``,
-    and row i's denominator is the i-th of the ``denominators``, which
-    recondensed condenses at a new anchor.
+    ``floors`` and ``caps`` (whose logs are ``log_box``).  Each row is a
+    ratio: a and b, condensed at ``anchor``, share starts and seg with the
+    anchor-free ``numerators``, and row i's denominator is the i-th of the
+    ``denominators``, which recondensed condenses at a new anchor.
     """
 
     num_users: int
@@ -223,6 +224,11 @@ class GpInstance:
     anchor: Optional[np.ndarray] = None
     a: Optional[np.ndarray] = None
     b: Optional[np.ndarray] = None
+    log_box: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        with np.errstate(divide="ignore"):      # a zero floor means no bound
+            object.__setattr__(self, "log_box", (np.log(self.floors), np.log(self.caps)))
 
     @property
     def constraints(self) -> list:
@@ -230,6 +236,12 @@ class GpInstance:
         cut = self.numerators.starts[1:]
         return [Posynomial(np.exp(b), a)
                 for a, b in zip(np.split(self.a, cut), np.split(self.b, cut))]
+
+    def _replaced(self, **changes) -> "GpInstance":
+        # dataclasses.replace without running __init__ and __post_init__ again.
+        gp = object.__new__(GpInstance)
+        gp.__dict__.update(self.__dict__, **changes)
+        return gp
 
     def recondensed(self, anchor: OperatingPoint) -> "GpInstance":
         """The same GP with every denominator condensed at ``anchor``: each
@@ -240,8 +252,13 @@ class GpInstance:
             raise InfeasibleAnchorError(f"anchor must be finite and > 0, got {x}")
         exponents, log_coefs = _condense(self.denominators, np.log(x))
         num = self.numerators
-        return replace(self, anchor=x, a=num.a - exponents[num.seg],
-                       b=num.b - log_coefs[num.seg])
+        return self._replaced(anchor=x, a=num.a - exponents[num.seg],
+                              b=num.b - log_coefs[num.seg])
+
+
+# Per config object, dropped with it: the _feasible_start point, and the
+# _weight_free_rows of each mode, decoding order and set of weighted users.
+_CONFIG_CACHE = weakref.WeakKeyDictionary()
 
 
 def _terms(coeffs, exponents) -> tuple:
@@ -267,19 +284,37 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
     harvesting constraint (skipped when it is vacuous for every feasible
     point); the box of variable_box bounds the variables.  Each row's terms
     come straight from the gains, noises, harvest offsets and Gram minors.
-    Only the condensed denominators depend on the anchor;
-    GpInstance.recondensed moves it.  User k's secrecy row is lambda^alpha_k
-    A_k E(S + k) <= D_k E(S), where R_k = log2(D_k / A_k), S holds the users
-    decoded after k and E is the eavesdropper determinant, whose terms are
-    SystemConfig.eve_det_terms.  Lambda's anchor value is 1; solve_gp sets
-    it.
+    User k's secrecy row is lambda^alpha_k A_k E(S + k) <= D_k E(S), where
+    R_k = log2(D_k / A_k), S holds the users decoded after k and E is the
+    eavesdropper determinant, whose terms are SystemConfig.eve_det_terms.
+    The weights are only lambda's exponents in the rate rows, set on the
+    cached _weight_free_rows, and the anchor only enters the condensed
+    denominators, which GpInstance.recondensed moves.  Lambda's anchor
+    value is 1; solve_gp sets it.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    support = alpha.alpha > 0
+    key = (mode, order.users if mode == SECURE else None, support.tobytes())
+    cache = _CONFIG_CACHE.setdefault(cfg, {})
+    if key not in cache:
+        cache[key] = _weight_free_rows(cfg, support, order, mode)
+    unanchored, lam = cache[key]
+    num = unanchored.numerators
+    a = num.a.copy()
+    a[:, 0] = lam @ alpha.alpha
+    return unanchored._replaced(numerators=num._replace(a=a)).recondensed(anchor)
+
+
+def _weight_free_rows(cfg: SystemConfig, support, order: DecodingOrder,
+                      mode: str) -> tuple:
+    """build_gp's unanchored GP for the users in ``support`` with lambda's
+    exponent 0 in every term, and the 0/1 matrix that maps the weights to
+    lambda's exponents: user k's weight in each term of its rate row."""
     kk = cfg.num_users
     unit = np.eye(1 + 2 * kk)
-    lam, p_rows, eta_rows = unit[0], unit[1:kk + 1], unit[kk + 1:]
-    none = np.zeros_like(lam)
+    p_rows, eta_rows = unit[1:kk + 1], unit[kk + 1:]
+    none = np.zeros(1 + 2 * kk)
     g = cfg.gain_powers
     c_eh, d_eh = cfg.harvest_offsets
 
@@ -288,22 +323,22 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
         return _terms(np.array([minor for _, minor in terms]),
                       np.array([p_rows[list(t)].sum(axis=0) for t, _ in terms]))
 
-    rows = []   # (numerator, denominator, label)
+    rows = []   # (numerator, denominator, label, user of a rate row or -1)
     for k in range(kk):
         eta = eta_rows[k]
-        if alpha.alpha[k] > 0:
+        if support[k]:
             # D_k = sig^2 + eta_k (rho^2 + sum_j g_kj p_j); A_k lacks j = k.
             others = [j for j in range(kk) if j != k]
             coeffs = np.concatenate([[cfg.processing_noise_vars[k],
                                       cfg.antenna_noise_vars[k]], g[k, others], [g[k, k]]])
             exponents = np.vstack([none, eta, eta + p_rows[others], eta + p_rows[k]])
-            num = _terms(coeffs[:-1], exponents[:-1] + alpha.alpha[k] * lam)
+            num = _terms(coeffs[:-1], exponents[:-1])
             den = _terms(coeffs, exponents)
             if mode == SECURE:
                 after = list(order.users[order.users.index(k) + 1:])
                 num = _times(num, eve_det(after + [k]))
                 den = _times(den, eve_det(after))
-            rows.append((num, den, f"rate[{k}]"))
+            rows.append((num, den, f"rate[{k}]", k))
 
         # psi <= c + (1 - eta)(T + d)  <=>  (psi - c) + eta d + eta T <= T + d;
         # vacuous whenever psi <= c because eta <= 1.
@@ -312,14 +347,15 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
             num = _terms(np.concatenate([[psi - c_eh[k], d_eh[k]], g[k]]),
                          np.vstack([none, eta, eta + p_rows]))
             den = _terms(np.append(g[k], d_eh[k]), np.vstack([p_rows, none]))
-            rows.append((num, den, f"eh[{k}]"))
+            rows.append((num, den, f"eh[{k}]", -1))
 
-    nums, dens, labels = zip(*rows)
+    nums, dens, labels, users = zip(*rows)
     floors, caps = variable_box(cfg)
-    unanchored = GpInstance(num_users=kk, labels=list(labels), floors=floors,
-                            caps=caps, numerators=_stack(nums),
-                            denominators=_stack(dens))
-    return unanchored.recondensed(anchor)
+    gp = GpInstance(num_users=kk, labels=list(labels), floors=floors, caps=caps,
+                    numerators=_stack(nums), denominators=_stack(dens))
+    for shared in (*gp.numerators, *gp.denominators, floors, caps):
+        shared.setflags(write=False)
+    return gp, (np.array(users)[gp.numerators.seg, None] == np.arange(kk)) * 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +384,15 @@ def _exact_lambda(gp: GpInstance, y) -> tuple:
     return tight, float(_log_posynomials(gp.a, gp.b, starts, seg, tight)[0].max())
 
 
-def _row_hessian(a, seg, shares, jac, weights) -> np.ndarray:
-    """sum_i weights_i H_i, with H_i = A_i^T diag(c_i) A_i - g_i g_i^T the
-    Hessian of row i: A_i its exponents, c_i its term shares, g_i its
-    gradient (the row of ``jac``)."""
+def _row_hessian(a, seg, shares, jac, weights, gram=None) -> np.ndarray:
+    """A^T diag(weights_seg c) A + jac^T diag(gram) jac over the stacked
+    exponents A and term shares c; the default gram = -weights gives
+    sum_i weights_i H_i, with H_i = A_i^T diag(c_i) A_i - g_i g_i^T the
+    Hessian of row i and g_i its gradient (the row of ``jac``)."""
+    if gram is None:
+        gram = -weights
     return (a.T @ ((weights[seg] * shares)[:, None] * a)
-            - jac.T @ (weights[:, None] * jac))
+            + jac.T @ (gram[:, None] * jac))
 
 
 def _interior_point(a, b, starts, seg, y, lo, hi, z=None) -> tuple:
@@ -364,83 +403,80 @@ def _interior_point(a, b, starts, seg, y, lo, hi, z=None) -> tuple:
     A primal-dual interior-point method in slack form, g(y) + s = 0 with
     g = [f; y - hi; lo - y], s >= 0 and multipliers z >= 0 (Boyd and
     Vandenberghe, Convex Optimization, 11.7).  Each Newton step targets
-    s_i z_i = mu and solves the n x n system of sum_i z_i H_i +
-    G^T diag(z/s) G plus the bound terms, with an absolute 1e-12 ridge that
-    keeps a direction no row or bound curves (a split that nothing binds)
-    solvable.  The start need not meet the rows or the box.  A cold start
-    sets every pair at s_i z_i = mu = IPM_MU0, with s = max(-g, IPM_MU0).
-    Given the multipliers ``z`` of a nearby problem with the same rows (the
-    previous GP of a condensation loop), the run starts at mu = IPM_MU_WARM
-    with s = max(-g, mu) and z = max(z, mu / s), so it skips the barrier
-    schedule that the earlier problem already went through (Yildirim and
-    Wright, SIAM J. Optim. 2002).  The barrier parameter mu falls,
-    superlinearly, only once the KKT error is within IPM_KAPPA times mu
-    (Waechter and Biegler, Math. Program. 2006).  Mehrotra's adaptive target
-    (SIAM J. Optim. 1992) lets mu fall faster than a violated row can
-    follow: the slacks of the rows collapse while the row is still violated
-    and the steps stall, as when a split that only its own harvesting row
-    binds sinks towards its floor; floored by this mu, its
-    predictor-corrector saved 3 % of the steps at two solves a step, and on
-    one GP it cycled.  The primal and dual variables take the same fraction
-    of the step to the boundary.  The run converges when the duality gap
-    s^T z and every row's violation are at most IPM_TOL, so y[0] is then
-    within about IPM_TOL of the optimum; it ends unconverged after
-    IPM_MAXITER steps or at a Newton system that stays singular once its
-    diagonal is raised by 1e-15 times its largest entry.  Every bound in lo
-    and hi must be finite.
+    s_i z_i = mu and solves the n x n system sum_i z_i H_i + G^T diag(z/s) G
+    (G the Jacobian of g), one product over the rows' terms and one over G,
+    plus an absolute 1e-12 ridge that keeps a direction no row or bound
+    curves (a split that nothing binds) solvable.  The start need not meet
+    the rows or the box.  A cold start sets every pair at s_i z_i = mu =
+    IPM_MU0, with s = max(-g, IPM_MU0).  Given the multipliers ``z`` of a
+    nearby problem with the same rows (the previous GP of a condensation
+    loop), the run starts at mu = IPM_MU_WARM with s = max(-g, mu) and
+    z = max(z, mu / s), so it skips the barrier schedule that the earlier
+    problem already went through (Yildirim and Wright, SIAM J. Optim.
+    2002).  The barrier parameter mu falls, superlinearly, only once the KKT
+    error is within IPM_KAPPA times mu (Waechter and Biegler, Math. Program.
+    2006).  Mehrotra's adaptive target (SIAM J. Optim. 1992) lets mu fall
+    faster than a violated row can follow: the slacks of the rows collapse
+    while the row is still violated and the steps stall, as when a split
+    that only its own harvesting row binds sinks towards its floor; floored
+    by this mu, its predictor-corrector saved 3 % of the steps at two solves
+    a step, and on one GP it cycled.  s and z live in one vector, so one
+    ratio test gives both the same fraction of the step to the boundary.
+    The run converges when the duality gap s^T z and every row's violation
+    are at most IPM_TOL, so y[0] is then within about IPM_TOL of the
+    optimum; it ends unconverged after IPM_MAXITER steps or at a Newton
+    system that stays singular once its diagonal is raised by 1e-15 times
+    its largest entry.  Every bound in lo and hi must be finite.
     """
     n, rows = y.size, starts.size
-    upper, lower = slice(rows, rows + n), slice(rows + n, None)
-    diagonal = np.diag_indices(n)
+    m = rows + 2 * n
+    jac = np.vstack([np.empty((rows, n)), np.eye(n), -np.eye(n)])   # G = [J; I; -I]
+    is_row = np.arange(m) < rows
 
     def constraints(y):
         f, shares = _log_posynomials(a, b, starts, seg, y)
         return np.concatenate([f, y - hi, lo - y]), shares
 
-    def max_step(v, dv):
-        # Largest step in (0, 1] that keeps v + step * dv >= 0, for v > 0.
-        most = -(dv / v).min()
-        return 1.0 if most <= 1.0 else 1.0 / most
-
     g, shares = constraints(y)
     mu = IPM_MU0 if z is None else IPM_MU_WARM
     s = np.maximum(-g, mu)
-    z = mu / s if z is None else np.maximum(z, mu / s)
-    mu_min = 0.1 * IPM_TOL / s.size
+    sz = np.concatenate([s, mu / s if z is None else np.maximum(z, mu / s)])
+    s, z = sz[:m], sz[m:]
+    mu_min = 0.1 * IPM_TOL / m
     for solved in range(IPM_MAXITER):
-        jac = _row_jacobian(a, starts, shares)
-        zf = z[:rows]
-        r_d = jac.T @ zf + z[upper] - z[lower]
+        jac[:rows] = _row_jacobian(a, starts, shares)
+        r_d = jac.T @ z
         r_d[0] -= 1.0                       # the cost is -y[0]
         r_p = g + s
-        sz = s * z
-        if sz.sum() <= IPM_TOL and g.max() <= IPM_TOL:
+        gap = s * z
+        if gap.sum() <= IPM_TOL and g.max() <= IPM_TOL:
             return y, z, True, solved
         residual = max(np.abs(r_d).max(), np.abs(r_p).max())
-        while mu > mu_min and max(residual, np.abs(sz - mu).max()) <= IPM_KAPPA * mu:
+        while mu > mu_min and max(residual, np.abs(gap - mu).max()) <= IPM_KAPPA * mu:
             mu = max(mu_min, min(0.2 * mu, mu ** 1.5))
         d = z / s
-        kkt = _row_hessian(a, seg, shares, jac, zf) + jac.T @ (d[:rows, None] * jac)
-        kkt[diagonal] += d[upper] + d[lower] + 1e-12
+        kkt = _row_hessian(a, seg, shares, jac, z, d - is_row * z)
+        kkt.flat[::n + 1] += 1e-12
         v = d * r_p - z + mu / s
-        rhs = v[lower] - v[upper] - jac.T @ v[:rows] - r_d
+        rhs = -(jac.T @ v) - r_d
         try:
             dy = np.linalg.solve(kkt, rhs)
         except np.linalg.LinAlgError:
             # A slack that collapsed to ~1e-17 puts a z/s of ~1e17 in the
             # system, which swamps the other entries until elimination meets
             # an exact zero pivot; a ridge at its rounding level removes it.
-            kkt[diagonal] += 1e-15 * np.abs(kkt).max()
+            kkt.flat[::n + 1] += 1e-15 * np.abs(kkt).max()
             try:
                 dy = np.linalg.solve(kkt, rhs)
             except np.linalg.LinAlgError:
                 return y, z, False, solved
-        jdy = np.concatenate([jac @ dy, dy, -dy])
-        ds, dz = -(r_p + jdy), v + d * jdy
-        step = max(0.99, 1.0 - mu) * min(max_step(s, ds), max_step(z, dz))
+        jdy = jac @ dy
+        dsz = np.concatenate([-(r_p + jdy), v + d * jdy])
+        # 1 / max(1, -min(dsz / sz)) is the longest step in (0, 1] that keeps
+        # s and z >= 0.
+        step = max(0.99, 1.0 - mu) / max(-(dsz / sz).min(), 1.0)
         y = y + step * dy
-        s = s + step * ds
-        z = z + step * dz
+        sz += step * dsz
         g, shares = constraints(y)
     return y, z, False, IPM_MAXITER
 
@@ -484,8 +520,7 @@ def solve_gp(gp: GpInstance, duals=None) -> GpSolution:
     NumericalFailureError when the solver leaves one violated.
     """
     a, b, (_, _, starts, seg) = gp.a, gp.b, gp.numerators
-    with np.errstate(divide="ignore"):      # a zero floor means no bound
-        lo, hi = np.log(gp.floors), np.log(gp.caps)
+    lo, hi = gp.log_box
 
     y0, worst = _exact_lambda(gp, np.log(gp.anchor))
     if not worst <= FEAS_TOL:
@@ -553,15 +588,18 @@ class SolveReport:
 def _feasible_start(cfg: SystemConfig) -> OperatingPoint:
     """Full power, and each split at min(0.5, max_splits at full power): a
     point that satisfies every constraint, as harvested energy grows with
-    every power.  A demand that is not below max_deliverable_energy raises
-    InfeasibleError."""
-    short = infeasible_demands(cfg)
-    if short.size:
-        raise InfeasibleError(
-            f"users {short.tolist()} demand {cfg.eh_demands[short]}, not below "
-            f"the max_deliverable_energy {max_deliverable_energy(cfg)[short]}")
-    splits = max_splits(cfg, cfg.power_budget)
-    return OperatingPoint(cfg.power_budget.copy(), np.minimum(splits, 0.5))
+    every power; computed once per config.  A demand that is not below
+    max_deliverable_energy raises InfeasibleError."""
+    cache = _CONFIG_CACHE.setdefault(cfg, {})
+    if "start" not in cache:
+        short = infeasible_demands(cfg)
+        if short.size:
+            raise InfeasibleError(
+                f"users {short.tolist()} demand {cfg.eh_demands[short]}, not below "
+                f"the max_deliverable_energy {max_deliverable_energy(cfg)[short]}")
+        splits = max_splits(cfg, cfg.power_budget)
+        cache["start"] = OperatingPoint(cfg.power_budget, np.minimum(splits, 0.5))
+    return cache["start"]
 
 
 def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
@@ -621,8 +659,8 @@ def _extrapolated(gp: GpInstance, thetas) -> tuple:
     if step >= -1.0:
         return gp, False
     kk = gp.num_users
-    x = np.exp(np.clip(theta0 - 2.0 * step * r + step ** 2 * v,
-                       np.log(gp.floors[1:]), np.log(gp.caps[1:])))
+    lo, hi = gp.log_box
+    x = np.exp(np.clip(theta0 - 2.0 * step * r + step ** 2 * v, lo[1:], hi[1:]))
     try:
         candidate = gp.recondensed(OperatingPoint(x[:kk], x[kk:]))
     except (ArithmeticError, NonPositiveTermError, InfeasibleAnchorError):

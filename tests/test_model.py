@@ -79,6 +79,50 @@ def test_operating_point_bounds():
         OperatingPoint(np.array([1.0, 1.0]), np.array([0.5, 1.5]))
 
 
+def _bad(field, i, rule, x):
+    return ("BadValue", f"{field}[{i}]", f"must be {rule}, got {x}")
+
+
+@pytest.mark.parametrize("powers,splits,violations", [
+    pytest.param([np.nan, 1.0], [0.5, 0.5], [_bad("powers", 0, ">= 0", "nan")],
+                 id="nan-power"),
+    pytest.param([1.0, 1.0], [0.5, np.nan], [_bad("splits", 1, "in [0, 1]", "nan")],
+                 id="nan-split"),
+    pytest.param([1.0, -0.1], [0.5, 0.5], [_bad("powers", 1, ">= 0", "-0.1")],
+                 id="negative-power"),
+    pytest.param([-np.inf], [0.0], [_bad("powers", 0, ">= 0", "-inf")],
+                 id="minus-inf-power"),
+    pytest.param([1.0, 1.0], [0.5, 1.5], [_bad("splits", 1, "in [0, 1]", "1.5")],
+                 id="split-above-one"),
+    pytest.param([1.0, 1.0], [-0.25, 0.5], [_bad("splits", 0, "in [0, 1]", "-0.25")],
+                 id="split-below-zero"),
+    pytest.param([-1.0, np.nan, 2.0], [1.0 + 1e-12, -0.0, np.inf],
+                 [_bad("powers", 0, ">= 0", "-1.0"), _bad("powers", 1, ">= 0", "nan"),
+                  _bad("splits", 0, "in [0, 1]", "1.000000000001"),
+                  _bad("splits", 2, "in [0, 1]", "inf")], id="several"),
+    pytest.param([1.0, 1.0], [0.5],
+                 [("DimensionMismatch", "splits", "powers (2,) vs splits (1,)")],
+                 id="shape"),
+    pytest.param([[1.0], [1.0]], [[0.5], [0.5]],
+                 [("DimensionMismatch", "splits", "powers (2, 1) vs splits (2, 1)")],
+                 id="two-dimensional"),
+])
+def test_operating_point_violations(powers, splits, violations):
+    # Every violation, in order and with its message, as the per-index
+    # check lists them; NaN fails like any other value out of range.
+    with pytest.raises(ConfigError) as caught:
+        OperatingPoint(np.array(powers), np.array(splits))
+    assert caught.value.violations == violations
+    assert str(caught.value) == "; ".join(f"{k}[{f}]: {m}" for k, f, m in violations)
+
+
+@pytest.mark.parametrize("powers,splits", [([0.0, -0.0], [0.0, 1.0]), ([np.inf], [1.0]),
+                                           ([], [])])
+def test_operating_point_accepts_the_closed_range(powers, splits):
+    point = OperatingPoint(np.array(powers), np.array(splits))
+    assert not point.powers.flags.writeable and not point.splits.flags.writeable
+
+
 def test_decoding_order_must_be_permutation():
     assert DecodingOrder((1, 0, 2)).one_based() == (2, 1, 3)
     with pytest.raises(InvalidPermutationError):

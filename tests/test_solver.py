@@ -268,6 +268,84 @@ def test_warm_started_loop_matches_cold_loop(monkeypatch, cfg, weights, order, m
     assert warm.objective == pytest.approx(cold.objective, rel=0.0, abs=1e-5)
 
 
+def _identical(got, want):
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and np.array_equal(got, want))
+
+
+def _assert_identical_gp(got, want):
+    assert got.labels == want.labels
+    for got_arr, want_arr in [(got.a, want.a), (got.b, want.b),
+                              (got.floors, want.floors), (got.caps, want.caps),
+                              (got.anchor, want.anchor),
+                              *zip(got.log_box, want.log_box),
+                              *zip(got.numerators, want.numerators),
+                              *zip(got.denominators, want.denominators)]:
+        assert _identical(got_arr, want_arr)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), num_users=st.sampled_from([2, 3]),
+       num_eve_antennas=st.integers(1, 3), eh_fraction=st.floats(0.0, 0.6))
+def test_cached_rows_build_the_cold_gp(seed, num_users, num_eve_antennas, eh_fraction):
+    # build_gp keeps the weight-free rows per config, mode, order and set of
+    # weighted users; a GP from those rows is the GP of a cold build on a
+    # fresh copy of the config, bit for bit, for every weight on that set.
+    rng = np.random.default_rng(seed)
+    cfg = random_config(rng, num_users=num_users, num_eve_antennas=num_eve_antennas,
+                        eh_fraction=eh_fraction)
+    perm = tuple(int(k) for k in rng.permutation(num_users))
+    some = rng.random(num_users) < 0.7
+    some[rng.integers(num_users)] = True
+    anchor = OperatingPoint(cfg.power_budget * rng.uniform(0.05, 1.0, num_users),
+                            rng.uniform(0.05, 0.95, num_users))
+    for mode in (RELIABLE, SECURE):
+        for order in (DecodingOrder(perm), DecodingOrder(perm[::-1])):
+            for support in (some, np.ones(num_users, dtype=bool)):
+                gps = []
+                for _ in range(2):
+                    w = np.where(support, rng.uniform(0.05, 1.0, num_users), 0.0)
+                    weights = Weights(w / w.sum())
+                    gps.append(build_gp(cfg, weights, order, anchor, mode))
+                    _assert_identical_gp(gps[-1], build_gp(replace(cfg), weights,
+                                                           order, anchor, mode))
+                # Both weights share one row set, which differs only in
+                # lambda's exponents where two or more users have a weight.
+                assert gps[0].denominators is gps[1].denominators
+                assert np.array_equal(gps[0].a, gps[1].a) == (support.sum() == 1)
+                # A config from with_demands, with the same demands or with
+                # others, builds its own rows.
+                for psi in (cfg.eh_demands, rng.uniform(0.0, 0.6) * cfg.eh_demands[::-1]):
+                    other = with_demands(cfg, psi)
+                    gp = build_gp(other, weights, order, anchor, mode)
+                    assert gp.denominators is not gps[1].denominators
+                    _assert_identical_gp(gp, build_gp(replace(other), weights, order,
+                                                      anchor, mode))
+                    if psi is cfg.eh_demands:
+                        _assert_identical_gp(gp, gps[1])
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), mode=st.sampled_from([RELIABLE, SECURE]),
+       eh_fraction=st.floats(0.0, 0.6))
+def test_sweep_repeats_on_one_config(seed, mode, eh_fraction):
+    # The second sweep of a config object builds every GP from its cached
+    # rows and returns the same boundary, bit for bit.
+    rng = np.random.default_rng(seed)
+    cfg = random_config(rng, num_users=2, num_eve_antennas=int(rng.integers(1, 4)),
+                        eh_fraction=eh_fraction)
+    first, second = (region.sweep(cfg, mode, grid=6) for _ in range(2))
+    assert first.failures == second.failures
+    assert _identical(first.hull, second.hull)
+    assert len(first.points) == len(second.points)
+    for p, q in zip(first.points, second.points):
+        assert (p.order, p.iterations, p.newton_steps) == (q.order, q.iterations,
+                                                           q.newton_steps)
+        for x, y in ((p.rates_raw, q.rates_raw), (p.op.powers, q.op.powers),
+                     (p.op.splits, q.op.splits)):
+            assert _identical(x, y)
+
+
 def _exact_log_lambda(gp):
     """Log lambda that makes the tightest rate row active at the GP's anchor
     (where lambda is 1), and the largest log value of the other rows there
