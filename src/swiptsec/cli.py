@@ -108,6 +108,7 @@ def run_sweep(args) -> int:
                      "points": len(boundary.points),
                      "gp_solves": sum(pt.iterations for pt in boundary.points),
                      "newton_steps": sum(pt.newton_steps for pt in boundary.points),
+                     "polished": sum(pt.polished for pt in boundary.points),
                      "failures": boundary.failures,
                      "non_monotone": [_where(pt) for pt in boundary.points
                                       if pt.non_monotone],

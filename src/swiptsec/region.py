@@ -52,6 +52,7 @@ class BoundaryPoint:
     non_monotone: bool         # the solve's GP optima decreased somewhere
     optimizer_failures: int    # unconverged interior-point runs
     newton_steps: int          # Newton systems solved over the solve's GPs
+    polished: bool             # the exact-row polish, not the loop, ended the solve
 
 
 @dataclass
@@ -118,7 +119,7 @@ def sweep(cfg: SystemConfig, mode: str, psi=None, grid: int = 21) -> RegionBound
                 op=rep.op, order=rep.order, iterations=rep.iterations,
                 converged=rep.converged, non_monotone=rep.non_monotone,
                 optimizer_failures=rep.optimizer_failures,
-                newton_steps=rep.newton_steps))
+                newton_steps=rep.newton_steps, polished=rep.polished))
 
     hull = (time_share_hull([pt.rates for pt in points])
             if points else np.empty((0, 2)))

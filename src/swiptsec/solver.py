@@ -12,7 +12,9 @@ eavesdropper's covariance determinants are exact posynomials in the powers
 condensed GP is an inner approximation of the true problem: started at a
 feasible point, every GP iterate is feasible for it and the objective never
 decreases.  The GP is solved in log-transformed variables, where it is
-convex, by a primal-dual interior-point method.
+convex, by a primal-dual interior-point method.  The same method, run on the
+exact ratios after the first GP, finishes most solves at once; the
+condensation loop goes on only where it fails.
 """
 
 from __future__ import annotations
@@ -362,26 +364,35 @@ def _weight_free_rows(cfg: SystemConfig, support, order: DecodingOrder,
 # Log-space solve
 # ---------------------------------------------------------------------------
 
-def _exact_lambda(gp: GpInstance, y) -> tuple:
+def _log_rows(gp: GpInstance, y, exact: bool = False) -> np.ndarray:
+    """Each row's log value at y: of the condensed row, or with ``exact`` of
+    the ratio itself, log N_i(y) - log D_i(y)."""
+    num = gp.numerators
+    if exact:
+        return _log_posynomials(*num, y)[0] - _log_posynomials(*gp.denominators, y)[0]
+    return _log_posynomials(gp.a, gp.b, num.starts, num.seg, y)[0]
+
+
+def _exact_lambda(gp: GpInstance, y, exact: bool = False) -> tuple:
     """y with log lambda set in closed form, and the largest log row value
-    there (the worst violation; every rate row is at most 0).
+    there (the worst violation; every rate row is at most 0), over the
+    condensed rows or, with ``exact``, the exact ones.
 
     lambda enters every term of rate row k as lambda^alpha_k and no other
-    row, so the shift makes the tightest rate row exactly active.  A row with
-    a far sub-rounding weight turns rounding noise into a huge shift, so a
-    feasible y is kept when the shift costs more.  Every condensed row is
-    exact at its anchor, so at y = log(gp.anchor) these are the anchor's
-    exact objective and feasibility.
+    row or denominator, so the shift makes the tightest rate row exactly
+    active.  A row with a far sub-rounding weight turns rounding noise into
+    a huge shift, so a feasible y is kept when the shift costs more.  Every
+    condensed row is exact at its anchor, so at y = log(gp.anchor) these are
+    the anchor's exact objective and feasibility.
     """
-    _, _, starts, seg = gp.numerators
-    log_g = _log_posynomials(gp.a, gp.b, starts, seg, y)[0]
-    alphas = gp.a[starts, 0]
+    log_g = _log_rows(gp, y, exact)
+    alphas = gp.a[gp.numerators.starts, 0]
     rate = alphas > 0
     tight = y.copy()
     tight[0] -= np.max(log_g[rate] / alphas[rate])
     if tight[0] < y[0] - FEAS_TOL and log_g.max() <= FEAS_TOL:
         return y, float(log_g.max())
-    return tight, float(_log_posynomials(gp.a, gp.b, starts, seg, tight)[0].max())
+    return tight, float(_log_rows(gp, tight, exact).max())
 
 
 def _row_hessian(a, seg, shares, jac, weights, gram=None) -> np.ndarray:
@@ -395,10 +406,12 @@ def _row_hessian(a, seg, shares, jac, weights, gram=None) -> np.ndarray:
             + jac.T @ (gram[:, None] * jac))
 
 
-def _interior_point(a, b, starts, seg, y, lo, hi, z=None) -> tuple:
+def _interior_point(a, b, starts, seg, y, lo, hi, z=None, den=None) -> tuple:
     """Maximize y[0] subject to the stacked rows f(y) <= 0 and lo <= y <= hi,
     from y; returns the last iterate, its multipliers, whether it converged
-    and the number of Newton systems solved.
+    and the number of Newton systems solved.  Each row is the log-sum-exp of
+    its terms in a, b, starts, seg or, given the stack ``den`` of one
+    denominator per row, that minus the log-sum-exp of its denominator.
 
     A primal-dual interior-point method in slack form, g(y) + s = 0 with
     g = [f; y - hi; lo - y], s >= 0 and multipliers z >= 0 (Boyd and
@@ -427,14 +440,31 @@ def _interior_point(a, b, starts, seg, y, lo, hi, z=None) -> tuple:
     optimum; it ends unconverged after IPM_MAXITER steps or at a Newton
     system that stays singular once its diagonal is raised by 1e-15 times
     its largest entry.  Every bound in lo and hi must be finite.
+
+    With ``den`` the rows are not convex: a row's Hessian is H_N - H_D, the
+    difference of its numerator's and denominator's, so the Newton matrix
+    gets the inertia correction of Waechter and Biegler: delta I with the
+    first delta of 0, 1e-8, 1e-7, ... at which a Cholesky factorisation
+    succeeds, so each step is a direction of ascent of the barrier problem
+    (Nocedal and Wright, Numerical Optimization, 19.3).  A stationary point
+    of such rows need not satisfy the dual equations because the gap and
+    the rows are small, so the run converges only once the dual residual is
+    at most 1e-8 as well; a Newton matrix that is not finite ends it.
     """
     n, rows = y.size, starts.size
     m = rows + 2 * n
     jac = np.vstack([np.empty((rows, n)), np.eye(n), -np.eye(n)])   # G = [J; I; -I]
     is_row = np.arange(m) < rows
+    if den is not None:
+        # One stack: the numerators, then the denominators as rows + i.
+        a, b, starts, seg = (np.vstack([a, den.a]), np.concatenate([b, den.b]),
+                             np.concatenate([starts, den.starts + b.size]),
+                             np.concatenate([seg, den.seg + rows]))
 
     def constraints(y):
         f, shares = _log_posynomials(a, b, starts, seg, y)
+        if den is not None:
+            f = f[:rows] - f[rows:]
         return np.concatenate([f, y - hi, lo - y]), shares
 
     g, shares = constraints(y)
@@ -444,19 +474,29 @@ def _interior_point(a, b, starts, seg, y, lo, hi, z=None) -> tuple:
     s, z = sz[:m], sz[m:]
     mu_min = 0.1 * IPM_TOL / m
     for solved in range(IPM_MAXITER):
-        jac[:rows] = _row_jacobian(a, starts, shares)
+        row_jac = _row_jacobian(a, starts, shares)
+        jac[:rows] = row_jac if den is None else row_jac[:rows] - row_jac[rows:]
         r_d = jac.T @ z
         r_d[0] -= 1.0                       # the cost is -y[0]
         r_p = g + s
         gap = s * z
-        if gap.sum() <= IPM_TOL and g.max() <= IPM_TOL:
+        if (gap.sum() <= IPM_TOL and g.max() <= IPM_TOL
+                and (den is None or np.abs(r_d).max() <= 1e-8)):
             return y, z, True, solved
         residual = max(np.abs(r_d).max(), np.abs(r_p).max())
         while mu > mu_min and max(residual, np.abs(gap - mu).max()) <= IPM_KAPPA * mu:
             mu = max(mu_min, min(0.2 * mu, mu ** 1.5))
         d = z / s
-        kkt = _row_hessian(a, seg, shares, jac, z, d - is_row * z)
+        if den is None:
+            kkt = _row_hessian(a, seg, shares, jac, z, d - is_row * z)
+        else:
+            # sum_i z_i (H_Ni - H_Di): the denominators weighted by -z_i.
+            kkt = (_row_hessian(a, seg, shares, row_jac,
+                                np.concatenate([z[:rows], -z[:rows]]))
+                   + jac.T @ (d[:, None] * jac))
         kkt.flat[::n + 1] += 1e-12
+        if den is not None and not _inertia_corrected(kkt):
+            return y, z, False, solved
         v = d * r_p - z + mu / s
         rhs = -(jac.T @ v) - r_d
         try:
@@ -479,6 +519,24 @@ def _interior_point(a, b, starts, seg, y, lo, hi, z=None) -> tuple:
         sz += step * dsz
         g, shares = constraints(y)
     return y, z, False, IPM_MAXITER
+
+
+def _inertia_corrected(kkt) -> bool:
+    """Add delta I to the symmetric ``kkt`` in place, with the first delta of
+    0, 1e-8, 1e-7, ... at which it has a Cholesky factor, so it is positive
+    definite; False when it is not finite.  A finite delta always exists:
+    past the largest absolute row sum the matrix is diagonally dominant."""
+    diagonal = kkt.diagonal().copy()
+    delta = 0.0
+    while True:
+        try:
+            np.linalg.cholesky(kkt)
+            return True
+        except np.linalg.LinAlgError:
+            if not np.all(np.isfinite(kkt)):
+                return False
+            delta = max(1e-8, 10.0 * delta)
+            np.fill_diagonal(kkt, diagonal + delta)
 
 
 class GpSolution(tuple):
@@ -553,7 +611,9 @@ def solve_gp(gp: GpInstance, duals=None) -> GpSolution:
 class SolveReport:
     """Outcome of one weighted max-min solve.
 
-    The returned point has the last GP's powers and every split at its best
+    The returned point has the powers where the solve ended, the polished
+    point when ``polished`` (the exact-row polish after the first GP ended
+    the solve) and otherwise the last GP's, and every split at its best
     value there (at least max_splits).  ``lam`` is recomputed from it through
     the exact rate formulas (clamped secrecy rates in secure mode), so
     log2(lam) equals the smallest weighted effective rate at the point.
@@ -561,9 +621,10 @@ class SolveReport:
     condensed denominator's gap at the last GP's solution.  Each condensed
     GP is an inner approximation that is exact at its anchor, so in both
     modes the trace never decreases beyond solver tolerance;
-    ``non_monotone`` flags a trace that does.  ``optimizer_failures`` sums solve_gp's failures over the
-    solve's GPs, ``newton_steps`` their Newton steps, and ``extrapolated``
-    counts the extrapolated anchors the loop accepted.
+    ``non_monotone`` flags a trace that does.  ``optimizer_failures`` sums
+    solve_gp's failures over the solve's GPs, ``newton_steps`` the Newton
+    steps of every interior-point run, the polish's included, and
+    ``extrapolated`` counts the extrapolated anchors the loop accepted.
     """
 
     lam: float
@@ -578,6 +639,7 @@ class SolveReport:
     rates: np.ndarray
     extrapolated: int
     newton_steps: int
+    polished: bool
 
     @property
     def objective(self) -> float:
@@ -611,17 +673,20 @@ def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
     with a power that is not finite raises ConfigError, and no feasible
     point at all InfeasibleError, before any GP is built.  The start must
     meet every constraint within FEAS_TOL; each condensed GP is exact at its
-    anchor, so every iterate then stays feasible.  Each later iteration
-    re-condenses the GP at the previous solution, or after every two GPs at
-    the extrapolated anchor that _extrapolated accepts, until the GP
-    optimum is above 0.0 and moves by at most EPS_CONV (relative) or
-    MAX_ITERS GPs are solved.  Every GP after the first starts its interior
-    point from the previous GP's multipliers, unless that run did not
-    converge.  A solve ends in a report, InfeasibleError or
-    NumericalFailureError: an overflow, a vanishing or non-finite GP term
-    or anchor, an infeasible start or anchor, and exact rates or an
-    eavesdropper covariance at the final point that are not finite are
-    re-raised as a NumericalFailureError that chains the cause.
+    anchor, so every iterate then stays feasible.  After the first GP the
+    interior point runs once more, on the exact rows (_polished), and ends
+    the solve where it converges to a feasible point no worse than the
+    GP's.  Otherwise each later iteration re-condenses the GP at the
+    previous solution, or after every two GPs at the extrapolated anchor
+    that _extrapolated accepts, until the GP optimum is above 0.0 and moves
+    by at most EPS_CONV (relative) or MAX_ITERS GPs are solved.  Every GP
+    after the first starts its interior point from the previous GP's
+    multipliers, unless that run did not converge.  A solve ends in a
+    report, InfeasibleError or NumericalFailureError: an overflow, a
+    vanishing or non-finite GP term or anchor, an infeasible start or
+    anchor, and exact rates or an eavesdropper covariance at the final point
+    that are not finite are re-raised as a NumericalFailureError that chains
+    the cause.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -671,12 +736,45 @@ def _extrapolated(gp: GpInstance, thetas) -> tuple:
     return gp, False
 
 
+def _polished(gp: GpInstance, solution: GpSolution) -> tuple:
+    """Where the solve ends after ``gp``'s ``solution``, from the interior
+    point on the GP's exact rows, log N_i - log D_i <= 0; None when the
+    condensation loop has to go on.  Also the Newton steps the run took.
+
+    The run starts from the solution and its multipliers (cold when the
+    GP's run did not converge), with log lambda floored 1 below the
+    solution's.  It ends the solve only when it converged, every exact row
+    holds within FEAS_TOL once lambda is set in closed form, and that log
+    lambda is not below the closed-form exact one at the solution by more
+    than IPM_TOL, the run's own accuracy.  The solve then ends at the better
+    of the two points: where the first GP already is the optimum, the run
+    leaves a power a rounding-level step inside its cap.
+    """
+    lo, hi = gp.log_box
+    _, op, _ = solution
+    y = np.clip(np.log(np.concatenate([[1.0], op.powers, op.splits])), lo, hi)
+    y[0] = solution.log_lam
+    floors = lo.copy()
+    floors[0] = y[0] - 1.0
+    y_end, _, converged, steps = _interior_point(*gp.numerators, y, floors, hi,
+                                                 solution.duals, gp.denominators)
+    if not converged:
+        return None, steps
+    y_end, worst = _exact_lambda(gp, np.clip(y_end, lo, hi), exact=True)
+    y, _ = _exact_lambda(gp, y, exact=True)
+    if not (worst <= FEAS_TOL and y_end[0] >= y[0] - IPM_TOL):
+        return None, steps
+    x = np.exp(np.clip(y_end if y_end[0] > y[0] else y, lo, hi))
+    kk = gp.num_users
+    return OperatingPoint(x[1:kk + 1], x[kk + 1:]), steps
+
+
 def _condensation_loop(cfg, alpha, order, mode, start) -> SolveReport:
     gp = build_gp(cfg, alpha, order, start, mode)
     thetas = [np.log(gp.anchor[1:])]
     trace = []
     failures = extrapolated = newton_steps = 0
-    duals = None
+    duals = polished = None
     converged = False
     for i in range(MAX_ITERS):
         if i:
@@ -692,6 +790,12 @@ def _condensation_loop(cfg, alpha, order, mode, start) -> SolveReport:
         trace.append(lam_gp)
         failures += gp_failures
         newton_steps += solution.newton_steps
+        if not i:
+            polished, steps = _polished(gp, solution)
+            newton_steps += steps
+            if polished is not None:
+                converged = True
+                break
         # Relative also below lambda = 1, where a negative secrecy gap puts
         # it; a lambda that underflowed to 0.0 has not converged.
         if (len(trace) >= 2 and lam_gp > 0.0
@@ -707,6 +811,8 @@ def _condensation_loop(cfg, alpha, order, mode, start) -> SolveReport:
     gaps = (np.exp(_log_posynomials(*gp.denominators, y)[0])
             - np.exp(exponents @ y + log_coefs))
 
+    if polished is not None:
+        point = polished
     # Every split at its best value at the final powers: a user's rate rises
     # with its own split alone and max_splits meets its demand, so no rate
     # falls, while the GP leaves a user that does not bind wherever it stops.
@@ -729,4 +835,5 @@ def _condensation_loop(cfg, alpha, order, mode, start) -> SolveReport:
                        gaps=gaps, converged=converged,
                        non_monotone=non_monotone, optimizer_failures=failures,
                        order=order if mode == SECURE else None, rates=eff,
-                       extrapolated=extrapolated, newton_steps=newton_steps)
+                       extrapolated=extrapolated, newton_steps=newton_steps,
+                       polished=polished is not None)

@@ -17,8 +17,8 @@ from swiptsec import checks, region, solver
 from swiptsec.cli import main
 from swiptsec.model import DecodingOrder, max_deliverable_energy
 from swiptsec.region import render_rates
-from swiptsec.scenarios import (random_config, symmetric_two_user,
-                                weak_interference)
+from swiptsec.scenarios import (random_config, strong_interference,
+                                symmetric_two_user, weak_interference)
 
 
 @pytest.fixture()
@@ -283,6 +283,17 @@ def test_report_counts_newton_steps(scenario, tmp_path, monkeypatch):
                  "--grid", "3", "--out", str(out)]) == 0
     [run] = json.loads((out / "report.json").read_text())["runs"]
     assert run["newton_steps"] == sum(steps) > 0
+
+
+def test_report_counts_polished_points(tmp_path):
+    # polished counts the points whose solve the exact-row polish ended:
+    # every point of the strong parallel-Eve secure sweep.
+    save_scenario(strong_interference(eve_geometry="parallel"), tmp_path / "strong.json")
+    out = tmp_path / "o"
+    assert main(["sweep", "--scenario", str(tmp_path / "strong.json"), "--mode",
+                 "secure", "--grid", "21", "--out", str(out)]) == 0
+    [run] = json.loads((out / "report.json").read_text())["runs"]
+    assert run["polished"] == run["points"] == run["gp_solves"] == 42
 
 
 def exit_code(argv):

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import os
 import pickle
@@ -209,10 +210,13 @@ class TestRecondense:
         # Reference: every GP built from scratch with the public functions,
         # and after every two GPs the SqS3 step, accepted by the exact lambda
         # and row values of the public constraints at the candidate's anchor;
-        # each GP starts from the previous one's multipliers.
+        # each GP starts from the previous one's multipliers.  After the
+        # first GP the interior point runs once on the exact rows, and its
+        # point ends the solve when _polish_reference accepts it.
         gp = build_gp(cfg, weights, order, solver._feasible_start(cfg), mode)
         thetas = [np.log(gp.anchor[1:])]
         trace, failures, extrapolated, duals = [], 0, 0, None
+        polished = None
         for i in range(solver.MAX_ITERS):
             if i:
                 gp = build_gp(cfg, weights, order, point, mode)
@@ -227,6 +231,11 @@ class TestRecondense:
             duals = solution.duals
             trace.append(lam)
             failures += gp_failures
+            if not i:
+                polished = _polish_reference(gp, solution)
+                if polished is not None:
+                    point = polished
+                    break
             if (len(trace) >= 2 and abs(trace[-1] - trace[-2])
                     <= solver.EPS_CONV * max(1.0, trace[-1])):
                 break
@@ -234,11 +243,55 @@ class TestRecondense:
         point = OperatingPoint(point.powers,
                                np.maximum(point.splits, max_splits(cfg, point.powers)))
         rep = iterate(cfg, weights, order, mode)
+        assert rep.polished == (polished is not None)
         assert rep.lam_trace == trace
         assert np.array_equal(rep.op.powers, point.powers)
         assert np.array_equal(rep.op.splits, point.splits)
         assert rep.optimizer_failures == failures
         assert rep.extrapolated == extrapolated
+
+
+def _exact_log_rows(gp, y):
+    """log N_i - log D_i of every row at log point y, term by term."""
+    num, den = (np.add.reduceat(np.exp(stack.a @ y + stack.b), stack.starts)
+                for stack in (gp.numerators, gp.denominators))
+    return np.log(num) - np.log(den)
+
+
+def _exact_rows_lambda(gp, y):
+    """Log lambda that makes the tightest exact rate row active at the log
+    point y, and the largest exact row there."""
+    alphas = gp.numerators.a[gp.numerators.starts, 0]
+    rate = alphas > 0
+    tight = y.copy()
+    tight[0] -= np.max(_exact_log_rows(gp, y)[rate] / alphas[rate])
+    return tight[0], _exact_log_rows(gp, tight).max()
+
+
+def _polish_reference(gp, solution):
+    """The better of the GP solution and the point of the interior point on
+    the GP's exact rows from that solution and its multipliers (log lambda
+    floored 1 below the solution's), or None unless the run converged, the
+    exact rows hold within FEAS_TOL at the closed-form lambda and that
+    lambda is not below the one at the solution by more than the run's
+    tolerance."""
+    lo, hi = gp.log_box
+    _, op, _ = solution
+    y = np.clip(np.log(np.concatenate([[1.0], op.powers, op.splits])), lo, hi)
+    y[0] = solution.log_lam
+    floors = lo.copy()
+    floors[0] = y[0] - 1.0
+    y_end, _, converged, _ = solver._interior_point(*gp.numerators, y, floors, hi,
+                                                    solution.duals, gp.denominators)
+    if not converged:
+        return None
+    y_end = np.clip(y_end, lo, hi)
+    log_lam, worst = _exact_rows_lambda(gp, y_end)
+    start_lam = _exact_rows_lambda(gp, y)[0]
+    if worst > solver.FEAS_TOL or log_lam < start_lam - solver.IPM_TOL:
+        return None
+    x = np.exp(y_end if log_lam > start_lam else y)
+    return OperatingPoint(x[1:gp.num_users + 1], x[gp.num_users + 1:])
 
 
 def _warm_start_cases():
@@ -613,9 +666,27 @@ class TestIterate:
                 # lam encodes the worst weighted effective rate exactly.
                 assert np.log2(rep.lam) == pytest.approx(min(rates / 0.5), abs=1e-6)
 
-    def test_gaps_nonnegative_and_small_at_convergence(self):
+    def test_gaps_nonnegative_and_small_at_convergence(self, monkeypatch):
+        # The gaps are the last GP's, at that GP's solution: a polished solve
+        # ends after its first GP, so they are the cold GP's, while the
+        # condensation loop, run with the polish rejected, ends where they
+        # are small.
         cfg = weak_interference(eh_demands=(0.8, 0.8))
         rep = iterate(cfg, Weights.pair(0.5), None, RELIABLE)
+        assert rep.polished and rep.iterations == 1
+        gp = build_gp(cfg, Weights.pair(0.5), ORDER12, solver._feasible_start(cfg),
+                      RELIABLE)
+        _, point, _ = solve_gp(gp)
+        x = np.concatenate([[1.0], point.powers, point.splits])
+        cut = gp.denominators.starts[1:]
+        dens = [Posynomial(np.exp(b), a) for a, b in zip(np.split(gp.denominators.a, cut),
+                                                          np.split(gp.denominators.b, cut))]
+        want = [den.value(x) - condense(den, gp.anchor).value(x) for den in dens]
+        assert rep.gaps == pytest.approx(want, rel=1e-9, abs=1e-15)
+        assert np.all(rep.gaps >= -1e-9)
+        monkeypatch.setattr(solver, "_polished", lambda gp, solution: (None, 0))
+        rep = iterate(cfg, Weights.pair(0.5), None, RELIABLE)
+        assert not rep.polished and rep.converged
         assert np.all(rep.gaps >= -1e-9)
         assert np.all(rep.gaps <= 1e-3)
 
@@ -627,21 +698,27 @@ class TestIterate:
             corner = secrecy_corner(cfg, rep.op, order)
             assert np.allclose(rep.rates, corner.per_user, atol=1e-12)
 
-    def test_underflowed_lambda_does_not_end_the_loop(self):
+    def test_underflowed_lambda_does_not_end_the_loop(self, monkeypatch):
         # From this start a 1.4e-6 weight on a negative secrecy gap puts the
         # first GPs' optimum far below the smallest float (log lambda about
-        # -8440), so their lambda is 0.0; the loop goes on until a positive
-        # lambda settles.
+        # -8440), so their lambda is 0.0.  The polish climbs from there to a
+        # positive lambda at least the loop's; with the polish rejected, the
+        # loop goes on until a positive lambda settles.
         rng = np.random.default_rng(22745)
         cfg = random_config(rng, num_users=3, eh_fraction=0.0625)
         order = DecodingOrder(tuple(int(k) for k in rng.permutation(3)))
         start = OperatingPoint(0.05 * cfg.power_budget, np.full(3, 0.05))
         alpha = np.array([0.7, 1e-6, 0.0])
-        rep = iterate(cfg, Weights(alpha / alpha.sum()), order, SECURE, start=start)
+        weights = Weights(alpha / alpha.sum())
+        polished = iterate(cfg, weights, order, SECURE, start=start)
+        assert polished.polished and polished.lam_trace == [0.0]
+        monkeypatch.setattr(solver, "_polished", lambda gp, solution: (None, 0))
+        rep = iterate(cfg, weights, order, SECURE, start=start)
         trace = rep.lam_trace
         assert trace[0] == 0.0
         assert rep.converged and trace[-1] > 0.0
         assert abs(trace[-1] - trace[-2]) <= solver.EPS_CONV * trace[-1]
+        assert polished.objective >= rep.objective - 1e-9
 
     def test_respects_iteration_budget(self, monkeypatch):
         monkeypatch.setattr(solver, "MAX_ITERS", 2)
@@ -849,17 +926,21 @@ def _plain_mm_objective(cfg, weights, order, mode):
 @given(seed=st.integers(0, 2 ** 32 - 1), num_users=st.sampled_from([2, 3]),
        num_eve_antennas=st.sampled_from([1, 2, 3]),
        mode=st.sampled_from([RELIABLE, SECURE]), eh_fraction=st.floats(0.0, 0.8))
+@example(seed=1926593762, num_users=3, num_eve_antennas=3, mode=SECURE,
+         eh_fraction=0.004578)
 def test_extrapolated_loop_no_worse_than_plain(seed, num_users, num_eve_antennas,
                                                mode, eh_fraction):
-    # Extrapolated anchors may only shorten the loop: the objective stays at
-    # least the plain loop's, the trace climbs, and the point stays feasible.
+    # The polish and the extrapolated anchors may only shorten the loop: the
+    # objective stays at least the plain loop's, the trace climbs, and the
+    # point stays feasible.  On the pinned draw both loops stop early on a
+    # slow climb, the accelerated one 3.6e-5 bit below the plain one.
     rng = np.random.default_rng(seed)
     cfg = random_config(rng, num_users=num_users,
                         num_eve_antennas=num_eve_antennas, eh_fraction=eh_fraction)
     order = DecodingOrder(tuple(int(k) for k in rng.permutation(num_users)))
     weights = Weights(rng.dirichlet(np.ones(num_users)))
     rep = iterate(cfg, weights, order, mode)
-    assert rep.objective >= _plain_mm_objective(cfg, weights, order, mode) - 1e-6
+    assert rep.objective >= _plain_mm_objective(cfg, weights, order, mode) - 1e-9
     trace = rep.lam_trace
     assert all(b >= a - solver.EPS_CONV * max(1.0, a)
                for a, b in zip(trace, trace[1:]))
@@ -869,29 +950,110 @@ def test_extrapolated_loop_no_worse_than_plain(seed, num_users, num_eve_antennas
     assert np.all(rep.op.powers <= cfg.power_budget * (1 + 1e-12))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), num_users=st.sampled_from([2, 3]),
+       num_eve_antennas=st.sampled_from([1, 2, 3]),
+       mode=st.sampled_from([RELIABLE, SECURE]), eh_fraction=st.floats(0.0, 0.8))
+@example(seed=1926593762, num_users=3, num_eve_antennas=3, mode=SECURE,
+         eh_fraction=0.004578)
+def test_polished_point_meets_exact_rows(seed, num_users, num_eve_antennas, mode,
+                                         eh_fraction):
+    # A polished solve ends at a point that meets every exact row, log N_i -
+    # log D_i <= 0, within FEAS_TOL, and every demand, with the tightest
+    # rate row active at the reported lambda; where a secrecy rate is
+    # clamped to 0, lambda is 1 and the rate rows hold at their closed-form
+    # lambda, which is below 1.
+    rng = np.random.default_rng(seed)
+    cfg = random_config(rng, num_users=num_users,
+                        num_eve_antennas=num_eve_antennas, eh_fraction=eh_fraction)
+    order = DecodingOrder(tuple(int(k) for k in rng.permutation(num_users)))
+    weights = Weights(rng.dirichlet(np.ones(num_users)))
+    rep = iterate(cfg, weights, order, mode)
+    if not rep.polished:
+        return
+    assert rep.iterations == 1 and rep.converged
+    gp = build_gp(cfg, weights, order, rep.op, mode)
+    y = np.log(np.concatenate([[rep.lam], rep.op.powers, rep.op.splits]))
+    if rep.objective == 0.0:
+        y[0], _ = _exact_rows_lambda(gp, y)
+        assert mode == SECURE and y[0] <= 0.0
+    rows = _exact_log_rows(gp, y)
+    rate = np.array([label.startswith("rate") for label in gp.labels])
+    assert np.all(rows <= solver.FEAS_TOL)
+    assert rows[rate].max() == pytest.approx(0.0, abs=1e-9)
+    energies = harvested_energies(cfg, rep.op).per_user
+    assert np.all(energies >= cfg.eh_demands * (1 - 1e-9))
+    assert np.all(rep.op.powers <= cfg.power_budget)
+    assert np.all(rep.op.splits <= 1.0)
+
+
+@pytest.mark.parametrize("draw, perm, oracle", [(30, (0, 1), 0.12132),
+                                                (38, (0, 1), 0.09451),
+                                                (38, (1, 0), 0.08698)])
+def test_cold_secure_solve_leaves_zero_plateau(draw, perm, oracle):
+    # From the full-power start the condensation loop stopped below 1e-6 bit
+    # on these draws, where the res-51 grid oracle finds the positive
+    # objectives above; the polish after the first GP reaches them.
+    rng = np.random.default_rng(draw)
+    cfg = random_config(rng, 2, int(rng.integers(1, 4)), float(rng.uniform(0, 0.8)))
+    weights = region._clamped_weights(0.9)
+    rep = iterate(cfg, weights, DecodingOrder(perm), SECURE)
+    found = oracle_grid_search(cfg, SECURE, weights, DecodingOrder(perm), resolution=51)
+    assert found.objective == pytest.approx(oracle, abs=1e-5)
+    assert rep.polished
+    assert rep.objective >= 0.95 * found.objective
+
+
+def test_polish_finishes_slow_climb():
+    # On this draw the condensation loop creeps at about 3e-7 per GP along
+    # the small-weight user's power and split, so EPS_CONV stopped it at
+    # lambda 1.25632 ... 1.25658 depending on the decoding order, where
+    # further GPs still climbed; the polish ends at the optimum in every
+    # order.
+    cfg = random_config(np.random.default_rng(1926593762), num_users=3,
+                        num_eve_antennas=3, eh_fraction=0.004578)
+    alpha = np.array([0.863, 0.134, 0.0035])
+    weights = Weights(alpha / alpha.sum())
+    for perm in itertools.permutations(range(3)):
+        rep = iterate(cfg, weights, DecodingOrder(perm), SECURE)
+        assert rep.polished
+        assert rep.lam >= 1.25663
+
+
 def test_secure_sweep_uses_fewer_gps(monkeypatch):
     # The strong parallel-Eve secure sweep took 590 GP solves with the plain
     # loop and 332 with extrapolated anchors alone; warm-started continuation
-    # along the weights cuts that further without moving the hull.  Starting
-    # each GP from the previous GP's multipliers took its Newton steps from
-    # 1176 to 820.
-    reports = []
-    real_iterate = region.iterate
+    # along the weights cut that to 216, and starting each GP from the
+    # previous GP's multipliers took its Newton steps from 1176 to 820.  The
+    # exact-row polish after the first GP ends all 42 solves: 42 GP solves
+    # and 476 Newton steps, its own included, without moving the hull.
+    interior_point = solver._interior_point
+    steps = []
 
-    def recording(*args, **kwargs):
-        reports.append(real_iterate(*args, **kwargs))
-        return reports[-1]
+    def counted(*args):
+        result = interior_point(*args)
+        steps.append(result[-1])
+        return result
 
-    monkeypatch.setattr(region, "iterate", recording)
+    monkeypatch.setattr(solver, "_interior_point", counted)
     boundary = region.sweep(strong_interference(eve_geometry="parallel"), SECURE,
                             psi=(0.0, 0.0), grid=21)
     assert not boundary.failures
-    assert sum(pt.iterations for pt in boundary.points) <= 240
-    assert sum(pt.newton_steps for pt in boundary.points) <= 900
-    assert any(rep.extrapolated > 0 for rep in reports)
+    assert sum(pt.polished for pt in boundary.points) == len(boundary.points) == 42
+    assert sum(pt.iterations for pt in boundary.points) <= 60
+    assert sum(pt.newton_steps for pt in boundary.points) == sum(steps) <= 600
     hull = boundary.hull
     area = float(np.trapezoid(hull[:, 1], hull[:, 0]))
     assert area == pytest.approx(0.4999983168596667, rel=1e-9)
+    # Where the polish is rejected, the condensation loop runs as before,
+    # extrapolated anchors included: on this draw the second user's secrecy
+    # rate is 0 (the res-51 grid oracle finds no positive point either), and
+    # the polish is rejected on that zero plateau.
+    rng = np.random.default_rng(0)
+    cfg = random_config(rng, 2, int(rng.integers(1, 4)), float(rng.uniform(0, 0.8)))
+    rep = iterate(cfg, region._clamped_weights(0.5), ORDER12, SECURE)
+    assert not rep.polished and rep.converged
+    assert rep.extrapolated > 0
 
 
 @pytest.mark.parametrize("mode", [RELIABLE, SECURE])
