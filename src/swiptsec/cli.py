@@ -112,6 +112,8 @@ def run_sweep(args) -> int:
                      "failures": boundary.failures,
                      "non_monotone": [_where(pt) for pt in boundary.points
                                       if pt.non_monotone],
+                     "unconverged": [_where(pt) for pt in boundary.points
+                                     if not pt.converged],
                      "optimizer_failures": [
                          {**_where(pt), "count": pt.optimizer_failures}
                          for pt in boundary.points if pt.optimizer_failures]}

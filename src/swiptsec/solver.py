@@ -19,6 +19,7 @@ condensation loop goes on only where it fails.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -53,8 +54,6 @@ IPM_TOL = 1e-10
 IPM_MU0 = 1e-3
 IPM_MU_WARM = 1e-8
 IPM_KAPPA = 300.0
-# Largest SqS3 step length of the outer loop's extrapolated anchors.
-EXTRAP_MAX = 4.0
 
 
 class NonPositiveTermError(ValueError):
@@ -524,14 +523,15 @@ def _interior_point(a, b, starts, seg, y, lo, hi, z=None, den=None) -> tuple:
 def _inertia_corrected(kkt) -> bool:
     """Add delta I to the symmetric ``kkt`` in place, with the first delta of
     0, 1e-8, 1e-7, ... at which it has a Cholesky factor, so it is positive
-    definite; False when it is not finite.  A finite delta always exists:
+    definite; False when it is not finite.  np.linalg.cholesky can factor a
+    NaN without raising, but the NaN then reaches every later diagonal entry
+    of the factor, the last one included.  A finite delta always exists:
     past the largest absolute row sum the matrix is diagonally dominant."""
     diagonal = kkt.diagonal().copy()
     delta = 0.0
     while True:
         try:
-            np.linalg.cholesky(kkt)
-            return True
+            return math.isfinite(np.linalg.cholesky(kkt)[-1, -1])
         except np.linalg.LinAlgError:
             if not np.all(np.isfinite(kkt)):
                 return False
@@ -623,8 +623,7 @@ class SolveReport:
     modes the trace never decreases beyond solver tolerance;
     ``non_monotone`` flags a trace that does.  ``optimizer_failures`` sums
     solve_gp's failures over the solve's GPs, ``newton_steps`` the Newton
-    steps of every interior-point run, the polish's included, and
-    ``extrapolated`` counts the extrapolated anchors the loop accepted.
+    steps of every interior-point run, the polish's included.
     """
 
     lam: float
@@ -637,7 +636,6 @@ class SolveReport:
     optimizer_failures: int
     order: Optional[DecodingOrder]
     rates: np.ndarray
-    extrapolated: int
     newton_steps: int
     polished: bool
 
@@ -677,9 +675,8 @@ def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
     interior point runs once more, on the exact rows (_polished), and ends
     the solve where it converges to a feasible point no worse than the
     GP's.  Otherwise each later iteration re-condenses the GP at the
-    previous solution, or after every two GPs at the extrapolated anchor
-    that _extrapolated accepts, until the GP optimum is above 0.0 and moves
-    by at most EPS_CONV (relative) or MAX_ITERS GPs are solved.  Every GP
+    previous solution until the GP optimum is above 0.0 and moves by at
+    most EPS_CONV (relative) or MAX_ITERS GPs are solved.  Every GP
     after the first starts its interior point from the previous GP's
     multipliers, unless that run did not converge.  A solve ends in a
     report, InfeasibleError or NumericalFailureError: an overflow, a
@@ -703,37 +700,6 @@ def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
     except (ArithmeticError, NonFiniteError, NonPositiveTermError,
             InfeasibleAnchorError) as exc:
         raise NumericalFailureError(f"{type(exc).__name__}: {exc}") from exc
-
-
-def _extrapolated(gp: GpInstance, thetas) -> tuple:
-    """The GP to solve after the anchors theta0 -> theta1 -> theta2 (log
-    powers and splits; ``gp`` is condensed at theta2), and whether it is
-    condensed at the SqS3 extrapolation of the three instead (Varadhan and
-    Roland, Scand. J. Statist. 2008).
-
-    The step length is capped at EXTRAP_MAX, so rounding noise in a
-    vanishing second difference cannot blow it up.  The extrapolated anchor
-    is kept only when it meets every constraint and its exact lambda is
-    strictly above theta2's; otherwise the loop continues from theta2.
-    """
-    theta0, theta1, theta2 = thetas
-    r = theta1 - theta0
-    v = theta2 - 2.0 * theta1 + theta0
-    norm_v = np.linalg.norm(v)
-    step = max(-np.linalg.norm(r) / norm_v, -EXTRAP_MAX) if norm_v > 0 else -EXTRAP_MAX
-    if step >= -1.0:
-        return gp, False
-    kk = gp.num_users
-    lo, hi = gp.log_box
-    x = np.exp(np.clip(theta0 - 2.0 * step * r + step ** 2 * v, lo[1:], hi[1:]))
-    try:
-        candidate = gp.recondensed(OperatingPoint(x[:kk], x[kk:]))
-    except (ArithmeticError, NonPositiveTermError, InfeasibleAnchorError):
-        return gp, False
-    y, worst = _exact_lambda(candidate, np.log(candidate.anchor))
-    if worst <= FEAS_TOL and y[0] > _exact_lambda(gp, np.log(gp.anchor))[0][0]:
-        return candidate, True
-    return gp, False
 
 
 def _polished(gp: GpInstance, solution: GpSolution) -> tuple:
@@ -771,19 +737,13 @@ def _polished(gp: GpInstance, solution: GpSolution) -> tuple:
 
 def _condensation_loop(cfg, alpha, order, mode, start) -> SolveReport:
     gp = build_gp(cfg, alpha, order, start, mode)
-    thetas = [np.log(gp.anchor[1:])]
     trace = []
-    failures = extrapolated = newton_steps = 0
+    failures = newton_steps = 0
     duals = polished = None
     converged = False
     for i in range(MAX_ITERS):
         if i:
             gp = gp.recondensed(point)
-            thetas.append(np.log(gp.anchor[1:]))
-            if len(thetas) == 3:
-                gp, accepted = _extrapolated(gp, thetas)
-                extrapolated += accepted
-                thetas = [np.log(gp.anchor[1:])]
         solution = solve_gp(gp, duals)
         lam_gp, point, gp_failures = solution
         duals = solution.duals
@@ -835,5 +795,4 @@ def _condensation_loop(cfg, alpha, order, mode, start) -> SolveReport:
                        gaps=gaps, converged=converged,
                        non_monotone=non_monotone, optimizer_failures=failures,
                        order=order if mode == SECURE else None, rates=eff,
-                       extrapolated=extrapolated, newton_steps=newton_steps,
-                       polished=polished is not None)
+                       newton_steps=newton_steps, polished=polished is not None)

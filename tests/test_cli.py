@@ -230,6 +230,30 @@ def test_report_lists_non_monotone_points(scenario, tmp_path, monkeypatch):
     assert reliable["non_monotone"] == []
 
 
+def test_report_lists_unconverged_points(scenario, tmp_path, monkeypatch):
+    # Each run lists the weight and order of every point whose condensation
+    # loop used up MAX_ITERS GPs; every solve of the weak sweep converges.
+    def runs(name):
+        out = tmp_path / name
+        assert main(["sweep", "--scenario", str(scenario), "--grid", "3",
+                     "--out", str(out)]) == 0
+        return json.loads((out / "report.json").read_text())["runs"]
+
+    assert [run["unconverged"] for run in runs("plain")] == [[], []]
+
+    iterate = region.iterate
+
+    def stall_one(cfg, alpha, order, mode, **kwargs):
+        rep = iterate(cfg, alpha, order, mode, **kwargs)
+        rep.converged = not (mode == "reliable" and alpha.alpha[0] == 0.5)
+        return rep
+
+    monkeypatch.setattr(region, "iterate", stall_one)
+    secure, reliable = runs("stalled")
+    assert secure["unconverged"] == []
+    assert reliable["unconverged"] == [{"alpha1": 0.5, "order": None}]
+
+
 def test_report_lists_optimizer_failures(scenario, tmp_path, monkeypatch):
     # Each run lists every point whose interior-point runs used up their
     # Newton-step budget, with the number of such runs: here every GP solve

@@ -207,25 +207,17 @@ class TestRecondense:
 
     @pytest.mark.parametrize("cfg,weights,order,mode", _recondense_cases())
     def test_iterate_equals_rebuild_loop(self, cfg, weights, order, mode):
-        # Reference: every GP built from scratch with the public functions,
-        # and after every two GPs the SqS3 step, accepted by the exact lambda
-        # and row values of the public constraints at the candidate's anchor;
-        # each GP starts from the previous one's multipliers.  After the
-        # first GP the interior point runs once on the exact rows, and its
-        # point ends the solve when _polish_reference accepts it.
+        # Reference: every GP built from scratch with the public functions at
+        # the previous GP's solution, each starting from the previous one's
+        # multipliers.  After the first GP the interior point runs once on
+        # the exact rows, and its point ends the solve when
+        # _polish_reference accepts it.
         gp = build_gp(cfg, weights, order, solver._feasible_start(cfg), mode)
-        thetas = [np.log(gp.anchor[1:])]
-        trace, failures, extrapolated, duals = [], 0, 0, None
+        trace, failures, duals = [], 0, None
         polished = None
         for i in range(solver.MAX_ITERS):
             if i:
                 gp = build_gp(cfg, weights, order, point, mode)
-                thetas.append(np.log(gp.anchor[1:]))
-                if len(thetas) == 3:
-                    gp, accepted = _sqs3_reference(cfg, weights, order, mode,
-                                                   gp, thetas)
-                    extrapolated += accepted
-                    thetas = [np.log(gp.anchor[1:])]
             solution = solve_gp(gp, duals)
             lam, point, gp_failures = solution
             duals = solution.duals
@@ -248,7 +240,6 @@ class TestRecondense:
         assert np.array_equal(rep.op.powers, point.powers)
         assert np.array_equal(rep.op.splits, point.splits)
         assert rep.optimizer_failures == failures
-        assert rep.extrapolated == extrapolated
 
 
 def _exact_log_rows(gp, y):
@@ -399,42 +390,6 @@ def test_sweep_repeats_on_one_config(seed, mode, eh_fraction):
             assert _identical(x, y)
 
 
-def _exact_log_lambda(gp):
-    """Log lambda that makes the tightest rate row active at the GP's anchor
-    (where lambda is 1), and the largest log value of the other rows there
-    (-inf without one), from the public constraints."""
-    logs = np.log([c.value(gp.anchor) for c in gp.constraints])
-    alphas = np.array([c.exponents[0, 0] for c in gp.constraints])
-    rate = alphas > 0
-    return -np.max(logs[rate] / alphas[rate]), np.max(logs[~rate], initial=-np.inf)
-
-
-def _sqs3_reference(cfg, weights, order, mode, gp, thetas):
-    """The GP after anchors theta0 -> theta1 -> theta2 (``gp`` is built at
-    theta2): built at the SqS3 extrapolation, step length capped at 4, when
-    that anchor meets every row and raises the exact lambda."""
-    theta0, theta1, theta2 = thetas
-    r = theta1 - theta0
-    v = theta2 - 2.0 * theta1 + theta0
-    step = (max(-np.linalg.norm(r) / np.linalg.norm(v), -4.0) if v.any()
-            else -4.0)
-    if step >= -1.0:
-        return gp, False
-    theta = np.clip(theta0 - 2.0 * step * r + step ** 2 * v,
-                    np.log(gp.floors[1:]), np.log(gp.caps[1:]))
-    k = cfg.num_users
-    try:
-        candidate = build_gp(cfg, weights, order,
-                             OperatingPoint(np.exp(theta[:k]), np.exp(theta[k:])),
-                             mode)
-    except (NonPositiveTermError, InfeasibleAnchorError):
-        return gp, False
-    log_lam, worst = _exact_log_lambda(candidate)
-    if worst <= solver.FEAS_TOL and log_lam > _exact_log_lambda(gp)[0]:
-        return candidate, True
-    return gp, False
-
-
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=10),
        num_vars=st.integers(1, 7), seed=st.integers(0, 2 ** 32 - 1))
@@ -539,20 +494,60 @@ class TestSolveGp:
         assert failures == 0
         assert np.log(lam) < solver._exact_lambda(gp, np.log(gp.anchor))[0][0] - 1e-9
 
-    def test_singular_newton_system_is_retried(self):
-        # On this draw a harvesting slack of the first GP collapses to ~1e-17
-        # and a Newton system turns singular; retried with a ridge at its
-        # rounding level, the run converges and the solve reaches the
-        # oracle's objective.
+    def test_singular_newton_system_is_retried(self, monkeypatch):
+        # A slack that collapses to ~1e-17 can make elimination meet an exact
+        # zero pivot; here the solve's first Newton system is reported
+        # singular once.  Retried with a ridge at its rounding level, the run
+        # converges and the solve reaches the oracle's objective.
         rng = np.random.default_rng(2026)
         for _ in range(7):
             cfg = random_config(rng, num_users=2,
                                 num_eve_antennas=int(rng.integers(1, 4)),
                                 eh_fraction=float(rng.uniform(0, 0.8)))
+        linear_solve = np.linalg.solve
+        systems = []
+
+        def singular_once(kkt, rhs):
+            systems.append(kkt.copy())
+            if len(systems) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return linear_solve(kkt, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_once)
         rep = iterate(cfg, Weights.pair(0.25), None, RELIABLE)
-        assert rep.optimizer_failures == 0
+        monkeypatch.undo()
+        first, retried = systems[:2]
+        ridged = first.copy()
+        ridged.flat[::first.shape[0] + 1] += 1e-15 * np.abs(first).max()
+        assert np.array_equal(retried, ridged) and not np.array_equal(retried, first)
+        assert rep.optimizer_failures == 0 and rep.converged
         oracle = oracle_grid_search(cfg, RELIABLE, Weights.pair(0.25))
         assert rep.objective >= oracle.objective - 1e-9
+
+    def test_inertia_correction_keeps_a_positive_definite_matrix(self):
+        kkt = np.array([[2.0, 0.5], [0.5, 1.0]])
+        before = kkt.copy()
+        assert solver._inertia_corrected(kkt)
+        assert np.array_equal(kkt, before)
+
+    def test_inertia_correction_shifts_an_indefinite_matrix(self):
+        kkt = np.array([[1.0, 0.0, 0.0], [0.0, -1e-9, 0.0], [0.0, 0.0, -0.5]])
+        before = kkt.copy()
+        assert solver._inertia_corrected(kkt)
+        # The first delta of 1e-8, 1e-7, ... above the eigenvalue -0.5 is 1.
+        assert kkt.diagonal() - before.diagonal() == pytest.approx(np.ones(3), rel=1e-12)
+        assert np.array_equal(kkt - np.diag(kkt.diagonal()),
+                              before - np.diag(before.diagonal()))
+        np.linalg.cholesky(kkt)
+
+    def test_inertia_correction_rejects_a_non_finite_matrix(self, monkeypatch):
+        kkt = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        assert not solver._inertia_corrected(kkt)
+        # Such a matrix ends the polish's run unconverged, and the
+        # condensation loop ends the solve.
+        monkeypatch.setattr(solver, "_inertia_corrected", lambda kkt: False)
+        rep = iterate(weak_interference(), Weights.pair(0.5), None, RELIABLE)
+        assert not rep.polished and rep.converged and rep.iterations > 1
 
     def test_solution_copies_and_pickles(self):
         gp = build_gp(weak_interference(), Weights.pair(0.5), ORDER12,
@@ -907,7 +902,7 @@ def test_uncondensed_rows_equal_exact_formulas(seed, num_users, num_eve_antennas
 
 def _plain_mm_objective(cfg, weights, order, mode):
     """Exact objective after the plain condensation loop: each GP built at
-    the previous GP's solution, with no extrapolated anchor."""
+    the previous GP's solution, with no polish and no warm start."""
     point = solver._feasible_start(cfg)
     trace = []
     for _ in range(solver.MAX_ITERS):
@@ -928,12 +923,11 @@ def _plain_mm_objective(cfg, weights, order, mode):
        mode=st.sampled_from([RELIABLE, SECURE]), eh_fraction=st.floats(0.0, 0.8))
 @example(seed=1926593762, num_users=3, num_eve_antennas=3, mode=SECURE,
          eh_fraction=0.004578)
-def test_extrapolated_loop_no_worse_than_plain(seed, num_users, num_eve_antennas,
-                                               mode, eh_fraction):
-    # The polish and the extrapolated anchors may only shorten the loop: the
-    # objective stays at least the plain loop's, the trace climbs, and the
-    # point stays feasible.  On the pinned draw both loops stop early on a
-    # slow climb, the accelerated one 3.6e-5 bit below the plain one.
+def test_polished_loop_no_worse_than_plain(seed, num_users, num_eve_antennas, mode,
+                                           eh_fraction):
+    # The polish may only shorten the loop: the objective stays at least the
+    # plain loop's, the trace climbs, and the point stays feasible.  On the
+    # pinned draw the plain loop stops early on a slow climb.
     rng = np.random.default_rng(seed)
     cfg = random_config(rng, num_users=num_users,
                         num_eve_antennas=num_eve_antennas, eh_fraction=eh_fraction)
@@ -1022,11 +1016,9 @@ def test_polish_finishes_slow_climb():
 
 def test_secure_sweep_uses_fewer_gps(monkeypatch):
     # The strong parallel-Eve secure sweep took 590 GP solves with the plain
-    # loop and 332 with extrapolated anchors alone; warm-started continuation
-    # along the weights cut that to 216, and starting each GP from the
-    # previous GP's multipliers took its Newton steps from 1176 to 820.  The
-    # exact-row polish after the first GP ends all 42 solves: 42 GP solves
-    # and 476 Newton steps, its own included, without moving the hull.
+    # loop from cold starts.  The exact-row polish after the first GP ends
+    # all 42 solves: 42 GP solves and 476 Newton steps, its own included,
+    # without moving the hull.
     interior_point = solver._interior_point
     steps = []
 
@@ -1045,15 +1037,14 @@ def test_secure_sweep_uses_fewer_gps(monkeypatch):
     hull = boundary.hull
     area = float(np.trapezoid(hull[:, 1], hull[:, 0]))
     assert area == pytest.approx(0.4999983168596667, rel=1e-9)
-    # Where the polish is rejected, the condensation loop runs as before,
-    # extrapolated anchors included: on this draw the second user's secrecy
-    # rate is 0 (the res-51 grid oracle finds no positive point either), and
-    # the polish is rejected on that zero plateau.
+    # Where the polish is rejected, the condensation loop runs as before: on
+    # this draw the second user's secrecy rate is 0 (the res-51 grid oracle
+    # finds no positive point either), and the polish is rejected on that
+    # zero plateau.
     rng = np.random.default_rng(0)
     cfg = random_config(rng, 2, int(rng.integers(1, 4)), float(rng.uniform(0, 0.8)))
     rep = iterate(cfg, region._clamped_weights(0.5), ORDER12, SECURE)
     assert not rep.polished and rep.converged
-    assert rep.extrapolated > 0
 
 
 @pytest.mark.parametrize("mode", [RELIABLE, SECURE])
