@@ -81,7 +81,10 @@ def sweep(cfg: SystemConfig, mode: str, psi=None, grid: int = 21) -> RegionBound
     Interior weights continue along the boundary per decoding order: each
     starts at _predicted_start from the order's last two interior solutions
     (cold with none); endpoints and a failed point's successor start cold.
-    Every start meets every constraint.
+    Every start meets every constraint.  A solve with a start begins with
+    the exact-row polish from it, warm-started from the multipliers of the
+    order's last solve (its ``duals``), and reaches the condensation loop
+    only where that polish is rejected.
     """
     if cfg.num_users != 2:
         raise ValueError("sweeps are implemented for two users")
@@ -95,15 +98,18 @@ def sweep(cfg: SystemConfig, mode: str, psi=None, grid: int = 21) -> RegionBound
     orders = ([DecodingOrder(p) for p in permutations(range(2))]
               if mode == SECURE else [None])
     points, failures = [], []
-    # The last two interior solutions of each order, latest last.
+    # The last two interior solutions of each order, latest last, and the
+    # multipliers of the polish that ended the latest.
     history = {order: [] for order in orders}
+    duals = dict.fromkeys(orders)
     for alpha1 in np.linspace(0.0, 1.0, grid):
         interior = alpha1 not in (0.0, 1.0)
         weights = _clamped_weights(alpha1) if interior else Weights.pair(alpha1)
         for order in orders:
             start = _predicted_start(cfg, history[order]) if interior else None
             try:
-                rep = iterate(cfg, weights, order, mode, start=start)
+                rep = iterate(cfg, weights, order, mode, start=start,
+                              duals=None if start is None else duals[order])
             except (InfeasibleError, NumericalFailureError) as exc:
                 failures.append({"alpha1": float(alpha1),
                                  "order": order.one_based() if order else None,
@@ -113,6 +119,7 @@ def sweep(cfg: SystemConfig, mode: str, psi=None, grid: int = 21) -> RegionBound
                 continue
             if interior:
                 history[order] = history[order][-1:] + [rep.op]
+                duals[order] = rep.duals
             points.append(BoundaryPoint(
                 alpha=np.array([alpha1, 1.0 - alpha1]), weights=weights,
                 rates=render_rates(rep.rates), rates_raw=rep.rates.copy(),

@@ -293,6 +293,13 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
     denominators, which GpInstance.recondensed moves.  Lambda's anchor
     value is 1; solve_gp sets it.
     """
+    return _weighted_rows(cfg, alpha, order, mode).recondensed(anchor)
+
+
+def _weighted_rows(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
+                   mode: str) -> GpInstance:
+    """build_gp's GP before it is condensed (no anchor, a or b): the cached
+    _weight_free_rows with the weights as lambda's exponents."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     support = alpha.alpha > 0
@@ -304,7 +311,7 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
     num = unanchored.numerators
     a = num.a.copy()
     a[:, 0] = lam @ alpha.alpha
-    return unanchored._replaced(numerators=num._replace(a=a)).recondensed(anchor)
+    return unanchored._replaced(numerators=num._replace(a=a))
 
 
 def _weight_free_rows(cfg: SystemConfig, support, order: DecodingOrder,
@@ -375,7 +382,7 @@ def _log_rows(gp: GpInstance, y, exact: bool = False) -> np.ndarray:
 def _exact_lambda(gp: GpInstance, y, exact: bool = False) -> tuple:
     """y with log lambda set in closed form, and the largest log row value
     there (the worst violation; every rate row is at most 0), over the
-    condensed rows or, with ``exact``, the exact ones.
+    condensed rows or, with ``exact``, the exact ones, which need no anchor.
 
     lambda enters every term of rate row k as lambda^alpha_k and no other
     row or denominator, so the shift makes the tightest rate row exactly
@@ -385,7 +392,7 @@ def _exact_lambda(gp: GpInstance, y, exact: bool = False) -> tuple:
     the anchor's exact objective and feasibility.
     """
     log_g = _log_rows(gp, y, exact)
-    alphas = gp.a[gp.numerators.starts, 0]
+    alphas = gp.numerators.a[gp.numerators.starts, 0]
     rate = alphas > 0
     tight = y.copy()
     tight[0] -= np.max(log_g[rate] / alphas[rate])
@@ -612,18 +619,23 @@ class SolveReport:
     """Outcome of one weighted max-min solve.
 
     The returned point has the powers where the solve ended, the polished
-    point when ``polished`` (the exact-row polish after the first GP ended
-    the solve) and otherwise the last GP's, and every split at its best
-    value there (at least max_splits).  ``lam`` is recomputed from it through
-    the exact rate formulas (clamped secrecy rates in secure mode), so
-    log2(lam) equals the smallest weighted effective rate at the point.
-    ``lam_trace`` holds the raw per-iteration GP optima, and ``gaps`` each
-    condensed denominator's gap at the last GP's solution.  Each condensed
-    GP is an inner approximation that is exact at its anchor, so in both
-    modes the trace never decreases beyond solver tolerance;
-    ``non_monotone`` flags a trace that does.  ``optimizer_failures`` sums
-    solve_gp's failures over the solve's GPs, ``newton_steps`` the Newton
-    steps of every interior-point run, the polish's included.
+    point when ``polished`` (an exact-row polish ended the solve: from the
+    warm start, or after the first GP) and otherwise the last GP's, and
+    every split at its best value there (at least max_splits).  ``lam`` is
+    recomputed from it through the exact rate formulas (clamped secrecy
+    rates in secure mode), so log2(lam) equals the smallest weighted
+    effective rate at the point.  ``iterations`` counts the GPs solved and
+    ``lam_trace`` holds their raw optima, and ``gaps`` each condensed
+    denominator's gap at the last GP's solution; a solve that the polish
+    from its start ended solved no GP, so it reports 0 iterations, an empty
+    trace and an empty ``gaps``.  Each condensed GP is an inner
+    approximation that is exact at its anchor, so in both modes the trace
+    never decreases beyond solver tolerance; ``non_monotone`` flags a trace
+    that does.  ``optimizer_failures`` sums solve_gp's failures over the
+    solve's GPs, ``newton_steps`` the Newton steps of every interior-point
+    run, the polishes' included.  ``duals`` holds the multipliers of the
+    polish that ended the solve (None when none did), which start the
+    polish of a neighbouring weight's solve.
     """
 
     lam: float
@@ -638,6 +650,7 @@ class SolveReport:
     rates: np.ndarray
     newton_steps: int
     polished: bool
+    duals: Optional[np.ndarray]
 
     @property
     def objective(self) -> float:
@@ -663,27 +676,37 @@ def _feasible_start(cfg: SystemConfig) -> OperatingPoint:
 
 
 def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
-            mode: str, start: Optional[OperatingPoint] = None) -> SolveReport:
-    """Run the condensation loop for one weight vector.
+            mode: str, start: Optional[OperatingPoint] = None,
+            duals=None) -> SolveReport:
+    """Solve for one weight vector: the exact-row polish from a warm start,
+    and otherwise the condensation loop.
 
-    Starts at ``start`` (clipped to variable_box), or at the cold start of
-    _feasible_start when none is given.  A ``start`` of the wrong length or
-    with a power that is not finite raises ConfigError, and no feasible
-    point at all InfeasibleError, before any GP is built.  The start must
-    meet every constraint within FEAS_TOL; each condensed GP is exact at its
-    anchor, so every iterate then stays feasible.  After the first GP the
-    interior point runs once more, on the exact rows (_polished), and ends
-    the solve where it converges to a feasible point no worse than the
-    GP's.  Otherwise each later iteration re-condenses the GP at the
-    previous solution until the GP optimum is above 0.0 and moves by at
-    most EPS_CONV (relative) or MAX_ITERS GPs are solved.  Every GP
-    after the first starts its interior point from the previous GP's
-    multipliers, unless that run did not converge.  A solve ends in a
-    report, InfeasibleError or NumericalFailureError: an overflow, a
-    vanishing or non-finite GP term or anchor, an infeasible start or
-    anchor, and exact rates or an eavesdropper covariance at the final point
-    that are not finite are re-raised as a NumericalFailureError that chains
-    the cause.
+    A solve given a ``start`` (clipped to variable_box) runs the interior
+    point on the exact rows (_polished) straight from it, with lambda set
+    in closed form and from ``duals``, the multipliers of the polish that
+    ended a neighbouring weight's solve (cold without them).  Where that
+    polish is accepted it ends the solve, and no GP is built or solved.
+    Otherwise, and for every solve without a start, the condensation loop
+    runs from the start or, with none, from the cold start of
+    _feasible_start.  The start must meet every constraint within FEAS_TOL;
+    each condensed GP is exact at its anchor, so every iterate then stays
+    feasible.  After the first GP the interior point runs once more, on the
+    exact rows, and ends the solve where it converges to a feasible point
+    no worse than the GP's.  Otherwise each later iteration re-condenses
+    the GP at the previous solution until the GP optimum is above 0.0 and
+    moves by at most EPS_CONV (relative) or MAX_ITERS GPs are solved.
+    Every GP after the first starts its interior point from the previous
+    GP's multipliers, unless that run did not converge.
+
+    A ``start`` of the wrong length or with a power that is not finite,
+    ``duals`` without a start, and ``duals`` that are not one finite value
+    >= 0 per row and per bound (rows + 2n) raise ConfigError, and no
+    feasible point at all InfeasibleError, before any interior-point run.
+    A solve ends in a report, InfeasibleError or NumericalFailureError: an
+    overflow, a vanishing or non-finite GP term or anchor, an infeasible
+    start or anchor, and exact rates or an eavesdropper covariance at the
+    final point that are not finite are re-raised as a NumericalFailureError
+    that chains the cause.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -691,85 +714,116 @@ def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
                                   and np.all(np.isfinite(start.powers))):
         raise ConfigError([(BAD_VALUE, "start", f"needs {cfg.num_users} finite "
                             f"powers, got {start.powers}")])
+    if duals is not None and start is None:
+        raise ConfigError([(BAD_VALUE, "duals", "multipliers need a start")])
     if order is None:
         order = DecodingOrder(tuple(range(cfg.num_users)))
-    cold = _feasible_start(cfg)
     try:
-        return _condensation_loop(cfg, alpha, order, mode,
-                                  cold if start is None else start)
+        return _solve(cfg, alpha, order, mode, start, duals)
     except (ArithmeticError, NonFiniteError, NonPositiveTermError,
             InfeasibleAnchorError) as exc:
         raise NumericalFailureError(f"{type(exc).__name__}: {exc}") from exc
 
 
-def _polished(gp: GpInstance, solution: GpSolution) -> tuple:
-    """Where the solve ends after ``gp``'s ``solution``, from the interior
-    point on the GP's exact rows, log N_i - log D_i <= 0; None when the
-    condensation loop has to go on.  Also the Newton steps the run took.
+def _log_point(gp: GpInstance, op: OperatingPoint) -> np.ndarray:
+    """log x of (1, p, eta) at ``op``, clipped to the GP's box; a zero
+    power or split goes to its floor."""
+    with np.errstate(divide="ignore"):
+        return np.clip(np.log(np.concatenate([[1.0], op.powers, op.splits])),
+                       *gp.log_box)
 
-    The run starts from the solution and its multipliers (cold when the
-    GP's run did not converge), with log lambda floored 1 below the
-    solution's.  It ends the solve only when it converged, every exact row
-    holds within FEAS_TOL once lambda is set in closed form, and that log
-    lambda is not below the closed-form exact one at the solution by more
-    than IPM_TOL, the run's own accuracy.  The solve then ends at the better
-    of the two points: where the first GP already is the optimum, the run
-    leaves a power a rounding-level step inside its cap.
+
+def _polish_first(cfg, alpha, order, mode, start, duals) -> tuple:
+    """_polished on the exact rows from ``start``, with lambda set in closed
+    form and the run started from ``duals``; None twice when the start
+    violates an exact row by more than FEAS_TOL (the condensation loop then
+    rejects it).  No row is condensed."""
+    rows = _weighted_rows(cfg, alpha, order, mode)
+    if duals is not None:
+        size = rows.numerators.starts.size + 2 * rows.floors.size
+        duals = np.asarray(duals, dtype=float)
+        if not (duals.shape == (size,) and np.all(np.isfinite(duals) & (duals >= 0))):
+            raise ConfigError([(BAD_VALUE, "duals", f"needs {size} finite "
+                                f"multipliers >= 0, got {duals}")])
+    y, worst = _exact_lambda(rows, _log_point(rows, start), exact=True)
+    if not worst <= FEAS_TOL:
+        return None, None, 0
+    return _polished(rows, y, duals)
+
+
+def _polished(gp: GpInstance, y, z=None) -> tuple:
+    """Where the solve ends after a run of the interior point on the GP's
+    exact rows, log N_i - log D_i <= 0, from the log point ``y`` and the
+    multipliers ``z`` (cold without them), with log lambda floored 1 below
+    y's: the point and the run's multipliers, or None twice when the
+    solve has to go on.  Also the Newton steps the run took.
+
+    The run ends the solve only when it converged, every exact row holds
+    within FEAS_TOL once lambda is set in closed form, and that log lambda
+    is not below the closed-form exact one at y by more than IPM_TOL, the
+    run's own accuracy.  The solve then ends at the better of the two
+    points: where y is already the optimum, the run leaves a power a
+    rounding-level step inside its cap.
     """
     lo, hi = gp.log_box
-    _, op, _ = solution
-    y = np.clip(np.log(np.concatenate([[1.0], op.powers, op.splits])), lo, hi)
-    y[0] = solution.log_lam
     floors = lo.copy()
     floors[0] = y[0] - 1.0
-    y_end, _, converged, steps = _interior_point(*gp.numerators, y, floors, hi,
-                                                 solution.duals, gp.denominators)
+    y_end, z, converged, steps = _interior_point(*gp.numerators, y, floors, hi,
+                                                 z, gp.denominators)
     if not converged:
-        return None, steps
+        return None, None, steps
     y_end, worst = _exact_lambda(gp, np.clip(y_end, lo, hi), exact=True)
     y, _ = _exact_lambda(gp, y, exact=True)
     if not (worst <= FEAS_TOL and y_end[0] >= y[0] - IPM_TOL):
-        return None, steps
+        return None, None, steps
     x = np.exp(np.clip(y_end if y_end[0] > y[0] else y, lo, hi))
     kk = gp.num_users
-    return OperatingPoint(x[1:kk + 1], x[kk + 1:]), steps
+    return OperatingPoint(x[1:kk + 1], x[kk + 1:]), z, steps
 
 
-def _condensation_loop(cfg, alpha, order, mode, start) -> SolveReport:
-    gp = build_gp(cfg, alpha, order, start, mode)
-    trace = []
+def _solve(cfg, alpha, order, mode, start, duals) -> SolveReport:
+    cold = _feasible_start(cfg)     # raises InfeasibleError, also for a start
+    trace, gaps = [], np.empty(0)
     failures = newton_steps = 0
-    duals = polished = None
-    converged = False
-    for i in range(MAX_ITERS):
-        if i:
-            gp = gp.recondensed(point)
-        solution = solve_gp(gp, duals)
-        lam_gp, point, gp_failures = solution
-        duals = solution.duals
-        trace.append(lam_gp)
-        failures += gp_failures
-        newton_steps += solution.newton_steps
-        if not i:
-            polished, steps = _polished(gp, solution)
-            newton_steps += steps
-            if polished is not None:
+    polished = None
+    if start is not None:
+        polished, duals, newton_steps = _polish_first(cfg, alpha, order, mode,
+                                                      start, duals)
+    converged = polished is not None
+    if not converged:
+        gp = build_gp(cfg, alpha, order, cold if start is None else start, mode)
+        gp_duals = None
+        for i in range(MAX_ITERS):
+            if i:
+                gp = gp.recondensed(point)
+            solution = solve_gp(gp, gp_duals)
+            lam_gp, point, gp_failures = solution
+            gp_duals = solution.duals
+            trace.append(lam_gp)
+            failures += gp_failures
+            newton_steps += solution.newton_steps
+            if not i:
+                y = _log_point(gp, point)
+                y[0] = solution.log_lam
+                polished, duals, steps = _polished(gp, y, gp_duals)
+                newton_steps += steps
+                if polished is not None:
+                    converged = True
+                    break
+            # Relative also below lambda = 1, where a negative secrecy gap
+            # puts it; a lambda that underflowed to 0.0 has not converged.
+            if (len(trace) >= 2 and lam_gp > 0.0
+                    and abs(trace[-1] - trace[-2]) <= EPS_CONV * lam_gp):
                 converged = True
                 break
-        # Relative also below lambda = 1, where a negative secrecy gap puts
-        # it; a lambda that underflowed to 0.0 has not converged.
-        if (len(trace) >= 2 and lam_gp > 0.0
-                and abs(trace[-1] - trace[-2]) <= EPS_CONV * lam_gp):
-            converged = True
-            break
 
-    # Each denominator minus its monomial of the last GP, at its solution;
-    # lambda enters no denominator.
-    y = np.log(np.clip(np.concatenate([[1.0], point.powers, point.splits]),
-                       gp.floors, gp.caps))
-    exponents, log_coefs = _condense(gp.denominators, np.log(gp.anchor))
-    gaps = (np.exp(_log_posynomials(*gp.denominators, y)[0])
-            - np.exp(exponents @ y + log_coefs))
+        # Each denominator minus its monomial of the last GP, at its
+        # solution; lambda enters no denominator.
+        y = np.log(np.clip(np.concatenate([[1.0], point.powers, point.splits]),
+                           gp.floors, gp.caps))
+        exponents, log_coefs = _condense(gp.denominators, np.log(gp.anchor))
+        gaps = (np.exp(_log_posynomials(*gp.denominators, y)[0])
+                - np.exp(exponents @ y + log_coefs))
 
     if polished is not None:
         point = polished
@@ -795,4 +849,5 @@ def _condensation_loop(cfg, alpha, order, mode, start) -> SolveReport:
                        gaps=gaps, converged=converged,
                        non_monotone=non_monotone, optimizer_failures=failures,
                        order=order if mode == SECURE else None, rates=eff,
-                       newton_steps=newton_steps, polished=polished is not None)
+                       newton_steps=newton_steps, polished=polished is not None,
+                       duals=duals)

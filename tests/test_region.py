@@ -231,10 +231,10 @@ def test_every_sweep_start_meets_every_row(seed, count, mode, grid):
     starts = []
     real_iterate = region.iterate
 
-    def recording(cfg, weights, order, mode, start=None):
+    def recording(cfg, weights, order, mode, start=None, duals=None):
         if start is not None:
             starts.append((weights, order, start))
-        return real_iterate(cfg, weights, order, mode, start=start)
+        return real_iterate(cfg, weights, order, mode, start=start, duals=duals)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(region, "iterate", recording)

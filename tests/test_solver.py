@@ -679,7 +679,7 @@ class TestIterate:
         want = [den.value(x) - condense(den, gp.anchor).value(x) for den in dens]
         assert rep.gaps == pytest.approx(want, rel=1e-9, abs=1e-15)
         assert np.all(rep.gaps >= -1e-9)
-        monkeypatch.setattr(solver, "_polished", lambda gp, solution: (None, 0))
+        monkeypatch.setattr(solver, "_polished", lambda gp, y, z=None: (None, None, 0))
         rep = iterate(cfg, Weights.pair(0.5), None, RELIABLE)
         assert not rep.polished and rep.converged
         assert np.all(rep.gaps >= -1e-9)
@@ -696,9 +696,11 @@ class TestIterate:
     def test_underflowed_lambda_does_not_end_the_loop(self, monkeypatch):
         # From this start a 1.4e-6 weight on a negative secrecy gap puts the
         # first GPs' optimum far below the smallest float (log lambda about
-        # -8440), so their lambda is 0.0.  The polish climbs from there to a
-        # positive lambda at least the loop's; with the polish rejected, the
-        # loop goes on until a positive lambda settles.
+        # -8440), so their lambda is 0.0.  The polish straight from the start
+        # uses up its Newton steps, so the first GP runs; the polish after
+        # it climbs from there to a positive lambda at least the loop's.
+        # With every polish rejected, the loop goes on until a positive
+        # lambda settles.
         rng = np.random.default_rng(22745)
         cfg = random_config(rng, num_users=3, eh_fraction=0.0625)
         order = DecodingOrder(tuple(int(k) for k in rng.permutation(3)))
@@ -707,7 +709,7 @@ class TestIterate:
         weights = Weights(alpha / alpha.sum())
         polished = iterate(cfg, weights, order, SECURE, start=start)
         assert polished.polished and polished.lam_trace == [0.0]
-        monkeypatch.setattr(solver, "_polished", lambda gp, solution: (None, 0))
+        monkeypatch.setattr(solver, "_polished", lambda gp, y, z=None: (None, None, 0))
         rep = iterate(cfg, weights, order, SECURE, start=start)
         trace = rep.lam_trace
         assert trace[0] == 0.0
@@ -900,10 +902,11 @@ def test_uncondensed_rows_equal_exact_formulas(seed, num_users, num_eve_antennas
                     abs=1e-12 * max(1.0, num[i], den[i]))
 
 
-def _plain_mm_objective(cfg, weights, order, mode):
-    """Exact objective after the plain condensation loop: each GP built at
-    the previous GP's solution, with no polish and no warm start."""
-    point = solver._feasible_start(cfg)
+def _plain_mm_objective(cfg, weights, order, mode, start=None):
+    """Exact objective after the plain condensation loop from ``start`` (the
+    cold start without one): each GP built at the previous GP's solution,
+    with no polish and no warm start."""
+    point = solver._feasible_start(cfg) if start is None else start
     trace = []
     for _ in range(solver.MAX_ITERS):
         lam, point, _ = solve_gp(build_gp(cfg, weights, order, point, mode))
@@ -998,6 +1001,62 @@ def test_cold_secure_solve_leaves_zero_plateau(draw, perm, oracle):
     assert rep.objective >= 0.95 * found.objective
 
 
+def _warm_solve_cases():
+    """(cfg, weights, nearby, order, mode): 20 random K = 2, 3 draws in both
+    modes, each in a random order with weights in [0.2, 1] before scaling,
+    and the weights after a step of up to 0.05 per user, about one grid-21
+    sweep step."""
+    rng = np.random.default_rng(29)
+    cases = []
+    for draw in range(20):
+        k = 2 + draw % 2
+        cfg = random_config(rng, num_users=k, num_eve_antennas=int(rng.integers(1, 4)),
+                            eh_fraction=float(rng.uniform(0.0, 0.8)))
+        order = DecodingOrder(tuple(int(u) for u in rng.permutation(k)))
+        w = rng.uniform(0.2, 1.0, k)
+        near = w + rng.uniform(-0.05, 0.05, k)
+        cases += [pytest.param(cfg, Weights(w / w.sum()), Weights(near / near.sum()),
+                               order, mode, id=f"draw{draw}-{mode}")
+                  for mode in (RELIABLE, SECURE)]
+    return cases
+
+
+@pytest.mark.parametrize("cfg,weights,nearby,order,mode", _warm_solve_cases())
+def test_warm_solve_no_worse_than_plain(monkeypatch, cfg, weights, nearby, order, mode):
+    # A solve at a nearby weight, started at this weight's point and
+    # multipliers, runs the exact-row polish straight from that start.  It
+    # ends no lower than the plain loop from the same start, at a point
+    # that meets every exact row and demand, and where that polish is
+    # accepted it solves no GP.
+    rep = iterate(cfg, weights, order, mode)
+    polished = solver._polished
+    runs = []
+
+    def recorded(gp, y, z=None):
+        result = polished(gp, y, z)
+        runs.append((gp.anchor is None, result[0] is not None))
+        return result
+
+    monkeypatch.setattr(solver, "_polished", recorded)
+    warm = iterate(cfg, nearby, order, mode, start=rep.op, duals=rep.duals)
+    monkeypatch.undo()
+    assert warm.objective >= _plain_mm_objective(cfg, nearby, order, mode,
+                                                 start=rep.op) - 1e-9
+    gp = build_gp(cfg, nearby, order, warm.op, mode)
+    y = np.log(np.concatenate([[warm.lam], warm.op.powers, warm.op.splits]))
+    if warm.objective == 0.0:
+        y[0], _ = _exact_rows_lambda(gp, y)
+    assert np.all(_exact_log_rows(gp, y) <= solver.FEAS_TOL)
+    energies = harvested_energies(cfg, warm.op).per_user
+    assert np.all(energies >= cfg.eh_demands * (1 - 1e-9))
+    first_run_from_start, accepted = runs[0]
+    if first_run_from_start and accepted:
+        assert warm.iterations == 0 and warm.lam_trace == [] and warm.gaps.size == 0
+        assert warm.polished and warm.converged
+    else:
+        assert warm.iterations >= 1
+
+
 def test_polish_finishes_slow_climb():
     # On this draw the condensation loop creeps at about 3e-7 per GP along
     # the small-weight user's power and split, so EPS_CONV stopped it at
@@ -1016,9 +1075,12 @@ def test_polish_finishes_slow_climb():
 
 def test_secure_sweep_uses_fewer_gps(monkeypatch):
     # The strong parallel-Eve secure sweep took 590 GP solves with the plain
-    # loop from cold starts.  The exact-row polish after the first GP ends
-    # all 42 solves: 42 GP solves and 476 Newton steps, its own included,
-    # without moving the hull.
+    # loop from cold starts.  An exact-row polish ends all 42 solves without
+    # moving the hull: after the first GP in the three cold solves of each
+    # order, and straight from the predicted start, warm-started from the
+    # previous weight's multipliers, in the other 36.  That is 6 GP solves
+    # and 285 Newton steps, the polishes' included (42 and 476 with a GP
+    # first in every solve).
     interior_point = solver._interior_point
     steps = []
 
@@ -1032,8 +1094,8 @@ def test_secure_sweep_uses_fewer_gps(monkeypatch):
                             psi=(0.0, 0.0), grid=21)
     assert not boundary.failures
     assert sum(pt.polished for pt in boundary.points) == len(boundary.points) == 42
-    assert sum(pt.iterations for pt in boundary.points) <= 60
-    assert sum(pt.newton_steps for pt in boundary.points) == sum(steps) <= 600
+    assert sum(pt.iterations for pt in boundary.points) <= 12
+    assert sum(pt.newton_steps for pt in boundary.points) == sum(steps) <= 350
     hull = boundary.hull
     area = float(np.trapezoid(hull[:, 1], hull[:, 0]))
     assert area == pytest.approx(0.4999983168596667, rel=1e-9)
@@ -1100,6 +1162,53 @@ def test_malformed_start_rejected(powers, splits):
     with pytest.raises(ConfigError):
         iterate(weak_interference(), Weights.pair(0.5), None, RELIABLE,
                 start=OperatingPoint(np.array(powers), np.array(splits)))
+
+
+def _neighbour_duals(cfg, mode):
+    """A start and its multipliers from the solve at a neighbouring weight."""
+    rep = iterate(cfg, Weights(np.array([0.45, 0.55])), ORDER12, mode)
+    assert rep.polished and rep.duals is not None
+    return rep.op, rep.duals
+
+
+@pytest.mark.parametrize("change", ["longer", "shorter", "nan", "inf", "negative",
+                                    "no-start"])
+def test_malformed_duals_rejected(monkeypatch, change):
+    # Multipliers need a start and one finite value >= 0 per row and per
+    # bound; anything else raises ConfigError before any interior-point run.
+    cfg = weak_interference(eh_demands=(0.8, 0.8), eve_geometry="parallel")
+    start, duals = _neighbour_duals(cfg, SECURE)
+    duals = duals.copy()
+    if change == "longer":
+        duals = np.append(duals, 1.0)
+    elif change == "shorter":
+        duals = duals[:-1]
+    elif change == "no-start":
+        start = None
+    else:
+        duals[1] = {"nan": np.nan, "inf": np.inf, "negative": -1e-3}[change]
+    calls = []
+    monkeypatch.setattr(solver, "_interior_point", lambda *args: calls.append(args))
+    with pytest.raises(ConfigError):
+        iterate(cfg, Weights(np.array([0.4, 0.6])), ORDER12, SECURE, start=start,
+                duals=duals)
+    assert not calls
+
+
+@pytest.mark.parametrize("mode", [RELIABLE, SECURE])
+def test_infeasible_start_with_duals_raises(monkeypatch, mode):
+    # Valid multipliers do not carry an infeasible start past the check:
+    # the solve fails on the infeasible anchor before the optimizer runs.
+    cfg = weak_interference(eh_demands=(0.8, 0.8), eve_geometry="parallel")
+    _, duals = _neighbour_duals(cfg, mode)
+    start = OperatingPoint(0.9 * cfg.power_budget, np.ones(2))
+    calls = []
+    monkeypatch.setattr(solver, "_interior_point", lambda *args: calls.append(args))
+    with pytest.raises(NumericalFailureError) as caught:
+        iterate(cfg, Weights(np.array([0.4, 0.6])), ORDER12, mode, start=start,
+                duals=duals)
+    assert isinstance(caught.value.__cause__, InfeasibleAnchorError)
+    assert not calls
 
 
 # Endpoint solves whose outcome must not depend on the BLAS thread count: the
