@@ -1,20 +1,22 @@
 """Weighted max-min power and split allocation via condensed geometric programs.
 
 The per-weight problem (maximize the smallest weighted rate subject to
-harvesting demands and box constraints) is a signomial program: every rate
-constraint is a ratio of posynomials in the transmit powers p, the splitting
-coefficients eta and the epigraph variable lambda = 2^beta.  Each outer
-iteration replaces the ratio denominators with their arithmetic-geometric
-mean monomial lower bounds anchored at the previous solution (single
-condensation), which yields a geometric program.  In secure mode the
-eavesdropper's covariance determinants are exact posynomials in the powers
-(Cauchy-Binet), so 2^{-R_Ek} is a ratio of posynomials as well and each
-condensed GP is an inner approximation of the true problem: started at a
-feasible point, every GP iterate is feasible for it and the objective never
-decreases.  The GP is solved in log-transformed variables, where it is
-convex, by a primal-dual interior-point method.  The same method, run on the
-exact ratios after the first GP, finishes most solves at once; the
-condensation loop goes on only where it fails.
+harvesting demands and box constraints) is a signomial program: every
+constraint is a ratio N_i / D_i <= 1 of posynomials in the transmit powers
+p, the splitting coefficients eta and the epigraph variable lambda = 2^beta.
+Each outer iteration replaces every denominator D_i with its
+arithmetic-geometric mean monomial lower bound anchored at the previous
+solution (single condensation), which yields a geometric program.  In
+secure mode the eavesdropper's covariance determinants are exact
+posynomials in the powers (Cauchy-Binet), so 2^{-R_Ek} is a ratio of
+posynomials as well and each condensed GP is an inner approximation of the
+true problem: started at a feasible point, every GP iterate is feasible for
+it and the objective never decreases.  In log variables every row is
+log N_i - log D_i <= 0, with D_i the posynomial for the exact problem and
+its monomial for the GP, where the row is convex.  One primal-dual
+interior-point method solves both: the GPs, and the exact rows after the
+first GP, which finishes most solves at once; the condensation loop goes
+on only where that fails.
 """
 
 from __future__ import annotations
@@ -208,12 +210,13 @@ def variable_box(cfg: SystemConfig) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class GpInstance:
-    """One condensed geometric program: maximize lambda subject to
-    posynomial(x) <= 1 constraints over x = (lambda, p, eta) between
-    ``floors`` and ``caps`` (whose logs are ``log_box``).  Each row is a
-    ratio: a and b, condensed at ``anchor``, share starts and seg with the
-    anchor-free ``numerators``, and row i's denominator is the i-th of the
-    ``denominators``, which recondensed condenses at a new anchor.
+    """The max-min problem over x = (lambda, p, eta) between ``floors`` and
+    ``caps`` (whose logs are ``log_box``): maximize lambda subject to
+    N_i(x) / D_i(x) <= 1, with N_i the i-th of the ``numerators`` and D_i
+    the i-th of the ``denominators``.  Condensed at ``anchor``, it is the GP
+    whose row i is N_i over the i-th of the ``monomials`` (one term per
+    row), D_i's monomial lower bound exact at the anchor, which recondensed
+    moves.
     """
 
     num_users: int
@@ -223,8 +226,7 @@ class GpInstance:
     numerators: Stack
     denominators: Stack
     anchor: Optional[np.ndarray] = None
-    a: Optional[np.ndarray] = None
-    b: Optional[np.ndarray] = None
+    monomials: Optional[Stack] = None
     log_box: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -233,10 +235,13 @@ class GpInstance:
 
     @property
     def constraints(self) -> list:
-        """Each condensed row as a Posynomial, for inspection."""
-        cut = self.numerators.starts[1:]
-        return [Posynomial(np.exp(b), a)
-                for a, b in zip(np.split(self.a, cut), np.split(self.b, cut))]
+        """Each condensed row, its numerator over its monomial, as a
+        Posynomial, for inspection."""
+        num, mono = self.numerators, self.monomials
+        cut = num.starts[1:]
+        return [Posynomial(np.exp(b), a) for a, b in
+                zip(np.split(num.a - mono.a[num.seg], cut),
+                    np.split(num.b - mono.b[num.seg], cut))]
 
     def _replaced(self, **changes) -> "GpInstance":
         # dataclasses.replace without running __init__ and __post_init__ again.
@@ -245,16 +250,14 @@ class GpInstance:
         return gp
 
     def recondensed(self, anchor: OperatingPoint) -> "GpInstance":
-        """The same GP with every denominator condensed at ``anchor``: each
-        row's numerator divided by its denominator's monomial."""
+        """The same GP with every denominator condensed at ``anchor``."""
         x = np.clip(np.concatenate([[1.0], anchor.powers, anchor.splits]),
                     self.floors, self.caps)
         if not np.all(np.isfinite(x) & (x > 0)):
             raise InfeasibleAnchorError(f"anchor must be finite and > 0, got {x}")
         exponents, log_coefs = _condense(self.denominators, np.log(x))
-        num = self.numerators
-        return self._replaced(anchor=x, a=num.a - exponents[num.seg],
-                              b=num.b - log_coefs[num.seg])
+        rows = np.arange(log_coefs.size)
+        return self._replaced(anchor=x, monomials=Stack(exponents, log_coefs, rows, rows))
 
 
 # Per config object, dropped with it: the _feasible_start point, and the
@@ -289,8 +292,8 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
     R_k = log2(D_k / A_k), S holds the users decoded after k and E is the
     eavesdropper determinant, whose terms are SystemConfig.eve_det_terms.
     The weights are only lambda's exponents in the rate rows, set on the
-    cached _weight_free_rows, and the anchor only enters the condensed
-    denominators, which GpInstance.recondensed moves.  Lambda's anchor
+    cached _weight_free_rows, and the anchor only enters the denominators'
+    monomials, which GpInstance.recondensed moves.  Lambda's anchor
     value is 1; solve_gp sets it.
     """
     return _weighted_rows(cfg, alpha, order, mode).recondensed(anchor)
@@ -298,7 +301,7 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
 
 def _weighted_rows(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
                    mode: str) -> GpInstance:
-    """build_gp's GP before it is condensed (no anchor, a or b): the cached
+    """build_gp's GP before it is condensed (no anchor or monomials): the cached
     _weight_free_rows with the weights as lambda's exponents."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -370,108 +373,99 @@ def _weight_free_rows(cfg: SystemConfig, support, order: DecodingOrder,
 # Log-space solve
 # ---------------------------------------------------------------------------
 
-def _log_rows(gp: GpInstance, y, exact: bool = False) -> np.ndarray:
-    """Each row's log value at y: of the condensed row, or with ``exact`` of
-    the ratio itself, log N_i(y) - log D_i(y)."""
-    num = gp.numerators
-    if exact:
-        return _log_posynomials(*num, y)[0] - _log_posynomials(*gp.denominators, y)[0]
-    return _log_posynomials(gp.a, gp.b, num.starts, num.seg, y)[0]
+def _log_rows(num: Stack, den: Stack, y) -> np.ndarray:
+    """Each row's log value at y, log N_i(y) - log D_i(y), over the stacked
+    numerators and the stacked denominators (one per row)."""
+    return _log_posynomials(*num, y)[0] - _log_posynomials(*den, y)[0]
 
 
-def _exact_lambda(gp: GpInstance, y, exact: bool = False) -> tuple:
+def _exact_lambda(num: Stack, den: Stack, y) -> tuple:
     """y with log lambda set in closed form, and the largest log row value
-    there (the worst violation; every rate row is at most 0), over the
-    condensed rows or, with ``exact``, the exact ones, which need no anchor.
+    there (the worst violation; every rate row is at most 0), over the rows
+    N_i / D_i.
 
     lambda enters every term of rate row k as lambda^alpha_k and no other
     row or denominator, so the shift makes the tightest rate row exactly
     active.  A row with a far sub-rounding weight turns rounding noise into
     a huge shift, so a feasible y is kept when the shift costs more.  Every
-    condensed row is exact at its anchor, so at y = log(gp.anchor) these are
-    the anchor's exact objective and feasibility.
+    monomial is exact at its anchor, so over a GP's rows at y =
+    log(gp.anchor) these are the anchor's exact objective and feasibility.
     """
-    log_g = _log_rows(gp, y, exact)
-    alphas = gp.numerators.a[gp.numerators.starts, 0]
+    log_g = _log_rows(num, den, y)
+    alphas = num.a[num.starts, 0]
     rate = alphas > 0
     tight = y.copy()
     tight[0] -= np.max(log_g[rate] / alphas[rate])
     if tight[0] < y[0] - FEAS_TOL and log_g.max() <= FEAS_TOL:
         return y, float(log_g.max())
-    return tight, float(_log_rows(gp, tight, exact).max())
+    return tight, float(_log_rows(num, den, tight).max())
 
 
-def _row_hessian(a, seg, shares, jac, weights, gram=None) -> np.ndarray:
-    """A^T diag(weights_seg c) A + jac^T diag(gram) jac over the stacked
-    exponents A and term shares c; the default gram = -weights gives
-    sum_i weights_i H_i, with H_i = A_i^T diag(c_i) A_i - g_i g_i^T the
-    Hessian of row i and g_i its gradient (the row of ``jac``)."""
-    if gram is None:
-        gram = -weights
+def _row_hessian(a, seg, shares, jac, weights) -> np.ndarray:
+    """sum_i weights_i H_i over the stacked exponents A and term shares c,
+    with H_i = A_i^T diag(c_i) A_i - g_i g_i^T the Hessian of log-sum-exp
+    row i and g_i its gradient (the row of ``jac``)."""
     return (a.T @ ((weights[seg] * shares)[:, None] * a)
-            + jac.T @ (gram[:, None] * jac))
+            - jac.T @ (weights[:, None] * jac))
 
 
-def _interior_point(a, b, starts, seg, y, lo, hi, z=None, den=None) -> tuple:
-    """Maximize y[0] subject to the stacked rows f(y) <= 0 and lo <= y <= hi,
-    from y; returns the last iterate, its multipliers, whether it converged
-    and the number of Newton systems solved.  Each row is the log-sum-exp of
-    its terms in a, b, starts, seg or, given the stack ``den`` of one
-    denominator per row, that minus the log-sum-exp of its denominator.
+def _interior_point(num: Stack, den: Stack, y, lo, hi, z=None) -> tuple:
+    """Maximize y[0] subject to the rows log N_i(y) - log D_i(y) <= 0 and
+    lo <= y <= hi, from y; returns the last iterate, its multipliers,
+    whether it converged and the number of Newton systems solved.  ``num``
+    stacks the numerators and ``den`` one denominator per row: the
+    posynomials themselves, or a GP's monomials, where every row is convex.
 
     A primal-dual interior-point method in slack form, g(y) + s = 0 with
     g = [f; y - hi; lo - y], s >= 0 and multipliers z >= 0 (Boyd and
-    Vandenberghe, Convex Optimization, 11.7).  Each Newton step targets
-    s_i z_i = mu and solves the n x n system sum_i z_i H_i + G^T diag(z/s) G
-    (G the Jacobian of g), one product over the rows' terms and one over G,
-    plus an absolute 1e-12 ridge that keeps a direction no row or bound
-    curves (a split that nothing binds) solvable.  The start need not meet
-    the rows or the box.  A cold start sets every pair at s_i z_i = mu =
-    IPM_MU0, with s = max(-g, IPM_MU0).  Given the multipliers ``z`` of a
-    nearby problem with the same rows (the previous GP of a condensation
-    loop), the run starts at mu = IPM_MU_WARM with s = max(-g, mu) and
-    z = max(z, mu / s), so it skips the barrier schedule that the earlier
-    problem already went through (Yildirim and Wright, SIAM J. Optim.
-    2002).  The barrier parameter mu falls, superlinearly, only once the KKT
-    error is within IPM_KAPPA times mu (Waechter and Biegler, Math. Program.
-    2006).  Mehrotra's adaptive target (SIAM J. Optim. 1992) lets mu fall
-    faster than a violated row can follow: the slacks of the rows collapse
-    while the row is still violated and the steps stall, as when a split
-    that only its own harvesting row binds sinks towards its floor; floored
-    by this mu, its predictor-corrector saved 3 % of the steps at two solves
-    a step, and on one GP it cycled.  s and z live in one vector, so one
-    ratio test gives both the same fraction of the step to the boundary.
-    The run converges when the duality gap s^T z and every row's violation
-    are at most IPM_TOL, so y[0] is then within about IPM_TOL of the
-    optimum; it ends unconverged after IPM_MAXITER steps or at a Newton
-    system that stays singular once its diagonal is raised by 1e-15 times
-    its largest entry.  Every bound in lo and hi must be finite.
-
-    With ``den`` the rows are not convex: a row's Hessian is H_N - H_D, the
-    difference of its numerator's and denominator's, so the Newton matrix
-    gets the inertia correction of Waechter and Biegler: delta I with the
-    first delta of 0, 1e-8, 1e-7, ... at which a Cholesky factorisation
-    succeeds, so each step is a direction of ascent of the barrier problem
-    (Nocedal and Wright, Numerical Optimization, 19.3).  A stationary point
-    of such rows need not satisfy the dual equations because the gap and
-    the rows are small, so the run converges only once the dual residual is
-    at most 1e-8 as well; a Newton matrix that is not finite ends it.
+    Vandenberghe, Convex Optimization, 11.7).  Each row's gradient is
+    J_N - J_D and its Hessian H_N - H_D, the difference of its numerator's
+    and denominator's (a monomial's is 0).  Each Newton step targets
+    s_i z_i = mu and solves the n x n system sum_i z_i (H_Ni - H_Di) +
+    G^T diag(z/s) G (G the Jacobian of g), plus an absolute 1e-12 ridge
+    that keeps a direction no row or bound curves (a split that nothing
+    binds) solvable.  The exact rows are not convex, so the system gets the
+    inertia correction of Waechter and Biegler (Math. Program. 2006):
+    delta I with the first delta of 0, 1e-8, 1e-7, ... at which a Cholesky
+    factorisation succeeds, so each step is a direction of ascent of the
+    barrier problem (Nocedal and Wright, Numerical Optimization, 19.3); a
+    GP's system is positive definite, so delta stays 0 there.  The start
+    need not meet the rows or the box.  A cold start sets every pair at
+    s_i z_i = mu = IPM_MU0, with s = max(-g, IPM_MU0).  Given the
+    multipliers ``z`` of a nearby problem with the same rows (the previous
+    GP of a condensation loop, or a neighbouring weight's polish), the run
+    starts at mu = IPM_MU_WARM with s = max(-g, mu) and z = max(z, mu / s),
+    so it skips the barrier schedule that the earlier problem already went
+    through (Yildirim and Wright, SIAM J. Optim. 2002).  The barrier
+    parameter mu falls, superlinearly, only once the KKT error is within
+    IPM_KAPPA times mu (Waechter and Biegler).  Mehrotra's adaptive target
+    (SIAM J. Optim. 1992) lets mu fall faster than a violated row can
+    follow: the slacks of the rows collapse while the row is still violated
+    and the steps stall, as when a split that only its own harvesting row
+    binds sinks towards its floor; floored by this mu, its
+    predictor-corrector saved 3 % of the steps at two solves a step, and on
+    one GP it cycled.  s and z live in one vector, so one ratio test gives
+    both the same fraction of the step to the boundary.  The run converges
+    when the duality gap s^T z and every row's violation are at most
+    IPM_TOL and the dual residual is at most 1e-8 (a stationary point of
+    non-convex rows need not satisfy the dual equations because the gap
+    and the rows are small), so y[0] is then within about IPM_TOL of a
+    local optimum; it ends unconverged after IPM_MAXITER steps, at a Newton
+    matrix that is not finite, or at a Newton system that stays singular
+    once its diagonal is raised by 1e-15 times its largest entry.  Every
+    bound in lo and hi must be finite.
     """
-    n, rows = y.size, starts.size
+    n, rows = y.size, num.starts.size
     m = rows + 2 * n
     jac = np.vstack([np.empty((rows, n)), np.eye(n), -np.eye(n)])   # G = [J; I; -I]
-    is_row = np.arange(m) < rows
-    if den is not None:
-        # One stack: the numerators, then the denominators as rows + i.
-        a, b, starts, seg = (np.vstack([a, den.a]), np.concatenate([b, den.b]),
-                             np.concatenate([starts, den.starts + b.size]),
-                             np.concatenate([seg, den.seg + rows]))
+    # One stack: the numerators, then the denominators as rows + i.
+    a, b = np.vstack([num.a, den.a]), np.concatenate([num.b, den.b])
+    starts = np.concatenate([num.starts, den.starts + num.b.size])
+    seg = np.concatenate([num.seg, den.seg + rows])
 
     def constraints(y):
         f, shares = _log_posynomials(a, b, starts, seg, y)
-        if den is not None:
-            f = f[:rows] - f[rows:]
-        return np.concatenate([f, y - hi, lo - y]), shares
+        return np.concatenate([f[:rows] - f[rows:], y - hi, lo - y]), shares
 
     g, shares = constraints(y)
     mu = IPM_MU0 if z is None else IPM_MU_WARM
@@ -481,27 +475,24 @@ def _interior_point(a, b, starts, seg, y, lo, hi, z=None, den=None) -> tuple:
     mu_min = 0.1 * IPM_TOL / m
     for solved in range(IPM_MAXITER):
         row_jac = _row_jacobian(a, starts, shares)
-        jac[:rows] = row_jac if den is None else row_jac[:rows] - row_jac[rows:]
+        jac[:rows] = row_jac[:rows] - row_jac[rows:]
         r_d = jac.T @ z
         r_d[0] -= 1.0                       # the cost is -y[0]
         r_p = g + s
         gap = s * z
-        if (gap.sum() <= IPM_TOL and g.max() <= IPM_TOL
-                and (den is None or np.abs(r_d).max() <= 1e-8)):
+        dual = np.abs(r_d).max()
+        if gap.sum() <= IPM_TOL and g.max() <= IPM_TOL and dual <= 1e-8:
             return y, z, True, solved
-        residual = max(np.abs(r_d).max(), np.abs(r_p).max())
+        residual = max(dual, np.abs(r_p).max())
         while mu > mu_min and max(residual, np.abs(gap - mu).max()) <= IPM_KAPPA * mu:
             mu = max(mu_min, min(0.2 * mu, mu ** 1.5))
         d = z / s
-        if den is None:
-            kkt = _row_hessian(a, seg, shares, jac, z, d - is_row * z)
-        else:
-            # sum_i z_i (H_Ni - H_Di): the denominators weighted by -z_i.
-            kkt = (_row_hessian(a, seg, shares, row_jac,
-                                np.concatenate([z[:rows], -z[:rows]]))
-                   + jac.T @ (d[:, None] * jac))
+        # sum_i z_i (H_Ni - H_Di): the denominators weighted by -z_i.
+        kkt = (_row_hessian(a, seg, shares, row_jac,
+                            np.concatenate([z[:rows], -z[:rows]]))
+               + jac.T @ (d[:, None] * jac))
         kkt.flat[::n + 1] += 1e-12
-        if den is not None and not _inertia_corrected(kkt):
+        if not _inertia_corrected(kkt):
             return y, z, False, solved
         v = d * r_p - z + mu / s
         rhs = -(jac.T @ v) - r_d
@@ -534,7 +525,6 @@ def _inertia_corrected(kkt) -> bool:
     NaN without raising, but the NaN then reaches every later diagonal entry
     of the factor, the last one included.  A finite delta always exists:
     past the largest absolute row sum the matrix is diagonally dominant."""
-    diagonal = kkt.diagonal().copy()
     delta = 0.0
     while True:
         try:
@@ -542,40 +532,49 @@ def _inertia_corrected(kkt) -> bool:
         except np.linalg.LinAlgError:
             if not np.all(np.isfinite(kkt)):
                 return False
+            if not delta:       # the first failure: keep the diagonal
+                diagonal = kkt.diagonal().copy()
             delta = max(1e-8, 10.0 * delta)
             np.fill_diagonal(kkt, diagonal + delta)
 
 
-class GpSolution(tuple):
-    """The (lambda, OperatingPoint, failures) triple of solve_gp, which also
-    carries the interior-point run's multipliers (``duals``, None unless it
-    converged), the Newton systems it solved (``newton_steps``) and the log
-    of lambda (``log_lam``), finite also where lambda underflows to 0.0."""
+class GpSolution(NamedTuple):
+    """solve_gp's result: lambda, the OperatingPoint, the failures, the
+    interior-point run's multipliers (None unless it converged), the Newton
+    systems it solved and the log of lambda, finite also where lambda
+    underflows to 0.0."""
+    lam: float
+    op: OperatingPoint
+    failures: int
+    duals: Optional[np.ndarray]
+    newton_steps: int
+    log_lam: float
 
-    def __new__(cls, lam, op, failures, duals, newton_steps, log_lam):
-        solution = super().__new__(cls, (lam, op, failures))
-        solution.duals, solution.newton_steps = duals, newton_steps
-        solution.log_lam = log_lam
-        return solution
 
-    def __getnewargs__(self):
-        # Copies and pickles rebuild the solution through __new__.
-        return (*self, self.duals, self.newton_steps, self.log_lam)
+def _run(gp: GpInstance, den: Stack, y, z=None) -> tuple:
+    """_interior_point on the GP's numerators over ``den`` from the log point
+    y and the multipliers z (cold without them), with log lambda floored 1
+    below y's, which never binds, as the run raises lambda: its last
+    iterate clipped to the box with lambda set in closed form, the worst
+    row there, the multipliers, whether it converged and the Newton steps."""
+    lo, hi = gp.log_box
+    floors = lo.copy()
+    floors[0] = y[0] - 1.0
+    y, z, converged, steps = _interior_point(gp.numerators, den, y, floors, hi, z)
+    y, worst = _exact_lambda(gp.numerators, den, np.clip(y, lo, hi))
+    return y, worst, z, converged, steps
 
 
 def solve_gp(gp: GpInstance, duals=None) -> GpSolution:
-    """Maximize lambda over the GP from its anchor; returns the (lambda,
-    OperatingPoint, failures) of a GpSolution.
+    """Maximize lambda over the GP from its anchor.
 
     Solved as a smooth convex program in log variables y = log x over the
-    GP's stacked rows by _interior_point, which needs a finite floor on log
-    lambda as well: its value at the anchor minus 1, which never binds, as
-    the solve raises lambda from there.  Lambda is set in closed form at
-    the anchor and at the solver's point, clipped to the box; it is 0.0 when
-    the optimum lies below the smallest float, as a negative secrecy gap
-    divided by a weight of ~1e-6 puts it, and the solution's ``log_lam``
-    then still holds the optimum.  ``failures`` is 1 when the
-    interior-point run ended unconverged, and the solve then
+    GP's rows, each numerator over its monomial, by _run.  Lambda is set in
+    closed form at the anchor and at the solver's point, clipped to the
+    box; it is 0.0 when the optimum lies below the smallest float, as a
+    negative secrecy gap divided by a weight of ~1e-6 puts it, and the
+    solution's ``log_lam`` then still holds the optimum.  ``failures`` is 1
+    when the interior-point run ended unconverged, and the solve then
     returns to the anchor if the solver's point is worse.  ``duals``, the
     multipliers of a converged solve of a GP with the same rows, starts the
     run from them; the solution carries the run's own, for the next GP.  A
@@ -584,25 +583,17 @@ def solve_gp(gp: GpInstance, duals=None) -> GpSolution:
     when the anchor violates a constraint by more than FEAS_TOL and
     NumericalFailureError when the solver leaves one violated.
     """
-    a, b, (_, _, starts, seg) = gp.a, gp.b, gp.numerators
-    lo, hi = gp.log_box
-
-    y0, worst = _exact_lambda(gp, np.log(gp.anchor))
+    y0, worst = _exact_lambda(gp.numerators, gp.monomials, np.log(gp.anchor))
     if not worst <= FEAS_TOL:
         raise InfeasibleAnchorError(f"anchor violates a constraint by {worst:.3e}")
-
-    floors = lo.copy()
-    floors[0] = y0[0] - 1.0
-    y, z, converged, steps = _interior_point(a, b, starts, seg, y0, floors, hi,
-                                             duals)
-    y, worst = _exact_lambda(gp, np.clip(y, lo, hi))
+    y, worst, z, converged, steps = _run(gp, gp.monomials, y0, duals)
     if not worst <= FEAS_TOL:
         raise NumericalFailureError(
             f"optimizer left constraints violated by {worst:.3e}")
     if not converged and y[0] < y0[0] - 1e-9:
         # An unfinished run never regresses below the starting point.
         y = y0
-    y = np.clip(y, lo, hi)
+    y = np.clip(y, *gp.log_box)
     x = np.exp(y)
     kk = gp.num_users
     return GpSolution(float(x[0]), OperatingPoint(x[1:kk + 1], x[kk + 1:]),
@@ -745,38 +736,30 @@ def _polish_first(cfg, alpha, order, mode, start, duals) -> tuple:
         if not (duals.shape == (size,) and np.all(np.isfinite(duals) & (duals >= 0))):
             raise ConfigError([(BAD_VALUE, "duals", f"needs {size} finite "
                                 f"multipliers >= 0, got {duals}")])
-    y, worst = _exact_lambda(rows, _log_point(rows, start), exact=True)
+    y, worst = _exact_lambda(rows.numerators, rows.denominators,
+                             _log_point(rows, start))
     if not worst <= FEAS_TOL:
         return None, None, 0
-    return _polished(rows, y, duals)
+    return _polished(rows, y, y, duals)
 
 
-def _polished(gp: GpInstance, y, z=None) -> tuple:
-    """Where the solve ends after a run of the interior point on the GP's
-    exact rows, log N_i - log D_i <= 0, from the log point ``y`` and the
-    multipliers ``z`` (cold without them), with log lambda floored 1 below
-    y's: the point and the run's multipliers, or None twice when the
-    solve has to go on.  Also the Newton steps the run took.
+def _polished(gp: GpInstance, y, ref, z=None) -> tuple:
+    """Where the solve ends after _run on the GP's exact rows, log N_i -
+    log D_i <= 0, from the log point ``y`` and the multipliers ``z`` (cold
+    without them): the point and the run's multipliers, or None twice when
+    the solve has to go on.  Also the Newton steps the run took.
 
-    The run ends the solve only when it converged, every exact row holds
-    within FEAS_TOL once lambda is set in closed form, and that log lambda
-    is not below the closed-form exact one at y by more than IPM_TOL, the
-    run's own accuracy.  The solve then ends at the better of the two
-    points: where y is already the optimum, the run leaves a power a
-    rounding-level step inside its cap.
+    ``ref`` is y with lambda set in closed form on the exact rows.  The run
+    ends the solve only when it converged, every exact row holds within
+    FEAS_TOL at its closed-form lambda, and that log lambda is not below
+    ref's by more than IPM_TOL, the run's own accuracy.  The solve then
+    ends at the better of the two points: where y is already the optimum,
+    the run leaves a power a rounding-level step inside its cap.
     """
-    lo, hi = gp.log_box
-    floors = lo.copy()
-    floors[0] = y[0] - 1.0
-    y_end, z, converged, steps = _interior_point(*gp.numerators, y, floors, hi,
-                                                 z, gp.denominators)
-    if not converged:
+    y_end, worst, z, converged, steps = _run(gp, gp.denominators, y, z)
+    if not (converged and worst <= FEAS_TOL and y_end[0] >= ref[0] - IPM_TOL):
         return None, None, steps
-    y_end, worst = _exact_lambda(gp, np.clip(y_end, lo, hi), exact=True)
-    y, _ = _exact_lambda(gp, y, exact=True)
-    if not (worst <= FEAS_TOL and y_end[0] >= y[0] - IPM_TOL):
-        return None, None, steps
-    x = np.exp(np.clip(y_end if y_end[0] > y[0] else y, lo, hi))
+    x = np.exp(np.clip(y_end if y_end[0] > ref[0] else ref, *gp.log_box))
     kk = gp.num_users
     return OperatingPoint(x[1:kk + 1], x[kk + 1:]), z, steps
 
@@ -797,33 +780,32 @@ def _solve(cfg, alpha, order, mode, start, duals) -> SolveReport:
             if i:
                 gp = gp.recondensed(point)
             solution = solve_gp(gp, gp_duals)
-            lam_gp, point, gp_failures = solution
-            gp_duals = solution.duals
-            trace.append(lam_gp)
-            failures += gp_failures
+            point, gp_duals = solution.op, solution.duals
+            trace.append(solution.lam)
+            failures += solution.failures
             newton_steps += solution.newton_steps
             if not i:
                 y = _log_point(gp, point)
                 y[0] = solution.log_lam
-                polished, duals, steps = _polished(gp, y, gp_duals)
+                ref, _ = _exact_lambda(gp.numerators, gp.denominators, y)
+                polished, duals, steps = _polished(gp, y, ref, gp_duals)
                 newton_steps += steps
                 if polished is not None:
                     converged = True
                     break
             # Relative also below lambda = 1, where a negative secrecy gap
             # puts it; a lambda that underflowed to 0.0 has not converged.
-            if (len(trace) >= 2 and lam_gp > 0.0
-                    and abs(trace[-1] - trace[-2]) <= EPS_CONV * lam_gp):
+            if (len(trace) >= 2 and trace[-1] > 0.0
+                    and abs(trace[-1] - trace[-2]) <= EPS_CONV * trace[-1]):
                 converged = True
                 break
 
         # Each denominator minus its monomial of the last GP, at its
         # solution; lambda enters no denominator.
-        y = np.log(np.clip(np.concatenate([[1.0], point.powers, point.splits]),
-                           gp.floors, gp.caps))
-        exponents, log_coefs = _condense(gp.denominators, np.log(gp.anchor))
+        y = _log_point(gp, point)
+        mono = gp.monomials
         gaps = (np.exp(_log_posynomials(*gp.denominators, y)[0])
-                - np.exp(exponents @ y + log_coefs))
+                - np.exp(mono.a @ y + mono.b))
 
     if polished is not None:
         point = polished

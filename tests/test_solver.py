@@ -188,9 +188,9 @@ def _recondense_cases():
 
 def _assert_same_gp(got, want):
     assert got.labels == want.labels
-    for name in ("anchor", "floors", "caps", "a", "b"):
+    for name in ("anchor", "floors", "caps"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
-    for stack in ("numerators", "denominators"):
+    for stack in ("numerators", "denominators", "monomials"):
         for g, w in zip(getattr(got, stack), getattr(want, stack)):
             assert np.array_equal(g, w)
 
@@ -201,7 +201,7 @@ class TestRecondense:
         start = solver._feasible_start(cfg)
         gp = build_gp(cfg, weights, order, start, mode)
         _assert_same_gp(gp.recondensed(start), gp)
-        _, point, _ = solve_gp(gp)
+        point = solve_gp(gp).op
         _assert_same_gp(gp.recondensed(point),
                         build_gp(cfg, weights, order, point, mode))
 
@@ -219,10 +219,9 @@ class TestRecondense:
             if i:
                 gp = build_gp(cfg, weights, order, point, mode)
             solution = solve_gp(gp, duals)
-            lam, point, gp_failures = solution
-            duals = solution.duals
-            trace.append(lam)
-            failures += gp_failures
+            point, duals = solution.op, solution.duals
+            trace.append(solution.lam)
+            failures += solution.failures
             if not i:
                 polished = _polish_reference(gp, solution)
                 if polished is not None:
@@ -240,6 +239,68 @@ class TestRecondense:
         assert np.array_equal(rep.op.powers, point.powers)
         assert np.array_equal(rep.op.splits, point.splits)
         assert rep.optimizer_failures == failures
+
+
+@pytest.mark.parametrize("cfg,weights,order,mode", _recondense_cases())
+def test_constraints_are_numerators_over_monomials(cfg, weights, order, mode):
+    # GpInstance.constraints shows row i as its numerator's terms, each
+    # divided by the row's one-term monomial: same term count, and the
+    # value N_i(x) / M_i(x) at the anchor and away from it.
+    gp = build_gp(cfg, weights, order, solver._feasible_start(cfg), mode)
+    num, mono = gp.numerators, gp.monomials
+    rows = len(gp.labels)
+    assert mono.a.shape == (rows, gp.anchor.size)
+    assert np.array_equal(mono.starts, np.arange(rows))
+    constraints = gp.constraints
+    sizes = np.diff(np.append(num.starts, num.b.size))
+    assert [c.num_terms for c in constraints] == sizes.tolist()
+    rng = np.random.default_rng(3)
+    points = [gp.anchor]
+    for _ in range(5):
+        x = np.exp(rng.uniform(np.log(np.maximum(gp.floors, 2.0 ** -64)), np.log(gp.caps)))
+        x[0] = np.exp(rng.uniform(-3.0, 3.0))
+        points.append(x)
+    for x in points:
+        log_x = np.log(x)
+        numerators = np.add.reduceat(np.exp(num.a @ log_x + num.b), num.starts)
+        want = numerators / np.exp(mono.a @ log_x + mono.b)
+        got = [c.value(x) for c in constraints]
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+def _gradients(stack, y):
+    """Gradient of each log-sum-exp row of the stack at y."""
+    return solver._row_jacobian(stack.a, stack.starts,
+                                solver._log_posynomials(*stack, y)[1])
+
+
+@pytest.mark.parametrize("cfg,weights,order,mode", _recondense_cases())
+def test_converged_gp_run_meets_dual_residual(cfg, weights, order, mode):
+    # Every interior-point run, a GP's included, converges only where the
+    # multipliers balance the objective: |G^T z - e_0| <= 1e-8 at its last
+    # iterate, with each row's gradient that of its numerator minus its
+    # monomial's.  Checked on the cold first GP and on the next, started
+    # from its multipliers.
+    gp = build_gp(cfg, weights, order, solver._feasible_start(cfg), mode)
+    runs = []
+    interior_point = solver._interior_point
+
+    def capture(*args):
+        runs.append((args, interior_point(*args)))
+        return runs[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_interior_point", capture)
+        solution = solve_gp(gp)
+        solve_gp(gp.recondensed(solution.op), solution.duals)
+    for (num, den, *_), (y, z, converged, _) in runs:
+        assert den.b.size == num.starts.size      # one monomial per row
+        assert converged
+        n = y.size
+        jac = np.vstack([_gradients(num, y) - _gradients(den, y), np.eye(n), -np.eye(n)])
+        residual = jac.T @ z
+        residual[0] -= 1.0
+        assert np.abs(residual).max() <= 1e-8
 
 
 def _exact_log_rows(gp, y):
@@ -267,13 +328,13 @@ def _polish_reference(gp, solution):
     lambda is not below the one at the solution by more than the run's
     tolerance."""
     lo, hi = gp.log_box
-    _, op, _ = solution
+    op = solution.op
     y = np.clip(np.log(np.concatenate([[1.0], op.powers, op.splits])), lo, hi)
     y[0] = solution.log_lam
     floors = lo.copy()
     floors[0] = y[0] - 1.0
-    y_end, _, converged, _ = solver._interior_point(*gp.numerators, y, floors, hi,
-                                                    solution.duals, gp.denominators)
+    y_end, _, converged, _ = solver._interior_point(gp.numerators, gp.denominators,
+                                                    y, floors, hi, solution.duals)
     if not converged:
         return None
     y_end = np.clip(y_end, lo, hi)
@@ -319,12 +380,12 @@ def _identical(got, want):
 
 def _assert_identical_gp(got, want):
     assert got.labels == want.labels
-    for got_arr, want_arr in [(got.a, want.a), (got.b, want.b),
-                              (got.floors, want.floors), (got.caps, want.caps),
+    for got_arr, want_arr in [(got.floors, want.floors), (got.caps, want.caps),
                               (got.anchor, want.anchor),
                               *zip(got.log_box, want.log_box),
                               *zip(got.numerators, want.numerators),
-                              *zip(got.denominators, want.denominators)]:
+                              *zip(got.denominators, want.denominators),
+                              *zip(got.monomials, want.monomials)]:
         assert _identical(got_arr, want_arr)
 
 
@@ -354,9 +415,13 @@ def test_cached_rows_build_the_cold_gp(seed, num_users, num_eve_antennas, eh_fra
                     _assert_identical_gp(gps[-1], build_gp(replace(cfg), weights,
                                                            order, anchor, mode))
                 # Both weights share one row set, which differs only in
-                # lambda's exponents where two or more users have a weight.
+                # lambda's exponents where two or more users have a weight;
+                # lambda enters no denominator, so neither monomial moves.
                 assert gps[0].denominators is gps[1].denominators
-                assert np.array_equal(gps[0].a, gps[1].a) == (support.sum() == 1)
+                assert (np.array_equal(gps[0].numerators.a, gps[1].numerators.a)
+                        == (support.sum() == 1))
+                for g, w in zip(gps[0].monomials, gps[1].monomials):
+                    assert _identical(g, w)
                 # A config from with_demands, with the same demands or with
                 # others, builds its own rows.
                 for psi in (cfg.eh_demands, rng.uniform(0.0, 0.6) * cfg.eh_demands[::-1]):
@@ -430,13 +495,14 @@ def test_constraint_jacobian_matches_central_differences(seed, num_users, mode,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_interior_point", capture)
         solve_gp(gp)
-    a, b, starts, seg = seen[0][:4]
+    num, den = seen[0][:2]
+    assert den is gp.monomials
 
     def rows(y):
-        return solver._log_posynomials(a, b, starts, seg, y)
+        return solver._log_rows(num, den, y)
 
     def jac(y):
-        return solver._row_jacobian(a, starts, rows(y)[1])
+        return _gradients(num, y) - _gradients(den, y)
 
     def central(fun, y, h=1e-6):
         return np.stack([(fun(y + h * e) - fun(y - h * e)) / (2 * h)
@@ -444,12 +510,14 @@ def test_constraint_jacobian_matches_central_differences(seed, num_users, mode,
 
     y0 = np.log(gp.anchor)
     for y in (y0, y0 + rng.normal(0.0, 0.2, y0.size)):
-        assert np.allclose(jac(y), central(lambda x: rows(x)[0], y),
-                           rtol=0.0, atol=1e-6)
-        # The Newton system weights each row's Hessian by its multiplier.
+        assert np.allclose(jac(y), central(rows, y), rtol=0.0, atol=1e-6)
+        # The Newton system weights each row's Hessian, its numerator's
+        # minus its monomial's, by its multiplier.
         numeric = central(jac, y)
-        for row, weights in enumerate(np.eye(starts.size)):
-            hessian = solver._row_hessian(a, seg, rows(y)[1], jac(y), weights)
+        for row, weights in enumerate(np.eye(num.starts.size)):
+            hessian = sum(sign * solver._row_hessian(
+                stack.a, stack.seg, solver._log_posynomials(*stack, y)[1],
+                _gradients(stack, y), weights) for sign, stack in ((1.0, num), (-1.0, den)))
             assert np.allclose(hessian, numeric[row], rtol=0.0, atol=1e-6)
 
 
@@ -467,15 +535,15 @@ class TestSolveGp:
                                         Posynomial([1.0], [0.0, 0.0, 0.0])]),
         ).recondensed(OperatingPoint(np.array([1.0]), np.array([0.5])))
         assert np.array_equal(gp.anchor, [1.0, 1.0, 0.5])
-        lam, op, _ = solve_gp(gp)
-        assert lam == pytest.approx(2.0, rel=1e-6)
-        assert op.powers[0] == pytest.approx(2.0, rel=1e-6)
+        solution = solve_gp(gp)
+        assert solution.lam == pytest.approx(2.0, rel=1e-6)
+        assert solution.op.powers[0] == pytest.approx(2.0, rel=1e-6)
 
     def test_no_regression_below_anchor(self):
         cfg = weak_interference()
         anchor = OperatingPoint(np.ones(2), np.full(2, 0.5))
         gp = build_gp(cfg, Weights.pair(0.5), ORDER12, anchor, RELIABLE)
-        lam, _, _ = solve_gp(gp)
+        lam = solve_gp(gp).lam
         anchor_rate = min(legitimate_rates(cfg, anchor) / 0.5)
         assert np.log2(lam) >= anchor_rate - 1e-9
 
@@ -490,9 +558,10 @@ class TestSolveGp:
         gp = build_gp(cfg, weights, ORDER12, OperatingPoint(powers, splits), RELIABLE)
         energy = gp.constraints[gp.labels.index("eh[0]")]
         assert 4e-9 < np.log(energy.value(gp.anchor)) < solver.FEAS_TOL
-        lam, _, failures = solve_gp(gp)
-        assert failures == 0
-        assert np.log(lam) < solver._exact_lambda(gp, np.log(gp.anchor))[0][0] - 1e-9
+        solution = solve_gp(gp)
+        assert solution.failures == 0
+        anchor_lambda = solver._exact_lambda(gp.numerators, gp.monomials, np.log(gp.anchor))
+        assert np.log(solution.lam) < anchor_lambda[0][0] - 1e-9
 
     def test_singular_newton_system_is_retried(self, monkeypatch):
         # A slack that collapses to ~1e-17 can make elimination meet an exact
@@ -555,7 +624,7 @@ class TestSolveGp:
         solution = solve_gp(gp)
         for other in (copy.copy(solution), copy.deepcopy(solution),
                       pickle.loads(pickle.dumps(solution))):
-            assert other[0] == solution[0] and other[2] == solution[2]
+            assert other.lam == solution.lam and other.failures == solution.failures
             assert other.newton_steps == solution.newton_steps
             assert other.log_lam == solution.log_lam
             assert np.array_equal(other.duals, solution.duals)
@@ -671,7 +740,7 @@ class TestIterate:
         assert rep.polished and rep.iterations == 1
         gp = build_gp(cfg, Weights.pair(0.5), ORDER12, solver._feasible_start(cfg),
                       RELIABLE)
-        _, point, _ = solve_gp(gp)
+        point = solve_gp(gp).op
         x = np.concatenate([[1.0], point.powers, point.splits])
         cut = gp.denominators.starts[1:]
         dens = [Posynomial(np.exp(b), a) for a, b in zip(np.split(gp.denominators.a, cut),
@@ -679,7 +748,7 @@ class TestIterate:
         want = [den.value(x) - condense(den, gp.anchor).value(x) for den in dens]
         assert rep.gaps == pytest.approx(want, rel=1e-9, abs=1e-15)
         assert np.all(rep.gaps >= -1e-9)
-        monkeypatch.setattr(solver, "_polished", lambda gp, y, z=None: (None, None, 0))
+        monkeypatch.setattr(solver, "_polished", lambda gp, y, ref, z=None: (None, None, 0))
         rep = iterate(cfg, Weights.pair(0.5), None, RELIABLE)
         assert not rep.polished and rep.converged
         assert np.all(rep.gaps >= -1e-9)
@@ -709,7 +778,7 @@ class TestIterate:
         weights = Weights(alpha / alpha.sum())
         polished = iterate(cfg, weights, order, SECURE, start=start)
         assert polished.polished and polished.lam_trace == [0.0]
-        monkeypatch.setattr(solver, "_polished", lambda gp, y, z=None: (None, None, 0))
+        monkeypatch.setattr(solver, "_polished", lambda gp, y, ref, z=None: (None, None, 0))
         rep = iterate(cfg, weights, order, SECURE, start=start)
         trace = rep.lam_trace
         assert trace[0] == 0.0
@@ -779,11 +848,11 @@ def test_solve_gp_feasible_and_rate_row_tight(seed, num_users, mode, eh_fraction
         assert max(c.value(gp.anchor) for c, label in zip(gp.constraints, gp.labels)
                    if label.startswith("eh")) > 1.0 + 1e-8
         return
-    lam, op, _ = solution
+    op = solution.op
     # The rows are evaluated in log space at the solution's log lambda: in
     # the pinned examples a ~1e-6 weight on a negative secrecy gap puts the
     # optimum's log lambda near -8440 and -45700, where lambda is 0.0.
-    assert np.exp(solution.log_lam) == lam
+    assert np.exp(solution.log_lam) == solution.lam
     log_x = np.concatenate([[solution.log_lam], np.log(op.powers), np.log(op.splits)])
     values = np.exp([np.logaddexp.reduce(np.log(c.coeffs) + c.exponents @ log_x)
                      for c in gp.constraints])
@@ -909,8 +978,9 @@ def _plain_mm_objective(cfg, weights, order, mode, start=None):
     point = solver._feasible_start(cfg) if start is None else start
     trace = []
     for _ in range(solver.MAX_ITERS):
-        lam, point, _ = solve_gp(build_gp(cfg, weights, order, point, mode))
-        trace.append(lam)
+        solution = solve_gp(build_gp(cfg, weights, order, point, mode))
+        point = solution.op
+        trace.append(solution.lam)
         if (len(trace) >= 2 and abs(trace[-1] - trace[-2])
                 <= solver.EPS_CONV * max(1.0, trace[-1])):
             break
@@ -1032,8 +1102,8 @@ def test_warm_solve_no_worse_than_plain(monkeypatch, cfg, weights, nearby, order
     polished = solver._polished
     runs = []
 
-    def recorded(gp, y, z=None):
-        result = polished(gp, y, z)
+    def recorded(gp, y, ref, z=None):
+        result = polished(gp, y, ref, z)
         runs.append((gp.anchor is None, result[0] is not None))
         return result
 
