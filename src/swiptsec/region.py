@@ -4,6 +4,7 @@ over (p1, p2) with closed-form splits and one zoom."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional
@@ -172,7 +173,12 @@ def time_share_hull(points) -> np.ndarray:
 
     Returns the Pareto frontier of the convex closure (axis projections
     included), sorted by first coordinate; dominated, interior and collinear
-    intermediate points are removed.
+    intermediate points are removed.  Differences at rounding level, 8
+    machine epsilons of the largest rate, do not count: abscissae that
+    close are one, whose vertex is the upper right corner of the points
+    there, and a point that close to the line through its neighbours is
+    collinear, so the vertices do not depend on rounding noise in the
+    rates.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
@@ -182,20 +188,25 @@ def time_share_hull(points) -> np.ndarray:
     x_max = pts[:, 0].max()
     y_max = pts[:, 1].max()
     cand = np.vstack([pts, [[0.0, y_max], [x_max, 0.0]]])
+    tol = 8 * np.finfo(float).eps * float(max(x_max, y_max))
 
-    # One candidate per abscissa (the highest), scanned left to right.
-    by_x = {}
-    for x, y in cand:
-        if x not in by_x or y > by_x[x]:
-            by_x[x] = y
-    xs = sorted(by_x)
+    # One candidate per abscissa, scanned left to right: the upper right
+    # corner of the candidates at it, which dominates each of them.
+    column = []
+    for x, y in sorted(cand.tolist()):
+        if column and x - column[-1][0] <= tol:
+            column[-1] = (x, max(y, column[-1][1]))
+        else:
+            column.append((x, y))
     chain = []
-    for x in xs:
-        p = (x, by_x[x])
+    for p in column:
         while len(chain) >= 2:
             ox, oy = chain[-2]
             ax, ay = chain[-1]
-            if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) >= 0:
+            # The cross product over |p - o| is a's distance below the line
+            # from o to p.
+            if ((ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox)
+                    >= -tol * math.hypot(p[0] - ox, p[1] - oy)):
                 chain.pop()
             else:
                 break

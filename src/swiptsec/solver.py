@@ -162,10 +162,10 @@ def _log_posynomials(a, b, starts, seg, z):
     return m + np.log(s), e / s[seg]
 
 
-def _row_jacobian(a, starts, shares) -> np.ndarray:
+def _row_jacobian(a, starts, shares, out=None) -> np.ndarray:
     """Gradient of each stacked log-sum-exp row: its exponent rows weighted by
-    the term shares of _log_posynomials."""
-    return np.add.reduceat(shares[:, None] * a, starts)
+    the term shares of _log_posynomials (written into ``out`` if given)."""
+    return np.add.reduceat(shares[:, None] * a, starts, out=out)
 
 
 def _condense(stack: Stack, y) -> tuple:
@@ -178,6 +178,45 @@ def _condense(stack: Stack, y) -> tuple:
         raise NonPositiveTermError(f"term shares must be finite and > 0, got {c}")
     return (_row_jacobian(stack.a, stack.starts, c),
             np.add.reduceat(c * (stack.b - np.log(c)), stack.starts))
+
+
+class Layout(NamedTuple):
+    """The rows N_i / D_i of an interior-point run, laid out once for every
+    run over them.  ``m`` is the run's matrix M = [A; P; G] without the
+    parts that move: A stacks the numerators' and then the denominators'
+    term exponents (filled), P holds each of those posynomials' gradient
+    and G = [J; I; -I] the rows' Jacobian J = P_N - P_D over the box
+    (only the box filled).  b, starts and seg stack the terms as in Stack,
+    denominator i as posynomial rows + i.  ``row`` and ``sign`` give each
+    term and then each posynomial the row it belongs to and the sign of
+    its part of that row's Hessian."""
+    m: np.ndarray
+    b: np.ndarray
+    starts: np.ndarray
+    seg: np.ndarray
+    row: np.ndarray
+    sign: np.ndarray
+
+
+def _layout(num: Stack, den: Stack) -> Layout:
+    """The read-only Layout of the rows num_i / den_i."""
+    rows, n = num.starts.size, num.a.shape[1]
+    terms = num.b.size + den.b.size
+    m = np.zeros((terms + 3 * rows + 2 * n, n))
+    m[:terms] = np.vstack([num.a, den.a])
+    m[terms + 3 * rows:] = np.vstack([np.eye(n), -np.eye(n)])
+    seg = np.concatenate([num.seg, den.seg + rows])
+    # H_i = sum_t c_t a_t a_t^T - p p^T for each posynomial, and row i's
+    # Hessian is H_Ni - H_Di.
+    posy = np.arange(2 * rows)
+    layout = Layout(m, np.concatenate([num.b, den.b]),
+                    np.concatenate([num.starts, den.starts + num.b.size]), seg,
+                    np.concatenate([seg, posy]) % rows,
+                    np.concatenate([np.where(seg < rows, 1.0, -1.0),
+                                    np.where(posy < rows, -1.0, 1.0)]))
+    for array in layout:
+        array.setflags(write=False)
+    return layout
 
 
 def condense(posy: Posynomial, anchor) -> Posynomial:
@@ -196,16 +235,29 @@ def condense(posy: Posynomial, anchor) -> Posynomial:
 
 # Variable layout: index 0 is lambda, then the K powers, then the K splits.
 
+# Per config object, dropped with it: the variable_box, the _feasible_start
+# point, and the _weight_free_rows of each mode, decoding order and set of
+# weighted users.
+_CONFIG_CACHE = weakref.WeakKeyDictionary()
+
+
 def variable_box(cfg: SystemConfig) -> tuple:
     """Floors and caps of x = (lambda, p, eta): each power between FLOOR_FRAC
     times its budget and its budget, and each split at most 1 and at least
     min(FLOOR_FRAC, half its largest value at full power), so every demand
     that some point meets is met inside the box.  Lambda has no floor;
-    solve_gp sets it."""
-    pmax = cfg.power_budget
-    eta_floors = np.clip(0.5 * max_splits(cfg, pmax), 0.0, FLOOR_FRAC)
-    return (np.concatenate([[0.0], FLOOR_FRAC * pmax, eta_floors]),
-            np.concatenate([[2.0 ** 64], pmax, np.ones(cfg.num_users)]))
+    solve_gp sets it.  Computed once per config; both arrays are
+    read-only."""
+    cache = _CONFIG_CACHE.setdefault(cfg, {})
+    if "box" not in cache:
+        pmax = cfg.power_budget
+        eta_floors = np.clip(0.5 * max_splits(cfg, pmax), 0.0, FLOOR_FRAC)
+        box = (np.concatenate([[0.0], FLOOR_FRAC * pmax, eta_floors]),
+               np.concatenate([[2.0 ** 64], pmax, np.ones(cfg.num_users)]))
+        for bound in box:
+            bound.setflags(write=False)
+        cache["box"] = box
+    return cache["box"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,7 +268,8 @@ class GpInstance:
     the i-th of the ``denominators``.  Condensed at ``anchor``, it is the GP
     whose row i is N_i over the i-th of the ``monomials`` (one term per
     row), D_i's monomial lower bound exact at the anchor, which recondensed
-    moves.
+    moves.  ``exact`` lays out the rows N_i / D_i and ``condensed`` the
+    rows N_i over the monomials for the interior point.
     """
 
     num_users: int
@@ -228,10 +281,16 @@ class GpInstance:
     anchor: Optional[np.ndarray] = None
     monomials: Optional[Stack] = None
     log_box: tuple = field(init=False, repr=False)
+    exact: Layout = field(init=False, repr=False)
+    condensed: Optional[Layout] = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         with np.errstate(divide="ignore"):      # a zero floor means no bound
             object.__setattr__(self, "log_box", (np.log(self.floors), np.log(self.caps)))
+        object.__setattr__(self, "exact", _layout(self.numerators, self.denominators))
+        if self.monomials is not None:
+            object.__setattr__(self, "condensed",
+                               _layout(self.numerators, self.monomials))
 
     @property
     def constraints(self) -> list:
@@ -257,12 +316,9 @@ class GpInstance:
             raise InfeasibleAnchorError(f"anchor must be finite and > 0, got {x}")
         exponents, log_coefs = _condense(self.denominators, np.log(x))
         rows = np.arange(log_coefs.size)
-        return self._replaced(anchor=x, monomials=Stack(exponents, log_coefs, rows, rows))
-
-
-# Per config object, dropped with it: the _feasible_start point, and the
-# _weight_free_rows of each mode, decoding order and set of weighted users.
-_CONFIG_CACHE = weakref.WeakKeyDictionary()
+        monomials = Stack(exponents, log_coefs, rows, rows)
+        return self._replaced(anchor=x, monomials=monomials,
+                              condensed=_layout(self.numerators, monomials))
 
 
 def _terms(coeffs, exponents) -> tuple:
@@ -302,7 +358,9 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
 def _weighted_rows(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
                    mode: str) -> GpInstance:
     """build_gp's GP before it is condensed (no anchor or monomials): the cached
-    _weight_free_rows with the weights as lambda's exponents."""
+    _weight_free_rows with the weights as lambda's exponents, written into a
+    read-only copy of their exact layout's matrix, whose numerator rows are
+    then the numerators' exponents."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     support = alpha.alpha > 0
@@ -311,10 +369,12 @@ def _weighted_rows(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
     if key not in cache:
         cache[key] = _weight_free_rows(cfg, support, order, mode)
     unanchored, lam = cache[key]
-    num = unanchored.numerators
-    a = num.a.copy()
-    a[:, 0] = lam @ alpha.alpha
-    return unanchored._replaced(numerators=num._replace(a=a))
+    num, exact = unanchored.numerators, unanchored.exact
+    m = exact.m.copy()
+    m[:num.b.size, 0] = lam @ alpha.alpha
+    m.setflags(write=False)
+    return unanchored._replaced(numerators=num._replace(a=m[:num.b.size]),
+                                exact=exact._replace(m=m))
 
 
 def _weight_free_rows(cfg: SystemConfig, support, order: DecodingOrder,
@@ -364,7 +424,7 @@ def _weight_free_rows(cfg: SystemConfig, support, order: DecodingOrder,
     floors, caps = variable_box(cfg)
     gp = GpInstance(num_users=kk, labels=list(labels), floors=floors, caps=caps,
                     numerators=_stack(nums), denominators=_stack(dens))
-    for shared in (*gp.numerators, *gp.denominators, floors, caps):
+    for shared in (*gp.numerators, *gp.denominators):
         shared.setflags(write=False)
     return gp, (np.array(users)[gp.numerators.seg, None] == np.arange(kk)) * 1.0
 
@@ -373,48 +433,59 @@ def _weight_free_rows(cfg: SystemConfig, support, order: DecodingOrder,
 # Log-space solve
 # ---------------------------------------------------------------------------
 
-def _log_rows(num: Stack, den: Stack, y) -> np.ndarray:
-    """Each row's log value at y, log N_i(y) - log D_i(y), over the stacked
-    numerators and the stacked denominators (one per row)."""
-    return _log_posynomials(*num, y)[0] - _log_posynomials(*den, y)[0]
+def _log_rows(rows: Layout, y) -> tuple:
+    """Each row's log value at y, log N_i(y) - log D_i(y), and each term's
+    share of its posynomial (the weights of the log-sum-exp gradient)."""
+    f, shares = _log_posynomials(rows.m[:rows.b.size], rows.b, rows.starts,
+                                 rows.seg, y)
+    nrows = f.size // 2
+    return f[:nrows] - f[nrows:], shares
 
 
-def _exact_lambda(num: Stack, den: Stack, y) -> tuple:
+def _exact_lambda(rows: Layout, y) -> tuple:
     """y with log lambda set in closed form, and the largest log row value
     there (the worst violation; every rate row is at most 0), over the rows
     N_i / D_i.
 
     lambda enters every term of rate row k as lambda^alpha_k and no other
     row or denominator, so the shift makes the tightest rate row exactly
-    active.  A row with a far sub-rounding weight turns rounding noise into
-    a huge shift, so a feasible y is kept when the shift costs more.  Every
-    monomial is exact at its anchor, so over a GP's rows at y =
-    log(gp.anchor) these are the anchor's exact objective and feasibility.
+    active, and it moves row i's log value by alpha_i times the shift: the
+    rows are evaluated once, at y.  A row with a far sub-rounding weight
+    turns rounding noise into a huge shift, so a feasible y is kept when
+    the shift costs more.  Every monomial is exact at its anchor, so over
+    a GP's condensed rows at y = log(gp.anchor) these are the anchor's
+    exact objective and feasibility.
     """
-    log_g = _log_rows(num, den, y)
-    alphas = num.a[num.starts, 0]
+    log_g, _ = _log_rows(rows, y)
+    alphas = rows.m[rows.starts[:log_g.size], 0]
     rate = alphas > 0
     tight = y.copy()
     tight[0] -= np.max(log_g[rate] / alphas[rate])
-    if tight[0] < y[0] - FEAS_TOL and log_g.max() <= FEAS_TOL:
-        return y, float(log_g.max())
-    return tight, float(_log_rows(num, den, tight).max())
+    worst = log_g.max()
+    if tight[0] < y[0] - FEAS_TOL and worst <= FEAS_TOL:
+        return y, float(worst)
+    return tight, float((log_g + alphas * (tight[0] - y[0])).max())
 
 
-def _row_hessian(a, seg, shares, jac, weights) -> np.ndarray:
-    """sum_i weights_i H_i over the stacked exponents A and term shares c,
-    with H_i = A_i^T diag(c_i) A_i - g_i g_i^T the Hessian of log-sum-exp
-    row i and g_i its gradient (the row of ``jac``)."""
-    return (a.T @ ((weights[seg] * shares)[:, None] * a)
-            - jac.T @ (weights[:, None] * jac))
+def _newton_matrix(rows: Layout, m, shares, z, d) -> np.ndarray:
+    """sum_i z_i (H_Ni - H_Di) + G^T diag(d) G as the one product
+    M^T diag(w) M over the run's matrix ``m`` = [A; P; G] of rows' Layout,
+    with its gradients and Jacobian filled: each posynomial's Hessian is
+    A^T diag(c) A - p p^T over its terms' shares c and its gradient p, so
+    a term's weight is its share times its row's multiplier, a gradient's
+    its row's multiplier negated, each signed by numerator or denominator,
+    and G's rows are weighted by d."""
+    w = np.concatenate([rows.sign * z[rows.row], d])
+    w[:shares.size] *= shares
+    return m.T @ (w[:, None] * m)
 
 
-def _interior_point(num: Stack, den: Stack, y, lo, hi, z=None) -> tuple:
+def _interior_point(rows: Layout, y, lo, hi, z=None) -> tuple:
     """Maximize y[0] subject to the rows log N_i(y) - log D_i(y) <= 0 and
     lo <= y <= hi, from y; returns the last iterate, its multipliers,
-    whether it converged and the number of Newton systems solved.  ``num``
-    stacks the numerators and ``den`` one denominator per row: the
-    posynomials themselves, or a GP's monomials, where every row is convex.
+    whether it converged and the number of Newton systems solved.  ``rows``
+    lays out the numerators over one denominator per row: the posynomials
+    themselves, or a GP's monomials, where every row is convex.
 
     A primal-dual interior-point method in slack form, g(y) + s = 0 with
     g = [f; y - hi; lo - y], s >= 0 and multipliers z >= 0 (Boyd and
@@ -454,18 +525,20 @@ def _interior_point(num: Stack, den: Stack, y, lo, hi, z=None) -> tuple:
     matrix that is not finite, or at a Newton system that stays singular
     once its diagonal is raised by 1e-15 times its largest entry.  Every
     bound in lo and hi must be finite.
+
+    The run copies the layout's matrix M = [A; P; G] once; each step writes
+    the posynomials' gradients P and the rows' Jacobian J into it and
+    assembles the Newton matrix as the one product M^T diag(w) M of
+    _newton_matrix.
     """
-    n, rows = y.size, num.starts.size
-    m = rows + 2 * n
-    jac = np.vstack([np.empty((rows, n)), np.eye(n), -np.eye(n)])   # G = [J; I; -I]
-    # One stack: the numerators, then the denominators as rows + i.
-    a, b = np.vstack([num.a, den.a]), np.concatenate([num.b, den.b])
-    starts = np.concatenate([num.starts, den.starts + num.b.size])
-    seg = np.concatenate([num.seg, den.seg + rows])
+    n, nrows, terms = y.size, rows.starts.size // 2, rows.b.size
+    m = nrows + 2 * n
+    mat = rows.m.copy()
+    a, grads, jac = mat[:terms], mat[terms:terms + 2 * nrows], mat[terms + 2 * nrows:]
 
     def constraints(y):
-        f, shares = _log_posynomials(a, b, starts, seg, y)
-        return np.concatenate([f[:rows] - f[rows:], y - hi, lo - y]), shares
+        f, shares = _log_rows(rows, y)
+        return np.concatenate([f, y - hi, lo - y]), shares
 
     g, shares = constraints(y)
     mu = IPM_MU0 if z is None else IPM_MU_WARM
@@ -474,8 +547,8 @@ def _interior_point(num: Stack, den: Stack, y, lo, hi, z=None) -> tuple:
     s, z = sz[:m], sz[m:]
     mu_min = 0.1 * IPM_TOL / m
     for solved in range(IPM_MAXITER):
-        row_jac = _row_jacobian(a, starts, shares)
-        jac[:rows] = row_jac[:rows] - row_jac[rows:]
+        _row_jacobian(a, rows.starts, shares, out=grads)
+        np.subtract(grads[:nrows], grads[nrows:], out=jac[:nrows])
         r_d = jac.T @ z
         r_d[0] -= 1.0                       # the cost is -y[0]
         r_p = g + s
@@ -487,10 +560,7 @@ def _interior_point(num: Stack, den: Stack, y, lo, hi, z=None) -> tuple:
         while mu > mu_min and max(residual, np.abs(gap - mu).max()) <= IPM_KAPPA * mu:
             mu = max(mu_min, min(0.2 * mu, mu ** 1.5))
         d = z / s
-        # sum_i z_i (H_Ni - H_Di): the denominators weighted by -z_i.
-        kkt = (_row_hessian(a, seg, shares, row_jac,
-                            np.concatenate([z[:rows], -z[:rows]]))
-               + jac.T @ (d[:, None] * jac))
+        kkt = _newton_matrix(rows, mat, shares, z, d)
         kkt.flat[::n + 1] += 1e-12
         if not _inertia_corrected(kkt):
             return y, z, False, solved
@@ -551,17 +621,18 @@ class GpSolution(NamedTuple):
     log_lam: float
 
 
-def _run(gp: GpInstance, den: Stack, y, z=None) -> tuple:
-    """_interior_point on the GP's numerators over ``den`` from the log point
-    y and the multipliers z (cold without them), with log lambda floored 1
-    below y's, which never binds, as the run raises lambda: its last
-    iterate clipped to the box with lambda set in closed form, the worst
-    row there, the multipliers, whether it converged and the Newton steps."""
+def _run(gp: GpInstance, rows: Layout, y, z=None) -> tuple:
+    """_interior_point on the GP's ``rows`` (its exact or condensed Layout)
+    from the log point y and the multipliers z (cold without them), with
+    log lambda floored 1 below y's, which never binds, as the run raises
+    lambda: its last iterate clipped to the box with lambda set in closed
+    form, the worst row there, the multipliers, whether it converged and
+    the Newton steps."""
     lo, hi = gp.log_box
     floors = lo.copy()
     floors[0] = y[0] - 1.0
-    y, z, converged, steps = _interior_point(gp.numerators, den, y, floors, hi, z)
-    y, worst = _exact_lambda(gp.numerators, den, np.clip(y, lo, hi))
+    y, z, converged, steps = _interior_point(rows, y, floors, hi, z)
+    y, worst = _exact_lambda(rows, np.clip(y, lo, hi))
     return y, worst, z, converged, steps
 
 
@@ -583,10 +654,10 @@ def solve_gp(gp: GpInstance, duals=None) -> GpSolution:
     when the anchor violates a constraint by more than FEAS_TOL and
     NumericalFailureError when the solver leaves one violated.
     """
-    y0, worst = _exact_lambda(gp.numerators, gp.monomials, np.log(gp.anchor))
+    y0, worst = _exact_lambda(gp.condensed, np.log(gp.anchor))
     if not worst <= FEAS_TOL:
         raise InfeasibleAnchorError(f"anchor violates a constraint by {worst:.3e}")
-    y, worst, z, converged, steps = _run(gp, gp.monomials, y0, duals)
+    y, worst, z, converged, steps = _run(gp, gp.condensed, y0, duals)
     if not worst <= FEAS_TOL:
         raise NumericalFailureError(
             f"optimizer left constraints violated by {worst:.3e}")
@@ -736,8 +807,7 @@ def _polish_first(cfg, alpha, order, mode, start, duals) -> tuple:
         if not (duals.shape == (size,) and np.all(np.isfinite(duals) & (duals >= 0))):
             raise ConfigError([(BAD_VALUE, "duals", f"needs {size} finite "
                                 f"multipliers >= 0, got {duals}")])
-    y, worst = _exact_lambda(rows.numerators, rows.denominators,
-                             _log_point(rows, start))
+    y, worst = _exact_lambda(rows.exact, _log_point(rows, start))
     if not worst <= FEAS_TOL:
         return None, None, 0
     return _polished(rows, y, y, duals)
@@ -756,7 +826,7 @@ def _polished(gp: GpInstance, y, ref, z=None) -> tuple:
     ends at the better of the two points: where y is already the optimum,
     the run leaves a power a rounding-level step inside its cap.
     """
-    y_end, worst, z, converged, steps = _run(gp, gp.denominators, y, z)
+    y_end, worst, z, converged, steps = _run(gp, gp.exact, y, z)
     if not (converged and worst <= FEAS_TOL and y_end[0] >= ref[0] - IPM_TOL):
         return None, None, steps
     x = np.exp(np.clip(y_end if y_end[0] > ref[0] else ref, *gp.log_box))
@@ -787,7 +857,7 @@ def _solve(cfg, alpha, order, mode, start, duals) -> SolveReport:
             if not i:
                 y = _log_point(gp, point)
                 y[0] = solution.log_lam
-                ref, _ = _exact_lambda(gp.numerators, gp.denominators, y)
+                ref, _ = _exact_lambda(gp.exact, y)
                 polished, duals, steps = _polished(gp, y, ref, gp_duals)
                 newton_steps += steps
                 if polished is not None:

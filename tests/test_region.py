@@ -1,3 +1,4 @@
+from itertools import combinations
 from dataclasses import replace
 
 import numpy as np
@@ -36,6 +37,31 @@ class TestHull:
     def test_collinear_keeps_endpoints_only(self):
         hull = time_share_hull([[0.0, 1.0], [0.25, 0.75], [0.5, 0.5], [1.0, 0.0]])
         assert np.allclose(hull, [[0.0, 1.0], [1.0, 0.0]])
+
+    @pytest.mark.parametrize("i,j,k", list(combinations(range(1, 10), 3)))
+    def test_collinear_triples_keep_endpoints_only(self, i, j, k):
+        # Three points on the line x + y = 1 at tenths: rounding puts the
+        # middle one just above or below the line through the others, and
+        # either way it is no vertex.
+        pts = [[t / 10, 1 - t / 10] for t in (i, j, k)]
+        hull = time_share_hull(pts)
+        assert np.array_equal(hull, [[0.0, pts[0][1]], pts[0], pts[2], [pts[2][0], 0.0]])
+
+    def test_rounding_noise_keeps_one_vertex(self):
+        # The two decoding orders of the weak orthogonal-Eve secure sweep at
+        # E=(0.8,0.8) once met at one point 2.2e-16 apart in each rate: the
+        # hull keeps one vertex for both, in either input order, within
+        # rounding of each, and its area holds.
+        a = [0.45530136949111089, 0.45530136949113542]
+        b = [0.45530136949111111, 0.4553013694911352]
+        ends = [[0.0, 0.7], [0.7, 0.0]]
+        hulls = [time_share_hull([ends[0], *pair, ends[1]]) for pair in ([a, b], [b, a])]
+        assert np.array_equal(hulls[0], hulls[1])
+        assert len(hulls[0]) == 3
+        for single in (a, b):
+            assert np.abs(hulls[0][1] - single).max() <= 1e-15
+            assert (_area(hulls[0]) == pytest.approx(
+                _area(time_share_hull([ends[0], single, ends[1]])), rel=0.0, abs=1e-15))
 
     def test_dominated_points_removed(self):
         hull = time_share_hull([[0.5, 0.5], [0.2, 0.2], [1.0, 0.0], [0.0, 1.0]])
@@ -244,7 +270,7 @@ def test_every_sweep_start_meets_every_row(seed, count, mode, grid):
         gp = build_gp(cfg, weights, order or DecodingOrder((0, 1)), start, mode)
         x = np.concatenate([start.powers, start.splits])
         assert np.allclose(gp.anchor[1:], x, rtol=1e-12, atol=0.0)
-        worst = solver._exact_lambda(gp.numerators, gp.monomials, np.log(gp.anchor))[1]
+        worst = solver._exact_lambda(gp.condensed, np.log(gp.anchor))[1]
         assert worst <= solver.FEAS_TOL
 
 

@@ -1,10 +1,12 @@
 import copy
+import gc
 import itertools
 import json
 import os
 import pickle
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -281,7 +283,7 @@ def test_converged_gp_run_meets_dual_residual(cfg, weights, order, mode):
     # iterate, with each row's gradient that of its numerator minus its
     # monomial's.  Checked on the cold first GP and on the next, started
     # from its multipliers.
-    gp = build_gp(cfg, weights, order, solver._feasible_start(cfg), mode)
+    gps = [build_gp(cfg, weights, order, solver._feasible_start(cfg), mode)]
     runs = []
     interior_point = solver._interior_point
 
@@ -291,9 +293,12 @@ def test_converged_gp_run_meets_dual_residual(cfg, weights, order, mode):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_interior_point", capture)
-        solution = solve_gp(gp)
-        solve_gp(gp.recondensed(solution.op), solution.duals)
-    for (num, den, *_), (y, z, converged, _) in runs:
+        solution = solve_gp(gps[0])
+        gps.append(gps[0].recondensed(solution.op))
+        solve_gp(gps[1], solution.duals)
+    for gp, ((rows, *_), (y, z, converged, _)) in zip(gps, runs, strict=True):
+        assert rows is gp.condensed
+        num, den = gp.numerators, gp.monomials
         assert den.b.size == num.starts.size      # one monomial per row
         assert converged
         n = y.size
@@ -308,6 +313,22 @@ def _exact_log_rows(gp, y):
     num, den = (np.add.reduceat(np.exp(stack.a @ y + stack.b), stack.starts)
                 for stack in (gp.numerators, gp.denominators))
     return np.log(num) - np.log(den)
+
+
+def _row_hessian(num, den, y, weights):
+    """sum_i weights_i (H_Ni - H_Di) term by term, with H = A^T diag(c) A -
+    p p^T the Hessian of a log-sum-exp posynomial over its exponents A, its
+    terms' shares c and its gradient p."""
+    total = 0.0
+    for sign, stack in ((1.0, num), (-1.0, den)):
+        shares = solver._log_posynomials(*stack, y)[1]
+        grads = _gradients(stack, y)
+        for i, first in enumerate(stack.starts):
+            last = stack.starts[i + 1] if i + 1 < stack.starts.size else stack.b.size
+            a = stack.a[first:last]
+            total = total + sign * weights[i] * (a.T @ (shares[first:last, None] * a)
+                                                 - np.outer(grads[i], grads[i]))
+    return total
 
 
 def _exact_rows_lambda(gp, y):
@@ -333,8 +354,8 @@ def _polish_reference(gp, solution):
     y[0] = solution.log_lam
     floors = lo.copy()
     floors[0] = y[0] - 1.0
-    y_end, _, converged, _ = solver._interior_point(gp.numerators, gp.denominators,
-                                                    y, floors, hi, solution.duals)
+    y_end, _, converged, _ = solver._interior_point(gp.exact, y, floors, hi,
+                                                    solution.duals)
     if not converged:
         return None
     y_end = np.clip(y_end, lo, hi)
@@ -495,11 +516,11 @@ def test_constraint_jacobian_matches_central_differences(seed, num_users, mode,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_interior_point", capture)
         solve_gp(gp)
-    num, den = seen[0][:2]
-    assert den is gp.monomials
+    assert seen[0][0] is gp.condensed
+    num, den = gp.numerators, gp.monomials
 
     def rows(y):
-        return solver._log_rows(num, den, y)
+        return solver._log_rows(gp.condensed, y)[0]
 
     def jac(y):
         return _gradients(num, y) - _gradients(den, y)
@@ -515,10 +536,132 @@ def test_constraint_jacobian_matches_central_differences(seed, num_users, mode,
         # minus its monomial's, by its multiplier.
         numeric = central(jac, y)
         for row, weights in enumerate(np.eye(num.starts.size)):
-            hessian = sum(sign * solver._row_hessian(
-                stack.a, stack.seg, solver._log_posynomials(*stack, y)[1],
-                _gradients(stack, y), weights) for sign, stack in ((1.0, num), (-1.0, den)))
+            hessian = _row_hessian(num, den, y, weights)
             assert np.allclose(hessian, numeric[row], rtol=0.0, atol=1e-6)
+
+
+def _newton_matrices(gp, rows, den, rng):
+    """At a random log point near the GP's anchor, with random multipliers z
+    and slacks s: _newton_matrix over ``rows``, the layout of the GP's
+    numerators over ``den``, and the term-by-term sum_i z_i (H_Ni - H_Di)
+    + G^T diag(z/s) G."""
+    num = gp.numerators
+    n, r = num.a.shape[1], num.starts.size
+    y = np.log(gp.anchor) + rng.normal(0.0, 0.2, n)
+    z, s = rng.uniform(0.01, 2.0, (2, r + 2 * n))
+    grads = np.vstack([_gradients(num, y), _gradients(den, y)])
+    jac = np.vstack([grads[:r] - grads[r:], np.eye(n), -np.eye(n)])
+    term_by_term = _row_hessian(num, den, y, z[:r]) + jac.T @ ((z / s)[:, None] * jac)
+    mat = rows.m.copy()
+    mat[rows.b.size:rows.b.size + 3 * r] = np.vstack([grads, jac[:r]])
+    assert np.array_equal(mat[rows.b.size + 2 * r:], jac)
+    one = solver._newton_matrix(rows, mat, solver._log_rows(rows, y)[1], z, z / s)
+    return one, term_by_term
+
+
+def _assert_one_product_newton_matrix(cfg, weights, order, mode, rng):
+    gp = build_gp(cfg, weights, order, solver._feasible_start(cfg), mode)
+    for rows, den in ((gp.condensed, gp.monomials), (gp.exact, gp.denominators)):
+        one, term_by_term = _newton_matrices(gp, rows, den, rng)
+        assert np.abs(one - term_by_term).max() <= 1e-12 * np.abs(term_by_term).max()
+
+
+@pytest.mark.parametrize("cfg,weights,order,mode", _recondense_cases())
+def test_newton_matrix_is_one_product(cfg, weights, order, mode):
+    # Each Newton step assembles its matrix as the one product M^T diag(w) M
+    # over the run's matrix; it is the term-by-term sum of the rows'
+    # Hessians and the barrier part, over a GP's condensed rows and over
+    # the exact rows.
+    _assert_one_product_newton_matrix(cfg, weights, order, mode,
+                                      np.random.default_rng(23))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), mode=st.sampled_from([RELIABLE, SECURE]),
+       eh_fraction=st.floats(0.0, 0.6))
+def test_newton_matrix_is_one_product_on_k3_draws(seed, mode, eh_fraction):
+    rng = np.random.default_rng(seed)
+    cfg = random_config(rng, num_users=3, num_eve_antennas=int(rng.integers(1, 4)),
+                        eh_fraction=eh_fraction)
+    order = DecodingOrder(tuple(int(k) for k in rng.permutation(3)))
+    w = rng.uniform(0.2, 1.0, 3) * (rng.random(3) < 0.8)
+    w[rng.integers(3)] = 1.0
+    _assert_one_product_newton_matrix(cfg, Weights(w / w.sum()), order, mode, rng)
+
+
+def _two_evaluation_lambda(num, den, y):
+    """_exact_lambda as it was: the closed-form lambda, with the rows
+    evaluated again at the tightened point for the worst row."""
+    def rows(y):
+        return (solver._log_posynomials(*num, y)[0]
+                - solver._log_posynomials(*den, y)[0])
+
+    log_g = rows(y)
+    alphas = num.a[num.starts, 0]
+    rate = alphas > 0
+    tight = y.copy()
+    tight[0] -= np.max(log_g[rate] / alphas[rate])
+    if tight[0] < y[0] - solver.FEAS_TOL and log_g.max() <= solver.FEAS_TOL:
+        return y, float(log_g.max())
+    return tight, float(rows(tight).max())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), num_users=st.sampled_from([2, 3]),
+       mode=st.sampled_from([RELIABLE, SECURE]), eh_fraction=st.floats(0.0, 0.6),
+       log_lam=st.floats(-3.0, 3.0))
+def test_exact_lambda_evaluates_the_rows_once(seed, num_users, mode, eh_fraction,
+                                              log_lam):
+    # lambda enters rate row k only as lambda^alpha_k, so the worst row at
+    # the tightened point is max(log g_i - alpha_i shift) from one
+    # evaluation: within 1e-12 of evaluating the rows there, and the point
+    # is the one of evaluating them twice, over the condensed and the exact
+    # rows, at the anchor and away from it.
+    rng = np.random.default_rng(seed)
+    cfg = random_config(rng, num_users=num_users, eh_fraction=eh_fraction)
+    order = DecodingOrder(tuple(int(k) for k in rng.permutation(num_users)))
+    w = rng.uniform(0.2, 1.0, num_users)
+    gp = build_gp(cfg, Weights(w / w.sum()), order, solver._feasible_start(cfg), mode)
+    y0 = np.log(gp.anchor)
+    for y in (y0, y0 + np.concatenate([[log_lam], rng.normal(0.0, 0.2, y0.size - 1)])):
+        for rows, den in ((gp.condensed, gp.monomials), (gp.exact, gp.denominators)):
+            point, worst = solver._exact_lambda(rows, y)
+            assert worst == pytest.approx(solver._log_rows(rows, point)[0].max(),
+                                          rel=0.0, abs=1e-12)
+            old_point, old_worst = _two_evaluation_lambda(gp.numerators, den, y)
+            assert np.array_equal(point, old_point)
+            assert worst == pytest.approx(old_worst, rel=0.0, abs=1e-12)
+
+
+def test_config_layouts_are_read_only_private_and_dropped():
+    # The exact rows' layout is built once per config, mode, order and set
+    # of weighted users and kept with the config, read-only, like its
+    # variable box.  Each weight writes lambda's exponents, and nothing
+    # else, into its own copy of the layout's matrix.  The copy of the
+    # config that with_demands returns builds its own, and the layout is
+    # gone once its config is collected.
+    cfg = strong_interference(eh_demands=(0.5, 0.5), eve_geometry="parallel")
+    weights = Weights(np.array([0.4, 0.6]))
+    key = (SECURE, ORDER12.users, np.ones(2, dtype=bool).tobytes())
+    gp = build_gp(cfg, weights, ORDER12, solver._feasible_start(cfg), SECURE)
+    cached = solver._CONFIG_CACHE[cfg][key][0].exact
+    floors, caps = solver.variable_box(cfg)
+    assert solver.variable_box(cfg)[0] is floors
+    for array in (*cached, *gp.exact, *gp.condensed, floors, caps):
+        assert not array.flags.writeable
+    assert not np.shares_memory(gp.exact.m, cached.m)
+    changed = gp.exact.m != cached.m
+    assert changed[:, 0].any() and not changed[:, 1:].any()
+    assert all(mine is shared for mine, shared in zip(gp.exact[1:], cached[1:]))
+    other = with_demands(cfg, cfg.eh_demands)
+    build_gp(other, weights, ORDER12, solver._feasible_start(other), SECURE)
+    theirs = solver._CONFIG_CACHE[other][key][0].exact
+    assert not any(np.shares_memory(mine, shared) for mine, shared in zip(theirs, cached))
+    assert np.array_equal(theirs.m, cached.m)
+    config, layout = weakref.ref(cfg), weakref.ref(cached.m)
+    del cfg, gp, cached, floors, caps
+    gc.collect()
+    assert config() is None and layout() is None
 
 
 class TestSolveGp:
@@ -560,7 +703,7 @@ class TestSolveGp:
         assert 4e-9 < np.log(energy.value(gp.anchor)) < solver.FEAS_TOL
         solution = solve_gp(gp)
         assert solution.failures == 0
-        anchor_lambda = solver._exact_lambda(gp.numerators, gp.monomials, np.log(gp.anchor))
+        anchor_lambda = solver._exact_lambda(gp.condensed, np.log(gp.anchor))
         assert np.log(solution.lam) < anchor_lambda[0][0] - 1e-9
 
     def test_singular_newton_system_is_retried(self, monkeypatch):
