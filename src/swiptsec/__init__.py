@@ -6,8 +6,7 @@ from .linalg import (DimensionMismatchError, NonFiniteError,
                      rank_one_update_sum)
 from .metrics import (EmptySubsetError, EnergyVector, RateTuple,
                       TooManyUsersError, eve_rate_chain, eve_sum_rate,
-                      harvested_energies, harvested_energy, legitimate_rate,
-                      legitimate_rates, secrecy_corner,
+                      harvested_energies, legitimate_rates, secrecy_corner,
                       subset_constraints_satisfied)
 from .model import (ConfigError, DecodingOrder, EnergyModel,
                     InvalidPermutationError, OperatingPoint, SystemConfig,

@@ -125,18 +125,8 @@ def max_min_objective(rates, weights: Weights) -> np.ndarray:
     return reduce(np.minimum, [rates[..., k] / alpha[k] for k in np.flatnonzero(alpha > 0)])
 
 
-def legitimate_rate(cfg: SystemConfig, op: OperatingPoint, k: int) -> float:
-    """Rate of user k with interference treated as noise (see tin_rates)."""
-    return float(legitimate_rates(cfg, op)[k])
-
-
 def legitimate_rates(cfg: SystemConfig, op: OperatingPoint) -> np.ndarray:
     return tin_rates(cfg, op.powers, op.splits)
-
-
-def harvested_energy(cfg: SystemConfig, op: OperatingPoint, k: int) -> float:
-    """Harvested energy of user k (see energies)."""
-    return float(energies(cfg, op.powers, op.splits)[k])
 
 
 def harvested_energies(cfg: SystemConfig, op: OperatingPoint) -> EnergyVector:

@@ -14,8 +14,8 @@ import numpy as np
 from .metrics import max_min_objective, secrecy_rates, tin_rates
 from .model import (DecodingOrder, OperatingPoint, SystemConfig, Weights,
                     max_splits, with_demands)
-from .solver import (FEAS_TOL, MODES, SECURE, InfeasibleError,
-                     NumericalFailureError, iterate, variable_box)
+from .solver import (FEAS_TOL, MODES, SECURE, InfeasibleError, NumericalFailureError,
+                     check_problem, iterate, variable_box)
 
 # Rates below this are reported as zero in region output; they correspond to
 # users pinned at the positivity floor of the GP variables.
@@ -76,11 +76,11 @@ def sweep(cfg: SystemConfig, mode: str, psi=None, grid: int = 21) -> RegionBound
     Endpoint weights (alpha_k = 0) become dedicated single-user solves where
     the silent user keeps only its harvesting and box constraints.  Secure
     mode solves every weight once per decoding order and keeps both
-    branches.  Failed points are recorded, not fatal.  A ``psi`` override
-    is validated like any config and raises ConfigError when it is invalid.
+    branches.  Failed points are recorded, not fatal.  An invalid config,
+    or ``psi`` override, raises ConfigError.
 
     Interior weights continue along the boundary per decoding order: each
-    starts at _predicted_start from the order's last two interior solutions
+    starts at _predicted_start from the order's last two interior solves
     (cold with none); endpoints and a failed point's successor start cold.
     Every start meets every constraint.  A solve with a start begins with
     the exact-row polish from it, warm-started from the multipliers of the
@@ -99,10 +99,8 @@ def sweep(cfg: SystemConfig, mode: str, psi=None, grid: int = 21) -> RegionBound
     orders = ([DecodingOrder(p) for p in permutations(range(2))]
               if mode == SECURE else [None])
     points, failures = [], []
-    # The last two interior solutions of each order, latest last, and the
-    # multipliers of the polish that ended the latest.
+    # The SolveReports of the last two interior solves of each order, latest last.
     history = {order: [] for order in orders}
-    duals = dict.fromkeys(orders)
     for alpha1 in np.linspace(0.0, 1.0, grid):
         interior = alpha1 not in (0.0, 1.0)
         weights = _clamped_weights(alpha1) if interior else Weights.pair(alpha1)
@@ -110,7 +108,7 @@ def sweep(cfg: SystemConfig, mode: str, psi=None, grid: int = 21) -> RegionBound
             start = _predicted_start(cfg, history[order]) if interior else None
             try:
                 rep = iterate(cfg, weights, order, mode, start=start,
-                              duals=None if start is None else duals[order])
+                              duals=None if start is None else history[order][-1].duals)
             except (InfeasibleError, NumericalFailureError) as exc:
                 failures.append({"alpha1": float(alpha1),
                                  "order": order.one_based() if order else None,
@@ -119,8 +117,7 @@ def sweep(cfg: SystemConfig, mode: str, psi=None, grid: int = 21) -> RegionBound
                 history[order] = []
                 continue
             if interior:
-                history[order] = history[order][-1:] + [rep.op]
-                duals[order] = rep.duals
+                history[order] = history[order][-1:] + [rep]
             points.append(BoundaryPoint(
                 alpha=np.array([alpha1, 1.0 - alpha1]), weights=weights,
                 rates=render_rates(rep.rates), rates_raw=rep.rates.copy(),
@@ -135,22 +132,23 @@ def sweep(cfg: SystemConfig, mode: str, psi=None, grid: int = 21) -> RegionBound
 
 
 def _predicted_start(cfg: SystemConfig, history: list) -> Optional[OperatingPoint]:
-    """Start of the next interior solve from the previous ones (oldest
-    first): none, the one solution, or the secant step 2 theta_-1 - theta_-2
-    on log powers with each split at its best value there, min(1,
-    max_splits); a rate rises with its own split alone, so these splits give
-    every user its highest rate at those powers.  The last solution is the
-    start instead when the secant leaves the power box of variable_box by
-    more than FEAS_TOL (in log), which means a bound became active between
-    the two weights, or when a best split is not above its floor there.
+    """Start of the next interior solve from the SolveReports of the previous
+    ones (oldest first): none, the one solution, or the secant step 2
+    theta_-1 - theta_-2 on log powers with each split at its best value
+    there, min(1, max_splits); a rate rises with its own split alone, so
+    these splits give every user its highest rate at those powers.  The
+    last solution is the start instead when the secant leaves the power box
+    of variable_box by more than FEAS_TOL (in log), which means a bound
+    became active between the two weights, or when a best split is not
+    above its floor there.
 
     So every start meets every constraint: it lies in the box, each demand
     is met (at the best split, or at the last solution), and the harvesting
     rows do not depend on the weight; iterate sets lambda in closed form.
     """
     if len(history) < 2:
-        return history[-1] if history else None
-    older, last = history
+        return history[-1].op if history else None
+    older, last = (rep.op for rep in history)
     kk = cfg.num_users
     floors, caps = variable_box(cfg)
     lo, hi = np.log(floors[1:kk + 1]), np.log(caps[1:kk + 1])
@@ -278,10 +276,12 @@ def oracle_grid_search(cfg: SystemConfig, mode: str, alpha: Weights,
     then refines the powers once around the incumbent.  It shares only the
     eavesdropper's Gram minors with the GP, never a condensed row or the
     optimizer.  Gram minors that overflow raise NumericalFailureError,
-    which chains the cause, as in iterate.
+    which chains the cause, as in iterate; an invalid problem raises
+    ConfigError (check_problem).
     """
     if cfg.num_users != 2:
         raise ValueError("the oracle is implemented for two users")
+    check_problem(cfg, alpha, order)
     if resolution < 11:
         raise ValueError(f"resolution must be >= 11, got {resolution}")
     if mode not in MODES:

@@ -13,26 +13,27 @@ posynomials as well and each condensed GP is an inner approximation of the
 true problem: started at a feasible point, every GP iterate is feasible for
 it and the objective never decreases.  In log variables every row is
 log N_i - log D_i <= 0, with D_i the posynomial for the exact problem and
-its monomial for the GP, where the row is convex.  One primal-dual
-interior-point method solves both: the GPs, and the exact rows after the
-first GP, which finishes most solves at once; the condensation loop goes
-on only where that fails.
+its monomial for the GP, where the row is convex; a GpInstance holds each
+of the two row sets once, as a Layout.  One primal-dual interior-point
+method solves both: the GPs, and the exact rows after the first GP, which
+finishes most solves at once; the condensation loop goes on only where
+that fails.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .linalg import NonFiniteError
 from .metrics import legitimate_rates, max_min_objective, secrecy_corner
-from .model import (BAD_VALUE, ConfigError, DecodingOrder, OperatingPoint,
-                    SystemConfig, Weights, infeasible_demands,
-                    max_deliverable_energy, max_splits)
+from .model import (BAD_VALUE, DIMENSION_MISMATCH, ConfigError, DecodingOrder,
+                    OperatingPoint, SystemConfig, Weights, infeasible_demands,
+                    max_deliverable_energy, max_splits, validate_config)
 
 SECURE = "secure"
 RELIABLE = "reliable"
@@ -121,36 +122,6 @@ class Posynomial:
     def value(self, x) -> float:
         return float(self.term_values(x).sum())
 
-    def __iter__(self):
-        # Unpacks as the (coefficients, exponents) pair that _stack stacks.
-        return iter((self.coeffs, self.exponents))
-
-
-class Stack(NamedTuple):
-    """Posynomials stacked term by term: exponents a (T, n), log-coefficients
-    b (T,), each posynomial's first term (starts) and each term's posynomial
-    (seg)."""
-    a: np.ndarray
-    b: np.ndarray
-    starts: np.ndarray
-    seg: np.ndarray
-
-
-def _stack(rows) -> Stack:
-    """Stack posynomials given as (coefficients (T,), exponents (T, n))
-    pairs; every posynomial needs a term, and every coefficient must be
-    finite and > 0 before it is logged."""
-    coeffs, exponents = zip(*rows)
-    sizes = [c.size for c in coeffs]
-    if 0 in sizes:
-        raise NonPositiveTermError("all terms vanished; posynomial needs one positive term")
-    coeffs = np.concatenate(coeffs)
-    bad = ~((coeffs > 0) & np.isfinite(coeffs))
-    if bad.any():
-        raise NonPositiveTermError(f"coefficients must be finite and > 0, got {coeffs[bad]}")
-    return Stack(np.vstack(exponents), np.log(coeffs), np.cumsum([0] + sizes[:-1]),
-                 np.repeat(np.arange(len(sizes)), sizes))
-
 
 def _log_posynomials(a, b, starts, seg, z):
     """log g_i(exp(z)) for every stacked posynomial g_i, and each term's share
@@ -168,28 +139,28 @@ def _row_jacobian(a, starts, shares, out=None) -> np.ndarray:
     return np.add.reduceat(shares[:, None] * a, starts, out=out)
 
 
-def _condense(stack: Stack, y) -> tuple:
+def _condense(a, b, starts, seg, y) -> tuple:
     """Exponents and log-coefficients of each stacked posynomial's monomial
     lower bound sum_t f_t >= prod_t (f_t / c_t)^{c_t}, with c_t each term's
     share at x = exp(y), so the bound touches the posynomial there; the
     exponents are the gradient of the log posynomial at y."""
-    _, c = _log_posynomials(*stack, y)
+    _, c = _log_posynomials(a, b, starts, seg, y)
     if not np.all(c > 0):
         raise NonPositiveTermError(f"term shares must be finite and > 0, got {c}")
-    return (_row_jacobian(stack.a, stack.starts, c),
-            np.add.reduceat(c * (stack.b - np.log(c)), stack.starts))
+    return _row_jacobian(a, starts, c), np.add.reduceat(c * (b - np.log(c)), starts)
 
 
 class Layout(NamedTuple):
-    """The rows N_i / D_i of an interior-point run, laid out once for every
-    run over them.  ``m`` is the run's matrix M = [A; P; G] without the
-    parts that move: A stacks the numerators' and then the denominators'
-    term exponents (filled), P holds each of those posynomials' gradient
-    and G = [J; I; -I] the rows' Jacobian J = P_N - P_D over the box
-    (only the box filled).  b, starts and seg stack the terms as in Stack,
-    denominator i as posynomial rows + i.  ``row`` and ``sign`` give each
-    term and then each posynomial the row it belongs to and the sign of
-    its part of that row's Hessian."""
+    """Rows N_i / D_i of posynomials, stacked term by term and laid out once
+    for every interior-point run over them.  ``m`` is the run's matrix
+    M = [A; P; G] without the parts that move: A stacks the numerators' and
+    then the denominators' term exponents (filled), P holds each of those
+    posynomials' gradient and G = [J; I; -I] the rows' Jacobian J = P_N -
+    P_D over the box (only the box filled).  ``b`` holds each term's
+    log-coefficient, ``starts`` each posynomial's first term and ``seg``
+    each term's posynomial, denominator i as posynomial rows + i.  ``row``
+    and ``sign`` give each term and then each posynomial the row it belongs
+    to and the sign of its part of that row's Hessian."""
     m: np.ndarray
     b: np.ndarray
     starts: np.ndarray
@@ -197,20 +168,33 @@ class Layout(NamedTuple):
     row: np.ndarray
     sign: np.ndarray
 
+    def part(self, den: bool) -> tuple:
+        """The numerators' (den False) or the denominators' terms as the
+        (a, b, starts, seg) that _log_posynomials and _condense take, with
+        the part's own term and posynomial indices."""
+        rows = self.starts.size // 2
+        cut = self.starts[rows]
+        if den:
+            return (self.m[cut:self.b.size], self.b[cut:], self.starts[rows:] - cut,
+                    self.seg[cut:] - rows)
+        return self.m[:cut], self.b[:cut], self.starts[:rows], self.seg[:cut]
 
-def _layout(num: Stack, den: Stack) -> Layout:
-    """The read-only Layout of the rows num_i / den_i."""
-    rows, n = num.starts.size, num.a.shape[1]
-    terms = num.b.size + den.b.size
+
+def _layout(num, den) -> Layout:
+    """The read-only Layout of the rows num_i / den_i, each side given as
+    the (a, b, starts, seg) of Layout.part."""
+    (a_num, b_num, starts_num, seg_num), (a_den, b_den, starts_den, seg_den) = num, den
+    rows, n = starts_num.size, a_num.shape[1]
+    terms = b_num.size + b_den.size
     m = np.zeros((terms + 3 * rows + 2 * n, n))
-    m[:terms] = np.vstack([num.a, den.a])
+    m[:terms] = np.vstack([a_num, a_den])
     m[terms + 3 * rows:] = np.vstack([np.eye(n), -np.eye(n)])
-    seg = np.concatenate([num.seg, den.seg + rows])
+    seg = np.concatenate([seg_num, seg_den + rows])
     # H_i = sum_t c_t a_t a_t^T - p p^T for each posynomial, and row i's
     # Hessian is H_Ni - H_Di.
     posy = np.arange(2 * rows)
-    layout = Layout(m, np.concatenate([num.b, den.b]),
-                    np.concatenate([num.starts, den.starts + num.b.size]), seg,
+    layout = Layout(m, np.concatenate([b_num, b_den]),
+                    np.concatenate([starts_num, starts_den + b_num.size]), seg,
                     np.concatenate([seg, posy]) % rows,
                     np.concatenate([np.where(seg < rows, 1.0, -1.0),
                                     np.where(posy < rows, -1.0, 1.0)]))
@@ -219,13 +203,33 @@ def _layout(num: Stack, den: Stack) -> Layout:
     return layout
 
 
+def _posynomial_layout(nums, dens) -> Layout:
+    """_layout of the rows nums_i / dens_i, each posynomial given as its
+    (coefficients (T,), exponents (T, n)); every posynomial needs a term,
+    and every coefficient must be finite and > 0 before it is logged."""
+    parts = []
+    for side in (nums, dens):
+        coeffs, exponents = zip(*side)
+        sizes = [c.size for c in coeffs]
+        if 0 in sizes:
+            raise NonPositiveTermError("all terms vanished; posynomial needs one positive term")
+        coeffs = np.concatenate(coeffs)
+        bad = ~((coeffs > 0) & np.isfinite(coeffs))
+        if bad.any():
+            raise NonPositiveTermError(f"coefficients must be finite and > 0, got {coeffs[bad]}")
+        parts.append((np.vstack(exponents), np.log(coeffs), np.cumsum([0] + sizes[:-1]),
+                      np.repeat(np.arange(len(sizes)), sizes)))
+    return _layout(*parts)
+
+
 def condense(posy: Posynomial, anchor) -> Posynomial:
     """Monomial lower bound of ``posy``, exact at ``anchor``: the one-row case
     of the stacked condensation that GpInstance.recondensed runs."""
     anchor = np.asarray(anchor, dtype=float)
     if np.any(anchor <= 0) or not np.all(np.isfinite(anchor)):
         raise NonPositiveAnchorError(f"anchor must be strictly positive, got {anchor}")
-    exponents, log_coef = _condense(_stack([posy]), np.log(anchor))
+    exponents, log_coef = _condense(posy.exponents, np.log(posy.coeffs), np.zeros(1, int),
+                                    np.zeros(posy.num_terms, int), np.log(anchor))
     return Posynomial(np.exp(log_coef), exponents)
 
 
@@ -241,6 +245,30 @@ def condense(posy: Posynomial, anchor) -> Posynomial:
 _CONFIG_CACHE = weakref.WeakKeyDictionary()
 
 
+def _cache(cfg: SystemConfig) -> dict:
+    """cfg's entry of _CONFIG_CACHE, made once validate_config passes on it,
+    so each config object is validated once (ConfigError otherwise)."""
+    cache = _CONFIG_CACHE.get(cfg)
+    if cache is None:
+        cache = _CONFIG_CACHE[validate_config(cfg)] = {}
+    return cache
+
+
+def check_problem(cfg: SystemConfig, alpha: Weights,
+                  order: Optional[DecodingOrder]) -> None:
+    """Raise ConfigError unless ``cfg`` is valid (validate_config, run once
+    per config object) and ``alpha`` and ``order`` (unless None) have one
+    entry per user."""
+    _cache(cfg)
+    kk = cfg.num_users
+    bad = [(DIMENSION_MISMATCH, name, f"needs {kk} entries, got {size}")
+           for name, size in (("alpha", alpha.alpha.size),
+                              ("order", kk if order is None else len(order)))
+           if size != kk]
+    if bad:
+        raise ConfigError(bad)
+
+
 def variable_box(cfg: SystemConfig) -> tuple:
     """Floors and caps of x = (lambda, p, eta): each power between FLOOR_FRAC
     times its budget and its budget, and each split at most 1 and at least
@@ -248,7 +276,7 @@ def variable_box(cfg: SystemConfig) -> tuple:
     that some point meets is met inside the box.  Lambda has no floor;
     solve_gp sets it.  Computed once per config; both arrays are
     read-only."""
-    cache = _CONFIG_CACHE.setdefault(cfg, {})
+    cache = _cache(cfg)
     if "box" not in cache:
         pmax = cfg.power_budget
         eta_floors = np.clip(0.5 * max_splits(cfg, pmax), 0.0, FLOOR_FRAC)
@@ -263,62 +291,42 @@ def variable_box(cfg: SystemConfig) -> tuple:
 @dataclass(frozen=True, eq=False)
 class GpInstance:
     """The max-min problem over x = (lambda, p, eta) between ``floors`` and
-    ``caps`` (whose logs are ``log_box``): maximize lambda subject to
-    N_i(x) / D_i(x) <= 1, with N_i the i-th of the ``numerators`` and D_i
-    the i-th of the ``denominators``.  Condensed at ``anchor``, it is the GP
-    whose row i is N_i over the i-th of the ``monomials`` (one term per
-    row), D_i's monomial lower bound exact at the anchor, which recondensed
-    moves.  ``exact`` lays out the rows N_i / D_i and ``condensed`` the
-    rows N_i over the monomials for the interior point.
+    ``caps`` (whose logs are ``log_box``): maximize lambda subject to the
+    rows N_i(x) / D_i(x) <= 1 of ``exact``.  Condensed at ``anchor``, it is
+    the GP of ``condensed``, whose row i is N_i over D_i's monomial lower
+    bound exact there; recondensed moves it.  Copies share every array.
     """
 
     num_users: int
     labels: list
     floors: np.ndarray
     caps: np.ndarray
-    numerators: Stack
-    denominators: Stack
+    log_box: tuple
+    exact: Layout
     anchor: Optional[np.ndarray] = None
-    monomials: Optional[Stack] = None
-    log_box: tuple = field(init=False, repr=False)
-    exact: Layout = field(init=False, repr=False)
-    condensed: Optional[Layout] = field(init=False, repr=False, default=None)
-
-    def __post_init__(self):
-        with np.errstate(divide="ignore"):      # a zero floor means no bound
-            object.__setattr__(self, "log_box", (np.log(self.floors), np.log(self.caps)))
-        object.__setattr__(self, "exact", _layout(self.numerators, self.denominators))
-        if self.monomials is not None:
-            object.__setattr__(self, "condensed",
-                               _layout(self.numerators, self.monomials))
+    condensed: Optional[Layout] = None
 
     @property
     def constraints(self) -> list:
         """Each condensed row, its numerator over its monomial, as a
         Posynomial, for inspection."""
-        num, mono = self.numerators, self.monomials
-        cut = num.starts[1:]
-        return [Posynomial(np.exp(b), a) for a, b in
-                zip(np.split(num.a - mono.a[num.seg], cut),
-                    np.split(num.b - mono.b[num.seg], cut))]
-
-    def _replaced(self, **changes) -> "GpInstance":
-        # dataclasses.replace without running __init__ and __post_init__ again.
-        gp = object.__new__(GpInstance)
-        gp.__dict__.update(self.__dict__, **changes)
-        return gp
+        a, b, starts, seg = self.condensed.part(False)
+        mono_a, mono_b, _, _ = self.condensed.part(True)
+        cut = starts[1:]
+        return [Posynomial(np.exp(log_coefs), exponents) for exponents, log_coefs in
+                zip(np.split(a - mono_a[seg], cut), np.split(b - mono_b[seg], cut))]
 
     def recondensed(self, anchor: OperatingPoint) -> "GpInstance":
-        """The same GP with every denominator condensed at ``anchor``."""
+        """The same GP with every denominator condensed at ``anchor``: the
+        numerators of ``exact`` laid out over the monomials."""
         x = np.clip(np.concatenate([[1.0], anchor.powers, anchor.splits]),
                     self.floors, self.caps)
         if not np.all(np.isfinite(x) & (x > 0)):
             raise InfeasibleAnchorError(f"anchor must be finite and > 0, got {x}")
-        exponents, log_coefs = _condense(self.denominators, np.log(x))
+        exponents, log_coefs = _condense(*self.exact.part(True), np.log(x))
         rows = np.arange(log_coefs.size)
-        monomials = Stack(exponents, log_coefs, rows, rows)
-        return self._replaced(anchor=x, monomials=monomials,
-                              condensed=_layout(self.numerators, monomials))
+        return replace(self, anchor=x, condensed=_layout(
+            self.exact.part(False), (exponents, log_coefs, rows, rows)))
 
 
 def _terms(coeffs, exponents) -> tuple:
@@ -330,7 +338,7 @@ def _terms(coeffs, exponents) -> tuple:
 
 def _times(left, right) -> tuple:
     """Terms of the product of two posynomials, row-major over their terms;
-    the coefficients are products, logged only by _stack."""
+    the coefficients are products, logged only by _posynomial_layout."""
     (c1, e1), (c2, e2) = left, right
     return (np.outer(c1, c2).ravel(),
             (e1[:, None, :] + e2[None, :, :]).reshape(c1.size * c2.size, -1))
@@ -350,31 +358,30 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
     The weights are only lambda's exponents in the rate rows, set on the
     cached _weight_free_rows, and the anchor only enters the denominators'
     monomials, which GpInstance.recondensed moves.  Lambda's anchor
-    value is 1; solve_gp sets it.
+    value is 1; solve_gp sets it.  An invalid problem raises ConfigError
+    (check_problem).
     """
+    check_problem(cfg, alpha, order)
     return _weighted_rows(cfg, alpha, order, mode).recondensed(anchor)
 
 
 def _weighted_rows(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
                    mode: str) -> GpInstance:
-    """build_gp's GP before it is condensed (no anchor or monomials): the cached
-    _weight_free_rows with the weights as lambda's exponents, written into a
-    read-only copy of their exact layout's matrix, whose numerator rows are
-    then the numerators' exponents."""
+    """build_gp's GP before it is condensed (no anchor or condensed rows):
+    the cached _weight_free_rows with the weights as lambda's exponents,
+    written into a read-only copy of their exact layout's matrix."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     support = alpha.alpha > 0
     key = (mode, order.users if mode == SECURE else None, support.tobytes())
-    cache = _CONFIG_CACHE.setdefault(cfg, {})
+    cache = _cache(cfg)
     if key not in cache:
         cache[key] = _weight_free_rows(cfg, support, order, mode)
     unanchored, lam = cache[key]
-    num, exact = unanchored.numerators, unanchored.exact
-    m = exact.m.copy()
-    m[:num.b.size, 0] = lam @ alpha.alpha
+    m = unanchored.exact.m.copy()
+    m[:lam.shape[0], 0] = lam @ alpha.alpha
     m.setflags(write=False)
-    return unanchored._replaced(numerators=num._replace(a=m[:num.b.size]),
-                                exact=exact._replace(m=m))
+    return replace(unanchored, exact=unanchored.exact._replace(m=m))
 
 
 def _weight_free_rows(cfg: SystemConfig, support, order: DecodingOrder,
@@ -422,11 +429,12 @@ def _weight_free_rows(cfg: SystemConfig, support, order: DecodingOrder,
 
     nums, dens, labels, users = zip(*rows)
     floors, caps = variable_box(cfg)
+    with np.errstate(divide="ignore"):      # a zero floor means no bound
+        log_box = (np.log(floors), np.log(caps))
+    exact = _posynomial_layout(nums, dens)
     gp = GpInstance(num_users=kk, labels=list(labels), floors=floors, caps=caps,
-                    numerators=_stack(nums), denominators=_stack(dens))
-    for shared in (*gp.numerators, *gp.denominators):
-        shared.setflags(write=False)
-    return gp, (np.array(users)[gp.numerators.seg, None] == np.arange(kk)) * 1.0
+                    log_box=log_box, exact=exact)
+    return gp, (np.array(users)[exact.part(False)[3], None] == np.arange(kk)) * 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +733,7 @@ def _feasible_start(cfg: SystemConfig) -> OperatingPoint:
     point that satisfies every constraint, as harvested energy grows with
     every power; computed once per config.  A demand that is not below
     max_deliverable_energy raises InfeasibleError."""
-    cache = _CONFIG_CACHE.setdefault(cfg, {})
+    cache = _cache(cfg)
     if "start" not in cache:
         short = infeasible_demands(cfg)
         if short.size:
@@ -760,10 +768,11 @@ def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
     Every GP after the first starts its interior point from the previous
     GP's multipliers, unless that run did not converge.
 
-    A ``start`` of the wrong length or with a power that is not finite,
-    ``duals`` without a start, and ``duals`` that are not one finite value
-    >= 0 per row and per bound (rows + 2n) raise ConfigError, and no
-    feasible point at all InfeasibleError, before any interior-point run.
+    An invalid problem (check_problem), a ``start`` of the wrong length or
+    with a power that is not finite, ``duals`` without a start, and
+    ``duals`` that are not one finite value >= 0 per row and per bound
+    (rows + 2n) raise ConfigError, and no feasible point at all
+    InfeasibleError, before any interior-point run.
     A solve ends in a report, InfeasibleError or NumericalFailureError: an
     overflow, a vanishing or non-finite GP term or anchor, an infeasible
     start or anchor, and exact rates or an eavesdropper covariance at the
@@ -772,6 +781,7 @@ def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    check_problem(cfg, alpha, order)
     if start is not None and not (start.powers.size == cfg.num_users
                                   and np.all(np.isfinite(start.powers))):
         raise ConfigError([(BAD_VALUE, "start", f"needs {cfg.num_users} finite "
@@ -802,7 +812,7 @@ def _polish_first(cfg, alpha, order, mode, start, duals) -> tuple:
     rejects it).  No row is condensed."""
     rows = _weighted_rows(cfg, alpha, order, mode)
     if duals is not None:
-        size = rows.numerators.starts.size + 2 * rows.floors.size
+        size = len(rows.labels) + 2 * rows.floors.size
         duals = np.asarray(duals, dtype=float)
         if not (duals.shape == (size,) and np.all(np.isfinite(duals) & (duals >= 0))):
             raise ConfigError([(BAD_VALUE, "duals", f"needs {size} finite "
@@ -873,9 +883,9 @@ def _solve(cfg, alpha, order, mode, start, duals) -> SolveReport:
         # Each denominator minus its monomial of the last GP, at its
         # solution; lambda enters no denominator.
         y = _log_point(gp, point)
-        mono = gp.monomials
-        gaps = (np.exp(_log_posynomials(*gp.denominators, y)[0])
-                - np.exp(mono.a @ y + mono.b))
+        mono_a, mono_b, _, _ = gp.condensed.part(True)
+        gaps = (np.exp(_log_posynomials(*gp.exact.part(True), y)[0])
+                - np.exp(mono_a @ y + mono_b))
 
     if polished is not None:
         point = polished

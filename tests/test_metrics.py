@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from swiptsec import (DecodingOrder, EmptySubsetError, EnergyModel,
                       OperatingPoint, RateTuple, TooManyUsersError, Weights,
                       eve_rate_chain, eve_sum_rate, harvested_energies,
-                      harvested_energy, legitimate_rate, legitimate_rates,
-                      secrecy_corner, subset_constraints_satisfied)
+                      legitimate_rates, secrecy_corner,
+                      subset_constraints_satisfied)
 from swiptsec.metrics import (energies, eve_leaks, max_min_objective,
                               secrecy_rates, tin_rates)
 from swiptsec.scenarios import (random_config, strong_interference,
@@ -26,19 +26,19 @@ def op(p1, p2, e1, e2):
 class TestLegitimateRate:
     def test_symmetric_full_power(self):
         cfg = weak_interference()
-        assert legitimate_rate(cfg, op(1, 1, 1, 1), 0) == pytest.approx(1.22239, abs=1e-5)
+        assert legitimate_rates(cfg, op(1, 1, 1, 1))[0] == pytest.approx(1.22239, abs=1e-5)
 
     def test_zero_power_is_zero(self):
         cfg = weak_interference()
-        assert legitimate_rate(cfg, op(0, 1, 1, 1), 0) == 0.0
+        assert legitimate_rates(cfg, op(0, 1, 1, 1))[0] == 0.0
 
     def test_zero_split_is_zero(self):
         cfg = weak_interference()
-        assert legitimate_rate(cfg, op(1, 1, 0, 1), 0) == 0.0
+        assert legitimate_rates(cfg, op(1, 1, 0, 1))[0] == 0.0
 
     def test_single_user_endpoint(self):
         cfg = weak_interference()
-        assert legitimate_rate(cfg, op(1, 0, 1, 1), 0) == pytest.approx(np.log2(3), abs=1e-12)
+        assert legitimate_rates(cfg, op(1, 0, 1, 1))[0] == pytest.approx(np.log2(3), abs=1e-12)
 
     def test_monotonicity_sampling(self):
         rng = np.random.default_rng(23)
@@ -46,22 +46,22 @@ class TestLegitimateRate:
             cfg = random_config(rng)
             p = rng.uniform(0.05, cfg.power_budget)
             e = rng.uniform(0.05, 0.95, 2)
-            base = legitimate_rate(cfg, OperatingPoint(p, e), 0)
+            base = legitimate_rates(cfg, OperatingPoint(p, e))[0]
             up_eta = np.array([min(e[0] + 0.05, 1.0), e[1]])
-            assert legitimate_rate(cfg, OperatingPoint(p, up_eta), 0) >= base - 1e-12
+            assert legitimate_rates(cfg, OperatingPoint(p, up_eta))[0] >= base - 1e-12
             up_p = p * np.array([1.05, 1.0])
             up_p = np.minimum(up_p, cfg.power_budget)
-            assert legitimate_rate(cfg, OperatingPoint(up_p, e), 0) >= base - 1e-12
+            assert legitimate_rates(cfg, OperatingPoint(up_p, e))[0] >= base - 1e-12
             up_j = np.minimum(p * np.array([1.0, 1.05]), cfg.power_budget)
-            assert legitimate_rate(cfg, OperatingPoint(up_j, e), 0) <= base + 1e-12
+            assert legitimate_rates(cfg, OperatingPoint(up_j, e))[0] <= base + 1e-12
 
     def test_interference_limited_split_insensitivity(self):
         # With interference 100x above the processing noise the rate barely
         # moves across the upper half of the split range.
         cfg = symmetric_two_user(np.sqrt(50.0))
-        ref = legitimate_rate(cfg, op(1, 1, 1, 1), 0)
+        ref = legitimate_rates(cfg, op(1, 1, 1, 1))[0]
         for eta in (0.5, 0.7, 0.9):
-            r = legitimate_rate(cfg, op(1, 1, eta, 1), 0)
+            r = legitimate_rates(cfg, op(1, 1, eta, 1))[0]
             assert abs(ref - r) <= 0.05
 
 
@@ -69,20 +69,21 @@ class TestHarvestedEnergy:
     def test_full_split_leaves_only_model_offset(self):
         prod = weak_interference(energy_model=EnergyModel.PRODUCT)
         ref = weak_interference(energy_model=EnergyModel.REFORMULATED)
-        assert harvested_energy(prod, op(1, 1, 1, 1), 0) == 0.0
-        assert harvested_energy(ref, op(1, 1, 1, 1), 0) == pytest.approx(0.25)
+        assert harvested_energies(prod, op(1, 1, 1, 1)).per_user[0] == 0.0
+        assert harvested_energies(ref, op(1, 1, 1, 1)).per_user[0] == pytest.approx(0.25)
 
     def test_reformulated_fixture_value(self):
         cfg = weak_interference()
-        assert harvested_energy(cfg, op(1, 1, 0.56, 0.56), 0) == pytest.approx(0.8, abs=1e-12)
+        assert harvested_energies(cfg, op(1, 1, 0.56, 0.56)).per_user[0] == pytest.approx(
+            0.8, abs=1e-12)
 
     def test_zero_split_product(self):
         cfg = weak_interference(energy_model=EnergyModel.PRODUCT)
-        assert harvested_energy(cfg, op(1, 1, 0, 0), 0) == pytest.approx(1.25 + 0.25)
+        assert harvested_energies(cfg, op(1, 1, 0, 0)).per_user[0] == pytest.approx(1.25 + 0.25)
 
     def test_product_strictly_decreasing_in_split(self):
         cfg = weak_interference(energy_model=EnergyModel.PRODUCT)
-        vals = [harvested_energy(cfg, op(1, 1, eta, 0.5), 0)
+        vals = [harvested_energies(cfg, op(1, 1, eta, 0.5)).per_user[0]
                 for eta in np.linspace(0, 1, 11)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from swiptsec import (ConfigError, DecodingOrder, EnergyModel,
                       InvalidPermutationError, OperatingPoint, SystemConfig,
                       Weights, config_from_dict, config_to_dict,
-                      config_violations, harvested_energy, validate_config)
+                      config_violations, harvested_energies, validate_config)
 from swiptsec.model import (DIMENSION_MISMATCH, NEGATIVE_DEMAND,
                             NON_POSITIVE_VARIANCE, max_deliverable_energy,
                             max_splits, with_demands)
@@ -236,7 +236,7 @@ def test_max_splits_inverts_the_harvested_energy(seed, num_users, energy_model,
     def energy(k, split):
         splits = np.zeros(num_users)
         splits[k] = split
-        return harvested_energy(cfg, OperatingPoint(powers, splits), k)
+        return harvested_energies(cfg, OperatingPoint(powers, splits)).per_user[k]
 
     for k in range(num_users):
         if psi[k] <= c[k]:

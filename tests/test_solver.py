@@ -42,7 +42,9 @@ def test_stacked_condensation_matches_am_gm_reference(sizes, num_vars, seed):
     posys = [Posynomial(np.exp(rng.uniform(-1.5, 1.5, size)),
                         rng.uniform(-2.5, 2.5, (size, num_vars))) for size in sizes]
     anchor = np.exp(rng.uniform(-0.8, 0.8, num_vars))
-    exponents, log_coefs = solver._condense(solver._stack(posys), np.log(anchor))
+    pairs = [(posy.coeffs, posy.exponents) for posy in posys]
+    stacked = solver._posynomial_layout(pairs, pairs).part(False)
+    exponents, log_coefs = solver._condense(*stacked, np.log(anchor))
     assert exponents.shape == (len(sizes), num_vars)
     for posy, exponent, log_coef in zip(posys, exponents, log_coefs):
         t = posy.term_values(anchor)
@@ -188,12 +190,18 @@ def _recondense_cases():
     return cases
 
 
+def _parts(gp):
+    """The GP's numerators, denominators and monomials, each the (a, b,
+    starts, seg) of a part of its exact or condensed layout."""
+    return gp.exact.part(False), gp.exact.part(True), gp.condensed.part(True)
+
+
 def _assert_same_gp(got, want):
     assert got.labels == want.labels
     for name in ("anchor", "floors", "caps"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
-    for stack in ("numerators", "denominators", "monomials"):
-        for g, w in zip(getattr(got, stack), getattr(want, stack)):
+    for got_part, want_part in zip(_parts(got), _parts(want), strict=True):
+        for g, w in zip(got_part, want_part, strict=True):
             assert np.array_equal(g, w)
 
 
@@ -249,12 +257,12 @@ def test_constraints_are_numerators_over_monomials(cfg, weights, order, mode):
     # divided by the row's one-term monomial: same term count, and the
     # value N_i(x) / M_i(x) at the anchor and away from it.
     gp = build_gp(cfg, weights, order, solver._feasible_start(cfg), mode)
-    num, mono = gp.numerators, gp.monomials
+    (num_a, num_b, num_starts, _), _, (mono_a, mono_b, mono_starts, _) = _parts(gp)
     rows = len(gp.labels)
-    assert mono.a.shape == (rows, gp.anchor.size)
-    assert np.array_equal(mono.starts, np.arange(rows))
+    assert mono_a.shape == (rows, gp.anchor.size)
+    assert np.array_equal(mono_starts, np.arange(rows))
     constraints = gp.constraints
-    sizes = np.diff(np.append(num.starts, num.b.size))
+    sizes = np.diff(np.append(num_starts, num_b.size))
     assert [c.num_terms for c in constraints] == sizes.tolist()
     rng = np.random.default_rng(3)
     points = [gp.anchor]
@@ -264,16 +272,53 @@ def test_constraints_are_numerators_over_monomials(cfg, weights, order, mode):
         points.append(x)
     for x in points:
         log_x = np.log(x)
-        numerators = np.add.reduceat(np.exp(num.a @ log_x + num.b), num.starts)
-        want = numerators / np.exp(mono.a @ log_x + mono.b)
+        numerators = np.add.reduceat(np.exp(num_a @ log_x + num_b), num_starts)
+        want = numerators / np.exp(mono_a @ log_x + mono_b)
         got = [c.value(x) for c in constraints]
         assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
-def _gradients(stack, y):
-    """Gradient of each log-sum-exp row of the stack at y."""
-    return solver._row_jacobian(stack.a, stack.starts,
-                                solver._log_posynomials(*stack, y)[1])
+@pytest.mark.parametrize("cfg,weights,order,mode", _recondense_cases())
+def test_condensed_rows_keep_the_exact_numerators(cfg, weights, order, mode):
+    # A condensed GP lays out the numerators of its exact rows, bit for bit,
+    # over one monomial per row that touches its exact denominator at the
+    # anchor; checked on the cold GP and on the next one.
+    gp = build_gp(cfg, weights, order, solver._feasible_start(cfg), mode)
+    for gp in (gp, gp.recondensed(solve_gp(gp).op)):
+        for got, want in zip(gp.condensed.part(False), gp.exact.part(False), strict=True):
+            assert _identical(got, want)
+        y = np.log(gp.anchor)
+        mono, den = (np.exp(solver._log_posynomials(*part, y)[0])
+                     for part in (gp.condensed.part(True), gp.exact.part(True)))
+        assert mono == pytest.approx(den, rel=1e-12, abs=0.0)
+
+
+def test_anchor_is_the_linear_clip():
+    # gp.anchor is (1, p, eta) clipped to the box in linear space, bit for
+    # bit: through logs and back about half of these anchors move by an ulp.
+    rng = np.random.default_rng(11)
+    cfgs = [weak_interference(eh_demands=(0.8, 0.8)), strong_interference(),
+            strong_interference(eh_demands=(0.5, 0.5), eve_geometry="parallel")]
+    cfgs += [random_config(rng, num_users=3, num_eve_antennas=int(rng.integers(1, 4)),
+                           eh_fraction=float(rng.uniform(0.0, 0.6))) for _ in range(10)]
+    for cfg in cfgs:
+        k = cfg.num_users
+        weights, order = Weights(np.full(k, 1.0 / k)), DecodingOrder(tuple(range(k)))
+        for _ in range(4):
+            anchor = OperatingPoint(cfg.power_budget * rng.uniform(0.0, 1.2, k),
+                                    rng.uniform(0.0, 1.0, k))
+            want = np.clip(np.concatenate([[1.0], anchor.powers, anchor.splits]),
+                           *solver.variable_box(cfg))
+            for mode in (RELIABLE, SECURE):
+                gp = build_gp(cfg, weights, order, anchor, mode)
+                assert _identical(gp.anchor, want)
+                assert _identical(gp.recondensed(anchor).anchor, want)
+
+
+def _gradients(part, y):
+    """Gradient of each log-sum-exp row of a layout part at y."""
+    a, _, starts, _ = part
+    return solver._row_jacobian(a, starts, solver._log_posynomials(*part, y)[1])
 
 
 @pytest.mark.parametrize("cfg,weights,order,mode", _recondense_cases())
@@ -298,8 +343,8 @@ def test_converged_gp_run_meets_dual_residual(cfg, weights, order, mode):
         solve_gp(gps[1], solution.duals)
     for gp, ((rows, *_), (y, z, converged, _)) in zip(gps, runs, strict=True):
         assert rows is gp.condensed
-        num, den = gp.numerators, gp.monomials
-        assert den.b.size == num.starts.size      # one monomial per row
+        num, _, den = _parts(gp)
+        assert den[1].size == num[2].size       # one monomial per row
         assert converged
         n = y.size
         jac = np.vstack([_gradients(num, y) - _gradients(den, y), np.eye(n), -np.eye(n)])
@@ -310,8 +355,8 @@ def test_converged_gp_run_meets_dual_residual(cfg, weights, order, mode):
 
 def _exact_log_rows(gp, y):
     """log N_i - log D_i of every row at log point y, term by term."""
-    num, den = (np.add.reduceat(np.exp(stack.a @ y + stack.b), stack.starts)
-                for stack in (gp.numerators, gp.denominators))
+    num, den = (np.add.reduceat(np.exp(a @ y + b), starts)
+                for a, b, starts, _ in _parts(gp)[:2])
     return np.log(num) - np.log(den)
 
 
@@ -320,12 +365,13 @@ def _row_hessian(num, den, y, weights):
     p p^T the Hessian of a log-sum-exp posynomial over its exponents A, its
     terms' shares c and its gradient p."""
     total = 0.0
-    for sign, stack in ((1.0, num), (-1.0, den)):
-        shares = solver._log_posynomials(*stack, y)[1]
-        grads = _gradients(stack, y)
-        for i, first in enumerate(stack.starts):
-            last = stack.starts[i + 1] if i + 1 < stack.starts.size else stack.b.size
-            a = stack.a[first:last]
+    for sign, part in ((1.0, num), (-1.0, den)):
+        shares = solver._log_posynomials(*part, y)[1]
+        grads = _gradients(part, y)
+        exponents, b, starts, _ = part
+        for i, first in enumerate(starts):
+            last = starts[i + 1] if i + 1 < starts.size else b.size
+            a = exponents[first:last]
             total = total + sign * weights[i] * (a.T @ (shares[first:last, None] * a)
                                                  - np.outer(grads[i], grads[i]))
     return total
@@ -334,7 +380,8 @@ def _row_hessian(num, den, y, weights):
 def _exact_rows_lambda(gp, y):
     """Log lambda that makes the tightest exact rate row active at the log
     point y, and the largest exact row there."""
-    alphas = gp.numerators.a[gp.numerators.starts, 0]
+    a, _, starts, _ = _parts(gp)[0]
+    alphas = a[starts, 0]
     rate = alphas > 0
     tight = y.copy()
     tight[0] -= np.max(_exact_log_rows(gp, y)[rate] / alphas[rate])
@@ -401,12 +448,11 @@ def _identical(got, want):
 
 def _assert_identical_gp(got, want):
     assert got.labels == want.labels
-    for got_arr, want_arr in [(got.floors, want.floors), (got.caps, want.caps),
-                              (got.anchor, want.anchor),
-                              *zip(got.log_box, want.log_box),
-                              *zip(got.numerators, want.numerators),
-                              *zip(got.denominators, want.denominators),
-                              *zip(got.monomials, want.monomials)]:
+    pairs = [(got.floors, want.floors), (got.caps, want.caps), (got.anchor, want.anchor),
+             *zip(got.log_box, want.log_box)]
+    for got_part, want_part in zip(_parts(got), _parts(want), strict=True):
+        pairs += zip(got_part, want_part, strict=True)
+    for got_arr, want_arr in pairs:
         assert _identical(got_arr, want_arr)
 
 
@@ -438,17 +484,18 @@ def test_cached_rows_build_the_cold_gp(seed, num_users, num_eve_antennas, eh_fra
                 # Both weights share one row set, which differs only in
                 # lambda's exponents where two or more users have a weight;
                 # lambda enters no denominator, so neither monomial moves.
-                assert gps[0].denominators is gps[1].denominators
-                assert (np.array_equal(gps[0].numerators.a, gps[1].numerators.a)
-                        == (support.sum() == 1))
-                for g, w in zip(gps[0].monomials, gps[1].monomials):
+                (num0, den0, mono0), (num1, den1, mono1) = map(_parts, gps)
+                assert gps[0].exact.b is gps[1].exact.b
+                assert all(_identical(g, w) for g, w in zip(den0, den1, strict=True))
+                assert np.array_equal(num0[0], num1[0]) == (support.sum() == 1)
+                for g, w in zip(mono0, mono1, strict=True):
                     assert _identical(g, w)
                 # A config from with_demands, with the same demands or with
                 # others, builds its own rows.
                 for psi in (cfg.eh_demands, rng.uniform(0.0, 0.6) * cfg.eh_demands[::-1]):
                     other = with_demands(cfg, psi)
                     gp = build_gp(other, weights, order, anchor, mode)
-                    assert gp.denominators is not gps[1].denominators
+                    assert gp.exact.b is not gps[1].exact.b
                     _assert_identical_gp(gp, build_gp(replace(other), weights, order,
                                                       anchor, mode))
                     if psi is cfg.eh_demands:
@@ -517,7 +564,7 @@ def test_constraint_jacobian_matches_central_differences(seed, num_users, mode,
         mp.setattr(solver, "_interior_point", capture)
         solve_gp(gp)
     assert seen[0][0] is gp.condensed
-    num, den = gp.numerators, gp.monomials
+    num, _, den = _parts(gp)
 
     def rows(y):
         return solver._log_rows(gp.condensed, y)[0]
@@ -535,7 +582,7 @@ def test_constraint_jacobian_matches_central_differences(seed, num_users, mode,
         # The Newton system weights each row's Hessian, its numerator's
         # minus its monomial's, by its multiplier.
         numeric = central(jac, y)
-        for row, weights in enumerate(np.eye(num.starts.size)):
+        for row, weights in enumerate(np.eye(num[2].size)):
             hessian = _row_hessian(num, den, y, weights)
             assert np.allclose(hessian, numeric[row], rtol=0.0, atol=1e-6)
 
@@ -545,8 +592,8 @@ def _newton_matrices(gp, rows, den, rng):
     and slacks s: _newton_matrix over ``rows``, the layout of the GP's
     numerators over ``den``, and the term-by-term sum_i z_i (H_Ni - H_Di)
     + G^T diag(z/s) G."""
-    num = gp.numerators
-    n, r = num.a.shape[1], num.starts.size
+    num = _parts(gp)[0]
+    n, r = num[0].shape[1], num[2].size
     y = np.log(gp.anchor) + rng.normal(0.0, 0.2, n)
     z, s = rng.uniform(0.01, 2.0, (2, r + 2 * n))
     grads = np.vstack([_gradients(num, y), _gradients(den, y)])
@@ -561,7 +608,8 @@ def _newton_matrices(gp, rows, den, rng):
 
 def _assert_one_product_newton_matrix(cfg, weights, order, mode, rng):
     gp = build_gp(cfg, weights, order, solver._feasible_start(cfg), mode)
-    for rows, den in ((gp.condensed, gp.monomials), (gp.exact, gp.denominators)):
+    _, exact_den, mono = _parts(gp)
+    for rows, den in ((gp.condensed, mono), (gp.exact, exact_den)):
         one, term_by_term = _newton_matrices(gp, rows, den, rng)
         assert np.abs(one - term_by_term).max() <= 1e-12 * np.abs(term_by_term).max()
 
@@ -597,7 +645,7 @@ def _two_evaluation_lambda(num, den, y):
                 - solver._log_posynomials(*den, y)[0])
 
     log_g = rows(y)
-    alphas = num.a[num.starts, 0]
+    alphas = num[0][num[2], 0]
     rate = alphas > 0
     tight = y.copy()
     tight[0] -= np.max(log_g[rate] / alphas[rate])
@@ -623,12 +671,13 @@ def test_exact_lambda_evaluates_the_rows_once(seed, num_users, mode, eh_fraction
     w = rng.uniform(0.2, 1.0, num_users)
     gp = build_gp(cfg, Weights(w / w.sum()), order, solver._feasible_start(cfg), mode)
     y0 = np.log(gp.anchor)
+    num, exact_den, mono = _parts(gp)
     for y in (y0, y0 + np.concatenate([[log_lam], rng.normal(0.0, 0.2, y0.size - 1)])):
-        for rows, den in ((gp.condensed, gp.monomials), (gp.exact, gp.denominators)):
+        for rows, den in ((gp.condensed, mono), (gp.exact, exact_den)):
             point, worst = solver._exact_lambda(rows, y)
             assert worst == pytest.approx(solver._log_rows(rows, point)[0].max(),
                                           rel=0.0, abs=1e-12)
-            old_point, old_worst = _two_evaluation_lambda(gp.numerators, den, y)
+            old_point, old_worst = _two_evaluation_lambda(num, den, y)
             assert np.array_equal(point, old_point)
             assert worst == pytest.approx(old_worst, rel=0.0, abs=1e-12)
 
@@ -668,14 +717,14 @@ class TestSolveGp:
     def test_box_only_toy(self):
         # maximize lam subject to lam / p <= 1, p <= 2 (K=1 layout); the
         # bound is a ratio too, over the denominator 1.
+        floors, caps = np.array([1e-12, 1e-12, 1e-6]), np.array([1e12, 1e12, 1.0])
+        nums = [Posynomial([1.0], [1.0, 0.0, 0.0]), Posynomial([0.5], [0.0, 1.0, 0.0])]
+        dens = [Posynomial([1.0], [0.0, 1.0, 0.0]), Posynomial([1.0], [0.0, 0.0, 0.0])]
         gp = GpInstance(
-            num_users=1, labels=["obj", "box"],
-            floors=np.array([1e-12, 1e-12, 1e-6]),
-            caps=np.array([1e12, 1e12, 1.0]),
-            numerators=solver._stack([Posynomial([1.0], [1.0, 0.0, 0.0]),
-                                      Posynomial([0.5], [0.0, 1.0, 0.0])]),
-            denominators=solver._stack([Posynomial([1.0], [0.0, 1.0, 0.0]),
-                                        Posynomial([1.0], [0.0, 0.0, 0.0])]),
+            num_users=1, labels=["obj", "box"], floors=floors, caps=caps,
+            log_box=(np.log(floors), np.log(caps)),
+            exact=solver._posynomial_layout(*[[(p.coeffs, p.exponents) for p in side]
+                                              for side in (nums, dens)]),
         ).recondensed(OperatingPoint(np.array([1.0]), np.array([0.5])))
         assert np.array_equal(gp.anchor, [1.0, 1.0, 0.5])
         solution = solve_gp(gp)
@@ -885,9 +934,10 @@ class TestIterate:
                       RELIABLE)
         point = solve_gp(gp).op
         x = np.concatenate([[1.0], point.powers, point.splits])
-        cut = gp.denominators.starts[1:]
-        dens = [Posynomial(np.exp(b), a) for a, b in zip(np.split(gp.denominators.a, cut),
-                                                          np.split(gp.denominators.b, cut))]
+        den_a, den_b, den_starts, _ = _parts(gp)[1]
+        cut = den_starts[1:]
+        dens = [Posynomial(np.exp(b), a) for a, b in zip(np.split(den_a, cut),
+                                                          np.split(den_b, cut))]
         want = [den.value(x) - condense(den, gp.anchor).value(x) for den in dens]
         assert rep.gaps == pytest.approx(want, rel=1e-9, abs=1e-15)
         assert np.all(rep.gaps >= -1e-9)
@@ -1097,8 +1147,8 @@ def test_uncondensed_rows_equal_exact_formulas(seed, num_users, num_eve_antennas
                                np.log(gp.caps)))
         x[0] = np.exp(rng.uniform(-3.0, 3.0))
         powers, splits = x[1:num_users + 1], x[num_users + 1:]
-        num, den = (np.add.reduceat(np.exp(stack.a @ np.log(x) + stack.b), stack.starts)
-                    for stack in (gp.numerators, gp.denominators))
+        num, den = (np.add.reduceat(np.exp(a @ np.log(x) + b), starts)
+                    for a, b, starts, _ in _parts(gp)[:2])
         gap = metrics.tin_rates(cfg, powers, splits)
         if mode == SECURE:
             gap = gap - metrics.eve_leaks(cfg, powers, order)
@@ -1375,6 +1425,61 @@ def test_malformed_start_rejected(powers, splits):
     with pytest.raises(ConfigError):
         iterate(weak_interference(), Weights.pair(0.5), None, RELIABLE,
                 start=OperatingPoint(np.array(powers), np.array(splits)))
+
+
+def _bad_configs():
+    """The weak fixture with one invalid field each."""
+    cfg = weak_interference()
+    return {"negative-budget": replace(cfg, power_budget=[-1.0, 1.0]),
+            "negative-demand": replace(cfg, eh_demands=[-1.0, 0.0]),
+            "nan-noise": replace(cfg, antenna_noise_vars=[np.nan, 0.25]),
+            "3x3-gains": replace(cfg, gains=np.ones((3, 3)))}
+
+
+LIBRARY_CALLS = {
+    "iterate": lambda cfg, weights, order: iterate(cfg, weights, order, SECURE),
+    "build_gp": lambda cfg, weights, order: build_gp(
+        cfg, weights, order, OperatingPoint(np.ones(2), np.full(2, 0.5)), SECURE),
+    "sweep": lambda cfg, weights, order: region.sweep(cfg, SECURE, grid=3),
+    "oracle": lambda cfg, weights, order: oracle_grid_search(cfg, SECURE, weights, order,
+                                                             resolution=11),
+}
+
+
+@pytest.mark.parametrize("call", LIBRARY_CALLS)
+@pytest.mark.parametrize("bad", _bad_configs())
+def test_library_calls_reject_invalid_configs(bad, call):
+    # Each library entry point validates its config (before any warning,
+    # which the test settings turn into errors) and raises ConfigError.
+    with pytest.raises(ConfigError):
+        LIBRARY_CALLS[call](_bad_configs()[bad], Weights.pair(0.5), ORDER12)
+
+
+@pytest.mark.parametrize("call", ["iterate", "build_gp", "oracle"])
+@pytest.mark.parametrize("weights, order", [
+    (Weights(np.array([0.2, 0.3, 0.5])), ORDER12),
+    (Weights.pair(0.5), DecodingOrder((0, 1, 2))),
+], ids=["weights", "order"])
+def test_library_calls_reject_wrong_lengths(weights, order, call):
+    with pytest.raises(ConfigError):
+        LIBRARY_CALLS[call](weak_interference(), weights, order)
+
+
+def test_config_validated_once_per_object(monkeypatch):
+    # validate_config runs when a config object first reaches the solver's
+    # per-config cache, not on every call.
+    validate = solver.validate_config
+    seen = []
+    monkeypatch.setattr(solver, "validate_config",
+                        lambda cfg: seen.append(cfg) or validate(cfg))
+    cfg = replace(weak_interference(eh_demands=(0.5, 0.5)))
+    region.sweep(cfg, SECURE, grid=3)
+    for call in LIBRARY_CALLS.values():
+        call(cfg, Weights.pair(0.5), ORDER12)
+    assert len(seen) == 1 and seen[0] is cfg
+    other = replace(cfg)
+    iterate(other, Weights.pair(0.5), None, RELIABLE)
+    assert len(seen) == 2 and seen[1] is other
 
 
 def _neighbour_duals(cfg, mode):
