@@ -11,6 +11,7 @@ validation and safe to share across threads.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -211,15 +212,24 @@ def config_violations(cfg: SystemConfig) -> list:
     return v
 
 
+# The config objects validate_config has passed.  A SystemConfig is frozen
+# and its arrays are read-only, so an object that passed once stays valid.
+_VALIDATED = weakref.WeakSet()
+
+
 def validate_config(cfg: SystemConfig) -> SystemConfig:
     """Return ``cfg`` unchanged iff every invariant holds.
 
     Raises :class:`ConfigError` carrying the complete violation list
-    otherwise.  Idempotent: validating a validated config is a no-op.
+    otherwise.  Idempotent: validating a validated config is a no-op, and
+    each config object is checked (config_violations) once.
     """
+    if cfg in _VALIDATED:
+        return cfg
     violations = config_violations(cfg)
     if violations:
         raise ConfigError(violations)
+    _VALIDATED.add(cfg)
     return cfg
 
 

@@ -79,13 +79,22 @@ def sweep(cfg: SystemConfig, mode: str, psi=None, grid: int = 21) -> RegionBound
     branches.  Failed points are recorded, not fatal.  An invalid config,
     or ``psi`` override, raises ConfigError.
 
-    Interior weights continue along the boundary per decoding order: each
-    starts at _predicted_start from the order's last two interior solves
-    (cold with none); endpoints and a failed point's successor start cold.
+    Each solve starts from a solved neighbour where one exists.  Interior
+    weights continue along the boundary per decoding order: each starts at
+    _predicted_start from the order's last two interior solves, with the
+    multipliers of the last (its ``duals``).  The alpha1 = 1 endpoint
+    starts there too, without multipliers, as it drops the silent user's
+    rate row.  At either endpoint the second decoding order starts at the
+    first order's solution at that weight, with its multipliers: at one
+    weight both orders' rows have the same layout.  So three solves start
+    cold (two in reliable mode): the first order's alpha1 = 0 endpoint and
+    each order's first interior weight.  The endpoint is a worse start for
+    that weight than the cold point, and the other order's solution there
+    can lead onto a zero-objective plateau that continuation then carries
+    along the branch.  A failed point's successor in its order starts cold.
     Every start meets every constraint.  A solve with a start begins with
-    the exact-row polish from it, warm-started from the multipliers of the
-    order's last solve (its ``duals``), and reaches the condensation loop
-    only where that polish is rejected.
+    the exact-row polish from it and reaches the condensation loop only
+    where that polish is rejected.
     """
     if cfg.num_users != 2:
         raise ValueError("sweeps are implemented for two users")
@@ -104,11 +113,16 @@ def sweep(cfg: SystemConfig, mode: str, psi=None, grid: int = 21) -> RegionBound
     for alpha1 in np.linspace(0.0, 1.0, grid):
         interior = alpha1 not in (0.0, 1.0)
         weights = _clamped_weights(alpha1) if interior else Weights.pair(alpha1)
+        first = None        # the first order's SolveReport at this endpoint
         for order in orders:
-            start = _predicted_start(cfg, history[order]) if interior else None
+            if first is not None:
+                start, duals = first.op, first.duals
+            else:       # no history yet at alpha1 = 0: a cold start
+                start = _predicted_start(cfg, history[order])
+                duals = (history[order][-1].duals
+                         if interior and start is not None else None)
             try:
-                rep = iterate(cfg, weights, order, mode, start=start,
-                              duals=None if start is None else history[order][-1].duals)
+                rep = iterate(cfg, weights, order, mode, start=start, duals=duals)
             except (InfeasibleError, NumericalFailureError) as exc:
                 failures.append({"alpha1": float(alpha1),
                                  "order": order.one_based() if order else None,
@@ -118,6 +132,8 @@ def sweep(cfg: SystemConfig, mode: str, psi=None, grid: int = 21) -> RegionBound
                 continue
             if interior:
                 history[order] = history[order][-1:] + [rep]
+            else:
+                first = rep
             points.append(BoundaryPoint(
                 alpha=np.array([alpha1, 1.0 - alpha1]), weights=weights,
                 rates=render_rates(rep.rates), rates_raw=rep.rates.copy(),

@@ -312,15 +312,16 @@ def test_report_counts_newton_steps(scenario, tmp_path, monkeypatch):
 def test_report_counts_polished_points(tmp_path):
     # polished counts the points whose solve an exact-row polish ended:
     # every point of the strong parallel-Eve secure sweep.  Only the three
-    # cold solves of each order (both endpoints and the first interior
-    # weight) solve a GP; every other point is polished from its start.
+    # cold solves (the first order's alpha1 = 0 endpoint and each order's
+    # first interior weight) solve a GP; every other point is polished from
+    # its start.
     save_scenario(strong_interference(eve_geometry="parallel"), tmp_path / "strong.json")
     out = tmp_path / "o"
     assert main(["sweep", "--scenario", str(tmp_path / "strong.json"), "--mode",
                  "secure", "--grid", "21", "--out", str(out)]) == 0
     [run] = json.loads((out / "report.json").read_text())["runs"]
     assert run["polished"] == run["points"] == 42
-    assert run["gp_solves"] == 6
+    assert run["gp_solves"] == 3
 
 
 def exit_code(argv):

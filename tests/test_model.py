@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swiptsec import (ConfigError, DecodingOrder, EnergyModel,
+from swiptsec import (RELIABLE, ConfigError, DecodingOrder, EnergyModel,
                       InvalidPermutationError, OperatingPoint, SystemConfig,
                       Weights, config_from_dict, config_to_dict,
-                      config_violations, harvested_energies, validate_config)
+                      config_violations, harvested_energies, model, sweep,
+                      validate_config)
 from swiptsec.model import (DIMENSION_MISMATCH, NEGATIVE_DEMAND,
                             NON_POSITIVE_VARIANCE, max_deliverable_energy,
                             max_splits, with_demands)
@@ -41,6 +42,26 @@ def test_paper_fixture_is_valid():
 def test_validation_is_idempotent():
     cfg = weak_interference()
     assert validate_config(validate_config(cfg)) is cfg
+
+
+def test_each_config_object_is_checked_once(monkeypatch):
+    # validate_config remembers the objects it has passed: a SystemConfig is
+    # frozen and its arrays are read-only.  Over a sweep with a demand
+    # override, only the overridden config is checked, by with_demands; the
+    # solver's per-config cache does not check it again.  An invalid
+    # config is checked, and rejected, on every call.
+    cfg = weak_interference()
+    checked = []
+    check = model.config_violations
+    monkeypatch.setattr(model, "config_violations",
+                        lambda c: checked.append(c) or check(c))
+    sweep(cfg, RELIABLE, psi=(0.5, 0.5), grid=5)
+    assert len(checked) == 1 and checked[0] is not cfg
+    bad = make_fixture(power_budget=np.array([1.0, -1.0]))
+    for _ in range(2):
+        with pytest.raises(ConfigError):
+            validate_config(bad)
+    assert checked[1:] == [bad, bad]
 
 
 def test_zero_variance_rejected():

@@ -274,6 +274,38 @@ def test_every_sweep_start_meets_every_row(seed, count, mode, grid):
         assert worst <= solver.FEAS_TOL
 
 
+@pytest.mark.parametrize("cfg, mode, cold, crossed", [
+    (strong_interference(eve_geometry="parallel"), SECURE,
+     [(0.0, (1, 2)), (0.05, (1, 2)), (0.05, (2, 1))], [(0.0, (2, 1)), (1.0, (2, 1))]),
+    (weak_interference(), RELIABLE, [(0.0, None), (0.05, None)], [])])
+def test_sweep_starts_cold_only_without_a_solved_neighbour(cfg, mode, cold, crossed):
+    # Every solve with a solved neighbour starts from it: interior weights
+    # and the alpha1 = 1 endpoint continue along their order's branch, and
+    # at either endpoint the second order starts at the first order's
+    # solution there, with its multipliers.  Only the first order's alpha1
+    # = 0 endpoint and each order's first interior weight start cold.
+    calls = []
+    real_iterate = region.iterate
+
+    def recording(cfg, weights, order, mode, start=None, duals=None):
+        calls.append((round(float(weights.alpha[0]), 12),
+                      order.one_based() if order else None, start, duals))
+        return real_iterate(cfg, weights, order, mode, start=start, duals=duals)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(region, "iterate", recording)
+        boundary = sweep(cfg, mode, grid=21)
+    assert not boundary.failures
+    assert len(calls) == len(boundary.points)
+    assert [(alpha1, order) for alpha1, order, start, _ in calls if start is None] == cold
+    # Multipliers go with every start but the alpha1 = 1 endpoint's
+    # prediction, as that endpoint drops the silent user's rate row.
+    assert [(alpha1, order) for alpha1, order, start, duals in calls
+            if alpha1 in (0.0, 1.0) and duals is not None] == crossed
+    assert all(duals is not None for alpha1, _, start, duals in calls
+               if start is not None and alpha1 not in (0.0, 1.0))
+
+
 # Cold and warm solves both stop on a small GP step, which can come early in
 # a slow climb: at the examples below, cold solves stop up to 2.3e-5 bit
 # short of the converged optimum.  A warm start stops elsewhere on such a
@@ -329,6 +361,24 @@ def test_continuation_sweep_no_worse_than_cold_solves(seed, num_eve_antennas, mo
         extent = hull[:, 0].max() + hull[:, 1].max()
         assert (_area(time_share_hull(warm_points))
                 >= _area(hull) - STOP_REACH * extent)
+
+
+def test_second_order_is_not_carried_onto_a_zero_plateau():
+    # Each order's first interior weight starts cold.  On this draw,
+    # starting order (2,1) there at order (1,2)'s solution falls onto a
+    # zero-objective plateau that continuation carries along the branch:
+    # objective 0 at alpha1 = 0.1-0.9, against 0.25-0.70 bit cold (0.701 bit
+    # short at alpha1 = 0.9).  The hull hides it, as that branch is
+    # dominated, so each point is held to its cold solve.
+    cfg = _random_draw(30, 1)
+    boundary = sweep(cfg, SECURE, grid=11)
+    cold = _cold_solves(cfg, SECURE, 11)
+    assert not boundary.failures and None not in cold.values()
+    assert len(boundary.points) == len(cold)
+    for pt in boundary.points:
+        active = pt.weights.alpha > 0
+        objective = np.min(pt.rates_raw[active] / pt.weights.alpha[active])
+        assert objective >= cold[pt.alpha[0], pt.order].objective - STOP_REACH
 
 
 class TestOracle:
