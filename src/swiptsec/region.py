@@ -15,7 +15,7 @@ from .metrics import max_min_objective, secrecy_rates, tin_rates
 from .model import (DecodingOrder, OperatingPoint, SystemConfig, Weights,
                     max_splits, with_demands)
 from .solver import (FEAS_TOL, MODES, SECURE, InfeasibleError, NumericalFailureError,
-                     check_problem, iterate, variable_box)
+                     _cache, check_problem, iterate, variable_box)
 
 # Rates below this are reported as zero in region output; they correspond to
 # users pinned at the positivity floor of the GP variables.
@@ -252,24 +252,51 @@ class OracleResult:
     op: OperatingPoint
 
 
-def _oracle_pass(cfg, mode, alpha, order, p1, p2):
-    # Each cell's best splits.  A cell meets the demands when every best
-    # split is > 0, the rule of infeasible_demands.  A silent user's split
-    # does not change the objective, and 0 harvests the most.
-    powers = np.stack(np.meshgrid(p1, p2, indexing="ij"), axis=-1)
+def _oracle_grid(cfg, mode, support, order, p1, p2):
+    """The weight-free part of a pass over the grid p1 x p2: the powers,
+    each user's best split, which cells meet the demands, and the rates.
+    A cell meets the demands when every best split is > 0, the rule of
+    infeasible_demands.  A user outside ``support`` (a silent user) gets
+    split 0: it does not change the objective and harvests the most."""
+    powers = np.empty((p1.size, p2.size, 2))
+    powers[..., 0] = p1[:, None]
+    powers[..., 1] = p2
     splits = max_splits(cfg, powers)
     feasible = (splits[..., 0] > 0.0) & (splits[..., 1] > 0.0)
     splits = np.maximum(splits, 0.0)
-    splits[..., alpha.alpha == 0] = 0.0
-
+    splits[..., ~support] = 0.0
     if mode == SECURE:
         rates = secrecy_rates(cfg, powers, splits, order)
     else:
         rates = tin_rates(cfg, powers, splits)
+    return powers, splits, feasible, rates
+
+
+def _coarse_grid(cfg, mode, support, order, resolution):
+    """_oracle_grid on the full power box at ``resolution``, computed once
+    per config object, mode, decoding order (secure mode only), resolution
+    and set of weighted users, and kept read-only in the solver's
+    per-config cache, which drops it with the config."""
+    key = ("oracle", mode, order.users if mode == SECURE else None, resolution,
+           support.tobytes())
+    cache = _cache(cfg)
+    if key not in cache:
+        axes = [np.linspace(0.0, hi, resolution) for hi in cfg.power_budget]
+        grid = _oracle_grid(cfg, mode, support, order, *axes)
+        for arr in grid:
+            arr.setflags(write=False)
+        cache[key] = grid
+    return cache[key]
+
+
+def _best_cell(grid, alpha):
+    """The (objective, rates, OperatingPoint) of the grid's best cell under
+    the weights ``alpha``, or None when no cell meets the demands."""
+    powers, splits, feasible, rates = grid
     obj = max_min_objective(rates, alpha)
     # A cell whose rates overflowed or are NaN is not a point (the sum is
     # finite only when every term is).
-    feasible &= np.isfinite(obj + rates[..., 0] + rates[..., 1])
+    feasible = feasible & np.isfinite(obj + rates[..., 0] + rates[..., 1])
     obj[~feasible] = -np.inf
 
     i, j = np.unravel_index(np.argmax(obj), obj.shape)
@@ -289,11 +316,20 @@ def oracle_grid_search(cfg: SystemConfig, mode: str, alpha: Weights,
     scores the exact uncondensed objective there with the metrics kernels;
     points where a best split is not > 0 (a demand met only at eta = 0, or
     not at all) or where a rate is not finite are discarded.  The search
-    then refines the powers once around the incumbent.  It shares only the
-    eavesdropper's Gram minors with the GP, never a condensed row or the
-    optimizer.  Gram minors that overflow raise NumericalFailureError,
-    which chains the cause, as in iterate; an invalid problem raises
-    ConfigError (check_problem).
+    then refines the powers once around the incumbent: the same resolution
+    on a window of one coarse step either side.  Nothing but the weights
+    changes the coarse grid's splits, feasibility and rates between the
+    calls of a sweep, so they are computed once per config object, mode,
+    decoding order, resolution and set of weighted users, and kept with
+    the config; each call scores them under its weights and evaluates its
+    own zoom window.  The zoom refines only the coarse incumbent, so the
+    result is no bound and is not monotone in ``resolution``: on a secure
+    instance with several local maxima a finer grid can score lower
+    (0.6088 -> 0.6070 bit at resolution 51 -> 101 on one random config).
+    It shares only the eavesdropper's Gram minors with the GP, never a
+    condensed row or the optimizer.  Gram minors that overflow raise
+    NumericalFailureError, which chains the cause, as in iterate; an
+    invalid problem raises ConfigError (check_problem).
     """
     if cfg.num_users != 2:
         raise ValueError("the oracle is implemented for two users")
@@ -305,10 +341,11 @@ def oracle_grid_search(cfg: SystemConfig, mode: str, alpha: Weights,
     if order is None:
         order = DecodingOrder((0, 1))
     pmax = cfg.power_budget
+    support = alpha.alpha > 0
 
-    axes = [np.linspace(0.0, hi, resolution) for hi in pmax]
     try:
-        coarse = _oracle_pass(cfg, mode, alpha, order, *axes)
+        coarse = _best_cell(_coarse_grid(cfg, mode, support, order, resolution),
+                            alpha)
     except OverflowError as exc:
         raise NumericalFailureError(f"{type(exc).__name__}: {exc}") from exc
     if coarse is None:
@@ -322,7 +359,7 @@ def oracle_grid_search(cfg: SystemConfig, mode: str, alpha: Weights,
         step = hi / (resolution - 1)
         fine_axes.append(np.linspace(max(c - step, 0.0), min(c + step, hi),
                                      resolution))
-    fine = _oracle_pass(cfg, mode, alpha, order, *fine_axes)
+    fine = _best_cell(_oracle_grid(cfg, mode, support, order, *fine_axes), alpha)
     if fine is not None and fine[0] > best_value:
         best_value, best_rates, best_op = fine
     return OracleResult(objective=best_value, rates=best_rates, op=best_op)

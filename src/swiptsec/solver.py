@@ -240,8 +240,8 @@ def condense(posy: Posynomial, anchor) -> Posynomial:
 # Variable layout: index 0 is lambda, then the K powers, then the K splits.
 
 # Per config object, dropped with it: the variable_box, the _feasible_start
-# point, and the _weight_free_rows of each mode, decoding order and set of
-# weighted users.
+# point, the _weight_free_rows of each mode, decoding order and set of
+# weighted users, and the grid oracle's coarse grids (region._coarse_grid).
 _CONFIG_CACHE = weakref.WeakKeyDictionary()
 
 

@@ -177,6 +177,27 @@ def test_oracle_report_written(scenario, tmp_path):
         assert row["shortfall"] <= 0.05 * max(row["oracle_objective"], 1e-9)
 
 
+@pytest.mark.parametrize("mode, grids", [("reliable", 24), ("secure", 48)])
+def test_oracle_evaluates_each_coarse_grid_once(scenario, tmp_path, monkeypatch,
+                                                mode, grids):
+    # The oracle calls of a grid-21 sweep share one coarse grid per set of
+    # weighted users and decoding order, 3 in reliable mode and 6 in secure
+    # mode, and add one zoom window per point: 21 or 42.  Each grid calls
+    # max_splits once; _predicted_start's calls on one point do not count.
+    real, calls = region.max_splits, []
+
+    def counting(cfg, powers):
+        if np.ndim(powers) >= 3:
+            calls.append(np.shape(powers))
+        return real(cfg, powers)
+
+    monkeypatch.setattr(region, "max_splits", counting)
+    code = main(["sweep", "--scenario", str(scenario), "--mode", mode,
+                 "--grid", "21", "--oracle", "--out", str(tmp_path / "o")])
+    assert code == 0
+    assert len(calls) == grids
+
+
 def test_verify_passes_on_benchmark(scenario, tmp_path):
     code = main(["verify", "--scenario", str(scenario), "--seed", "42",
                  "--oracle-res", "21"])

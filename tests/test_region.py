@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 from dataclasses import replace
 
 import numpy as np
@@ -381,6 +381,13 @@ def test_second_order_is_not_carried_onto_a_zero_plateau():
         assert objective >= cold[pt.alpha[0], pt.order].objective - STOP_REACH
 
 
+def _assert_same_oracle_result(a, b):
+    assert np.array_equal(a.objective, b.objective)
+    assert np.array_equal(a.rates, b.rates)
+    assert np.array_equal(a.op.powers, b.op.powers)
+    assert np.array_equal(a.op.splits, b.op.splits)
+
+
 class TestOracle:
     def test_weak_eh_symmetric(self):
         cfg = weak_interference(eh_demands=(0.8, 0.8))
@@ -397,9 +404,11 @@ class TestOracle:
         assert res.op.splits[1] == pytest.approx(0.0, abs=0.05)
 
     def test_demand_beyond_limit(self):
-        with pytest.raises(NoFeasiblePointError):
-            oracle_grid_search(weak_interference(eh_demands=(2.0, 2.0)), RELIABLE,
-                               Weights.pair(0.5), resolution=21)
+        # Every call raises, also those that reuse the cached coarse grid.
+        cfg = weak_interference(eh_demands=(2.0, 2.0))
+        for _ in range(2):
+            with pytest.raises(NoFeasiblePointError):
+                oracle_grid_search(cfg, RELIABLE, Weights.pair(0.5), resolution=21)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("mode", [RELIABLE, SECURE])
@@ -413,6 +422,9 @@ class TestOracle:
         res = oracle_grid_search(cfg, mode, Weights.pair(alpha1), resolution=51)
         assert np.isfinite(res.objective)
         assert np.all(np.isfinite(res.rates))
+        # A second call, on the cached coarse grid, finds the same point.
+        again = oracle_grid_search(cfg, mode, Weights.pair(alpha1), resolution=51)
+        _assert_same_oracle_result(again, res)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowed_gram_minors_fail_numerically(self):
@@ -422,9 +434,11 @@ class TestOracle:
         weak = weak_interference()
         cfg = replace(weak, eve_antenna_noise_var=weak.eve_antenna_noise_var * 1e279,
                       eve_channels=weak.eve_channels * 1e229)
-        with pytest.raises(NumericalFailureError) as caught:
-            oracle_grid_search(cfg, SECURE, Weights.pair(0.5), resolution=11)
-        assert isinstance(caught.value.__cause__, OverflowError)
+        # Nothing is cached on failure, so a second call fails the same way.
+        for _ in range(2):
+            with pytest.raises(NumericalFailureError) as caught:
+                oracle_grid_search(cfg, SECURE, Weights.pair(0.5), resolution=11)
+            assert isinstance(caught.value.__cause__, OverflowError)
 
     @pytest.mark.parametrize("psi", [(0.8,), (np.nan, np.nan), (-1.0, -1.0),
                                      (0.8, 0.8, 0.8)])
@@ -457,6 +471,39 @@ class TestOracle:
             oracle = oracle_grid_search(cfg, RELIABLE, weights, resolution=31)
             rep = iterate(cfg, weights, None, RELIABLE)
             assert rep.objective >= oracle.objective * 0.95 - 1e-9
+
+    def test_cached_coarse_grids_change_no_result(self):
+        # Calls on one config object share its coarse grids, one per mode,
+        # decoding order, resolution and set of weighted users; each result
+        # equals, bit for bit, the same call on a fresh copy of the config,
+        # whose cache entry is empty.  Two rounds: the first fills the
+        # cache, the second only reads it.
+        rng = np.random.default_rng(31)
+        cfgs = [weak_interference(eh_demands=(0.8, 0.8)),
+                weak_interference(eh_demands=(0.8, 0.8), eve_geometry="parallel"),
+                strong_interference(eh_demands=(1.0, 1.0)),
+                strong_interference(eve_geometry="parallel")]
+        cfgs += [random_config(rng, eh_fraction=float(rng.uniform(0.0, 0.6)))
+                 for _ in range(4)]
+        runs = [(RELIABLE, None), (SECURE, DecodingOrder((0, 1))),
+                (SECURE, DecodingOrder((1, 0)))]
+        for cfg in cfgs:
+            for _, (mode, order), alpha1, resolution in product(
+                    range(2), runs, (0.0, 0.3, 1.0), (11, 21)):
+                weights = Weights.pair(alpha1)
+                got = oracle_grid_search(cfg, mode, weights, order,
+                                         resolution=resolution)
+                fresh = oracle_grid_search(replace(cfg), mode, weights, order,
+                                           resolution=resolution)
+                _assert_same_oracle_result(got, fresh)
+            grids = [grid for key, grid in solver._cache(cfg).items()
+                     if key[0] == "oracle"]
+            # 3 weight supports x 2 resolutions, in reliable mode and in
+            # each secure order.
+            assert len(grids) == 18
+            for arr in (arr for grid in grids for arr in grid):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr.flat[0] = arr.flat[0]
 
     @pytest.mark.parametrize("mode, order", [(RELIABLE, None), (SECURE, (0, 1)),
                                              (SECURE, (1, 0))])
