@@ -10,9 +10,8 @@ from .metrics import (EmptySubsetError, EnergyVector, RateTuple,
                       subset_constraints_satisfied)
 from .model import (ConfigError, DecodingOrder, EnergyModel,
                     InvalidPermutationError, OperatingPoint, SystemConfig,
-                    Weights, config_from_dict, config_to_dict,
-                    config_violations, load_scenario, save_scenario,
-                    validate_config)
+                    Weights, config_from_dict, config_to_dict, load_scenario,
+                    save_scenario)
 from .region import (BoundaryPoint, EmptyInputError, NoFeasiblePointError,
                      OracleResult, RegionBoundary, hull_height,
                      oracle_grid_search, render_rates, sweep, time_share_hull)

@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import checks, region, solver
 from .metrics import max_min_objective
-from .model import BAD_VALUE, ConfigError, load_scenario, with_demands
+from .model import BAD_VALUE, ConfigError, load_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
@@ -80,8 +81,8 @@ def run_sweep(args) -> int:
         cfg = _load_two_user(args, args.oracle)
         if args.grid < 2:
             raise ConfigError([(BAD_VALUE, "grid", f"must be >= 2, got {args.grid}")])
-        # Validate every demand override before any output is written.
-        cases = [with_demands(cfg, [float(v) for v in spec.split(",")])
+        # Each demand override checks itself before any output is written.
+        cases = [replace(cfg, eh_demands=[float(v) for v in spec.split(",")])
                  for spec in args.eh] or [cfg]
     except (OSError, ValueError) as exc:
         print(f"ConfigError: {exc}", file=sys.stderr)

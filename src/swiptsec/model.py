@@ -4,15 +4,16 @@ A :class:`SystemConfig` is one deterministic instance of the K-user wiretap
 interference channel with power-splitting receivers: complex channel gains,
 the eavesdropper's channel vectors, noise variances, power budgets and energy
 demands.  Rates, energies and the optimization problem are pure functions of
-a config plus an :class:`OperatingPoint`, so configs are immutable after
-validation and safe to share across threads.
+a config plus an :class:`OperatingPoint`.  A config checks its invariants
+when it is made (the constructor and ``dataclasses.replace`` raise
+:class:`ConfigError` otherwise), so every config is valid, immutable and
+safe to share across threads.
 """
 
 from __future__ import annotations
 
 import json
-import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import combinations
@@ -77,7 +78,9 @@ class SystemConfig:
     gains[k, j] is the complex amplitude gain from transmitter j to receiver
     k (row = receiver).  eve_channels[j] is the length-M vector from
     transmitter j to the eavesdropper.  All noise quantities are variances in
-    power units.
+    power units.  The constructor, and so ``dataclasses.replace``, raises
+    ConfigError carrying every violated invariant: a config is valid once
+    made.
     """
 
     num_users: int
@@ -93,13 +96,20 @@ class SystemConfig:
     energy_model: EnergyModel = EnergyModel.REFORMULATED
 
     def __post_init__(self):
-        object.__setattr__(self, "gains", _ro(self.gains, complex))
-        object.__setattr__(self, "eve_channels", _ro(self.eve_channels, complex))
-        object.__setattr__(self, "antenna_noise_vars", _ro(self.antenna_noise_vars, float))
-        object.__setattr__(self, "processing_noise_vars", _ro(self.processing_noise_vars, float))
-        object.__setattr__(self, "power_budget", _ro(self.power_budget, float))
-        object.__setattr__(self, "eh_demands", _ro(self.eh_demands, float))
-        object.__setattr__(self, "energy_model", EnergyModel(self.energy_model))
+        for name, dtype in (("gains", complex), ("eve_channels", complex),
+                            ("antenna_noise_vars", float), ("processing_noise_vars", float),
+                            ("power_budget", float), ("eh_demands", float)):
+            try:
+                object.__setattr__(self, name, _ro(getattr(self, name), dtype))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError([(BAD_VALUE, name, str(exc))]) from exc
+        try:
+            object.__setattr__(self, "energy_model", EnergyModel(self.energy_model))
+        except (TypeError, ValueError):
+            pass        # _violations reports it
+        violations = _violations(self)
+        if violations:
+            raise ConfigError(violations)
 
     @property
     def eve_noise_total(self) -> float:
@@ -174,9 +184,12 @@ def infeasible_demands(cfg: SystemConfig) -> np.ndarray:
     return np.flatnonzero(max_splits(cfg, cfg.power_budget) <= 0)
 
 
-def config_violations(cfg: SystemConfig) -> list:
-    """Return the complete list of invariant violations (empty when valid)."""
+def _violations(cfg: SystemConfig) -> list:
+    """The complete list of cfg's invariant violations (empty when valid)."""
     v = []
+    if not isinstance(cfg.energy_model, EnergyModel):
+        v.append((BAD_VALUE, "energy_model", "expected 'product' or 'reformulated', "
+                  f"got {cfg.energy_model!r}"))
     k, m = cfg.num_users, cfg.num_eve_antennas
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         v.append((BAD_VALUE, "num_users", f"must be a positive integer, got {k!r}"))
@@ -203,6 +216,9 @@ def config_violations(cfg: SystemConfig) -> list:
         if arr.shape != shape:
             v.append((DIMENSION_MISMATCH, name, f"expected shape {shape}, got {arr.shape}"))
             continue
+        if arr.dtype.kind not in "biuf":
+            v.append((BAD_VALUE, name, f"must be a real number, got {arr.item()!r}"))
+            continue
         for idx, x in np.ndenumerate(arr):
             entry = name + "".join(f"[{i}]" for i in idx)
             if not np.isfinite(x):
@@ -210,37 +226,6 @@ def config_violations(cfg: SystemConfig) -> list:
             elif not (x >= 0 if kind == NEGATIVE_DEMAND else x > 0):
                 v.append((kind, entry, f"{rule}, got {x}"))
     return v
-
-
-# The config objects validate_config has passed.  A SystemConfig is frozen
-# and its arrays are read-only, so an object that passed once stays valid.
-_VALIDATED = weakref.WeakSet()
-
-
-def validate_config(cfg: SystemConfig) -> SystemConfig:
-    """Return ``cfg`` unchanged iff every invariant holds.
-
-    Raises :class:`ConfigError` carrying the complete violation list
-    otherwise.  Idempotent: validating a validated config is a no-op, and
-    each config object is checked (config_violations) once.
-    """
-    if cfg in _VALIDATED:
-        return cfg
-    violations = config_violations(cfg)
-    if violations:
-        raise ConfigError(violations)
-    _VALIDATED.add(cfg)
-    return cfg
-
-
-def with_demands(cfg: SystemConfig, psi) -> SystemConfig:
-    """``cfg`` with its energy demands replaced by ``psi``, validated.
-
-    Every demand override goes through here, so a NaN, negative or
-    wrong-length demand raises :class:`ConfigError` instead of silently
-    dropping or breaking a harvesting constraint.
-    """
-    return validate_config(replace(cfg, eh_demands=psi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,7 +346,8 @@ def config_to_dict(cfg: SystemConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> SystemConfig:
-    """Parse and validate a scenario dict (inverse of config_to_dict)."""
+    """Parse a scenario dict (inverse of config_to_dict); ConfigError when it
+    is malformed or the config it describes is invalid."""
     required = ("num_users", "num_eve_antennas", "gains", "eve_channels",
                 "antenna_noise_vars", "processing_noise_vars",
                 "eve_antenna_noise_var", "eve_processing_noise_var",
@@ -373,14 +359,7 @@ def config_from_dict(data: dict) -> SystemConfig:
         gains = np.array([[_complex_in(z, "gains") for z in row] for row in data["gains"]])
         eve = np.array([[_complex_in(z, "eve_channels") for z in row]
                         for row in data["eve_channels"]])
-        if gains.ndim != 2 or gains.shape[0] != gains.shape[1]:
-            raise ConfigError([(DIMENSION_MISMATCH, "gains",
-                                f"expected a square matrix, got shape {gains.shape}")])
-        model = data.get("energy_model", "reformulated")
-        if model not in ("product", "reformulated"):
-            raise ConfigError([(BAD_VALUE, "energy_model",
-                                f"expected 'product' or 'reformulated', got {model!r}")])
-        cfg = SystemConfig(
+        return SystemConfig(
             num_users=_count_in(data["num_users"], "num_users"),
             num_eve_antennas=_count_in(data["num_eve_antennas"], "num_eve_antennas"),
             gains=gains,
@@ -391,13 +370,12 @@ def config_from_dict(data: dict) -> SystemConfig:
             eve_processing_noise_var=float(data["eve_processing_noise_var"]),
             power_budget=np.array(data["power_budget"], dtype=float),
             eh_demands=np.array(data["eh_demands"], dtype=float),
-            energy_model=EnergyModel(model),
+            energy_model=data.get("energy_model", "reformulated"),
         )
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError([(BAD_VALUE, "scenario", str(exc))]) from exc
-    return validate_config(cfg)
 
 
 def save_scenario(cfg: SystemConfig, path) -> None:

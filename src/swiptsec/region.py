@@ -5,7 +5,7 @@ over (p1, p2) with closed-form splits and one zoom."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import permutations
 from typing import Optional
 
@@ -13,8 +13,8 @@ import numpy as np
 
 from .metrics import max_min_objective, secrecy_rates, tin_rates
 from .model import (DecodingOrder, OperatingPoint, SystemConfig, Weights,
-                    max_splits, with_demands)
-from .solver import (FEAS_TOL, MODES, SECURE, InfeasibleError, NumericalFailureError,
+                    max_splits)
+from .solver import (FEAS_TOL, SECURE, InfeasibleError, NumericalFailureError,
                      _cache, check_problem, iterate, variable_box)
 
 # Rates below this are reported as zero in region output; they correspond to
@@ -76,8 +76,8 @@ def sweep(cfg: SystemConfig, mode: str, psi=None, grid: int = 21) -> RegionBound
     Endpoint weights (alpha_k = 0) become dedicated single-user solves where
     the silent user keeps only its harvesting and box constraints.  Secure
     mode solves every weight once per decoding order and keeps both
-    branches.  Failed points are recorded, not fatal.  An invalid config,
-    or ``psi`` override, raises ConfigError.
+    branches.  Failed points are recorded, not fatal.  An invalid ``psi``
+    override or mode raises ConfigError.
 
     Each solve starts from a solved neighbour where one exists.  Interior
     weights continue along the boundary per decoding order: each starts at
@@ -98,12 +98,10 @@ def sweep(cfg: SystemConfig, mode: str, psi=None, grid: int = 21) -> RegionBound
     """
     if cfg.num_users != 2:
         raise ValueError("sweeps are implemented for two users")
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if grid < 2:
-        raise ValueError(f"grid must be >= 2, got {grid}")
+    if not isinstance(grid, (int, np.integer)) or grid < 2:
+        raise ValueError(f"grid must be an integer >= 2, got {grid!r}")
     if psi is not None:
-        cfg = with_demands(cfg, psi)
+        cfg = replace(cfg, eh_demands=psi)
 
     orders = ([DecodingOrder(p) for p in permutations(range(2))]
               if mode == SECURE else [None])
@@ -192,13 +190,16 @@ def time_share_hull(points) -> np.ndarray:
     close are one, whose vertex is the upper right corner of the points
     there, and a point that close to the line through its neighbours is
     collinear, so the vertices do not depend on rounding noise in the
-    rates.
+    rates.  A rate tuple that is not finite raises ValueError.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         raise EmptyInputError("need at least one rate tuple")
     if pts.shape[1] != 2:
         raise ValueError("hull computation is implemented for two users")
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"rate tuples must be finite, got {pts[~finite].tolist()}")
     x_max = pts[:, 0].max()
     y_max = pts[:, 1].max()
     cand = np.vstack([pts, [[0.0, y_max], [x_max, 0.0]]])
@@ -232,11 +233,10 @@ def time_share_hull(points) -> np.ndarray:
 
 def hull_height(hull: np.ndarray, x: float) -> float:
     """Piecewise-linear height of the hull at abscissa x (for dominance
-    checks); 0 beyond the right end."""
-    hx, hy = hull[:, 0], hull[:, 1]
-    keep = np.concatenate([[True], np.diff(hx) > 0])
-    hx, hy = hx[keep], hy[keep]
-    if x > hx[-1]:
+    checks); 0 beyond the right end and on an empty hull."""
+    keep = np.diff(hull[:, 0], prepend=-np.inf) > 0
+    hx, hy = hull[keep, 0], hull[keep, 1]
+    if hx.size == 0 or x > hx[-1]:
         return 0.0
     return float(np.interp(x, hx, hy))
 
@@ -333,11 +333,9 @@ def oracle_grid_search(cfg: SystemConfig, mode: str, alpha: Weights,
     """
     if cfg.num_users != 2:
         raise ValueError("the oracle is implemented for two users")
-    check_problem(cfg, alpha, order)
-    if resolution < 11:
-        raise ValueError(f"resolution must be >= 11, got {resolution}")
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    check_problem(cfg, alpha, order, mode)
+    if not isinstance(resolution, (int, np.integer)) or resolution < 11:
+        raise ValueError(f"resolution must be an integer >= 11, got {resolution!r}")
     if order is None:
         order = DecodingOrder((0, 1))
     pmax = cfg.power_budget

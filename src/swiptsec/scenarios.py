@@ -7,8 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .model import (EnergyModel, SystemConfig, max_deliverable_energy,
-                    validate_config)
+from .model import EnergyModel, SystemConfig, max_deliverable_energy
 
 # Symmetric two-user benchmark: unit direct gains, all noise variances 0.25,
 # unit power budgets, eavesdropper channel norms 0.5.
@@ -35,7 +34,7 @@ def symmetric_two_user(cross_amp: float, eh_demands=(0.0, 0.0),
     maximally separate them.
     """
     gains = np.array([[1.0, cross_amp], [cross_amp, 1.0]], dtype=complex)
-    cfg = SystemConfig(
+    return SystemConfig(
         num_users=2,
         num_eve_antennas=2,
         gains=gains,
@@ -48,7 +47,6 @@ def symmetric_two_user(cross_amp: float, eh_demands=(0.0, 0.0),
         eh_demands=np.asarray(eh_demands, dtype=float),
         energy_model=energy_model,
     )
-    return validate_config(cfg)
 
 
 def weak_interference(eh_demands=(0.0, 0.0), eve_geometry="orthogonal",
@@ -97,4 +95,4 @@ def random_config(rng: np.random.Generator, num_users: int = 2,
     )
     if eh_fraction > 0:
         cfg = replace(cfg, eh_demands=eh_fraction * max_deliverable_energy(cfg))
-    return validate_config(cfg)
+    return cfg

@@ -33,7 +33,7 @@ from .linalg import NonFiniteError
 from .metrics import legitimate_rates, max_min_objective, secrecy_corner
 from .model import (BAD_VALUE, DIMENSION_MISMATCH, ConfigError, DecodingOrder,
                     OperatingPoint, SystemConfig, Weights, infeasible_demands,
-                    max_deliverable_energy, max_splits, validate_config)
+                    max_deliverable_energy, max_splits)
 
 SECURE = "secure"
 RELIABLE = "reliable"
@@ -246,25 +246,22 @@ _CONFIG_CACHE = weakref.WeakKeyDictionary()
 
 
 def _cache(cfg: SystemConfig) -> dict:
-    """cfg's entry of _CONFIG_CACHE, made once validate_config passes on it,
-    so each config object is validated once (ConfigError otherwise)."""
-    cache = _CONFIG_CACHE.get(cfg)
-    if cache is None:
-        cache = _CONFIG_CACHE[validate_config(cfg)] = {}
-    return cache
+    """cfg's entry of _CONFIG_CACHE."""
+    return _CONFIG_CACHE.setdefault(cfg, {})
 
 
 def check_problem(cfg: SystemConfig, alpha: Weights,
-                  order: Optional[DecodingOrder]) -> None:
-    """Raise ConfigError unless ``cfg`` is valid (validate_config, run once
-    per config object) and ``alpha`` and ``order`` (unless None) have one
-    entry per user."""
-    _cache(cfg)
+                  order: Optional[DecodingOrder], mode: str) -> None:
+    """Raise ConfigError unless ``alpha`` and ``order`` (unless None) have
+    one entry per user and ``mode`` is one of MODES: the per-call check of
+    a problem, whose config checked itself when it was made."""
     kk = cfg.num_users
     bad = [(DIMENSION_MISMATCH, name, f"needs {kk} entries, got {size}")
            for name, size in (("alpha", alpha.alpha.size),
                               ("order", kk if order is None else len(order)))
            if size != kk]
+    if mode not in MODES:
+        bad.append((BAD_VALUE, "mode", f"must be one of {MODES}, got {mode!r}"))
     if bad:
         raise ConfigError(bad)
 
@@ -361,7 +358,7 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
     value is 1; solve_gp sets it.  An invalid problem raises ConfigError
     (check_problem).
     """
-    check_problem(cfg, alpha, order)
+    check_problem(cfg, alpha, order, mode)
     return _weighted_rows(cfg, alpha, order, mode).recondensed(anchor)
 
 
@@ -370,8 +367,6 @@ def _weighted_rows(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
     """build_gp's GP before it is condensed (no anchor or condensed rows):
     the cached _weight_free_rows with the weights as lambda's exponents,
     written into a read-only copy of their exact layout's matrix."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     support = alpha.alpha > 0
     key = (mode, order.users if mode == SECURE else None, support.tobytes())
     cache = _cache(cfg)
@@ -779,9 +774,7 @@ def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
     final point that are not finite are re-raised as a NumericalFailureError
     that chains the cause.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    check_problem(cfg, alpha, order)
+    check_problem(cfg, alpha, order, mode)
     if start is not None and not (start.powers.size == cfg.num_users
                                   and np.all(np.isfinite(start.powers))):
         raise ConfigError([(BAD_VALUE, "start", f"needs {cfg.num_users} finite "

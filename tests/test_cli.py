@@ -389,6 +389,8 @@ INVALID_SCENARIOS = {
     "inf-budget": (("power_budget", 0), float("inf")),
     "inf-demand": (("eh_demands", 1), float("inf")),
     "inf-antenna-noise": (("antenna_noise_vars", 0), float("inf")),
+    "negative-antenna-noise": (("antenna_noise_vars", 0), -1.0),
+    "nan-demand": (("eh_demands", 0), float("nan")),
     "fractional-users": (("num_users",), 2.7),
     "fractional-eve-antennas": (("num_eve_antennas",), 2.5),
     "inf-eve-antenna-noise": (("eve_antenna_noise_var",), float("inf")),

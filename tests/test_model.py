@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,16 +10,15 @@ from hypothesis import strategies as st
 from swiptsec import (RELIABLE, ConfigError, DecodingOrder, EnergyModel,
                       InvalidPermutationError, OperatingPoint, SystemConfig,
                       Weights, config_from_dict, config_to_dict,
-                      config_violations, harvested_energies, model, sweep,
-                      validate_config)
-from swiptsec.model import (DIMENSION_MISMATCH, NEGATIVE_DEMAND,
+                      harvested_energies, model, sweep)
+from swiptsec.model import (BAD_VALUE, DIMENSION_MISMATCH, NEGATIVE_DEMAND,
                             NON_POSITIVE_VARIANCE, max_deliverable_energy,
-                            max_splits, with_demands)
+                            max_splits)
 from swiptsec.scenarios import random_config, weak_interference
 
 
-def make_fixture(**overrides):
-    base = dict(
+def fixture_fields(**overrides):
+    fields = dict(
         num_users=2,
         num_eve_antennas=2,
         gains=np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex),
@@ -28,69 +29,89 @@ def make_fixture(**overrides):
         eve_processing_noise_var=0.25,
         power_budget=np.array([1.0, 1.0]),
         eh_demands=np.array([0.0, 0.0]),
+        energy_model=EnergyModel.REFORMULATED,
     )
-    base.update(overrides)
-    return SystemConfig(**base)
+    fields.update(overrides)
+    return fields
+
+
+def make_fixture(**overrides):
+    return SystemConfig(**fixture_fields(**overrides))
+
+
+def _violations_of(**overrides):
+    """The violations the fixture's constructor reports with ``overrides``."""
+    with pytest.raises(ConfigError) as err:
+        make_fixture(**overrides)
+    return err.value.violations
 
 
 def test_paper_fixture_is_valid():
     cfg = make_fixture()
-    assert validate_config(cfg) is cfg
+    assert isinstance(cfg, SystemConfig)
     assert cfg.eve_noise_total == pytest.approx(0.5)
 
 
 def test_validation_is_idempotent():
+    # Rebuilding a valid config (replace with no change) checks it again and
+    # passes, with the same read-only arrays.
     cfg = weak_interference()
-    assert validate_config(validate_config(cfg)) is cfg
+    again = replace(cfg)
+    assert again is not cfg
+    for field in ("gains", "eve_channels", "eh_demands", "power_budget"):
+        assert np.array_equal(getattr(again, field), getattr(cfg, field))
+        assert not getattr(again, field).flags.writeable
 
 
 def test_each_config_object_is_checked_once(monkeypatch):
-    # validate_config remembers the objects it has passed: a SystemConfig is
-    # frozen and its arrays are read-only.  Over a sweep with a demand
-    # override, only the overridden config is checked, by with_demands; the
-    # solver's per-config cache does not check it again.  An invalid
-    # config is checked, and rejected, on every call.
+    # A config checks itself once, when it is made: over a sweep with a
+    # demand override, only the replace that makes the overridden config
+    # checks, and no solve checks again.  An invalid config is rejected on
+    # every attempt to make it, and never exists.
     cfg = weak_interference()
     checked = []
-    check = model.config_violations
-    monkeypatch.setattr(model, "config_violations",
-                        lambda c: checked.append(c) or check(c))
+    check = model._violations
+    monkeypatch.setattr(model, "_violations", lambda c: checked.append(c) or check(c))
     sweep(cfg, RELIABLE, psi=(0.5, 0.5), grid=5)
     assert len(checked) == 1 and checked[0] is not cfg
-    bad = make_fixture(power_budget=np.array([1.0, -1.0]))
     for _ in range(2):
         with pytest.raises(ConfigError):
-            validate_config(bad)
-    assert checked[1:] == [bad, bad]
+            make_fixture(power_budget=np.array([1.0, -1.0]))
+    assert len(checked) == 3
 
 
 def test_zero_variance_rejected():
-    cfg = make_fixture(processing_noise_vars=np.array([0.0, 0.25]))
-    with pytest.raises(ConfigError) as err:
-        validate_config(cfg)
-    kinds = {(k, f) for k, f, _ in err.value.violations}
+    violations = _violations_of(processing_noise_vars=np.array([0.0, 0.25]))
+    kinds = {(k, f) for k, f, _ in violations}
     assert (NON_POSITIVE_VARIANCE, "processing_noise_vars[0]") in kinds
 
 
 def test_eve_channel_shape_rejected():
-    cfg = make_fixture(eve_channels=np.zeros((2, 3), dtype=complex) + 0.5)
-    with pytest.raises(ConfigError) as err:
-        validate_config(cfg)
-    assert any(k == DIMENSION_MISMATCH and f == "eve_channels"
-               for k, f, _ in err.value.violations)
+    violations = _violations_of(eve_channels=np.zeros((2, 3), dtype=complex) + 0.5)
+    assert any(k == DIMENSION_MISMATCH and f == "eve_channels" for k, f, _ in violations)
 
 
 def test_negative_demand_rejected():
-    cfg = make_fixture(eh_demands=np.array([-0.1, 0.0]))
-    violations = config_violations(cfg)
-    assert any(k == NEGATIVE_DEMAND and f == "eh_demands[0]" for k, f, _ in violations)
+    # replace checks the new demands as the constructor does.
+    for make in (lambda: make_fixture(eh_demands=np.array([-0.1, 0.0])),
+                 lambda: replace(make_fixture(), eh_demands=[-0.1, 0.0])):
+        with pytest.raises(ConfigError) as err:
+            make()
+        assert any(k == NEGATIVE_DEMAND and f == "eh_demands[0]"
+                   for k, f, _ in err.value.violations)
 
 
 def test_violation_list_is_complete():
-    cfg = make_fixture(eh_demands=np.array([-0.1, 0.0]),
-                       antenna_noise_vars=np.array([0.25, -1.0]))
-    violations = config_violations(cfg)
-    assert len(violations) >= 2
+    # Every invalid field is reported at once, a bad energy model and a
+    # variance that is no number included, and a NaN demand is a violation
+    # rather than a vacuous constraint.
+    violations = _violations_of(eh_demands=np.array([np.nan, -0.1]),
+                                antenna_noise_vars=np.array([0.25, -1.0]),
+                                eve_antenna_noise_var=None, energy_model="linear")
+    assert {(k, f) for k, f, _ in violations} == {
+        (BAD_VALUE, "energy_model"), (BAD_VALUE, "eh_demands[0]"),
+        (NEGATIVE_DEMAND, "eh_demands[1]"), (BAD_VALUE, "eve_antenna_noise_var"),
+        (NON_POSITIVE_VARIANCE, "antenna_noise_vars[1]")}
 
 
 def test_operating_point_bounds():
@@ -218,22 +239,46 @@ def _set_leaf(data, path, value):
 NUMERIC_PATHS = list(_numeric_leaves(config_to_dict(make_fixture())))
 
 
+FIELDS = [field.name for field in dataclasses.fields(SystemConfig)]
+
+
+def _outcome(make):
+    """None when ``make`` returns a config, else the ConfigError's violations."""
+    try:
+        make()
+    except ConfigError as exc:
+        return exc.violations
+    return None
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(path=st.sampled_from(NUMERIC_PATHS),
+@given(path=st.sampled_from(NUMERIC_PATHS), field=st.sampled_from(FIELDS),
        value=st.floats(allow_nan=True, allow_infinity=True))
-def test_any_float_in_any_field_is_valid_or_config_error(path, value):
-    # Validation is total: the only outcomes are a valid config or a
-    # ConfigError, and a non-finite or non-integral count never validates.
+def test_any_float_in_any_field_is_valid_or_config_error(path, field, value):
+    # Checking is total: the only outcomes are a valid config or a
+    # ConfigError, and a non-finite value never passes.  Through JSON, the
+    # float replaces one number of the scenario, and a non-integral count
+    # never passes.
     data = config_to_dict(make_fixture())
     _set_leaf(data, path, value)
-    try:
-        cfg = config_from_dict(data)
-    except ConfigError:
-        return
-    assert np.isfinite(value)
-    if path[0] in ("num_users", "num_eve_antennas"):
-        assert value.is_integer()
-    assert config_violations(cfg) == []
+    if _outcome(lambda: config_from_dict(data)) is None:
+        assert np.isfinite(value)
+        if path[0] in ("num_users", "num_eve_antennas"):
+            assert value.is_integer()
+    # Through the constructor and replace, which agree, the float replaces
+    # a field, or an array field's first entry; a count or an energy model
+    # that is a float never passes.
+    new = fixture_fields()[field]
+    if isinstance(new, np.ndarray):
+        new = new.copy()
+        new.flat[0] = value
+    else:
+        new = value
+    made = _outcome(lambda: SystemConfig(**fixture_fields(**{field: new})))
+    assert made == _outcome(lambda: replace(make_fixture(), **{field: new}))
+    if made is None:
+        assert np.isfinite(value)
+        assert field not in ("num_users", "num_eve_antennas", "energy_model")
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -247,8 +292,8 @@ def test_max_splits_inverts_the_harvested_energy(seed, num_users, energy_model,
     # eta* means even eta = 0 falls short, and a vacuous demand leaves 1.
     cfg = random_config(np.random.default_rng(seed), num_users=num_users,
                         energy_model=energy_model)
-    cfg = with_demands(cfg, np.array(demand_fracs[:num_users])
-                       * max_deliverable_energy(cfg))
+    cfg = replace(cfg, eh_demands=np.array(demand_fracs[:num_users])
+                  * max_deliverable_energy(cfg))
     powers = np.array(power_fracs[:num_users]) * cfg.power_budget
     eta = max_splits(cfg, powers)
     c, _ = cfg.harvest_offsets

@@ -1,3 +1,4 @@
+import re
 from itertools import combinations, product
 from dataclasses import replace
 
@@ -14,7 +15,7 @@ from swiptsec import (ConfigError, DecodingOrder, EmptyInputError,
                       secrecy_corner, solver, subset_constraints_satisfied,
                       sweep, time_share_hull)
 from swiptsec.metrics import RateTuple
-from swiptsec.model import max_splits, with_demands
+from swiptsec.model import max_splits
 from swiptsec.solver import RELIABLE, SECURE
 from swiptsec.scenarios import (random_config, strong_interference,
                                 weak_interference)
@@ -78,6 +79,19 @@ class TestHull:
         with pytest.raises(EmptyInputError):
             time_share_hull(np.empty((0, 2)))
 
+    @pytest.mark.parametrize("points", [[[np.nan, 1.0], [1.0, 0.0], [0.5, 0.6]],
+                                        [[0.5, 0.6], [1.0, -np.inf]], [[np.inf, 1.0]]])
+    def test_non_finite_rejected(self, points):
+        # A rate tuple that is not finite is no vertex: it is named, not hulled.
+        bad = [p for p in points if not np.isfinite(p).all()]
+        with pytest.raises(ValueError, match=re.escape(f"must be finite, got {bad}")):
+            time_share_hull(points)
+
+    def test_height_of_empty_hull_is_zero(self):
+        # sweep returns an empty hull when every point fails.
+        for x in (0.0, 0.5):
+            assert hull_height(np.empty((0, 2)), x) == 0.0
+
     def test_published_branches_bridge(self):
         both = np.vstack([BRANCH, BRANCH[:, ::-1]])
         hull = time_share_hull(both)
@@ -127,6 +141,11 @@ class TestSweep:
     def test_invalid_demand_override_rejected(self, psi):
         with pytest.raises(ConfigError):
             sweep(weak_interference(), RELIABLE, psi=psi, grid=2)
+
+    @pytest.mark.parametrize("grid", [1, 5.0])
+    def test_grid_guard(self, grid):
+        with pytest.raises(ValueError, match="grid must be an integer >= 2"):
+            sweep(weak_interference(), RELIABLE, grid=grid)
 
     def test_weak_reliable_anchors(self):
         boundary = sweep(weak_interference(), RELIABLE, psi=(0.0, 0.0), grid=21)
@@ -443,16 +462,18 @@ class TestOracle:
     @pytest.mark.parametrize("psi", [(0.8,), (np.nan, np.nan), (-1.0, -1.0),
                                      (0.8, 0.8, 0.8)])
     def test_invalid_demand_override_rejected(self, psi):
-        # The oracle takes its demands from the config; an override goes
-        # through with_demands, which rejects it before any search.
+        # The oracle takes its demands from the config; the replace that
+        # overrides them rejects an invalid one before any search.
         with pytest.raises(ConfigError):
-            oracle_grid_search(with_demands(weak_interference(), psi), RELIABLE,
+            oracle_grid_search(replace(weak_interference(), eh_demands=psi), RELIABLE,
                                Weights.pair(0.5), resolution=11)
 
     def test_resolution_guard(self):
-        with pytest.raises(ValueError):
-            oracle_grid_search(weak_interference(), RELIABLE, Weights.pair(0.5),
-                               resolution=5)
+        # Too coarse a grid, or a resolution that is no integer.
+        for resolution in (5, 21.0):
+            with pytest.raises(ValueError, match="resolution must be an integer >= 11"):
+                oracle_grid_search(weak_interference(), RELIABLE, Weights.pair(0.5),
+                                   resolution=resolution)
 
     def test_secure_orders_differ_with_parallel_eve(self):
         cfg = weak_interference(eve_geometry="parallel")

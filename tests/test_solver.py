@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import swiptsec
-from swiptsec import metrics, region, solver
+from swiptsec import metrics, model, region, solver
 from swiptsec import (ConfigError, DecodingOrder, EnergyModel, GpInstance, InfeasibleAnchorError,
                       InfeasibleError, NonPositiveAnchorError, NonPositiveTermError,
                       NumericalFailureError, OperatingPoint, Posynomial, Weights,
@@ -24,7 +24,7 @@ from swiptsec import (ConfigError, DecodingOrder, EnergyModel, GpInstance, Infea
                       iterate, legitimate_rates, log2_det, rank_one_update_sum,
                       secrecy_corner, solve_gp)
 from swiptsec.region import oracle_grid_search
-from swiptsec.model import max_deliverable_energy, max_splits, with_demands
+from swiptsec.model import max_deliverable_energy, max_splits
 from swiptsec.solver import RELIABLE, SECURE
 from swiptsec.scenarios import (random_config, strong_interference,
                                 weak_interference)
@@ -490,10 +490,10 @@ def test_cached_rows_build_the_cold_gp(seed, num_users, num_eve_antennas, eh_fra
                 assert np.array_equal(num0[0], num1[0]) == (support.sum() == 1)
                 for g, w in zip(mono0, mono1, strict=True):
                     assert _identical(g, w)
-                # A config from with_demands, with the same demands or with
+                # A config from replace, with the same demands or with
                 # others, builds its own rows.
                 for psi in (cfg.eh_demands, rng.uniform(0.0, 0.6) * cfg.eh_demands[::-1]):
-                    other = with_demands(cfg, psi)
+                    other = replace(cfg, eh_demands=psi)
                     gp = build_gp(other, weights, order, anchor, mode)
                     assert gp.exact.b is not gps[1].exact.b
                     _assert_identical_gp(gp, build_gp(replace(other), weights, order,
@@ -687,7 +687,7 @@ def test_config_layouts_are_read_only_private_and_dropped():
     # of weighted users and kept with the config, read-only, like its
     # variable box.  Each weight writes lambda's exponents, and nothing
     # else, into its own copy of the layout's matrix.  The copy of the
-    # config that with_demands returns builds its own, and the layout is
+    # config that replace returns builds its own, and the layout is
     # gone once its config is collected.
     cfg = strong_interference(eh_demands=(0.5, 0.5), eve_geometry="parallel")
     weights = Weights(np.array([0.4, 0.6]))
@@ -702,7 +702,7 @@ def test_config_layouts_are_read_only_private_and_dropped():
     changed = gp.exact.m != cached.m
     assert changed[:, 0].any() and not changed[:, 1:].any()
     assert all(mine is shared for mine, shared in zip(gp.exact[1:], cached[1:]))
-    other = with_demands(cfg, cfg.eh_demands)
+    other = replace(cfg, eh_demands=cfg.eh_demands)
     build_gp(other, weights, ORDER12, solver._feasible_start(other), SECURE)
     theirs = solver._CONFIG_CACHE[other][key][0].exact
     assert not any(np.shares_memory(mine, shared) for mine, shared in zip(theirs, cached))
@@ -848,8 +848,8 @@ class TestSolveGp:
         cfg = random_config(np.random.default_rng(5))
         c = cfg.harvest_offsets[0]
         reach = max_deliverable_energy(cfg) - c
-        over = with_demands(cfg, [0.0, (c + reach)[1] * (1 + 1e-9)])
-        under = with_demands(cfg, [0.0, c[1] + (1 - 0.5 * solver.FLOOR_FRAC) * reach[1]])
+        over = replace(cfg, eh_demands=[0.0, (c + reach)[1] * (1 + 1e-9)])
+        under = replace(cfg, eh_demands=[0.0, c[1] + (1 - 0.5 * solver.FLOOR_FRAC) * reach[1]])
 
         def no_optimizer(*args):
             raise AssertionError("the optimizer ran")
@@ -1427,32 +1427,33 @@ def test_malformed_start_rejected(powers, splits):
                 start=OperatingPoint(np.array(powers), np.array(splits)))
 
 
-def _bad_configs():
-    """The weak fixture with one invalid field each."""
-    cfg = weak_interference()
-    return {"negative-budget": replace(cfg, power_budget=[-1.0, 1.0]),
-            "negative-demand": replace(cfg, eh_demands=[-1.0, 0.0]),
-            "nan-noise": replace(cfg, antenna_noise_vars=[np.nan, 0.25]),
-            "3x3-gains": replace(cfg, gains=np.ones((3, 3)))}
+# The weak fixture's invalid fields, one per case.
+BAD_FIELDS = {"negative-budget": {"power_budget": [-1.0, 1.0]},
+              "negative-demand": {"eh_demands": [-1.0, 0.0]},
+              "nan-noise": {"antenna_noise_vars": [np.nan, 0.25]},
+              "3x3-gains": {"gains": np.ones((3, 3))},
+              "ragged-gains": {"gains": [[1.0, 0.5], [0.5]]}}
 
 
 LIBRARY_CALLS = {
-    "iterate": lambda cfg, weights, order: iterate(cfg, weights, order, SECURE),
-    "build_gp": lambda cfg, weights, order: build_gp(
-        cfg, weights, order, OperatingPoint(np.ones(2), np.full(2, 0.5)), SECURE),
-    "sweep": lambda cfg, weights, order: region.sweep(cfg, SECURE, grid=3),
-    "oracle": lambda cfg, weights, order: oracle_grid_search(cfg, SECURE, weights, order,
-                                                             resolution=11),
+    "iterate": lambda cfg, weights, order, mode=SECURE: iterate(cfg, weights, order, mode),
+    "build_gp": lambda cfg, weights, order, mode=SECURE: build_gp(
+        cfg, weights, order, OperatingPoint(np.ones(2), np.full(2, 0.5)), mode),
+    "sweep": lambda cfg, weights, order, mode=SECURE: region.sweep(cfg, mode, grid=3),
+    "oracle": lambda cfg, weights, order, mode=SECURE: oracle_grid_search(
+        cfg, mode, weights, order, resolution=11),
 }
 
 
 @pytest.mark.parametrize("call", LIBRARY_CALLS)
-@pytest.mark.parametrize("bad", _bad_configs())
+@pytest.mark.parametrize("bad", BAD_FIELDS)
 def test_library_calls_reject_invalid_configs(bad, call):
-    # Each library entry point validates its config (before any warning,
-    # which the test settings turn into errors) and raises ConfigError.
+    # No library entry point meets an invalid config: making one raises
+    # ConfigError (before any warning, which the test settings turn into
+    # errors).
     with pytest.raises(ConfigError):
-        LIBRARY_CALLS[call](_bad_configs()[bad], Weights.pair(0.5), ORDER12)
+        LIBRARY_CALLS[call](replace(weak_interference(), **BAD_FIELDS[bad]),
+                            Weights.pair(0.5), ORDER12)
 
 
 @pytest.mark.parametrize("call", ["iterate", "build_gp", "oracle"])
@@ -1465,18 +1466,25 @@ def test_library_calls_reject_wrong_lengths(weights, order, call):
         LIBRARY_CALLS[call](weak_interference(), weights, order)
 
 
+@pytest.mark.parametrize("call", LIBRARY_CALLS)
+def test_library_calls_reject_unknown_mode(call):
+    # check_problem, the one per-call check, rejects a mode outside MODES.
+    with pytest.raises(ConfigError, match=r"BadValue\[mode\]: must be one of"):
+        LIBRARY_CALLS[call](weak_interference(), Weights.pair(0.5), ORDER12, mode="both")
+
+
 def test_config_validated_once_per_object(monkeypatch):
-    # validate_config runs when a config object first reaches the solver's
-    # per-config cache, not on every call.
-    validate = solver.validate_config
+    # A config checks itself when it is made, and no library call checks it
+    # again.
     seen = []
-    monkeypatch.setattr(solver, "validate_config",
-                        lambda cfg: seen.append(cfg) or validate(cfg))
-    cfg = replace(weak_interference(eh_demands=(0.5, 0.5)))
+    check = model._violations
+    monkeypatch.setattr(model, "_violations", lambda cfg: seen.append(cfg) or check(cfg))
+    cfg = weak_interference(eh_demands=(0.5, 0.5))
+    assert seen == [cfg]
     region.sweep(cfg, SECURE, grid=3)
     for call in LIBRARY_CALLS.values():
         call(cfg, Weights.pair(0.5), ORDER12)
-    assert len(seen) == 1 and seen[0] is cfg
+    assert seen == [cfg]
     other = replace(cfg)
     iterate(other, Weights.pair(0.5), None, RELIABLE)
     assert len(seen) == 2 and seen[1] is other
