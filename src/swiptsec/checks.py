@@ -1,9 +1,9 @@
 """The invariant checks that ``swiptsec verify`` and the acceptance gate
 share.  Each returns ``(passed, worst, detail)``: whether the invariant held,
 the worst value measured against its tolerance, and a one-line summary.  A
-check that meets a rate, energy or covariance that overflowed or is NaN
-fails (worst = inf) and names it, instead of passing on what it skipped;
-``oracle_dominance`` meets such values as a NumericalFailureError."""
+check that meets a NumericalFailureError (a rate, energy or covariance that
+overflowed, is NaN or is not positive definite) fails (worst = inf) and
+names it, instead of passing on what it skipped."""
 
 from functools import wraps
 from itertools import chain, combinations, permutations, product
@@ -11,11 +11,11 @@ from itertools import chain, combinations, permutations, product
 import numpy as np
 
 from . import region, solver
-from .linalg import NonFiniteError
 from .metrics import (eve_rate_chain, eve_sum_rate, legitimate_rates,
                       secrecy_corner, subset_constraints_satisfied)
-from .model import (DecodingOrder, OperatingPoint, Weights,
-                    infeasible_demands, max_deliverable_energy)
+from .model import (DecodingOrder, InfeasibleError, NumericalFailureError,
+                    OperatingPoint, Weights, infeasible_demands,
+                    max_deliverable_energy)
 from .scenarios import random_config
 
 CHAIN_TOL = 1e-9
@@ -25,25 +25,25 @@ SHORTFALL_TOL = 0.05        # relative, solver below the grid oracle
 
 
 def _finite(values, what):
-    """``values`` as an array; NonFiniteError naming ``what`` if one entry
-    overflowed or is NaN."""
+    """``values`` as an array; NumericalFailureError naming ``what`` if one
+    entry overflowed or is NaN."""
     values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
-        raise NonFiniteError(f"{what} not finite: {values}")
+        raise NumericalFailureError(f"{what} not finite: {values}")
     return values
 
 
-def _fails_on_non_finite(check):
+def _fails_on_numerical_failure(check):
     @wraps(check)
     def guarded(*args, **kwargs):
         try:
             return check(*args, **kwargs)
-        except NonFiniteError as exc:
+        except NumericalFailureError as exc:
             return False, np.inf, str(exc)
     return guarded
 
 
-@_fails_on_non_finite
+@_fails_on_numerical_failure
 def chain_rule(rng, cases, cfg=None):
     """Per-user eavesdropper rates sum to the block sum rate over every order
     and subset: on ``cfg`` if given, then on ``cases`` random configs (users
@@ -89,7 +89,7 @@ def condensation(rng, cases):
             f"{cases} cases (tol {CONDENSE_TOL:.0e})")
 
 
-@_fails_on_non_finite
+@_fails_on_numerical_failure
 def subset_corners(cfg, rng):
     """Secrecy corners at 20 random points meet every subset sum constraint;
     ``worst`` is -inf when no corner was checked."""
@@ -119,7 +119,7 @@ def subset_corners(cfg, rng):
                          f"corners (tol {SUBSET_TOL:.0e})")
 
 
-@_fails_on_non_finite
+@_fails_on_numerical_failure
 def energy_screen(cfg):
     """Demands that infeasible_demands rejects leave the grid oracle without
     a point; ``worst`` is the largest demand minus its deliverable limit."""
@@ -131,9 +131,9 @@ def energy_screen(cfg):
     try:
         region.oracle_grid_search(cfg, solver.RELIABLE, Weights.pair(0.5),
                                   resolution=11)
-    except region.NoFeasiblePointError:
+    except InfeasibleError:
         return True, worst, (f"demands exceed deliverable energy for users "
-                             f"{short}; NoFeasiblePoint confirmed")
+                             f"{short}; the oracle finds no point")
     return False, worst, "demands exceed the closed-form limit but the oracle found a point"
 
 
@@ -151,14 +151,14 @@ def oracle_dominance(cfg, resolution):
         # check reports, before the oracle raises the same failure.
         try:
             rep = solver.iterate(cfg, weights, order, mode)
-        except solver.InfeasibleError:
+        except InfeasibleError:
             rep = None
-        except solver.NumericalFailureError as exc:
+        except NumericalFailureError as exc:
             return False, worst, f"solver failed numerically at {where}: {exc}"
         try:
             oracle = region.oracle_grid_search(cfg, mode, weights, order,
                                                resolution=resolution)
-        except region.NoFeasiblePointError:
+        except InfeasibleError:
             oracle = None
         if rep is None and oracle is None:
             continue

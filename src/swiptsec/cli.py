@@ -18,7 +18,7 @@ import numpy as np
 
 from . import checks, region, solver
 from .metrics import max_min_objective
-from .model import BAD_VALUE, ConfigError, load_scenario
+from .model import BAD_VALUE, ConfigError, InfeasibleError, load_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
@@ -145,7 +145,7 @@ def _oracle_comparison(cfg, mode, boundary, resolution) -> list:
             oracle = region.oracle_grid_search(
                 cfg, mode, pt.weights, pt.order, resolution=resolution)
             oracle_obj = oracle.objective
-        except region.NoFeasiblePointError:
+        except InfeasibleError:
             oracle_obj = None
         solver_obj = float(max_min_objective(pt.rates_raw, pt.weights))
         rows.append({

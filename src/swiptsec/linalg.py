@@ -9,18 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-
-class NotPositiveDefiniteError(ValueError):
-    pass
-
-
-class DimensionMismatchError(ValueError):
-    pass
-
-
-class NonFiniteError(ValueError):
-    """A value overflowed or is NaN, such as an eavesdropper covariance of a
-    badly scaled scenario."""
+from .model import BAD_VALUE, DIMENSION_MISMATCH, ConfigError, NumericalFailureError
 
 
 def rank_one_update_sum(dim: int, terms) -> np.ndarray:
@@ -33,9 +22,10 @@ def rank_one_update_sum(dim: int, terms) -> np.ndarray:
     for coef, vec in terms:
         v = np.asarray(vec, dtype=complex)
         if v.shape != (dim,):
-            raise DimensionMismatchError(f"vector shape {v.shape}, expected ({dim},)")
+            raise ConfigError([(DIMENSION_MISMATCH, "vector",
+                                f"shape {v.shape}, expected ({dim},)")])
         if coef < 0:
-            raise ValueError(f"rank-one coefficient must be >= 0, got {coef}")
+            raise ConfigError([(BAD_VALUE, "coef", f"must be >= 0, got {coef}")])
         out += coef * np.outer(v, v.conj())
     # Fused-multiply-add complex products can leave 1-ulp asymmetries;
     # averaging with the conjugate transpose restores exact Hermitianity.
@@ -43,17 +33,19 @@ def rank_one_update_sum(dim: int, terms) -> np.ndarray:
 
 
 def _cho(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor L of A = L L^H."""
+    """Lower Cholesky factor L of A = L L^H; NumericalFailureError when A,
+    a computed covariance, is not finite or not positive definite."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
+        raise ConfigError([(DIMENSION_MISMATCH, "matrix",
+                            f"expected a square matrix, got shape {a.shape}")])
     if not np.all(np.isfinite(a)):
-        raise NonFiniteError(f"covariance has {np.sum(~np.isfinite(a))} "
-                             f"non-finite of {a.size} entries")
+        raise NumericalFailureError(f"covariance has {np.sum(~np.isfinite(a))} "
+                                    f"non-finite of {a.size} entries")
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from exc
+        raise NumericalFailureError(f"covariance factorisation failed: {exc}") from exc
 
 
 def log2_det(a: np.ndarray) -> float:
@@ -70,6 +62,7 @@ def inv_quadratic_form(a: np.ndarray, v: np.ndarray) -> float:
     v = np.asarray(v, dtype=complex)
     factor = _cho(a)
     if v.shape != (factor.shape[0],):
-        raise DimensionMismatchError(f"vector shape {v.shape}, matrix {factor.shape}")
+        raise ConfigError([(DIMENSION_MISMATCH, "vector",
+                            f"shape {v.shape}, matrix {factor.shape}")])
     x = np.linalg.solve(factor, v)
     return float(np.real(np.vdot(x, x)))

@@ -19,15 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import inv_quadratic_form, log2_det, rank_one_update_sum
-from .model import DecodingOrder, OperatingPoint, SystemConfig, Weights
-
-
-class EmptySubsetError(ValueError):
-    pass
-
-
-class TooManyUsersError(ValueError):
-    pass
+from .model import (BAD_VALUE, DIMENSION_MISMATCH, ConfigError, DecodingOrder,
+                    OperatingPoint, SystemConfig, Weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,7 +34,7 @@ class RateTuple:
         arr.setflags(write=False)
         object.__setattr__(self, "per_user", arr)
         if np.any(arr < 0):
-            raise ValueError(f"rates must be >= 0, got {arr}")
+            raise ConfigError([(BAD_VALUE, "per_user", f"must be >= 0, got {arr}")])
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,7 +48,7 @@ class EnergyVector:
         arr.setflags(write=False)
         object.__setattr__(self, "per_user", arr)
         if np.any(arr < 0):
-            raise ValueError(f"energies must be >= 0, got {arr}")
+            raise ConfigError([(BAD_VALUE, "per_user", f"must be >= 0, got {arr}")])
 
 
 def tin_rates(cfg: SystemConfig, powers, splits) -> np.ndarray:
@@ -149,7 +142,7 @@ def eve_sum_rate(cfg: SystemConfig, p: np.ndarray, subset) -> float:
     """
     subset = frozenset(int(k) for k in subset)
     if not subset:
-        raise EmptySubsetError("subset of users must be nonempty")
+        raise ConfigError([(BAD_VALUE, "subset", "subset of users must be nonempty")])
     p = np.asarray(p, dtype=float)
     complement = [j for j in range(cfg.num_users) if j not in subset]
     full = _eve_covariance(cfg, p, range(cfg.num_users))
@@ -171,7 +164,8 @@ def eve_rate_chain(cfg: SystemConfig, p: np.ndarray, order: DecodingOrder,
         subset = range(cfg.num_users)
     subset = frozenset(int(k) for k in subset)
     if len(order) != cfg.num_users:
-        raise ValueError(f"order has {len(order)} entries for {cfg.num_users} users")
+        raise ConfigError([(DIMENSION_MISMATCH, "order",
+                            f"needs {cfg.num_users} entries, got {len(order)}")])
     p = np.asarray(p, dtype=float)
     sbar = cfg.eve_noise_total
     out = np.zeros(cfg.num_users)
@@ -208,7 +202,8 @@ def subset_constraints_satisfied(cfg: SystemConfig, op: OperatingPoint,
     """
     k = cfg.num_users
     if k > 16:
-        raise TooManyUsersError(f"subset enumeration guarded at K <= 16, got K={k}")
+        raise ConfigError([(BAD_VALUE, "num_users",
+                            f"subset enumeration needs K <= 16, got {k}")])
     legit = legitimate_rates(cfg, op)
     tup = rates.per_user
     worst, worst_s = -np.inf, ()

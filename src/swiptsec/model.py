@@ -29,7 +29,7 @@ BAD_VALUE = "BadValue"
 
 
 class ConfigError(ValueError):
-    """A problem instance violates its invariants.
+    """An input to a public call violates its invariants.
 
     ``violations`` holds the complete list of (kind, field, message) tuples,
     one per offending field, so a caller sees every problem at once.
@@ -40,8 +40,13 @@ class ConfigError(ValueError):
         super().__init__("; ".join(f"{k}[{f}]: {m}" for k, f, m in self.violations))
 
 
-class InvalidPermutationError(ValueError):
-    pass
+class InfeasibleError(RuntimeError):
+    """No point meets the energy demands."""
+
+
+class NumericalFailureError(RuntimeError):
+    """A computed value overflowed, vanished, is not finite or not positive
+    definite, or the optimizer left a constraint violated."""
 
 
 class EnergyModel(str, Enum):
@@ -270,7 +275,8 @@ class DecodingOrder:
         users = tuple(int(u) for u in self.users)
         object.__setattr__(self, "users", users)
         if sorted(users) != list(range(len(users))):
-            raise InvalidPermutationError(f"not a permutation of 0..{len(users) - 1}: {users}")
+            raise ConfigError([(BAD_VALUE, "users", f"not a permutation of "
+                                f"0..{len(users) - 1}: {users}")])
 
     def __len__(self):
         return len(self.users)

@@ -12,10 +12,10 @@ from typing import Optional
 import numpy as np
 
 from .metrics import max_min_objective, secrecy_rates, tin_rates
-from .model import (DecodingOrder, OperatingPoint, SystemConfig, Weights,
-                    max_splits)
-from .solver import (FEAS_TOL, SECURE, InfeasibleError, NumericalFailureError,
-                     _cache, check_problem, iterate, variable_box)
+from .model import (BAD_VALUE, DIMENSION_MISMATCH, ConfigError, DecodingOrder,
+                    InfeasibleError, NumericalFailureError, OperatingPoint,
+                    SystemConfig, Weights, max_splits)
+from .solver import FEAS_TOL, SECURE, _cache, check_problem, iterate, variable_box
 
 # Rates below this are reported as zero in region output; they correspond to
 # users pinned at the positivity floor of the GP variables.
@@ -24,14 +24,6 @@ RATE_RENDER_FLOOR = 1e-4
 # Weighted solves clamp vanishing (but nonzero) weights here; exact zeros
 # instead drop the user's rate constraint entirely (the axis-endpoint solve).
 ALPHA_FLOOR = 1e-3
-
-
-class EmptyInputError(ValueError):
-    pass
-
-
-class NoFeasiblePointError(RuntimeError):
-    pass
 
 
 def render_rates(rates) -> np.ndarray:
@@ -76,8 +68,8 @@ def sweep(cfg: SystemConfig, mode: str, psi=None, grid: int = 21) -> RegionBound
     Endpoint weights (alpha_k = 0) become dedicated single-user solves where
     the silent user keeps only its harvesting and box constraints.  Secure
     mode solves every weight once per decoding order and keeps both
-    branches.  Failed points are recorded, not fatal.  An invalid ``psi``
-    override or mode raises ConfigError.
+    branches.  Failed points are recorded, not fatal.  An invalid config,
+    ``grid``, ``psi`` override or mode raises ConfigError.
 
     Each solve starts from a solved neighbour where one exists.  Interior
     weights continue along the boundary per decoding order: each starts at
@@ -97,9 +89,9 @@ def sweep(cfg: SystemConfig, mode: str, psi=None, grid: int = 21) -> RegionBound
     where that polish is rejected.
     """
     if cfg.num_users != 2:
-        raise ValueError("sweeps are implemented for two users")
+        raise ConfigError([(BAD_VALUE, "num_users", "sweeps need two users")])
     if not isinstance(grid, (int, np.integer)) or grid < 2:
-        raise ValueError(f"grid must be an integer >= 2, got {grid!r}")
+        raise ConfigError([(BAD_VALUE, "grid", f"must be an integer >= 2, got {grid!r}")])
     if psi is not None:
         cfg = replace(cfg, eh_demands=psi)
 
@@ -190,16 +182,17 @@ def time_share_hull(points) -> np.ndarray:
     close are one, whose vertex is the upper right corner of the points
     there, and a point that close to the line through its neighbours is
     collinear, so the vertices do not depend on rounding noise in the
-    rates.  A rate tuple that is not finite raises ValueError.
+    rates.  No tuple, or one that is not a finite pair, raises ConfigError.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
-        raise EmptyInputError("need at least one rate tuple")
+        raise ConfigError([(BAD_VALUE, "points", "need at least one rate tuple")])
     if pts.shape[1] != 2:
-        raise ValueError("hull computation is implemented for two users")
+        raise ConfigError([(DIMENSION_MISMATCH, "points", "need two rates per tuple")])
     finite = np.isfinite(pts).all(axis=1)
     if not finite.all():
-        raise ValueError(f"rate tuples must be finite, got {pts[~finite].tolist()}")
+        raise ConfigError([(BAD_VALUE, "points",
+                            f"must be finite, got {pts[~finite].tolist()}")])
     x_max = pts[:, 0].max()
     y_max = pts[:, 1].max()
     cand = np.vstack([pts, [[0.0, y_max], [x_max, 0.0]]])
@@ -327,15 +320,17 @@ def oracle_grid_search(cfg: SystemConfig, mode: str, alpha: Weights,
     instance with several local maxima a finer grid can score lower
     (0.6088 -> 0.6070 bit at resolution 51 -> 101 on one random config).
     It shares only the eavesdropper's Gram minors with the GP, never a
-    condensed row or the optimizer.  Gram minors that overflow raise
+    condensed row or the optimizer.  No cell that meets the demands at
+    finite rates raises InfeasibleError; Gram minors that overflow raise
     NumericalFailureError, which chains the cause, as in iterate; an
-    invalid problem raises ConfigError (check_problem).
+    invalid problem raises ConfigError.
     """
     if cfg.num_users != 2:
-        raise ValueError("the oracle is implemented for two users")
+        raise ConfigError([(BAD_VALUE, "num_users", "the oracle needs two users")])
     check_problem(cfg, alpha, order, mode)
     if not isinstance(resolution, (int, np.integer)) or resolution < 11:
-        raise ValueError(f"resolution must be an integer >= 11, got {resolution!r}")
+        raise ConfigError([(BAD_VALUE, "resolution",
+                            f"must be an integer >= 11, got {resolution!r}")])
     if order is None:
         order = DecodingOrder((0, 1))
     pmax = cfg.power_budget
@@ -344,10 +339,10 @@ def oracle_grid_search(cfg: SystemConfig, mode: str, alpha: Weights,
     try:
         coarse = _best_cell(_coarse_grid(cfg, mode, support, order, resolution),
                             alpha)
-    except OverflowError as exc:
+    except ArithmeticError as exc:
         raise NumericalFailureError(f"{type(exc).__name__}: {exc}") from exc
     if coarse is None:
-        raise NoFeasiblePointError(
+        raise InfeasibleError(
             f"no grid point satisfies the harvesting demands {cfg.eh_demands}")
     best_value, best_rates, best_op = coarse
 

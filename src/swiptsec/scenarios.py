@@ -7,7 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .model import EnergyModel, SystemConfig, max_deliverable_energy
+from .model import (BAD_VALUE, ConfigError, EnergyModel, SystemConfig,
+                    max_deliverable_energy)
 
 # Symmetric two-user benchmark: unit direct gains, all noise variances 0.25,
 # unit power budgets, eavesdropper channel norms 0.5.
@@ -20,7 +21,8 @@ def _eve_vectors(geometry: str) -> np.ndarray:
         return np.array([[_EVE_NORM, 0.0], [0.0, _EVE_NORM]], dtype=complex)
     if geometry == "parallel":
         return np.array([[_EVE_NORM, 0.0], [_EVE_NORM, 0.0]], dtype=complex)
-    raise ValueError(f"unknown eavesdropper geometry {geometry!r}")
+    raise ConfigError([(BAD_VALUE, "eve_geometry", "expected 'orthogonal' or "
+                        f"'parallel', got {geometry!r}")])
 
 
 def symmetric_two_user(cross_amp: float, eh_demands=(0.0, 0.0),

@@ -29,10 +29,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .linalg import NonFiniteError
 from .metrics import legitimate_rates, max_min_objective, secrecy_corner
 from .model import (BAD_VALUE, DIMENSION_MISMATCH, ConfigError, DecodingOrder,
-                    OperatingPoint, SystemConfig, Weights, infeasible_demands,
+                    InfeasibleError, NumericalFailureError, OperatingPoint,
+                    SystemConfig, Weights, infeasible_demands,
                     max_deliverable_energy, max_splits)
 
 SECURE = "secure"
@@ -59,29 +59,6 @@ IPM_MU_WARM = 1e-8
 IPM_KAPPA = 300.0
 
 
-class NonPositiveTermError(ValueError):
-    pass
-
-
-class NonPositiveAnchorError(ValueError):
-    pass
-
-
-class InfeasibleAnchorError(ValueError):
-    pass
-
-
-class InfeasibleError(RuntimeError):
-    """An energy demand is not below max_deliverable_energy, so no point
-    satisfies the constraints."""
-
-
-class NumericalFailureError(RuntimeError):
-    """The solve broke down numerically: the optimizer left a constraint
-    violated, or a value overflowed, underflowed to zero or was not finite
-    (the cause is chained)."""
-
-
 # ---------------------------------------------------------------------------
 # Posynomial algebra
 # ---------------------------------------------------------------------------
@@ -101,11 +78,12 @@ class Posynomial:
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
         e = np.atleast_2d(np.asarray(self.exponents, dtype=float))
         if c.size == 0:
-            raise NonPositiveTermError("posynomial needs at least one term")
+            raise ConfigError([(BAD_VALUE, "coeffs", "posynomial needs at least one term")])
         if np.any(c <= 0) or not np.all(np.isfinite(c)):
-            raise NonPositiveTermError(f"coefficients must be finite and > 0, got {c}")
+            raise ConfigError([(BAD_VALUE, "coeffs", f"must be finite and > 0, got {c}")])
         if e.shape[0] != c.size:
-            raise ValueError(f"{c.size} coefficients vs {e.shape[0]} exponent rows")
+            raise ConfigError([(DIMENSION_MISMATCH, "exponents",
+                                f"{e.shape[0]} rows for {c.size} coefficients")])
         c.setflags(write=False)
         e.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
@@ -146,7 +124,7 @@ def _condense(a, b, starts, seg, y) -> tuple:
     exponents are the gradient of the log posynomial at y."""
     _, c = _log_posynomials(a, b, starts, seg, y)
     if not np.all(c > 0):
-        raise NonPositiveTermError(f"term shares must be finite and > 0, got {c}")
+        raise NumericalFailureError(f"term shares must be finite and > 0, got {c}")
     return _row_jacobian(a, starts, c), np.add.reduceat(c * (b - np.log(c)), starts)
 
 
@@ -206,17 +184,19 @@ def _layout(num, den) -> Layout:
 def _posynomial_layout(nums, dens) -> Layout:
     """_layout of the rows nums_i / dens_i, each posynomial given as its
     (coefficients (T,), exponents (T, n)); every posynomial needs a term,
-    and every coefficient must be finite and > 0 before it is logged."""
+    and every coefficient must be finite and > 0 before it is logged, or
+    NumericalFailureError is raised."""
     parts = []
     for side in (nums, dens):
         coeffs, exponents = zip(*side)
         sizes = [c.size for c in coeffs]
         if 0 in sizes:
-            raise NonPositiveTermError("all terms vanished; posynomial needs one positive term")
+            raise NumericalFailureError("every term of a posynomial vanished")
         coeffs = np.concatenate(coeffs)
         bad = ~((coeffs > 0) & np.isfinite(coeffs))
         if bad.any():
-            raise NonPositiveTermError(f"coefficients must be finite and > 0, got {coeffs[bad]}")
+            raise NumericalFailureError(f"coefficients must be finite and > 0, "
+                                        f"got {coeffs[bad]}")
         parts.append((np.vstack(exponents), np.log(coeffs), np.cumsum([0] + sizes[:-1]),
                       np.repeat(np.arange(len(sizes)), sizes)))
     return _layout(*parts)
@@ -227,7 +207,7 @@ def condense(posy: Posynomial, anchor) -> Posynomial:
     of the stacked condensation that GpInstance.recondensed runs."""
     anchor = np.asarray(anchor, dtype=float)
     if np.any(anchor <= 0) or not np.all(np.isfinite(anchor)):
-        raise NonPositiveAnchorError(f"anchor must be strictly positive, got {anchor}")
+        raise ConfigError([(BAD_VALUE, "anchor", f"must be finite and > 0, got {anchor}")])
     exponents, log_coef = _condense(posy.exponents, np.log(posy.coeffs), np.zeros(1, int),
                                     np.zeros(posy.num_terms, int), np.log(anchor))
     return Posynomial(np.exp(log_coef), exponents)
@@ -319,7 +299,7 @@ class GpInstance:
         x = np.clip(np.concatenate([[1.0], anchor.powers, anchor.splits]),
                     self.floors, self.caps)
         if not np.all(np.isfinite(x) & (x > 0)):
-            raise InfeasibleAnchorError(f"anchor must be finite and > 0, got {x}")
+            raise NumericalFailureError(f"anchor must be finite and > 0, got {x}")
         exponents, log_coefs = _condense(*self.exact.part(True), np.log(x))
         rows = np.arange(log_coefs.size)
         return replace(self, anchor=x, condensed=_layout(
@@ -653,13 +633,13 @@ def solve_gp(gp: GpInstance, duals=None) -> GpSolution:
     multipliers of a converged solve of a GP with the same rows, starts the
     run from them; the solution carries the run's own, for the next GP.  A
     converged point is the GP's optimum even where it lies below an anchor
-    that violates a row by up to FEAS_TOL.  Raises InfeasibleAnchorError
-    when the anchor violates a constraint by more than FEAS_TOL and
-    NumericalFailureError when the solver leaves one violated.
+    that violates a row by up to FEAS_TOL.  Raises NumericalFailureError
+    when the anchor violates a constraint by more than FEAS_TOL, before the
+    solver runs, and when the solver leaves one violated.
     """
     y0, worst = _exact_lambda(gp.condensed, np.log(gp.anchor))
     if not worst <= FEAS_TOL:
-        raise InfeasibleAnchorError(f"anchor violates a constraint by {worst:.3e}")
+        raise NumericalFailureError(f"anchor violates a constraint by {worst:.3e}")
     y, worst, z, converged, steps = _run(gp, gp.condensed, y0, duals)
     if not worst <= FEAS_TOL:
         raise NumericalFailureError(
@@ -768,11 +748,10 @@ def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
     ``duals`` that are not one finite value >= 0 per row and per bound
     (rows + 2n) raise ConfigError, and no feasible point at all
     InfeasibleError, before any interior-point run.
-    A solve ends in a report, InfeasibleError or NumericalFailureError: an
-    overflow, a vanishing or non-finite GP term or anchor, an infeasible
-    start or anchor, and exact rates or an eavesdropper covariance at the
-    final point that are not finite are re-raised as a NumericalFailureError
-    that chains the cause.
+    A solve ends in a report, InfeasibleError or NumericalFailureError: the
+    latter where a GP term, an anchor (an infeasible start included), an
+    exact rate or an eavesdropper covariance breaks down, and chaining any
+    ArithmeticError.
     """
     check_problem(cfg, alpha, order, mode)
     if start is not None and not (start.powers.size == cfg.num_users
@@ -785,8 +764,7 @@ def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
         order = DecodingOrder(tuple(range(cfg.num_users)))
     try:
         return _solve(cfg, alpha, order, mode, start, duals)
-    except (ArithmeticError, NonFiniteError, NonPositiveTermError,
-            InfeasibleAnchorError) as exc:
+    except ArithmeticError as exc:
         raise NumericalFailureError(f"{type(exc).__name__}: {exc}") from exc
 
 
@@ -895,7 +873,7 @@ def _solve(cfg, alpha, order, mode, start, duals) -> SolveReport:
         eff = legitimate_rates(cfg, point)
     if not np.all(np.isfinite(eff)):
         # The GP is solved in log space, so it can outlast the exact rates.
-        raise FloatingPointError(f"exact rates {eff} at the final point are not finite")
+        raise NumericalFailureError(f"exact rates {eff} at the final point are not finite")
     lam = 2.0 ** float(max_min_objective(eff, alpha))
 
     non_monotone = any(trace[i + 1] < trace[i] - EPS_CONV * max(1.0, trace[i])

@@ -444,9 +444,13 @@ def _scaled(cfg, factors) -> dict:
     return data
 
 
+# A three-antenna eavesdropper with an SNR of about 5e21, past 1 / eps: its
+# covariances lose positive definiteness to rounding.
+STRONG_EVE = (random_config(np.random.default_rng(0), 2, 3), {"eve_channels": 1e11})
+
 # Scenarios whose GP terms overflow or vanish, whose Gram minors overflow,
-# whose weighted rate exceeds 1024 bits, so 2^rate overflows, or whose exact
-# rates overflow.
+# whose weighted rate exceeds 1024 bits, so 2^rate overflows, whose exact
+# rates overflow, or whose eavesdropper covariances are not positive definite.
 NUMERICAL_BREAKDOWNS = {
     "huge-budget": (weak_interference(), {"power_budget": 1e300}, ["--grid", "2"]),
     "tiny-budget": (weak_interference(), {"power_budget": 1e-300}, ["--grid", "2"]),
@@ -461,6 +465,7 @@ NUMERICAL_BREAKDOWNS = {
     "exact-rate-overflow": (weak_interference(),
                             {"gains": 1e150, "power_budget": 1e10},
                             ["--grid", "2", "--mode", "reliable"]),
+    "singular-eve-covariance": (*STRONG_EVE, ["--grid", "5", "--mode", "secure"]),
 }
 
 
@@ -489,27 +494,31 @@ def test_verify_reports_numerical_breakdown(tmp_path, capsys):
 
 
 # Scenarios whose eavesdropper covariances, rates or deliverable energies
-# overflow, with the verify checks that meet them.
+# overflow, or whose eavesdropper covariances are not positive definite, with
+# the verify checks that meet them.
 VERIFY_OVERFLOWS = {
-    "huge-eve-channels": ({"eve_channels": 1e282},
+    "huge-eve-channels": (weak_interference(), {"eve_channels": 1e282},
                           ["chain-rule conservation", "subset constraints at corners"]),
     "huge-eve-noise-and-channels": (
-        {"eve_antenna_noise_var": 1e279, "eve_channels": 1e229},
+        weak_interference(), {"eve_antenna_noise_var": 1e279, "eve_channels": 1e229},
         ["chain-rule conservation", "subset constraints at corners"]),
-    "huge-gains": ({"gains": 1e274, "eve_antenna_noise_var": 1e172},
+    "huge-gains": (weak_interference(), {"gains": 1e274, "eve_antenna_noise_var": 1e172},
                    ["subset constraints at corners", "energy feasibility screen",
                     "oracle dominance"]),
+    "singular-eve-covariance": (*STRONG_EVE, ["chain-rule conservation",
+                                              "subset constraints at corners",
+                                              "oracle dominance"]),
 }
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("factors, failing", VERIFY_OVERFLOWS.values(),
+@pytest.mark.parametrize("cfg, factors, failing", VERIFY_OVERFLOWS.values(),
                          ids=VERIFY_OVERFLOWS.keys())
-def test_verify_fails_on_overflow(tmp_path, capsys, factors, failing):
-    # An overflowed value is a FAIL line naming it, never a traceback or a
-    # PASS on the cases it made the check skip.
+def test_verify_fails_on_overflow(tmp_path, capsys, cfg, factors, failing):
+    # An overflowed or singular value is a FAIL line naming it, never a
+    # traceback or a PASS on the cases it made the check skip.
     path = tmp_path / "s.json"
-    path.write_text(json.dumps(_scaled(weak_interference(), factors)))
+    path.write_text(json.dumps(_scaled(cfg, factors)))
     assert exit_code(["verify", "--scenario", str(path), "--oracle-res", "11"]) == 2
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
@@ -566,7 +575,7 @@ def test_demand_at_the_limit_is_infeasible_everywhere(tmp_path):
     assert np.array_equal(max_deliverable_energy(cfg), cfg.eh_demands)
     with pytest.raises(InfeasibleError):
         iterate(cfg, Weights.pair(0.5), None, RELIABLE)
-    with pytest.raises(region.NoFeasiblePointError):
+    with pytest.raises(InfeasibleError):
         region.oracle_grid_search(cfg, RELIABLE, Weights.pair(0.5), resolution=11)
     path = tmp_path / "limit.json"
     save_scenario(cfg, path)
@@ -588,13 +597,15 @@ SCALABLE_FIELDS = ("gains", "eve_channels", "antenna_noise_vars",
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(exponents=st.dictionaries(st.sampled_from(SCALABLE_FIELDS),
+@given(base=st.sampled_from([weak_interference(), STRONG_EVE[0]]),
+       exponents=st.dictionaries(st.sampled_from(SCALABLE_FIELDS),
                                  st.integers(-300, 300), min_size=1, max_size=3))
-def test_scaled_scenario_never_raises(exponents):
+def test_scaled_scenario_never_raises(base, exponents):
     # Any scenario, however badly scaled, ends in an exit code: a solve ends
-    # in a report, InfeasibleError or NumericalFailureError.
-    data = _scaled(weak_interference(),
-                   {name: 10.0 ** e for name, e in exponents.items()})
+    # in a report, InfeasibleError or NumericalFailureError.  The random base
+    # has three eavesdropper antennas, so its covariances are not diagonal
+    # and can lose positive definiteness.
+    data = _scaled(base, {name: 10.0 ** e for name, e in exponents.items()})
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "s.json"
         path.write_text(json.dumps(data))

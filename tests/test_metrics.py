@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swiptsec import (DecodingOrder, EmptySubsetError, EnergyModel,
-                      OperatingPoint, RateTuple, TooManyUsersError, Weights,
-                      eve_rate_chain, eve_sum_rate, harvested_energies,
+from swiptsec import (ConfigError, DecodingOrder, EnergyModel, OperatingPoint,
+                      RateTuple, Weights, eve_rate_chain, eve_sum_rate, harvested_energies,
                       legitimate_rates, secrecy_corner,
                       subset_constraints_satisfied)
 from swiptsec.metrics import (energies, eve_leaks, max_min_objective,
@@ -118,7 +117,7 @@ class TestEveRates:
 
     def test_empty_subset_rejected(self):
         cfg = weak_interference()
-        with pytest.raises(EmptySubsetError):
+        with pytest.raises(ConfigError, match="subset of users must be nonempty"):
             eve_sum_rate(cfg, np.ones(2), [])
 
     def test_chain_conservation_random(self):
@@ -213,7 +212,7 @@ class TestSubsetConstraints:
         rng = np.random.default_rng(1)
         cfg = random_config(rng, num_users=17)
         point = OperatingPoint(np.zeros(17), np.zeros(17))
-        with pytest.raises(TooManyUsersError):
+        with pytest.raises(ConfigError, match="K <= 16, got 17"):
             subset_constraints_satisfied(cfg, point, RateTuple(np.zeros(17)))
 
 

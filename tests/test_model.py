@@ -1,5 +1,7 @@
 import dataclasses
+import importlib
 import json
+import pkgutil
 from dataclasses import replace
 
 import numpy as np
@@ -7,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import swiptsec
 from swiptsec import (RELIABLE, ConfigError, DecodingOrder, EnergyModel,
-                      InvalidPermutationError, OperatingPoint, SystemConfig,
-                      Weights, config_from_dict, config_to_dict,
-                      harvested_energies, model, sweep)
+                      OperatingPoint, SystemConfig, Weights, config_from_dict,
+                      config_to_dict, harvested_energies, model, solver, sweep)
 from swiptsec.model import (BAD_VALUE, DIMENSION_MISMATCH, NEGATIVE_DEMAND,
                             NON_POSITIVE_VARIANCE, max_deliverable_energy,
                             max_splits)
@@ -167,10 +169,27 @@ def test_operating_point_accepts_the_closed_range(powers, splits):
 
 def test_decoding_order_must_be_permutation():
     assert DecodingOrder((1, 0, 2)).one_based() == (2, 1, 3)
-    with pytest.raises(InvalidPermutationError):
+    with pytest.raises(ConfigError, match=r"not a permutation of 0..1: \(0, 0\)"):
         DecodingOrder((0, 0))
-    with pytest.raises(InvalidPermutationError):
+    with pytest.raises(ConfigError, match=r"not a permutation of 0..1: \(1, 2\)"):
         DecodingOrder((1, 2))
+
+
+def test_one_exception_per_outcome():
+    # The package defines three exceptions, all in model: a bad input, no
+    # feasible point and a numerical breakdown.  solver re-exports the last
+    # two.
+    defined = {}
+    for info in pkgutil.iter_modules(swiptsec.__path__):
+        module = importlib.import_module(f"swiptsec.{info.name}")
+        defined.update({name: module.__name__ for name, obj in vars(module).items()
+                        if isinstance(obj, type) and issubclass(obj, Exception)
+                        and obj.__module__ == module.__name__})
+    assert defined == {"ConfigError": "swiptsec.model",
+                       "InfeasibleError": "swiptsec.model",
+                       "NumericalFailureError": "swiptsec.model"}
+    assert solver.InfeasibleError is model.InfeasibleError
+    assert solver.NumericalFailureError is model.NumericalFailureError
 
 
 def test_weights_sum_to_one():
