@@ -23,7 +23,7 @@ for p, eta, label in [
     rates = legitimate_rates(cfg, op)
     energy = harvested_energies(cfg, op).per_user
     leak = eve_rate_chain(cfg, op.powers, order)
-    corner = secrecy_corner(cfg, op, order).per_user
+    corner = secrecy_corner(cfg, op, order)
     print(f"{label}: p={p}, eta={eta}")
     print(f"  rates          {np.round(rates, 5)}")
     print(f"  energies       {np.round(energy, 5)}")

@@ -2,7 +2,7 @@
 channels whose receivers split power between detection and harvesting."""
 
 from .linalg import inv_quadratic_form, log2_det, rank_one_update_sum
-from .metrics import (EnergyVector, RateTuple, eve_rate_chain, eve_sum_rate,
+from .metrics import (EnergyVector, eve_rate_chain, eve_sum_rate,
                       harvested_energies, legitimate_rates, secrecy_corner,
                       subset_constraints_satisfied)
 from .model import (ConfigError, DecodingOrder, EnergyModel, InfeasibleError,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import checks, region, solver
 from .metrics import max_min_objective
-from .model import BAD_VALUE, ConfigError, InfeasibleError, load_scenario
+from .model import InfeasibleError, load_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
@@ -59,28 +59,11 @@ def _write_hull(path: Path, hull: np.ndarray) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _load_two_user(args, oracle: bool):
-    """Load the scenario and check what the sweeps and the grid oracle need
-    (two users, an oracle resolution of at least 11); raises ConfigError."""
-    cfg = load_scenario(args.scenario)
-    problems = []
-    if cfg.num_users != 2:
-        problems.append((BAD_VALUE, "num_users",
-                         f"sweeps and the oracle need two users, got {cfg.num_users}"))
-    if oracle and args.oracle_res < 11:
-        problems.append((BAD_VALUE, "oracle_res",
-                         f"must be >= 11, got {args.oracle_res}"))
-    if problems:
-        raise ConfigError(problems)
-    return cfg
-
-
 def run_sweep(args) -> int:
     """Sweep every requested mode/demand combination and write the outputs."""
     try:
-        cfg = _load_two_user(args, args.oracle)
-        if args.grid < 2:
-            raise ConfigError([(BAD_VALUE, "grid", f"must be >= 2, got {args.grid}")])
+        cfg = load_scenario(args.scenario)
+        region.check_two_user(cfg, args.grid, args.oracle_res if args.oracle else None)
         # Each demand override checks itself before any output is written.
         cases = [replace(cfg, eh_demands=[float(v) for v in spec.split(",")])
                  for spec in args.eh] or [cfg]
@@ -166,7 +149,8 @@ def run_verify(args) -> int:
     """Run the invariant battery on the scenario plus seeded random instances
     and print one pass/fail line per check."""
     try:
-        cfg = _load_two_user(args, oracle=True)
+        cfg = load_scenario(args.scenario)
+        region.check_two_user(cfg, resolution=args.oracle_res)
     except (OSError, ValueError) as exc:
         print(f"ConfigError: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

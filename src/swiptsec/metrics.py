@@ -6,7 +6,8 @@ treating interference as noise, harvested energies under both energy
 models, per-order eavesdropper rates from the Cauchy-Binet minors, secrecy
 rates and the max-min objective.  The per-point functions are views of
 them; the eavesdropper sum rates and chain-rule splits factor each
-covariance instead, an independent reference.  All rates are base-2.
+covariance instead, an independent reference.  All rates are base-2
+arrays, one entry per user; harvested energies come as an EnergyVector.
 """
 
 from __future__ import annotations
@@ -21,20 +22,6 @@ import numpy as np
 from .linalg import inv_quadratic_form, log2_det, rank_one_update_sum
 from .model import (BAD_VALUE, DIMENSION_MISMATCH, ConfigError, DecodingOrder,
                     OperatingPoint, SystemConfig, Weights)
-
-
-@dataclass(frozen=True, eq=False)
-class RateTuple:
-    """Per-user rates in bits/channel use; entries are never negative."""
-
-    per_user: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.per_user, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "per_user", arr)
-        if np.any(arr < 0):
-            raise ConfigError([(BAD_VALUE, "per_user", f"must be >= 0, got {arr}")])
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,11 +166,11 @@ def eve_rate_chain(cfg: SystemConfig, p: np.ndarray, order: DecodingOrder,
     return out
 
 
-def secrecy_corner(cfg: SystemConfig, op: OperatingPoint, order: DecodingOrder) -> RateTuple:
+def secrecy_corner(cfg: SystemConfig, op: OperatingPoint, order: DecodingOrder) -> np.ndarray:
     """Clamped secrecy rates [R_k - R_Ek]^+ for one decoding order."""
     rates = legitimate_rates(cfg, op)
     leak = eve_rate_chain(cfg, op.powers, order)
-    return RateTuple(np.maximum(rates - leak, 0.0))
+    return np.maximum(rates - leak, 0.0)
 
 
 class SubsetCheck(NamedTuple):
@@ -193,8 +180,8 @@ class SubsetCheck(NamedTuple):
 
 
 def subset_constraints_satisfied(cfg: SystemConfig, op: OperatingPoint,
-                                 rates: RateTuple, tol: float = 1e-9) -> SubsetCheck:
-    """Check a candidate secrecy tuple against every subset sum constraint.
+                                 rates, tol: float = 1e-9) -> SubsetCheck:
+    """Check the secrecy rates ``rates`` against every subset sum constraint.
 
     For each nonempty S: sum_{k in S} rates_k <= [sum_{k in S} R_k -
     eve_sum_rate(S)]^+ + tol.  Returns the worst signed violation and the
@@ -205,7 +192,7 @@ def subset_constraints_satisfied(cfg: SystemConfig, op: OperatingPoint,
         raise ConfigError([(BAD_VALUE, "num_users",
                             f"subset enumeration needs K <= 16, got {k}")])
     legit = legitimate_rates(cfg, op)
-    tup = rates.per_user
+    tup = np.asarray(rates, dtype=float)
     worst, worst_s = -np.inf, ()
     for size in range(1, k + 1):
         for subset in combinations(range(k), size):

@@ -147,6 +147,19 @@ class SystemConfig:
         minors = self.gram_minors
         return [(t, minors[frozenset(t)]) for t in _subsets(users, self.num_eve_antennas)]
 
+    def cached(self, key, build):
+        """``build()``, called once per config object and ``key`` and kept
+        with it like gram_minors (a ``dataclasses.replace`` copy builds its
+        own), with every array of the value, or of a tuple value, read-only."""
+        values = self.__dict__.setdefault("_cached", {})
+        if key not in values:
+            value = build()
+            for arr in value if isinstance(value, tuple) else (value,):
+                if isinstance(arr, np.ndarray):
+                    arr.setflags(write=False)
+            values[key] = value
+        return values[key]
+
     @property
     def harvest_offsets(self) -> tuple:
         """Per-user (c, d) of the energy model: user k harvests

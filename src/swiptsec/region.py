@@ -15,7 +15,7 @@ from .metrics import max_min_objective, secrecy_rates, tin_rates
 from .model import (BAD_VALUE, DIMENSION_MISMATCH, ConfigError, DecodingOrder,
                     InfeasibleError, NumericalFailureError, OperatingPoint,
                     SystemConfig, Weights, max_splits)
-from .solver import FEAS_TOL, SECURE, _cache, check_problem, iterate, variable_box
+from .solver import FEAS_TOL, SECURE, check_problem, iterate, variable_box
 
 # Rates below this are reported as zero in region output; they correspond to
 # users pinned at the positivity floor of the GP variables.
@@ -55,6 +55,20 @@ class RegionBoundary:
     hull: np.ndarray
 
 
+def check_two_user(cfg: SystemConfig, grid=None, resolution=None) -> None:
+    """Raise one ConfigError listing every violation unless ``cfg`` has two
+    users, ``grid`` (unless None) is an integer >= 2 and ``resolution``
+    (unless None) one >= 11: the check of sweep, the oracle and the CLI."""
+    bad = [(BAD_VALUE, name, f"must be an integer >= {least}, got {value!r}")
+           for name, value, least in (("grid", grid, 2), ("resolution", resolution, 11))
+           if not (value is None or isinstance(value, (int, np.integer)) and value >= least)]
+    if cfg.num_users != 2:
+        bad.append((BAD_VALUE, "num_users",
+                    f"sweeps and the oracle need two users, got {cfg.num_users}"))
+    if bad:
+        raise ConfigError(bad)
+
+
 def _clamped_weights(alpha1: float) -> Weights:
     a = np.array([alpha1, 1.0 - alpha1])
     pos = a > 0
@@ -68,8 +82,8 @@ def sweep(cfg: SystemConfig, mode: str, psi=None, grid: int = 21) -> RegionBound
     Endpoint weights (alpha_k = 0) become dedicated single-user solves where
     the silent user keeps only its harvesting and box constraints.  Secure
     mode solves every weight once per decoding order and keeps both
-    branches.  Failed points are recorded, not fatal.  An invalid config,
-    ``grid``, ``psi`` override or mode raises ConfigError.
+    branches.  Failed points are recorded, not fatal.  What check_two_user
+    rejects, an invalid ``psi`` override or mode raises ConfigError.
 
     Each solve starts from a solved neighbour where one exists.  Interior
     weights continue along the boundary per decoding order: each starts at
@@ -88,10 +102,7 @@ def sweep(cfg: SystemConfig, mode: str, psi=None, grid: int = 21) -> RegionBound
     the exact-row polish from it and reaches the condensation loop only
     where that polish is rejected.
     """
-    if cfg.num_users != 2:
-        raise ConfigError([(BAD_VALUE, "num_users", "sweeps need two users")])
-    if not isinstance(grid, (int, np.integer)) or grid < 2:
-        raise ConfigError([(BAD_VALUE, "grid", f"must be an integer >= 2, got {grid!r}")])
+    check_two_user(cfg, grid=grid)
     if psi is not None:
         cfg = replace(cfg, eh_demands=psi)
 
@@ -268,18 +279,13 @@ def _oracle_grid(cfg, mode, support, order, p1, p2):
 def _coarse_grid(cfg, mode, support, order, resolution):
     """_oracle_grid on the full power box at ``resolution``, computed once
     per config object, mode, decoding order (secure mode only), resolution
-    and set of weighted users, and kept read-only in the solver's
-    per-config cache, which drops it with the config."""
+    and set of weighted users, and kept read-only with the config
+    (SystemConfig.cached)."""
     key = ("oracle", mode, order.users if mode == SECURE else None, resolution,
            support.tobytes())
-    cache = _cache(cfg)
-    if key not in cache:
-        axes = [np.linspace(0.0, hi, resolution) for hi in cfg.power_budget]
-        grid = _oracle_grid(cfg, mode, support, order, *axes)
-        for arr in grid:
-            arr.setflags(write=False)
-        cache[key] = grid
-    return cache[key]
+    return cfg.cached(key, lambda: _oracle_grid(
+        cfg, mode, support, order,
+        *(np.linspace(0.0, hi, resolution) for hi in cfg.power_budget)))
 
 
 def _best_cell(grid, alpha):
@@ -314,23 +320,20 @@ def oracle_grid_search(cfg: SystemConfig, mode: str, alpha: Weights,
     changes the coarse grid's splits, feasibility and rates between the
     calls of a sweep, so they are computed once per config object, mode,
     decoding order, resolution and set of weighted users, and kept with
-    the config; each call scores them under its weights and evaluates its
-    own zoom window.  The zoom refines only the coarse incumbent, so the
-    result is no bound and is not monotone in ``resolution``: on a secure
-    instance with several local maxima a finer grid can score lower
-    (0.6088 -> 0.6070 bit at resolution 51 -> 101 on one random config).
+    the config (SystemConfig.cached); each call scores them under its
+    weights and evaluates its own zoom window.  The zoom refines only the
+    coarse incumbent, so the result is no bound and is not monotone in
+    ``resolution``: on a secure instance with several local maxima a finer
+    grid can score lower (0.6088 -> 0.6070 bit at resolution 51 -> 101 on
+    one random config).
     It shares only the eavesdropper's Gram minors with the GP, never a
     condensed row or the optimizer.  No cell that meets the demands at
     finite rates raises InfeasibleError; Gram minors that overflow raise
-    NumericalFailureError, which chains the cause, as in iterate; an
-    invalid problem raises ConfigError.
+    NumericalFailureError, which chains the cause, as in iterate; what
+    check_two_user and then check_problem reject raises ConfigError.
     """
-    if cfg.num_users != 2:
-        raise ConfigError([(BAD_VALUE, "num_users", "the oracle needs two users")])
+    check_two_user(cfg, resolution=resolution)
     check_problem(cfg, alpha, order, mode)
-    if not isinstance(resolution, (int, np.integer)) or resolution < 11:
-        raise ConfigError([(BAD_VALUE, "resolution",
-                            f"must be an integer >= 11, got {resolution!r}")])
     if order is None:
         order = DecodingOrder((0, 1))
     pmax = cfg.power_budget

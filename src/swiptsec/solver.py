@@ -23,7 +23,6 @@ that fails.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
@@ -219,17 +218,6 @@ def condense(posy: Posynomial, anchor) -> Posynomial:
 
 # Variable layout: index 0 is lambda, then the K powers, then the K splits.
 
-# Per config object, dropped with it: the variable_box, the _feasible_start
-# point, the _weight_free_rows of each mode, decoding order and set of
-# weighted users, and the grid oracle's coarse grids (region._coarse_grid).
-_CONFIG_CACHE = weakref.WeakKeyDictionary()
-
-
-def _cache(cfg: SystemConfig) -> dict:
-    """cfg's entry of _CONFIG_CACHE."""
-    return _CONFIG_CACHE.setdefault(cfg, {})
-
-
 def check_problem(cfg: SystemConfig, alpha: Weights,
                   order: Optional[DecodingOrder], mode: str) -> None:
     """Raise ConfigError unless ``alpha`` and ``order`` (unless None) have
@@ -251,18 +239,14 @@ def variable_box(cfg: SystemConfig) -> tuple:
     times its budget and its budget, and each split at most 1 and at least
     min(FLOOR_FRAC, half its largest value at full power), so every demand
     that some point meets is met inside the box.  Lambda has no floor;
-    solve_gp sets it.  Computed once per config; both arrays are
-    read-only."""
-    cache = _cache(cfg)
-    if "box" not in cache:
+    solve_gp sets it.  Computed once per config and kept with it
+    (SystemConfig.cached), so both arrays are read-only."""
+    def build():
         pmax = cfg.power_budget
         eta_floors = np.clip(0.5 * max_splits(cfg, pmax), 0.0, FLOOR_FRAC)
-        box = (np.concatenate([[0.0], FLOOR_FRAC * pmax, eta_floors]),
-               np.concatenate([[2.0 ** 64], pmax, np.ones(cfg.num_users)]))
-        for bound in box:
-            bound.setflags(write=False)
-        cache["box"] = box
-    return cache["box"]
+        return (np.concatenate([[0.0], FLOOR_FRAC * pmax, eta_floors]),
+                np.concatenate([[2.0 ** 64], pmax, np.ones(cfg.num_users)]))
+    return cfg.cached("box", build)
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,11 +332,9 @@ def _weighted_rows(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
     the cached _weight_free_rows with the weights as lambda's exponents,
     written into a read-only copy of their exact layout's matrix."""
     support = alpha.alpha > 0
-    key = (mode, order.users if mode == SECURE else None, support.tobytes())
-    cache = _cache(cfg)
-    if key not in cache:
-        cache[key] = _weight_free_rows(cfg, support, order, mode)
-    unanchored, lam = cache[key]
+    unanchored, lam = cfg.cached(
+        ("rows", mode, order.users if mode == SECURE else None, support.tobytes()),
+        lambda: _weight_free_rows(cfg, support, order, mode))
     m = unanchored.exact.m.copy()
     m[:lam.shape[0], 0] = lam @ alpha.alpha
     m.setflags(write=False)
@@ -706,18 +688,17 @@ class SolveReport:
 def _feasible_start(cfg: SystemConfig) -> OperatingPoint:
     """Full power, and each split at min(0.5, max_splits at full power): a
     point that satisfies every constraint, as harvested energy grows with
-    every power; computed once per config.  A demand that is not below
-    max_deliverable_energy raises InfeasibleError."""
-    cache = _cache(cfg)
-    if "start" not in cache:
+    every power; computed once per config and kept with it.  A demand that
+    is not below max_deliverable_energy raises InfeasibleError."""
+    def build():
         short = infeasible_demands(cfg)
         if short.size:
             raise InfeasibleError(
                 f"users {short.tolist()} demand {cfg.eh_demands[short]}, not below "
                 f"the max_deliverable_energy {max_deliverable_energy(cfg)[short]}")
         splits = max_splits(cfg, cfg.power_budget)
-        cache["start"] = OperatingPoint(cfg.power_budget, np.minimum(splits, 0.5))
-    return cache["start"]
+        return OperatingPoint(cfg.power_budget, np.minimum(splits, 0.5))
+    return cfg.cached("start", build)
 
 
 def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
@@ -758,8 +739,6 @@ def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
                                   and np.all(np.isfinite(start.powers))):
         raise ConfigError([(BAD_VALUE, "start", f"needs {cfg.num_users} finite "
                             f"powers, got {start.powers}")])
-    if duals is not None and start is None:
-        raise ConfigError([(BAD_VALUE, "duals", "multipliers need a start")])
     if order is None:
         order = DecodingOrder(tuple(range(cfg.num_users)))
     try:
@@ -774,24 +753,6 @@ def _log_point(gp: GpInstance, op: OperatingPoint) -> np.ndarray:
     with np.errstate(divide="ignore"):
         return np.clip(np.log(np.concatenate([[1.0], op.powers, op.splits])),
                        *gp.log_box)
-
-
-def _polish_first(cfg, alpha, order, mode, start, duals) -> tuple:
-    """_polished on the exact rows from ``start``, with lambda set in closed
-    form and the run started from ``duals``; None twice when the start
-    violates an exact row by more than FEAS_TOL (the condensation loop then
-    rejects it).  No row is condensed."""
-    rows = _weighted_rows(cfg, alpha, order, mode)
-    if duals is not None:
-        size = len(rows.labels) + 2 * rows.floors.size
-        duals = np.asarray(duals, dtype=float)
-        if not (duals.shape == (size,) and np.all(np.isfinite(duals) & (duals >= 0))):
-            raise ConfigError([(BAD_VALUE, "duals", f"needs {size} finite "
-                                f"multipliers >= 0, got {duals}")])
-    y, worst = _exact_lambda(rows.exact, _log_point(rows, start))
-    if not worst <= FEAS_TOL:
-        return None, None, 0
-    return _polished(rows, y, y, duals)
 
 
 def _polished(gp: GpInstance, y, ref, z=None) -> tuple:
@@ -820,9 +781,21 @@ def _solve(cfg, alpha, order, mode, start, duals) -> SolveReport:
     trace, gaps = [], np.empty(0)
     failures = newton_steps = 0
     polished = None
+    if duals is not None and start is None:
+        raise ConfigError([(BAD_VALUE, "duals", "multipliers need a start")])
     if start is not None:
-        polished, duals, newton_steps = _polish_first(cfg, alpha, order, mode,
-                                                      start, duals)
+        # The exact-row polish; the condensation loop rejects a start that
+        # violates an exact row by more than FEAS_TOL.
+        rows = _weighted_rows(cfg, alpha, order, mode)
+        if duals is not None:
+            size = len(rows.labels) + 2 * rows.floors.size
+            duals = np.asarray(duals, dtype=float)
+            if not (duals.shape == (size,) and np.all(np.isfinite(duals) & (duals >= 0))):
+                raise ConfigError([(BAD_VALUE, "duals", f"needs {size} finite "
+                                    f"multipliers >= 0, got {duals}")])
+        y, worst = _exact_lambda(rows.exact, _log_point(rows, start))
+        if worst <= FEAS_TOL:
+            polished, duals, newton_steps = _polished(rows, y, y, duals)
     converged = polished is not None
     if not converged:
         gp = build_gp(cfg, alpha, order, cold if start is None else start, mode)
@@ -868,7 +841,7 @@ def _solve(cfg, alpha, order, mode, start, duals) -> SolveReport:
 
     # Report with exact rates at the final point.
     if mode == SECURE:
-        eff = secrecy_corner(cfg, point, order).per_user
+        eff = secrecy_corner(cfg, point, order)
     else:
         eff = legitimate_rates(cfg, point)
     if not np.all(np.isfinite(eff)):

@@ -9,7 +9,6 @@ import pytest
 from swiptsec import (DecodingOrder, Weights, checks, harvested_energies,
                       hull_height, iterate, legitimate_rates,
                       oracle_grid_search, subset_constraints_satisfied, sweep)
-from swiptsec.metrics import RateTuple
 from swiptsec.model import EnergyModel
 from swiptsec.solver import RELIABLE, SECURE
 from swiptsec.scenarios import (random_config, strong_interference,
@@ -150,8 +149,7 @@ def test_criterion_8_secure_structure(strong_secure_boundary):
 
     worst = -np.inf
     for pt in boundary.points:
-        check = subset_constraints_satisfied(cfg, pt.op,
-                                             RateTuple(pt.rates_raw), tol=1e-6)
+        check = subset_constraints_satisfied(cfg, pt.op, pt.rates_raw, tol=1e-6)
         worst = max(worst, check.worst_violation)
         assert check.ok
 

@@ -15,6 +15,7 @@ from swiptsec import (RELIABLE, InfeasibleError, OperatingPoint, Weights,
                       secrecy_corner)
 from swiptsec import checks, region, solver
 from swiptsec.cli import main
+from swiptsec.metrics import SubsetCheck
 from swiptsec.model import DecodingOrder, max_deliverable_energy
 from swiptsec.region import render_rates
 from swiptsec.scenarios import (random_config, strong_interference,
@@ -100,25 +101,45 @@ def test_invalid_demand_override_exits_one(scenario, tmp_path, capsys, spec):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("args", [
-    ["sweep", "--scenario", "{k3}", "--mode", "reliable", "--grid", "2",
-     "--out", "{out}"],
-    ["verify", "--scenario", "{k3}"],
-    ["sweep", "--scenario", "{weak}", "--mode", "reliable", "--grid", "2",
-     "--oracle", "--oracle-res", "5", "--out", "{out}"],
-    ["verify", "--scenario", "{weak}", "--oracle-res", "5"],
-], ids=["sweep-k3", "verify-k3", "sweep-oracle-res", "verify-oracle-res"])
-def test_unsupported_input_exits_one(scenario, tmp_path, capsys, args):
-    # Three users and oracle resolutions below 11 are rejected before any
-    # output is written.
+@pytest.mark.parametrize("args, named", [
+    (["sweep", "--scenario", "{k3}", "--mode", "reliable", "--grid", "2",
+      "--out", "{out}"], ["num_users"]),
+    (["verify", "--scenario", "{k3}"], ["num_users"]),
+    (["sweep", "--scenario", "{weak}", "--mode", "reliable", "--grid", "2",
+      "--oracle", "--oracle-res", "5", "--out", "{out}"], ["resolution"]),
+    (["verify", "--scenario", "{weak}", "--oracle-res", "5"], ["resolution"]),
+    (["sweep", "--scenario", "{weak}", "--mode", "reliable", "--grid", "1",
+      "--out", "{out}"], ["grid"]),
+    (["sweep", "--scenario", "{k3}", "--mode", "reliable", "--grid", "1",
+      "--oracle", "--oracle-res", "5", "--out", "{out}"],
+     ["grid", "resolution", "num_users"]),
+], ids=["sweep-k3", "verify-k3", "sweep-oracle-res", "verify-oracle-res",
+        "sweep-grid", "sweep-k3-grid-oracle-res"])
+def test_unsupported_input_exits_one(scenario, tmp_path, capsys, args, named):
+    # Three users, a grid below 2 and oracle resolutions below 11 are
+    # rejected, every one of them in one ConfigError, before any output is
+    # written.
     k3 = tmp_path / "k3.json"
     save_scenario(random_config(np.random.default_rng(0), num_users=3), k3)
     out = tmp_path / "o"
     out.mkdir()
     argv = [a.format(k3=k3, weak=scenario, out=out) for a in args]
     assert main(argv) == 1
-    assert "ConfigError" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError: ")
+    assert re.findall(r"\[(\w+)\]", err) == named
     assert list(out.iterdir()) == []
+
+
+def test_out_naming_a_file_exits_one(scenario, tmp_path, capsys):
+    # An --out that names an existing file is an I/O error, exit 1, and the
+    # file is left as it was.
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+    assert main(["sweep", "--scenario", str(scenario), "--mode", "reliable",
+                 "--grid", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("IoError: ")
+    assert out.read_text() == "kept\n"
 
 
 def test_infeasible_demand_exits_two(scenario, tmp_path):
@@ -154,7 +175,7 @@ def test_rows_reevaluate_through_metrics(scenario, tmp_path):
             if mode == "secure":
                 order = DecodingOrder(tuple(int(u) - 1
                                             for u in row["order"].split("-")))
-                expected = secrecy_corner(cfg, op, order).per_user
+                expected = secrecy_corner(cfg, op, order)
             else:
                 assert row["order"] == "-"
                 expected = legitimate_rates(cfg, op)
@@ -566,6 +587,63 @@ def test_oracle_dominance_fails_on_a_short_secure_solve(monkeypatch, tmp_path, c
     assert re.search(rf"oracle dominance +FAIL +solver \d+\.\d% below oracle at "
                      rf"alpha1=\S+, secure order \({order[0]}, {order[1]}\)\n",
                      capsys.readouterr().out)
+
+
+def _raise_infeasible(*args, **kwargs):
+    raise InfeasibleError("no point meets the demands")
+
+
+def _full_power_result(cfg, *args, **kwargs):
+    return region.OracleResult(0.0, np.zeros(2),
+                               OperatingPoint(cfg.power_budget, np.zeros(2)))
+
+
+# A verify check made to fail by a stub, with no numerical breakdown: the
+# stubbed module and name, the stub, whether the scenario's demands exceed
+# the deliverable limit, the check, and the worst value and detail it
+# returns.
+CHECK_FAILURES = {
+    "oracle-proves-none": (
+        region, "oracle_grid_search", _raise_infeasible, False, "oracle dominance", 0.0,
+        "solver found a point where the oracle proved none (alpha1=0.25, reliable)"),
+    "solver-infeasible": (
+        solver, "iterate", _raise_infeasible, False, "oracle dominance", 0.0,
+        "solver infeasible where the oracle found a point (alpha1=0.25, reliable)"),
+    "oracle-meets-infeasible-demand": (
+        region, "oracle_grid_search", _full_power_result, True,
+        "energy feasibility screen", 1.0,
+        "demands exceed the closed-form limit but the oracle found a point"),
+    "subset-violation": (
+        checks, "subset_constraints_satisfied",
+        lambda *args: SubsetCheck(False, 0.5, (0, 1)), False,
+        "subset constraints at corners", 0.5, "violation 5.00e-01 on subset (0, 1)"),
+}
+RUN_CHECK = {
+    "oracle dominance": lambda cfg: checks.oracle_dominance(cfg, 11),
+    "energy feasibility screen": checks.energy_screen,
+    "subset constraints at corners":
+        lambda cfg: checks.subset_corners(cfg, np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("module, name, stub, over_limit, check, worst, detail",
+                         CHECK_FAILURES.values(), ids=CHECK_FAILURES.keys())
+def test_each_verify_check_can_fail(monkeypatch, tmp_path, capsys, module, name, stub,
+                                    over_limit, check, worst, detail):
+    # Where its invariant breaks, a check returns (False, worst, detail), and
+    # verify prints it as a FAIL line and exits 2.
+    cfg = weak_interference()
+    if over_limit:
+        cfg = replace(cfg, eh_demands=max_deliverable_energy(cfg) + 1.0)
+    monkeypatch.setattr(module, name, stub)
+    passed, got_worst, got_detail = RUN_CHECK[check](cfg)
+    assert passed is False
+    assert got_worst == pytest.approx(worst, abs=1e-12)
+    assert got_detail == detail
+    path = tmp_path / "s.json"
+    save_scenario(cfg, path)
+    assert main(["verify", "--scenario", str(path), "--oracle-res", "11"]) == 2
+    assert re.search(rf"{check} +FAIL +{re.escape(detail)}\n", capsys.readouterr().out)
 
 
 def test_demand_at_the_limit_is_infeasible_everywhere(tmp_path):

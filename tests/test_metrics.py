@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swiptsec import (ConfigError, DecodingOrder, EnergyModel, OperatingPoint,
-                      RateTuple, Weights, eve_rate_chain, eve_sum_rate, harvested_energies,
+                      Weights, eve_rate_chain, eve_sum_rate, harvested_energies,
                       legitimate_rates, secrecy_corner,
                       subset_constraints_satisfied)
 from swiptsec.metrics import (energies, eve_leaks, max_min_objective,
@@ -139,15 +139,15 @@ class TestSecrecyCorner:
     def test_single_user_endpoint(self):
         cfg = weak_interference()
         corner = secrecy_corner(cfg, op(1, 0, 1, 1), ORDER12)
-        assert corner.per_user[0] == pytest.approx(1.0, abs=1e-12)
-        assert corner.per_user[1] == 0.0
+        assert corner[0] == pytest.approx(1.0, abs=1e-12)
+        assert corner[1] == 0.0
 
     def test_zero_eve_channels_gives_reliable_rates(self):
         cfg = weak_interference()
         silent = replace(cfg, eve_channels=np.zeros((2, 2), dtype=complex))
         point = op(1, 1, 0.8, 0.6)
         corner = secrecy_corner(silent, point, ORDER12)
-        assert np.allclose(corner.per_user, legitimate_rates(silent, point))
+        assert np.allclose(corner, legitimate_rates(silent, point))
 
     def test_clamp_only_hits_offending_user(self):
         # Huge eavesdropper channel for user 1 only.
@@ -159,8 +159,8 @@ class TestSecrecyCorner:
         rates = legitimate_rates(strong_eve, point)
         leak = eve_rate_chain(strong_eve, point.powers, ORDER12)
         assert rates[0] - leak[0] < 0
-        assert corner.per_user[0] == 0.0
-        assert corner.per_user[1] == pytest.approx(max(rates[1] - leak[1], 0.0))
+        assert corner[0] == 0.0
+        assert corner[1] == pytest.approx(max(rates[1] - leak[1], 0.0))
 
     def test_corner_never_exceeds_reliable(self):
         rng = np.random.default_rng(31)
@@ -170,7 +170,7 @@ class TestSecrecyCorner:
                                    rng.uniform(0, 1, 2))
             for perm in permutations(range(2)):
                 corner = secrecy_corner(cfg, point, DecodingOrder(perm))
-                assert np.all(corner.per_user <= legitimate_rates(cfg, point) + 1e-12)
+                assert np.all(corner <= legitimate_rates(cfg, point) + 1e-12)
 
 
 class TestSubsetConstraints:
@@ -194,15 +194,14 @@ class TestSubsetConstraints:
 
     def test_zero_tuple_satisfies(self):
         cfg = strong_interference()
-        result = subset_constraints_satisfied(cfg, op(1, 1, 1, 1),
-                                              RateTuple(np.zeros(2)))
+        result = subset_constraints_satisfied(cfg, op(1, 1, 1, 1), np.zeros(2))
         assert result.ok
 
     def test_inflated_corner_violates(self):
         cfg = weak_interference(eve_geometry="parallel")
         point = op(1, 1, 1, 1)
         corner = secrecy_corner(cfg, point, ORDER12)
-        bumped = RateTuple(corner.per_user + np.array([0.1, 0.0]))
+        bumped = corner + np.array([0.1, 0.0])
         result = subset_constraints_satisfied(cfg, point, bumped, tol=1e-9)
         assert not result.ok
         assert result.worst_violation >= 0.1 - 1e-9
@@ -213,7 +212,7 @@ class TestSubsetConstraints:
         cfg = random_config(rng, num_users=17)
         point = OperatingPoint(np.zeros(17), np.zeros(17))
         with pytest.raises(ConfigError, match="K <= 16, got 17"):
-            subset_constraints_satisfied(cfg, point, RateTuple(np.zeros(17)))
+            subset_constraints_satisfied(cfg, point, np.zeros(17))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -244,6 +243,6 @@ def test_kernels_match_per_point_functions(seed, num_users, num_eve):
             assert np.abs(leaks[row]
                           - eve_rate_chain(cfg, point.powers, order)).max() <= 1e-12
             assert np.abs(secrecy[row]
-                          - secrecy_corner(cfg, point, order).per_user).max() <= 1e-12
+                          - secrecy_corner(cfg, point, order)).max() <= 1e-12
             assert objective[row] == pytest.approx(
                 min(legit / weights.alpha), abs=1e-12)

@@ -1,8 +1,10 @@
+import ast
 import dataclasses
 import importlib
 import json
 import pkgutil
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,6 +192,28 @@ def test_one_exception_per_outcome():
                        "NumericalFailureError": "swiptsec.model"}
     assert solver.InfeasibleError is model.InfeasibleError
     assert solver.NumericalFailureError is model.NumericalFailureError
+
+
+def test_no_module_uses_another_modules_private_names():
+    # Each module owns its private names: no module of the package imports
+    # a _name from another or reads one off another module it imported.
+    crossings = []
+    for path in sorted(Path(swiptsec.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()         # names bound to the package's modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    if node.module is None:
+                        modules.add(alias.asname or alias.name)
+                    elif alias.name.startswith("_"):
+                        crossings.append(f"{path.name}:{node.lineno} imports "
+                                         f"{node.module}.{alias.name}")
+        crossings += [f"{path.name}:{node.lineno} reads {node.value.id}.{node.attr}"
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                      and isinstance(node.value, ast.Name) and node.value.id in modules]
+    assert crossings == []
 
 
 def test_weights_sum_to_one():

@@ -13,7 +13,6 @@ from swiptsec import (ConfigError, DecodingOrder, InfeasibleError,
                       legitimate_rates, oracle_grid_search, region,
                       secrecy_corner, solver, subset_constraints_satisfied,
                       sweep, time_share_hull)
-from swiptsec.metrics import RateTuple
 from swiptsec.model import max_splits
 from swiptsec.solver import RELIABLE, SECURE
 from swiptsec.scenarios import (random_config, strong_interference,
@@ -143,8 +142,14 @@ class TestSweep:
 
     @pytest.mark.parametrize("grid", [1, 5.0])
     def test_grid_guard(self, grid):
+        # check_two_user lists every violation in one ConfigError: a bad
+        # grid, and on a three-user config the user count as well.
         with pytest.raises(ConfigError, match=r"grid\]: must be an integer >= 2"):
             sweep(weak_interference(), RELIABLE, grid=grid)
+        k3 = random_config(np.random.default_rng(0), num_users=3)
+        with pytest.raises(ConfigError) as info:
+            sweep(k3, RELIABLE, grid=grid)
+        assert [field for _, field, _ in info.value.violations] == ["grid", "num_users"]
 
     def test_weak_reliable_anchors(self):
         boundary = sweep(weak_interference(), RELIABLE, psi=(0.0, 0.0), grid=21)
@@ -201,7 +206,7 @@ class TestSweep:
         boundary = sweep(cfg, SECURE, psi=(0.0, 0.0), grid=5)
         for pt in boundary.points:
             check = subset_constraints_satisfied(
-                cfg, pt.op, RateTuple(pt.rates_raw), tol=1e-6)
+                cfg, pt.op, pt.rates_raw, tol=1e-6)
             assert check.ok, f"violation {check.worst_violation} at alpha {pt.alpha}"
 
 
@@ -468,11 +473,17 @@ class TestOracle:
                                Weights.pair(0.5), resolution=11)
 
     def test_resolution_guard(self):
-        # Too coarse a grid, or a resolution that is no integer.
+        # Too coarse a grid, or a resolution that is no integer; on a
+        # three-user config the one ConfigError names the user count too.
+        k3 = random_config(np.random.default_rng(0), num_users=3)
         for resolution in (5, 21.0):
             with pytest.raises(ConfigError, match=r"resolution\]: must be an integer >= 11"):
                 oracle_grid_search(weak_interference(), RELIABLE, Weights.pair(0.5),
                                    resolution=resolution)
+            with pytest.raises(ConfigError) as info:
+                oracle_grid_search(k3, RELIABLE, Weights.pair(0.5), resolution=resolution)
+            assert [field for _, field, _ in info.value.violations] == [
+                "resolution", "num_users"]
 
     def test_secure_orders_differ_with_parallel_eve(self):
         cfg = weak_interference(eve_geometry="parallel")
@@ -494,10 +505,10 @@ class TestOracle:
 
     def test_cached_coarse_grids_change_no_result(self):
         # Calls on one config object share its coarse grids, one per mode,
-        # decoding order, resolution and set of weighted users; each result
-        # equals, bit for bit, the same call on a fresh copy of the config,
-        # whose cache entry is empty.  Two rounds: the first fills the
-        # cache, the second only reads it.
+        # decoding order, resolution and set of weighted users, kept with
+        # the config (SystemConfig.cached); each result equals, bit for bit,
+        # the same call on a fresh copy of the config, which keeps none yet.
+        # Two rounds: the first builds the grids, the second only reads them.
         rng = np.random.default_rng(31)
         cfgs = [weak_interference(eh_demands=(0.8, 0.8)),
                 weak_interference(eh_demands=(0.8, 0.8), eve_geometry="parallel"),
@@ -516,8 +527,7 @@ class TestOracle:
                 fresh = oracle_grid_search(replace(cfg), mode, weights, order,
                                            resolution=resolution)
                 _assert_same_oracle_result(got, fresh)
-            grids = [grid for key, grid in solver._cache(cfg).items()
-                     if key[0] == "oracle"]
+            grids = [grid for key, grid in cfg._cached.items() if key[0] == "oracle"]
             # 3 weight supports x 2 resolutions, in reliable mode and in
             # each secure order.
             assert len(grids) == 18
@@ -544,6 +554,6 @@ class TestOracle:
                                          resolution=21)
                 energies = harvested_energies(cfg, res.op).per_user
                 assert np.all(energies >= cfg.eh_demands - 1e-12)
-                expected = (secrecy_corner(cfg, res.op, order).per_user
+                expected = (secrecy_corner(cfg, res.op, order)
                             if mode == SECURE else legitimate_rates(cfg, res.op))
                 np.testing.assert_allclose(res.rates, expected, rtol=0, atol=1e-12)

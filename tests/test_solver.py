@@ -684,19 +684,24 @@ def test_exact_lambda_evaluates_the_rows_once(seed, num_users, mode, eh_fraction
 
 def test_config_layouts_are_read_only_private_and_dropped():
     # The exact rows' layout is built once per config, mode, order and set
-    # of weighted users and kept with the config, read-only, like its
-    # variable box.  Each weight writes lambda's exponents, and nothing
-    # else, into its own copy of the layout's matrix.  The copy of the
-    # config that replace returns builds its own, and the layout is
-    # gone once its config is collected.
+    # of weighted users and kept with the config (SystemConfig.cached),
+    # read-only, like its variable box.  Each weight writes lambda's
+    # exponents, and nothing else, into its own copy of the layout's
+    # matrix.  The copy of the config that replace returns builds its own,
+    # and the layout is gone once its config is collected.
     cfg = strong_interference(eh_demands=(0.5, 0.5), eve_geometry="parallel")
     weights = Weights(np.array([0.4, 0.6]))
-    key = (SECURE, ORDER12.users, np.ones(2, dtype=bool).tobytes())
+    key = ("rows", SECURE, ORDER12.users, np.ones(2, dtype=bool).tobytes())
+
+    def kept(config):
+        return config.cached(key, lambda: pytest.fail("the rows were not kept"))
+
     gp = build_gp(cfg, weights, ORDER12, solver._feasible_start(cfg), SECURE)
-    cached = solver._CONFIG_CACHE[cfg][key][0].exact
+    unanchored, lam = kept(cfg)
+    cached = unanchored.exact
     floors, caps = solver.variable_box(cfg)
     assert solver.variable_box(cfg)[0] is floors
-    for array in (*cached, *gp.exact, *gp.condensed, floors, caps):
+    for array in (*cached, *gp.exact, *gp.condensed, floors, caps, lam):
         assert not array.flags.writeable
     assert not np.shares_memory(gp.exact.m, cached.m)
     changed = gp.exact.m != cached.m
@@ -704,11 +709,11 @@ def test_config_layouts_are_read_only_private_and_dropped():
     assert all(mine is shared for mine, shared in zip(gp.exact[1:], cached[1:]))
     other = replace(cfg, eh_demands=cfg.eh_demands)
     build_gp(other, weights, ORDER12, solver._feasible_start(other), SECURE)
-    theirs = solver._CONFIG_CACHE[other][key][0].exact
+    theirs = kept(other)[0].exact
     assert not any(np.shares_memory(mine, shared) for mine, shared in zip(theirs, cached))
     assert np.array_equal(theirs.m, cached.m)
     config, layout = weakref.ref(cfg), weakref.ref(cached.m)
-    del cfg, gp, cached, floors, caps
+    del cfg, gp, unanchored, lam, cached, floors, caps
     gc.collect()
     assert config() is None and layout() is None
 
@@ -953,7 +958,7 @@ class TestIterate:
             order = DecodingOrder(perm)
             rep = iterate(cfg, Weights.pair(0.5), order, SECURE)
             corner = secrecy_corner(cfg, rep.op, order)
-            assert np.allclose(rep.rates, corner.per_user, atol=1e-12)
+            assert np.allclose(rep.rates, corner, atol=1e-12)
 
     def test_underflowed_lambda_does_not_end_the_loop(self, monkeypatch):
         # From this start a 1.4e-6 weight on a negative secrecy gap puts the
@@ -1178,7 +1183,7 @@ def _plain_mm_objective(cfg, weights, order, mode, start=None):
         if (len(trace) >= 2 and abs(trace[-1] - trace[-2])
                 <= solver.EPS_CONV * max(1.0, trace[-1])):
             break
-    eff = (secrecy_corner(cfg, point, order).per_user if mode == SECURE
+    eff = (secrecy_corner(cfg, point, order) if mode == SECURE
            else legitimate_rates(cfg, point))
     active = weights.alpha > 0
     return float(np.min(eff[active] / weights.alpha[active]))
