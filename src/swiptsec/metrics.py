@@ -105,12 +105,37 @@ def max_min_objective(rates, weights: Weights) -> np.ndarray:
     return reduce(np.minimum, [rates[..., k] / alpha[k] for k in np.flatnonzero(alpha > 0)])
 
 
+def _checked(cfg: SystemConfig, powers, order=None, subset=None, rates=None) -> np.ndarray:
+    """``powers`` as a float array, after ConfigError listing every violation
+    unless it holds one finite value >= 0 per user, ``order`` and ``rates``
+    (unless None) have one entry per user and ``subset`` (unless None) is a
+    nonempty set of users: the check of every per-point function."""
+    kk = cfg.num_users
+    p = np.asarray(powers, dtype=float)
+    bad = []
+    if p.shape != (kk,):
+        bad.append((DIMENSION_MISMATCH, "powers", f"needs {kk} entries, got shape {p.shape}"))
+    elif not ((p >= 0) & (p < np.inf)).all():
+        bad.append((BAD_VALUE, "powers", f"must be finite and >= 0, got {p}"))
+    if order is not None and len(order) != kk:
+        bad.append((DIMENSION_MISMATCH, "order", f"needs {kk} entries, got {len(order)}"))
+    if subset is not None and not (subset and subset <= set(range(kk))):
+        bad.append((BAD_VALUE, "subset", f"users must be in 0..{kk - 1}, got {sorted(subset)}"
+                    if subset else "subset of users must be nonempty"))
+    if rates is not None and np.shape(rates) != (kk,):
+        bad.append((DIMENSION_MISMATCH, "rates",
+                    f"needs {kk} entries, got shape {np.shape(rates)}"))
+    if bad:
+        raise ConfigError(bad)
+    return p
+
+
 def legitimate_rates(cfg: SystemConfig, op: OperatingPoint) -> np.ndarray:
-    return tin_rates(cfg, op.powers, op.splits)
+    return tin_rates(cfg, _checked(cfg, op.powers), op.splits)
 
 
 def harvested_energies(cfg: SystemConfig, op: OperatingPoint) -> EnergyVector:
-    return EnergyVector(energies(cfg, op.powers, op.splits))
+    return EnergyVector(energies(cfg, _checked(cfg, op.powers), op.splits))
 
 
 def _eve_covariance(cfg: SystemConfig, p: np.ndarray, users) -> np.ndarray:
@@ -128,9 +153,7 @@ def eve_sum_rate(cfg: SystemConfig, p: np.ndarray, subset) -> float:
     complement covariance.
     """
     subset = frozenset(int(k) for k in subset)
-    if not subset:
-        raise ConfigError([(BAD_VALUE, "subset", "subset of users must be nonempty")])
-    p = np.asarray(p, dtype=float)
+    p = _checked(cfg, p, subset=subset)
     complement = [j for j in range(cfg.num_users) if j not in subset]
     full = _eve_covariance(cfg, p, range(cfg.num_users))
     inner = _eve_covariance(cfg, p, complement)
@@ -147,13 +170,8 @@ def eve_rate_chain(cfg: SystemConfig, p: np.ndarray, order: DecodingOrder,
     conditioned away.  Returns a length-K array; entries outside the subset
     are zero.  Summing over the subset recovers eve_sum_rate exactly.
     """
-    if subset is None:
-        subset = range(cfg.num_users)
-    subset = frozenset(int(k) for k in subset)
-    if len(order) != cfg.num_users:
-        raise ConfigError([(DIMENSION_MISMATCH, "order",
-                            f"needs {cfg.num_users} entries, got {len(order)}")])
-    p = np.asarray(p, dtype=float)
+    subset = frozenset(int(k) for k in (range(cfg.num_users) if subset is None else subset))
+    p = _checked(cfg, p, order, subset)
     sbar = cfg.eve_noise_total
     out = np.zeros(cfg.num_users)
     remaining = [u for u in order.users if u in subset]
@@ -191,7 +209,7 @@ def subset_constraints_satisfied(cfg: SystemConfig, op: OperatingPoint,
     if k > 16:
         raise ConfigError([(BAD_VALUE, "num_users",
                             f"subset enumeration needs K <= 16, got {k}")])
-    legit = legitimate_rates(cfg, op)
+    legit = tin_rates(cfg, _checked(cfg, op.powers, rates=rates), op.splits)
     tup = np.asarray(rates, dtype=float)
     worst, worst_s = -np.inf, ()
     for size in range(1, k + 1):

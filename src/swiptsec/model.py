@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from itertools import combinations
 from types import MappingProxyType
 
@@ -75,6 +74,33 @@ def _ro(arr, dtype):
     return out
 
 
+def _bad_entries(name, arr, *rules) -> list:
+    """A (kind, entry, "text, got x") violation, in index order, for each
+    entry x of ``arr`` that breaks one of ``rules``, (ok, kind, text)
+    triples with ``ok`` a boolean array over ``arr``: the first it breaks."""
+    bad = []
+    for idx, x in np.ndenumerate(arr):
+        for ok, kind, text in rules:
+            if not ok[idx]:
+                bad.append((kind, name + "".join(f"[{i}]" for i in idx), f"{text}, got {x}"))
+                break
+    return bad
+
+
+# SystemConfig's array and scalar fields, each with its dtype, shape over (K, M)
+# ("" is 0-d) and the kind and rule of a bad entry (None: any finite entry).
+_FIELDS = {
+    "gains": (complex, "KK", None, None),
+    "eve_channels": (complex, "KM", None, None),
+    "antenna_noise_vars": (float, "K", NON_POSITIVE_VARIANCE, "variance must be > 0"),
+    "processing_noise_vars": (float, "K", NON_POSITIVE_VARIANCE, "variance must be > 0"),
+    "eve_antenna_noise_var": (float, "", NON_POSITIVE_VARIANCE, "variance must be > 0"),
+    "eve_processing_noise_var": (float, "", NON_POSITIVE_VARIANCE, "variance must be > 0"),
+    "power_budget": (float, "K", NON_POSITIVE_BUDGET, "budget must be > 0"),
+    "eh_demands": (float, "K", NEGATIVE_DEMAND, "demand must be >= 0"),
+}
+
+
 @dataclass(frozen=True, eq=False)
 class SystemConfig:
     """Deterministic channel/noise/budget instance for K users and an
@@ -83,9 +109,9 @@ class SystemConfig:
     gains[k, j] is the complex amplitude gain from transmitter j to receiver
     k (row = receiver).  eve_channels[j] is the length-M vector from
     transmitter j to the eavesdropper.  All noise quantities are variances in
-    power units.  The constructor, and so ``dataclasses.replace``, raises
-    ConfigError carrying every violated invariant: a config is valid once
-    made.
+    power units, the eavesdropper's two 0-d arrays.  The constructor, and so
+    ``dataclasses.replace``, raises ConfigError listing every violated
+    invariant, an unconvertible field included: a config is valid once made.
     """
 
     num_users: int
@@ -94,20 +120,13 @@ class SystemConfig:
     eve_channels: np.ndarray
     antenna_noise_vars: np.ndarray
     processing_noise_vars: np.ndarray
-    eve_antenna_noise_var: float
-    eve_processing_noise_var: float
+    eve_antenna_noise_var: np.ndarray           # 0-d
+    eve_processing_noise_var: np.ndarray        # 0-d
     power_budget: np.ndarray
     eh_demands: np.ndarray
     energy_model: EnergyModel = EnergyModel.REFORMULATED
 
     def __post_init__(self):
-        for name, dtype in (("gains", complex), ("eve_channels", complex),
-                            ("antenna_noise_vars", float), ("processing_noise_vars", float),
-                            ("power_budget", float), ("eh_demands", float)):
-            try:
-                object.__setattr__(self, name, _ro(getattr(self, name), dtype))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError([(BAD_VALUE, name, str(exc))]) from exc
         try:
             object.__setattr__(self, "energy_model", EnergyModel(self.energy_model))
         except (TypeError, ValueError):
@@ -115,6 +134,8 @@ class SystemConfig:
         violations = _violations(self)
         if violations:
             raise ConfigError(violations)
+        for name, (dtype, *_) in _FIELDS.items():
+            object.__setattr__(self, name, _ro(getattr(self, name), dtype))
 
     @property
     def eve_noise_total(self) -> float:
@@ -126,18 +147,20 @@ class SystemConfig:
         """|gains|^2, the only form the rate/energy formulas consume."""
         return np.abs(self.gains) ** 2
 
-    @cached_property
+    @property
     def gram_minors(self) -> MappingProxyType:
         """det(G_T) / sbar^|T| for every user set T with |T| <= M (1 for the
         empty set), keyed by frozenset, with G = conj(H) H^T the Gram matrix
-        of the eavesdropper channels; computed once per config.  Principal
-        minors are >= 0; the clamp removes rounding noise from rank-deficient
-        ones."""
-        gram = self.eve_channels.conj() @ self.eve_channels.T
-        sbar = self.eve_noise_total
-        return MappingProxyType({
-            frozenset(t): max(np.linalg.det(gram[np.ix_(t, t)]).real, 0.0) / sbar ** len(t)
-            for t in _subsets(range(self.num_users), self.num_eve_antennas)})
+        of the eavesdropper channels; computed once per config (cached).
+        Principal minors are >= 0; the clamp removes rounding noise from
+        rank-deficient ones."""
+        def build():
+            gram = self.eve_channels.conj() @ self.eve_channels.T
+            sbar = self.eve_noise_total
+            return MappingProxyType({
+                frozenset(t): max(np.linalg.det(gram[np.ix_(t, t)]).real, 0.0) / sbar ** len(t)
+                for t in _subsets(range(self.num_users), self.num_eve_antennas)})
+        return self.cached("gram_minors", build)
 
     def eve_det_terms(self, users) -> list:
         """The Cauchy-Binet terms of the eavesdropper determinant
@@ -149,8 +172,8 @@ class SystemConfig:
 
     def cached(self, key, build):
         """``build()``, called once per config object and ``key`` and kept
-        with it like gram_minors (a ``dataclasses.replace`` copy builds its
-        own), with every array of the value, or of a tuple value, read-only."""
+        with it (a ``dataclasses.replace`` copy builds its own), with every
+        array of the value, or of a tuple value, read-only."""
         values = self.__dict__.setdefault("_cached", {})
         if key not in values:
             value = build()
@@ -208,41 +231,29 @@ def _violations(cfg: SystemConfig) -> list:
     if not isinstance(cfg.energy_model, EnergyModel):
         v.append((BAD_VALUE, "energy_model", "expected 'product' or 'reformulated', "
                   f"got {cfg.energy_model!r}"))
-    k, m = cfg.num_users, cfg.num_eve_antennas
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        v.append((BAD_VALUE, "num_users", f"must be a positive integer, got {k!r}"))
-        return v
-    if not (isinstance(m, (int, np.integer)) and m >= 1):
-        v.append((BAD_VALUE, "num_eve_antennas", f"must be a positive integer, got {m!r}"))
-        return v
-
-    for name, shape in (("gains", (k, k)), ("eve_channels", (k, m))):
-        arr = getattr(cfg, name)
+    sizes = {"K": cfg.num_users, "M": cfg.num_eve_antennas}
+    bad_counts = [(BAD_VALUE, name, f"must be a positive integer, got {n!r}")
+                  for name, n in zip(("num_users", "num_eve_antennas"), sizes.values())
+                  if not (isinstance(n, (int, np.integer)) and n >= 1) or isinstance(n, bool)]
+    v += bad_counts
+    for name, (dtype, dims, kind, rule) in _FIELDS.items():
+        try:
+            arr = np.asarray(getattr(cfg, name), dtype)
+        except (TypeError, ValueError, OverflowError) as exc:
+            v.append((BAD_VALUE, name, str(exc)))
+            continue
+        if bad_counts:
+            continue
+        shape = tuple(sizes[d] for d in dims)
+        finite = np.isfinite(arr)
         if arr.shape != shape:
             v.append((DIMENSION_MISMATCH, name, f"expected shape {shape}, got {arr.shape}"))
-        elif not np.all(np.isfinite(arr)):
-            v.append((BAD_VALUE, name, "every entry must be finite"))
-
-    for name, shape, kind, rule in (
-            ("antenna_noise_vars", (k,), NON_POSITIVE_VARIANCE, "variance must be > 0"),
-            ("processing_noise_vars", (k,), NON_POSITIVE_VARIANCE, "variance must be > 0"),
-            ("eve_antenna_noise_var", (), NON_POSITIVE_VARIANCE, "variance must be > 0"),
-            ("eve_processing_noise_var", (), NON_POSITIVE_VARIANCE, "variance must be > 0"),
-            ("power_budget", (k,), NON_POSITIVE_BUDGET, "budget must be > 0"),
-            ("eh_demands", (k,), NEGATIVE_DEMAND, "demand must be >= 0")):
-        arr = np.asarray(getattr(cfg, name))
-        if arr.shape != shape:
-            v.append((DIMENSION_MISMATCH, name, f"expected shape {shape}, got {arr.shape}"))
-            continue
-        if arr.dtype.kind not in "biuf":
-            v.append((BAD_VALUE, name, f"must be a real number, got {arr.item()!r}"))
-            continue
-        for idx, x in np.ndenumerate(arr):
-            entry = name + "".join(f"[{i}]" for i in idx)
-            if not np.isfinite(x):
-                v.append((BAD_VALUE, entry, f"must be finite, got {x}"))
-            elif not (x >= 0 if kind == NEGATIVE_DEMAND else x > 0):
-                v.append((kind, entry, f"{rule}, got {x}"))
+        elif kind is None:
+            if not finite.all():
+                v.append((BAD_VALUE, name, "every entry must be finite"))
+        else:
+            v += _bad_entries(name, arr, (finite, BAD_VALUE, "must be finite"),
+                              (arr >= 0 if kind == NEGATIVE_DEMAND else arr > 0, kind, rule))
     return v
 
 
@@ -258,19 +269,18 @@ class OperatingPoint:
     splits: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "powers", _ro(self.powers, float))
-        object.__setattr__(self, "splits", _ro(self.splits, float))
-        if self.powers.ndim != 1 or self.splits.shape != self.powers.shape:
+        p, s = _ro(self.powers, float), _ro(self.splits, float)
+        object.__setattr__(self, "powers", p)
+        object.__setattr__(self, "splits", s)
+        if p.ndim != 1 or s.shape != p.shape:
             raise ConfigError([(DIMENSION_MISMATCH, "splits",
-                                f"powers {self.powers.shape} vs splits {self.splits.shape}")])
+                                f"powers {p.shape} vs splits {s.shape}")])
         # Whole-array tests, which NaN fails too; per-index errors on failure.
-        if (self.powers >= 0).all() and ((self.splits >= 0) & (self.splits <= 1)).all():
-            return
-        bad = [(BAD_VALUE, f"powers[{i}]", f"must be >= 0, got {x}")
-               for i, x in enumerate(self.powers) if not x >= 0]
-        bad += [(BAD_VALUE, f"splits[{i}]", f"must be in [0, 1], got {x}")
-                for i, x in enumerate(self.splits) if not 0 <= x <= 1]
-        raise ConfigError(bad)
+        p_ok, s_ok = p >= 0, (s >= 0) & (s <= 1)
+        if not (p_ok.all() and s_ok.all()):
+            raise ConfigError(
+                _bad_entries("powers", p, (p_ok, BAD_VALUE, "must be >= 0"))
+                + _bad_entries("splits", s, (s_ok, BAD_VALUE, "must be in [0, 1]")))
 
 
 @dataclass(frozen=True)
@@ -311,8 +321,7 @@ class Weights:
     def __post_init__(self):
         object.__setattr__(self, "alpha", _ro(self.alpha, float))
         a = self.alpha
-        bad = [(BAD_VALUE, f"alpha[{i}]", f"must be in [0, 1], got {x}")
-               for i, x in enumerate(a) if not 0 <= x <= 1]
+        bad = _bad_entries("alpha", a, ((a >= 0) & (a <= 1), BAD_VALUE, "must be in [0, 1]"))
         if abs(a.sum() - 1.0) > 1e-12:
             bad.append((BAD_VALUE, "alpha", f"must sum to 1 within 1e-12, got {a.sum()!r}"))
         if bad:
@@ -327,74 +336,45 @@ class Weights:
 # External JSON scenario format
 # ---------------------------------------------------------------------------
 
-def _complex_out(z):
-    return [float(np.real(z)), float(np.imag(z))]
+def _complex_in(pairs, field):
+    """The complex array that JSON [re, im] pairs hold, bit for bit."""
+    try:
+        arr = np.array(pairs, dtype=float, order="C")
+        if arr.ndim and arr.shape[-1] == 2:
+            return arr.view(complex)[..., 0]     # each (re, im) row is one complex128
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError([(BAD_VALUE, field, f"expected [re, im] pairs, got {pairs!r}")])
 
 
-def _complex_in(pair, field):
-    if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-        raise ConfigError([(BAD_VALUE, field, f"expected [re, im] pair, got {pair!r}")])
-    return complex(float(pair[0]), float(pair[1]))
-
-
-def _count_in(value, field):
-    """An integral JSON number (2 or 2.0) as an int; anything else is a
-    ConfigError rather than a silent truncation."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError([(BAD_VALUE, field, f"must be an integer, got {value!r}")])
-    return value
+def _count_in(value):
+    """A JSON count, 2.0 read as 2: SystemConfig rejects any other value that
+    is not a positive integer, rather than truncate it."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
 def config_to_dict(cfg: SystemConfig) -> dict:
-    """Plain-JSON representation; floats round-trip bit-exactly."""
-    return {
-        "num_users": int(cfg.num_users),
-        "num_eve_antennas": int(cfg.num_eve_antennas),
-        "gains": [[_complex_out(z) for z in row] for row in cfg.gains],
-        "eve_channels": [[_complex_out(z) for z in row] for row in cfg.eve_channels],
-        "antenna_noise_vars": [float(x) for x in cfg.antenna_noise_vars],
-        "processing_noise_vars": [float(x) for x in cfg.processing_noise_vars],
-        "eve_antenna_noise_var": float(cfg.eve_antenna_noise_var),
-        "eve_processing_noise_var": float(cfg.eve_processing_noise_var),
-        "power_budget": [float(x) for x in cfg.power_budget],
-        "eh_demands": [float(x) for x in cfg.eh_demands],
-        "energy_model": cfg.energy_model.value,
-    }
+    """Plain-JSON representation, a complex number as its [re, im] pair;
+    floats round-trip bit-exactly."""
+    def out(arr, dtype):
+        return (np.stack([arr.real, arr.imag], -1) if dtype is complex else arr).tolist()
+    return {"num_users": int(cfg.num_users), "num_eve_antennas": int(cfg.num_eve_antennas),
+            **{name: out(getattr(cfg, name), dtype) for name, (dtype, *_) in _FIELDS.items()},
+            "energy_model": cfg.energy_model.value}
 
 
 def config_from_dict(data: dict) -> SystemConfig:
     """Parse a scenario dict (inverse of config_to_dict); ConfigError when it
     is malformed or the config it describes is invalid."""
-    required = ("num_users", "num_eve_antennas", "gains", "eve_channels",
-                "antenna_noise_vars", "processing_noise_vars",
-                "eve_antenna_noise_var", "eve_processing_noise_var",
-                "power_budget", "eh_demands")
-    missing = [key for key in required if key not in data]
+    missing = [key for key in ("num_users", "num_eve_antennas", *_FIELDS) if key not in data]
     if missing:
         raise ConfigError([(BAD_VALUE, key, "missing required key") for key in missing])
-    try:
-        gains = np.array([[_complex_in(z, "gains") for z in row] for row in data["gains"]])
-        eve = np.array([[_complex_in(z, "eve_channels") for z in row]
-                        for row in data["eve_channels"]])
-        return SystemConfig(
-            num_users=_count_in(data["num_users"], "num_users"),
-            num_eve_antennas=_count_in(data["num_eve_antennas"], "num_eve_antennas"),
-            gains=gains,
-            eve_channels=eve,
-            antenna_noise_vars=np.array(data["antenna_noise_vars"], dtype=float),
-            processing_noise_vars=np.array(data["processing_noise_vars"], dtype=float),
-            eve_antenna_noise_var=float(data["eve_antenna_noise_var"]),
-            eve_processing_noise_var=float(data["eve_processing_noise_var"]),
-            power_budget=np.array(data["power_budget"], dtype=float),
-            eh_demands=np.array(data["eh_demands"], dtype=float),
-            energy_model=data.get("energy_model", "reformulated"),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError([(BAD_VALUE, "scenario", str(exc))]) from exc
+    return SystemConfig(
+        num_users=_count_in(data["num_users"]),
+        num_eve_antennas=_count_in(data["num_eve_antennas"]),
+        **{name: _complex_in(data[name], name) if dtype is complex else data[name]
+           for name, (dtype, *_) in _FIELDS.items()},
+        energy_model=data.get("energy_model", "reformulated"))
 
 
 def save_scenario(cfg: SystemConfig, path) -> None:

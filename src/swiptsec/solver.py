@@ -218,11 +218,12 @@ def condense(posy: Posynomial, anchor) -> Posynomial:
 
 # Variable layout: index 0 is lambda, then the K powers, then the K splits.
 
-def check_problem(cfg: SystemConfig, alpha: Weights,
-                  order: Optional[DecodingOrder], mode: str) -> None:
-    """Raise ConfigError unless ``alpha`` and ``order`` (unless None) have
-    one entry per user and ``mode`` is one of MODES: the per-call check of
-    a problem, whose config checked itself when it was made."""
+def check_problem(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
+                  mode: str, start: Optional[OperatingPoint] = None) -> None:
+    """Raise ConfigError listing every violation unless ``alpha`` and
+    ``order`` (unless None) have one entry per user, ``mode`` is one of
+    MODES and ``start`` (unless None) one finite power per user: the
+    per-call check of a problem, whose config checked itself when made."""
     kk = cfg.num_users
     bad = [(DIMENSION_MISMATCH, name, f"needs {kk} entries, got {size}")
            for name, size in (("alpha", alpha.alpha.size),
@@ -230,6 +231,8 @@ def check_problem(cfg: SystemConfig, alpha: Weights,
            if size != kk]
     if mode not in MODES:
         bad.append((BAD_VALUE, "mode", f"must be one of {MODES}, got {mode!r}"))
+    if start is not None and not (start.powers.size == kk and np.isfinite(start.powers).all()):
+        bad.append((BAD_VALUE, "start", f"needs {kk} finite powers, got {start.powers}"))
     if bad:
         raise ConfigError(bad)
 
@@ -319,10 +322,10 @@ def build_gp(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
     The weights are only lambda's exponents in the rate rows, set on the
     cached _weight_free_rows, and the anchor only enters the denominators'
     monomials, which GpInstance.recondensed moves.  Lambda's anchor
-    value is 1; solve_gp sets it.  An invalid problem raises ConfigError
-    (check_problem).
+    value is 1; solve_gp sets it.  An invalid problem, the anchor checked as
+    its start, raises ConfigError (check_problem).
     """
-    check_problem(cfg, alpha, order, mode)
+    check_problem(cfg, alpha, order, mode, anchor)
     return _weighted_rows(cfg, alpha, order, mode).recondensed(anchor)
 
 
@@ -724,9 +727,9 @@ def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
     Every GP after the first starts its interior point from the previous
     GP's multipliers, unless that run did not converge.
 
-    An invalid problem (check_problem), a ``start`` of the wrong length or
-    with a power that is not finite, ``duals`` without a start, and
-    ``duals`` that are not one finite value >= 0 per row and per bound
+    An invalid problem (check_problem, a ``start`` of the wrong length or
+    with a power that is not finite included), ``duals`` without a start,
+    and ``duals`` that are not one finite value >= 0 per row and per bound
     (rows + 2n) raise ConfigError, and no feasible point at all
     InfeasibleError, before any interior-point run.
     A solve ends in a report, InfeasibleError or NumericalFailureError: the
@@ -734,11 +737,7 @@ def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
     exact rate or an eavesdropper covariance breaks down, and chaining any
     ArithmeticError.
     """
-    check_problem(cfg, alpha, order, mode)
-    if start is not None and not (start.powers.size == cfg.num_users
-                                  and np.all(np.isfinite(start.powers))):
-        raise ConfigError([(BAD_VALUE, "start", f"needs {cfg.num_users} finite "
-                            f"powers, got {start.powers}")])
+    check_problem(cfg, alpha, order, mode, start)
     if order is None:
         order = DecodingOrder(tuple(range(cfg.num_users)))
     try:

@@ -198,6 +198,18 @@ def test_oracle_report_written(scenario, tmp_path):
         assert row["shortfall"] <= 0.05 * max(row["oracle_objective"], 1e-9)
 
 
+def test_oracle_report_keeps_points_the_oracle_cannot_meet(scenario, tmp_path, monkeypatch):
+    # A point whose oracle search finds no cell meeting the demands keeps
+    # its row, with no oracle objective and no shortfall; the sweep passes.
+    monkeypatch.setattr(region, "oracle_grid_search", _raise_infeasible)
+    out = tmp_path / "o"
+    assert main(["sweep", "--scenario", str(scenario), "--mode", "reliable",
+                 "--grid", "2", "--oracle", "--out", str(out)]) == 0
+    rows = json.loads((out / "report.json").read_text())["runs"][0]["oracle"]
+    assert [(row["alpha1"], row["oracle_objective"], row["shortfall"]) for row in rows] == [
+        (0.0, None, None), (1.0, None, None)]
+
+
 @pytest.mark.parametrize("mode, grids", [("reliable", 24), ("secure", 48)])
 def test_oracle_evaluates_each_coarse_grid_once(scenario, tmp_path, monkeypatch,
                                                 mode, grids):
@@ -415,6 +427,11 @@ INVALID_SCENARIOS = {
     "fractional-users": (("num_users",), 2.7),
     "fractional-eve-antennas": (("num_eve_antennas",), 2.5),
     "inf-eve-antenna-noise": (("eve_antenna_noise_var",), float("inf")),
+    "short-gain-pair": (("gains", 0, 0), [1.0]),
+    "non-numeric-budget": (("power_budget", 0), "abc"),
+    "huge-integer-budget": (("power_budget", 0), 10 ** 400),
+    "huge-integer-eve-noise": (("eve_antenna_noise_var",), 10 ** 400),
+    "boolean-users": (("num_users",), True),
 }
 
 
@@ -433,6 +450,25 @@ def test_invalid_scenario_value_exits_one(scenario, tmp_path, capsys, path, valu
                       "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "ConfigError" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+def test_invalid_scenario_lists_every_violation(scenario, tmp_path, capsys, command):
+    # A field that does not convert is listed with the config's other
+    # violations: a ragged noise vector does not hide a negative budget.
+    data = json.loads(scenario.read_text())
+    data["antenna_noise_vars"] = [[0.25], [0.25, 0.25]]
+    data["power_budget"] = [-1.0, 1.0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    out = tmp_path / "o"
+    flags = {"sweep": ["--grid", "2", "--out", str(out)], "verify": []}[command]
+    assert exit_code([command, "--scenario", str(bad), *flags]) == 1
+    err = capsys.readouterr().err
+    assert "BadValue[antenna_noise_vars]" in err
+    assert "NonPositiveBudget[power_budget[0]]" in err
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -56,6 +56,15 @@ def test_log2_det_rejects_indefinite():
         log2_det(np.diag([1.0, -1.0]))
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+def test_factorizations_reject_non_square(shape):
+    for factorize in (log2_det, lambda a: inv_quadratic_form(a, np.ones(2))):
+        with pytest.raises(ConfigError) as err:
+            factorize(np.ones(shape))
+        assert err.value.violations == [
+            ("DimensionMismatch", "matrix", f"expected a square matrix, got shape {shape}")]
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_factorizations_reject_non_finite(bad):
     a = np.diag([1.0, bad])

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swiptsec import (ConfigError, DecodingOrder, EnergyModel, OperatingPoint,
-                      Weights, eve_rate_chain, eve_sum_rate, harvested_energies,
-                      legitimate_rates, secrecy_corner,
+from swiptsec import (ConfigError, DecodingOrder, EnergyModel, EnergyVector,
+                      OperatingPoint, Weights, eve_rate_chain, eve_sum_rate,
+                      harvested_energies, legitimate_rates, secrecy_corner,
                       subset_constraints_satisfied)
 from swiptsec.metrics import (energies, eve_leaks, max_min_objective,
                               secrecy_rates, tin_rates)
@@ -16,6 +16,7 @@ from swiptsec.scenarios import (random_config, strong_interference,
                                 symmetric_two_user, weak_interference)
 
 ORDER12 = DecodingOrder((0, 1))
+OP3 = OperatingPoint(np.ones(3), np.ones(3))
 
 
 def op(p1, p2, e1, e2):
@@ -80,6 +81,10 @@ class TestHarvestedEnergy:
         cfg = weak_interference(energy_model=EnergyModel.PRODUCT)
         assert harvested_energies(cfg, op(1, 1, 0, 0)).per_user[0] == pytest.approx(1.25 + 0.25)
 
+    def test_negative_energy_rejected(self):
+        with pytest.raises(ConfigError, match=r"per_user\]: must be >= 0"):
+            EnergyVector(np.array([0.5, -0.1]))
+
     def test_product_strictly_decreasing_in_split(self):
         cfg = weak_interference(energy_model=EnergyModel.PRODUCT)
         vals = [harvested_energies(cfg, op(1, 1, eta, 0.5)).per_user[0]
@@ -119,6 +124,44 @@ class TestEveRates:
         cfg = weak_interference()
         with pytest.raises(ConfigError, match="subset of users must be nonempty"):
             eve_sum_rate(cfg, np.ones(2), [])
+
+    @pytest.mark.parametrize("call, named", [
+        pytest.param(lambda cfg: eve_rate_chain(cfg, [-1.0, 1.0], ORDER12),
+                     ["powers"], id="chain-negative-power"),
+        pytest.param(lambda cfg: eve_rate_chain(cfg, [1.0, np.inf], ORDER12),
+                     ["powers"], id="chain-infinite-power"),
+        pytest.param(lambda cfg: eve_rate_chain(cfg, np.ones(3), ORDER12),
+                     ["powers"], id="chain-three-powers"),
+        pytest.param(lambda cfg: eve_rate_chain(cfg, np.ones(1), ORDER12),
+                     ["powers"], id="chain-one-power"),
+        pytest.param(lambda cfg: eve_rate_chain(cfg, np.ones(1), DecodingOrder((0, 1, 2))),
+                     ["powers", "order"], id="chain-one-power-three-order"),
+        pytest.param(lambda cfg: eve_rate_chain(cfg, np.ones(2), ORDER12, [0, 5]),
+                     ["subset"], id="chain-unknown-user"),
+        pytest.param(lambda cfg: eve_rate_chain(cfg, np.ones(2), ORDER12, []),
+                     ["subset"], id="chain-empty-subset"),
+        pytest.param(lambda cfg: eve_sum_rate(cfg, np.ones(3), [0]),
+                     ["powers"], id="sum-three-powers"),
+        pytest.param(lambda cfg: eve_sum_rate(cfg, np.ones(1), [0]),
+                     ["powers"], id="sum-one-power"),
+        pytest.param(lambda cfg: eve_sum_rate(cfg, np.ones(2), {5}),
+                     ["subset"], id="sum-unknown-user"),
+        pytest.param(lambda cfg: eve_sum_rate(cfg, [-1.0, 1.0], []),
+                     ["powers", "subset"], id="sum-negative-power-empty-subset"),
+        pytest.param(lambda cfg: legitimate_rates(cfg, OP3), ["powers"],
+                     id="rates-three-users"),
+        pytest.param(lambda cfg: harvested_energies(cfg, OP3), ["powers"],
+                     id="energies-three-users"),
+        pytest.param(lambda cfg: secrecy_corner(cfg, OP3, ORDER12), ["powers"],
+                     id="corner-three-users"),
+    ])
+    def test_bad_inputs_rejected(self, call, named):
+        # Each per-point function checks its inputs against the config: one
+        # finite power >= 0 per user, a full decoding order and a nonempty
+        # subset of its users, listing every violation.
+        with pytest.raises(ConfigError) as err:
+            call(weak_interference())
+        assert [f for _, f, _ in err.value.violations] == named
 
     def test_chain_conservation_random(self):
         rng = np.random.default_rng(29)
@@ -206,6 +249,17 @@ class TestSubsetConstraints:
         assert not result.ok
         assert result.worst_violation >= 0.1 - 1e-9
         assert 0 in result.worst_subset
+
+    @pytest.mark.parametrize("rates", [np.zeros(3), np.zeros(1), np.zeros((2, 1))],
+                             ids=["three", "one", "column"])
+    def test_rates_of_the_wrong_length_rejected(self, rates):
+        cfg = weak_interference()
+        with pytest.raises(ConfigError, match=r"DimensionMismatch\[rates\]: needs 2 entries"):
+            subset_constraints_satisfied(cfg, op(1, 1, 1, 1), rates)
+
+    def test_point_of_the_wrong_length_rejected(self):
+        with pytest.raises(ConfigError, match=r"DimensionMismatch\[powers\]"):
+            subset_constraints_satisfied(weak_interference(), OP3, np.zeros(2))
 
     def test_guard_on_large_k(self):
         rng = np.random.default_rng(1)

@@ -16,9 +16,9 @@ from swiptsec import (RELIABLE, ConfigError, DecodingOrder, EnergyModel,
                       OperatingPoint, SystemConfig, Weights, config_from_dict,
                       config_to_dict, harvested_energies, model, solver, sweep)
 from swiptsec.model import (BAD_VALUE, DIMENSION_MISMATCH, NEGATIVE_DEMAND,
-                            NON_POSITIVE_VARIANCE, max_deliverable_energy,
-                            max_splits)
-from swiptsec.scenarios import random_config, weak_interference
+                            NON_POSITIVE_BUDGET, NON_POSITIVE_VARIANCE,
+                            max_deliverable_energy, max_splits)
+from swiptsec.scenarios import random_config, symmetric_two_user, weak_interference
 
 
 def fixture_fields(**overrides):
@@ -58,13 +58,29 @@ def test_paper_fixture_is_valid():
 
 def test_validation_is_idempotent():
     # Rebuilding a valid config (replace with no change) checks it again and
-    # passes, with the same read-only arrays.
+    # passes, with the same read-only arrays; the two eavesdropper noise
+    # variances are 0-d arrays, and their total a float.
     cfg = weak_interference()
     again = replace(cfg)
     assert again is not cfg
-    for field in ("gains", "eve_channels", "eh_demands", "power_budget"):
+    for field in ("gains", "eve_channels", "eh_demands", "power_budget",
+                  "eve_antenna_noise_var", "eve_processing_noise_var"):
         assert np.array_equal(getattr(again, field), getattr(cfg, field))
         assert not getattr(again, field).flags.writeable
+    assert cfg.eve_antenna_noise_var.shape == () and type(cfg.eve_noise_total) is float
+
+
+def test_gram_minors_are_cached_per_config():
+    # The minors are built once per config object, read-only like every
+    # cached value, and a replace copy builds its own.
+    cfg = weak_interference()
+    assert cfg.gram_minors is cfg.gram_minors
+    assert cfg._cached["gram_minors"] is cfg.gram_minors
+    with pytest.raises(TypeError):
+        cfg.gram_minors[frozenset()] = 2.0
+    other = replace(cfg)
+    assert other.gram_minors is not cfg.gram_minors
+    assert dict(other.gram_minors) == dict(cfg.gram_minors)
 
 
 def test_each_config_object_is_checked_once(monkeypatch):
@@ -116,6 +132,38 @@ def test_violation_list_is_complete():
         (BAD_VALUE, "energy_model"), (BAD_VALUE, "eh_demands[0]"),
         (NEGATIVE_DEMAND, "eh_demands[1]"), (BAD_VALUE, "eve_antenna_noise_var"),
         (NON_POSITIVE_VARIANCE, "antenna_noise_vars[1]")}
+
+
+@pytest.mark.parametrize("overrides, named", [
+    pytest.param({"gains": "abc", "power_budget": [-1.0, 1.0]},
+                 [(BAD_VALUE, "gains"), (NON_POSITIVE_BUDGET, "power_budget[0]")],
+                 id="unconvertible-gains"),
+    pytest.param({"antenna_noise_vars": [[0.25], [0.25, 0.25]], "eh_demands": [0.0, -1.0]},
+                 [(BAD_VALUE, "antenna_noise_vars"), (NEGATIVE_DEMAND, "eh_demands[1]")],
+                 id="ragged-noise"),
+    pytest.param({"eve_processing_noise_var": "x", "eve_antenna_noise_var": 0.0},
+                 [(NON_POSITIVE_VARIANCE, "eve_antenna_noise_var"),
+                  (BAD_VALUE, "eve_processing_noise_var")], id="bad-scalars"),
+    pytest.param({"power_budget": [10 ** 400, 1.0], "num_users": 2.5, "num_eve_antennas": 0},
+                 [(BAD_VALUE, "num_users"), (BAD_VALUE, "num_eve_antennas"),
+                  (BAD_VALUE, "power_budget")], id="bad-counts-and-huge-int"),
+    pytest.param({"num_users": True}, [(BAD_VALUE, "num_users")], id="boolean-count"),
+])
+def test_unconvertible_field_is_one_violation_among_all(overrides, named):
+    # A field that does not convert to its dtype is listed with every other
+    # violation, in field order, rather than hiding them; bad counts leave
+    # only the shapes and entries unchecked.
+    for make in (lambda: replace(weak_interference(), **overrides),
+                 lambda: make_fixture(**overrides)):
+        with pytest.raises(ConfigError) as err:
+            make()
+        assert [(k, f) for k, f, _ in err.value.violations] == named
+
+
+def test_unknown_eve_geometry_rejected():
+    with pytest.raises(ConfigError, match=r"eve_geometry\]: expected 'orthogonal' or "
+                                          r"'parallel', got 'skew'"):
+        symmetric_two_user(0.5, eve_geometry="skew")
 
 
 def test_operating_point_bounds():
@@ -231,7 +279,12 @@ def test_json_round_trip_is_bit_exact():
         cfg = random_config(rng, num_users=int(rng.integers(1, 4)),
                             num_eve_antennas=int(rng.integers(1, 4)),
                             eh_fraction=float(rng.uniform(0, 0.5)))
-        blob = json.dumps(config_to_dict(cfg))
+        # A column-major array is read and written entry for entry, too.
+        cfg = replace(cfg, gains=np.asfortranarray(cfg.gains))
+        data = config_to_dict(cfg)
+        fortran = config_from_dict({**data, "gains": np.asfortranarray(data["gains"])})
+        assert np.array_equal(fortran.gains, cfg.gains)
+        blob = json.dumps(data)
         back = config_from_dict(json.loads(blob))
         assert np.array_equal(back.gains, cfg.gains)
         assert np.array_equal(back.eve_channels, cfg.eve_channels)
@@ -255,6 +308,41 @@ def test_json_rejects_missing_key():
     del data["power_budget"]
     with pytest.raises(ConfigError):
         config_from_dict(data)
+
+
+@pytest.mark.parametrize("changes, named", [
+    pytest.param({"gains": [[[1.0, 0.0], [0.5]], [[0.5, 0.0], [1.0, 0.0]]]},
+                 [(BAD_VALUE, "gains")], id="short-pair"),
+    pytest.param({"eve_channels": [[0.5, 0.0], [0.0, 0.5]]},
+                 [(DIMENSION_MISMATCH, "eve_channels")], id="numbers-not-pairs"),
+    pytest.param({"gains": [[1.0]]}, [(BAD_VALUE, "gains")], id="no-pairs"),
+    pytest.param({"gains": [[["a", 0.0], [0.5, 0.0]], [[0.5, 0.0], [1.0, 0.0]]]},
+                 [(BAD_VALUE, "gains")], id="non-numeric-pair"),
+    pytest.param({"power_budget": ["x", 1.0], "eh_demands": [-1.0, 0.0]},
+                 [(BAD_VALUE, "power_budget"), (NEGATIVE_DEMAND, "eh_demands[0]")],
+                 id="non-numeric-entry"),
+    pytest.param({"antenna_noise_vars": [[0.25], [0.25, 0.25]], "power_budget": [-1.0, 1.0]},
+                 [(BAD_VALUE, "antenna_noise_vars"), (NON_POSITIVE_BUDGET, "power_budget[0]")],
+                 id="ragged-entries"),
+    pytest.param({"num_users": 2.0, "eve_antenna_noise_var": 10 ** 400},
+                 [(BAD_VALUE, "eve_antenna_noise_var")], id="integral-count-huge-int"),
+    pytest.param({"num_eve_antennas": False}, [(BAD_VALUE, "num_eve_antennas")],
+                 id="boolean-count"),
+])
+def test_json_lists_every_violation(changes, named):
+    # A scenario whose values do not convert is a ConfigError naming each
+    # field at fault, with the other violations of the config it describes.
+    data = {**config_to_dict(make_fixture()), **changes}
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(json.loads(json.dumps(data)))
+    assert [(k, f) for k, f, _ in err.value.violations] == named
+
+
+def test_load_scenario_rejects_a_top_level_list(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([config_to_dict(make_fixture())]))
+    with pytest.raises(ConfigError, match=r"scenario\]: top-level JSON value must be an"):
+        model.load_scenario(path)
 
 
 def test_energy_model_values():

@@ -77,6 +77,10 @@ class TestHull:
         with pytest.raises(ConfigError, match="need at least one rate tuple"):
             time_share_hull(np.empty((0, 2)))
 
+    def test_three_rates_rejected(self):
+        with pytest.raises(ConfigError, match=r"points\]: need two rates per tuple"):
+            time_share_hull([[0.5, 0.5, 0.5], [1.0, 0.0, 0.0]])
+
     @pytest.mark.parametrize("points", [[[np.nan, 1.0], [1.0, 0.0], [0.5, 0.6]],
                                         [[0.5, 0.6], [1.0, -np.inf]], [[np.inf, 1.0]]])
     def test_non_finite_rejected(self, points):

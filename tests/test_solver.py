@@ -109,6 +109,8 @@ class TestPosynomialAlgebra:
             Posynomial(np.array([]), np.zeros((0, 2)))
         with pytest.raises(ConfigError, match=r"coeffs\]: must be finite and > 0"):
             Posynomial(np.array([1.0, -1.0]), np.zeros((2, 2)))
+        with pytest.raises(ConfigError, match=r"exponents\]: 3 rows for 2 coefficients"):
+            Posynomial(np.ones(2), np.zeros((3, 2)))
 
 
 class TestBuildGp:
@@ -1420,16 +1422,42 @@ def test_vertex_start_reaches_cold_objective():
     assert rep.objective == pytest.approx(cold.objective, abs=1e-5)
 
 
-@pytest.mark.parametrize("powers, splits", [
+START_CALLS = {
+    "iterate": lambda cfg, weights, start: iterate(cfg, weights, ORDER12, RELIABLE,
+                                                   start=start),
+    "build_gp": lambda cfg, weights, start: build_gp(cfg, weights, ORDER12, start, RELIABLE),
+}
+MALFORMED_STARTS = [
     ([1.0, 1.0, 1.0], [0.5, 0.5, 0.5]),     # wrong length
     ([np.inf, 1.0], [0.5, 0.5]),            # not finite
     ([-1.0, 1.0], [0.5, 0.5]),              # negative power
     ([1.0, 1.0], [0.5, 1.5]),               # split outside [0, 1]
-])
+]
+
+
+@pytest.mark.parametrize("powers, splits", MALFORMED_STARTS)
 def test_malformed_start_rejected(powers, splits):
     with pytest.raises(ConfigError):
         iterate(weak_interference(), Weights.pair(0.5), None, RELIABLE,
                 start=OperatingPoint(np.array(powers), np.array(splits)))
+
+
+@pytest.mark.parametrize("powers, splits", MALFORMED_STARTS)
+def test_malformed_anchor_rejected(powers, splits):
+    # build_gp checks its anchor as iterate checks its start.
+    with pytest.raises(ConfigError):
+        build_gp(weak_interference(), Weights.pair(0.5), ORDER12,
+                 OperatingPoint(np.array(powers), np.array(splits)), RELIABLE)
+
+
+@pytest.mark.parametrize("call", START_CALLS)
+def test_bad_start_listed_with_bad_weights(call):
+    # check_problem lists a start of the wrong length with every other
+    # violation of the call.
+    with pytest.raises(ConfigError) as err:
+        START_CALLS[call](weak_interference(), Weights(np.full(3, 1 / 3)),
+                          OperatingPoint(np.ones(3), np.ones(3)))
+    assert [f for _, f, _ in err.value.violations] == ["alpha", "start"]
 
 
 # The weak fixture's invalid fields, one per case.
@@ -1437,7 +1465,8 @@ BAD_FIELDS = {"negative-budget": {"power_budget": [-1.0, 1.0]},
               "negative-demand": {"eh_demands": [-1.0, 0.0]},
               "nan-noise": {"antenna_noise_vars": [np.nan, 0.25]},
               "3x3-gains": {"gains": np.ones((3, 3))},
-              "ragged-gains": {"gains": [[1.0, 0.5], [0.5]]}}
+              "ragged-gains": {"gains": [[1.0, 0.5], [0.5]]},
+              "unconvertible-gains": {"gains": "abc", "power_budget": [-1.0, 1.0]}}
 
 
 LIBRARY_CALLS = {
