@@ -21,7 +21,8 @@ from .scenarios import random_config
 CHAIN_TOL = 1e-9
 CONDENSE_TOL = 1e-9
 SUBSET_TOL = 1e-6
-SHORTFALL_TOL = 0.05        # relative, solver below the grid oracle
+SHORTFALL_TOL = 0.05        # relative, solver below the oracle
+BOUND_TOL = 1e-9            # bit, solver above the oracle's certified bound
 
 
 def _finite(values, what):
@@ -121,7 +122,7 @@ def subset_corners(cfg, rng):
 
 @_fails_on_numerical_failure
 def energy_screen(cfg):
-    """Demands that infeasible_demands rejects leave the grid oracle without
+    """Demands that infeasible_demands rejects leave the oracle without
     a point; ``worst`` is the largest demand minus its deliverable limit."""
     limit = _finite(max_deliverable_energy(cfg), "deliverable energy")
     worst = float(np.max(cfg.eh_demands - limit))
@@ -139,8 +140,10 @@ def energy_screen(cfg):
 
 def oracle_dominance(cfg, resolution):
     """At alpha1 = 0.25, 0.5, 0.75, in reliable mode and in secure mode with
-    every decoding order, the solver and the grid oracle agree on
-    feasibility, and the solver is at most SHORTFALL_TOL below."""
+    every decoding order, the solver and the oracle agree on feasibility,
+    the solver is at most SHORTFALL_TOL below the oracle, at most BOUND_TOL
+    above its bound where it has one (reliable mode), and neither fails
+    numerically."""
     worst = 0.0
     runs = [(solver.RELIABLE, None)] + [(solver.SECURE, DecodingOrder(users))
                                         for users in permutations(range(cfg.num_users))]
@@ -160,12 +163,17 @@ def oracle_dominance(cfg, resolution):
                                                resolution=resolution)
         except InfeasibleError:
             oracle = None
+        except NumericalFailureError as exc:
+            return False, np.inf, f"oracle failed numerically at {where}: {exc}"
         if rep is None and oracle is None:
             continue
         if rep is None:
             return False, worst, f"solver infeasible where the oracle found a point ({where})"
         if oracle is None:
             return False, worst, f"solver found a point where the oracle proved none ({where})"
+        if oracle.bound is not None and rep.objective > oracle.bound + BOUND_TOL:
+            return False, worst, (f"solver {rep.objective - oracle.bound:.2e} above "
+                                  f"the oracle's bound at {where}")
         rel = max(oracle.objective - rep.objective, 0.0) / max(oracle.objective, 1e-12)
         worst = max(worst, rel)
         if rel > SHORTFALL_TOL:

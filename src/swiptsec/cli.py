@@ -3,7 +3,7 @@ plot-ready CSV files and a report of every run (its failed points, and its
 solver-versus-oracle gaps with --oracle).
 
 Exit codes: 0 full success, 1 configuration error (usage errors included),
-2 at least one sweep point failed.
+2 at least one sweep point failed, or the oracle failed numerically at one.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import checks, region, solver
 from .metrics import max_min_objective
-from .model import InfeasibleError, load_scenario
+from .model import InfeasibleError, NumericalFailureError, load_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
@@ -104,8 +104,9 @@ def run_sweep(args) -> int:
             if boundary.failures:
                 any_failed = True
             if args.oracle:
-                entry["oracle"] = _oracle_comparison(
+                entry["oracle"], oracle_failed = _oracle_comparison(
                     case, mode, boundary, args.oracle_res)
+                any_failed |= oracle_failed
             report["runs"].append(entry)
             print(f"{mode} {tag}: {len(boundary.points)} points, "
                   f"{len(boundary.failures)} failures")
@@ -120,25 +121,31 @@ def _where(pt) -> dict:
             "order": list(pt.order.one_based()) if pt.order else None}
 
 
-def _oracle_comparison(cfg, mode, boundary, resolution) -> list:
-    """Per swept point: exact solver objective versus the grid oracle."""
-    rows = []
+def _oracle_comparison(cfg, mode, boundary, resolution) -> tuple:
+    """Per swept point: exact solver objective versus the oracle, and
+    whether the oracle failed numerically at some point.  A point where the
+    oracle finds none keeps its row with null oracle fields and the error's
+    name."""
+    rows, failed = [], False
     for pt in boundary.points:
+        oracle, error = None, None
         try:
             oracle = region.oracle_grid_search(
                 cfg, mode, pt.weights, pt.order, resolution=resolution)
-            oracle_obj = oracle.objective
-        except InfeasibleError:
-            oracle_obj = None
+        except (InfeasibleError, NumericalFailureError) as exc:
+            error = type(exc).__name__
+            failed |= isinstance(exc, NumericalFailureError)
         solver_obj = float(max_min_objective(pt.rates_raw, pt.weights))
         rows.append({
             **_where(pt),
             "solver_objective": solver_obj,
-            "oracle_objective": oracle_obj,
-            "shortfall": (None if oracle_obj is None
-                          else max(oracle_obj - solver_obj, 0.0)),
+            "oracle_objective": None if oracle is None else oracle.objective,
+            "oracle_bound": None if oracle is None else oracle.bound,
+            "oracle_error": error,
+            "shortfall": (None if oracle is None
+                          else max(oracle.objective - solver_obj, 0.0)),
         })
-    return rows
+    return rows, failed
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +194,9 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(p):
     p.add_argument("--scenario", required=True, help="path to the scenario JSON")
     p.add_argument("--oracle-res", type=int, default=51,
-                   help="grid resolution per axis for the oracle")
+                   help="oracle resolution, at least 11: reliable mode samples "
+                        "each full-power face at its square, secure mode "
+                        "takes it per axis of the (p1, p2) grid")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -207,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="PSI1,PSI2",
                          help="energy-demand override; repeatable")
     sweep_p.add_argument("--oracle", action="store_true",
-                         help="also run the grid oracle per point")
+                         help="also run the oracle per point")
 
     verify_p = sub.add_parser("verify", help="run the invariant battery")
     _add_common(verify_p)

@@ -48,10 +48,24 @@ def tin_rates(cfg: SystemConfig, powers, splits) -> np.ndarray:
     p = np.asarray(powers, dtype=float)
     eta = np.asarray(splits, dtype=float)
     g = cfg.gain_powers
-    gain = np.diag(g)
-    interference = p @ g.T - gain * p
-    den = cfg.processing_noise_vars + eta * (cfg.antenna_noise_vars + interference)
-    return np.log2(1.0 + eta * p * gain / den)
+    gain = g.diagonal()
+    sinr = p @ g.T      # the received powers, overwritten by the SINRs
+    sig, rho = cfg.processing_noise_vars, cfg.antenna_noise_vars
+    if p.ndim == 1:
+        sinr = _sinr(p, eta, gain, sinr, sig, rho)
+    else:
+        # One user's column at a time: ops against a length-K vector would
+        # loop over the short trailing axis innermost, which is slow on a grid.
+        for k in range(cfg.num_users):
+            sinr[..., k] = _sinr(p[..., k], eta[..., k], gain[k], sinr[..., k],
+                                 sig[k], rho[k])
+    return np.log2(1.0 + sinr)
+
+
+def _sinr(p, eta, gain, received, sig, rho):
+    """The SINR of tin_rates, elementwise: one point's users, or one user's
+    column of a grid."""
+    return eta * p * gain / (sig + eta * (rho + (received - gain * p)))
 
 
 def energies(cfg: SystemConfig, powers, splits) -> np.ndarray:

@@ -74,6 +74,16 @@ def _ro(arr, dtype):
     return out
 
 
+def _freeze(value) -> None:
+    """Make ``value``, if an array, and every array within it, if a tuple,
+    read-only."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, tuple):
+        for item in value:
+            _freeze(item)
+
+
 def _bad_entries(name, arr, *rules) -> list:
     """A (kind, entry, "text, got x") violation, in index order, for each
     entry x of ``arr`` that breaks one of ``rules``, (ok, kind, text)
@@ -144,8 +154,9 @@ class SystemConfig:
 
     @property
     def gain_powers(self) -> np.ndarray:
-        """|gains|^2, the only form the rate/energy formulas consume."""
-        return np.abs(self.gains) ** 2
+        """|gains|^2, the only form the rate/energy formulas consume; computed
+        once per config (cached, read-only)."""
+        return self.cached("gain_powers", lambda: np.abs(self.gains) ** 2)
 
     @property
     def gram_minors(self) -> MappingProxyType:
@@ -173,13 +184,11 @@ class SystemConfig:
     def cached(self, key, build):
         """``build()``, called once per config object and ``key`` and kept
         with it (a ``dataclasses.replace`` copy builds its own), with every
-        array of the value, or of a tuple value, read-only."""
+        array of the value, or within its tuples at any depth, read-only."""
         values = self.__dict__.setdefault("_cached", {})
         if key not in values:
             value = build()
-            for arr in value if isinstance(value, tuple) else (value,):
-                if isinstance(arr, np.ndarray):
-                    arr.setflags(write=False)
+            _freeze(value)
             values[key] = value
         return values[key]
 
@@ -336,15 +345,29 @@ class Weights:
 # External JSON scenario format
 # ---------------------------------------------------------------------------
 
-def _complex_in(pairs, field):
-    """The complex array that JSON [re, im] pairs hold, bit for bit."""
+class _Unreadable:
+    """A JSON value that holds no [re, im] pairs, passed to SystemConfig in
+    place of its field: converting it raises ValueError with ``text``, so
+    the constructor lists the field with the config's other violations."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __array__(self, dtype=None, copy=None):
+        raise ValueError(self.text)
+
+
+def _complex_in(pairs, dims):
+    """The complex array that JSON [re, im] pairs hold, bit for bit, for a
+    field of shape ``dims``: a real array with one axis more, of length 2.
+    Anything else is _Unreadable."""
     try:
         arr = np.array(pairs, dtype=float, order="C")
-        if arr.ndim and arr.shape[-1] == 2:
-            return arr.view(complex)[..., 0]     # each (re, im) row is one complex128
     except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigError([(BAD_VALUE, field, f"expected [re, im] pairs, got {pairs!r}")])
+        arr = None
+    if arr is not None and arr.ndim == len(dims) + 1 and arr.shape[-1] == 2:
+        return arr.view(complex)[..., 0]     # each (re, im) row is one complex128
+    return _Unreadable(f"expected [re, im] pairs, got {pairs!r}")
 
 
 def _count_in(value):
@@ -372,8 +395,8 @@ def config_from_dict(data: dict) -> SystemConfig:
     return SystemConfig(
         num_users=_count_in(data["num_users"]),
         num_eve_antennas=_count_in(data["num_eve_antennas"]),
-        **{name: _complex_in(data[name], name) if dtype is complex else data[name]
-           for name, (dtype, *_) in _FIELDS.items()},
+        **{name: _complex_in(data[name], dims) if dtype is complex else data[name]
+           for name, (dtype, dims, *_) in _FIELDS.items()},
         energy_model=data.get("energy_model", "reformulated"))
 
 

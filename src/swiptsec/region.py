@@ -1,13 +1,14 @@
 """Pareto boundary sweeps, the time-sharing convex hull, and the exhaustive
-grid-search oracle used to cross-check the condensation solver: a 2-D grid
-over (p1, p2) with closed-form splits and one zoom."""
+oracle used to cross-check the condensation solver: in reliable mode a
+search of the two full-power faces with a certified bound, in secure mode a
+2-D grid over (p1, p2) with one zoom, both with closed-form splits."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 from itertools import permutations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -246,21 +247,142 @@ def hull_height(hull: np.ndarray, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive oracle
+# Oracles
 # ---------------------------------------------------------------------------
+
+# Relative allowance on the face search's bound for rounding: the bound and
+# the rates it caps are the same formula evaluated at nearby powers, each
+# step correctly rounded, so they can disagree by a few ulps where they meet.
+BOUND_ROUNDING = 16 * np.finfo(float).eps
+
 
 @dataclass
 class OracleResult:
     objective: float            # min_k R_eff_k / alpha_k at the best point
     rates: np.ndarray
     op: OperatingPoint
+    bound: Optional[float] = None   # certified upper bound on the optimum (reliable mode)
 
 
-def _oracle_grid(cfg, mode, support, order, p1, p2):
-    """The weight-free part of a pass over the grid p1 x p2: the powers,
-    each user's best split, which cells meet the demands, and the rates.
-    A cell meets the demands when every best split is > 0, the rule of
-    infeasible_demands.  A user outside ``support`` (a silent user) gets
+class _Staircase(NamedTuple):
+    """Pareto points of one full-power face, the free user's rate ascending
+    and the capped user's strictly descending."""
+
+    rates: np.ndarray       # (m, 2), in user order
+    key: np.ndarray         # free rate / capped rate, ascending
+    index: np.ndarray       # each point's sample on the face
+
+
+def _staircase(rates, free) -> _Staircase:
+    """The Pareto points of face samples ``rates`` whose free user's rate
+    ascends: each point whose capped user's rate beats every later one's,
+    by one reverse running maximum."""
+    capped = rates[:, 1 - free]
+    later = np.append(np.maximum.accumulate(capped[::-1])[::-1][1:], -np.inf)
+    index = np.flatnonzero(capped > later)
+    kept = np.take(rates, index, axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        key = kept[:, free] / kept[:, 1 - free]
+    return _Staircase(kept, key, index)
+
+
+def _ray_max(stair: _Staircase, alpha: Weights, free: int) -> tuple:
+    """The highest max-min objective under ``alpha`` of a staircase point
+    and that point's position: one the weight ray meets.  Along the
+    staircase the free user's term rises and the capped user's falls, so
+    the best point is the first whose key reaches the ray's
+    alpha_free / alpha_capped or the one before it; one more either side
+    allows for rounding in the keys.  The candidates are scored as max_min_objective
+    scores, in Python floats, which is faster on so few."""
+    a = alpha.alpha.tolist()
+    ray = a[free] / a[1 - free] if a[1 - free] > 0 else math.inf
+    j = int(np.searchsorted(stair.key, ray))
+    lo = max(j - 2, 0)
+    users = [k for k in (0, 1) if a[k] > 0]
+    values = [min(r[k] / a[k] for k in users) for r in stair.rates[lo:j + 2].tolist()]
+    best = max(range(len(values)), key=values.__getitem__)
+    return values[best], lo + best
+
+
+def _faces(cfg: SystemConfig, support, resolution) -> tuple:
+    """The two full-power faces p2 = P2 (user 1 free) and p1 = P1 (user 2
+    free), each sampled at resolution**2 free powers from 0 to its cap: per
+    face a (free user, powers, splits, samples, bounds) tuple with the
+    samples' powers and best splits, the staircase of their rates and the
+    staircase of per-interval upper bounds.  Computed once per config
+    object, resolution and set of weighted users, and kept read-only with
+    the config (SystemConfig.cached).
+
+    The free user's rate rises with its power, as its best split does; the
+    capped user's is largest at the highest split and the least
+    interference.  So between two samples the free user's rate is at most
+    its value at the upper sample, and the capped user's at most its rate
+    under the upper sample's splits and the lower sample's interference.
+    Every best split rises with every power, so the demands are met on a
+    suffix of each face that ends at the corner (P1, P2), or nowhere; the
+    interval below the suffix's first sample is bounded too, as it may hold
+    feasible points.  A silent user gets split 0, as in the grid oracle.
+    Infeasible demands raise InfeasibleError, and a rate or bound on the
+    suffix that is not finite NumericalFailureError.
+    """
+    def build():
+        n = resolution * resolution
+        # [free user, sample, user], laid out so that each user's powers on
+        # a face are contiguous: the kernels then run on long columns.
+        powers = np.empty((2, 2, n)).transpose(0, 2, 1)
+        for free in (0, 1):
+            powers[free, :, 1 - free] = cfg.power_budget[1 - free]
+            powers[free, :, free] = np.linspace(0.0, cfg.power_budget[free], n)
+        splits = max_splits(cfg, powers)
+        feasible = (splits[..., 0] > 0.0) & (splits[..., 1] > 0.0)
+        if not feasible[0, -1]:         # the corner, where both faces end
+            raise InfeasibleError(
+                f"no point satisfies the harvesting demands {cfg.eh_demands}")
+        splits = np.maximum(splits, 0.0)
+        splits[..., ~support] = 0.0
+        with np.errstate(all="ignore"):
+            rates = tin_rates(cfg, powers, splits)
+            # Interval i runs from sample i to sample i + 1.
+            below = tin_rates(cfg, powers[:, :-1], splits[:, 1:])
+        faces = []
+        for free in (0, 1):
+            capped, first = 1 - free, n - np.count_nonzero(feasible[free])
+            # The bounds of the intervals up to each sample from the first
+            # feasible one; the sample at zero power is one of its own.
+            low = max(first - 1, 0)
+            bounds = rates[free, first:].copy()
+            bounds[low + 1 - first:, capped] = below[free, low:, capped]
+            if not (np.isfinite(rates[free, first:]).all() and np.isfinite(bounds).all()):
+                raise NumericalFailureError(
+                    f"rates on the face p{capped + 1} = {cfg.power_budget[capped]:g} "
+                    "are not finite")
+            faces.append((free, powers[free, first:], splits[free, first:],
+                          _staircase(rates[free, first:], free),
+                          _staircase(bounds, free)))
+        return tuple(faces)
+    return cfg.cached(("faces", resolution, support.tobytes()), build)
+
+
+def _face_search(cfg: SystemConfig, alpha: Weights, resolution) -> OracleResult:
+    """The reliable oracle: the best sample of the full-power faces under
+    ``alpha`` and the certified bound, from one ray search per staircase."""
+    found, bound = [], 0.0
+    for free, powers, splits, samples, bounds in _faces(cfg, alpha.alpha > 0, resolution):
+        value, i = _ray_max(samples, alpha, free)
+        at = samples.index[i]
+        found.append((value, samples.rates[i], powers[at], splits[at]))
+        bound = max(bound, _ray_max(bounds, alpha, free)[0])
+    value, rates, powers, splits = max(found, key=lambda point: point[0])
+    return OracleResult(objective=value, rates=rates.copy(),
+                        op=OperatingPoint(powers, splits),
+                        bound=bound * (1.0 + BOUND_ROUNDING))
+
+
+def _oracle_grid(cfg, support, order, p1, p2):
+    """The weight-free part of a secure pass over the grid p1 x p2: the
+    powers, each user's best split, which cells meet the demands, and the
+    rates.  A cell meets the demands when every best split is > 0, the rule
+    of infeasible_demands.  A user outside ``support`` (a silent user) gets
     split 0: it does not change the objective and harvests the most."""
     powers = np.empty((p1.size, p2.size, 2))
     powers[..., 0] = p1[:, None]
@@ -269,22 +391,16 @@ def _oracle_grid(cfg, mode, support, order, p1, p2):
     feasible = (splits[..., 0] > 0.0) & (splits[..., 1] > 0.0)
     splits = np.maximum(splits, 0.0)
     splits[..., ~support] = 0.0
-    if mode == SECURE:
-        rates = secrecy_rates(cfg, powers, splits, order)
-    else:
-        rates = tin_rates(cfg, powers, splits)
-    return powers, splits, feasible, rates
+    return powers, splits, feasible, secrecy_rates(cfg, powers, splits, order)
 
 
-def _coarse_grid(cfg, mode, support, order, resolution):
+def _coarse_grid(cfg, support, order, resolution):
     """_oracle_grid on the full power box at ``resolution``, computed once
-    per config object, mode, decoding order (secure mode only), resolution
-    and set of weighted users, and kept read-only with the config
-    (SystemConfig.cached)."""
-    key = ("oracle", mode, order.users if mode == SECURE else None, resolution,
-           support.tobytes())
+    per config object, decoding order, resolution and set of weighted
+    users, and kept read-only with the config (SystemConfig.cached)."""
+    key = ("oracle", order.users, resolution, support.tobytes())
     return cfg.cached(key, lambda: _oracle_grid(
-        cfg, mode, support, order,
+        cfg, support, order,
         *(np.linspace(0.0, hi, resolution) for hi in cfg.power_budget)))
 
 
@@ -305,43 +421,13 @@ def _best_cell(grid, alpha):
     return float(obj[i, j]), rates[i, j].copy(), op
 
 
-def oracle_grid_search(cfg: SystemConfig, mode: str, alpha: Weights,
-                       order: Optional[DecodingOrder] = None,
-                       resolution: int = 51) -> OracleResult:
-    """Exhaustive search over a 2-D grid of (p1, p2) with closed-form
-    splits and one local zoom.
-
-    Each grid point takes every user's best split from ``max_splits`` and
-    scores the exact uncondensed objective there with the metrics kernels;
-    points where a best split is not > 0 (a demand met only at eta = 0, or
-    not at all) or where a rate is not finite are discarded.  The search
-    then refines the powers once around the incumbent: the same resolution
-    on a window of one coarse step either side.  Nothing but the weights
-    changes the coarse grid's splits, feasibility and rates between the
-    calls of a sweep, so they are computed once per config object, mode,
-    decoding order, resolution and set of weighted users, and kept with
-    the config (SystemConfig.cached); each call scores them under its
-    weights and evaluates its own zoom window.  The zoom refines only the
-    coarse incumbent, so the result is no bound and is not monotone in
-    ``resolution``: on a secure instance with several local maxima a finer
-    grid can score lower (0.6088 -> 0.6070 bit at resolution 51 -> 101 on
-    one random config).
-    It shares only the eavesdropper's Gram minors with the GP, never a
-    condensed row or the optimizer.  No cell that meets the demands at
-    finite rates raises InfeasibleError; Gram minors that overflow raise
-    NumericalFailureError, which chains the cause, as in iterate; what
-    check_two_user and then check_problem reject raises ConfigError.
-    """
-    check_two_user(cfg, resolution=resolution)
-    check_problem(cfg, alpha, order, mode)
-    if order is None:
-        order = DecodingOrder((0, 1))
-    pmax = cfg.power_budget
+def _grid_search(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
+                 resolution) -> OracleResult:
+    """The secure oracle: the best cell of a 2-D (p1, p2) grid, then of
+    one zoom window around it."""
     support = alpha.alpha > 0
-
     try:
-        coarse = _best_cell(_coarse_grid(cfg, mode, support, order, resolution),
-                            alpha)
+        coarse = _best_cell(_coarse_grid(cfg, support, order, resolution), alpha)
     except ArithmeticError as exc:
         raise NumericalFailureError(f"{type(exc).__name__}: {exc}") from exc
     if coarse is None:
@@ -351,11 +437,56 @@ def oracle_grid_search(cfg: SystemConfig, mode: str, alpha: Weights,
 
     # One zoom: same resolution on a +/- one-coarse-step window per power.
     fine_axes = []
-    for c, hi in zip(best_op.powers, pmax):
+    for c, hi in zip(best_op.powers, cfg.power_budget):
         step = hi / (resolution - 1)
         fine_axes.append(np.linspace(max(c - step, 0.0), min(c + step, hi),
                                      resolution))
-    fine = _best_cell(_oracle_grid(cfg, mode, support, order, *fine_axes), alpha)
+    fine = _best_cell(_oracle_grid(cfg, support, order, *fine_axes), alpha)
     if fine is not None and fine[0] > best_value:
         best_value, best_rates, best_op = fine
     return OracleResult(objective=best_value, rates=best_rates, op=best_op)
+
+
+def oracle_grid_search(cfg: SystemConfig, mode: str, alpha: Weights,
+                       order: Optional[DecodingOrder] = None,
+                       resolution: int = 51) -> OracleResult:
+    """The best max-min objective under ``alpha`` by exhaustive search with
+    closed-form splits, independent of the GP: each point gives every
+    weighted user its best split from ``max_splits`` (a silent user split
+    0) and is scored with the metrics kernels; a point where a best split
+    is not > 0 (a demand met only at eta = 0, or not at all) is discarded.
+
+    Reliable mode searches the two full-power faces, resolution**2 samples
+    each.  Raising every power raises every rate under its best split, as
+    the split rises with the received power, so every optimum has a user at
+    its cap (the treating-interference-as-noise frontier result of
+    Charafeddine, Sezgin & Paulraj, Allerton 2007).  ``objective`` is the
+    best sample and ``bound`` a certified upper bound on the optimum (see
+    _faces), raised by the relative rounding allowance BOUND_ROUNDING; both come
+    from staircases built once per config object, resolution and set of
+    weighted users, so a call evaluates no rate.  A face whose rates are
+    not finite (rates that overflow at full power) raises
+    NumericalFailureError, as such a search can neither score nor bound.
+
+    Secure mode searches a 2-D grid of (p1, p2), ``resolution`` points per
+    axis, then the same resolution on a window of one coarse step either
+    side of its best cell; a cell whose rates are not finite is discarded.
+    The coarse grid's splits, feasibility and rates are computed once per
+    config object, decoding order, resolution and set of weighted users.
+    The zoom refines only the coarse incumbent, so the result is no bound
+    (``bound`` is None) and is not monotone in ``resolution``: on a secure
+    instance with several local maxima a finer grid can score lower (0.6088
+    -> 0.6070 bit at resolution 51 -> 101 on one random config).  It shares
+    only the eavesdropper's Gram minors with the GP; Gram minors that
+    overflow raise NumericalFailureError, which chains the cause, as in
+    iterate.
+
+    No point meeting the demands raises InfeasibleError; what
+    check_two_user and then check_problem reject raises ConfigError.
+    """
+    check_two_user(cfg, resolution=resolution)
+    check_problem(cfg, alpha, order, mode)
+    if mode == SECURE:
+        return _grid_search(cfg, alpha, DecodingOrder((0, 1)) if order is None else order,
+                            resolution)
+    return _face_search(cfg, alpha, resolution)

@@ -194,8 +194,12 @@ def test_oracle_report_written(scenario, tmp_path):
     rows = report["runs"][0]["oracle"]
     assert len(rows) == 3
     for row in rows:
-        assert row["oracle_objective"] is not None
+        assert row["oracle_objective"] is not None and row["oracle_error"] is None
         assert row["shortfall"] <= 0.05 * max(row["oracle_objective"], 1e-9)
+        # The reliable oracle's certified bound caps the solver and its own
+        # best sample.
+        assert row["oracle_objective"] <= row["oracle_bound"]
+        assert row["solver_objective"] <= row["oracle_bound"] + 1e-9
 
 
 def test_oracle_report_keeps_points_the_oracle_cannot_meet(scenario, tmp_path, monkeypatch):
@@ -210,13 +214,15 @@ def test_oracle_report_keeps_points_the_oracle_cannot_meet(scenario, tmp_path, m
         (0.0, None, None), (1.0, None, None)]
 
 
-@pytest.mark.parametrize("mode, grids", [("reliable", 24), ("secure", 48)])
+@pytest.mark.parametrize("mode, grids", [("reliable", 3), ("secure", 48)])
 def test_oracle_evaluates_each_coarse_grid_once(scenario, tmp_path, monkeypatch,
                                                 mode, grids):
-    # The oracle calls of a grid-21 sweep share one coarse grid per set of
-    # weighted users and decoding order, 3 in reliable mode and 6 in secure
-    # mode, and add one zoom window per point: 21 or 42.  Each grid calls
-    # max_splits once; _predicted_start's calls on one point do not count.
+    # The oracle calls of a grid-21 sweep share one sampling of the two
+    # full-power faces per set of weighted users in reliable mode, 3, and
+    # evaluate nothing more.  In secure mode they share one coarse grid per
+    # set of weighted users and decoding order, 6, and add one zoom window
+    # per point, 42.  Each face pair or grid calls max_splits once;
+    # _predicted_start's calls on one point do not count.
     real, calls = region.max_splits, []
 
     def counting(cfg, powers):
@@ -229,6 +235,67 @@ def test_oracle_evaluates_each_coarse_grid_once(scenario, tmp_path, monkeypatch,
                  "--grid", "21", "--oracle", "--out", str(tmp_path / "o")])
     assert code == 0
     assert len(calls) == grids
+
+
+# Gains x1e150 and budgets x1e8: the solver scores every point of a reliable
+# sweep, but user 1's rate overflows to inf at (P1, 0), on a full-power face,
+# so the reliable oracle can neither score nor bound.
+FACE_OVERFLOW = {"gains": 1e150, "power_budget": 1e8}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sweep_reports_an_oracle_that_cannot_score(tmp_path, capsys):
+    # Each point keeps its oracle row, with null oracle fields and the
+    # error's name, and the sweep exits 2 without a traceback.
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(_scaled(weak_interference(), FACE_OVERFLOW)))
+    out = tmp_path / "o"
+    assert main(["sweep", "--scenario", str(path), "--mode", "reliable", "--grid", "5",
+                 "--oracle", "--oracle-res", "11", "--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    [run] = json.loads((out / "report.json").read_text())["runs"]
+    assert run["failures"] == []
+    assert [(row["alpha1"], row["oracle_objective"], row["oracle_bound"],
+             row["oracle_error"], row["shortfall"]) for row in run["oracle"]] == [
+        (alpha1, None, None, "NumericalFailureError", None)
+        for alpha1 in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    assert all(np.isfinite(row["solver_objective"]) for row in run["oracle"])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verify_fails_on_an_oracle_that_cannot_score(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(_scaled(weak_interference(), FACE_OVERFLOW)))
+    assert exit_code(["verify", "--scenario", str(path), "--oracle-res", "11"]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert re.search(r"oracle dominance +FAIL +oracle failed numerically at "
+                     r"alpha1=0\.25, reliable: rates on the face p\d = \S+ are not "
+                     r"finite\n", captured.out), captured.out
+
+
+def test_verify_fails_on_a_solve_above_the_bound(monkeypatch, tmp_path, capsys):
+    # A reliable solve more than BOUND_TOL above the oracle's certified bound
+    # fails oracle dominance: here the bound is lowered to half the oracle's
+    # best sample, which the solver, within 5 % of that sample, exceeds.
+    real_oracle = region.oracle_grid_search
+
+    def low_bound(*args, **kwargs):
+        res = real_oracle(*args, **kwargs)
+        return res if res.bound is None else replace(res, bound=0.5 * res.objective)
+
+    cfg = weak_interference()
+    assert checks.oracle_dominance(cfg, 11)[0]
+    monkeypatch.setattr(region, "oracle_grid_search", low_bound)
+    passed, _, detail = checks.oracle_dominance(cfg, 11)
+    assert not passed
+    assert re.fullmatch(r"solver \S+ above the oracle's bound at alpha1=0\.25, reliable",
+                        detail), detail
+    path = tmp_path / "weak.json"
+    save_scenario(cfg, path)
+    assert main(["verify", "--scenario", str(path), "--oracle-res", "11"]) == 2
+    assert re.search(rf"oracle dominance +FAIL +{re.escape(detail)}\n",
+                     capsys.readouterr().out)
 
 
 def test_verify_passes_on_benchmark(scenario, tmp_path):

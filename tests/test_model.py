@@ -314,7 +314,11 @@ def test_json_rejects_missing_key():
     pytest.param({"gains": [[[1.0, 0.0], [0.5]], [[0.5, 0.0], [1.0, 0.0]]]},
                  [(BAD_VALUE, "gains")], id="short-pair"),
     pytest.param({"eve_channels": [[0.5, 0.0], [0.0, 0.5]]},
-                 [(DIMENSION_MISMATCH, "eve_channels")], id="numbers-not-pairs"),
+                 [(BAD_VALUE, "eve_channels")], id="numbers-not-pairs"),
+    pytest.param({"gains": [[[1.0], [0.5, 0.0]], [[0.5, 0.0], [1.0, 0.0]]],
+                  "power_budget": [-1.0, 1.0]},
+                 [(BAD_VALUE, "gains"), (NON_POSITIVE_BUDGET, "power_budget[0]")],
+                 id="short-pair-with-bad-budget"),
     pytest.param({"gains": [[1.0]]}, [(BAD_VALUE, "gains")], id="no-pairs"),
     pytest.param({"gains": [[["a", 0.0], [0.5, 0.0]], [[0.5, 0.0], [1.0, 0.0]]]},
                  [(BAD_VALUE, "gains")], id="non-numeric-pair"),

@@ -13,6 +13,7 @@ from swiptsec import (ConfigError, DecodingOrder, InfeasibleError,
                       legitimate_rates, oracle_grid_search, region,
                       secrecy_corner, solver, subset_constraints_satisfied,
                       sweep, time_share_hull)
+from swiptsec.metrics import max_min_objective, tin_rates
 from swiptsec.model import max_splits
 from swiptsec.solver import RELIABLE, SECURE
 from swiptsec.scenarios import (random_config, strong_interference,
@@ -413,6 +414,16 @@ def _assert_same_oracle_result(a, b):
     assert np.array_equal(a.rates, b.rates)
     assert np.array_equal(a.op.powers, b.op.powers)
     assert np.array_equal(a.op.splits, b.op.splits)
+    assert a.bound == b.bound
+
+
+def _arrays_within(value) -> list:
+    """Every array in ``value``, searching lists and tuples at any depth."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (list, tuple)):
+        return [arr for item in value for arr in _arrays_within(item)]
+    return []
 
 
 class TestOracle:
@@ -442,10 +453,18 @@ class TestOracle:
     @pytest.mark.parametrize("alpha1", [0.25, 0.5, 1.0])
     def test_overflowed_cells_are_not_points(self, mode, alpha1):
         # Gains x1e150 and budgets x1e10 overflow the rates to inf or NaN on
-        # part of the grid; the cells that stay finite still give a point.
+        # part of the grid; the cells that stay finite still give a secure
+        # point.  Every point of the full-power faces overflows, so the
+        # reliable search can neither score nor bound: it fails numerically,
+        # on every call, as nothing is cached on failure.
         weak = weak_interference()
         cfg = replace(weak, gains=weak.gains * 1e150,
                       power_budget=weak.power_budget * 1e10)
+        if mode == RELIABLE:
+            for _ in range(2):
+                with pytest.raises(NumericalFailureError, match="are not finite"):
+                    oracle_grid_search(cfg, mode, Weights.pair(alpha1), resolution=51)
+            return
         res = oracle_grid_search(cfg, mode, Weights.pair(alpha1), resolution=51)
         assert np.isfinite(res.objective)
         assert np.all(np.isfinite(res.rates))
@@ -508,11 +527,12 @@ class TestOracle:
             assert rep.objective >= oracle.objective * 0.95 - 1e-9
 
     def test_cached_coarse_grids_change_no_result(self):
-        # Calls on one config object share its coarse grids, one per mode,
-        # decoding order, resolution and set of weighted users, kept with
-        # the config (SystemConfig.cached); each result equals, bit for bit,
-        # the same call on a fresh copy of the config, which keeps none yet.
-        # Two rounds: the first builds the grids, the second only reads them.
+        # Calls on one config object share its full-power faces, one per
+        # resolution and set of weighted users, and its secure coarse grids,
+        # one per decoding order, resolution and set of weighted users, kept
+        # with the config (SystemConfig.cached); each result equals, bit for
+        # bit, the same call on a fresh copy of the config, which keeps none
+        # yet.  Two rounds: the first builds them, the second only reads them.
         rng = np.random.default_rng(31)
         cfgs = [weak_interference(eh_demands=(0.8, 0.8)),
                 weak_interference(eh_demands=(0.8, 0.8), eve_geometry="parallel"),
@@ -531,11 +551,14 @@ class TestOracle:
                 fresh = oracle_grid_search(replace(cfg), mode, weights, order,
                                            resolution=resolution)
                 _assert_same_oracle_result(got, fresh)
-            grids = [grid for key, grid in cfg._cached.items() if key[0] == "oracle"]
-            # 3 weight supports x 2 resolutions, in reliable mode and in
-            # each secure order.
-            assert len(grids) == 18
-            for arr in (arr for grid in grids for arr in grid):
+            entries = [(key[0], value) for key, value in cfg._cached.items()
+                       if key[0] in ("faces", "oracle")]
+            # 3 weight supports x 2 resolutions: the faces in reliable mode,
+            # a grid in each secure order.
+            assert sorted(name for name, _ in entries) == ["faces"] * 6 + ["oracle"] * 12
+            arrays = _arrays_within([value for _, value in entries])
+            assert arrays
+            for arr in arrays:
                 with pytest.raises(ValueError, match="read-only"):
                     arr.flat[0] = arr.flat[0]
 
@@ -561,3 +584,68 @@ class TestOracle:
                 expected = (secrecy_corner(cfg, res.op, order)
                             if mode == SECURE else legitimate_rates(cfg, res.op))
                 np.testing.assert_allclose(res.rates, expected, rtol=0, atol=1e-12)
+
+
+def _grid_objective(cfg, alpha, resolution):
+    """The reliable oracle before the face search: the best max-min
+    objective over a 2-D (p1, p2) grid of ``resolution`` points per axis and
+    one zoom window of one step either side of its best cell, each cell at
+    its best splits (a silent user's at 0), discarding cells where a best
+    split is not > 0; None when no cell meets the demands."""
+    support = alpha.alpha > 0
+
+    def best_cell(p1, p2):
+        powers = np.stack(np.meshgrid(p1, p2, indexing="ij"), axis=-1)
+        splits = max_splits(cfg, powers)
+        feasible = (splits > 0.0).all(axis=-1)
+        splits = np.maximum(splits, 0.0)
+        splits[..., ~support] = 0.0
+        obj = max_min_objective(tin_rates(cfg, powers, splits), alpha)
+        obj[~feasible] = -np.inf
+        at = np.unravel_index(np.argmax(obj), obj.shape)
+        return obj[at], powers[at]
+
+    value, at = best_cell(*(np.linspace(0.0, hi, resolution) for hi in cfg.power_budget))
+    if value == -np.inf:
+        return None
+    step = cfg.power_budget / (resolution - 1)
+    window = (np.linspace(max(c - s, 0.0), min(c + s, hi), resolution)
+              for c, s, hi in zip(at, step, cfg.power_budget))
+    return max(value, best_cell(*window)[0])
+
+
+def test_face_search_brackets_the_reliable_optimum():
+    # On 60 seeded two-user draws x 7 weights x 3 resolutions (1260 cases),
+    # the face search's best sample, the 2-D grid oracle it replaced and the
+    # solver are all at most the certified bound (the solver within 1e-9),
+    # the face and grid searches agree on which cases are infeasible, and at
+    # resolution 51 the bracket is at most 1e-3 bit wide.  The cases are
+    # seeded draws, not Hypothesis examples, so they do not change with the
+    # literals of the package.
+    cases = infeasible = 0
+    for draw in range(60):
+        rng = np.random.default_rng(draw)
+        cfg = random_config(rng, 2, int(rng.integers(1, 4)), float(rng.uniform(0, 0.8)))
+        for alpha1 in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
+            weights = Weights.pair(alpha1)
+            try:
+                solved = iterate(cfg, weights, None, RELIABLE).objective
+            except InfeasibleError:
+                solved = None
+            for resolution in (11, 21, 51):
+                cases += 1
+                where = (draw, alpha1, resolution)
+                grid = _grid_objective(cfg, weights, resolution)
+                try:
+                    res = oracle_grid_search(cfg, RELIABLE, weights, resolution=resolution)
+                except InfeasibleError:
+                    assert grid is None and solved is None, where
+                    infeasible += 1
+                    continue
+                assert grid is not None and solved is not None, where
+                assert res.objective <= res.bound, where
+                assert grid <= res.bound, where
+                assert solved <= res.bound + 1e-9, where
+                if resolution == 51:
+                    assert res.bound - res.objective <= 1e-3, where
+    assert cases == 1260 and infeasible < cases
