@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, region, solver
-from .metrics import max_min_objective
 from .model import InfeasibleError, NumericalFailureError, load_scenario
 
 EXIT_OK = 0
@@ -90,17 +89,17 @@ def run_sweep(args) -> int:
             _write_hull(out / f"hull_{mode}_{tag}.csv", boundary.hull)
             entry = {"mode": mode, "eh_demands": [float(v) for v in psi],
                      "points": len(boundary.points),
-                     "gp_solves": sum(pt.iterations for pt in boundary.points),
-                     "newton_steps": sum(pt.newton_steps for pt in boundary.points),
-                     "polished": sum(pt.polished for pt in boundary.points),
+                     "gp_solves": sum(pt.report.iterations for pt in boundary.points),
+                     "newton_steps": sum(pt.report.newton_steps for pt in boundary.points),
+                     "polished": sum(pt.report.polished for pt in boundary.points),
                      "failures": boundary.failures,
                      "non_monotone": [_where(pt) for pt in boundary.points
-                                      if pt.non_monotone],
+                                      if pt.report.non_monotone],
                      "unconverged": [_where(pt) for pt in boundary.points
-                                     if not pt.converged],
+                                     if not pt.report.converged],
                      "optimizer_failures": [
-                         {**_where(pt), "count": pt.optimizer_failures}
-                         for pt in boundary.points if pt.optimizer_failures]}
+                         {**_where(pt), "count": pt.report.optimizer_failures}
+                         for pt in boundary.points if pt.report.optimizer_failures]}
             if boundary.failures:
                 any_failed = True
             if args.oracle:
@@ -135,7 +134,7 @@ def _oracle_comparison(cfg, mode, boundary, resolution) -> tuple:
         except (InfeasibleError, NumericalFailureError) as exc:
             error = type(exc).__name__
             failed |= isinstance(exc, NumericalFailureError)
-        solver_obj = float(max_min_objective(pt.rates_raw, pt.weights))
+        solver_obj = pt.report.objective
         rows.append({
             **_where(pt),
             "solver_objective": solver_obj,

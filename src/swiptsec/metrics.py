@@ -43,13 +43,16 @@ def tin_rates(cfg: SystemConfig, powers, splits) -> np.ndarray:
     K axis of ``powers`` and ``splits``:
 
     R_k = log2(1 + eta_k p_k g_kk / (sig_k^2 + eta_k (rho_k^2 + sum_{j!=k} p_j g_kj)))
-    with g_kj = |h_kj|^2.
+    with g_kj = |h_kj|^2.  The interference sums the off-diagonal gains
+    (cached per config) rather than subtracting the own signal from the
+    received power, which would cancel at a high signal to interference.
     """
     p = np.asarray(powers, dtype=float)
     eta = np.asarray(splits, dtype=float)
     g = cfg.gain_powers
     gain = g.diagonal()
-    sinr = p @ g.T      # the received powers, overwritten by the SINRs
+    cross = cfg.cached("cross_gain_powers", lambda: g - np.diag(gain))
+    sinr = p @ cross.T      # the interference, overwritten by the SINRs
     sig, rho = cfg.processing_noise_vars, cfg.antenna_noise_vars
     if p.ndim == 1:
         sinr = _sinr(p, eta, gain, sinr, sig, rho)
@@ -62,10 +65,10 @@ def tin_rates(cfg: SystemConfig, powers, splits) -> np.ndarray:
     return np.log2(1.0 + sinr)
 
 
-def _sinr(p, eta, gain, received, sig, rho):
+def _sinr(p, eta, gain, interference, sig, rho):
     """The SINR of tin_rates, elementwise: one point's users, or one user's
     column of a grid."""
-    return eta * p * gain / (sig + eta * (rho + (received - gain * p)))
+    return eta * p * gain / (sig + eta * (rho + interference))
 
 
 def energies(cfg: SystemConfig, powers, splits) -> np.ndarray:

@@ -16,7 +16,8 @@ from .metrics import max_min_objective, secrecy_rates, tin_rates
 from .model import (BAD_VALUE, DIMENSION_MISMATCH, ConfigError, DecodingOrder,
                     InfeasibleError, NumericalFailureError, OperatingPoint,
                     SystemConfig, Weights, max_splits)
-from .solver import FEAS_TOL, SECURE, check_problem, iterate, variable_box
+from .solver import (FEAS_TOL, SECURE, SolveReport, check_problem, iterate,
+                     variable_box)
 
 # Rates below this are reported as zero in region output; they correspond to
 # users pinned at the positivity floor of the GP variables.
@@ -33,20 +34,20 @@ def render_rates(rates) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class BoundaryPoint:
+    """A swept point: its weight, and the SolveReport of its solve, the one
+    record of everything else; the rest are read-only views of it."""
     alpha: np.ndarray
     weights: Weights           # the weights solved (alpha after clamping)
     rates: np.ndarray          # rendered (floor-zeroed) effective rates
-    rates_raw: np.ndarray
-    op: OperatingPoint
-    order: Optional[DecodingOrder]
-    iterations: int
-    converged: bool
-    non_monotone: bool         # the solve's GP optima decreased somewhere
-    optimizer_failures: int    # unconverged interior-point runs
-    newton_steps: int          # Newton systems solved over the solve's GPs
-    polished: bool             # the exact-row polish, not the loop, ended the solve
+    report: SolveReport
+
+    rates_raw = property(lambda self: self.report.rates)
+    op = property(lambda self: self.report.op)
+    order = property(lambda self: self.report.order)
+    iterations = property(lambda self: self.report.iterations)
+    converged = property(lambda self: self.report.converged)
 
 
 @dataclass
@@ -136,13 +137,8 @@ def sweep(cfg: SystemConfig, mode: str, psi=None, grid: int = 21) -> RegionBound
                 history[order] = history[order][-1:] + [rep]
             else:
                 first = rep
-            points.append(BoundaryPoint(
-                alpha=np.array([alpha1, 1.0 - alpha1]), weights=weights,
-                rates=render_rates(rep.rates), rates_raw=rep.rates.copy(),
-                op=rep.op, order=rep.order, iterations=rep.iterations,
-                converged=rep.converged, non_monotone=rep.non_monotone,
-                optimizer_failures=rep.optimizer_failures,
-                newton_steps=rep.newton_steps, polished=rep.polished))
+            points.append(BoundaryPoint(np.array([alpha1, 1.0 - alpha1]), weights,
+                                        render_rates(rep.rates), rep))
 
     hull = (time_share_hull([pt.rates for pt in points])
             if points else np.empty((0, 2)))

@@ -46,6 +46,11 @@ MAX_ITERS = 100
 FLOOR_FRAC = 1e-6
 # Largest constraint violation a GP solution may keep.
 FEAS_TOL = 1e-8
+# Lambda's cap in variable_box, which keeps every log variable finite, and
+# how close (in bit) an objective may come to log2 of it: a solve that
+# reaches it stopped at the cap, not at an optimum, and fails.
+LAMBDA_CAP = 2.0 ** 64
+CAP_TOL = 1e-6
 # Interior-point solve of each GP: the Newton-step budget; the duality gap
 # and row violation at which it stops; the barrier parameter of a cold start
 # and of a start from an earlier GP's multipliers, which also floors each
@@ -242,14 +247,23 @@ def variable_box(cfg: SystemConfig) -> tuple:
     times its budget and its budget, and each split at most 1 and at least
     min(FLOOR_FRAC, half its largest value at full power), so every demand
     that some point meets is met inside the box.  Lambda has no floor;
-    solve_gp sets it.  Computed once per config and kept with it
-    (SystemConfig.cached), so both arrays are read-only."""
+    solve_gp sets it, and its cap is LAMBDA_CAP.  Computed once per config
+    and kept with it (SystemConfig.cached), so both arrays are read-only."""
     def build():
         pmax = cfg.power_budget
         eta_floors = np.clip(0.5 * max_splits(cfg, pmax), 0.0, FLOOR_FRAC)
         return (np.concatenate([[0.0], FLOOR_FRAC * pmax, eta_floors]),
-                np.concatenate([[2.0 ** 64], pmax, np.ones(cfg.num_users)]))
+                np.concatenate([[LAMBDA_CAP], pmax, np.ones(cfg.num_users)]))
     return cfg.cached("box", build)
+
+
+def _check_cap(objective: float) -> None:
+    """Raise NumericalFailureError when ``objective`` (bit) is within CAP_TOL
+    of log2(LAMBDA_CAP): the box, not the rates, would bound the solve."""
+    if objective >= math.log2(LAMBDA_CAP) - CAP_TOL:
+        raise NumericalFailureError(
+            f"objective {objective:.6g} bit reaches lambda's cap LAMBDA_CAP = "
+            f"2^{math.log2(LAMBDA_CAP):g} within {CAP_TOL:g} bit")
 
 
 @dataclass(frozen=True, eq=False)
@@ -619,12 +633,14 @@ def solve_gp(gp: GpInstance, duals=None) -> GpSolution:
     run from them; the solution carries the run's own, for the next GP.  A
     converged point is the GP's optimum even where it lies below an anchor
     that violates a row by up to FEAS_TOL.  Raises NumericalFailureError
-    when the anchor violates a constraint by more than FEAS_TOL, before the
-    solver runs, and when the solver leaves one violated.
+    when the anchor violates a constraint by more than FEAS_TOL or its
+    lambda reaches the cap (_check_cap), before the solver runs, and when
+    the solver leaves a constraint violated.
     """
     y0, worst = _exact_lambda(gp.condensed, np.log(gp.anchor))
     if not worst <= FEAS_TOL:
         raise NumericalFailureError(f"anchor violates a constraint by {worst:.3e}")
+    _check_cap(y0[0] / math.log(2.0))
     y, worst, z, converged, steps = _run(gp, gp.condensed, y0, duals)
     if not worst <= FEAS_TOL:
         raise NumericalFailureError(
@@ -644,17 +660,18 @@ def solve_gp(gp: GpInstance, duals=None) -> GpSolution:
 # Outer condensation loop
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SolveReport:
     """Outcome of one weighted max-min solve.
 
     The returned point has the powers where the solve ended, the polished
     point when ``polished`` (an exact-row polish ended the solve: from the
     warm start, or after the first GP) and otherwise the last GP's, and
-    every split at its best value there (at least max_splits).  ``lam`` is
-    recomputed from it through the exact rate formulas (clamped secrecy
-    rates in secure mode), so log2(lam) equals the smallest weighted
-    effective rate at the point.  ``iterations`` counts the GPs solved and
+    every split at its best value there (at least max_splits).  ``rates``
+    (read-only) are its exact effective rates (clamped secrecy rates in
+    secure mode) and ``objective`` is max_min_objective of them, the
+    smallest weighted effective rate at the point, log2 of the lambda the
+    solve maximized.  ``iterations`` counts the GPs solved and
     ``lam_trace`` holds their raw optima, and ``gaps`` each condensed
     denominator's gap at the last GP's solution; a solve that the polish
     from its start ended solved no GP, so it reports 0 iterations, an empty
@@ -668,7 +685,7 @@ class SolveReport:
     polish of a neighbouring weight's solve.
     """
 
-    lam: float
+    objective: float
     op: OperatingPoint
     iterations: int
     lam_trace: list
@@ -681,11 +698,6 @@ class SolveReport:
     newton_steps: int
     polished: bool
     duals: Optional[np.ndarray]
-
-    @property
-    def objective(self) -> float:
-        """min_k R_eff_k / alpha_k at the returned point, i.e. log2(lam)."""
-        return float(np.log2(self.lam))
 
 
 def _feasible_start(cfg: SystemConfig) -> OperatingPoint:
@@ -734,8 +746,9 @@ def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
     InfeasibleError, before any interior-point run.
     A solve ends in a report, InfeasibleError or NumericalFailureError: the
     latter where a GP term, an anchor (an infeasible start included), an
-    exact rate or an eavesdropper covariance breaks down, and chaining any
-    ArithmeticError.
+    exact rate or an eavesdropper covariance breaks down, where the
+    objective, or already a start's or an anchor's, reaches lambda's cap
+    (_check_cap), and chaining any ArithmeticError.
     """
     check_problem(cfg, alpha, order, mode, start)
     if order is None:
@@ -794,6 +807,7 @@ def _solve(cfg, alpha, order, mode, start, duals) -> SolveReport:
                                     f"multipliers >= 0, got {duals}")])
         y, worst = _exact_lambda(rows.exact, _log_point(rows, start))
         if worst <= FEAS_TOL:
+            _check_cap(y[0] / math.log(2.0))
             polished, duals, newton_steps = _polished(rows, y, y, duals)
     converged = polished is not None
     if not converged:
@@ -846,12 +860,14 @@ def _solve(cfg, alpha, order, mode, start, duals) -> SolveReport:
     if not np.all(np.isfinite(eff)):
         # The GP is solved in log space, so it can outlast the exact rates.
         raise NumericalFailureError(f"exact rates {eff} at the final point are not finite")
-    lam = 2.0 ** float(max_min_objective(eff, alpha))
+    eff.setflags(write=False)
+    objective = float(max_min_objective(eff, alpha))
+    _check_cap(objective)
 
     non_monotone = any(trace[i + 1] < trace[i] - EPS_CONV * max(1.0, trace[i])
                        for i in range(len(trace) - 1))
-    return SolveReport(lam=lam, op=point, iterations=len(trace), lam_trace=trace,
-                       gaps=gaps, converged=converged,
+    return SolveReport(objective=objective, op=point, iterations=len(trace),
+                       lam_trace=trace, gaps=gaps, converged=converged,
                        non_monotone=non_monotone, optimizer_failures=failures,
                        order=order if mode == SECURE else None, rates=eff,
                        newton_steps=newton_steps, polished=polished is not None,

@@ -341,9 +341,8 @@ def test_report_lists_non_monotone_points(scenario, tmp_path, monkeypatch):
 
     def flag_one(cfg, alpha, order, mode, **kwargs):
         rep = iterate(cfg, alpha, order, mode, **kwargs)
-        rep.non_monotone = (mode == "secure" and alpha.alpha[0] == 0.5
-                            and order.users == (1, 0))
-        return rep
+        return replace(rep, non_monotone=(mode == "secure" and alpha.alpha[0] == 0.5
+                                          and order.users == (1, 0)))
 
     monkeypatch.setattr(region, "iterate", flag_one)
     secure, reliable = runs("flagged")
@@ -366,8 +365,7 @@ def test_report_lists_unconverged_points(scenario, tmp_path, monkeypatch):
 
     def stall_one(cfg, alpha, order, mode, **kwargs):
         rep = iterate(cfg, alpha, order, mode, **kwargs)
-        rep.converged = not (mode == "reliable" and alpha.alpha[0] == 0.5)
-        return rep
+        return replace(rep, converged=not (mode == "reliable" and alpha.alpha[0] == 0.5))
 
     monkeypatch.setattr(region, "iterate", stall_one)
     secure, reliable = runs("stalled")
@@ -675,7 +673,7 @@ def test_oracle_dominance_fails_on_a_short_secure_solve(monkeypatch, tmp_path, c
     def falling_short(cfg, weights, order, mode, start=None):
         rep = real_iterate(cfg, weights, order, mode, start)
         if mode == solver.SECURE and order == short:
-            rep = replace(rep, lam=2.0 ** (0.9 * rep.objective))
+            rep = replace(rep, objective=0.9 * rep.objective)
         return rep
 
     cfg = weak_interference()

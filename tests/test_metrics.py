@@ -1,4 +1,6 @@
+import math
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
@@ -63,6 +65,36 @@ class TestLegitimateRate:
         for eta in (0.5, 0.7, 0.9):
             r = legitimate_rates(cfg, op(1, 1, eta, 1))[0]
             assert abs(ref - r) <= 0.05
+
+    @pytest.mark.parametrize("cross_amp, scale", [(1e-2, 1e2), (1e-5, 1e5),
+                                                  (1e-6, 1e10), (1e-15, 1e50)])
+    def test_rates_match_exact_arithmetic_at_high_sir(self, cross_amp, scale):
+        # Against the SINR in exact rational arithmetic on the same float
+        # inputs, at signal to interference ratios up to 1e30, in the
+        # per-point path and the column loop: the received power less the
+        # signal would cancel there (233 bit off at the last scale).
+        cfg = symmetric_two_user(cross_amp)
+        cfg = replace(cfg, gains=cfg.gains * scale)
+        rng = np.random.default_rng(7)
+        powers = rng.uniform(0.0, 1.0, (200, 2))
+        splits = rng.uniform(0.0, 1.0, (200, 2))
+        g = [[Fraction(x) for x in row] for row in cfg.gain_powers]
+
+        def exact(p, eta, k):
+            p, eta = [Fraction(x) for x in p], Fraction(eta[k])
+            sig = Fraction(cfg.processing_noise_vars[k])
+            rho = Fraction(cfg.antenna_noise_vars[k])
+            interference = sum(p[j] * g[k][j] for j in range(2) if j != k)
+            x = 1 + eta * p[k] * g[k][k] / (sig + eta * (rho + interference))
+            shift = x.numerator.bit_length() - x.denominator.bit_length()
+            return shift + math.log2(float(x / 2 ** shift))
+
+        grid = tin_rates(cfg, powers, splits)
+        for p, eta, rates in zip(powers, splits, grid):
+            point = legitimate_rates(cfg, OperatingPoint(p, eta))
+            for k in range(2):
+                assert abs(point[k] - exact(p, eta, k)) <= 1e-13
+                assert abs(rates[k] - exact(p, eta, k)) <= 1e-13
 
 
 class TestHarvestedEnergy:

@@ -27,7 +27,7 @@ from swiptsec.region import oracle_grid_search
 from swiptsec.model import max_deliverable_energy, max_splits
 from swiptsec.solver import RELIABLE, SECURE
 from swiptsec.scenarios import (random_config, strong_interference,
-                                weak_interference)
+                                symmetric_two_user, weak_interference)
 
 ORDER12 = DecodingOrder((0, 1))
 
@@ -509,7 +509,8 @@ def test_cached_rows_build_the_cold_gp(seed, num_users, num_eve_antennas, eh_fra
        eh_fraction=st.floats(0.0, 0.6))
 def test_sweep_repeats_on_one_config(seed, mode, eh_fraction):
     # The second sweep of a config object builds every GP from its cached
-    # rows and returns the same boundary, bit for bit.
+    # rows and returns the same boundary, bit for bit.  Each point holds its
+    # solve's report, whose objective is that of its rates, bit for bit.
     rng = np.random.default_rng(seed)
     cfg = random_config(rng, num_users=2, num_eve_antennas=int(rng.integers(1, 4)),
                         eh_fraction=eh_fraction)
@@ -518,8 +519,13 @@ def test_sweep_repeats_on_one_config(seed, mode, eh_fraction):
     assert _identical(first.hull, second.hull)
     assert len(first.points) == len(second.points)
     for p, q in zip(first.points, second.points):
-        assert (p.order, p.iterations, p.newton_steps) == (q.order, q.iterations,
-                                                           q.newton_steps)
+        rep = p.report
+        assert (p.rates_raw is rep.rates and p.op is rep.op and p.order is rep.order
+                and p.iterations is rep.iterations and p.converged is rep.converged)
+        assert not rep.rates.flags.writeable
+        assert rep.objective == float(metrics.max_min_objective(rep.rates, p.weights))
+        assert (p.order, p.iterations, rep.newton_steps) == (q.order, q.iterations,
+                                                             q.report.newton_steps)
         for x, y in ((p.rates_raw, q.rates_raw), (p.op.powers, q.op.powers),
                      (p.op.splits, q.op.splits)):
             assert _identical(x, y)
@@ -926,8 +932,8 @@ class TestIterate:
                 if mode == SECURE:
                     rates = rates - eve_rate_chain(cfg, rep.op.powers, ORDER12)
                     rates = np.maximum(rates, 0.0)
-                # lam encodes the worst weighted effective rate exactly.
-                assert np.log2(rep.lam) == pytest.approx(min(rates / 0.5), abs=1e-6)
+                # The objective is the worst weighted effective rate.
+                assert rep.objective == pytest.approx(min(rates / 0.5), abs=1e-6)
 
     def test_gaps_nonnegative_and_small_at_convergence(self, monkeypatch):
         # The gaps are the last GP's, at that GP's solution: a polished solve
@@ -1241,7 +1247,7 @@ def test_polished_point_meets_exact_rows(seed, num_users, num_eve_antennas, mode
         return
     assert rep.iterations == 1 and rep.converged
     gp = build_gp(cfg, weights, order, rep.op, mode)
-    y = np.log(np.concatenate([[rep.lam], rep.op.powers, rep.op.splits]))
+    y = np.log(np.concatenate([[2.0 ** rep.objective], rep.op.powers, rep.op.splits]))
     if rep.objective == 0.0:
         y[0], _ = _exact_rows_lambda(gp, y)
         assert mode == SECURE and y[0] <= 0.0
@@ -1314,7 +1320,7 @@ def test_warm_solve_no_worse_than_plain(monkeypatch, cfg, weights, nearby, order
     assert warm.objective >= _plain_mm_objective(cfg, nearby, order, mode,
                                                  start=rep.op) - 1e-9
     gp = build_gp(cfg, nearby, order, warm.op, mode)
-    y = np.log(np.concatenate([[warm.lam], warm.op.powers, warm.op.splits]))
+    y = np.log(np.concatenate([[2.0 ** warm.objective], warm.op.powers, warm.op.splits]))
     if warm.objective == 0.0:
         y[0], _ = _exact_rows_lambda(gp, y)
     assert np.all(_exact_log_rows(gp, y) <= solver.FEAS_TOL)
@@ -1341,7 +1347,28 @@ def test_polish_finishes_slow_climb():
     for perm in itertools.permutations(range(3)):
         rep = iterate(cfg, weights, DecodingOrder(perm), SECURE)
         assert rep.polished
-        assert rep.lam >= 1.25663
+        assert 2.0 ** rep.objective >= 1.25663
+
+
+def test_objective_at_lambda_cap_fails():
+    # Direct gains 1e20 and cross gains 1e8 in power: at alpha1 = 0.3 the
+    # solve would end converged and polished at 66.18 bit, short of the face
+    # oracle's 73.15, since lambda's box ends at 2^64.  Every interior
+    # weight of a sweep but the outermost two reaches the cap as well and
+    # fails, also from a warm start or a cold anchor above it, where the
+    # interior point would meet a z / s overflow (a RuntimeWarning, an
+    # error here); the single-user endpoints stay below it, at 59.79 bit.
+    cfg = symmetric_two_user(1e-6)
+    cfg = replace(cfg, gains=cfg.gains * 1e10)
+    with pytest.raises(NumericalFailureError,
+                       match=r"bit reaches lambda's cap LAMBDA_CAP = 2\^64"):
+        iterate(cfg, Weights.pair(0.3), None, RELIABLE)
+    boundary = region.sweep(cfg, RELIABLE, grid=21)
+    assert [pt.alpha[0] for pt in boundary.points] == pytest.approx([0.0, 0.05, 0.95, 1.0])
+    assert all(pt.report.objective < 63.0 for pt in boundary.points)
+    assert len(boundary.failures) == 17
+    assert all(f["error"] == "NumericalFailureError" and "LAMBDA_CAP" in f["message"]
+               for f in boundary.failures)
 
 
 def test_secure_sweep_uses_fewer_gps(monkeypatch):
@@ -1364,9 +1391,9 @@ def test_secure_sweep_uses_fewer_gps(monkeypatch):
     boundary = region.sweep(strong_interference(eve_geometry="parallel"), SECURE,
                             psi=(0.0, 0.0), grid=21)
     assert not boundary.failures
-    assert sum(pt.polished for pt in boundary.points) == len(boundary.points) == 42
+    assert sum(pt.report.polished for pt in boundary.points) == len(boundary.points) == 42
     assert sum(pt.iterations for pt in boundary.points) <= 12
-    assert sum(pt.newton_steps for pt in boundary.points) == sum(steps) <= 350
+    assert sum(pt.report.newton_steps for pt in boundary.points) == sum(steps) <= 350
     hull = boundary.hull
     area = float(np.trapezoid(hull[:, 1], hull[:, 0]))
     assert area == pytest.approx(0.4999983168596667, rel=1e-9)
