@@ -214,15 +214,14 @@ def test_oracle_report_keeps_points_the_oracle_cannot_meet(scenario, tmp_path, m
         (0.0, None, None), (1.0, None, None)]
 
 
-@pytest.mark.parametrize("mode, grids", [("reliable", 3), ("secure", 48)])
+@pytest.mark.parametrize("mode, grids", [("reliable", 1), ("secure", 44)])
 def test_oracle_evaluates_each_coarse_grid_once(scenario, tmp_path, monkeypatch,
                                                 mode, grids):
     # The oracle calls of a grid-21 sweep share one sampling of the two
-    # full-power faces per set of weighted users in reliable mode, 3, and
-    # evaluate nothing more.  In secure mode they share one coarse grid per
-    # set of weighted users and decoding order, 6, and add one zoom window
-    # per point, 42.  Each face pair or grid calls max_splits once;
-    # _predicted_start's calls on one point do not count.
+    # full-power faces in reliable mode, 1, and evaluate nothing more.  In
+    # secure mode they share one coarse grid per decoding order, 2, and add
+    # one zoom window per point, 42.  Each face pair or grid calls
+    # max_splits once; _predicted_start's calls on one point do not count.
     real, calls = region.max_splits, []
 
     def counting(cfg, powers):

@@ -13,6 +13,7 @@ from swiptsec import (ConfigError, DecodingOrder, InfeasibleError,
                       legitimate_rates, oracle_grid_search, region,
                       secrecy_corner, solver, subset_constraints_satisfied,
                       sweep, time_share_hull)
+from swiptsec.checks import BOUND_TOL, SHORTFALL_TOL
 from swiptsec.metrics import max_min_objective, tin_rates
 from swiptsec.model import max_splits
 from swiptsec.solver import RELIABLE, SECURE
@@ -172,6 +173,8 @@ class TestSweep:
         assert len(boundary.points) == 2
         alphas = sorted(pt.alpha[0] for pt in boundary.points)
         assert alphas == [0.0, 1.0]
+        # A point stores its weights once; alpha is a view of them.
+        assert all(pt.alpha is pt.weights.alpha for pt in boundary.points)
 
     def test_secure_branch_count_and_symmetry(self):
         cfg = strong_interference(eve_geometry="parallel")
@@ -222,8 +225,7 @@ def _cold_solves(cfg, mode, grid):
               else [None])
     reports = {}
     for alpha1 in np.linspace(0.0, 1.0, grid):
-        weights = (Weights.pair(alpha1) if alpha1 in (0.0, 1.0)
-                   else region._clamped_weights(alpha1))
+        weights = Weights.pair(alpha1)
         for order in orders:
             try:
                 reports[alpha1, order] = iterate(cfg, weights, order, mode)
@@ -439,7 +441,10 @@ class TestOracle:
         assert res.objective == pytest.approx(0.9229, abs=2e-3)
         assert res.op.powers[0] == pytest.approx(1.0, abs=0.02)
         assert res.op.powers[1] == pytest.approx(0.19, abs=0.05)
-        assert res.op.splits[1] == pytest.approx(0.0, abs=0.05)
+        # The silent user keeps its best split at these powers, as iterate
+        # reports it.
+        assert res.op.splits[1] == pytest.approx(max_splits(cfg, res.op.powers)[1], abs=1e-12)
+        assert res.op.splits[1] == pytest.approx(0.366, abs=1e-3)
 
     def test_demand_beyond_limit(self):
         # Every call raises, also those that reuse the cached coarse grid.
@@ -528,9 +533,9 @@ class TestOracle:
 
     def test_cached_coarse_grids_change_no_result(self):
         # Calls on one config object share its full-power faces, one per
-        # resolution and set of weighted users, and its secure coarse grids,
-        # one per decoding order, resolution and set of weighted users, kept
-        # with the config (SystemConfig.cached); each result equals, bit for
+        # resolution, and its secure coarse grids, one per decoding order
+        # and resolution, kept with the config (SystemConfig.cached),
+        # whatever the weights; each result equals, bit for
         # bit, the same call on a fresh copy of the config, which keeps none
         # yet.  Two rounds: the first builds them, the second only reads them.
         rng = np.random.default_rng(31)
@@ -553,9 +558,9 @@ class TestOracle:
                 _assert_same_oracle_result(got, fresh)
             entries = [(key[0], value) for key, value in cfg._cached.items()
                        if key[0] in ("faces", "oracle")]
-            # 3 weight supports x 2 resolutions: the faces in reliable mode,
-            # a grid in each secure order.
-            assert sorted(name for name, _ in entries) == ["faces"] * 6 + ["oracle"] * 12
+            # 2 resolutions: the faces in reliable mode, a grid in each
+            # secure order.
+            assert sorted(name for name, _ in entries) == ["faces"] * 2 + ["oracle"] * 4
             arrays = _arrays_within([value for _, value in entries])
             assert arrays
             for arr in arrays:
@@ -566,7 +571,8 @@ class TestOracle:
                                              (SECURE, (1, 0))])
     def test_returned_point_agrees_with_metrics(self, mode, order):
         # The oracle's vectorized rates and closed-form splits match the
-        # scalar formulas of metrics at the point it returns.
+        # scalar formulas of metrics at the point it returns, where every
+        # user, a silent one too, is at its best split.
         rng = np.random.default_rng(31)
         cfgs = [weak_interference(eh_demands=(0.8, 0.8)),
                 weak_interference(eh_demands=(0.8, 0.8), eve_geometry="parallel"),
@@ -579,6 +585,8 @@ class TestOracle:
             for alpha1 in (0.0, 0.3, 1.0):
                 res = oracle_grid_search(cfg, mode, Weights.pair(alpha1), order,
                                          resolution=21)
+                np.testing.assert_allclose(res.op.splits, max_splits(cfg, res.op.powers),
+                                           rtol=0, atol=1e-12)
                 energies = harvested_energies(cfg, res.op).per_user
                 assert np.all(energies >= cfg.eh_demands - 1e-12)
                 expected = (secrecy_corner(cfg, res.op, order)
@@ -649,3 +657,25 @@ def test_face_search_brackets_the_reliable_optimum():
                 if resolution == 51:
                     assert res.bound - res.objective <= 1e-3, where
     assert cases == 1260 and infeasible < cases
+
+
+@pytest.mark.parametrize("alpha1", [1e-4, 5e-4, 1 - 5e-4])
+@pytest.mark.parametrize("cfg", [weak_interference(), weak_interference(eh_demands=(0.8, 0.8)),
+                                 strong_interference(eve_geometry="parallel"),
+                                 strong_interference(eh_demands=(1.0, 1.0))],
+                         ids=["weak-e0", "weak-e0.8", "strong-par", "strong-e1"])
+def test_small_weights_solve_directly(cfg, alpha1):
+    # A weight with an entry far below 1e-3 is solved as written, as sweep
+    # does on a fine grid: in reliable mode and in secure mode with either
+    # decoding order, each solve converges, reaches 95 % of the oracle and
+    # (reliable mode) stays within BOUND_TOL of the oracle's bound.
+    weights = Weights.pair(alpha1)
+    for mode, order in [(RELIABLE, None), (SECURE, DecodingOrder((0, 1))),
+                        (SECURE, DecodingOrder((1, 0)))]:
+        where = (mode, order and order.users)
+        rep = iterate(cfg, weights, order, mode)
+        oracle = oracle_grid_search(cfg, mode, weights, order, resolution=51)
+        assert rep.converged, where
+        assert rep.objective >= (1.0 - SHORTFALL_TOL) * oracle.objective, where
+        if oracle.bound is not None:
+            assert rep.objective <= oracle.bound + BOUND_TOL, where

@@ -1270,7 +1270,7 @@ def test_cold_secure_solve_leaves_zero_plateau(draw, perm, oracle):
     # objectives above; the polish after the first GP reaches them.
     rng = np.random.default_rng(draw)
     cfg = random_config(rng, 2, int(rng.integers(1, 4)), float(rng.uniform(0, 0.8)))
-    weights = region._clamped_weights(0.9)
+    weights = Weights.pair(0.9)
     rep = iterate(cfg, weights, DecodingOrder(perm), SECURE)
     found = oracle_grid_search(cfg, SECURE, weights, DecodingOrder(perm), resolution=51)
     assert found.objective == pytest.approx(oracle, abs=1e-5)
@@ -1403,7 +1403,7 @@ def test_secure_sweep_uses_fewer_gps(monkeypatch):
     # zero plateau.
     rng = np.random.default_rng(0)
     cfg = random_config(rng, 2, int(rng.integers(1, 4)), float(rng.uniform(0, 0.8)))
-    rep = iterate(cfg, region._clamped_weights(0.5), ORDER12, SECURE)
+    rep = iterate(cfg, Weights.pair(0.5), ORDER12, SECURE)
     assert not rep.polished and rep.converged
 
 
