@@ -262,12 +262,29 @@ def _best(rates, alpha: Weights) -> tuple:
     return float(obj[i]), i
 
 
-def _rows(keep, *arrays) -> tuple:
-    """Each of ``arrays`` (trailing K axis) where ``keep`` holds, one row
-    per entry in row-major order; np.take, as boolean indexing along the
-    leading axes costs about six times as much here."""
-    at = np.flatnonzero(keep)
-    return tuple(a.reshape(-1, a.shape[-1]).take(at, axis=0) for a in arrays)
+def _samples(cfg: SystemConfig, powers, score) -> tuple:
+    """The one sampler of both oracles: the samples at ``powers`` (trailing
+    K axis) whose best splits (max_splits) are all > 0, the rule of
+    infeasible_demands, as (powers, splits, *score(powers, splits)) rows in
+    row-major order.  A kept sample with a score that is not finite, for any
+    user, or an ArithmeticError while scoring (overflowed Gram minors),
+    raises NumericalFailureError: iterate's rule for its final point."""
+    splits = max_splits(cfg, powers)
+    # np.take on the flat indices, as boolean indexing along the leading
+    # axes costs about six times as much here.
+    at = np.flatnonzero((splits[..., 0] > 0.0) & (splits[..., 1] > 0.0))
+    np.maximum(splits, 0.0, out=splits)
+    try:
+        with np.errstate(all="ignore"):
+            scores = score(powers, splits)
+    except ArithmeticError as exc:
+        raise NumericalFailureError(f"{type(exc).__name__}: {exc}") from exc
+    rows = tuple(a.reshape(-1, a.shape[-1]).take(at, axis=0)
+                 for a in (powers, splits, *scores))
+    if not all(np.isfinite(a).all() for a in rows[2:]):
+        i = np.flatnonzero(~np.isfinite(np.hstack(rows[2:])).all(axis=1))[0]
+        raise NumericalFailureError(f"rates at powers {rows[0][i].tolist()} are not finite")
+    return rows
 
 
 def _result(value, points, i, bound=None) -> OracleResult:
@@ -279,11 +296,10 @@ def _result(value, points, i, bound=None) -> OracleResult:
 def _faces(cfg: SystemConfig, resolution) -> tuple:
     """The two full-power faces p2 = P2 (user 1 free) and p1 = P1 (user 2
     free), each sampled at resolution**2 free powers from 0 to its cap: the
-    samples that meet the demands, as (powers, splits, rates) with one row
-    per sample and each user at its best split, and the per-interval upper
-    bounds on the rates, one row per interval and in the same order.
-    Computed once per config object and resolution, and kept read-only with
-    the config (SystemConfig.cached).
+    _samples rows (powers, splits, rates) that meet the demands, and the
+    per-interval upper bounds on the rates, one row per interval and in the
+    same order.  Computed once per config object and resolution, and kept
+    read-only with the config (SystemConfig.cached).
 
     The free user's rate rises with its power, as its best split does; the
     capped user's is largest at the highest split and the least
@@ -293,9 +309,20 @@ def _faces(cfg: SystemConfig, resolution) -> tuple:
     Every best split rises with every power, so the demands are met on a
     suffix of each face that ends at the corner (P1, P2), or nowhere; the
     interval below the suffix's first sample is bounded too, as it may hold
-    feasible points.  Infeasible demands raise InfeasibleError, and a rate
-    or bound on the suffix that is not finite NumericalFailureError.
+    feasible points.  No sample there (the corner misses the demands)
+    raises InfeasibleError, and a kept rate or bound that is not finite
+    NumericalFailureError (_samples).
     """
+    def score(powers, splits):
+        rates = tin_rates(cfg, powers, splits)
+        # Sample i + 1 bounds the interval up to it from sample i; the
+        # sample at zero power bounds only itself.
+        bounds = rates.copy()
+        below = tin_rates(cfg, powers[:, :-1], splits[:, 1:])
+        for free in (0, 1):
+            bounds[free, 1:, 1 - free] = below[free, :, 1 - free]
+        return rates, bounds
+
     def build():
         n = resolution * resolution
         # [free user, sample, user], laid out so that each user's powers on
@@ -304,27 +331,10 @@ def _faces(cfg: SystemConfig, resolution) -> tuple:
         for free in (0, 1):
             powers[free, :, 1 - free] = cfg.power_budget[1 - free]
             powers[free, :, free] = np.linspace(0.0, cfg.power_budget[free], n)
-        splits = max_splits(cfg, powers)
-        feasible = (splits[..., 0] > 0.0) & (splits[..., 1] > 0.0)
-        if not feasible[0, -1]:         # the corner, where both faces end
+        *points, bounds = _samples(cfg, powers, score)
+        if not len(bounds):
             raise InfeasibleError(
                 f"no point satisfies the harvesting demands {cfg.eh_demands}")
-        splits = np.maximum(splits, 0.0)
-        with np.errstate(all="ignore"):
-            rates = tin_rates(cfg, powers, splits)
-            # Sample i + 1 bounds the interval up to it from sample i; the
-            # sample at zero power bounds only itself.
-            bounds = rates.copy()
-            below = tin_rates(cfg, powers[:, :-1], splits[:, 1:])
-            for free in (0, 1):
-                bounds[free, 1:, 1 - free] = below[free, :, 1 - free]
-            broken = (feasible & ~np.isfinite(rates + bounds).all(axis=-1)).any(axis=1)
-        if broken.any():
-            capped = 1 - int(np.argmax(broken))
-            raise NumericalFailureError(
-                f"rates on the face p{capped + 1} = {cfg.power_budget[capped]:g} "
-                "are not finite")
-        *points, bounds = _rows(feasible, powers, splits, rates, bounds)
         return tuple(points), bounds
     return cfg.cached(("faces", resolution), build)
 
@@ -339,20 +349,11 @@ def _face_search(cfg: SystemConfig, alpha: Weights, resolution) -> OracleResult:
 
 
 def _grid(cfg, order, p1, p2) -> tuple:
-    """The cells of the secure grid p1 x p2 that meet the demands and whose
-    rates are finite, as (powers, splits, rates) with one row per cell in
-    row-major order and each user at its best split.  A cell meets the
-    demands when every best split is > 0, the rule of infeasible_demands."""
+    """The _samples rows (powers, splits, rates) of the secure grid p1 x p2."""
     powers = np.empty((p1.size, p2.size, 2))
     powers[..., 0] = p1[:, None]
     powers[..., 1] = p2
-    splits = max_splits(cfg, powers)
-    feasible = (splits[..., 0] > 0.0) & (splits[..., 1] > 0.0)
-    splits = np.maximum(splits, 0.0)
-    rates = secrecy_rates(cfg, powers, splits, order)
-    # The sum is finite only when both rates are.
-    keep = feasible & np.isfinite(rates[..., 0] + rates[..., 1])
-    return _rows(keep, powers, splits, rates)
+    return _samples(cfg, powers, lambda p, s: (secrecy_rates(cfg, p, s, order),))
 
 
 def _grid_search(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
@@ -361,11 +362,8 @@ def _grid_search(cfg: SystemConfig, alpha: Weights, order: DecodingOrder,
     once per config object, decoding order and resolution and kept
     read-only with the config (SystemConfig.cached), then of one zoom
     window around it."""
-    try:
-        coarse = cfg.cached(("oracle", order.users, resolution), lambda: _grid(
-            cfg, order, *(np.linspace(0.0, hi, resolution) for hi in cfg.power_budget)))
-    except ArithmeticError as exc:
-        raise NumericalFailureError(f"{type(exc).__name__}: {exc}") from exc
+    coarse = cfg.cached(("oracle", order.users, resolution), lambda: _grid(
+        cfg, order, *(np.linspace(0.0, hi, resolution) for hi in cfg.power_budget)))
     value, i = _best(coarse[2], alpha)
     if i is None:
         raise InfeasibleError(
@@ -389,8 +387,8 @@ def oracle_grid_search(cfg: SystemConfig, mode: str, alpha: Weights,
     closed-form splits, independent of the GP: each candidate point gives
     every user its best split from ``max_splits``, as iterate reports it, a
     point where a best split is not > 0 (a demand met only at eta = 0, or
-    not at all) is discarded, and the rest are sampled once per config
-    object, whatever the weights.  A call scores its samples with
+    not at all) is discarded, and the rest are sampled by _samples once per
+    config object, whatever the weights.  A call scores its samples with
     max_min_objective and returns the first best.
 
     Reliable mode searches the two full-power faces, resolution**2 samples
@@ -401,24 +399,22 @@ def oracle_grid_search(cfg: SystemConfig, mode: str, alpha: Weights,
     best sample and ``bound`` the best per-interval bound (see _faces),
     raised by the relative rounding allowance BOUND_ROUNDING, a certified
     upper bound on the optimum; the samples and bounds are computed once
-    per config object and resolution, so a call evaluates no rate.  A face
-    whose rates are not finite (rates that overflow at full power) raises
-    NumericalFailureError, as such a search can neither score nor bound.
+    per config object and resolution, so a call evaluates no rate.
 
     Secure mode searches a 2-D grid of (p1, p2), ``resolution`` points per
     axis, then the same resolution on a window of one coarse step either
-    side of its best cell; a cell whose rates are not finite is discarded.
-    The coarse grid's cells are computed once per config object, decoding
-    order and resolution, the window's on every call.  The zoom refines
-    only the coarse incumbent, so the result is no bound (``bound`` is
-    None) and is not monotone in ``resolution``: on a secure instance with
-    several local maxima a finer grid can score lower (0.6088 -> 0.6070 bit
-    at resolution 51 -> 101 on one random config).  It shares only the
-    eavesdropper's Gram minors with the GP; Gram minors that overflow raise
-    NumericalFailureError, which chains the cause, as in iterate.
+    side of its best cell.  The coarse grid's cells are computed once per
+    config object, decoding order and resolution, the window's on every
+    call.  The zoom refines only the coarse incumbent, so the result is no
+    bound (``bound`` is None) and is not monotone in ``resolution``: on a
+    secure instance with several local maxima a finer grid can score lower
+    (0.6088 -> 0.6070 bit at resolution 51 -> 101 on one random config).
+    It shares only the eavesdropper's Gram minors with the GP.
 
-    No point meeting the demands raises InfeasibleError; what
-    check_two_user and then check_problem reject raises ConfigError.
+    A kept sample with a rate (or face bound) that is not finite, for any
+    user, or Gram minors that overflow raise NumericalFailureError, as in
+    iterate (_samples); no sample meeting the demands InfeasibleError; what
+    check_two_user and then check_problem reject ConfigError.
     """
     check_two_user(cfg, resolution=resolution)
     check_problem(cfg, alpha, order, mode)

@@ -98,6 +98,9 @@ def test_criterion_4_secure_endpoints_any_direction():
 def test_criterion_5_chain_rule_thousand_configs():
     passed, _, detail = checks.chain_rule(np.random.default_rng(5), 1000)
     assert passed, detail
+    # Each subset in each ordering of its own users, once: 500 two-user
+    # configs of 4 cases and 500 three-user configs of 15.
+    assert " over 9500 order/subset cases " in detail, detail
     print(f"\nPASS 5: chain rule vs block sum rate, {detail}")
 
 
@@ -137,7 +140,7 @@ def test_criterion_7_solver_within_five_percent_of_oracle():
         shortfall = max(oracle.objective - rep.objective, 0.0)
         rel = shortfall / max(oracle.objective, 1e-12)
         worst_rel = max(worst_rel, rel)
-        assert rel <= 0.05, (f"solver {rel:.2%} below oracle "
+        assert rel <= checks.SHORTFALL_TOL, (f"solver {rel:.2%} below oracle "
                              f"(oracle {oracle.objective}, solver {rep.objective})")
     print(f"\nPASS 7: solver vs oracle on {len(runs)} instances, "
           f"worst relative shortfall {worst_rel:.3%} (tol 5%), all points feasible")

@@ -195,11 +195,11 @@ def test_oracle_report_written(scenario, tmp_path):
     assert len(rows) == 3
     for row in rows:
         assert row["oracle_objective"] is not None and row["oracle_error"] is None
-        assert row["shortfall"] <= 0.05 * max(row["oracle_objective"], 1e-9)
+        assert row["shortfall"] <= checks.SHORTFALL_TOL * max(row["oracle_objective"], 1e-9)
         # The reliable oracle's certified bound caps the solver and its own
         # best sample.
         assert row["oracle_objective"] <= row["oracle_bound"]
-        assert row["solver_objective"] <= row["oracle_bound"] + 1e-9
+        assert row["solver_objective"] <= row["oracle_bound"] + checks.BOUND_TOL
 
 
 def test_oracle_report_keeps_points_the_oracle_cannot_meet(scenario, tmp_path, monkeypatch):
@@ -262,6 +262,25 @@ def test_sweep_reports_an_oracle_that_cannot_score(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_secure_sweep_reports_an_overflow_not_infeasibility(tmp_path, capsys):
+    # Demands of 1e300 are met on the secure grid only where the rates
+    # overflow: every point keeps its oracle row naming the numerical
+    # failure, not InfeasibleError, and the sweep exits 2 without a traceback.
+    data = _scaled(weak_interference(), {"gains": 1e150, "power_budget": 1e10})
+    data["eh_demands"] = [1e300, 1e300]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "o"
+    assert main(["sweep", "--scenario", str(path), "--mode", "secure", "--grid", "5",
+                 "--oracle", "--oracle-res", "11", "--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    rows = [row for run in json.loads((out / "report.json").read_text())["runs"]
+            for row in run["oracle"]]
+    assert rows
+    assert {row["oracle_error"] for row in rows} == {"NumericalFailureError"}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_verify_fails_on_an_oracle_that_cannot_score(tmp_path, capsys):
     path = tmp_path / "s.json"
     path.write_text(json.dumps(_scaled(weak_interference(), FACE_OVERFLOW)))
@@ -269,7 +288,7 @@ def test_verify_fails_on_an_oracle_that_cannot_score(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert re.search(r"oracle dominance +FAIL +oracle failed numerically at "
-                     r"alpha1=0\.25, reliable: rates on the face p\d = \S+ are not "
+                     r"alpha1=0\.25, reliable: rates at powers \[\S+, \S+\] are not "
                      r"finite\n", captured.out), captured.out
 
 

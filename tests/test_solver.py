@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import swiptsec
-from swiptsec import metrics, model, region, solver
+from swiptsec import checks, metrics, model, region, solver
 from swiptsec import (ConfigError, DecodingOrder, EnergyModel, GpInstance,
                       InfeasibleError, NumericalFailureError, OperatingPoint,
                       Posynomial, Weights,
@@ -1022,7 +1022,7 @@ class TestIterate:
             oracle = oracle_grid_search(cfg, SECURE, weights, order, resolution=51)
             rep = iterate(cfg, weights, order, SECURE)
             shortfall = max(oracle.objective - rep.objective, 0.0)
-            assert shortfall <= 0.05 * max(oracle.objective, 1e-12), (
+            assert shortfall <= checks.SHORTFALL_TOL * max(oracle.objective, 1e-12), (
                 f"alpha={weights.alpha} order={order.users}: solver "
                 f"{rep.objective}, oracle {oracle.objective}")
 
