@@ -195,8 +195,11 @@ def eve_rate_chain(cfg: SystemConfig, p: np.ndarray, order: DecodingOrder,
     outsiders = [u for u in range(cfg.num_users) if u not in subset]
     for i, k in enumerate(remaining):
         interferers = remaining[i + 1:] + outsiders
-        q = _eve_covariance(cfg, p, interferers)
-        quad = inv_quadratic_form(q, cfg.eve_channels[k])
+        h = cfg.eve_channels[k]
+        if interferers:
+            quad = inv_quadratic_form(_eve_covariance(cfg, p, interferers), h)
+        else:   # the covariance is the identity
+            quad = float(np.real(np.vdot(h, h)))
         out[k] = np.log2(1.0 + p[k] * quad / sbar)
     return out
 

@@ -164,22 +164,33 @@ class SystemConfig:
         empty set), keyed by frozenset, with G = conj(H) H^T the Gram matrix
         of the eavesdropper channels; computed once per config (cached).
         Principal minors are >= 0; the clamp removes rounding noise from
-        rank-deficient ones."""
+        rank-deficient ones.  A determinant that overflows (to inf, -inf or
+        NaN) is kept as inf, and eve_det_terms raises where one is used."""
         def build():
-            gram = self.eve_channels.conj() @ self.eve_channels.T
             sbar = self.eve_noise_total
-            return MappingProxyType({
-                frozenset(t): max(np.linalg.det(gram[np.ix_(t, t)]).real, 0.0) / sbar ** len(t)
-                for t in _subsets(range(self.num_users), self.num_eve_antennas)})
+            minors = {}
+            with np.errstate(over="ignore", invalid="ignore"):
+                gram = self.eve_channels.conj() @ self.eve_channels.T
+                for t in _subsets(range(self.num_users), self.num_eve_antennas):
+                    det = np.linalg.det(gram[np.ix_(t, t)]).real
+                    minors[frozenset(t)] = (max(det, 0.0) if np.isfinite(det)
+                                            else np.inf) / sbar ** len(t)
+            return MappingProxyType(minors)
         return self.cached("gram_minors", build)
 
     def eve_det_terms(self, users) -> list:
         """The Cauchy-Binet terms of the eavesdropper determinant
         E(users) = det(I + sum_{j in users} (p_j / sbar) h_j h_j^H)
         = sum_T gram_minors[T] prod_{j in T} p_j: a (T, minor) pair for every
-        T in ``users`` with |T| <= M, the empty set first."""
+        T in ``users`` with |T| <= M, the empty set first.  A term whose
+        minor overflowed raises NumericalFailureError naming every such T."""
         minors = self.gram_minors
-        return [(t, minors[frozenset(t)]) for t in _subsets(users, self.num_eve_antennas)]
+        terms = [(t, minors[frozenset(t)]) for t in _subsets(users, self.num_eve_antennas)]
+        overflowed = [sorted(t) for t, minor in terms if not np.isfinite(minor)]
+        if overflowed:
+            raise NumericalFailureError(
+                f"eavesdropper Gram minors of users {overflowed} overflow")
+        return terms
 
     def cached(self, key, build):
         """``build()``, called once per config object and ``key`` and kept

@@ -16,8 +16,8 @@ from .metrics import max_min_objective, secrecy_rates, tin_rates
 from .model import (BAD_VALUE, DIMENSION_MISMATCH, ConfigError, DecodingOrder,
                     InfeasibleError, NumericalFailureError, OperatingPoint,
                     SystemConfig, Weights, max_splits)
-from .solver import (FEAS_TOL, SECURE, SolveReport, check_problem, iterate,
-                     variable_box)
+from .solver import (FEAS_TOL, SECURE, SolveReport, check_problem, feasible_start,
+                     iterate, variable_box)
 
 # Rates below this are reported as zero in region output; they correspond to
 # users pinned at the positivity floor of the GP variables.
@@ -86,15 +86,17 @@ def sweep(cfg: SystemConfig, mode: str, psi=None, grid: int = 21) -> RegionBound
     starts there too, without multipliers, as it drops the silent user's
     rate row.  At either endpoint the second decoding order starts at the
     first order's solution at that weight, with its multipliers: at one
-    weight both orders' rows have the same layout.  So three solves start
-    cold (two in reliable mode): the first order's alpha1 = 0 endpoint and
-    each order's first interior weight.  The endpoint is a worse start for
-    that weight than the cold point, and the other order's solution there
-    can lead onto a zero-objective plateau that continuation then carries
-    along the branch.  A failed point's successor in its order starts cold.
-    Every start meets every constraint.  A solve with a start begins with
-    the exact-row polish from it and reaches the condensation loop only
-    where that polish is rejected.
+    weight both orders' rows have the same layout.  An interior weight
+    with no solved neighbour in its order (each order's first interior
+    weight, and a failed point's successor) starts at the cold point of
+    feasible_start, without multipliers: the endpoint is a worse start for
+    it, and the other order's solution there can lead onto a
+    zero-objective plateau that continuation then carries along the
+    branch.  Every start meets every constraint.  A solve with a start
+    begins with the exact-row polish from it and reaches the condensation
+    loop only where that polish is rejected.  So only the first order's
+    alpha1 = 0 endpoint, and an endpoint after a failed point, solve
+    without a start, GP first.
     """
     check_two_user(cfg, grid=grid)
     if psi is not None:
@@ -110,13 +112,15 @@ def sweep(cfg: SystemConfig, mode: str, psi=None, grid: int = 21) -> RegionBound
         weights = Weights.pair(alpha1)
         first = None        # the first order's SolveReport at this endpoint
         for order in orders:
-            if first is not None:
-                start, duals = first.op, first.duals
-            else:       # no history yet at alpha1 = 0: a cold start
-                start = _predicted_start(cfg, history[order])
-                duals = (history[order][-1].duals
-                         if interior and start is not None else None)
             try:
+                if first is not None:
+                    start, duals = first.op, first.duals
+                elif interior and not history[order]:
+                    # No solved neighbour in this order: the cold point.
+                    start, duals = feasible_start(cfg), None
+                else:   # None at an endpoint with no history: GP first
+                    start = _predicted_start(cfg, history[order])
+                    duals = history[order][-1].duals if interior else None
                 rep = iterate(cfg, weights, order, mode, start=start, duals=duals)
             except (InfeasibleError, NumericalFailureError) as exc:
                 failures.append({"alpha1": float(alpha1),
@@ -267,8 +271,9 @@ def _samples(cfg: SystemConfig, powers, score) -> tuple:
     K axis) whose best splits (max_splits) are all > 0, the rule of
     infeasible_demands, as (powers, splits, *score(powers, splits)) rows in
     row-major order.  A kept sample with a score that is not finite, for any
-    user, or an ArithmeticError while scoring (overflowed Gram minors),
-    raises NumericalFailureError: iterate's rule for its final point."""
+    user, or an ArithmeticError while scoring (an overflowed Gram minor
+    normalisation), raises NumericalFailureError: iterate's rule for its
+    final point."""
     splits = max_splits(cfg, powers)
     # np.take on the flat indices, as boolean indexing along the leading
     # axes costs about six times as much here.

@@ -700,7 +700,7 @@ class SolveReport:
     duals: Optional[np.ndarray]
 
 
-def _feasible_start(cfg: SystemConfig) -> OperatingPoint:
+def feasible_start(cfg: SystemConfig) -> OperatingPoint:
     """Full power, and each split at min(0.5, max_splits at full power): a
     point that satisfies every constraint, as harvested energy grows with
     every power; computed once per config and kept with it.  A demand that
@@ -729,7 +729,7 @@ def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
     polish is accepted it ends the solve, and no GP is built or solved.
     Otherwise, and for every solve without a start, the condensation loop
     runs from the start or, with none, from the cold start of
-    _feasible_start.  The start must meet every constraint within FEAS_TOL;
+    feasible_start.  The start must meet every constraint within FEAS_TOL;
     each condensed GP is exact at its anchor, so every iterate then stays
     feasible.  After the first GP the interior point runs once more, on the
     exact rows, and ends the solve where it converges to a feasible point
@@ -745,10 +745,11 @@ def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
     (rows + 2n) raise ConfigError, and no feasible point at all
     InfeasibleError, before any interior-point run.
     A solve ends in a report, InfeasibleError or NumericalFailureError: the
-    latter where a GP term, an anchor (an infeasible start included), an
-    exact rate or an eavesdropper covariance breaks down, where the
-    objective, or already a start's or an anchor's, reaches lambda's cap
-    (_check_cap), and chaining any ArithmeticError.
+    latter where a GP term, an eavesdropper Gram minor the rows use
+    (SystemConfig.eve_det_terms), an anchor (an infeasible start
+    included), an exact rate or an eavesdropper covariance breaks down,
+    where the objective, or already a start's or an anchor's, reaches
+    lambda's cap (_check_cap), and chaining any ArithmeticError.
     """
     check_problem(cfg, alpha, order, mode, start)
     if order is None:
@@ -789,7 +790,7 @@ def _polished(gp: GpInstance, y, ref, z=None) -> tuple:
 
 
 def _solve(cfg, alpha, order, mode, start, duals) -> SolveReport:
-    cold = _feasible_start(cfg)     # raises InfeasibleError, also for a start
+    cold = feasible_start(cfg)      # raises InfeasibleError, also for a start
     trace, gaps = [], np.empty(0)
     failures = newton_steps = 0
     polished = None

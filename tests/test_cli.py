@@ -448,17 +448,16 @@ def test_report_counts_newton_steps(scenario, tmp_path, monkeypatch):
 
 def test_report_counts_polished_points(tmp_path):
     # polished counts the points whose solve an exact-row polish ended:
-    # every point of the strong parallel-Eve secure sweep.  Only the three
-    # cold solves (the first order's alpha1 = 0 endpoint and each order's
-    # first interior weight) solve a GP; every other point is polished from
-    # its start.
+    # every point of the strong parallel-Eve secure sweep.  Only the first
+    # order's alpha1 = 0 endpoint, the one solve without a start, solves a
+    # GP; every other point is polished from its start.
     save_scenario(strong_interference(eve_geometry="parallel"), tmp_path / "strong.json")
     out = tmp_path / "o"
     assert main(["sweep", "--scenario", str(tmp_path / "strong.json"), "--mode",
                  "secure", "--grid", "21", "--out", str(out)]) == 0
     [run] = json.loads((out / "report.json").read_text())["runs"]
     assert run["polished"] == run["points"] == 42
-    assert run["gp_solves"] == 3
+    assert run["gp_solves"] == 1
 
 
 def exit_code(argv):
@@ -665,6 +664,34 @@ def test_verify_fails_on_overflow(tmp_path, capsys, cfg, factors, failing):
     for name in failing:
         assert re.search(rf"{name} +FAIL +\S", captured.out), captured.out
     assert "-inf" not in captured.out
+
+
+# Eve's channels x1e119 on a two-antenna draw: the Gram minor of both users
+# overflows, while each single-user minor (about 1e237) does not.
+GRAM_OVERFLOW = _scaled(random_config(np.random.default_rng(7), 2, 2), {"eve_channels": 1e119})
+
+
+def test_overflowed_gram_minor_fails_only_where_it_is_used(tmp_path, capsys):
+    # No RuntimeWarning filter: the minor overflows quietly, and each solve
+    # whose rows need it fails naming it.  The order (1, 2) alpha1 = 0
+    # endpoint needs only user 2's own minor and is solved; the order (2, 1)
+    # alpha1 = 1 endpoint's rows need only user 1's, and its eavesdropper
+    # covariance is not positive definite.
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(GRAM_OVERFLOW))
+    out = tmp_path / "o"
+    assert main(["sweep", "--scenario", str(path), "--mode", "secure", "--grid", "5",
+                 "--out", str(out)]) == 2
+    [run] = json.loads((out / "report.json").read_text())["runs"]
+    assert run["points"] == 1
+    messages = [f["message"] for f in run["failures"]]
+    assert messages == 8 * ["eavesdropper Gram minors of users [[0, 1]] overflow"] + [
+        "covariance factorisation failed: Matrix is not positive definite"]
+    capsys.readouterr()
+    assert exit_code(["verify", "--scenario", str(path), "--oracle-res", "11"]) == 2
+    assert re.search(r"oracle dominance +FAIL +solver failed numerically at .*: "
+                     r"eavesdropper Gram minors of users \[\[0, 1\]\] overflow",
+                     capsys.readouterr().out)
 
 
 def test_subset_corners_counts_the_corners_checked():

@@ -16,9 +16,9 @@ from swiptsec import (ConfigError, DecodingOrder, InfeasibleError,
 from swiptsec.checks import BOUND_TOL, SHORTFALL_TOL
 from swiptsec.metrics import max_min_objective, tin_rates
 from swiptsec.model import infeasible_demands, max_splits
-from swiptsec.solver import RELIABLE, SECURE
+from swiptsec.solver import RELIABLE, SECURE, feasible_start
 from swiptsec.scenarios import (random_config, strong_interference,
-                                weak_interference)
+                                symmetric_two_user, weak_interference)
 
 # One corner branch of the zero-demand secure region of the symmetric
 # two-user benchmark, as published; the other branch is its mirror image.
@@ -306,14 +306,15 @@ def test_every_sweep_start_meets_every_row(seed, count, mode, grid):
 
 @pytest.mark.parametrize("cfg, mode, cold, crossed", [
     (strong_interference(eve_geometry="parallel"), SECURE,
-     [(0.0, (1, 2)), (0.05, (1, 2)), (0.05, (2, 1))], [(0.0, (2, 1)), (1.0, (2, 1))]),
-    (weak_interference(), RELIABLE, [(0.0, None), (0.05, None)], [])])
+     [(0.05, (1, 2)), (0.05, (2, 1))], [(0.0, (2, 1)), (1.0, (2, 1))]),
+    (weak_interference(), RELIABLE, [(0.05, None)], [])])
 def test_sweep_starts_cold_only_without_a_solved_neighbour(cfg, mode, cold, crossed):
     # Every solve with a solved neighbour starts from it: interior weights
     # and the alpha1 = 1 endpoint continue along their order's branch, and
     # at either endpoint the second order starts at the first order's
-    # solution there, with its multipliers.  Only the first order's alpha1
-    # = 0 endpoint and each order's first interior weight start cold.
+    # solution there, with its multipliers.  Each order's first interior
+    # weight starts at the cold point without multipliers, and only the
+    # first order's alpha1 = 0 endpoint has no start (the GP-first path).
     calls = []
     real_iterate = region.iterate
 
@@ -327,13 +328,42 @@ def test_sweep_starts_cold_only_without_a_solved_neighbour(cfg, mode, cold, cros
         boundary = sweep(cfg, mode, grid=21)
     assert not boundary.failures
     assert len(calls) == len(boundary.points)
-    assert [(alpha1, order) for alpha1, order, start, _ in calls if start is None] == cold
-    # Multipliers go with every start but the alpha1 = 1 endpoint's
+    assert [(alpha1, order) for alpha1, order, start, _ in calls if start is None] == [
+        (0.0, cold[0][1])]
+    assert [(alpha1, order, duals) for alpha1, order, start, duals in calls
+            if start is feasible_start(cfg)] == [(*at, None) for at in cold]
+    # Multipliers go with every other start but the alpha1 = 1 endpoint's
     # prediction, as that endpoint drops the silent user's rate row.
     assert [(alpha1, order) for alpha1, order, start, duals in calls
             if alpha1 in (0.0, 1.0) and duals is not None] == crossed
     assert all(duals is not None for alpha1, _, start, duals in calls
-               if start is not None and alpha1 not in (0.0, 1.0))
+               if start not in (None, feasible_start(cfg)) and alpha1 not in (0.0, 1.0))
+
+
+def test_failed_point_successor_starts_at_the_cold_point():
+    # Signal to interference 1e12 puts the weighted objective past lambda's
+    # cap at alpha1 = 0.1 ... 0.9.  Each interior point after a failed one
+    # has no solved neighbour, so it starts at the cold point without
+    # multipliers, and at alpha1 = 0.95 that start finishes the solve.
+    base = symmetric_two_user(1e-6)
+    cfg = replace(base, gains=base.gains * 1e10)
+    calls = []
+    real_iterate = region.iterate
+
+    def recording(cfg, weights, order, mode, start=None, duals=None):
+        calls.append((float(weights.alpha[0]), start, duals))
+        return real_iterate(cfg, weights, order, mode, start=start, duals=duals)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(region, "iterate", recording)
+        boundary = sweep(cfg, RELIABLE, grid=21)
+    failed = [f["alpha1"] for f in boundary.failures]
+    assert len(failed) == 17
+    assert all("LAMBDA_CAP" in f["message"] for f in boundary.failures)
+    assert [pt.alpha[0] for pt in boundary.points] == pytest.approx([0.0, 0.05, 0.95, 1.0])
+    after = [call for prev, call in zip(calls, calls[1:]) if prev[0] in failed]
+    assert len(after) == 17
+    assert all(start is feasible_start(cfg) and duals is None for _, start, duals in after)
 
 
 # Cold and warm solves both stop on a small GP step, which can come early in

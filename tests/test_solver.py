@@ -210,7 +210,7 @@ def _assert_same_gp(got, want):
 class TestRecondense:
     @pytest.mark.parametrize("cfg,weights,order,mode", _recondense_cases())
     def test_recondensed_equals_fresh_build(self, cfg, weights, order, mode):
-        start = solver._feasible_start(cfg)
+        start = solver.feasible_start(cfg)
         gp = build_gp(cfg, weights, order, start, mode)
         _assert_same_gp(gp.recondensed(start), gp)
         point = solve_gp(gp).op
@@ -224,7 +224,7 @@ class TestRecondense:
         # multipliers.  After the first GP the interior point runs once on
         # the exact rows, and its point ends the solve when
         # _polish_reference accepts it.
-        gp = build_gp(cfg, weights, order, solver._feasible_start(cfg), mode)
+        gp = build_gp(cfg, weights, order, solver.feasible_start(cfg), mode)
         trace, failures, duals = [], 0, None
         polished = None
         for i in range(solver.MAX_ITERS):
@@ -258,7 +258,7 @@ def test_constraints_are_numerators_over_monomials(cfg, weights, order, mode):
     # GpInstance.constraints shows row i as its numerator's terms, each
     # divided by the row's one-term monomial: same term count, and the
     # value N_i(x) / M_i(x) at the anchor and away from it.
-    gp = build_gp(cfg, weights, order, solver._feasible_start(cfg), mode)
+    gp = build_gp(cfg, weights, order, solver.feasible_start(cfg), mode)
     (num_a, num_b, num_starts, _), _, (mono_a, mono_b, mono_starts, _) = _parts(gp)
     rows = len(gp.labels)
     assert mono_a.shape == (rows, gp.anchor.size)
@@ -285,7 +285,7 @@ def test_condensed_rows_keep_the_exact_numerators(cfg, weights, order, mode):
     # A condensed GP lays out the numerators of its exact rows, bit for bit,
     # over one monomial per row that touches its exact denominator at the
     # anchor; checked on the cold GP and on the next one.
-    gp = build_gp(cfg, weights, order, solver._feasible_start(cfg), mode)
+    gp = build_gp(cfg, weights, order, solver.feasible_start(cfg), mode)
     for gp in (gp, gp.recondensed(solve_gp(gp).op)):
         for got, want in zip(gp.condensed.part(False), gp.exact.part(False), strict=True):
             assert _identical(got, want)
@@ -330,7 +330,7 @@ def test_converged_gp_run_meets_dual_residual(cfg, weights, order, mode):
     # iterate, with each row's gradient that of its numerator minus its
     # monomial's.  Checked on the cold first GP and on the next, started
     # from its multipliers.
-    gps = [build_gp(cfg, weights, order, solver._feasible_start(cfg), mode)]
+    gps = [build_gp(cfg, weights, order, solver.feasible_start(cfg), mode)]
     runs = []
     interior_point = solver._interior_point
 
@@ -559,7 +559,7 @@ def test_constraint_jacobian_matches_central_differences(seed, num_users, mode,
     cfg = random_config(rng, num_users=num_users, eh_fraction=eh_fraction)
     order = DecodingOrder(tuple(int(k) for k in rng.permutation(num_users)))
     w = rng.uniform(0.2, 1.0, num_users)
-    gp = build_gp(cfg, Weights(w / w.sum()), order, solver._feasible_start(cfg),
+    gp = build_gp(cfg, Weights(w / w.sum()), order, solver.feasible_start(cfg),
                   mode)
     seen = []
     interior_point = solver._interior_point
@@ -615,7 +615,7 @@ def _newton_matrices(gp, rows, den, rng):
 
 
 def _assert_one_product_newton_matrix(cfg, weights, order, mode, rng):
-    gp = build_gp(cfg, weights, order, solver._feasible_start(cfg), mode)
+    gp = build_gp(cfg, weights, order, solver.feasible_start(cfg), mode)
     _, exact_den, mono = _parts(gp)
     for rows, den in ((gp.condensed, mono), (gp.exact, exact_den)):
         one, term_by_term = _newton_matrices(gp, rows, den, rng)
@@ -677,7 +677,7 @@ def test_exact_lambda_evaluates_the_rows_once(seed, num_users, mode, eh_fraction
     cfg = random_config(rng, num_users=num_users, eh_fraction=eh_fraction)
     order = DecodingOrder(tuple(int(k) for k in rng.permutation(num_users)))
     w = rng.uniform(0.2, 1.0, num_users)
-    gp = build_gp(cfg, Weights(w / w.sum()), order, solver._feasible_start(cfg), mode)
+    gp = build_gp(cfg, Weights(w / w.sum()), order, solver.feasible_start(cfg), mode)
     y0 = np.log(gp.anchor)
     num, exact_den, mono = _parts(gp)
     for y in (y0, y0 + np.concatenate([[log_lam], rng.normal(0.0, 0.2, y0.size - 1)])):
@@ -704,7 +704,7 @@ def test_config_layouts_are_read_only_private_and_dropped():
     def kept(config):
         return config.cached(key, lambda: pytest.fail("the rows were not kept"))
 
-    gp = build_gp(cfg, weights, ORDER12, solver._feasible_start(cfg), SECURE)
+    gp = build_gp(cfg, weights, ORDER12, solver.feasible_start(cfg), SECURE)
     unanchored, lam = kept(cfg)
     cached = unanchored.exact
     floors, caps = solver.variable_box(cfg)
@@ -716,7 +716,7 @@ def test_config_layouts_are_read_only_private_and_dropped():
     assert changed[:, 0].any() and not changed[:, 1:].any()
     assert all(mine is shared for mine, shared in zip(gp.exact[1:], cached[1:]))
     other = replace(cfg, eh_demands=cfg.eh_demands)
-    build_gp(other, weights, ORDER12, solver._feasible_start(other), SECURE)
+    build_gp(other, weights, ORDER12, solver.feasible_start(other), SECURE)
     theirs = kept(other)[0].exact
     assert not any(np.shares_memory(mine, shared) for mine, shared in zip(theirs, cached))
     assert np.array_equal(theirs.m, cached.m)
@@ -943,7 +943,7 @@ class TestIterate:
         cfg = weak_interference(eh_demands=(0.8, 0.8))
         rep = iterate(cfg, Weights.pair(0.5), None, RELIABLE)
         assert rep.polished and rep.iterations == 1
-        gp = build_gp(cfg, Weights.pair(0.5), ORDER12, solver._feasible_start(cfg),
+        gp = build_gp(cfg, Weights.pair(0.5), ORDER12, solver.feasible_start(cfg),
                       RELIABLE)
         point = solve_gp(gp).op
         x = np.concatenate([[1.0], point.powers, point.splits])
@@ -1155,7 +1155,7 @@ def test_uncondensed_rows_equal_exact_formulas(seed, num_users, num_eve_antennas
                       * h[0] / np.linalg.norm(h[0]))
     order = DecodingOrder(tuple(int(k) for k in rng.permutation(num_users)))
     alpha = np.array(weights[:num_users]) / sum(weights[:num_users])
-    gp = build_gp(cfg, Weights(alpha), order, solver._feasible_start(cfg), mode)
+    gp = build_gp(cfg, Weights(alpha), order, solver.feasible_start(cfg), mode)
     for _ in range(25):
         x = np.exp(rng.uniform(np.log(np.maximum(gp.floors, 2.0 ** -64)),
                                np.log(gp.caps)))
@@ -1182,7 +1182,7 @@ def _plain_mm_objective(cfg, weights, order, mode, start=None):
     """Exact objective after the plain condensation loop from ``start`` (the
     cold start without one): each GP built at the previous GP's solution,
     with no polish and no warm start."""
-    point = solver._feasible_start(cfg) if start is None else start
+    point = solver.feasible_start(cfg) if start is None else start
     trace = []
     for _ in range(solver.MAX_ITERS):
         solution = solve_gp(build_gp(cfg, weights, order, point, mode))
