@@ -15,9 +15,9 @@ weights = Weights.pair(0.5)
 report = iterate(cfg, weights, None, RELIABLE)
 
 print("weak benchmark, demands (0.8, 0.8), equal weights\n")
-print("iter   lambda (GP)    weighted min-rate")
-for i, lam in enumerate(report.lam_trace, 1):
-    print(f"{i:4d}   {lam:11.8f}    {np.log2(lam) * 0.5:.8f}")
+print("iter   log2 lambda (GP, bit)    weighted min-rate")
+for i, bit in enumerate(report.lam_trace, 1):
+    print(f"{i:4d}   {bit:21.8f}    {bit * 0.5:.8f}")
 print(f"\nconverged: {report.converged} in {report.iterations} iterations")
 print(f"final powers {np.round(report.op.powers, 6)}, splits {np.round(report.op.splits, 6)}")
 print(f"reported rates {np.round(report.rates, 6)} (published symmetric point: 1.04026)")

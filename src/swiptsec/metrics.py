@@ -46,23 +46,27 @@ def tin_rates(cfg: SystemConfig, powers, splits) -> np.ndarray:
     with g_kj = |h_kj|^2.  The interference sums the off-diagonal gains
     (cached per config) rather than subtracting the own signal from the
     received power, which would cancel at a high signal to interference.
+    A gain power that overflowed makes a rate inf or NaN without a warning;
+    the callers report it.
     """
     p = np.asarray(powers, dtype=float)
     eta = np.asarray(splits, dtype=float)
     g = cfg.gain_powers
     gain = g.diagonal()
-    cross = cfg.cached("cross_gain_powers", lambda: g - np.diag(gain))
-    sinr = p @ cross.T      # the interference, overwritten by the SINRs
+    cross = cfg.cached("cross_gain_powers",
+                       lambda: np.where(np.eye(gain.size, dtype=bool), 0.0, g))
     sig, rho = cfg.processing_noise_vars, cfg.antenna_noise_vars
-    if p.ndim == 1:
-        sinr = _sinr(p, eta, gain, sinr, sig, rho)
-    else:
-        # One user's column at a time: ops against a length-K vector would
-        # loop over the short trailing axis innermost, which is slow on a grid.
-        for k in range(cfg.num_users):
-            sinr[..., k] = _sinr(p[..., k], eta[..., k], gain[k], sinr[..., k],
-                                 sig[k], rho[k])
-    return np.log2(1.0 + sinr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sinr = p @ cross.T      # the interference, overwritten by the SINRs
+        if p.ndim == 1:
+            sinr = _sinr(p, eta, gain, sinr, sig, rho)
+        else:
+            # One user's column at a time: ops against a length-K vector would
+            # loop over the short trailing axis innermost, which is slow on a grid.
+            for k in range(cfg.num_users):
+                sinr[..., k] = _sinr(p[..., k], eta[..., k], gain[k], sinr[..., k],
+                                     sig[k], rho[k])
+        return np.log2(1.0 + sinr)
 
 
 def _sinr(p, eta, gain, interference, sig, rho):

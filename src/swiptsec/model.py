@@ -155,8 +155,12 @@ class SystemConfig:
     @property
     def gain_powers(self) -> np.ndarray:
         """|gains|^2, the only form the rate/energy formulas consume; computed
-        once per config (cached, read-only)."""
-        return self.cached("gain_powers", lambda: np.abs(self.gains) ** 2)
+        once per config (cached, read-only).  A gain past 1e154 squares to
+        inf, which the GP rows and the exact rates report."""
+        def build():
+            with np.errstate(over="ignore"):
+                return np.abs(self.gains) ** 2
+        return self.cached("gain_powers", build)
 
     @property
     def gram_minors(self) -> MappingProxyType:
@@ -217,9 +221,11 @@ class SystemConfig:
 
 
 def max_deliverable_energy(cfg: SystemConfig) -> np.ndarray:
-    """Largest harvestable energy per user (full power, eta = 0)."""
+    """Largest harvestable energy per user (full power, eta = 0); inf where
+    it overflows."""
     c, d = cfg.harvest_offsets
-    return c + (cfg.gain_powers @ cfg.power_budget + d)
+    with np.errstate(over="ignore"):
+        return c + (cfg.gain_powers @ cfg.power_budget + d)
 
 
 def max_splits(cfg: SystemConfig, powers) -> np.ndarray:
@@ -230,10 +236,10 @@ def max_splits(cfg: SystemConfig, powers) -> np.ndarray:
     """
     c, d = cfg.harvest_offsets
     need = np.maximum(cfg.eh_demands - c, 0.0)
-    eta = np.asarray(powers, dtype=float) @ cfg.gain_powers.T      # T
     # One user's column at a time: ops against a length-K vector would loop
     # over the short trailing axis innermost, which is slow on a grid.
-    with np.errstate(all="ignore"):     # T + d may be 0: eta* = -inf
+    with np.errstate(all="ignore"):     # T may overflow, T + d be 0: eta* = -inf
+        eta = np.asarray(powers, dtype=float) @ cfg.gain_powers.T      # T
         for k in range(cfg.num_users):
             eta[..., k] = 1.0 - need[k] / (eta[..., k] + d[k]) if need[k] > 0 else 1.0
     return eta

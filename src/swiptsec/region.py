@@ -160,13 +160,13 @@ def _predicted_start(cfg: SystemConfig, history: list) -> Optional[OperatingPoin
     older, last = (rep.op for rep in history)
     kk = cfg.num_users
     floors, caps = variable_box(cfg)
-    lo, hi = np.log(floors[1:kk + 1]), np.log(caps[1:kk + 1])
+    lo, hi = np.log(floors[:kk]), np.log(caps[:kk])
     log_p = 2.0 * np.log(last.powers) - np.log(older.powers)
     if np.any((log_p < lo - FEAS_TOL) | (log_p > hi + FEAS_TOL)):
         return last
     powers = np.exp(np.clip(log_p, lo, hi))
     best = max_splits(cfg, powers)
-    if np.any(best <= floors[kk + 1:]):
+    if np.any(best <= floors[kk:]):
         return last
     return OperatingPoint(powers, best)
 

@@ -46,11 +46,6 @@ MAX_ITERS = 100
 FLOOR_FRAC = 1e-6
 # Largest constraint violation a GP solution may keep.
 FEAS_TOL = 1e-8
-# Lambda's cap in variable_box, which keeps every log variable finite, and
-# how close (in bit) an objective may come to log2 of it: a solve that
-# reaches it stopped at the cap, not at an optimum, and fails.
-LAMBDA_CAP = 2.0 ** 64
-CAP_TOL = 1e-6
 # Interior-point solve of each GP: the Newton-step budget; the duality gap
 # and row violation at which it stops; the barrier parameter of a cold start
 # and of a start from an earlier GP's multipliers, which also floors each
@@ -137,12 +132,13 @@ class Layout(NamedTuple):
     for every interior-point run over them.  ``m`` is the run's matrix
     M = [A; P; G] without the parts that move: A stacks the numerators' and
     then the denominators' term exponents (filled), P holds each of those
-    posynomials' gradient and G = [J; I; -I] the rows' Jacobian J = P_N -
-    P_D over the box (only the box filled).  ``b`` holds each term's
-    log-coefficient, ``starts`` each posynomial's first term and ``seg``
-    each term's posynomial, denominator i as posynomial rows + i.  ``row``
-    and ``sign`` give each term and then each posynomial the row it belongs
-    to and the sign of its part of that row's Hessian."""
+    posynomials' gradient and G = [J; B; -B] the rows' Jacobian J = P_N -
+    P_D over the box rows, B = [0 I] picking (p, eta) out of x (only B
+    filled).  ``b`` holds each term's log-coefficient, ``starts`` each
+    posynomial's first term and ``seg`` each term's posynomial, denominator
+    i as posynomial rows + i.  ``row`` and ``sign`` give each term and then
+    each posynomial the row it belongs to and the sign of its part of that
+    row's Hessian."""
     m: np.ndarray
     b: np.ndarray
     starts: np.ndarray
@@ -168,9 +164,9 @@ def _layout(num, den) -> Layout:
     (a_num, b_num, starts_num, seg_num), (a_den, b_den, starts_den, seg_den) = num, den
     rows, n = starts_num.size, a_num.shape[1]
     terms = b_num.size + b_den.size
-    m = np.zeros((terms + 3 * rows + 2 * n, n))
+    m = np.zeros((terms + 3 * rows + 2 * (n - 1), n))
     m[:terms] = np.vstack([a_num, a_den])
-    m[terms + 3 * rows:] = np.vstack([np.eye(n), -np.eye(n)])
+    m[terms + 3 * rows:, 1:] = np.vstack([np.eye(n - 1), -np.eye(n - 1)])
     seg = np.concatenate([seg_num, seg_den + rows])
     # H_i = sum_t c_t a_t a_t^T - p p^T for each posynomial, and row i's
     # Hessian is H_Ni - H_Di.
@@ -222,6 +218,9 @@ def condense(posy: Posynomial, anchor) -> Posynomial:
 # ---------------------------------------------------------------------------
 
 # Variable layout: index 0 is lambda, then the K powers, then the K splits.
+# Only the powers and splits have a box: each user with a weight has a rate
+# row, whose numerator holds its noise, so lambda^alpha_k <= 2^{R_k} bounds
+# lambda on that box.
 
 def check_problem(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
                   mode: str, start: Optional[OperatingPoint] = None) -> None:
@@ -243,36 +242,28 @@ def check_problem(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrd
 
 
 def variable_box(cfg: SystemConfig) -> tuple:
-    """Floors and caps of x = (lambda, p, eta): each power between FLOOR_FRAC
-    times its budget and its budget, and each split at most 1 and at least
+    """Floors and caps of (p, eta): each power between FLOOR_FRAC times its
+    budget and its budget, and each split at most 1 and at least
     min(FLOOR_FRAC, half its largest value at full power), so every demand
-    that some point meets is met inside the box.  Lambda has no floor;
-    solve_gp sets it, and its cap is LAMBDA_CAP.  Computed once per config
-    and kept with it (SystemConfig.cached), so both arrays are read-only."""
+    that some point meets is met inside the box.  Lambda has no bound; its
+    rate rows bound it.  Computed once per config and kept with it
+    (SystemConfig.cached), so both arrays are read-only."""
     def build():
         pmax = cfg.power_budget
         eta_floors = np.clip(0.5 * max_splits(cfg, pmax), 0.0, FLOOR_FRAC)
-        return (np.concatenate([[0.0], FLOOR_FRAC * pmax, eta_floors]),
-                np.concatenate([[LAMBDA_CAP], pmax, np.ones(cfg.num_users)]))
+        return (np.concatenate([FLOOR_FRAC * pmax, eta_floors]),
+                np.concatenate([pmax, np.ones(cfg.num_users)]))
     return cfg.cached("box", build)
-
-
-def _check_cap(objective: float) -> None:
-    """Raise NumericalFailureError when ``objective`` (bit) is within CAP_TOL
-    of log2(LAMBDA_CAP): the box, not the rates, would bound the solve."""
-    if objective >= math.log2(LAMBDA_CAP) - CAP_TOL:
-        raise NumericalFailureError(
-            f"objective {objective:.6g} bit reaches lambda's cap LAMBDA_CAP = "
-            f"2^{math.log2(LAMBDA_CAP):g} within {CAP_TOL:g} bit")
 
 
 @dataclass(frozen=True, eq=False)
 class GpInstance:
-    """The max-min problem over x = (lambda, p, eta) between ``floors`` and
-    ``caps`` (whose logs are ``log_box``): maximize lambda subject to the
-    rows N_i(x) / D_i(x) <= 1 of ``exact``.  Condensed at ``anchor``, it is
-    the GP of ``condensed``, whose row i is N_i over D_i's monomial lower
-    bound exact there; recondensed moves it.  Copies share every array.
+    """The max-min problem over x = (lambda, p, eta), with (p, eta) between
+    ``floors`` and ``caps`` (whose logs are ``log_box``): maximize lambda
+    subject to the rows N_i(x) / D_i(x) <= 1 of ``exact``.  Condensed at
+    ``anchor``, it is the GP of ``condensed``, whose row i is N_i over D_i's
+    monomial lower bound exact there; recondensed moves it.  Copies share
+    every array.
     """
 
     num_users: int
@@ -296,9 +287,10 @@ class GpInstance:
 
     def recondensed(self, anchor: OperatingPoint) -> "GpInstance":
         """The same GP with every denominator condensed at ``anchor``: the
-        numerators of ``exact`` laid out over the monomials."""
-        x = np.clip(np.concatenate([[1.0], anchor.powers, anchor.splits]),
-                    self.floors, self.caps)
+        numerators of ``exact`` laid out over the monomials.  Lambda's
+        anchor value is 1; solve_gp sets it."""
+        x = np.concatenate([[1.0], np.clip(np.concatenate([anchor.powers, anchor.splits]),
+                                           self.floors, self.caps)])
         if not np.all(np.isfinite(x) & (x > 0)):
             raise NumericalFailureError(f"anchor must be finite and > 0, got {x}")
         exponents, log_coefs = _condense(*self.exact.part(True), np.log(x))
@@ -403,7 +395,7 @@ def _weight_free_rows(cfg: SystemConfig, support, order: DecodingOrder,
 
     nums, dens, labels, users = zip(*rows)
     floors, caps = variable_box(cfg)
-    with np.errstate(divide="ignore"):      # a zero floor means no bound
+    with np.errstate(divide="ignore"):      # a zero split floor: a demand no split meets
         log_box = (np.log(floors), np.log(caps))
     exact = _posynomial_layout(nums, dens)
     gp = GpInstance(num_users=kk, labels=list(labels), floors=floors, caps=caps,
@@ -464,14 +456,14 @@ def _newton_matrix(rows: Layout, m, shares, z, d) -> np.ndarray:
 
 def _interior_point(rows: Layout, y, lo, hi, z=None) -> tuple:
     """Maximize y[0] subject to the rows log N_i(y) - log D_i(y) <= 0 and
-    lo <= y <= hi, from y; returns the last iterate, its multipliers,
+    lo <= y[1:] <= hi, from y; returns the last iterate, its multipliers,
     whether it converged and the number of Newton systems solved.  ``rows``
     lays out the numerators over one denominator per row: the posynomials
     themselves, or a GP's monomials, where every row is convex.
 
     A primal-dual interior-point method in slack form, g(y) + s = 0 with
-    g = [f; y - hi; lo - y], s >= 0 and multipliers z >= 0 (Boyd and
-    Vandenberghe, Convex Optimization, 11.7).  Each row's gradient is
+    g = [f; y[1:] - hi; lo - y[1:]], s >= 0 and multipliers z >= 0 (Boyd
+    and Vandenberghe, Convex Optimization, 11.7).  Each row's gradient is
     J_N - J_D and its Hessian H_N - H_D, the difference of its numerator's
     and denominator's (a monomial's is 0).  Each Newton step targets
     s_i z_i = mu and solves the n x n system sum_i z_i (H_Ni - H_Di) +
@@ -514,13 +506,13 @@ def _interior_point(rows: Layout, y, lo, hi, z=None) -> tuple:
     _newton_matrix.
     """
     n, nrows, terms = y.size, rows.starts.size // 2, rows.b.size
-    m = nrows + 2 * n
+    m = nrows + 2 * (n - 1)
     mat = rows.m.copy()
     a, grads, jac = mat[:terms], mat[terms:terms + 2 * nrows], mat[terms + 2 * nrows:]
 
     def constraints(y):
         f, shares = _log_rows(rows, y)
-        return np.concatenate([f, y - hi, lo - y]), shares
+        return np.concatenate([f, y[1:] - hi, lo - y[1:]]), shares
 
     g, shares = constraints(y)
     mu = IPM_MU0 if z is None else IPM_MU_WARM
@@ -591,30 +583,35 @@ def _inertia_corrected(kkt) -> bool:
 
 
 class GpSolution(NamedTuple):
-    """solve_gp's result: lambda, the OperatingPoint, the failures, the
-    interior-point run's multipliers (None unless it converged), the Newton
-    systems it solved and the log of lambda, finite also where lambda
-    underflows to 0.0."""
-    lam: float
+    """solve_gp's result: the log of lambda, the OperatingPoint, the
+    failures, the interior-point run's multipliers (None unless it
+    converged) and the Newton systems it solved."""
+    log_lam: float
     op: OperatingPoint
     failures: int
     duals: Optional[np.ndarray]
     newton_steps: int
-    log_lam: float
+
+
+def _clipped(gp: GpInstance, y) -> np.ndarray:
+    """The log point y with p and eta clipped to the GP's box."""
+    return np.concatenate([y[:1], np.clip(y[1:], *gp.log_box)])
+
+
+def _operating_point(gp: GpInstance, y) -> OperatingPoint:
+    """The powers and splits of the log point y."""
+    x = np.exp(y[1:])
+    return OperatingPoint(x[:gp.num_users], x[gp.num_users:])
 
 
 def _run(gp: GpInstance, rows: Layout, y, z=None) -> tuple:
     """_interior_point on the GP's ``rows`` (its exact or condensed Layout)
-    from the log point y and the multipliers z (cold without them), with
-    log lambda floored 1 below y's, which never binds, as the run raises
-    lambda: its last iterate clipped to the box with lambda set in closed
+    over its box from the log point y and the multipliers z (cold without
+    them): its last iterate clipped to the box with lambda set in closed
     form, the worst row there, the multipliers, whether it converged and
     the Newton steps."""
-    lo, hi = gp.log_box
-    floors = lo.copy()
-    floors[0] = y[0] - 1.0
-    y, z, converged, steps = _interior_point(rows, y, floors, hi, z)
-    y, worst = _exact_lambda(rows, np.clip(y, lo, hi))
+    y, z, converged, steps = _interior_point(rows, y, *gp.log_box, z)
+    y, worst = _exact_lambda(rows, _clipped(gp, y))
     return y, worst, z, converged, steps
 
 
@@ -623,24 +620,21 @@ def solve_gp(gp: GpInstance, duals=None) -> GpSolution:
 
     Solved as a smooth convex program in log variables y = log x over the
     GP's rows, each numerator over its monomial, by _run.  Lambda is set in
-    closed form at the anchor and at the solver's point, clipped to the
-    box; it is 0.0 when the optimum lies below the smallest float, as a
-    negative secrecy gap divided by a weight of ~1e-6 puts it, and the
-    solution's ``log_lam`` then still holds the optimum.  ``failures`` is 1
-    when the interior-point run ended unconverged, and the solve then
-    returns to the anchor if the solver's point is worse.  ``duals``, the
-    multipliers of a converged solve of a GP with the same rows, starts the
-    run from them; the solution carries the run's own, for the next GP.  A
-    converged point is the GP's optimum even where it lies below an anchor
-    that violates a row by up to FEAS_TOL.  Raises NumericalFailureError
-    when the anchor violates a constraint by more than FEAS_TOL or its
-    lambda reaches the cap (_check_cap), before the solver runs, and when
-    the solver leaves a constraint violated.
+    closed form at the anchor and at the solver's point and kept as its
+    log, which stays finite where lambda itself would overflow or, as a
+    negative secrecy gap divided by a weight of ~1e-6 puts it, underflow.
+    ``failures`` is 1 when the interior-point run ended unconverged, and
+    the solve then returns to the anchor if the solver's point is worse.
+    ``duals``, the multipliers of a converged solve of a GP with the same
+    rows, starts the run from them; the solution carries the run's own, for
+    the next GP.  A converged point is the GP's optimum even where it lies
+    below an anchor that violates a row by up to FEAS_TOL.  Raises NumericalFailureError
+    when the anchor violates a constraint by more than FEAS_TOL, before the
+    solver runs, and when the solver leaves a constraint violated.
     """
     y0, worst = _exact_lambda(gp.condensed, np.log(gp.anchor))
     if not worst <= FEAS_TOL:
         raise NumericalFailureError(f"anchor violates a constraint by {worst:.3e}")
-    _check_cap(y0[0] / math.log(2.0))
     y, worst, z, converged, steps = _run(gp, gp.condensed, y0, duals)
     if not worst <= FEAS_TOL:
         raise NumericalFailureError(
@@ -648,12 +642,8 @@ def solve_gp(gp: GpInstance, duals=None) -> GpSolution:
     if not converged and y[0] < y0[0] - 1e-9:
         # An unfinished run never regresses below the starting point.
         y = y0
-    y = np.clip(y, *gp.log_box)
-    x = np.exp(y)
-    kk = gp.num_users
-    return GpSolution(float(x[0]), OperatingPoint(x[1:kk + 1], x[kk + 1:]),
-                      int(not converged), z if converged else None, steps,
-                      float(y[0]))
+    return GpSolution(float(y[0]), _operating_point(gp, y), int(not converged),
+                      z if converged else None, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -672,15 +662,16 @@ class SolveReport:
     secure mode) and ``objective`` is max_min_objective of them, the
     smallest weighted effective rate at the point, log2 of the lambda the
     solve maximized.  ``iterations`` counts the GPs solved and
-    ``lam_trace`` holds their raw optima, and ``gaps`` each condensed
-    denominator's gap at the last GP's solution; a solve that the polish
-    from its start ended solved no GP, so it reports 0 iterations, an empty
-    trace and an empty ``gaps``.  Each condensed GP is an inner
-    approximation that is exact at its anchor, so in both modes the trace
-    never decreases beyond solver tolerance; ``non_monotone`` flags a trace
-    that does.  ``optimizer_failures`` sums solve_gp's failures over the
-    solve's GPs, ``newton_steps`` the Newton steps of every interior-point
-    run, the polishes' included.  ``duals`` holds the multipliers of the
+    ``lam_trace`` holds their raw optima as log2 lambda, in bit, and
+    ``gaps`` each condensed denominator's gap at the last GP's solution; a
+    solve that the polish from its start ended solved no GP, so it reports
+    0 iterations, an empty trace and an empty ``gaps``.  Each condensed GP
+    is an inner approximation that is exact at its anchor, so in both modes
+    the trace never decreases beyond solver tolerance; ``non_monotone``
+    flags a trace in which lambda falls by more than EPS_CONV (relative).
+    ``optimizer_failures`` sums solve_gp's failures over the solve's GPs,
+    ``newton_steps`` the Newton steps of every interior-point run, the
+    polishes' included.  ``duals`` holds the multipliers of the
     polish that ended the solve (None when none did), which start the
     polish of a neighbouring weight's solve.
     """
@@ -734,22 +725,21 @@ def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
     feasible.  After the first GP the interior point runs once more, on the
     exact rows, and ends the solve where it converges to a feasible point
     no worse than the GP's.  Otherwise each later iteration re-condenses
-    the GP at the previous solution until the GP optimum is above 0.0 and
-    moves by at most EPS_CONV (relative) or MAX_ITERS GPs are solved.
+    the GP at the previous solution until the GP optimum lambda moves by
+    at most EPS_CONV (relative) or MAX_ITERS GPs are solved.
     Every GP after the first starts its interior point from the previous
     GP's multipliers, unless that run did not converge.
 
     An invalid problem (check_problem, a ``start`` of the wrong length or
     with a power that is not finite included), ``duals`` without a start,
     and ``duals`` that are not one finite value >= 0 per row and per bound
-    (rows + 2n) raise ConfigError, and no feasible point at all
-    InfeasibleError, before any interior-point run.
+    of the power and split box (rows + 4K) raise ConfigError, and no
+    feasible point at all InfeasibleError, before any interior-point run.
     A solve ends in a report, InfeasibleError or NumericalFailureError: the
     latter where a GP term, an eavesdropper Gram minor the rows use
     (SystemConfig.eve_det_terms), an anchor (an infeasible start
     included), an exact rate or an eavesdropper covariance breaks down,
-    where the objective, or already a start's or an anchor's, reaches
-    lambda's cap (_check_cap), and chaining any ArithmeticError.
+    and chaining any ArithmeticError.
     """
     check_problem(cfg, alpha, order, mode, start)
     if order is None:
@@ -761,11 +751,10 @@ def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
 
 
 def _log_point(gp: GpInstance, op: OperatingPoint) -> np.ndarray:
-    """log x of (1, p, eta) at ``op``, clipped to the GP's box; a zero
-    power or split goes to its floor."""
+    """log x of (1, p, eta) at ``op``, p and eta clipped to the GP's box;
+    a zero power or split goes to its floor."""
     with np.errstate(divide="ignore"):
-        return np.clip(np.log(np.concatenate([[1.0], op.powers, op.splits])),
-                       *gp.log_box)
+        return _clipped(gp, np.log(np.concatenate([[1.0], op.powers, op.splits])))
 
 
 def _polished(gp: GpInstance, y, ref, z=None) -> tuple:
@@ -784,9 +773,7 @@ def _polished(gp: GpInstance, y, ref, z=None) -> tuple:
     y_end, worst, z, converged, steps = _run(gp, gp.exact, y, z)
     if not (converged and worst <= FEAS_TOL and y_end[0] >= ref[0] - IPM_TOL):
         return None, None, steps
-    x = np.exp(np.clip(y_end if y_end[0] > ref[0] else ref, *gp.log_box))
-    kk = gp.num_users
-    return OperatingPoint(x[1:kk + 1], x[kk + 1:]), z, steps
+    return _operating_point(gp, y_end if y_end[0] > ref[0] else ref), z, steps
 
 
 def _solve(cfg, alpha, order, mode, start, duals) -> SolveReport:
@@ -808,7 +795,6 @@ def _solve(cfg, alpha, order, mode, start, duals) -> SolveReport:
                                     f"multipliers >= 0, got {duals}")])
         y, worst = _exact_lambda(rows.exact, _log_point(rows, start))
         if worst <= FEAS_TOL:
-            _check_cap(y[0] / math.log(2.0))
             polished, duals, newton_steps = _polished(rows, y, y, duals)
     converged = polished is not None
     if not converged:
@@ -819,7 +805,7 @@ def _solve(cfg, alpha, order, mode, start, duals) -> SolveReport:
                 gp = gp.recondensed(point)
             solution = solve_gp(gp, gp_duals)
             point, gp_duals = solution.op, solution.duals
-            trace.append(solution.lam)
+            trace.append(solution.log_lam)
             failures += solution.failures
             newton_steps += solution.newton_steps
             if not i:
@@ -831,19 +817,20 @@ def _solve(cfg, alpha, order, mode, start, duals) -> SolveReport:
                 if polished is not None:
                     converged = True
                     break
-            # Relative also below lambda = 1, where a negative secrecy gap
-            # puts it; a lambda that underflowed to 0.0 has not converged.
-            if (len(trace) >= 2 and trace[-1] > 0.0
-                    and abs(trace[-1] - trace[-2]) <= EPS_CONV * trace[-1]):
+            # |1 - lambda_{i-1} / lambda_i| <= EPS_CONV, from the logs.
+            if (len(trace) >= 2
+                    and math.log1p(-EPS_CONV) <= trace[-2] - trace[-1] <= math.log1p(EPS_CONV)):
                 converged = True
                 break
 
         # Each denominator minus its monomial of the last GP, at its
-        # solution; lambda enters no denominator.
+        # solution (inf or NaN where one overflows); lambda enters no
+        # denominator.
         y = _log_point(gp, point)
         mono_a, mono_b, _, _ = gp.condensed.part(True)
-        gaps = (np.exp(_log_posynomials(*gp.exact.part(True), y)[0])
-                - np.exp(mono_a @ y + mono_b))
+        with np.errstate(over="ignore", invalid="ignore"):
+            gaps = (np.exp(_log_posynomials(*gp.exact.part(True), y)[0])
+                    - np.exp(mono_a @ y + mono_b))
 
     if polished is not None:
         point = polished
@@ -863,12 +850,10 @@ def _solve(cfg, alpha, order, mode, start, duals) -> SolveReport:
         raise NumericalFailureError(f"exact rates {eff} at the final point are not finite")
     eff.setflags(write=False)
     objective = float(max_min_objective(eff, alpha))
-    _check_cap(objective)
-
-    non_monotone = any(trace[i + 1] < trace[i] - EPS_CONV * max(1.0, trace[i])
-                       for i in range(len(trace) - 1))
+    non_monotone = any(b - a < math.log1p(-EPS_CONV) for a, b in zip(trace, trace[1:]))
     return SolveReport(objective=objective, op=point, iterations=len(trace),
-                       lam_trace=trace, gaps=gaps, converged=converged,
+                       lam_trace=[log_lam / math.log(2.0) for log_lam in trace],
+                       gaps=gaps, converged=converged,
                        non_monotone=non_monotone, optimizer_failures=failures,
                        order=order if mode == SECURE else None, rates=eff,
                        newton_steps=newton_steps, polished=polished is not None,

@@ -588,8 +588,8 @@ def _scaled(cfg, factors) -> dict:
 STRONG_EVE = (random_config(np.random.default_rng(0), 2, 3), {"eve_channels": 1e11})
 
 # Scenarios whose GP terms overflow or vanish, whose Gram minors overflow,
-# whose weighted rate exceeds 1024 bits, so 2^rate overflows, whose exact
-# rates overflow, or whose eavesdropper covariances are not positive definite.
+# whose exact rates overflow, or whose eavesdropper covariances are not
+# positive definite.
 NUMERICAL_BREAKDOWNS = {
     "huge-budget": (weak_interference(), {"power_budget": 1e300}, ["--grid", "2"]),
     "tiny-budget": (weak_interference(), {"power_budget": 1e-300}, ["--grid", "2"]),
@@ -598,8 +598,6 @@ NUMERICAL_BREAKDOWNS = {
     "huge-gram-minors": (weak_interference(),
                          {"eve_antenna_noise_var": 1e164, "eve_channels": 1e251},
                          ["--grid", "2"]),
-    "lambda-overflow": (symmetric_two_user(0.0), {"gains": 1e150},
-                        ["--grid", "3", "--mode", "reliable"]),
     # The log-space GP solves, but the exact rates at its point are NaN.
     "exact-rate-overflow": (weak_interference(),
                             {"gains": 1e150, "power_budget": 1e10},
@@ -620,6 +618,51 @@ def test_numerical_breakdown_is_reported(tmp_path, cfg, factors, flags):
                 for f in run["failures"]]
     assert failures
     assert {f["error"] for f in failures} == {"NumericalFailureError"}
+
+
+def test_objectives_past_1024_bit_are_swept(tmp_path):
+    # Gains x1e150 and no cross gains: each user's rate is 997.6 bit, so the
+    # weighted objectives are 997.6, 1995.2 and 997.6 bit, where 2^objective
+    # overflows a float.  The solve keeps lambda as its log, so every point
+    # is swept, without a RuntimeWarning (an error here).
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(_scaled(symmetric_two_user(0.0), {"gains": 1e150})))
+    out = tmp_path / "o"
+    assert main(["sweep", "--scenario", str(path), "--grid", "3", "--mode", "reliable",
+                 "--out", str(out)]) == 0
+    [run] = json.loads((out / "report.json").read_text())["runs"]
+    assert run["points"] == 3 and not run["failures"]
+    rows = np.loadtxt(out / "boundary_reliable_e0-0.csv", delimiter=",", skiprows=1,
+                      usecols=(0, 2, 3))
+    objectives = [min(r / w for r, w in zip(row[1:], (row[0], 1.0 - row[0])) if w > 0)
+                  for row in rows]
+    assert objectives == pytest.approx([997.578, 1995.157, 997.578], abs=1e-3)
+
+
+# Gains whose powers |h|^2 overflow, and gains whose received powers at
+# full power overflow.
+GAIN_OVERFLOWS = {"gains-1e160": {"gains": 1e160},
+                  "gains-1e150-budget-1e10": {"gains": 1e150, "power_budget": 1e10}}
+
+
+@pytest.mark.parametrize("factors", GAIN_OVERFLOWS.values(), ids=GAIN_OVERFLOWS.keys())
+def test_overflowed_gains_fail_without_a_warning(tmp_path, capsys, factors):
+    # No RuntimeWarning filter: the overflow is quiet, the sweep records
+    # the points it breaks as numerical failures and verify's checks that
+    # meet it FAIL, each without a traceback.
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(_scaled(weak_interference(), factors)))
+    out = tmp_path / "o"
+    assert main(["sweep", "--scenario", str(path), "--grid", "2", "--out", str(out)]) == 2
+    runs = json.loads((out / "report.json").read_text())["runs"]
+    assert {f["error"] for run in runs for f in run["failures"]} == {"NumericalFailureError"}
+    capsys.readouterr()
+    assert exit_code(["verify", "--scenario", str(path), "--oracle-res", "11"]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    for name in ("subset constraints at corners", "energy feasibility screen",
+                 "oracle dominance"):
+        assert re.search(rf"{name} +FAIL +\S", captured.out), captured.out
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -341,29 +341,32 @@ def test_sweep_starts_cold_only_without_a_solved_neighbour(cfg, mode, cold, cros
 
 
 def test_failed_point_successor_starts_at_the_cold_point():
-    # Signal to interference 1e12 puts the weighted objective past lambda's
-    # cap at alpha1 = 0.1 ... 0.9.  Each interior point after a failed one
-    # has no solved neighbour, so it starts at the cold point without
-    # multipliers, and at alpha1 = 0.95 that start finishes the solve.
-    base = symmetric_two_user(1e-6)
-    cfg = replace(base, gains=base.gains * 1e10)
-    calls = []
+    # A three-antenna eavesdropper with an SNR of about 5e21: its
+    # covariances lose positive definiteness to rounding, which fails order
+    # (1, 2) at alpha1 = 0.125 (and order (2, 1) at the alpha1 = 0
+    # endpoint).  The next interior point of that order has no solved
+    # neighbour, so it starts at the cold point without multipliers, and
+    # the one after it continues from there.
+    base = random_config(np.random.default_rng(0), 2, 3)
+    cfg = replace(base, eve_channels=base.eve_channels * 1e11)
+    starts = {}
     real_iterate = region.iterate
 
     def recording(cfg, weights, order, mode, start=None, duals=None):
-        calls.append((float(weights.alpha[0]), start, duals))
+        starts[float(weights.alpha[0]), order.one_based()] = start, duals
         return real_iterate(cfg, weights, order, mode, start=start, duals=duals)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(region, "iterate", recording)
-        boundary = sweep(cfg, RELIABLE, grid=21)
-    failed = [f["alpha1"] for f in boundary.failures]
-    assert len(failed) == 17
-    assert all("LAMBDA_CAP" in f["message"] for f in boundary.failures)
-    assert [pt.alpha[0] for pt in boundary.points] == pytest.approx([0.0, 0.05, 0.95, 1.0])
-    after = [call for prev, call in zip(calls, calls[1:]) if prev[0] in failed]
-    assert len(after) == 17
-    assert all(start is feasible_start(cfg) and duals is None for _, start, duals in after)
+        boundary = sweep(cfg, SECURE, grid=9)
+    assert [(f["alpha1"], f["order"]) for f in boundary.failures] == [
+        (0.0, (2, 1)), (0.125, (1, 2))]
+    assert all(f["error"] == "NumericalFailureError" and "not positive definite"
+               in f["message"] for f in boundary.failures)
+    start, duals = starts[0.25, (1, 2)]
+    assert start is feasible_start(cfg) and duals is None
+    start, duals = starts[0.375, (1, 2)]
+    assert start is not feasible_start(cfg) and duals is not None
 
 
 # Cold and warm solves both stop on a small GP step, which can come early in

@@ -232,22 +232,22 @@ class TestRecondense:
                 gp = build_gp(cfg, weights, order, point, mode)
             solution = solve_gp(gp, duals)
             point, duals = solution.op, solution.duals
-            trace.append(solution.lam)
+            trace.append(solution.log_lam)
             failures += solution.failures
             if not i:
                 polished = _polish_reference(gp, solution)
                 if polished is not None:
                     point = polished
                     break
-            if (len(trace) >= 2 and abs(trace[-1] - trace[-2])
-                    <= solver.EPS_CONV * max(1.0, trace[-1])):
+            if (len(trace) >= 2 and np.log1p(-solver.EPS_CONV) <= trace[-2] - trace[-1]
+                    <= np.log1p(solver.EPS_CONV)):
                 break
         # Then every split at its best value at the final powers.
         point = OperatingPoint(point.powers,
                                np.maximum(point.splits, max_splits(cfg, point.powers)))
         rep = iterate(cfg, weights, order, mode)
         assert rep.polished == (polished is not None)
-        assert rep.lam_trace == trace
+        assert rep.lam_trace == [log_lam / np.log(2.0) for log_lam in trace]
         assert np.array_equal(rep.op.powers, point.powers)
         assert np.array_equal(rep.op.splits, point.splits)
         assert rep.optimizer_failures == failures
@@ -269,9 +269,7 @@ def test_constraints_are_numerators_over_monomials(cfg, weights, order, mode):
     rng = np.random.default_rng(3)
     points = [gp.anchor]
     for _ in range(5):
-        x = np.exp(rng.uniform(np.log(np.maximum(gp.floors, 2.0 ** -64)), np.log(gp.caps)))
-        x[0] = np.exp(rng.uniform(-3.0, 3.0))
-        points.append(x)
+        points.append(_box_draw(gp, rng))
     for x in points:
         log_x = np.log(x)
         numerators = np.add.reduceat(np.exp(num_a @ log_x + num_b), num_starts)
@@ -295,9 +293,17 @@ def test_condensed_rows_keep_the_exact_numerators(cfg, weights, order, mode):
         assert mono == pytest.approx(den, rel=1e-12, abs=0.0)
 
 
+def _box_draw(gp, rng):
+    """x = (lambda, p, eta) with log lambda uniform in [-3, 3] and each log
+    power and split uniform over the GP's box."""
+    box = np.exp(rng.uniform(np.log(gp.floors), np.log(gp.caps)))
+    return np.concatenate([[np.exp(rng.uniform(-3.0, 3.0))], box])
+
+
 def test_anchor_is_the_linear_clip():
-    # gp.anchor is (1, p, eta) clipped to the box in linear space, bit for
-    # bit: through logs and back about half of these anchors move by an ulp.
+    # gp.anchor is (1, p, eta) with p and eta clipped to the box in linear
+    # space, bit for bit: through logs and back about half of these anchors
+    # move by an ulp.
     rng = np.random.default_rng(11)
     cfgs = [weak_interference(eh_demands=(0.8, 0.8)), strong_interference(),
             strong_interference(eh_demands=(0.5, 0.5), eve_geometry="parallel")]
@@ -309,8 +315,9 @@ def test_anchor_is_the_linear_clip():
         for _ in range(4):
             anchor = OperatingPoint(cfg.power_budget * rng.uniform(0.0, 1.2, k),
                                     rng.uniform(0.0, 1.0, k))
-            want = np.clip(np.concatenate([[1.0], anchor.powers, anchor.splits]),
-                           *solver.variable_box(cfg))
+            want = np.concatenate([[1.0], np.clip(np.concatenate([anchor.powers,
+                                                                  anchor.splits]),
+                                                  *solver.variable_box(cfg))])
             for mode in (RELIABLE, SECURE):
                 gp = build_gp(cfg, weights, order, anchor, mode)
                 assert _identical(gp.anchor, want)
@@ -328,8 +335,9 @@ def test_converged_gp_run_meets_dual_residual(cfg, weights, order, mode):
     # Every interior-point run, a GP's included, converges only where the
     # multipliers balance the objective: |G^T z - e_0| <= 1e-8 at its last
     # iterate, with each row's gradient that of its numerator minus its
-    # monomial's.  Checked on the cold first GP and on the next, started
-    # from its multipliers.
+    # monomial's and a bound row for each power and split, none for lambda.
+    # Checked on the cold first GP and on the next, started from its
+    # multipliers.
     gps = [build_gp(cfg, weights, order, solver.feasible_start(cfg), mode)]
     runs = []
     interior_point = solver._interior_point
@@ -348,8 +356,9 @@ def test_converged_gp_run_meets_dual_residual(cfg, weights, order, mode):
         num, _, den = _parts(gp)
         assert den[1].size == num[2].size       # one monomial per row
         assert converged
-        n = y.size
-        jac = np.vstack([_gradients(num, y) - _gradients(den, y), np.eye(n), -np.eye(n)])
+        box = np.eye(y.size)[1:]
+        assert z.size == num[2].size + 2 * box.shape[0]
+        jac = np.vstack([_gradients(num, y) - _gradients(den, y), box, -box])
         residual = jac.T @ z
         residual[0] -= 1.0
         assert np.abs(residual).max() <= 1e-8
@@ -392,28 +401,24 @@ def _exact_rows_lambda(gp, y):
 
 def _polish_reference(gp, solution):
     """The better of the GP solution and the point of the interior point on
-    the GP's exact rows from that solution and its multipliers (log lambda
-    floored 1 below the solution's), or None unless the run converged, the
-    exact rows hold within FEAS_TOL at the closed-form lambda and that
-    lambda is not below the one at the solution by more than the run's
-    tolerance."""
+    the GP's exact rows over the power and split box from that solution and
+    its multipliers, or None unless the run converged, the exact rows hold
+    within FEAS_TOL at the closed-form lambda and that lambda is not below
+    the one at the solution by more than the run's tolerance."""
     lo, hi = gp.log_box
     op = solution.op
-    y = np.clip(np.log(np.concatenate([[1.0], op.powers, op.splits])), lo, hi)
-    y[0] = solution.log_lam
-    floors = lo.copy()
-    floors[0] = y[0] - 1.0
-    y_end, _, converged, _ = solver._interior_point(gp.exact, y, floors, hi,
-                                                    solution.duals)
+    y = np.concatenate([[solution.log_lam],
+                        np.clip(np.log(np.concatenate([op.powers, op.splits])), lo, hi)])
+    y_end, _, converged, _ = solver._interior_point(gp.exact, y, lo, hi, solution.duals)
     if not converged:
         return None
-    y_end = np.clip(y_end, lo, hi)
+    y_end[1:] = np.clip(y_end[1:], lo, hi)
     log_lam, worst = _exact_rows_lambda(gp, y_end)
     start_lam = _exact_rows_lambda(gp, y)[0]
     if worst > solver.FEAS_TOL or log_lam < start_lam - solver.IPM_TOL:
         return None
-    x = np.exp(y_end if log_lam > start_lam else y)
-    return OperatingPoint(x[1:gp.num_users + 1], x[gp.num_users + 1:])
+    x = np.exp((y_end if log_lam > start_lam else y)[1:])
+    return OperatingPoint(x[:gp.num_users], x[gp.num_users:])
 
 
 def _warm_start_cases():
@@ -603,9 +608,10 @@ def _newton_matrices(gp, rows, den, rng):
     num = _parts(gp)[0]
     n, r = num[0].shape[1], num[2].size
     y = np.log(gp.anchor) + rng.normal(0.0, 0.2, n)
-    z, s = rng.uniform(0.01, 2.0, (2, r + 2 * n))
+    z, s = rng.uniform(0.01, 2.0, (2, r + 2 * (n - 1)))
     grads = np.vstack([_gradients(num, y), _gradients(den, y)])
-    jac = np.vstack([grads[:r] - grads[r:], np.eye(n), -np.eye(n)])
+    box = np.eye(n)[1:]         # a bound row for each power and split
+    jac = np.vstack([grads[:r] - grads[r:], box, -box])
     term_by_term = _row_hessian(num, den, y, z[:r]) + jac.T @ ((z / s)[:, None] * jac)
     mat = rows.m.copy()
     mat[rows.b.size:rows.b.size + 3 * r] = np.vstack([grads, jac[:r]])
@@ -729,8 +735,8 @@ def test_config_layouts_are_read_only_private_and_dropped():
 class TestSolveGp:
     def test_box_only_toy(self):
         # maximize lam subject to lam / p <= 1, p <= 2 (K=1 layout); the
-        # bound is a ratio too, over the denominator 1.
-        floors, caps = np.array([1e-12, 1e-12, 1e-6]), np.array([1e12, 1e12, 1.0])
+        # bound is a ratio too, over the denominator 1, and lambda has no box.
+        floors, caps = np.array([1e-12, 1e-6]), np.array([1e12, 1.0])
         nums = [Posynomial([1.0], [1.0, 0.0, 0.0]), Posynomial([0.5], [0.0, 1.0, 0.0])]
         dens = [Posynomial([1.0], [0.0, 1.0, 0.0]), Posynomial([1.0], [0.0, 0.0, 0.0])]
         gp = GpInstance(
@@ -741,16 +747,16 @@ class TestSolveGp:
         ).recondensed(OperatingPoint(np.array([1.0]), np.array([0.5])))
         assert np.array_equal(gp.anchor, [1.0, 1.0, 0.5])
         solution = solve_gp(gp)
-        assert solution.lam == pytest.approx(2.0, rel=1e-6)
+        assert np.exp(solution.log_lam) == pytest.approx(2.0, rel=1e-6)
         assert solution.op.powers[0] == pytest.approx(2.0, rel=1e-6)
 
     def test_no_regression_below_anchor(self):
         cfg = weak_interference()
         anchor = OperatingPoint(np.ones(2), np.full(2, 0.5))
         gp = build_gp(cfg, Weights.pair(0.5), ORDER12, anchor, RELIABLE)
-        lam = solve_gp(gp).lam
+        log_lam = solve_gp(gp).log_lam
         anchor_rate = min(legitimate_rates(cfg, anchor) / 0.5)
-        assert np.log2(lam) >= anchor_rate - 1e-9
+        assert log_lam / np.log(2.0) >= anchor_rate - 1e-9
 
     def test_anchor_over_a_demand_is_no_failure(self):
         # An anchor may violate a row by up to FEAS_TOL, so its lambda can lie
@@ -766,7 +772,7 @@ class TestSolveGp:
         solution = solve_gp(gp)
         assert solution.failures == 0
         anchor_lambda = solver._exact_lambda(gp.condensed, np.log(gp.anchor))
-        assert np.log(solution.lam) < anchor_lambda[0][0] - 1e-9
+        assert solution.log_lam < anchor_lambda[0][0] - 1e-9
 
     def test_singular_newton_system_is_retried(self, monkeypatch):
         # A slack that collapses to ~1e-17 can make elimination meet an exact
@@ -829,9 +835,9 @@ class TestSolveGp:
         solution = solve_gp(gp)
         for other in (copy.copy(solution), copy.deepcopy(solution),
                       pickle.loads(pickle.dumps(solution))):
-            assert other.lam == solution.lam and other.failures == solution.failures
-            assert other.newton_steps == solution.newton_steps
             assert other.log_lam == solution.log_lam
+            assert other.failures == solution.failures
+            assert other.newton_steps == solution.newton_steps
             assert np.array_equal(other.duals, solution.duals)
 
     @pytest.mark.parametrize("tiny", [1e-300, 1e-30, 1e-12])
@@ -841,12 +847,12 @@ class TestSolveGp:
         cfg = random_config(np.random.default_rng(1))
         anchor = OperatingPoint(0.5 * cfg.power_budget, np.full(2, 0.5))
 
-        def lam(w0):
+        def log_lam(w0):
             gp = build_gp(cfg, Weights(np.array([w0, 1.0 - w0])), ORDER12,
                           anchor, RELIABLE)
-            return solve_gp(gp)[0]
+            return solve_gp(gp).log_lam
 
-        assert lam(tiny) == pytest.approx(lam(1e-6), rel=1e-5)
+        assert np.exp(log_lam(tiny) - log_lam(1e-6)) == pytest.approx(1.0, rel=1e-5)
 
     def test_excess_demand_infeasible(self):
         cfg = weak_interference(eh_demands=(2.0, 2.0))
@@ -902,7 +908,7 @@ class TestIterate:
         rep = iterate(cfg, Weights.pair(0.5), None, RELIABLE)
         anchor = OperatingPoint(cfg.power_budget, np.full(2, 0.5))
         lam0 = 2.0 ** min(legitimate_rates(cfg, anchor) / 0.5)
-        assert rep.lam_trace[0] >= lam0 - 1e-9
+        assert 2.0 ** rep.lam_trace[0] >= lam0 - 1e-9
         assert not rep.non_monotone
 
     def test_reliable_traces_nondecreasing(self):
@@ -913,7 +919,7 @@ class TestIterate:
             cfg = random_config(rng, eh_fraction=float(rng.uniform(0, 0.7)))
             rep = iterate(cfg, Weights.pair(float(rng.uniform(0.2, 0.8))),
                           None, RELIABLE)
-            trace = rep.lam_trace
+            trace = [2.0 ** bit for bit in rep.lam_trace]
             assert all(b >= a - 1e-6 * max(1.0, a)
                        for a, b in zip(trace, trace[1:]))
             assert not rep.non_monotone
@@ -970,12 +976,13 @@ class TestIterate:
 
     def test_underflowed_lambda_does_not_end_the_loop(self, monkeypatch):
         # From this start a 1.4e-6 weight on a negative secrecy gap puts the
-        # first GPs' optimum far below the smallest float (log lambda about
-        # -8440), so their lambda is 0.0.  The polish straight from the start
-        # uses up its Newton steps, so the first GP runs; the polish after
-        # it climbs from there to a positive lambda at least the loop's.
-        # With every polish rejected, the loop goes on until a positive
-        # lambda settles.
+        # first GPs' optimum near -12175 bit, far below log2 of the smallest
+        # float (-1074), where lambda itself would be 0.0; the trace holds
+        # log2 lambda, which stays finite.  The polish straight from the
+        # start uses up its Newton steps, so the first GP runs; the polish
+        # after it climbs from there to an objective at least the loop's.
+        # With every polish rejected, the loop climbs to about -0.32 bit and
+        # stops only once lambda settles.
         rng = np.random.default_rng(22745)
         cfg = random_config(rng, num_users=3, eh_fraction=0.0625)
         order = DecodingOrder(tuple(int(k) for k in rng.permutation(3)))
@@ -983,13 +990,14 @@ class TestIterate:
         alpha = np.array([0.7, 1e-6, 0.0])
         weights = Weights(alpha / alpha.sum())
         polished = iterate(cfg, weights, order, SECURE, start=start)
-        assert polished.polished and polished.lam_trace == [0.0]
+        assert polished.polished and len(polished.lam_trace) == 1
+        assert polished.lam_trace[0] == pytest.approx(-12175.35, abs=0.01)
         monkeypatch.setattr(solver, "_polished", lambda gp, y, ref, z=None: (None, None, 0))
         rep = iterate(cfg, weights, order, SECURE, start=start)
         trace = rep.lam_trace
-        assert trace[0] == 0.0
-        assert rep.converged and trace[-1] > 0.0
-        assert abs(trace[-1] - trace[-2]) <= solver.EPS_CONV * trace[-1]
+        assert trace[0] == polished.lam_trace[0]
+        assert rep.converged and not rep.non_monotone and trace[-1] > -1.0
+        assert abs(2.0 ** (trace[-2] - trace[-1]) - 1.0) <= solver.EPS_CONV
         assert polished.objective >= rep.objective - 1e-9
 
     def test_respects_iteration_budget(self, monkeypatch):
@@ -1058,8 +1066,7 @@ def test_solve_gp_feasible_and_rate_row_tight(seed, num_users, mode, eh_fraction
     op = solution.op
     # The rows are evaluated in log space at the solution's log lambda: in
     # the pinned examples a ~1e-6 weight on a negative secrecy gap puts the
-    # optimum's log lambda near -8440 and -45700, where lambda is 0.0.
-    assert np.exp(solution.log_lam) == solution.lam
+    # optimum's log lambda near -8440 and -45700, where lambda would be 0.0.
     log_x = np.concatenate([[solution.log_lam], np.log(op.powers), np.log(op.splits)])
     values = np.exp([np.logaddexp.reduce(np.log(c.coeffs) + c.exponents @ log_x)
                      for c in gp.constraints])
@@ -1118,12 +1125,11 @@ def test_secure_condensation_is_inner(seed, num_users, num_eve_antennas,
             if label.startswith("rate")]
     for i in range(10):
         if i % 2:
-            x = np.exp(rng.uniform(np.log(np.maximum(gp.floors, 2.0 ** -64)),
-                                   np.log(gp.caps)))
+            x = _box_draw(gp, rng)
         else:
-            x = np.clip(gp.anchor * np.exp(rng.normal(0.0, 0.3, gp.anchor.size)),
-                        gp.floors, gp.caps)
-        x[0] = np.exp(rng.uniform(-3.0, 3.0))
+            near = gp.anchor[1:] * np.exp(rng.normal(0.0, 0.3, gp.floors.size))
+            x = np.concatenate([[np.exp(rng.uniform(-3.0, 3.0))],
+                                np.clip(near, gp.floors, gp.caps)])
         op = OperatingPoint(x[1:num_users + 1], x[num_users + 1:])
         eff = legitimate_rates(cfg, op) - eve_rate_chain(cfg, op.powers, order)
         for k, row in rows:
@@ -1157,9 +1163,7 @@ def test_uncondensed_rows_equal_exact_formulas(seed, num_users, num_eve_antennas
     alpha = np.array(weights[:num_users]) / sum(weights[:num_users])
     gp = build_gp(cfg, Weights(alpha), order, solver.feasible_start(cfg), mode)
     for _ in range(25):
-        x = np.exp(rng.uniform(np.log(np.maximum(gp.floors, 2.0 ** -64)),
-                               np.log(gp.caps)))
-        x[0] = np.exp(rng.uniform(-3.0, 3.0))
+        x = _box_draw(gp, rng)
         powers, splits = x[1:num_users + 1], x[num_users + 1:]
         num, den = (np.add.reduceat(np.exp(a @ np.log(x) + b), starts)
                     for a, b, starts, _ in _parts(gp)[:2])
@@ -1187,7 +1191,7 @@ def _plain_mm_objective(cfg, weights, order, mode, start=None):
     for _ in range(solver.MAX_ITERS):
         solution = solve_gp(build_gp(cfg, weights, order, point, mode))
         point = solution.op
-        trace.append(solution.lam)
+        trace.append(np.exp(solution.log_lam))
         if (len(trace) >= 2 and abs(trace[-1] - trace[-2])
                 <= solver.EPS_CONV * max(1.0, trace[-1])):
             break
@@ -1215,7 +1219,7 @@ def test_polished_loop_no_worse_than_plain(seed, num_users, num_eve_antennas, mo
     weights = Weights(rng.dirichlet(np.ones(num_users)))
     rep = iterate(cfg, weights, order, mode)
     assert rep.objective >= _plain_mm_objective(cfg, weights, order, mode) - 1e-9
-    trace = rep.lam_trace
+    trace = [2.0 ** bit for bit in rep.lam_trace]
     assert all(b >= a - solver.EPS_CONV * max(1.0, a)
                for a, b in zip(trace, trace[1:]))
     assert not rep.non_monotone
@@ -1350,25 +1354,24 @@ def test_polish_finishes_slow_climb():
         assert 2.0 ** rep.objective >= 1.25663
 
 
-def test_objective_at_lambda_cap_fails():
-    # Direct gains 1e20 and cross gains 1e8 in power: at alpha1 = 0.3 the
-    # solve would end converged and polished at 66.18 bit, short of the face
-    # oracle's 73.15, since lambda's box ends at 2^64.  Every interior
-    # weight of a sweep but the outermost two reaches the cap as well and
-    # fails, also from a warm start or a cold anchor above it, where the
-    # interior point would meet a z / s overflow (a RuntimeWarning, an
-    # error here); the single-user endpoints stay below it, at 59.79 bit.
-    cfg = symmetric_two_user(1e-6)
+@pytest.mark.parametrize("amp", [1e-6, 1e-5])
+def test_high_sir_sweeps_every_point(amp):
+    # Direct gains 1e20 and cross gains about 1e8 in power put weighted
+    # objectives past 64 bit (79.7 bit at amp 1e-6), where lambda is bounded
+    # by its rate rows alone.  Both modes sweep every weight, without a
+    # RuntimeWarning (an error here), and no reliable point lies more than
+    # BOUND_TOL above the face oracle's certified bound.
+    cfg = symmetric_two_user(amp)
     cfg = replace(cfg, gains=cfg.gains * 1e10)
-    with pytest.raises(NumericalFailureError,
-                       match=r"bit reaches lambda's cap LAMBDA_CAP = 2\^64"):
-        iterate(cfg, Weights.pair(0.3), None, RELIABLE)
-    boundary = region.sweep(cfg, RELIABLE, grid=21)
-    assert [pt.alpha[0] for pt in boundary.points] == pytest.approx([0.0, 0.05, 0.95, 1.0])
-    assert all(pt.report.objective < 63.0 for pt in boundary.points)
-    assert len(boundary.failures) == 17
-    assert all(f["error"] == "NumericalFailureError" and "LAMBDA_CAP" in f["message"]
-               for f in boundary.failures)
+    for mode, points in ((RELIABLE, 21), (SECURE, 42)):
+        boundary = region.sweep(cfg, mode, grid=21)
+        assert not boundary.failures
+        assert len(boundary.points) == points
+        assert max(pt.report.objective for pt in boundary.points) > 66.0
+        if mode == RELIABLE:
+            for pt in boundary.points:
+                bound = oracle_grid_search(cfg, RELIABLE, pt.weights).bound
+                assert pt.report.objective <= bound + checks.BOUND_TOL
 
 
 def test_secure_sweep_uses_fewer_gps(monkeypatch):
