@@ -39,7 +39,7 @@ def _cho(a: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ConfigError([(DIMENSION_MISMATCH, "matrix",
                             f"expected a square matrix, got shape {a.shape}")])
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NumericalFailureError(f"covariance has {np.sum(~np.isfinite(a))} "
                                     f"non-finite of {a.size} entries")
     try:

@@ -193,10 +193,15 @@ def eve_rate_chain(cfg: SystemConfig, p: np.ndarray, order: DecodingOrder,
     """
     subset = frozenset(int(k) for k in (range(cfg.num_users) if subset is None else subset))
     p = _checked(cfg, p, order, subset)
+    return _chain(cfg, p, [u for u in order.users if u in subset],
+                  [u for u in range(cfg.num_users) if u not in subset])
+
+
+def _chain(cfg: SystemConfig, p: np.ndarray, remaining, outsiders) -> np.ndarray:
+    """eve_rate_chain of the checked powers ``p``: the users of ``remaining``
+    decoded in that order, each against the later ones and ``outsiders``."""
     sbar = cfg.eve_noise_total
     out = np.zeros(cfg.num_users)
-    remaining = [u for u in order.users if u in subset]
-    outsiders = [u for u in range(cfg.num_users) if u not in subset]
     for i, k in enumerate(remaining):
         interferers = remaining[i + 1:] + outsiders
         h = cfg.eve_channels[k]
@@ -209,10 +214,11 @@ def eve_rate_chain(cfg: SystemConfig, p: np.ndarray, order: DecodingOrder,
 
 
 def secrecy_corner(cfg: SystemConfig, op: OperatingPoint, order: DecodingOrder) -> np.ndarray:
-    """Clamped secrecy rates [R_k - R_Ek]^+ for one decoding order."""
-    rates = legitimate_rates(cfg, op)
-    leak = eve_rate_chain(cfg, op.powers, order)
-    return np.maximum(rates - leak, 0.0)
+    """Clamped secrecy rates [R_k - R_Ek]^+ for one decoding order: the
+    legitimate rates less eve_rate_chain over every user, with the point
+    checked once."""
+    p = _checked(cfg, op.powers, order)
+    return np.maximum(tin_rates(cfg, p, op.splits) - _chain(cfg, p, list(order.users), []), 0.0)
 
 
 class SubsetCheck(NamedTuple):

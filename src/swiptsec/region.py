@@ -162,11 +162,11 @@ def _predicted_start(cfg: SystemConfig, history: list) -> Optional[OperatingPoin
     floors, caps = variable_box(cfg)
     lo, hi = np.log(floors[:kk]), np.log(caps[:kk])
     log_p = 2.0 * np.log(last.powers) - np.log(older.powers)
-    if np.any((log_p < lo - FEAS_TOL) | (log_p > hi + FEAS_TOL)):
+    if ((log_p < lo - FEAS_TOL) | (log_p > hi + FEAS_TOL)).any():
         return last
-    powers = np.exp(np.clip(log_p, lo, hi))
+    powers = np.exp(np.minimum(np.maximum(log_p, lo), hi))
     best = max_splits(cfg, powers)
-    if np.any(best <= floors[kk:]):
+    if (best <= floors[kk:]).any():
         return last
     return OperatingPoint(powers, best)
 

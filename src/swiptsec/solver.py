@@ -122,7 +122,7 @@ def _condense(a, b, starts, seg, y) -> tuple:
     share at x = exp(y), so the bound touches the posynomial there; the
     exponents are the gradient of the log posynomial at y."""
     _, c = _log_posynomials(a, b, starts, seg, y)
-    if not np.all(c > 0):
+    if not (c > 0).all():
         raise NumericalFailureError(f"term shares must be finite and > 0, got {c}")
     return _row_jacobian(a, starts, c), np.add.reduceat(c * (b - np.log(c)), starts)
 
@@ -289,9 +289,9 @@ class GpInstance:
         """The same GP with every denominator condensed at ``anchor``: the
         numerators of ``exact`` laid out over the monomials.  Lambda's
         anchor value is 1; solve_gp sets it."""
-        x = np.concatenate([[1.0], np.clip(np.concatenate([anchor.powers, anchor.splits]),
-                                           self.floors, self.caps)])
-        if not np.all(np.isfinite(x) & (x > 0)):
+        x = np.concatenate([[1.0], np.minimum(np.maximum(
+            np.concatenate([anchor.powers, anchor.splits]), self.floors), self.caps)])
+        if not (np.isfinite(x) & (x > 0)).all():
             raise NumericalFailureError(f"anchor must be finite and > 0, got {x}")
         exponents, log_coefs = _condense(*self.exact.part(True), np.log(x))
         rows = np.arange(log_coefs.size)
@@ -354,44 +354,20 @@ def _weight_free_rows(cfg: SystemConfig, support, order: DecodingOrder,
                       mode: str) -> tuple:
     """build_gp's unanchored GP for the users in ``support`` with lambda's
     exponent 0 in every term, and the 0/1 matrix that maps the weights to
-    lambda's exponents: user k's weight in each term of its rate row."""
+    lambda's exponents: user k's weight in each term of its rate row.  The
+    layout is assembled from the rows of _rate_row and _harvest_row, each
+    built the first time a support uses it and kept with the config
+    (SystemConfig.cached), so a row's Gram minors are read only where a
+    solve uses the row."""
     kk = cfg.num_users
-    unit = np.eye(1 + 2 * kk)
-    p_rows, eta_rows = unit[1:kk + 1], unit[kk + 1:]
-    none = np.zeros(1 + 2 * kk)
-    g = cfg.gain_powers
-    c_eh, d_eh = cfg.harvest_offsets
-
-    def eve_det(users):
-        terms = cfg.eve_det_terms(users)
-        return _terms(np.array([minor for _, minor in terms]),
-                      np.array([p_rows[list(t)].sum(axis=0) for t, _ in terms]))
-
     rows = []   # (numerator, denominator, label, user of a rate row or -1)
     for k in range(kk):
-        eta = eta_rows[k]
         if support[k]:
-            # D_k = sig^2 + eta_k (rho^2 + sum_j g_kj p_j); A_k lacks j = k.
-            others = [j for j in range(kk) if j != k]
-            coeffs = np.concatenate([[cfg.processing_noise_vars[k],
-                                      cfg.antenna_noise_vars[k]], g[k, others], [g[k, k]]])
-            exponents = np.vstack([none, eta, eta + p_rows[others], eta + p_rows[k]])
-            num = _terms(coeffs[:-1], exponents[:-1])
-            den = _terms(coeffs, exponents)
-            if mode == SECURE:
-                after = list(order.users[order.users.index(k) + 1:])
-                num = _times(num, eve_det(after + [k]))
-                den = _times(den, eve_det(after))
-            rows.append((num, den, f"rate[{k}]", k))
-
-        # psi <= c + (1 - eta)(T + d)  <=>  (psi - c) + eta d + eta T <= T + d;
-        # vacuous whenever psi <= c because eta <= 1.
-        psi = cfg.eh_demands[k]
-        if psi > c_eh[k]:
-            num = _terms(np.concatenate([[psi - c_eh[k], d_eh[k]], g[k]]),
-                         np.vstack([none, eta, eta + p_rows]))
-            den = _terms(np.append(g[k], d_eh[k]), np.vstack([p_rows, none]))
-            rows.append((num, den, f"eh[{k}]", -1))
+            after = order.users[order.users.index(k) + 1:] if mode == SECURE else None
+            rows.append((*cfg.cached(("rate", k, after), lambda: _rate_row(cfg, k, after)), k))
+        harvest = cfg.cached(("eh", k), lambda: _harvest_row(cfg, k))
+        if harvest is not None:
+            rows.append((*harvest, -1))
 
     nums, dens, labels, users = zip(*rows)
     floors, caps = variable_box(cfg)
@@ -401,6 +377,58 @@ def _weight_free_rows(cfg: SystemConfig, support, order: DecodingOrder,
     gp = GpInstance(num_users=kk, labels=list(labels), floors=floors, caps=caps,
                     log_box=log_box, exact=exact)
     return gp, (np.array(users)[exact.part(False)[3], None] == np.arange(kk)) * 1.0
+
+
+def _unit_rows(kk: int) -> tuple:
+    """The exponent rows of each power and each split, and of no variable."""
+    unit = np.eye(1 + 2 * kk)
+    return unit[1:kk + 1], unit[kk + 1:], np.zeros(1 + 2 * kk)
+
+
+def _rate_row(cfg: SystemConfig, k: int, after) -> tuple:
+    """User k's rate row as (numerator, denominator, label), each side the
+    terms of a posynomial: its reliable row when ``after`` is None, and
+    otherwise its secrecy row, with ``after`` the users decoded after k.
+    The eavesdropper determinant's terms are SystemConfig.eve_det_terms."""
+    kk = cfg.num_users
+    p_rows, eta_rows, none = _unit_rows(kk)
+    eta = eta_rows[k]
+    g = cfg.gain_powers
+
+    def eve_det(users):
+        terms = cfg.eve_det_terms(users)
+        return _terms(np.array([minor for _, minor in terms]),
+                      np.array([p_rows[list(t)].sum(axis=0) for t, _ in terms]))
+
+    # D_k = sig^2 + eta_k (rho^2 + sum_j g_kj p_j); A_k lacks j = k.
+    others = [j for j in range(kk) if j != k]
+    coeffs = np.concatenate([[cfg.processing_noise_vars[k],
+                              cfg.antenna_noise_vars[k]], g[k, others], [g[k, k]]])
+    exponents = np.vstack([none, eta, eta + p_rows[others], eta + p_rows[k]])
+    num = _terms(coeffs[:-1], exponents[:-1])
+    den = _terms(coeffs, exponents)
+    if after is not None:
+        num = _times(num, eve_det(list(after) + [k]))
+        den = _times(den, eve_det(list(after)))
+    return num, den, f"rate[{k}]"
+
+
+def _harvest_row(cfg: SystemConfig, k: int) -> Optional[tuple]:
+    """User k's harvesting row as (numerator, denominator, label), or None
+    where its demand is vacuous."""
+    # psi <= c + (1 - eta)(T + d)  <=>  (psi - c) + eta d + eta T <= T + d;
+    # vacuous whenever psi <= c because eta <= 1.
+    p_rows, eta_rows, none = _unit_rows(cfg.num_users)
+    eta = eta_rows[k]
+    g = cfg.gain_powers
+    c_eh, d_eh = cfg.harvest_offsets
+    psi = cfg.eh_demands[k]
+    if not psi > c_eh[k]:
+        return None
+    num = _terms(np.concatenate([[psi - c_eh[k], d_eh[k]], g[k]]),
+                 np.vstack([none, eta, eta + p_rows]))
+    den = _terms(np.append(g[k], d_eh[k]), np.vstack([p_rows, none]))
+    return num, den, f"eh[{k}]"
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +444,10 @@ def _log_rows(rows: Layout, y) -> tuple:
     return f[:nrows] - f[nrows:], shares
 
 
-def _exact_lambda(rows: Layout, y) -> tuple:
+def _exact_lambda(rows: Layout, y, log_g=None) -> tuple:
     """y with log lambda set in closed form, and the largest log row value
     there (the worst violation; every rate row is at most 0), over the rows
-    N_i / D_i.
+    N_i / D_i, whose log values at y are ``log_g`` when given.
 
     lambda enters every term of rate row k as lambda^alpha_k and no other
     row or denominator, so the shift makes the tightest rate row exactly
@@ -430,7 +458,8 @@ def _exact_lambda(rows: Layout, y) -> tuple:
     a GP's condensed rows at y = log(gp.anchor) these are the anchor's
     exact objective and feasibility.
     """
-    log_g, _ = _log_rows(rows, y)
+    if log_g is None:
+        log_g, _ = _log_rows(rows, y)
     alphas = rows.m[rows.starts[:log_g.size], 0]
     rate = alphas > 0
     tight = y.copy()
@@ -456,8 +485,9 @@ def _newton_matrix(rows: Layout, m, shares, z, d) -> np.ndarray:
 
 def _interior_point(rows: Layout, y, lo, hi, z=None) -> tuple:
     """Maximize y[0] subject to the rows log N_i(y) - log D_i(y) <= 0 and
-    lo <= y[1:] <= hi, from y; returns the last iterate, its multipliers,
-    whether it converged and the number of Newton systems solved.  ``rows``
+    lo <= y[1:] <= hi, from y; returns the last iterate, the rows' log
+    values there, its multipliers, whether it converged and the number of
+    Newton systems solved.  ``rows``
     lays out the numerators over one denominator per row: the posynomials
     themselves, or a GP's monomials, where every row is convex.
 
@@ -529,7 +559,7 @@ def _interior_point(rows: Layout, y, lo, hi, z=None) -> tuple:
         gap = s * z
         dual = np.abs(r_d).max()
         if gap.sum() <= IPM_TOL and g.max() <= IPM_TOL and dual <= 1e-8:
-            return y, z, True, solved
+            return y, g[:nrows], z, True, solved
         residual = max(dual, np.abs(r_p).max())
         while mu > mu_min and max(residual, np.abs(gap - mu).max()) <= IPM_KAPPA * mu:
             mu = max(mu_min, min(0.2 * mu, mu ** 1.5))
@@ -537,7 +567,7 @@ def _interior_point(rows: Layout, y, lo, hi, z=None) -> tuple:
         kkt = _newton_matrix(rows, mat, shares, z, d)
         kkt.flat[::n + 1] += 1e-12
         if not _inertia_corrected(kkt):
-            return y, z, False, solved
+            return y, g[:nrows], z, False, solved
         v = d * r_p - z + mu / s
         rhs = -(jac.T @ v) - r_d
         try:
@@ -550,7 +580,7 @@ def _interior_point(rows: Layout, y, lo, hi, z=None) -> tuple:
             try:
                 dy = np.linalg.solve(kkt, rhs)
             except np.linalg.LinAlgError:
-                return y, z, False, solved
+                return y, g[:nrows], z, False, solved
         jdy = jac @ dy
         dsz = np.concatenate([-(r_p + jdy), v + d * jdy])
         # 1 / max(1, -min(dsz / sz)) is the longest step in (0, 1] that keeps
@@ -559,7 +589,7 @@ def _interior_point(rows: Layout, y, lo, hi, z=None) -> tuple:
         y = y + step * dy
         sz += step * dsz
         g, shares = constraints(y)
-    return y, z, False, IPM_MAXITER
+    return y, g[:nrows], z, False, IPM_MAXITER
 
 
 def _inertia_corrected(kkt) -> bool:
@@ -595,7 +625,8 @@ class GpSolution(NamedTuple):
 
 def _clipped(gp: GpInstance, y) -> np.ndarray:
     """The log point y with p and eta clipped to the GP's box."""
-    return np.concatenate([y[:1], np.clip(y[1:], *gp.log_box)])
+    lo, hi = gp.log_box
+    return np.concatenate([y[:1], np.minimum(np.maximum(y[1:], lo), hi)])
 
 
 def _operating_point(gp: GpInstance, y) -> OperatingPoint:
@@ -609,9 +640,11 @@ def _run(gp: GpInstance, rows: Layout, y, z=None) -> tuple:
     over its box from the log point y and the multipliers z (cold without
     them): its last iterate clipped to the box with lambda set in closed
     form, the worst row there, the multipliers, whether it converged and
-    the Newton steps."""
-    y, z, converged, steps = _interior_point(rows, y, *gp.log_box, z)
-    y, worst = _exact_lambda(rows, _clipped(gp, y))
+    the Newton steps.  Where the clip leaves the iterate as it is, lambda
+    is set from the row values of the run's last convergence test."""
+    y_end, log_g, z, converged, steps = _interior_point(rows, y, *gp.log_box, z)
+    y = _clipped(gp, y_end)
+    y, worst = _exact_lambda(rows, y, log_g if (y == y_end).all() else None)
     return y, worst, z, converged, steps
 
 
@@ -760,8 +793,8 @@ def _log_point(gp: GpInstance, op: OperatingPoint) -> np.ndarray:
 def _polished(gp: GpInstance, y, ref, z=None) -> tuple:
     """Where the solve ends after _run on the GP's exact rows, log N_i -
     log D_i <= 0, from the log point ``y`` and the multipliers ``z`` (cold
-    without them): the point and the run's multipliers, or None twice when
-    the solve has to go on.  Also the Newton steps the run took.
+    without them): the log point and the run's multipliers, or None twice
+    when the solve has to go on.  Also the Newton steps the run took.
 
     ``ref`` is y with lambda set in closed form on the exact rows.  The run
     ends the solve only when it converged, every exact row holds within
@@ -773,7 +806,7 @@ def _polished(gp: GpInstance, y, ref, z=None) -> tuple:
     y_end, worst, z, converged, steps = _run(gp, gp.exact, y, z)
     if not (converged and worst <= FEAS_TOL and y_end[0] >= ref[0] - IPM_TOL):
         return None, None, steps
-    return _operating_point(gp, y_end if y_end[0] > ref[0] else ref), z, steps
+    return (y_end if y_end[0] > ref[0] else ref), z, steps
 
 
 def _solve(cfg, alpha, order, mode, start, duals) -> SolveReport:
@@ -790,7 +823,7 @@ def _solve(cfg, alpha, order, mode, start, duals) -> SolveReport:
         if duals is not None:
             size = len(rows.labels) + 2 * rows.floors.size
             duals = np.asarray(duals, dtype=float)
-            if not (duals.shape == (size,) and np.all(np.isfinite(duals) & (duals >= 0))):
+            if not (duals.shape == (size,) and (np.isfinite(duals) & (duals >= 0)).all()):
                 raise ConfigError([(BAD_VALUE, "duals", f"needs {size} finite "
                                     f"multipliers >= 0, got {duals}")])
         y, worst = _exact_lambda(rows.exact, _log_point(rows, start))
@@ -833,19 +866,21 @@ def _solve(cfg, alpha, order, mode, start, duals) -> SolveReport:
                     - np.exp(mono_a @ y + mono_b))
 
     if polished is not None:
-        point = polished
+        x = np.exp(polished[1:])
+        powers, splits = x[:cfg.num_users], x[cfg.num_users:]
+    else:
+        powers, splits = point.powers, point.splits
     # Every split at its best value at the final powers: a user's rate rises
     # with its own split alone and max_splits meets its demand, so no rate
     # falls, while the GP leaves a user that does not bind wherever it stops.
-    point = OperatingPoint(point.powers,
-                           np.maximum(point.splits, max_splits(cfg, point.powers)))
+    point = OperatingPoint(powers, np.maximum(splits, max_splits(cfg, powers)))
 
     # Report with exact rates at the final point.
     if mode == SECURE:
         eff = secrecy_corner(cfg, point, order)
     else:
         eff = legitimate_rates(cfg, point)
-    if not np.all(np.isfinite(eff)):
+    if not np.isfinite(eff).all():
         # The GP is solved in log space, so it can outlast the exact rates.
         raise NumericalFailureError(f"exact rates {eff} at the final point are not finite")
     eff.setflags(write=False)

@@ -398,8 +398,8 @@ def test_report_lists_optimizer_failures(scenario, tmp_path, monkeypatch):
     interior_point = solver._interior_point
 
     def unconverged(*args):
-        y, z, _, steps = interior_point(*args)
-        return y, z, False, steps
+        y, log_g, z, _, steps = interior_point(*args)
+        return y, log_g, z, False, steps
 
     monkeypatch.setattr(solver, "_interior_point", unconverged)
     out = tmp_path / "o"

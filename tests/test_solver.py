@@ -351,7 +351,7 @@ def test_converged_gp_run_meets_dual_residual(cfg, weights, order, mode):
         solution = solve_gp(gps[0])
         gps.append(gps[0].recondensed(solution.op))
         solve_gp(gps[1], solution.duals)
-    for gp, ((rows, *_), (y, z, converged, _)) in zip(gps, runs, strict=True):
+    for gp, ((rows, *_), (y, _, z, converged, _)) in zip(gps, runs, strict=True):
         assert rows is gp.condensed
         num, _, den = _parts(gp)
         assert den[1].size == num[2].size       # one monomial per row
@@ -409,7 +409,7 @@ def _polish_reference(gp, solution):
     op = solution.op
     y = np.concatenate([[solution.log_lam],
                         np.clip(np.log(np.concatenate([op.powers, op.splits])), lo, hi)])
-    y_end, _, converged, _ = solver._interior_point(gp.exact, y, lo, hi, solution.duals)
+    y_end, _, _, converged, _ = solver._interior_point(gp.exact, y, lo, hi, solution.duals)
     if not converged:
         return None
     y_end[1:] = np.clip(y_end[1:], lo, hi)
@@ -507,6 +507,21 @@ def test_cached_rows_build_the_cold_gp(seed, num_users, num_eve_antennas, eh_fra
                                                       anchor, mode))
                     if psi is cfg.eh_demands:
                         _assert_identical_gp(gp, gps[1])
+    # Each support's layout is assembled from rate and harvesting rows that
+    # the supports share, each built by the first support that needs it: in
+    # any build order it is the layout of a build on a fresh copy of the
+    # config, which builds only that support's rows.
+    supports = [np.eye(num_users, dtype=bool)[k] for k in range(num_users)]
+    supports += [some, np.ones(num_users, dtype=bool)]
+    builds = [(mode, DecodingOrder(users), support) for mode in (RELIABLE, SECURE)
+              for users in (perm, perm[::-1]) for support in supports]
+    shared = replace(cfg)
+    for i in rng.permutation(len(builds)):
+        mode, order, support = builds[i]
+        w = np.where(support, rng.uniform(0.05, 1.0, num_users), 0.0)
+        weights = Weights(w / w.sum())
+        _assert_identical_gp(build_gp(shared, weights, order, anchor, mode),
+                             build_gp(replace(cfg), weights, order, anchor, mode))
 
 
 @settings(max_examples=6, deadline=None, derandomize=True, database=None)
@@ -694,6 +709,44 @@ def test_exact_lambda_evaluates_the_rows_once(seed, num_users, mode, eh_fraction
             old_point, old_worst = _two_evaluation_lambda(num, den, y)
             assert np.array_equal(point, old_point)
             assert worst == pytest.approx(old_worst, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("cfg,weights,order,mode", _recondense_cases())
+def test_run_sets_lambda_from_the_last_row_values(monkeypatch, cfg, weights, order, mode):
+    # _run sets the closing lambda from the row values of the interior
+    # point's last convergence test where the clip to the box leaves the
+    # last iterate as it is, and evaluates the rows again where the clip
+    # moves it; either way its point and worst row are _exact_lambda's on
+    # the clipped iterate, bit for bit.  A run from the anchor ends inside
+    # the box; one cut after a Newton step from a start above the power
+    # caps ends outside it.
+    gp = build_gp(cfg, weights, order, solver.feasible_start(cfg), mode)
+    y0 = np.log(gp.anchor)
+    above = y0.copy()
+    above[1:1 + gp.num_users] += 1.0
+    log_rows = solver._log_rows
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return log_rows(*args)
+
+    monkeypatch.setattr(solver, "_log_rows", counted)
+    for budget, y in ((solver.IPM_MAXITER, y0), (1, above)):
+        monkeypatch.setattr(solver, "IPM_MAXITER", budget)
+        for rows in (gp.condensed, gp.exact):
+            calls.clear()
+            y_end, log_g, *_ = solver._interior_point(rows, y, *gp.log_box)
+            run_calls = len(calls)
+            assert np.array_equal(log_g, log_rows(rows, y_end)[0])
+            clipped = solver._clipped(gp, y_end)
+            moved = not np.array_equal(clipped, y_end)
+            assert moved == (budget == 1)
+            want, want_worst = solver._exact_lambda(rows, clipped)
+            calls.clear()
+            got, worst, *_ = solver._run(gp, rows, y)
+            assert len(calls) == run_calls + moved
+            assert _identical(got, want) and worst == want_worst
 
 
 def test_config_layouts_are_read_only_private_and_dropped():
