@@ -94,7 +94,9 @@ def sweep(cfg: SystemConfig, mode: str, psi=None, grid: int = 21) -> RegionBound
     zero-objective plateau that continuation then carries along the
     branch.  Every start meets every constraint.  A solve with a start
     begins with the exact-row polish from it and reaches the condensation
-    loop only where that polish is rejected.  So only the first order's
+    loop only where that polish is rejected; at an endpoint that polish,
+    and the one after a GP, start the silent user at its power floor
+    where that start is feasible and no worse.  So only the first order's
     alpha1 = 0 endpoint, and an endpoint after a failed point, solve
     without a start, GP first.
     """

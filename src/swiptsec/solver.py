@@ -757,9 +757,13 @@ def iterate(cfg: SystemConfig, alpha: Weights, order: Optional[DecodingOrder],
     each condensed GP is exact at its anchor, so every iterate then stays
     feasible.  After the first GP the interior point runs once more, on the
     exact rows, and ends the solve where it converges to a feasible point
-    no worse than the GP's.  Otherwise each later iteration re-condenses
-    the GP at the previous solution until the GP optimum lambda moves by
-    at most EPS_CONV (relative) or MAX_ITERS GPs are solved.
+    no worse than the GP's.  At a weight with a zero entry either polish
+    starts with each silent user's power at its floor where that point
+    meets every exact row and its lambda is no lower (_floored), as Newton
+    walks such a power down only about one nat a step.  Otherwise each
+    later iteration re-condenses the GP at the previous solution until the
+    GP optimum lambda moves by at most EPS_CONV (relative) or MAX_ITERS GPs
+    are solved.
     Every GP after the first starts its interior point from the previous
     GP's multipliers, unless that run did not converge.
 
@@ -788,6 +792,32 @@ def _log_point(gp: GpInstance, op: OperatingPoint) -> np.ndarray:
     a zero power or split goes to its floor."""
     with np.errstate(divide="ignore"):
         return _clipped(gp, np.log(np.concatenate([[1.0], op.powers, op.splits])))
+
+
+def _floored(cfg: SystemConfig, alpha: Weights, gp: GpInstance, y, ref) -> np.ndarray:
+    """The start of the exact-row polish whose usual start is the log point
+    ``y``, and ``ref`` is y with lambda set in closed form on the exact rows.
+
+    At a weight with a zero entry, each silent user's power heads for its
+    floor, an exponential tail in log variables that Newton walks down
+    about one nat a step.  So the start is ref's point with every silent
+    power at its floor (variable_box) and every split at min(1,
+    max_splits) there, lambda in closed form, where that point meets
+    every exact row within FEAS_TOL and its lambda is not below ref's;
+    otherwise, as at a weight without a zero entry, it is y.
+    """
+    silent = alpha.alpha == 0
+    if not silent.any():
+        return y
+    kk = cfg.num_users
+    start = ref.copy()
+    start[1:kk + 1][silent] = gp.log_box[0][:kk][silent]
+    splits = np.minimum(1.0, max_splits(cfg, np.exp(start[1:kk + 1])))
+    if not (splits > 0).all():
+        return y
+    start[kk + 1:] = np.log(splits)
+    start, worst = _exact_lambda(gp.exact, _clipped(gp, start))
+    return start if worst <= FEAS_TOL and start[0] >= ref[0] else y
 
 
 def _polished(gp: GpInstance, y, ref, z=None) -> tuple:
@@ -828,7 +858,8 @@ def _solve(cfg, alpha, order, mode, start, duals) -> SolveReport:
                                     f"multipliers >= 0, got {duals}")])
         y, worst = _exact_lambda(rows.exact, _log_point(rows, start))
         if worst <= FEAS_TOL:
-            polished, duals, newton_steps = _polished(rows, y, y, duals)
+            polished, duals, newton_steps = _polished(
+                rows, _floored(cfg, alpha, rows, y, y), y, duals)
     converged = polished is not None
     if not converged:
         gp = build_gp(cfg, alpha, order, cold if start is None else start, mode)
@@ -845,7 +876,8 @@ def _solve(cfg, alpha, order, mode, start, duals) -> SolveReport:
                 y = _log_point(gp, point)
                 y[0] = solution.log_lam
                 ref, _ = _exact_lambda(gp.exact, y)
-                polished, duals, steps = _polished(gp, y, ref, gp_duals)
+                polished, duals, steps = _polished(
+                    gp, _floored(cfg, alpha, gp, y, ref), ref, gp_duals)
                 newton_steps += steps
                 if polished is not None:
                     converged = True

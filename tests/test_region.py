@@ -343,10 +343,9 @@ def test_sweep_starts_cold_only_without_a_solved_neighbour(cfg, mode, cold, cros
 def test_failed_point_successor_starts_at_the_cold_point():
     # A three-antenna eavesdropper with an SNR of about 5e21: its
     # covariances lose positive definiteness to rounding, which fails order
-    # (1, 2) at alpha1 = 0.125 (and order (2, 1) at the alpha1 = 0
-    # endpoint).  The next interior point of that order has no solved
-    # neighbour, so it starts at the cold point without multipliers, and
-    # the one after it continues from there.
+    # (1, 2) at alpha1 = 0.125.  The next interior point of that order has
+    # no solved neighbour, so it starts at the cold point without
+    # multipliers, and the one after it continues from there.
     base = random_config(np.random.default_rng(0), 2, 3)
     cfg = replace(base, eve_channels=base.eve_channels * 1e11)
     starts = {}
@@ -359,8 +358,7 @@ def test_failed_point_successor_starts_at_the_cold_point():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(region, "iterate", recording)
         boundary = sweep(cfg, SECURE, grid=9)
-    assert [(f["alpha1"], f["order"]) for f in boundary.failures] == [
-        (0.0, (2, 1)), (0.125, (1, 2))]
+    assert [(f["alpha1"], f["order"]) for f in boundary.failures] == [(0.125, (1, 2))]
     assert all(f["error"] == "NumericalFailureError" and "not positive definite"
                in f["message"] for f in boundary.failures)
     start, duals = starts[0.25, (1, 2)]

@@ -1031,19 +1031,25 @@ class TestIterate:
         # From this start a 1.4e-6 weight on a negative secrecy gap puts the
         # first GPs' optimum near -12175 bit, far below log2 of the smallest
         # float (-1074), where lambda itself would be 0.0; the trace holds
-        # log2 lambda, which stays finite.  The polish straight from the
-        # start uses up its Newton steps, so the first GP runs; the polish
-        # after it climbs from there to an objective at least the loop's.
-        # With every polish rejected, the loop climbs to about -0.32 bit and
-        # stops only once lambda settles.
+        # log2 lambda, which stays finite.  With user 3 silent, the polish
+        # from the start with its power at its floor ends the solve without
+        # a GP.  The polish straight from the start uses up its Newton
+        # steps, so the first GP runs; the polish after it climbs from there
+        # to an objective at least the loop's, and the floored one's is no
+        # lower.  With every polish rejected, the loop climbs to about
+        # -0.32 bit and stops only once lambda settles.
         rng = np.random.default_rng(22745)
         cfg = random_config(rng, num_users=3, eh_fraction=0.0625)
         order = DecodingOrder(tuple(int(k) for k in rng.permutation(3)))
         start = OperatingPoint(0.05 * cfg.power_budget, np.full(3, 0.05))
         alpha = np.array([0.7, 1e-6, 0.0])
         weights = Weights(alpha / alpha.sum())
+        floored = iterate(cfg, weights, order, SECURE, start=start)
+        assert floored.polished and not floored.lam_trace
+        _unfloored(monkeypatch)
         polished = iterate(cfg, weights, order, SECURE, start=start)
         assert polished.polished and len(polished.lam_trace) == 1
+        assert floored.objective >= polished.objective
         assert polished.lam_trace[0] == pytest.approx(-12175.35, abs=0.01)
         monkeypatch.setattr(solver, "_polished", lambda gp, y, ref, z=None: (None, None, 0))
         rep = iterate(cfg, weights, order, SECURE, start=start)
@@ -1316,6 +1322,91 @@ def test_polished_point_meets_exact_rows(seed, num_users, num_eve_antennas, mode
     assert np.all(energies >= cfg.eh_demands * (1 - 1e-9))
     assert np.all(rep.op.powers <= cfg.power_budget)
     assert np.all(rep.op.splits <= 1.0)
+
+
+def _unfloored(monkeypatch):
+    """Start every exact-row polish where it starts without _floored."""
+    monkeypatch.setattr(solver, "_floored", lambda cfg, alpha, gp, y, ref: y)
+
+
+def test_silent_user_starts_at_its_floor(monkeypatch):
+    # At alpha1 = 0 on the weak scenario without demands, user 1's power
+    # heads for its floor, an exponential tail that Newton walked down about
+    # one nat a step: 24 steps, and the power ended 1.4e-4 above its floor.
+    # Started at the floor, the polish after the GP takes at most 13 steps
+    # and scores no lower.
+    cfg = weak_interference()
+    rep = iterate(cfg, Weights.pair(0.0), None, RELIABLE)
+    floor = solver.variable_box(cfg)[0][0]
+    assert rep.polished and rep.iterations == 1
+    assert rep.newton_steps <= 13
+    assert floor <= rep.op.powers[0] <= floor * (1 + 1e-5)
+    _unfloored(monkeypatch)
+    plain = iterate(cfg, Weights.pair(0.0), None, RELIABLE)
+    assert plain.newton_steps > rep.newton_steps
+    assert plain.op.powers[0] > floor * (1 + 1e-5)
+    assert rep.objective >= plain.objective
+
+
+def test_silent_user_harvesting_keeps_its_power(monkeypatch):
+    # With demands 0.8, user 1 keeps power 0.3 at alpha1 = 0 for its own
+    # harvesting; at its floor no split meets the demand, so the floored
+    # start is rejected, the polish starts where it does without it, and the
+    # solve ends at the same point, bit for bit.
+    cfg = weak_interference(eh_demands=(0.8, 0.8))
+    floored = solver._floored
+    chosen = []
+
+    def recorded(cfg, alpha, gp, y, ref):
+        start = floored(cfg, alpha, gp, y, ref)
+        chosen.append(start is y)
+        return start
+
+    monkeypatch.setattr(solver, "_floored", recorded)
+    rep = iterate(cfg, Weights.pair(0.0), None, RELIABLE)
+    assert chosen == [True]
+    assert rep.op.powers[0] == pytest.approx(0.3, abs=1e-5)
+    _unfloored(monkeypatch)
+    plain = iterate(cfg, Weights.pair(0.0), None, RELIABLE)
+    assert rep.objective == plain.objective and rep.newton_steps == plain.newton_steps
+    for got, want in ((rep.op.powers, plain.op.powers), (rep.op.splits, plain.op.splits),
+                      (rep.rates, plain.rates), (rep.duals, plain.duals)):
+        assert _identical(got, want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), num_users=st.sampled_from([2, 3]),
+       num_eve_antennas=st.sampled_from([1, 2, 3]),
+       mode=st.sampled_from([RELIABLE, SECURE]), eh_fraction=st.floats(0.0, 0.8))
+def test_floored_start_is_never_below_the_usual_start(seed, num_users, num_eve_antennas,
+                                                      mode, eh_fraction):
+    # At a weight with a silent user, the polish starts either where it
+    # would without _floored (the same array), or at a point with every
+    # silent power at its floor that meets every exact row within FEAS_TOL
+    # and whose closed-form log lambda is not below the usual start's: on
+    # the warm path from the cold point, and after the first GP.
+    rng = np.random.default_rng(seed)
+    cfg = random_config(rng, num_users=num_users,
+                        num_eve_antennas=num_eve_antennas, eh_fraction=eh_fraction)
+    order = DecodingOrder(tuple(int(k) for k in rng.permutation(num_users)))
+    w = rng.dirichlet(np.ones(num_users))
+    w[rng.permutation(num_users)[:int(rng.integers(1, num_users))]] = 0.0
+    weights = Weights(w / w.sum())
+    silent = weights.alpha == 0
+    cold = solver.feasible_start(cfg)
+    gp = build_gp(cfg, weights, order, cold, mode)
+    warm, _ = solver._exact_lambda(gp.exact, solver._log_point(gp, cold))
+    solution = solve_gp(gp)
+    y = solver._log_point(gp, solution.op)
+    y[0] = solution.log_lam
+    ref, _ = solver._exact_lambda(gp.exact, y)
+    for usual, ref in ((warm, warm), (y, ref)):
+        start = solver._floored(cfg, weights, gp, usual, ref)
+        if start is usual:
+            continue
+        assert start[0] >= ref[0]
+        assert solver._exact_lambda(gp.exact, start)[1] <= solver.FEAS_TOL
+        assert _identical(start[1:num_users + 1][silent], gp.log_box[0][:num_users][silent])
 
 
 @pytest.mark.parametrize("draw, perm, oracle", [(30, (0, 1), 0.12132),
